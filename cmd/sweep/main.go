@@ -51,12 +51,10 @@
 // byte-identical at any width — only wall clock and the summary's fan-out
 // line change.
 //
-// -shards K runs every cell on the sharded campaign kernel with K worker
-// shards instead of the legacy single-heap kernel. Results are
-// byte-identical either way (the sharded kernel is golden-hash pinned to
-// the legacy one), so it composes freely with -resume and every scenario;
-// it pays off at large -scale host populations. Ignored with -corun: the
-// shared multi-project grid runs on the legacy population plane.
+// -shards K runs every cell's host kernel with K worker shards (0 = 1).
+// Results are byte-identical for every K, so it composes freely with
+// -resume and every scenario; it pays off at large -scale host fleets.
+// Ignored with -corun: the shared multi-project grid runs on one shard.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -141,7 +139,7 @@ func run() (err error) {
 	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
 	reps := flag.Int("reps", 3, "replications per scenario")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-campaign sharded-kernel shards (0 = legacy kernel; results are byte-identical either way; ignored with -corun)")
+	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = 1; results are byte-identical for every value; ignored with -corun)")
 	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; ignored with -corun)")
 	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt portable snapshots on this many pooled runners (0 = -workers; 1 = sequential forks)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")

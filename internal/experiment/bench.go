@@ -21,7 +21,7 @@ type BenchRun struct {
 	CPU             string  `json:"cpu,omitempty"`          // informational; ns/op is machine-bound
 	Scale           float64 `json:"scale"`                  // WorkScale of the run
 	HostScale       float64 `json:"host_scale,omitempty"`   // only when ≠ Scale (grid-growth runs)
-	Shards          int     `json:"shards,omitempty"`       // sharded-kernel runs (0 = legacy kernel)
+	Shards          int     `json:"shards,omitempty"`       // host-kernel shards (0 = 1)
 	HostsJoined     int     `json:"hosts_joined,omitempty"` // volunteers that ever joined (churn included)
 	NsPerOp         int64   `json:"ns_per_op"`              // wall-clock per campaign
 	BytesPerOp      int64   `json:"bytes_per_op"`           // heap allocated per campaign
@@ -30,6 +30,7 @@ type BenchRun struct {
 	PeakQueueDepth  int     `json:"peak_queue_depth"`       // event-queue high-water mark
 	SimWeeks        float64 `json:"sim_weeks"`              // simulated campaign duration
 	ResultsReceived int64   `json:"results_received"`       // returned results per campaign
+	Note            string  `json:"note,omitempty"`         // why the row moved against its predecessor
 }
 
 // BenchFile is the on-disk BENCH_campaign.json: an append-mostly log of

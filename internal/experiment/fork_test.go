@@ -30,7 +30,7 @@ func forkScenarios(t *testing.T) []Scenario {
 
 // TestForkedSweepIdentical is the sweep-level fork pin: with prefix sharing
 // on, results and aggregates are byte-identical to the unforked sweep — on
-// one worker and eight, on the legacy and the sharded kernel — and the
+// one worker and eight, at K=1 and at K=4 — and the
 // prefix stats prove every grouped cell really was served by a fork (a
 // silent fallback to standalone runs would keep results correct but show
 // up as missing hits here).

@@ -156,7 +156,7 @@ func TestFaultScenariosWorkerIndependent(t *testing.T) {
 	sharded := run(8, 8)
 	for i := range serial.Results {
 		if serial.Results[i] != sharded.Results[i] {
-			t.Fatalf("fault cell %d differs between legacy and 8-shard kernels:\n%+v\n%+v",
+			t.Fatalf("fault cell %d differs between the 1-shard and 8-shard kernels:\n%+v\n%+v",
 				i, serial.Results[i], sharded.Results[i])
 		}
 	}

@@ -111,10 +111,9 @@ type Options struct {
 	// Workers bounds the goroutine pool; 0 means GOMAXPROCS.
 	Workers int
 
-	// Shards selects the sharded campaign kernel for every cell (0 = the
-	// legacy single-heap kernel). The shard count never changes simulation
-	// results — sharded runs are byte-identical to sequential and legacy
-	// ones — so it is not part of the checkpoint key and checkpointed
+	// Shards is every cell's host-kernel shard count (0 = 1). The shard
+	// count never changes simulation results — runs are byte-identical for
+	// every K — so it is not part of the checkpoint key and checkpointed
 	// cells from a differently-sharded sweep stay valid.
 	Shards int
 

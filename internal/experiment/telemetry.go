@@ -17,7 +17,7 @@ type Telemetry struct {
 	Total           int
 	Workers         int // sweep worker goroutines
 	Gomaxprocs      int // runtime.GOMAXPROCS when the snapshot was taken
-	Shards          int // per-campaign kernel shards (0 = legacy kernel)
+	Shards          int // per-campaign host-kernel shards (0 = 1)
 	ElapsedSeconds  float64
 	CellsPerSec     float64
 	ETASeconds      float64 // 0 when no cell has finished yet

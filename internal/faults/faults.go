@@ -3,10 +3,9 @@
 // upload-loss with retry budgets, and permanent host departure with
 // replacement joins (churn). Every fault is an ordinary kernel event or a
 // pure function of (seed, host, attempt) — never ambient randomness — so a
-// fault scenario is byte-reproducible, independent of shard count, and
-// identical between the legacy host loop and the sharded SoA kernel.
+// fault scenario is byte-reproducible and independent of shard count.
 //
-// The plane sits between the host kernels and the middleware as a
+// The plane sits between the host kernel and the middleware as a
 // volunteer.WorkSource wrapper (it also implements volunteer.RetryAdvisor,
 // replacing the flat IdleRetry with capped exponential backoff while the
 // server is down). The outage schedule itself is enforced by wcg.Server —

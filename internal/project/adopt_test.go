@@ -24,7 +24,7 @@ func materialize(t *testing.T, base Config) (*Runner, *PortableSnapshot) {
 // TestAdoptEqualsStraightRun is the portable-snapshot identity pin: a
 // snapshot materialized on one runner and adopted into a different one
 // must fork reports byte-identical to the in-place fork path and to a
-// straight run — on the legacy and the sharded kernel, into a fresh and
+// straight run — at K=1 and at K=4, into a fresh and
 // a dirty (pooled) adopter, and repeatedly into the same adopter.
 func TestAdoptEqualsStraightRun(t *testing.T) {
 	for _, shards := range []int{0, 4} {

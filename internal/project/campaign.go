@@ -13,14 +13,15 @@
 // Two run shapes share the machinery (see tenant.go):
 //
 //   - Campaign is the single-project path of the paper's phase I: one
-//     project owning its entire host population, the population bound
-//     straight to the project's middleware server. This path is
-//     byte-identical to the pre-shared-grid code, fresh and pooled
-//     (golden_test.go pins the hashes).
+//     project owning its entire host fleet, the fleet bound straight to
+//     the project's middleware server (golden_test.go pins the report
+//     hashes, fresh and pooled).
 //   - Grid (grid.go) is the shared multi-project path: N tenants on one
-//     volunteer population, each host multiplexing its work fetches across
-//     the attached project servers by resource share, so a project's grid
+//     volunteer fleet, each host multiplexing its work fetches across the
+//     attached project servers by resource share, so a project's grid
 //     share is a measured output instead of an assumed constant.
+//
+// Both run their fleet on the volunteer package's ShardKernel.
 package project
 
 import (
@@ -89,14 +90,11 @@ type Config struct {
 	Seed     uint64
 	MaxWeeks float64 // safety stop
 
-	// Shards selects the execution plan: 0 (the default) runs the legacy
-	// single-heap host kernel; K ≥ 1 runs the deterministic sharded
-	// time-window kernel (volunteer.ShardKernel) with K worker shards.
-	// Reports are byte-identical across all values — Shards=1 equals
-	// Shards=N equals the legacy kernel, fresh and pooled (golden-hash
-	// pinned) — so this is purely a performance choice for mega-grid
-	// host scales. Excluded from JSON so marshaled reports and scenario
-	// hashes are invariant to the plan.
+	// Shards is the host kernel's worker shard count K (volunteer.
+	// ShardKernel); 0 = 1. Reports are byte-identical for every K, fresh
+	// and pooled (golden-hash pinned), so this is purely a performance
+	// choice for mega-grid host scales. Excluded from JSON so marshaled
+	// reports and scenario hashes are invariant to the plan.
 	Shards int `json:"-"`
 
 	// SnapshotWeeks are the Figure 7 progression capture points.
@@ -197,7 +195,7 @@ type Report struct {
 	TotalRefWork  float64 // ref-seconds of distinct work released
 	DistinctWUs   int64
 	ServerStats   wcg.Stats
-	MeanSpeedDown float64 // population mean
+	MeanSpeedDown float64 // fleet mean
 	// HostsJoined counts every volunteer that ever joined (churn included).
 	// Excluded from the JSON rendering so the PR 5/6 golden report bytes
 	// stay valid; the mega-grid benchmarks read it to record fleet size.
@@ -273,12 +271,11 @@ func (r Report) TotalFactor() float64 {
 }
 
 // Campaign is a configured, runnable single-project simulation: one tenant
-// owning its entire host population, bound to it directly (no mux).
+// owning its entire host fleet, bound to it directly (no mux).
 type Campaign struct {
 	t      tenant
 	engine *sim.Engine
-	pop    *volunteer.Population  // legacy kernel (Shards == 0)
-	kern   *volunteer.ShardKernel // sharded mega-grid kernel (Shards > 0)
+	kern   *volunteer.ShardKernel
 	ledger *credit.Ledger
 	plane  *faults.Plane // fault plane; kept across resets, bound only on fault runs
 
@@ -288,8 +285,8 @@ type Campaign struct {
 	// alive would otherwise pin every arena chunk of the finished run.
 	pooled bool
 
-	// Run-phase tickers, installed by start/startSharded and stopped by
-	// finish/finishSharded. Struct fields (not Run locals) so the fork path
+	// Run-phase tickers, installed by start and stopped by finish. Struct
+	// fields (not Run locals) so the fork path
 	// can capture their stopped flags alongside a snapshot; each ticker
 	// owns one engine-arena event for its whole life, so the pointers stay
 	// valid across a snapshot restore.
@@ -314,8 +311,8 @@ func checkConfig(cfg Config) Config {
 	if cfg.MaxWeeks <= 0 {
 		cfg.MaxWeeks = 60
 	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
 	if p := cfg.Probe; p != nil && p.Trace != nil {
 		// Saboteur onsets surface from deep inside the host layer; route
@@ -353,20 +350,14 @@ func New(cfg Config) *Campaign {
 	cfg = checkConfig(cfg)
 	c := &Campaign{engine: sim.NewEngine()}
 	c.t.initTenant(cfg, wcg.NewServer(c.engine, cfg.Server))
-	ws := c.workSource(cfg)
-	if cfg.Shards > 0 {
-		c.kern = volunteer.NewShardKernel(c.engine, ws, cfg.Host,
-			rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
-	} else {
-		c.pop = volunteer.NewPopulation(c.engine, ws, cfg.Host, rng.New(cfg.Seed))
-	}
+	c.kern = volunteer.NewShardKernel(c.engine, c.workSource(cfg), cfg.Host,
+		rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
 	c.ledger = credit.NewLedger()
 	return c
 }
 
 // workSource resolves what the host kernel binds: the tenant's server
-// directly on a fault-free run (byte-identical to the pre-fault code), or
-// the fault plane wrapping it. The plane struct is pooled across resets;
+// directly on a fault-free run, or the fault plane wrapping it. The plane struct is pooled across resets;
 // only fault runs rearm and bind it.
 func (c *Campaign) workSource(cfg Config) volunteer.WorkSource {
 	if cfg.Faults == nil {
@@ -391,7 +382,7 @@ func (c *Campaign) activePlane() *faults.Plane {
 	return c.plane
 }
 
-// shardWindow picks the sharded kernel's barrier width: half the target
+// shardWindow picks the host kernel's barrier width: half the target
 // task wall time, capped by the idle-retry interval — wide enough that
 // almost every host continuation lands beyond the current window (the
 // overlay heap catches the rest; any positive value is correct).
@@ -410,32 +401,18 @@ func shardWindow(cfg Config) float64 {
 }
 
 // reset rearms the campaign for another run under a new configuration,
-// retaining every layer's backing storage: the kernel's heap and event
-// arena, the middleware's queue/ring/state arenas, the host-struct pool,
-// the batch plans, the weekly accumulators, the credit ledger's dense
-// slices, and the report's series/histogram buffers. The previous run's
+// retaining every layer's backing storage: the engine's heap and event
+// arena, the middleware's queue/ring/state arenas, the host kernel's
+// columns and calendars, the batch plans, the weekly accumulators, the
+// credit ledger's dense slices, and the report's series/histogram buffers. The previous run's
 // Report is overwritten — this is the Runner's pooled path.
 func (c *Campaign) reset(cfg Config) {
 	cfg = checkConfig(cfg)
 	c.engine.Reset()
 	c.t.server.Reset(cfg.Server)
-	ws := c.workSource(cfg)
-	if cfg.Shards > 0 {
-		if c.kern == nil {
-			c.kern = volunteer.NewShardKernel(c.engine, ws, cfg.Host,
-				rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
-		} else {
-			c.kern.Reset(c.engine, ws, cfg.Host,
-				rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
-		}
-	} else {
-		if c.pop == nil {
-			c.pop = volunteer.NewPopulation(c.engine, ws, cfg.Host, rng.New(cfg.Seed))
-		} else {
-			c.pop.Reset(cfg.Host, rng.New(cfg.Seed))
-			c.pop.Rebind(ws) // the source wrapping may differ run to run
-		}
-	}
+	// The source wrapping (fault plane or bare server) may differ run to run.
+	c.kern.Reset(c.engine, c.workSource(cfg), cfg.Host,
+		rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
 	c.ledger.Reset()
 	c.t.reset(cfg)
 }
@@ -476,22 +453,17 @@ func (r *Runner) Run(cfg Config) *Report {
 
 // Run executes the campaign and returns its report.
 func (c *Campaign) Run() *Report {
-	if c.t.cfg.Shards > 0 {
-		c.startSharded()
-		c.kern.RunUntil(c.t.cfg.MaxWeeks * sim.Week)
-		return c.finishSharded()
-	}
 	c.start()
-	c.engine.RunUntil(c.t.cfg.MaxWeeks * sim.Week)
+	c.kern.RunUntil(c.t.cfg.MaxWeeks * sim.Week)
 	return c.finish()
 }
 
-// start arms the legacy-kernel run: batches prepared, callbacks bound,
-// probe attached, phase/feeder/churn tickers installed. The weekly loop
-// keeps its state in the tenant (t.done, t.doneWeek, t.snapIdx) rather
-// than in closure cells so a tenant snapshot carries the loop state and a
-// restored fork resumes it; the split into start / engine run / finish is
-// what lets the fork path (fork.go) stop the run at a divergence time.
+// start arms the run: batches prepared, callbacks bound, probe attached,
+// phase/feeder/churn tickers installed. The weekly loop keeps its state in
+// the tenant (t.done, t.doneWeek, t.snapIdx) rather than in closure cells
+// so a tenant snapshot carries the loop state and a restored fork resumes
+// it; the split into start / kernel run / finish is what lets the fork
+// path (fork.go) stop the run at a divergence time.
 func (c *Campaign) start() {
 	cfg := &c.t.cfg
 	c.t.prepare()
@@ -499,6 +471,12 @@ func (c *Campaign) start() {
 	probe := cfg.Probe
 	c.sampler = c.bindProbe(probe)
 
+	// The spawn-count forecast for the slot pool: active hosts only change
+	// at weekly ticks, so at the window barrier before a tick this is the
+	// exact spawn count — except when the project finishes at that very
+	// tick, where it overpredicts harmlessly (slots keep, seeds are
+	// pre-drawn from a stream nothing else reads).
+	c.kern.SpawnHint = c.spawnHintFn()
 	c.weekly = c.engine.Every(0, sim.Week, c.weeklyFn(probe))
 	c.weekly.Tag(sim.Call{Kind: sim.CallTickWeekly})
 	// A daily feeder keeps the queue from draining dry between the weekly
@@ -508,7 +486,7 @@ func (c *Campaign) start() {
 	// Churn: permanent departures paired with replacement joins, sampled
 	// at a fixed cadence so the injection is an ordinary kernel event.
 	// SetTarget stops the oldest hosts and the restore spawns replacements
-	// from the same FIFO seed stream both kernels share.
+	// FIFO from the population seed stream.
 	c.churn = nil
 	if plane := c.activePlane(); plane != nil && plane.ChurnEnabled() {
 		c.churn = c.engine.Every(faults.ChurnOffset, faults.ChurnInterval, c.churnFn(plane))
@@ -516,12 +494,32 @@ func (c *Campaign) start() {
 	}
 }
 
-// weeklyFn builds the legacy weekly phase-schedule tick. A factory (rather
-// than an inline closure in start) so snapshot adoption can rebuild the
-// identical closure on a dormant ticker; the body is unchanged from the
-// pre-portable inline version.
+// hostTarget is the fleet size the §5.1 phase schedule asks for at week w
+// of the campaign.
+func (c Config) hostTarget(w float64) int {
+	gridCap := c.Grid.VFTPAt(CampaignStartWeek + w)
+	return max(1, int(math.Round(c.Share(w)*gridCap*c.HostScale)))
+}
+
+// spawnHintFn builds the slot-pool spawn forecast. The ticker and hint
+// bodies are built by factories rather than inline in start so snapshot
+// adoption can rebuild identical closures on a dormant ticker or an
+// adopting kernel.
+func (c *Campaign) spawnHintFn() func(float64) int {
+	kern := c.kern
+	return func(w float64) int {
+		if c.t.done {
+			return 0
+		}
+		return c.t.cfg.hostTarget(w) - kern.Active()
+	}
+}
+
+// weeklyFn builds the weekly phase-schedule tick (factory: see
+// spawnHintFn).
 func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 	cfg := &c.t.cfg
+	kern := c.kern
 	return func(now sim.Time) {
 		w := now / sim.Week
 		if c.t.done {
@@ -547,54 +545,54 @@ func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 				c.t.captureSnapshot(cfg.SnapshotWeeks[c.t.snapIdx])
 				c.t.snapIdx++
 			}
-			c.pop.SetTarget(0)
+			kern.SetTarget(0)
 			return
 		}
-		// Track the phase schedule.
-		gridCap := cfg.Grid.VFTPAt(CampaignStartWeek + w)
-		target := int(math.Round(cfg.Share(w) * gridCap * cfg.HostScale))
-		if target < 1 {
-			target = 1
-		}
-		c.pop.SetTarget(target)
-		c.t.feed(c.pop.Active())
+		kern.SetTarget(cfg.hostTarget(w))
+		c.t.server.EnsureHosts(kern.TotalJoined())
+		c.t.feed(kern.Active())
 	}
 }
 
-// dailyFn builds the legacy daily feeder tick (factory: see weeklyFn).
+// dailyFn builds the daily feeder tick (factory: see spawnHintFn).
 func (c *Campaign) dailyFn() func(sim.Time) {
+	kern := c.kern
 	return func(sim.Time) {
 		if !c.t.done {
-			c.t.feed(c.pop.Active())
+			c.t.feed(kern.Active())
 		}
 	}
 }
 
-// churnFn builds the legacy churn tick (factory: see weeklyFn).
+// churnFn builds the churn tick (factory: see spawnHintFn).
 func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
+	kern := c.kern
 	return func(sim.Time) {
 		if c.t.done {
 			return
 		}
-		if n := plane.ChurnCount(c.pop.Active()); n > 0 {
-			a := c.pop.Active()
-			c.pop.SetTarget(a - n)
-			c.pop.SetTarget(a)
+		if n := plane.ChurnCount(kern.Active()); n > 0 {
+			a := kern.Active()
+			kern.SetTarget(a - n)
+			kern.SetTarget(a)
 		}
 	}
 }
 
 // finish stops the phase tickers, drains the straggler tail and fills the
-// report — the back half of the legacy-kernel Run.
+// report.
 func (c *Campaign) finish() *Report {
 	cfg := &c.t.cfg
+	kern := c.kern
 	c.weekly.Stop()
 	c.daily.Stop()
 	if c.churn != nil {
 		c.churn.Stop()
 	}
-	// Drain any stragglers (late returns) without advancing phases.
-	c.engine.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
+	// Drain stragglers (late returns) without advancing phases — and
+	// without forecasting spawns for ticks that will never fire.
+	kern.SpawnHint = nil
+	kern.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
 	if c.sampler != nil {
 		c.sampler.Stop()
 	}
@@ -608,18 +606,19 @@ func (c *Campaign) finish() *Report {
 			obs.Int("events", int64(r.EventsExecuted)),
 			obs.Int("completed-wus", r.ServerStats.Completed))
 	}
-	r.MeanSpeedDown = c.pop.MeanSpeedDown()
-	r.HostsJoined = c.pop.TotalJoined()
-	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditPopulation(c.pop, c.ledger)
+	r.MeanSpeedDown = kern.MeanSpeedDown()
+	r.HostsJoined = kern.TotalJoined()
+	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(kern, c.ledger)
 	if plane := c.activePlane(); plane != nil {
 		fr := plane.BuildReport()
 		r.Faults = &fr
 	}
 	if !c.pooled {
-		// Release the run context: kernel, middleware, hosts, scratch. The
-		// returned report shares this struct, and a one-shot caller holding
-		// it must not keep the dead simulation's arenas live with it.
-		c.engine, c.pop, c.ledger = nil, nil, nil
+		// Release the run context: engine, middleware, host kernel,
+		// scratch. The returned report shares this struct, and a one-shot
+		// caller holding it must not keep the dead simulation's arenas live
+		// with it.
+		c.engine, c.kern, c.ledger = nil, nil, nil
 		c.t.release()
 	}
 	return r

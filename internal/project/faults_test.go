@@ -10,10 +10,9 @@ import (
 
 // faultStressConfig is the determinism configuration with every fault class
 // turned on at once: weekly maintenance, frequent unplanned outages, a
-// lossy uplink with retries, and heavy churn. The kernel-equality tests run
-// it because faults exercise exactly the paths that could diverge between
-// the legacy host loop and the sharded kernel (backoff scheduling, retry
-// events, churn replacements).
+// lossy uplink with retries, and heavy churn. Faults exercise the host
+// paths most likely to diverge (backoff scheduling, retry events, churn
+// replacements), so the kernel-equality tests run it.
 func faultStressConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := determinismConfig(t, seed)
@@ -29,31 +28,34 @@ func faultStressConfig(t *testing.T, seed uint64) Config {
 	return cfg
 }
 
-// TestFaultRunByteEqualAcrossKernels is the tentpole invariant: a fault
-// scenario produces byte-identical reports on the legacy kernel and on the
-// sharded kernel at every shard count, fresh and pooled.
+// TestFaultRunByteEqualAcrossKernels is the fault plane's kernel invariant:
+// a fault scenario reproduces the golden bytes recorded on the former
+// per-host kernel at every shard count, fresh and pooled.
 func TestFaultRunByteEqualAcrossKernels(t *testing.T) {
-	legacy := renderReport(t, New(faultStressConfig(t, 777)).Run())
-	if !bytes.Contains(legacy, []byte(`"Faults"`)) {
+	base := renderReport(t, New(faultStressConfig(t, 777)).Run())
+	if !bytes.Contains(base, []byte(`"Faults"`)) {
 		t.Fatal("fault run report carries no Faults section")
+	}
+	if got := hashBytes(base); got != goldenFaultStress {
+		t.Errorf("fault stress hash = %s, want golden %s", got, goldenFaultStress)
 	}
 	for _, k := range []int{1, 4, 8} {
 		cfg := faultStressConfig(t, 777)
 		cfg.Shards = k
-		if got := renderReport(t, New(cfg).Run()); !bytes.Equal(got, legacy) {
-			t.Errorf("shards=%d fault report differs from the legacy kernel's", k)
+		if got := renderReport(t, New(cfg).Run()); !bytes.Equal(got, base) {
+			t.Errorf("shards=%d fault report differs from the default plan's", k)
 		}
 	}
 	// Pooled: arenas dirtied by a different fault run, then the same cell.
 	runner := NewRunner()
 	runner.Run(faultStressConfig(t, 778))
-	if got := renderReport(t, runner.Run(faultStressConfig(t, 777))); !bytes.Equal(got, legacy) {
-		t.Error("pooled fault report differs from the fresh legacy run")
+	if got := renderReport(t, runner.Run(faultStressConfig(t, 777))); !bytes.Equal(got, base) {
+		t.Error("pooled fault report differs from the fresh run")
 	}
 	pooledSharded := faultStressConfig(t, 777)
 	pooledSharded.Shards = 4
-	if got := renderReport(t, runner.Run(pooledSharded)); !bytes.Equal(got, legacy) {
-		t.Error("pooled sharded fault report differs from the fresh legacy run")
+	if got := renderReport(t, runner.Run(pooledSharded)); !bytes.Equal(got, base) {
+		t.Error("pooled K=4 fault report differs from the fresh run")
 	}
 }
 
@@ -68,8 +70,8 @@ func TestZeroFaultConfigKeepsGoldenBytes(t *testing.T) {
 		t.Errorf("disabled fault config hash = %s, want golden %s", got, goldenSeed777)
 	}
 
-	// The pooled fault→zero-fault transition is the Rebind regression: the
-	// population must re-attach to the raw server once the plane goes away.
+	// The pooled fault→zero-fault transition: the kernel must re-attach to
+	// the raw server once the plane goes away.
 	runner := NewRunner()
 	runner.Run(faultStressConfig(t, 778))
 	if got := reportHash(t, runner.Run(determinismConfig(t, 777))); got != goldenSeed777 {

@@ -15,7 +15,7 @@ import (
 // and then finish the run repeatedly — once per what-if configuration —
 // restoring the context between forks. The model is restore-in-place (see
 // the snapshot package doc): in-flight event closures point at the live
-// engine, server, hosts and tenant, so a fork is not an independent copy
+// engine, server, host kernel and tenant, so a fork is not an independent copy
 // but a byte-exact rewind of the one context; forks run sequentially.
 //
 //	r.Begin(base)            // build + arm, nothing executed
@@ -107,7 +107,6 @@ type runSnapshot struct {
 
 	engine sim.EngineSnapshot
 	server wcg.ServerSnapshot
-	pop    volunteer.PopulationSnapshot
 	kern   volunteer.KernelSnapshot
 	plane  faults.PlaneSnapshot
 	ledger credit.LedgerSnapshot
@@ -124,11 +123,7 @@ func (c *Campaign) snapshot(s *runSnapshot) {
 	}
 	s.engine.Capture(c.engine)
 	s.server.Capture(c.t.server)
-	if c.t.cfg.Shards > 0 {
-		s.kern.Capture(c.kern)
-	} else {
-		s.pop.Capture(c.pop)
-	}
+	s.kern.Capture(c.kern)
 	if plane := c.activePlane(); plane != nil {
 		s.plane.Capture(plane)
 	}
@@ -151,11 +146,7 @@ func (c *Campaign) restoreSnap(s *runSnapshot) {
 	}
 	s.engine.Restore(c.engine)
 	s.server.Restore(c.t.server)
-	if c.t.cfg.Shards > 0 {
-		s.kern.Restore(c.kern)
-	} else {
-		s.pop.Restore(c.pop)
-	}
+	s.kern.Restore(c.kern)
 	if plane := c.activePlane(); plane != nil {
 		s.plane.Restore(plane)
 	}
@@ -188,7 +179,7 @@ func (c *Campaign) applyConfig(cfg Config) {
 	case cfg.WorkScale != base.WorkScale || cfg.HostScale != base.HostScale || cfg.HHours != base.HHours:
 		panic("project: fork cannot change the work/host scales")
 	case cfg.Order != base.Order || cfg.Shards != base.Shards || cfg.MaxWeeks != base.MaxWeeks:
-		panic("project: fork cannot change release order, kernel plan or horizon")
+		panic("project: fork cannot change release order, shard count or horizon")
 	case (cfg.Faults == nil) != (base.Faults == nil),
 		cfg.Faults != nil && *cfg.Faults != *base.Faults:
 		panic("project: fork cannot change the fault plane")
@@ -211,22 +202,14 @@ func (r *Runner) Begin(cfg Config) {
 		r.c.reset(cfg)
 	}
 	r.snap.valid = false
-	if r.c.t.cfg.Shards > 0 {
-		r.c.startSharded()
-	} else {
-		r.c.start()
-	}
+	r.c.start()
 }
 
 // RunTo executes every event with a timestamp strictly before at, in
 // exactly the order a full run would, and stops at the boundary without
 // advancing the clock to it.
 func (r *Runner) RunTo(at sim.Time) {
-	if r.c.t.cfg.Shards > 0 {
-		r.c.kern.RunBefore(at)
-	} else {
-		r.c.engine.RunBefore(at)
-	}
+	r.c.kern.RunBefore(at)
 }
 
 // Snapshot captures the run context at the current event boundary. The
@@ -243,11 +226,7 @@ func (r *Runner) Snapshot() {
 func (r *Runner) Fork(cfg Config) *Report {
 	r.c.restoreSnap(&r.snap)
 	r.c.applyConfig(cfg)
-	if r.c.t.cfg.Shards > 0 {
-		r.c.kern.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
-		return r.c.finishSharded()
-	}
-	r.c.engine.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
+	r.c.kern.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
 	return r.c.finish()
 }
 

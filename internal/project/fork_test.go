@@ -32,7 +32,7 @@ func forkHash(t *testing.T, r *Runner, base, cell Config) string {
 
 // TestForkEqualsStraightRun is the fork-identity pin: a run forked at the
 // divergence time must hash byte-identically to a straight run of the
-// forked config — on the legacy and the sharded kernel, from a fresh and
+// forked config — at K=1 and at K=4, from a fresh and
 // from a dirty (pooled) runner, and repeatedly from one snapshot. Forking
 // the base config itself must reproduce the goldenSeed777 bytes, so the
 // whole snapshot/restore cycle is anchored to the pre-fork golden hash.

@@ -13,10 +13,10 @@ import (
 )
 
 // GridConfig parameterizes a shared multi-project grid run: one volunteer
-// population multiplexed across N project tenants by resource share. The
+// fleet multiplexed across N project tenants by resource share. The
 // grid-level fields here (Host, Grid, GridShare, HostScale, Seed, MaxWeeks)
 // override the same-named fields of every tenant Config — a tenant on a
-// shared grid no longer owns a population or a phase schedule, only its
+// shared grid no longer owns a fleet or a phase schedule, only its
 // workload (DS, M, HHours, WorkScale, Order, Seed for RandomOrder,
 // SnapshotWeeks) and its middleware configuration (Server).
 type GridConfig struct {
@@ -27,14 +27,14 @@ type GridConfig struct {
 	// normalized to sum to 1. Nil means equal shares.
 	Shares []float64
 
-	// Host configures the shared volunteer population; Grid models the
+	// Host configures the shared volunteer fleet; Grid models the
 	// capacity of the whole World Community Grid it is carved from.
 	Host volunteer.HostConfig
 	Grid volunteer.GridModel
 	// GridShare is the fraction of the modeled grid's capacity this shared
-	// population represents (all tenants together). 0 means 1: the whole
+	// fleet represents (all tenants together). 0 means 1: the whole
 	// grid. There is no per-tenant phase ramp — tenants contend for the
-	// shared population through the work-fetch mux from day one, which is
+	// shared fleet through the work-fetch mux from day one, which is
 	// exactly the §7 steady-state regime the forecast assumes.
 	GridShare float64
 	HostScale float64
@@ -57,9 +57,9 @@ type GridReport struct {
 	Config GridConfig `json:"-"`
 
 	// Projects are the per-tenant campaign reports (same shape as a
-	// single-project run). Their population-scoped fields — the §8 points
+	// single-project run). Their fleet-scoped fields — the §8 points
 	// accounting — and the kernel accounting (EventsExecuted, PeakPending)
-	// live on this struct instead: population and engine are shared, so
+	// live on this struct instead: fleet and engine are shared, so
 	// per-tenant values would double-count. MeanSpeedDown is mirrored into
 	// each tenant report (it is the shared fleet's mean).
 	Projects []*Report
@@ -76,7 +76,7 @@ type GridReport struct {
 	Completed    bool    // every tenant finished
 	WeeksElapsed float64 // last tenant completion (or MaxWeeks)
 
-	// Population-scoped accounting (shared across tenants).
+	// Fleet-scoped accounting (shared across tenants).
 	MeanSpeedDown  float64
 	PointsTotal    float64
 	AccountingBias float64
@@ -88,8 +88,8 @@ type GridReport struct {
 }
 
 // MeasuredShareOf returns tenant i's measured grid share relative to the
-// whole modeled grid (not just this population): the mux share scaled by
-// the population's GridShare slice. This is the number to compare against
+// whole modeled grid (not just this fleet): the mux share scaled by the
+// fleet's GridShare slice. This is the number to compare against
 // forecast.PhaseIIPlan.GridShare.
 func (r *GridReport) MeasuredShareOf(i int) float64 {
 	share := 1.0
@@ -115,10 +115,11 @@ func (r *GridReport) MaxShareError() float64 {
 //
 // # Determinism and Reset contract
 //
-// A Grid run is byte-for-bit deterministic in its GridConfig: the engine
-// serializes all events, hosts draw from per-host streams, and mux ports
-// break debt ties from per-host seeded streams. GridRunner pools a Grid
-// the way Runner pools a Campaign — engine, servers, population, mux and
+// A Grid run is byte-for-bit deterministic in its GridConfig: the host
+// kernel serializes all events, hosts draw from per-host streams, and the
+// mux breaks debt ties from per-host seeded streams. The fleet runs on a
+// K=1 volunteer.ShardKernel bound to the mux. GridRunner pools a Grid the
+// way Runner pools a Campaign — engine, servers, host kernel, mux and
 // report buffers are retained across Reset, and a pooled run's GridReport
 // is bit-identical to a fresh NewGrid(cfg).Run() (grid_test.go asserts
 // it). The returned GridReport is owned by the GridRunner and valid only
@@ -127,7 +128,7 @@ type Grid struct {
 	cfg     GridConfig
 	engine  *sim.Engine
 	mux     *volunteer.Mux
-	pop     *volunteer.Population
+	kern    *volunteer.ShardKernel
 	tenants []*tenant
 	ledger  *credit.Ledger
 
@@ -219,16 +220,18 @@ func NewGrid(cfg GridConfig) *Grid {
 		g.mux.Attach(t.server, cfg.Shares[i])
 		g.tenants[i] = t
 	}
-	g.pop = volunteer.NewMuxPopulation(g.engine, g.mux, cfg.Host, rng.New(cfg.Seed))
+	g.kern = volunteer.NewShardKernel(g.engine, nil, cfg.Host, rng.New(cfg.Seed), 1, gridWindow(cfg))
+	g.kern.Multiplex(g.mux)
 	g.ledger = credit.NewLedger()
 	g.report.Config = cfg
 	return g
 }
 
 // reset rearms the grid for another run, retaining every layer's backing
-// storage (kernel heap and arenas, per-server queues and slabs, the
-// host-struct pool, tenant batch plans and report buffers). Tenants beyond
-// the new project count are dropped; missing ones are built fresh.
+// storage (engine heap and arenas, per-server queues and slabs, the host
+// kernel's columns and calendars, tenant batch plans and report buffers).
+// Tenants beyond the new project count are dropped; missing ones are built
+// fresh.
 func (g *Grid) reset(cfg GridConfig) {
 	cfg = checkGridConfig(cfg)
 	g.cfg = cfg
@@ -253,7 +256,8 @@ func (g *Grid) reset(cfg GridConfig) {
 		g.mux.Attach(t.server, cfg.Shares[i])
 		g.tenants = append(g.tenants, t)
 	}
-	g.pop.Reset(cfg.Host, rng.New(cfg.Seed))
+	g.kern.Reset(g.engine, nil, cfg.Host, rng.New(cfg.Seed), 1, gridWindow(cfg))
+	g.kern.Multiplex(g.mux)
 	g.ledger.Reset()
 	g.windowClosed = false
 
@@ -288,6 +292,23 @@ func (r *GridRunner) Run(cfg GridConfig) *GridReport {
 	return r.g.Run()
 }
 
+// gridWindow picks the host kernel's barrier width: the narrowest tenant's
+// campaign window (a performance knob; any positive value is correct).
+func gridWindow(cfg GridConfig) float64 {
+	w := math.Inf(1)
+	for _, p := range cfg.Projects {
+		w = min(w, shardWindow(p))
+	}
+	return w
+}
+
+// hostTarget is the fleet size the grid asks for at week w: its GridShare
+// slice of the modeled grid, flat from launch.
+func (c *GridConfig) hostTarget(w float64) int {
+	gridCap := c.Grid.VFTPAt(CampaignStartWeek + w)
+	return max(1, int(math.Round(c.GridShare*gridCap*c.HostScale)))
+}
+
 // closeShareWindow snapshots every tenant's consumed CPU at the moment the
 // first tenant finishes: from here on the finished tenant stops contending,
 // so measured shares are only meaningful up to this point.
@@ -316,6 +337,13 @@ func (g *Grid) Run() *GridReport {
 	sampler := g.bindProbe(probe)
 
 	allDone := false
+	kern := g.kern
+	kern.SpawnHint = func(w float64) int {
+		if allDone {
+			return 0
+		}
+		return cfg.hostTarget(w) - kern.Active()
+	}
 	weekly := g.engine.Every(0, sim.Week, func(now sim.Time) {
 		w := now / sim.Week
 		if allDone {
@@ -346,18 +374,13 @@ func (g *Grid) Run() *GridReport {
 		}
 		if live == 0 {
 			allDone = true
-			g.pop.SetTarget(0)
+			kern.SetTarget(0)
 			return
 		}
-		gridCap := cfg.Grid.VFTPAt(CampaignStartWeek + w)
-		target := int(math.Round(cfg.GridShare * gridCap * cfg.HostScale))
-		if target < 1 {
-			target = 1
-		}
-		g.pop.SetTarget(target)
+		kern.SetTarget(cfg.hostTarget(w))
 		for _, t := range g.tenants {
 			if !t.done {
-				t.feed(g.pop.Active())
+				t.feed(kern.Active())
 			}
 		}
 		if !g.windowClosed {
@@ -366,7 +389,7 @@ func (g *Grid) Run() *GridReport {
 			// restock level): past that point the mux hands its time to
 			// the others by design, and CPU is no longer contended.
 			for _, t := range g.tenants {
-				if t.draining(g.pop.Active()) {
+				if t.draining(kern.Active()) {
 					g.closeShareWindow(w)
 					break
 				}
@@ -379,16 +402,18 @@ func (g *Grid) Run() *GridReport {
 		}
 		for _, t := range g.tenants {
 			if !t.done {
-				t.feed(g.pop.Active())
+				t.feed(kern.Active())
 			}
 		}
 	})
 
-	g.engine.RunUntil(cfg.MaxWeeks * sim.Week)
+	kern.RunUntil(cfg.MaxWeeks * sim.Week)
 	weekly.Stop()
 	daily.Stop()
-	// Drain any stragglers (late returns) without advancing phases.
-	g.engine.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
+	// Drain any stragglers (late returns) without advancing phases — and
+	// without forecasting spawns for ticks that will never fire.
+	kern.SpawnHint = nil
+	kern.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
 	if sampler != nil {
 		sampler.Stop()
 	}
@@ -402,7 +427,7 @@ func (g *Grid) Run() *GridReport {
 			obs.Int("events", int64(r.EventsExecuted)))
 	}
 	if !g.pooled {
-		g.engine, g.pop, g.mux, g.ledger = nil, nil, nil, nil
+		g.engine, g.kern, g.mux, g.ledger = nil, nil, nil, nil
 		for _, t := range g.tenants {
 			t.release()
 		}
@@ -412,14 +437,14 @@ func (g *Grid) Run() *GridReport {
 }
 
 // finishReport assembles the GridReport: per-tenant reports, measured
-// shares over the contention window, and the shared-population accounting.
+// shares over the contention window, and the shared-fleet accounting.
 func (g *Grid) finishReport(allDone bool) {
 	r := &g.report
 	r.Completed = allDone
 	r.EventsExecuted = g.engine.Executed()
 	r.PeakPending = g.engine.MaxPending()
-	r.MeanSpeedDown = g.pop.MeanSpeedDown()
-	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditPopulation(g.pop, g.ledger)
+	r.MeanSpeedDown = g.kern.MeanSpeedDown()
+	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(g.kern, g.ledger)
 
 	if !g.windowClosed {
 		// No tenant finished: the whole run was contended.

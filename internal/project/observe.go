@@ -61,7 +61,7 @@ func (c *Campaign) bindProbe(p *obs.Probe) *sim.Ticker {
 	if reg := p.Metrics; reg != nil {
 		reg.Rebind()
 		bindServerMetrics(reg, c.engine, c.t.server, "")
-		bindFleetMetrics(reg, c.engine, c.pop, false)
+		bindFleetMetrics(reg, c.engine, c.kern, nil)
 		sampler = c.engine.ObserveEvery(0, p.Cadence(), func(now sim.Time) {
 			reg.Sample(now)
 		})
@@ -73,8 +73,7 @@ func (c *Campaign) bindProbe(p *obs.Probe) *sim.Ticker {
 // bindFaultObs attaches the fault-plane trace hooks and metric series when
 // the run has a fault plane bound. Fault-free runs register nothing, so
 // the metric catalog — and the probe-neutrality golden bytes — are
-// unchanged. Shared by bindProbe and bindProbeSharded (the plane lives on
-// the serial path in both kernels).
+// unchanged.
 func (c *Campaign) bindFaultObs(p *obs.Probe) {
 	pl := c.activePlane()
 	if pl == nil {
@@ -100,7 +99,7 @@ func (c *Campaign) bindFaultObs(p *obs.Probe) {
 
 // bindProbe attaches the probe to a shared multi-project grid: tenant-
 // scoped series get a "p<i>-" prefix, the shared fleet contributes the
-// population/kernel series plus the mux debt spread.
+// fleet/engine series plus the mux debt spread.
 func (g *Grid) bindProbe(p *obs.Probe) *sim.Ticker {
 	if p == nil {
 		return nil
@@ -124,7 +123,7 @@ func (g *Grid) bindProbe(p *obs.Probe) *sim.Ticker {
 		for i, t := range g.tenants {
 			bindServerMetrics(reg, g.engine, t.server, "p"+strconv.Itoa(i)+"-")
 		}
-		bindFleetMetrics(reg, g.engine, g.pop, true)
+		bindFleetMetrics(reg, g.engine, g.kern, g.mux)
 		sampler = g.engine.ObserveEvery(0, p.Cadence(), func(now sim.Time) {
 			reg.Sample(now)
 		})
@@ -170,26 +169,21 @@ func bindServerMetrics(reg *obs.Registry, engine *sim.Engine, srv *wcg.Server, p
 	})
 }
 
-// bindFleetMetrics registers the population- and kernel-scoped catalog
-// (shared across tenants on a grid).
-func bindFleetMetrics(reg *obs.Registry, engine *sim.Engine, pop *volunteer.Population, muxed bool) {
-	reg.Gauge("active-hosts", func() float64 { return float64(pop.Active()) })
-	reg.Counter("hosts-joined", func() float64 { return float64(pop.TotalJoined()) })
+// bindFleetMetrics registers the fleet- and engine-scoped catalog (shared
+// across tenants on a grid); mux is nil on a single-project campaign.
+func bindFleetMetrics(reg *obs.Registry, engine *sim.Engine, kern *volunteer.ShardKernel, mux *volunteer.Mux) {
+	reg.Gauge("active-hosts", func() float64 { return float64(kern.Active()) })
+	reg.Counter("hosts-joined", func() float64 { return float64(kern.TotalJoined()) })
 	reg.Gauge("pending-events", func() float64 { return float64(engine.Pending()) })
 	reg.Counter("events-executed", func() float64 { return float64(engine.Executed()) })
-	if muxed {
+	if mux != nil {
 		reg.Gauge("mux-debt-spread", func() float64 {
 			var sum float64
 			n := 0
-			for _, h := range pop.Hosts() {
-				if h.Stopped() {
-					continue
-				}
-				if port := h.Port(); port != nil {
-					sum += port.DebtSpread()
-					n++
-				}
-			}
+			kern.EachActive(func(id int) {
+				sum += mux.DebtSpread(id)
+				n++
+			})
 			return ratio(sum, float64(n))
 		})
 	}

@@ -119,7 +119,7 @@ func (pt *portableTenant) bytes() int {
 // context at an event boundary: the configuration, the engine clock and
 // event schedule (as sim.Call descriptors), and every subsystem's
 // portable state. Safe to publish across goroutines; read-only once
-// built. Exactly one of pop/kern is set, matching cfg.Shards.
+// built.
 type PortableSnapshot struct {
 	cfg Config
 
@@ -129,7 +129,6 @@ type PortableSnapshot struct {
 	events        []sim.PortableEvent
 
 	server *wcg.PortableServer
-	pop    *volunteer.PortablePopulation
 	kern   *volunteer.PortableKernel
 	plane  *faults.PortablePlane
 	ten    portableTenant
@@ -138,13 +137,7 @@ type PortableSnapshot struct {
 // Bytes estimates the snapshot's memory footprint (slice payloads; the
 // fixed struct headers are noise next to them).
 func (ps *PortableSnapshot) Bytes() int {
-	n := snapshot.Size(ps.events) + ps.server.Bytes() + ps.ten.bytes()
-	if ps.pop != nil {
-		n += ps.pop.Bytes()
-	}
-	if ps.kern != nil {
-		n += ps.kern.Bytes()
-	}
+	n := snapshot.Size(ps.events) + ps.server.Bytes() + ps.kern.Bytes() + ps.ten.bytes()
 	if ps.plane != nil {
 		n += ps.plane.Bytes()
 	}
@@ -155,8 +148,8 @@ func (ps *PortableSnapshot) Bytes() int {
 // different Runner can adopt. The run must be unprobed (like the in-place
 // fork path) and mid-run — between Begin/RunTo calls, at an event
 // boundary. A non-nil error means this context cannot be made portable
-// (an untagged event in the schedule, a non-retained server, a mux-bound
-// population, an oversized retry budget); callers fall back to the
+// (an untagged event in the schedule, a non-retained server, an oversized
+// retry budget); callers fall back to the
 // sequential in-place path, which has no such limits.
 func (r *Runner) Materialize() (*PortableSnapshot, error) {
 	c := r.c
@@ -173,14 +166,7 @@ func (r *Runner) Materialize() (*PortableSnapshot, error) {
 	}
 	ps := &PortableSnapshot{cfg: c.t.cfg, events: events, server: server}
 	ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive = c.engine.ExportState()
-	if c.t.cfg.Shards > 0 {
-		ps.kern = c.kern.ExportPortable()
-	} else {
-		ps.pop, err = c.pop.ExportPortable()
-		if err != nil {
-			return nil, err
-		}
-	}
+	ps.kern = c.kern.ExportPortable()
 	if plane := c.activePlane(); plane != nil {
 		ps.plane, err = plane.ExportPortable()
 		if err != nil {
@@ -215,12 +201,8 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 
 	c.t.server.AdoptPortable(ps.server)
 	asAt := c.t.server.AssignmentAt
-	if c.t.cfg.Shards > 0 {
-		c.kern.AdoptPortable(ps.kern, asAt)
-		c.kern.SpawnHint = c.spawnHintFn()
-	} else {
-		c.pop.AdoptPortable(ps.pop, asAt)
-	}
+	c.kern.AdoptPortable(ps.kern, asAt)
+	c.kern.SpawnHint = c.spawnHintFn()
 	plane := c.activePlane()
 	if plane != nil {
 		plane.AdoptPortable(ps.plane)
@@ -230,20 +212,11 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	// heap entries instead of a fresh first tick. Adopted runs are
 	// unprobed, so there is no sampler and the probe argument is nil.
 	c.sampler = nil
-	if c.t.cfg.Shards > 0 {
-		c.weekly = c.engine.DormantTicker(sim.Week, c.shardedWeeklyFn(nil))
-		c.daily = c.engine.DormantTicker(sim.Day, c.shardedDailyFn())
-	} else {
-		c.weekly = c.engine.DormantTicker(sim.Week, c.weeklyFn(nil))
-		c.daily = c.engine.DormantTicker(sim.Day, c.dailyFn())
-	}
+	c.weekly = c.engine.DormantTicker(sim.Week, c.weeklyFn(nil))
+	c.daily = c.engine.DormantTicker(sim.Day, c.dailyFn())
 	c.churn = nil
 	if plane != nil && plane.ChurnEnabled() {
-		if c.t.cfg.Shards > 0 {
-			c.churn = c.engine.DormantTicker(faults.ChurnInterval, c.shardedChurnFn(plane))
-		} else {
-			c.churn = c.engine.DormantTicker(faults.ChurnInterval, c.churnFn(plane))
-		}
+		c.churn = c.engine.DormantTicker(faults.ChurnInterval, c.churnFn(plane))
 	}
 
 	c.engine.AdoptState(ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive)
@@ -264,8 +237,6 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 			fn = c.t.server.SpoolDrainFn()
 		case sim.CallUploadRetry:
 			fn = plane.ResolveCall(pe.Call, asAt)
-		default:
-			fn = c.pop.ResolveCall(pe.Call, asAt)
 		}
 		if tick != nil {
 			// The ticker owns its one event for the run's whole life;

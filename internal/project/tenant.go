@@ -387,19 +387,20 @@ func (t *tenant) finishReport(engine *sim.Engine, done bool, doneWeek float64) {
 	}
 }
 
-// creditPopulation runs the §8 points accounting over a host fleet: each
-// device's benchmark score is the reference score divided by its hardware
-// factor. Returns (points total, accounting bias, hardware trend). The
-// ledger's dense slices are reused across pooled runs.
-func creditPopulation(pop *volunteer.Population, ledger *credit.Ledger) (total, bias, trend float64) {
-	for _, h := range pop.Hosts() {
+// creditFleet runs the §8 points accounting over a host fleet in join
+// order: each device's benchmark score is the reference score divided by
+// its hardware factor. Returns (points total, accounting bias, hardware
+// trend). The ledger's dense slices are reused across pooled runs.
+func creditFleet(k *volunteer.ShardKernel, ledger *credit.Ledger) (total, bias, trend float64) {
+	for id := range k.TotalJoined() {
+		hw, joined, cpu := k.HostAccounting(id)
 		ledger.Register(credit.Device{
-			ID:       h.ID,
-			Score:    credit.ReferenceScore / h.Hardware,
-			JoinedAt: h.JoinedAt,
+			ID:       id,
+			Score:    credit.ReferenceScore / hw,
+			JoinedAt: joined,
 		})
-		if h.CPUSpent > 0 {
-			if _, err := ledger.Credit(credit.Result{Device: h.ID, ReportedS: h.CPUSpent, At: h.JoinedAt}); err != nil {
+		if cpu > 0 {
+			if _, err := ledger.Credit(credit.Result{Device: id, ReportedS: cpu, At: joined}); err != nil {
 				panic(err) // devices were just registered; cannot happen
 			}
 		}

@@ -77,13 +77,6 @@ type Call struct {
 const (
 	// CallNone marks an event whose scheduling site has not been tagged.
 	CallNone uint8 = iota
-	// CallHostRequest: a volunteer host's work-request callback. A0 = host index.
-	CallHostRequest
-	// CallHostTaskDone: a volunteer host's compute-completion callback. A0 = host index.
-	CallHostTaskDone
-	// CallHostLate: a host's late-return upload. A0 = host index,
-	// A1 = assignment arena index, F0 = reported CPU seconds.
-	CallHostLate
 	// CallWheelDrain: a deadline-wheel drain tick. K0 = deadline class.
 	CallWheelDrain
 	// CallSpoolDrain: the outage spool drain at a window end.
@@ -438,10 +431,10 @@ func (e *Engine) Peek() (t Time, seq uint64, ok bool) {
 }
 
 // TakeSeq hands out the next FIFO tie-break sequence number, exactly as
-// scheduling an event here would. An external event calendar (the sharded
-// host plane) draws its sequence numbers from the engine's counter at the
-// same moments the legacy code would have scheduled on the engine, so ties
-// between external and engine events resolve in the identical order.
+// scheduling an event here would. An external event calendar (the host
+// kernel's shard calendars) draws its sequence numbers from the engine's
+// counter at the moment it schedules, so ties between external and engine
+// events resolve in one global FIFO order.
 func (e *Engine) TakeSeq() uint64 {
 	s := e.seq
 	e.seq++

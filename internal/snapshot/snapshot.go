@@ -95,21 +95,18 @@
 //     schedule is immutable during a run and shared, not copied. Snapshot
 //     requires the retained-arena (pooled Reset) mode: the one-shot
 //     slab.Carve mode hands chunks back to the GC and cannot be rewound.
-//   - volunteer.Population / Host (volunteer.PopulationSnapshot): the
-//     host slice follows the slice rule; each active host's struct —
-//     including its rng state and mux port, both plain values — is
-//     copied whole, plus its result-cache contents. Pooled (departed)
-//     hosts are only captured as headers: Spawn fully re-initializes a
-//     host, so their contents need no restore. The spawn-seed stream is
-//     a value-copied rng.Source.
 //   - volunteer.ShardKernel (volunteer.KernelSnapshot): every SoA column
-//     follows the slice rule, as do the per-shard per-window calendar
-//     buckets, refill queues and overlay. The current-window buffers
-//     alias calendar buckets by construction; both sides are captured
-//     and restored, and the double-write is consistent (see above). The
-//     free-bucket lists hold len-0 headers over the same arrays and are
-//     restored the same way. The SpawnHint callback is captured as a
-//     func value because the drain phase nils it.
+//     follows the slice rule, as do the current window's sorted merge
+//     buffers, the refill queues and the overlay. The future windows of
+//     each shard calendar live in fixed-size chunks recycled through a
+//     per-shard free list; a capture flattens every pending window into
+//     one event list per shard, and a restore (or adoption) hands the live
+//     chunks back to the free list and rebuilds the windows from that list.
+//     Chunk layout is unobservable — a window is sorted by (time, seq) at
+//     its barrier — so the rebuilt calendar is equivalent to the captured
+//     one. The spawn-seed stream is a value-copied rng.Source; the
+//     SpawnHint callback is captured as a func value because the drain
+//     phase nils it.
 //   - faults.Plane (faults.PlaneSnapshot): per-host attempt/epoch/upload
 //     tables follow the slice rule; the window cursor, churn accumulator
 //     and stats are value copies. The materialized outage schedule is

@@ -1,5 +1,5 @@
 // The deterministic sharded time-window kernel: the execution half of the
-// mega-grid data plane (see plane.go for the SoA layout).
+// host plane (see plane.go for the SoA layout).
 //
 // # Shard time-window invariant
 //
@@ -12,26 +12,26 @@
 // window goes to a small overlay heap instead, which makes W a pure
 // performance knob — correctness holds for any W > 0.
 //
-// At each window barrier the K shard workers run in parallel, touching
-// only their own hosts (disjoint array ranges) and their own buckets:
-// they sort the window's bucket by (time, seq) and refill the consumed
-// per-host decision transcripts (plus, before a weekly tick, the spawn
-// slot pool). Between barriers a single goroutine merges the K sorted
-// bucket heads, the overlay heap and the engine's own heap in global
-// ascending (time, seq) order and executes the model serially.
+// A window's events are appended, unsorted, to a list of fixed-size
+// chunks drawn from the shard's free list, so a calendar's memory tracks
+// the pending events rather than its peak window. At each window barrier
+// the K shard workers run in parallel, touching only their own hosts
+// (disjoint array ranges) and their own calendars: they refill the
+// consumed per-host decision transcripts (plus, before a weekly tick, the
+// spawn slot pool), gather the new window's chunks into one reused
+// per-shard merge buffer, recycle the chunks and sort the buffer by
+// (time, seq). Between barriers a single goroutine merges the K sorted
+// buffers, the overlay heap and the engine's own heap in global ascending
+// (time, seq) order and executes the model serially.
 //
-// # Byte-identity with the sequential kernel
+// # K-invariance
 //
-// The legacy single-heap kernel breaks time ties FIFO by a sequence number
-// assigned at scheduling time. The sharded kernel draws its sequence
-// numbers from the same engine counter (Engine.TakeSeq) at exactly the
-// moments the legacy code would have scheduled, and mirrors the engine's
-// live/executed/clock accounting through ExternalSchedule/ExternalExecute.
-// Every model draw comes from the same per-host stream positions (see the
-// decision transcripts in plane.go). Shard count K therefore changes only
-// WHO precomputes a value, never the value or the execution order: reports
-// are byte-identical for K=1, K=N and the legacy kernel, fresh and pooled
-// (golden-hash tests in internal/project pin all three).
+// Every tie-break seq is drawn from the engine counter (Engine.TakeSeq) in
+// the serial merge, and every model draw comes from fixed per-host stream
+// positions (the decision transcripts in plane.go), so the shard count K
+// changes only who precomputes a value, never the value or the execution
+// order: reports are byte-identical for every K, fresh and pooled
+// (golden-hash tests in internal/project pin them).
 package volunteer
 
 import (
@@ -76,18 +76,118 @@ func planeEventLess(a, b planeEvent) int {
 	return 0
 }
 
+// chunkEvents is the size of one calendar chunk.
+const chunkEvents = 256
+
+// eventChunk is a fixed block of one window's events, linked into the
+// window's list or into the shard's free list.
+type eventChunk struct {
+	ev   [chunkEvents]planeEvent
+	n    int
+	next *eventChunk
+}
+
+// calWindow is one future window's events: a chunk list, unsorted.
+type calWindow struct {
+	head, tail *eventChunk
+	n          int
+}
+
+// shardCal is one shard's calendar: the future windows by absolute window
+// index, the free chunks, the armed window's sorted merge buffer with its
+// read cursor, and the hosts whose decision tuple was consumed since the
+// last barrier.
+type shardCal struct {
+	wins   []calWindow
+	free   *eventChunk
+	cur    []planeEvent
+	cursor int
+	refill []int32
+}
+
+// push appends ev to window w, taking a chunk from the free list (or
+// allocating one) when the window's tail chunk is full.
+func (c *shardCal) push(w int, ev planeEvent) {
+	for len(c.wins) <= w {
+		c.wins = append(c.wins, calWindow{})
+	}
+	win := &c.wins[w]
+	t := win.tail
+	if t == nil || t.n == chunkEvents {
+		nc := c.free
+		if nc != nil {
+			c.free, nc.next = nc.next, nil
+		} else {
+			nc = new(eventChunk)
+		}
+		if t == nil {
+			win.head = nc
+		} else {
+			t.next = nc
+		}
+		win.tail, t = nc, nc
+	}
+	t.ev[t.n] = ev
+	t.n++
+	win.n++
+}
+
+// count returns window w's event count.
+func (c *shardCal) count(w int) int {
+	if w < len(c.wins) {
+		return c.wins[w].n
+	}
+	return 0
+}
+
+// take makes window w the armed window: its events gathered (unsorted)
+// into the merge buffer, its chunks recycled.
+func (c *shardCal) take(w int) {
+	c.cur, c.cursor = c.cur[:0], 0
+	if w >= len(c.wins) {
+		return
+	}
+	for ch := c.wins[w].head; ch != nil; ch = ch.next {
+		c.cur = append(c.cur, ch.ev[:ch.n]...)
+	}
+	c.drop(w)
+}
+
+// drop recycles window w's chunks without reading them.
+func (c *shardCal) drop(w int) {
+	for ch := c.wins[w].head; ch != nil; {
+		next := ch.next
+		clear(ch.ev[:ch.n]) // unpin assignments
+		ch.n, ch.next = 0, c.free
+		c.free = ch
+		ch = next
+	}
+	c.wins[w] = calWindow{}
+}
+
+// reset empties the calendar, keeping its chunks and buffers.
+func (c *shardCal) reset() {
+	for w := range c.wins {
+		c.drop(w)
+	}
+	c.wins = c.wins[:0]
+	clear(c.cur)
+	c.cur, c.cursor = c.cur[:0], 0
+	c.refill = c.refill[:0]
+}
+
 // ShardKernel runs a host fleet in SoA form over K deterministic shard
-// calendars merged against a sim.Engine. It is the drop-in mega-grid
-// replacement for Population + per-Host event scheduling on a
-// single-project campaign.
+// calendars merged against a sim.Engine: the host kernel of every campaign
+// and co-run.
 type ShardKernel struct {
 	eng    *sim.Engine
-	server WorkSource
+	server WorkSource   // single-project work source; nil when multiplexed
+	mux    *Mux         // multi-project arbitration (see Multiplex)
 	retry  RetryAdvisor // server's optional backoff advisor; nil = flat IdleRetry
 	cfg    HostConfig
-	r      *rng.Source // population stream: host seeds only
+	r      *rng.Source // population stream: host (and mux port) seeds only
 
-	mu, sigma float64 // speed-down LogNormal parameters (see Host.init)
+	mu, sigma float64 // speed-down LogNormal parameters (see buildSlot)
 	buffer    int     // effective WorkBuffer (≥ 1)
 	shards    int
 	window    float64
@@ -114,10 +214,12 @@ type ShardKernel struct {
 	active      int
 	firstActive int // hosts[:firstActive] are all stopped (stop-oldest cursor)
 
-	// Spawn-slot pool (see plane.go), consumed FIFO from poolHead.
+	// Spawn-slot pool (see plane.go), consumed FIFO from poolHead. seedBuf
+	// and slots hold the seeds and pool tail a top-up is building.
 	pool     []spawnSlot
 	poolHead int
 	seedBuf  []uint64
+	slots    []spawnSlot
 
 	// SpawnHint, set by the campaign, predicts how many hosts the next
 	// weekly tick will spawn, so prepWindow can top the slot pool up in
@@ -126,24 +228,19 @@ type ShardKernel struct {
 	// nil or underprediction falls back to inline serial builds.
 	SpawnHint func(week float64) int
 
-	// Shard calendars: buckets[shard][window] holds that shard's events
-	// due in [window·W, (window+1)·W), appended unsorted during the merge
-	// and sorted at the window barrier. Merged windows recycle their
-	// backing arrays through freeB.
-	buckets [][][]planeEvent
-	freeB   [][][]planeEvent
-	refill  [][]int32 // hosts whose decision tuple was consumed this window
+	cals []shardCal // per-shard calendars
 
-	win     int      // current window index
+	win     int      // current (armed) window index
 	winEnd  sim.Time // (win+1)·window
 	armed   bool     // first RunUntil preps window 0 lazily
-	prevWin int
-	curBuf  [][]planeEvent // per-shard current-window sorted slice
-	cursor  []int          // per-shard read index into curBuf
-	overlay []planeEvent   // min-heap of in-window insertions
+	overlay []planeEvent
 
 	livePlane int // plane events scheduled and not yet executed
 	peekSrc   int // peekPlane result: shard index, or overlaySrc / noneSrc
+
+	// The per-shard barrier and slot-building work, bound once as method
+	// values so a window barrier allocates nothing.
+	barrierFn, slotsFn func(sh int)
 }
 
 const (
@@ -151,11 +248,11 @@ const (
 	noneSrc    = -2
 )
 
-// NewShardKernel builds an empty sharded fleet bound to the engine and the
-// project work source. shards is the worker count K (≥ 1); window is the
-// barrier width W in seconds (a performance knob — any positive value is
-// correct; see the package notes above). The kernel copies r's state and
-// draws host seeds from its own stream from then on.
+// NewShardKernel builds an empty fleet bound to the engine and the project
+// work source. shards is the worker count K (≥ 1); window is the barrier
+// width W in seconds (a performance knob — any positive value is correct;
+// see the package notes above). The kernel copies r's state and draws host
+// seeds from its own stream from then on.
 func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, shards int, window float64) *ShardKernel {
 	k := &ShardKernel{}
 	k.Reset(engine, server, cfg, r, shards, window)
@@ -164,7 +261,7 @@ func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rn
 
 // Reset rearms the kernel for another run on a freshly reset engine and
 // server: zero hosts joined, new configuration and seed stream, every
-// backing array retained. The pooled counterpart of Population.Reset.
+// backing array retained (see the package Reset contract).
 func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, shards int, window float64) {
 	if cfg.MeanSpeedDown <= 0 {
 		panic("volunteer: mean speed-down must be positive")
@@ -177,15 +274,13 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	}
 	k.eng = engine
 	k.server = server
+	k.mux = nil
 	k.retry, _ = server.(RetryAdvisor)
 	k.cfg = cfg
 	k.r = r
 	k.sigma = cfg.SpeedDownSigma
 	k.mu = math.Log(cfg.MeanSpeedDown) + k.sigma*k.sigma/2
-	k.buffer = cfg.WorkBuffer
-	if k.buffer < 1 {
-		k.buffer = 1
-	}
+	k.buffer = max(cfg.WorkBuffer, 1)
 	k.window = window
 
 	k.flags = k.flags[:0]
@@ -211,35 +306,59 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.pool = k.pool[:0]
 	k.poolHead = 0
 
-	if shards != k.shards {
-		k.shards = shards
-		k.buckets = make([][][]planeEvent, shards)
-		k.freeB = make([][][]planeEvent, shards)
-		k.refill = make([][]int32, shards)
-		k.curBuf = make([][]planeEvent, shards)
-		k.cursor = make([]int, shards)
+	if shards != len(k.cals) {
+		k.cals = make([]shardCal, shards)
 	} else {
-		for sh := 0; sh < shards; sh++ {
-			for w, b := range k.buckets[sh] {
-				if b != nil {
-					clear(b)
-					k.freeB[sh] = append(k.freeB[sh], b[:0])
-					k.buckets[sh][w] = nil
-				}
-			}
-			k.refill[sh] = k.refill[sh][:0]
-			k.curBuf[sh] = nil
-			k.cursor[sh] = 0
+		for sh := range k.cals {
+			k.cals[sh].reset()
 		}
 	}
+	k.shards = shards
 	clear(k.overlay)
 	k.overlay = k.overlay[:0]
 	k.win, k.winEnd = 0, window
 	k.armed = false
-	k.prevWin = -1
 	k.livePlane = 0
 	k.peekSrc = noneSrc
 	k.SpawnHint = nil
+	if k.barrierFn == nil {
+		k.barrierFn, k.slotsFn = k.barrier, k.buildSlots
+	}
+}
+
+// Multiplex binds the kernel to a multi-project mux instead of a single
+// work source: every fetch arbitrates across the mux's attached projects by
+// the host's short-term debt, and every spawn draws a second seed, right
+// after the host's own, for the host's tie-break stream. Call it after
+// NewShardKernel or Reset and before the first spawn, with the mux's
+// attachments in place.
+func (k *ShardKernel) Multiplex(m *Mux) {
+	k.mux = m
+	k.server, k.retry = nil, nil
+}
+
+// requestWork, complete and deadlineFor route one host's calls to its
+// work source: the mux on a multi-project grid, the bound server otherwise.
+func (k *ShardKernel) requestWork(h int32) *wcg.Assignment {
+	if k.mux != nil {
+		return k.mux.RequestWork(int(h))
+	}
+	return k.server.RequestWork()
+}
+
+func (k *ShardKernel) complete(a *wcg.Assignment, oc wcg.Outcome, reported float64, h int32) {
+	if k.mux != nil {
+		k.mux.CompleteFrom(a, oc, reported, int(h))
+		return
+	}
+	k.server.CompleteFrom(a, oc, reported, int(h))
+}
+
+func (k *ShardKernel) deadlineFor(a *wcg.Assignment) float64 {
+	if k.mux != nil {
+		return k.mux.DeadlineFor(a)
+	}
+	return k.server.DeadlineFor(a)
 }
 
 // scheduleHostEvent enqueues a host continuation at time `at`, drawing the
@@ -257,7 +376,7 @@ func (k *ShardKernel) scheduleLate(h int32, at sim.Time, a *wcg.Assignment, repo
 
 // insert routes one event to the overlay heap (due inside the current
 // window — the exact comparison, immune to division rounding at the
-// boundary) or to its shard's future-window bucket.
+// boundary) or to its shard's future-window calendar.
 func (k *ShardKernel) insert(ev planeEvent) {
 	k.eng.ExternalSchedule()
 	k.livePlane++
@@ -265,20 +384,8 @@ func (k *ShardKernel) insert(ev planeEvent) {
 		k.overlayPush(ev)
 		return
 	}
-	sh := int(ev.host) % k.shards
-	w := int(ev.at / k.window) // ≥ win+1: at ≥ winEnd and (win+1)·W is representable
-	bs := k.buckets[sh]
-	for len(bs) <= w {
-		bs = append(bs, nil)
-	}
-	if bs[w] == nil {
-		if n := len(k.freeB[sh]); n > 0 {
-			bs[w] = k.freeB[sh][n-1]
-			k.freeB[sh] = k.freeB[sh][:n-1]
-		}
-	}
-	bs[w] = append(bs[w], ev)
-	k.buckets[sh] = bs
+	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
+	k.cals[int(ev.host)%k.shards].push(int(ev.at/k.window), ev)
 }
 
 // overlayPush / overlayPop: a plain binary min-heap on (at, seq).
@@ -323,18 +430,18 @@ func (k *ShardKernel) overlayPop() planeEvent {
 }
 
 // peekPlane returns the ordering key of the earliest plane event in the
-// current window (across the K sorted bucket heads and the overlay),
+// current window (across the K sorted merge buffers and the overlay),
 // remembering which source holds it for popPlane.
 func (k *ShardKernel) peekPlane() (at sim.Time, seq uint64, ok bool) {
 	best := noneSrc
 	var bt sim.Time
 	var bs uint64
-	for sh := 0; sh < k.shards; sh++ {
-		c := k.cursor[sh]
-		if c >= len(k.curBuf[sh]) {
+	for sh := range k.cals {
+		c := &k.cals[sh]
+		if c.cursor >= len(c.cur) {
 			continue
 		}
-		ev := &k.curBuf[sh][c]
+		ev := &c.cur[c.cursor]
 		if best == noneSrc || ev.at < bt || (ev.at == bt && ev.seq < bs) {
 			best, bt, bs = sh, ev.at, ev.seq
 		}
@@ -354,9 +461,9 @@ func (k *ShardKernel) popPlane() planeEvent {
 	if k.peekSrc == overlaySrc {
 		return k.overlayPop()
 	}
-	sh := k.peekSrc
-	ev := k.curBuf[sh][k.cursor[sh]]
-	k.cursor[sh]++
+	c := &k.cals[k.peekSrc]
+	ev := c.cur[c.cursor]
+	c.cursor++
 	return ev
 }
 
@@ -376,7 +483,7 @@ func (k *ShardKernel) exec(ev planeEvent) {
 }
 
 // runParallel fans fn(0..shards-1) over goroutines, running shard 0 on the
-// caller. Shards touch disjoint host-ID ranges and their own buckets, so
+// caller. Shards touch disjoint host-ID ranges and their own calendars, so
 // the barrier is the only synchronization the data plane needs.
 func (k *ShardKernel) runParallel(fn func(sh int)) {
 	if k.shards == 1 {
@@ -395,21 +502,10 @@ func (k *ShardKernel) runParallel(fn func(sh int)) {
 	wg.Wait()
 }
 
-// prepWindow is the window barrier: recycle the merged window, top up the
-// spawn pool if a weekly tick falls inside the new window, then in
-// parallel refill consumed decision tuples and sort the new window's
-// buckets, and finally arm the merge cursors.
+// prepWindow is the window barrier: top up the spawn pool if a weekly tick
+// falls inside window w, then run every shard's barrier work — in parallel
+// when any shard has more than a trivial amount of it.
 func (k *ShardKernel) prepWindow(w int) {
-	for sh := 0; sh < k.shards; sh++ {
-		if prev := k.prevWin; prev >= 0 && prev < len(k.buckets[sh]) {
-			if b := k.buckets[sh][prev]; b != nil {
-				clear(b)
-				k.freeB[sh] = append(k.freeB[sh], b[:0])
-				k.buckets[sh][prev] = nil
-			}
-		}
-	}
-	k.prevWin = w
 	k.win = w
 	k.winEnd = float64(w+1) * k.window
 
@@ -423,43 +519,36 @@ func (k *ShardKernel) prepWindow(w int) {
 		}
 	}
 
-	work := false
-	for sh := 0; sh < k.shards; sh++ {
-		if len(k.refill[sh]) > 0 || k.bucketLen(sh, w) > 1 {
-			work = true
-			break
+	for sh := range k.cals {
+		if c := &k.cals[sh]; len(c.refill) > 0 || c.count(w) > 1 {
+			k.runParallel(k.barrierFn)
+			return
 		}
 	}
-	if work {
-		k.runParallel(func(sh int) {
-			for _, h := range k.refill[sh] {
-				k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
-					k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
-			}
-			if b := k.bucket(sh, w); len(b) > 1 {
-				slices.SortFunc(b, planeEventLess)
-			}
-		})
-	}
-	for sh := 0; sh < k.shards; sh++ {
-		k.refill[sh] = k.refill[sh][:0]
-		k.curBuf[sh] = k.bucket(sh, w)
-		k.cursor[sh] = 0
+	for sh := range k.cals {
+		k.barrier(sh)
 	}
 }
 
-func (k *ShardKernel) bucket(sh, w int) []planeEvent {
-	if w < len(k.buckets[sh]) {
-		return k.buckets[sh][w]
+// barrier is one shard's share of a window barrier: refill the consumed
+// decision tuples, then arm the window's merge buffer, sorted.
+func (k *ShardKernel) barrier(sh int) {
+	c := &k.cals[sh]
+	for _, h := range c.refill {
+		k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
+			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
 	}
-	return nil
+	c.refill = c.refill[:0]
+	c.take(k.win)
+	if len(c.cur) > 1 {
+		slices.SortFunc(c.cur, planeEventLess)
+	}
 }
-
-func (k *ShardKernel) bucketLen(sh, w int) int { return len(k.bucket(sh, w)) }
 
 // topUpPool extends the spawn-slot pool by n slots: seeds drawn serially
-// from the population stream (preserving the legacy draw order — nothing
-// else reads it), slot transcripts built in parallel.
+// from the population stream in spawn order (host seed, then mux port seed
+// on a multiplexed fleet — nothing else reads the stream), slot
+// transcripts built in parallel.
 func (k *ShardKernel) topUpPool(n int) {
 	if k.poolHead > 0 {
 		m := copy(k.pool, k.pool[k.poolHead:])
@@ -467,19 +556,25 @@ func (k *ShardKernel) topUpPool(n int) {
 		k.poolHead = 0
 	}
 	k.seedBuf = k.seedBuf[:0]
-	for i := 0; i < n; i++ {
-		k.seedBuf = append(k.seedBuf, k.r.Uint64())
-	}
 	base := len(k.pool)
 	for i := 0; i < n; i++ {
-		k.pool = append(k.pool, spawnSlot{})
-	}
-	slots := k.pool[base:]
-	k.runParallel(func(sh int) {
-		for i := sh; i < n; i += k.shards {
-			k.buildSlot(&slots[i], k.seedBuf[i])
+		k.seedBuf = append(k.seedBuf, k.r.Uint64())
+		var slot spawnSlot
+		if k.mux != nil {
+			slot.portSeed = k.r.Uint64()
 		}
-	})
+		k.pool = append(k.pool, slot)
+	}
+	k.slots = k.pool[base:]
+	k.runParallel(k.slotsFn)
+	k.slots = nil
+}
+
+// buildSlots is one shard's share of a pool top-up.
+func (k *ShardKernel) buildSlots(sh int) {
+	for i := sh; i < len(k.slots); i += k.shards {
+		k.buildSlot(&k.slots[i], k.seedBuf[i])
+	}
 }
 
 // RunUntil merges plane and engine events in global ascending (time, seq)

@@ -12,24 +12,32 @@ import (
 // proportion to their shares — except that here the arbitration lives in
 // one place instead of in every agent's config file.
 //
-// The Mux itself holds no per-host state: each host owns a MuxPort, which
-// carries that host's short-term debt vector and seeded tie-break stream.
+// The per-host arbitration state is stored the way the kernel stores the
+// fleet (plane.go): dense columns indexed by host ID — each host's
+// short-term debt vector is a window into one host × projects slab, and
+// each host's seeded tie-break stream is one entry of a Source column.
 // Attachment order is project identity — Attach stamps the server with its
 // index, and every Assignment the server issues carries that index, which
-// is how a port routes completions back to the right project.
+// is how completions route back to the right project.
 //
-// Determinism: attachments are fixed before the first host spawns; ports
-// draw only from their own streams. The whole layer is a pure function of
-// (attachment table, host seeds, event order), so multi-project runs are
-// as reproducible as single-project ones.
+// Debt is the BOINC short-term-debt rule in reference seconds: when a fetch
+// takes an assignment of w reference seconds from project c, every project
+// currently offering work is credited its share of w (shares renormalized
+// over the offering projects, so an idle tenant yields its slice instead of
+// banking claim on the future), and c is debited the full w. Debts
+// therefore always sum to zero per host, the next fetch goes to the
+// highest-debt project with work, and ties break by the host's own seeded
+// stream — deterministic, independent of other hosts.
+//
+// Determinism: attachments are fixed before the first host spawns; hosts
+// draw only from their own tie-break streams. The whole layer is a pure
+// function of (attachment table, host seeds, event order), so
+// multi-project runs are as reproducible as single-project ones.
 type Mux struct {
 	atts []attachment
 
-	// debts is the dense per-host debt plane: host id × projects slab,
-	// each port's vector a reused window into it. One allocation per
-	// fleet instead of one per host — the mega-grid SoA discipline
-	// (plane.go) applied to the multiplexer.
-	debts []float64
+	debts []float64    // host ID × projects slab of short-term debts
+	ties  []rng.Source // host ID: the host's tie-break stream
 }
 
 type attachment struct {
@@ -45,7 +53,7 @@ func NewMux() *Mux { return &Mux{} }
 // Attach registers a project server under the given resource share (any
 // positive weight; shares are normalized to sum to 1 across attachments)
 // and returns its project index. The server is stamped with the index so
-// its assignments route back through the ports.
+// its assignments route back through the mux.
 func (m *Mux) Attach(s *wcg.Server, share float64) int {
 	if s == nil {
 		panic("volunteer: Attach(nil server)")
@@ -66,26 +74,35 @@ func (m *Mux) Attach(s *wcg.Server, share float64) int {
 	return idx
 }
 
-// Reset drops all attachments so a pooled grid can re-attach its (freshly
-// reset) servers for the next run. The backing arrays (attachments and the
-// per-host debt slab) are retained.
+// Reset drops all attachments and host columns so a pooled grid can
+// re-attach its (freshly reset) servers for the next run. The backing
+// arrays are retained.
 func (m *Mux) Reset() {
 	m.atts = m.atts[:0]
 	m.debts = m.debts[:0]
+	m.ties = m.ties[:0]
 }
 
-// debtFor returns host id's zeroed debt vector: a full-capacity window into
-// the dense slab, grown on demand as the fleet spawns. Hosts (re)arm their
-// ports in ascending id order, so growth is an amortized append.
-func (m *Mux) debtFor(id int) []float64 {
+// arm (re)initializes host id's columns: debts zeroed, the tie-break stream
+// seeded. Hosts spawn in ascending ID order, so the columns grow by
+// amortized appends and arming allocates nothing once they have reached
+// the fleet size.
+func (m *Mux) arm(id int, seed uint64) {
 	n := len(m.atts)
-	lo := id * n
-	for len(m.debts) < lo+n {
+	for len(m.debts) < (id+1)*n {
 		m.debts = append(m.debts, 0)
 	}
-	v := m.debts[lo : lo+n : lo+n]
-	clear(v)
-	return v
+	clear(m.debt(id))
+	for len(m.ties) <= id {
+		m.ties = append(m.ties, rng.Source{})
+	}
+	rng.NewInto(&m.ties[id], seed)
+}
+
+// debt returns host id's debt vector, a window into the dense slab.
+func (m *Mux) debt(id int) []float64 {
+	n := len(m.atts)
+	return m.debts[id*n : (id+1)*n : (id+1)*n]
 }
 
 // Projects returns the number of attached project servers.
@@ -97,81 +114,50 @@ func (m *Mux) Share(i int) float64 { return m.atts[i].share }
 // Server returns project i's server.
 func (m *Mux) Server(i int) *wcg.Server { return m.atts[i].server }
 
-// MuxPort is one host's view of the multiplexed grid: a WorkSource that
-// arbitrates each fetch across the attached projects by short-term debt.
-//
-// Debt is the BOINC short-term-debt rule in reference seconds: when a fetch
-// takes an assignment of w reference seconds from project c, every project
-// currently offering work is credited its share of w (shares renormalized
-// over the offering projects, so an idle tenant yields its slice instead of
-// banking claim on the future), and c is debited the full w. Debts
-// therefore always sum to zero per host, the next fetch goes to the
-// highest-debt project with work, and ties break by the port's own seeded
-// stream — deterministic, independent of other hosts.
-type MuxPort struct {
-	mux  *Mux
-	debt []float64 // host's window into the mux's dense debt slab
-	r    rng.Source
-}
-
-// init (re)arms host id's port: debts zeroed, the tie-break stream
-// reseeded. The debt vector is the host's slice of the mux's dense slab
-// (see Mux.debtFor), so arming a port allocates nothing once the slab has
-// grown to the fleet size.
-func (p *MuxPort) init(m *Mux, id int, seed uint64) {
-	p.mux = m
-	rng.NewInto(&p.r, seed)
-	p.debt = m.debtFor(id)
-}
-
-// Debts returns a copy of the port's per-project short-term debts
+// Debts returns a copy of host id's per-project short-term debts
 // (diagnostics and invariant tests; the hot path never calls it).
-func (p *MuxPort) Debts() []float64 {
-	out := make([]float64, len(p.debt))
-	copy(out, p.debt)
-	return out
+func (m *Mux) Debts(id int) []float64 {
+	return append([]float64(nil), m.debt(id)...)
 }
 
-// DebtSpread returns max−min of the port's per-project debts without
+// DebtSpread returns max−min of host id's per-project debts without
 // allocating: the per-host arbitration imbalance the obs metrics registry
 // samples (a fleet whose spreads stay near one workunit's reference
 // seconds is arbitrating fairly).
-func (p *MuxPort) DebtSpread() float64 {
-	if len(p.debt) == 0 {
+func (m *Mux) DebtSpread(id int) float64 {
+	debt := m.debt(id)
+	if len(debt) == 0 {
 		return 0
 	}
-	lo, hi := p.debt[0], p.debt[0]
-	for _, d := range p.debt[1:] {
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
+	lo, hi := debt[0], debt[0]
+	for _, d := range debt[1:] {
+		lo = min(lo, d)
+		hi = max(hi, d)
 	}
 	return hi - lo
 }
 
-// RequestWork fetches one assignment from the attached project this host
-// owes the most time to, among those with work available. Returns nil when
-// no attached project has work.
-func (p *MuxPort) RequestWork() *wcg.Assignment {
-	atts := p.mux.atts
+// RequestWork fetches one assignment for host id from the attached project
+// the host owes the most time to, among those with work available. Returns
+// nil when no attached project has work.
+func (m *Mux) RequestWork(id int) *wcg.Assignment {
+	atts := m.atts
+	debt := m.debt(id)
 	best, ties := -1, 0
 	var bestDebt float64
 	for i := range atts {
 		if !atts[i].server.HasWork() {
 			continue
 		}
-		d := p.debt[i]
+		d := debt[i]
 		switch {
 		case best < 0 || d > bestDebt:
 			best, bestDebt, ties = i, d, 1
 		case d == bestDebt:
 			// Seeded reservoir tie-break: each tied project wins with
-			// equal probability, deterministically in the port's stream.
+			// equal probability, deterministically in the host's stream.
 			ties++
-			if p.r.Uint64()%uint64(ties) == 0 {
+			if m.ties[id].Uint64()%uint64(ties) == 0 {
 				best = i
 			}
 		}
@@ -195,23 +181,21 @@ func (p *MuxPort) RequestWork() *wcg.Assignment {
 	}
 	for i := range atts {
 		if i == best || atts[i].server.HasWork() {
-			p.debt[i] += atts[i].share / offered * w
+			debt[i] += atts[i].share / offered * w
 		}
 	}
-	p.debt[best] -= w
+	debt[best] -= w
 	return a
 }
 
 // CompleteFrom routes the finished assignment back to the project server
 // that issued it.
-func (p *MuxPort) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
-	p.mux.atts[a.Project()].server.CompleteFrom(a, outcome, cpuSeconds, host)
+func (m *Mux) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
+	m.atts[a.Project()].server.CompleteFrom(a, outcome, cpuSeconds, host)
 }
 
 // DeadlineFor returns the assignment's class deadline on the server that
 // issued it.
-func (p *MuxPort) DeadlineFor(a *wcg.Assignment) float64 {
-	return p.mux.atts[a.Project()].server.DeadlineFor(a)
+func (m *Mux) DeadlineFor(a *wcg.Assignment) float64 {
+	return m.atts[a.Project()].server.DeadlineFor(a)
 }
-
-var _ WorkSource = (*MuxPort)(nil)

@@ -65,7 +65,7 @@ func TestMuxAttachValidation(t *testing.T) {
 	}()
 }
 
-// TestMuxPortDebtInvariants drives one port through a long fetch sequence
+// TestMuxPortDebtInvariants drives one host through a long fetch sequence
 // over servers with varying workunit sizes and checks the two debt
 // invariants after every fetch: debts sum to zero (the update is zero-sum
 // by construction) and every debt stays within a small multiple of the
@@ -74,16 +74,15 @@ func TestMuxPortDebtInvariants(t *testing.T) {
 	const maxRef = 4 * 3600.0
 	sizes := func(p, i int) float64 { return 1800 + float64((i*7+p*13)%4)*1800/2 } // 0.5h..~1.25h, capped well under maxRef
 	_, m := muxFixture(t, []float64{0.1, 0.3, 0.6}, 5000, sizes)
-	var p MuxPort
-	p.init(m, 0, 99)
+	m.arm(0, 99)
 	counts := make([]int, 3)
 	for i := 0; i < 6000; i++ {
-		a := p.RequestWork()
+		a := m.RequestWork(0)
 		if a == nil {
 			break
 		}
 		counts[a.Project()]++
-		debts := p.Debts()
+		debts := m.Debts(0)
 		var sum float64
 		for j, d := range debts {
 			sum += d
@@ -106,11 +105,10 @@ func TestMuxPortDebtInvariants(t *testing.T) {
 // ref-second-weighted split converges to the configured shares.
 func TestMuxPortShareConvergence(t *testing.T) {
 	_, m := muxFixture(t, []float64{0.25, 0.75}, 20000, func(int, int) float64 { return 3600 })
-	var p MuxPort
-	p.init(m, 0, 7)
+	m.arm(0, 7)
 	var ref [2]float64
 	for i := 0; i < 8000; i++ {
-		a := p.RequestWork()
+		a := m.RequestWork(0)
 		if a == nil {
 			t.Fatal("ran out of work")
 		}
@@ -137,14 +135,13 @@ func TestMuxIdleTenantYields(t *testing.T) {
 	m := NewMux()
 	m.Attach(busy, 0.5)
 	m.Attach(idle, 0.5)
-	var p MuxPort
-	p.init(m, 0, 3)
+	m.arm(0, 3)
 	for i := 0; i < 50; i++ {
-		a := p.RequestWork()
+		a := m.RequestWork(0)
 		if a == nil || a.Project() != 0 {
 			t.Fatalf("fetch %d: got %v, want work from the busy project", i, a)
 		}
-		debts := p.Debts()
+		debts := m.Debts(0)
 		if debts[1] != 0 {
 			t.Fatalf("idle project accumulated debt %v; it must yield its slice", debts[1])
 		}
@@ -157,7 +154,7 @@ func TestMuxIdleTenantYields(t *testing.T) {
 	idle.AddWorkunit(workunit.Workunit{ID: 1000, RefSeconds: 3600}, 0)
 	seen := false
 	for i := 0; i < 4 && !seen; i++ {
-		if a := p.RequestWork(); a != nil && a.Project() == 1 {
+		if a := m.RequestWork(0); a != nil && a.Project() == 1 {
 			seen = true
 		}
 	}
@@ -167,15 +164,14 @@ func TestMuxIdleTenantYields(t *testing.T) {
 }
 
 // TestMuxPortDeterministicTieBreaks: same seed, same fetch decisions; the
-// tie-break stream is the port's own.
+// tie-break stream is the host's own.
 func TestMuxPortDeterministicTieBreaks(t *testing.T) {
 	run := func() []int {
 		_, m := muxFixture(t, []float64{1, 1, 1}, 2000, func(int, int) float64 { return 3600 })
-		var p MuxPort
-		p.init(m, 0, 1234)
+		m.arm(0, 1234)
 		out := make([]int, 0, 600)
 		for i := 0; i < 600; i++ {
-			a := p.RequestWork()
+			a := m.RequestWork(0)
 			if a == nil {
 				t.Fatal("ran out of work")
 			}
@@ -191,21 +187,20 @@ func TestMuxPortDeterministicTieBreaks(t *testing.T) {
 	}
 }
 
-// TestMuxPortReuse re-inits a port (the pooled-host path) and checks the
-// debt vector and stream reset exactly as a fresh port.
+// TestMuxPortReuse re-arms a host's columns (the pooled-kernel path) and
+// checks the debt vector and stream reset exactly as a fresh host's.
 func TestMuxPortReuse(t *testing.T) {
 	_, m := muxFixture(t, []float64{0.3, 0.7}, 5000, func(int, int) float64 { return 3600 })
-	var fresh, reused MuxPort
-	fresh.init(m, 0, 55)
-	reused.init(m, 1, 77)
+	m.arm(0, 55) // fresh
+	m.arm(1, 77)
 	for i := 0; i < 100; i++ {
-		reused.RequestWork() // dirty the debts
+		m.RequestWork(1) // dirty the debts
 	}
-	reused.init(m, 1, 55)
+	m.arm(1, 55)
 	for i := 0; i < 200; i++ {
-		a, b := fresh.RequestWork(), reused.RequestWork()
+		a, b := m.RequestWork(0), m.RequestWork(1)
 		if (a == nil) != (b == nil) || (a != nil && a.Project() != b.Project()) {
-			t.Fatalf("fetch %d: reused port diverged from fresh", i)
+			t.Fatalf("fetch %d: re-armed host diverged from fresh", i)
 		}
 	}
 }

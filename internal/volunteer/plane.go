@@ -2,10 +2,10 @@
 //
 // # SoA layout
 //
-// A Host struct is ~200 bytes of mixed hot and cold state plus two bound
-// method values; at 1M+ hosts the struct-of-pointers population thrashes
-// caches and allocates O(hosts) objects. The ShardKernel instead stores the
-// fleet as a structure of arrays indexed by host ID:
+// A per-host struct would be ~200 bytes of mixed hot and cold state; at 1M+
+// hosts a struct-of-pointers fleet thrashes caches and allocates O(hosts)
+// objects. The ShardKernel instead stores the fleet as a structure of
+// arrays indexed by host ID:
 //
 //   - hot, touched every task: flags (packed bits), speedDown, src (the
 //     host's rng stream, 32 bytes by value), dec (the precomputed next
@@ -21,8 +21,8 @@
 //
 // # Precomputed decision transcripts
 //
-// The per-task random transcript of Host.requestWork is a short prefix of
-// the host's private stream: Bernoulli(abandon); if abandoned,
+// The per-task random transcript of a fetch is a short prefix of the
+// host's private stream: Bernoulli(abandon); if abandoned,
 // Bernoulli(lateReturn) and, if late, one Float64 for the extra delay;
 // otherwise — unless the host has already turned — Bernoulli(error). Nothing
 // else reads the stream between tasks, so the next transcript can be drawn
@@ -69,11 +69,12 @@ type decision struct {
 	flags    uint8
 }
 
-// spawnSlot is one precomputed host initialization: the draws NewHost would
-// have made from the host's own stream, plus the stream state after them.
+// spawnSlot is one precomputed host initialization: the draws a host makes
+// from its own stream when it joins, plus the stream state after them.
 // Time-dependent scaling (the hardware trend) is applied at consume time,
 // because only then is the host's join time known.
 type spawnSlot struct {
+	portSeed    uint64     // mux tie-break stream seed (multi-project fleets only)
 	src         rng.Source // stream state after the init + first-decision draws
 	rawSD       float64    // LogNormal speed-down before trend scaling
 	phase       float64    // diurnal window offset (0 unless hfDiurnal)
@@ -84,8 +85,9 @@ type spawnSlot struct {
 	flags       uint8      // hfSaboteur / hfDiurnal cohort bits
 }
 
-// computeDecision draws one task transcript from src, replaying exactly the
-// branch structure of Host.requestWork: a turned host draws no error bit.
+// computeDecision draws one task transcript from src in the fetch loop's
+// branch order: abandon; if abandoned, late return and its delay fraction;
+// otherwise the error bit — which a turned host does not draw.
 func computeDecision(src *rng.Source, errorProb, abandonProb, lateProb float64, turned, saboteur bool) decision {
 	d := decision{flags: dValid}
 	if src.Bernoulli(abandonProb) {
@@ -109,9 +111,14 @@ func computeDecision(src *rng.Source, errorProb, abandonProb, lateProb float64, 
 	return d
 }
 
-// buildSlot precomputes one host initialization from its seed: the exact
-// draw sequence of Host.init (LogNormal, cohort pick, diurnal phase)
-// followed by the host's first decision transcript.
+// buildSlot precomputes one host initialization from its seed: the join
+// draws (LogNormal speed-down, cohort pick, diurnal phase) followed by the
+// host's first decision transcript.
+//
+// The LogNormal is parameterized so the fleet's harmonic mean speed-down
+// is cfg.MeanSpeedDown: the paper's 3.96 is a throughput-weighted
+// observation (total CPU consumed / results returned), and hosts with a
+// small speed-down return more results per unit time.
 func (k *ShardKernel) buildSlot(slot *spawnSlot, seed uint64) {
 	rng.NewInto(&slot.src, seed)
 	slot.rawSD = slot.src.LogNormal(k.mu, k.sigma)
@@ -120,7 +127,7 @@ func (k *ShardKernel) buildSlot(slot *spawnSlot, seed uint64) {
 	errP, abnP := cfg.ErrorProb, cfg.AbandonProb
 	slot.phase, slot.onlineSpan = 0, 0
 	if len(cfg.Profiles) > 0 {
-		pi := pickProfileFrom(&slot.src, cfg.Profiles)
+		pi := pickProfile(&slot.src, cfg.Profiles)
 		p := &cfg.Profiles[pi]
 		errP = p.ErrorProb
 		if p.AbandonProb >= 0 {
@@ -147,8 +154,9 @@ func (k *ShardKernel) buildSlot(slot *spawnSlot, seed uint64) {
 
 // spawn consumes one precomputed slot (or builds one inline after a pool
 // underrun — same seed stream, same bits) and appends the host to every
-// plane array, applying the join-time hardware-trend scaling exactly as
-// Host.init does. Runs in the serial merge only.
+// plane array, applying the join-time hardware-trend scaling (devices
+// joining later are faster, §5.1). On a multiplexed fleet it also arms the
+// host's mux columns. Runs in the serial merge only.
 func (k *ShardKernel) spawn() int32 {
 	var slot spawnSlot
 	if k.poolHead < len(k.pool) {
@@ -156,6 +164,9 @@ func (k *ShardKernel) spawn() int32 {
 		k.poolHead++
 	} else {
 		k.buildSlot(&slot, k.r.Uint64())
+		if k.mux != nil {
+			slot.portSeed = k.r.Uint64()
+		}
 	}
 	now := k.eng.Now()
 	sd := slot.rawSD
@@ -189,14 +200,16 @@ func (k *ShardKernel) spawn() int32 {
 	for j := 0; j < k.buffer; j++ {
 		k.cache = append(k.cache, nil)
 	}
+	if k.mux != nil {
+		k.mux.arm(int(id), slot.portSeed)
+	}
 	k.active++
 	return id
 }
 
-// pickProfileFrom draws a cohort from the weighted profiles; the shared
-// implementation behind Host.pickProfile and the plane's slot builder.
-// Panics if no profile has positive weight.
-func pickProfileFrom(src *rng.Source, profiles []BehaviorProfile) int {
+// pickProfile draws a cohort from the weighted profiles using the host's
+// own stream. Panics if no profile has positive weight.
+func pickProfile(src *rng.Source, profiles []BehaviorProfile) int {
 	var total float64
 	for _, p := range profiles {
 		if p.Weight < 0 {
@@ -218,8 +231,11 @@ func pickProfileFrom(src *rng.Source, profiles []BehaviorProfile) int {
 	return len(profiles) - 1
 }
 
-// SetTarget adjusts the active host count toward n, spawning fresh hosts or
-// stopping the oldest active ones first, exactly as Population.SetTarget.
+// SetTarget adjusts the active host count toward n: spawning fresh hosts
+// (new devices join the grid continuously) or stopping the oldest active
+// ones first (devices reassigned to other projects or retired). Stopped
+// hosts finish their current task and never fetch again, so the
+// firstActive cursor makes a shrink O(stopped), not O(hosts ever joined).
 func (k *ShardKernel) SetTarget(n int) {
 	if n < 0 {
 		n = 0
@@ -246,8 +262,19 @@ func (k *ShardKernel) Active() int { return k.active }
 // TotalJoined returns how many hosts ever joined.
 func (k *ShardKernel) TotalJoined() int { return len(k.flags) }
 
+// EachActive calls fn with every active (not stopped) host ID in ascending
+// order.
+func (k *ShardKernel) EachActive(fn func(id int)) {
+	for id := k.firstActive; id < len(k.flags); id++ {
+		if k.flags[id]&hfStopped == 0 {
+			fn(id)
+		}
+	}
+}
+
 // MeanSpeedDown returns the average speed-down of all hosts ever joined,
-// summed in join order like Population.MeanSpeedDown.
+// summed in join order — the fleet-level counterpart of the paper's
+// measured 3.96.
 func (k *ShardKernel) MeanSpeedDown() float64 {
 	if len(k.speedDown) == 0 {
 		return 0
@@ -265,10 +292,10 @@ func (k *ShardKernel) HostAccounting(i int) (hardware float64, joinedAt sim.Time
 	return k.hardware[i], k.joinedAt[i], k.cpuSpent[i]
 }
 
-// fetch is the SoA mirror of Host.requestWork: refill the work cache, start
-// the front assignment, consume the precomputed decision transcript (or
-// draw it inline when the prefetch fell a task behind), and schedule the
-// continuation on the shard calendar. Runs in the serial merge only.
+// fetch is the host's fetch-compute-report step: refill the work cache,
+// start the front assignment, consume the precomputed decision transcript
+// (or draw it inline when the prefetch fell a task behind), and schedule
+// the continuation on the shard calendar. Runs in the serial merge only.
 func (k *ShardKernel) fetch(h int32) {
 	if k.flags[h]&hfStopped != 0 {
 		return
@@ -276,7 +303,7 @@ func (k *ShardKernel) fetch(h int32) {
 	base := int(h) * k.buffer
 	n := int(k.cacheLen[h])
 	for n < k.buffer {
-		a := k.server.RequestWork()
+		a := k.requestWork(h)
 		if a == nil {
 			break
 		}
@@ -287,9 +314,10 @@ func (k *ShardKernel) fetch(h int32) {
 	if n == 0 {
 		d := k.cfg.IdleRetry
 		if k.retry != nil {
-			// Same advisor hook as Host.requestWork: the fault plane
-			// stretches the wait during outages. The draw is a stateless
-			// hash of (host, window, attempt), so shard order is irrelevant.
+			// The server's advisor (the fault plane) may stretch the wait:
+			// exponential backoff during an outage, smear after
+			// maintenance. The draw is a stateless hash of (host, window,
+			// attempt), so shard order is irrelevant.
 			d = k.retry.FetchRetryDelay(int(h), d)
 		}
 		k.scheduleHostEvent(h, evFetch, k.eng.Now()+d)
@@ -319,13 +347,14 @@ func (k *ShardKernel) fetch(h int32) {
 	} else {
 		// First consume this window: queue the host for the parallel
 		// refill at the next window barrier.
-		k.refill[int(h)%k.shards] = append(k.refill[int(h)%k.shards], h)
+		c := &k.cals[int(h)%k.shards]
+		c.refill = append(c.refill, h)
 	}
 	k.dec[h].flags = 0
 
 	if d.flags&dAbandon != 0 {
 		if d.flags&dLate != 0 {
-			delay := k.server.DeadlineFor(a) + d.lateFrac*k.cfg.LateDelayMax
+			delay := k.deadlineFor(a) + d.lateFrac*k.cfg.LateDelayMax
 			k.scheduleLate(h, k.eng.Now()+delay, a, reported)
 		}
 		k.flags[h] &^= hfBusy
@@ -352,25 +381,26 @@ func (k *ShardKernel) fetch(h int32) {
 	k.scheduleHostEvent(h, evDone, k.eng.Now()+delay)
 }
 
-// taskDone is the SoA mirror of Host.taskDone: report the finished task and
-// fetch the next one.
+// taskDone reports the finished task and fetches the next one.
 func (k *ShardKernel) taskDone(h int32) {
 	a, outcome, reported := k.cur[h], k.curOutcome[h], k.curReported[h]
 	k.cur[h] = nil
 	k.flags[h] &^= hfBusy
 	k.done[h]++
 	k.cpuSpent[h] += reported
-	k.server.CompleteFrom(a, outcome, reported, int(h))
+	k.complete(a, outcome, reported, h)
 	k.fetch(h)
 }
 
-// lateReturn is the SoA mirror of the abandoned-late-return closure: a
-// long-offline device reconnecting after the deadline passed.
+// lateReturn uploads an abandoned task's result after its deadline passed:
+// a long-offline device reconnecting (§5.1). A turned saboteur's results
+// are invalid however they arrive, so the late path cannot hand a bad host
+// valid results to rebuild validation trust with.
 func (k *ShardKernel) lateReturn(h int32, a *wcg.Assignment, reported float64) {
 	k.cpuSpent[h] += reported
 	oc := wcg.OutcomeValid
 	if k.flags[h]&hfTurned != 0 {
 		oc = wcg.OutcomeInvalid
 	}
-	k.server.CompleteFrom(a, oc, reported, int(h))
+	k.complete(a, oc, reported, h)
 }

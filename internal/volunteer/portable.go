@@ -1,202 +1,19 @@
 package volunteer
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/wcg"
 )
 
-// Portable population and kernel snapshots (see the snapshot package
-// doc): self-contained copies of the volunteer plane's mutable state that
-// a different pooled run context can adopt. Assignments held by hosts —
-// the work buffer, the in-flight task, late-return calendar entries — are
-// translated to arena indices at export and resolved against the
-// adopter's own server, which has replayed the same allocation order.
-// Closure state (the bound requestFn/taskDoneFn method values, the
-// SpawnHint callback) is never exported; the adopter re-binds it.
-
-// portableHost is one Host's mutable state with every intra-run pointer
-// translated: the in-flight and cached assignments become arena indices,
-// and the engine/server/config bindings are dropped entirely (the adopter
-// supplies its own).
-type portableHost struct {
-	id        int
-	joinedAt  sim.Time
-	speedDown float64
-	hardware  float64
-	src       rng.Source
-
-	profile     int
-	errorProb   float64
-	abandonProb float64
-	saboteur    bool
-	turned      bool
-	diurnal     bool
-	phase       float64
-	onlineSpan  float64
-
-	stopped  bool
-	busy     bool
-	done     int
-	cpuSpent float64
-
-	cache     []int32
-	cacheHead int
-
-	cur         int32
-	curOutcome  wcg.Outcome
-	curReported float64
-}
-
-// PortablePopulation is a self-contained copy of a Population (the legacy
-// per-Host kernel) at an event boundary. Safe to publish across
-// goroutines; read-only once built.
-type PortablePopulation struct {
-	hosts []portableHost
-
-	active, nextID, firstActive int
-
-	rsrc rng.Source
-}
-
-// Bytes estimates the portable population's memory footprint for the
-// snapshot_bytes accounting.
-func (p *PortablePopulation) Bytes() int {
-	n := snapshot.Size(p.hosts)
-	for i := range p.hosts {
-		n += snapshot.Size(p.hosts[i].cache)
-	}
-	return n
-}
-
-// ExportPortable deep-copies the population's mutable state into a
-// portable snapshot. Multi-project (multiplexed) populations are not
-// portable — the shared debt slab and per-port state have no translation
-// yet — so the caller falls back to the sequential in-place path.
-func (p *Population) ExportPortable() (*PortablePopulation, error) {
-	if p.mux != nil {
-		return nil, fmt.Errorf("volunteer: portable export does not support multiplexed populations")
-	}
-	ps := &PortablePopulation{
-		active:      p.active,
-		nextID:      p.nextID,
-		firstActive: p.firstActive,
-		rsrc:        *p.r,
-	}
-	ps.hosts = make([]portableHost, len(p.hosts))
-	for i, h := range p.hosts {
-		ph := &ps.hosts[i]
-		ph.id = h.ID
-		ph.joinedAt = h.JoinedAt
-		ph.speedDown = h.SpeedDown
-		ph.hardware = h.Hardware
-		ph.src = h.src
-		ph.profile = h.Profile
-		ph.errorProb = h.errorProb
-		ph.abandonProb = h.abandonProb
-		ph.saboteur = h.saboteur
-		ph.turned = h.turned
-		ph.diurnal = h.diurnal
-		ph.phase = h.phase
-		ph.onlineSpan = h.onlineSpan
-		ph.stopped = h.stopped
-		ph.busy = h.busy
-		ph.done = h.Done
-		ph.cpuSpent = h.CPUSpent
-		if len(h.cache) > 0 {
-			ph.cache = make([]int32, len(h.cache))
-			for j, a := range h.cache {
-				ph.cache[j] = wcg.AssignmentIndex(a)
-			}
-		}
-		ph.cacheHead = h.cacheHead
-		ph.cur = wcg.AssignmentIndex(h.cur)
-		ph.curOutcome = h.curOutcome
-		ph.curReported = h.curReported
-	}
-	return ps, nil
-}
-
-// AdoptPortable installs a portable population snapshot into this
-// population. The population must have been Reset under the same host
-// configuration and bound (Rebind) to its own context's work source.
-// Host structs are consumed from the reuse pool exactly as spawn would —
-// but with state copied from the snapshot instead of sampled — and every
-// assignment index is resolved through asAt against the adopter's server.
-func (p *Population) AdoptPortable(ps *PortablePopulation, asAt func(int32) *wcg.Assignment) {
-	if p.mux != nil {
-		panic("volunteer: portable adoption does not support multiplexed populations")
-	}
-	for i := range ps.hosts {
-		ph := &ps.hosts[i]
-		var h *Host
-		if p.poolNext < len(p.pool) {
-			h = p.pool[p.poolNext]
-			p.pool[p.poolNext] = nil
-			p.poolNext++
-		} else {
-			h = &Host{}
-			h.requestFn = h.requestWork
-			h.taskDoneFn = h.taskDone
-		}
-		h.ID = ph.id
-		h.JoinedAt = ph.joinedAt
-		h.SpeedDown = ph.speedDown
-		h.Hardware = ph.hardware
-		h.cfg = p.cfg
-		h.engine = p.engine
-		h.server = p.server
-		h.retry, _ = p.server.(RetryAdvisor)
-		h.port = MuxPort{}
-		h.src = ph.src
-		h.Profile = ph.profile
-		h.errorProb = ph.errorProb
-		h.abandonProb = ph.abandonProb
-		h.saboteur = ph.saboteur
-		h.turned = ph.turned
-		h.diurnal = ph.diurnal
-		h.phase = ph.phase
-		h.onlineSpan = ph.onlineSpan
-		h.stopped = ph.stopped
-		h.busy = ph.busy
-		h.Done = ph.done
-		h.CPUSpent = ph.cpuSpent
-		clear(h.cache)
-		h.cache = h.cache[:0]
-		for _, ai := range ph.cache {
-			h.cache = append(h.cache, asAt(ai))
-		}
-		h.cacheHead = ph.cacheHead
-		h.cur = asAt(ph.cur)
-		h.curOutcome = ph.curOutcome
-		h.curReported = ph.curReported
-		p.hosts = append(p.hosts, h)
-	}
-	p.active = ps.active
-	p.nextID = ps.nextID
-	p.firstActive = ps.firstActive
-	*p.r = ps.rsrc
-}
-
-// ResolveCall rebuilds the closure an adopted engine event should run,
-// from its portable sim.Call descriptor: the bound fetch/report method
-// values of the named host, or a freshly built late-return closure over
-// the resolved assignment. Returns nil for calls this population does not
-// own.
-func (p *Population) ResolveCall(c sim.Call, asAt func(int32) *wcg.Assignment) func() {
-	switch c.Kind {
-	case sim.CallHostRequest:
-		return p.hosts[c.A0].requestFn
-	case sim.CallHostTaskDone:
-		return p.hosts[c.A0].taskDoneFn
-	case sim.CallHostLate:
-		return p.hosts[c.A0].lateReturnFn(asAt(c.A1), c.F0)
-	}
-	return nil
-}
+// Portable kernel snapshots (see the snapshot package doc): self-contained
+// copies of the host plane's mutable state that a different pooled run
+// context can adopt. Assignments held by hosts — the work buffer, the
+// in-flight task, late-return calendar entries — are translated to arena
+// indices at export and resolved against the adopter's own server, which
+// has replayed the same allocation order. Closure state (the SpawnHint
+// callback) is never exported; the adopter re-binds it.
 
 // portablePlaneEvent is a planeEvent with its assignment pointer replaced
 // by the assignment's arena index.
@@ -209,18 +26,28 @@ type portablePlaneEvent struct {
 	kind     uint8
 }
 
-// portableShard is one shard's calendar: the window-bucket table and the
-// refill queue. The current-window merge buffer is not stored — it
-// aliases the armed window's bucket by construction, and the adopter
-// re-establishes that alias against its own bucket copy.
-type portableShard struct {
-	buckets [][]portablePlaneEvent
-	refill  []int32
+func exportEvent(ev planeEvent) portablePlaneEvent {
+	return portablePlaneEvent{at: ev.at, seq: ev.seq, a: wcg.AssignmentIndex(ev.a),
+		reported: ev.reported, host: ev.host, kind: ev.kind}
 }
 
-// PortableKernel is a self-contained copy of a ShardKernel (the SoA
-// mega-grid kernel) at an event boundary. Safe to publish across
-// goroutines; read-only once built.
+func (pe portablePlaneEvent) adopt(asAt func(int32) *wcg.Assignment) planeEvent {
+	return planeEvent{at: pe.at, seq: pe.seq, a: asAt(pe.a),
+		reported: pe.reported, host: pe.host, kind: pe.kind}
+}
+
+// portableCal is one shard's calendar: the pending windows as one flat
+// event list named by spans, the armed window's unconsumed events in
+// merge order, and the refill queue.
+type portableCal struct {
+	events []portablePlaneEvent
+	spans  []calSpan
+	cur    []portablePlaneEvent
+	refill []int32
+}
+
+// PortableKernel is a self-contained copy of a ShardKernel at an event
+// boundary. Safe to publish across goroutines; read-only once built.
 type PortableKernel struct {
 	flags       []uint8
 	speedDown   []float64
@@ -249,13 +76,11 @@ type PortableKernel struct {
 	shards int
 	window float64
 
-	shardCals []portableShard
-	cursor    []int
-	win       int
-	winEnd    sim.Time
-	armed     bool
-	prevWin   int
-	overlay   []portablePlaneEvent
+	cals    []portableCal
+	win     int
+	winEnd  sim.Time
+	armed   bool
+	overlay []portablePlaneEvent
 
 	livePlane, peekSrc int
 }
@@ -272,35 +97,34 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.cur) + snapshot.Size(p.curOutcome) +
 		snapshot.Size(p.curReported) + snapshot.Size(p.cacheLen) +
 		snapshot.Size(p.cache) + snapshot.Size(p.pool) +
-		snapshot.Size(p.cursor) + snapshot.Size(p.overlay)
-	for sh := range p.shardCals {
-		n += snapshot.Size(p.shardCals[sh].refill)
-		for _, b := range p.shardCals[sh].buckets {
-			n += snapshot.Size(b)
-		}
+		snapshot.Size(p.overlay)
+	for i := range p.cals {
+		c := &p.cals[i]
+		n += snapshot.Size(c.events) + snapshot.Size(c.spans) +
+			snapshot.Size(c.cur) + snapshot.Size(c.refill)
 	}
 	return n
 }
 
-// portablePlaneEvents translates one bucket (or the overlay) into owned
-// portable form.
-func portablePlaneEvents(evs []planeEvent) []portablePlaneEvent {
+// exportEvents translates events into owned portable form.
+func exportEvents(evs []planeEvent) []portablePlaneEvent {
 	if len(evs) == 0 {
 		return nil
 	}
 	out := make([]portablePlaneEvent, len(evs))
 	for i, ev := range evs {
-		out[i] = portablePlaneEvent{
-			at: ev.at, seq: ev.seq, a: wcg.AssignmentIndex(ev.a),
-			reported: ev.reported, host: ev.host, kind: ev.kind,
-		}
+		out[i] = exportEvent(ev)
 	}
 	return out
 }
 
 // ExportPortable deep-copies the kernel's mutable state into a portable
-// snapshot.
+// snapshot. Like the in-place snapshot it does not cover a multiplexed
+// kernel's mux columns.
 func (k *ShardKernel) ExportPortable() *PortableKernel {
+	if k.mux != nil {
+		panic("volunteer: snapshots of a multiplexed kernel are not supported")
+	}
 	p := &PortableKernel{
 		flags:       snapshot.Clone(k.flags),
 		speedDown:   snapshot.Clone(k.speedDown),
@@ -328,12 +152,10 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		shards: k.shards,
 		window: k.window,
 
-		cursor:  snapshot.Clone(k.cursor),
 		win:     k.win,
 		winEnd:  k.winEnd,
 		armed:   k.armed,
-		prevWin: k.prevWin,
-		overlay: portablePlaneEvents(k.overlay),
+		overlay: exportEvents(k.overlay),
 
 		livePlane: k.livePlane,
 		peekSrc:   k.peekSrc,
@@ -346,14 +168,14 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 	for i, a := range k.cache {
 		p.cache[i] = wcg.AssignmentIndex(a)
 	}
-	p.shardCals = make([]portableShard, k.shards)
-	for sh := 0; sh < k.shards; sh++ {
-		sc := &p.shardCals[sh]
-		sc.refill = snapshot.Clone(k.refill[sh])
-		sc.buckets = make([][]portablePlaneEvent, len(k.buckets[sh]))
-		for w, b := range k.buckets[sh] {
-			sc.buckets[w] = portablePlaneEvents(b)
-		}
+	p.cals = make([]portableCal, k.shards)
+	var flat []planeEvent
+	for sh := range k.cals {
+		c, pc := &k.cals[sh], &p.cals[sh]
+		flat, pc.spans = c.flatten(flat[:0], nil)
+		pc.events = exportEvents(flat)
+		pc.cur = exportEvents(c.cur[c.cursor:])
+		pc.refill = snapshot.Clone(c.refill)
 	}
 	return p
 }
@@ -361,9 +183,8 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 // AdoptPortable installs a portable kernel snapshot into this kernel. The
 // kernel must have been Reset under the same configuration, shard count
 // and window width the source ran; every assignment index is resolved
-// through asAt against the adopter's server. The current-window merge
-// buffers are re-aliased to the adopter's own copy of the armed window's
-// buckets, restoring the alias invariant prepWindow establishes.
+// through asAt against the adopter's server. Calendar windows are rebuilt
+// from the flat event lists onto the adopter's own chunks.
 func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Assignment) {
 	if k.shards != p.shards || k.window != p.window {
 		panic("volunteer: adopting kernel has a different shard layout — config mismatch")
@@ -398,60 +219,19 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.poolHead = p.poolHead
 	*k.r = p.rsrc
 
-	for sh := 0; sh < k.shards; sh++ {
-		sc := &p.shardCals[sh]
-		bs := k.buckets[sh]
-		for len(bs) < len(sc.buckets) {
-			bs = append(bs, nil)
+	for sh := range k.cals {
+		c, pc := &k.cals[sh], &p.cals[sh]
+		c.rebuild(pc.spans, func(i int) planeEvent { return pc.events[i].adopt(asAt) })
+		c.cur, c.cursor = c.cur[:0], 0
+		for _, pe := range pc.cur {
+			c.cur = append(c.cur, pe.adopt(asAt))
 		}
-		bs = bs[:len(sc.buckets)]
-		for w, pb := range sc.buckets {
-			if len(pb) == 0 {
-				if bs[w] != nil {
-					clear(bs[w])
-					k.freeB[sh] = append(k.freeB[sh], bs[w][:0])
-					bs[w] = nil
-				}
-				continue
-			}
-			b := bs[w]
-			if b == nil {
-				if n := len(k.freeB[sh]); n > 0 {
-					b = k.freeB[sh][n-1]
-					k.freeB[sh] = k.freeB[sh][:n-1]
-				}
-			}
-			b = b[:0]
-			for _, pe := range pb {
-				b = append(b, planeEvent{
-					at: pe.at, seq: pe.seq, a: asAt(pe.a),
-					reported: pe.reported, host: pe.host, kind: pe.kind,
-				})
-			}
-			bs[w] = b
-		}
-		k.buckets[sh] = bs
-		k.refill[sh] = append(k.refill[sh][:0], sc.refill...)
+		c.refill = append(c.refill[:0], pc.refill...)
 	}
-	copy(k.cursor, p.cursor)
-	k.win, k.winEnd = p.win, p.winEnd
-	k.armed, k.prevWin = p.armed, p.prevWin
+	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.overlay = k.overlay[:0]
 	for _, pe := range p.overlay {
-		k.overlay = append(k.overlay, planeEvent{
-			at: pe.at, seq: pe.seq, a: asAt(pe.a),
-			reported: pe.reported, host: pe.host, kind: pe.kind,
-		})
+		k.overlay = append(k.overlay, pe.adopt(asAt))
 	}
 	k.livePlane, k.peekSrc = p.livePlane, p.peekSrc
-
-	// Re-establish prepWindow's alias: the merge buffers point at the armed
-	// window's buckets (nil where the window held no events for a shard).
-	for sh := 0; sh < k.shards; sh++ {
-		if k.armed {
-			k.curBuf[sh] = k.bucket(sh, k.win)
-		} else {
-			k.curBuf[sh] = nil
-		}
-	}
 }

@@ -70,30 +70,6 @@ func DiurnalProfiles(onlineHours, errProb float64) []BehaviorProfile {
 	}
 }
 
-// pickProfile draws the host's cohort from the weighted profiles using
-// the host's own stream. Panics if no profile has positive weight.
-func (h *Host) pickProfile(profiles []BehaviorProfile) int {
-	var total float64
-	for _, p := range profiles {
-		if p.Weight < 0 {
-			panic("volunteer: negative profile weight")
-		}
-		total += p.Weight
-	}
-	if total <= 0 {
-		panic("volunteer: behavior profiles need positive total weight")
-	}
-	target := h.src.Float64() * total
-	var cum float64
-	for i, p := range profiles {
-		cum += p.Weight
-		if target < cum {
-			return i
-		}
-	}
-	return len(profiles) - 1
-}
-
 // diurnalDelay converts wall seconds of computation into the elapsed
 // simulation time a diurnal host needs for them, walking the host's
 // daily online windows from now. The host computes only inside

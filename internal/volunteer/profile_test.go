@@ -4,22 +4,21 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/wcg"
 )
 
-// popStats runs a population of n hosts under the given profiles against
-// a generously stocked quorum-1 server and returns the server stats.
+// popStats runs a fleet of n hosts under the given profiles against a
+// generously stocked quorum-1 server and returns the server stats.
 func popStats(t *testing.T, profiles []BehaviorProfile, n int, until sim.Time) wcg.Stats {
 	t.Helper()
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 4000, 3600)
 	cfg := DefaultHostConfig()
 	cfg.Profiles = profiles
-	pop := NewPopulation(engine, srv, cfg, rng.New(99))
-	pop.SetTarget(n)
-	engine.RunUntil(until)
+	k := newKernel(engine, srv, cfg, 99)
+	k.SetTarget(n)
+	k.RunUntil(until)
 	return srv.Stats
 }
 
@@ -60,18 +59,19 @@ func TestSaboteurTurnsPermanently(t *testing.T) {
 	cfg.Profiles = []BehaviorProfile{
 		{Name: "saboteur", Weight: 1, ErrorProb: 0.3, AbandonProb: 0.2, Saboteur: true},
 	}
-	h := NewHost(0, engine, srv, cfg, rng.New(12))
-	h.Start()
+	k := newKernel(engine, srv, cfg, 12)
+	k.SetTarget(1)
+	turned := func() bool { return k.flags[0]&hfTurned != 0 }
 	// Run until the host has turned, then measure: every subsequent
 	// result must be invalid.
-	for engine.Now() < 52*sim.Week && !h.turned {
-		engine.RunUntil(engine.Now() + sim.Day)
+	for engine.Now() < 52*sim.Week && !turned() {
+		k.RunUntil(engine.Now() + sim.Day)
 	}
-	if !h.turned {
+	if !turned() {
 		t.Fatal("saboteur never turned at ErrorProb 0.3")
 	}
 	validAtTurn, invalidAtTurn := srv.Stats.Valid, srv.Stats.Invalid
-	engine.RunUntil(engine.Now() + 8*sim.Week)
+	k.RunUntil(engine.Now() + 8*sim.Week)
 	if srv.Stats.Valid != validAtTurn {
 		t.Fatalf("turned saboteur returned %d further valid results", srv.Stats.Valid-validAtTurn)
 	}
@@ -90,12 +90,18 @@ func TestProfileWeightsRespected(t *testing.T) {
 		{Name: "a", Weight: 3, ErrorProb: 0.01, AbandonProb: -1},
 		{Name: "b", Weight: 1, ErrorProb: 0.10, AbandonProb: -1},
 	}
-	pop := NewPopulation(engine, srv, cfg, rng.New(5))
+	k := newKernel(engine, srv, cfg, 5)
 	const n = 8000
-	pop.SetTarget(n)
+	k.SetTarget(n)
+	// The kernel stores resolved behaviour, not the cohort index: the
+	// cohorts' distinct error rates identify them.
 	counts := [2]int{}
-	for _, h := range pop.Hosts() {
-		counts[h.Profile]++
+	for _, p := range k.errorProb {
+		if p == cfg.Profiles[0].ErrorProb {
+			counts[0]++
+		} else {
+			counts[1]++
+		}
 	}
 	share := float64(counts[0]) / n
 	if math.Abs(share-0.75) > 0.02 {
@@ -113,7 +119,7 @@ func TestProfileValidation(t *testing.T) {
 			t.Fatal("expected panic for zero total weight")
 		}
 	}()
-	NewHost(0, engine, srv, cfg, rng.New(1))
+	newKernel(engine, srv, cfg, 1).SetTarget(1)
 }
 
 // TestDiurnalDelayArithmetic pins the window-walking math against
@@ -158,11 +164,11 @@ func TestDiurnalStretchesElapsedNotReported(t *testing.T) {
 		cfg.AbandonProb = 0
 		cfg.ErrorProb = 0
 		cfg.Profiles = profiles
-		h := NewHost(0, engine, srv, cfg, rng.New(44))
-		h.Start()
 		srv.OnComplete = func(*wcg.WUState) { done = engine.Now() }
-		engine.RunUntil(26 * sim.Week)
-		return done, h.CPUSpent
+		k := newKernel(engine, srv, cfg, 44)
+		k.SetTarget(1)
+		k.RunUntil(26 * sim.Week)
+		return done, k.cpuSpent[0]
 	}
 	flatDone, flatCPU := run(nil)
 	diurnalDone, diurnalCPU := run(DiurnalProfiles(10, 0))
@@ -175,7 +181,7 @@ func TestDiurnalStretchesElapsedNotReported(t *testing.T) {
 	}
 }
 
-// TestDiurnalDeterministic: a profiled population is bit-deterministic in
+// TestDiurnalDeterministic: a profiled fleet is bit-deterministic in
 // its seed (the per-host phase draws come from the host streams, nothing
 // global).
 func TestDiurnalDeterministic(t *testing.T) {

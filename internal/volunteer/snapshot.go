@@ -7,93 +7,59 @@ import (
 	"repro/internal/wcg"
 )
 
-// hostSnap captures one Host: the whole struct by value (rng stream, mux
-// port, in-flight task, bound method values — which close over the
-// receiver pointer and so stay valid) plus the work-cache contents.
-type hostSnap struct {
-	h     *Host
-	state Host
-	cache snapshot.Slice[*wcg.Assignment]
+// calSpan names one window of a flattened calendar: window w holds the
+// next n events of the flat list.
+type calSpan struct{ w, n int32 }
+
+// flatten appends every pending window's events to evs, recording one span
+// per non-empty window.
+func (c *shardCal) flatten(evs []planeEvent, spans []calSpan) ([]planeEvent, []calSpan) {
+	for w := range c.wins {
+		if c.wins[w].n == 0 {
+			continue
+		}
+		spans = append(spans, calSpan{w: int32(w), n: int32(c.wins[w].n)})
+		for ch := c.wins[w].head; ch != nil; ch = ch.next {
+			evs = append(evs, ch.ev[:ch.n]...)
+		}
+	}
+	return evs, spans
 }
 
-// PopulationSnapshot captures a Population (the legacy per-Host kernel)
-// at an event boundary; see the snapshot package doc for the model. Every
-// host ever joined in the run is copied struct-wise; pooled (not yet
-// respawned) hosts are captured as pointers only, because spawn fully
-// re-initializes a recycled struct. On a multiplexed population the
-// shared per-host debt slab is captured too (each port's debt vector is a
-// window into it).
-type PopulationSnapshot struct {
-	hosts     snapshot.Slice[*Host]
-	hostSnaps []hostSnap
-
-	active, nextID, firstActive int
-
-	pool     snapshot.Slice[*Host]
-	poolNext int
-
-	rsrc     rng.Source
-	muxDebts snapshot.Slice[float64]
-}
-
-// Capture records p's complete mutable state.
-func (snap *PopulationSnapshot) Capture(p *Population) {
-	snap.hosts.Capture(p.hosts)
-	for len(snap.hostSnaps) < len(p.hosts) {
-		snap.hostSnaps = append(snap.hostSnaps, hostSnap{})
+// rebuild recycles every pending window's chunks and refills the windows
+// from a flattened calendar: spans name the windows, ev(i) is the i-th
+// event. A window's chunk layout is invisible — its events are sorted by
+// (time, seq) at its barrier — so the rebuilt calendar is equivalent to
+// the flattened one.
+func (c *shardCal) rebuild(spans []calSpan, ev func(i int) planeEvent) {
+	for w := range c.wins {
+		c.drop(w)
 	}
-	for i, h := range p.hosts {
-		hs := &snap.hostSnaps[i]
-		hs.h = h
-		hs.state = *h
-		hs.cache.Capture(h.cache)
-	}
-	snap.active, snap.nextID, snap.firstActive = p.active, p.nextID, p.firstActive
-	snap.pool.Capture(p.pool)
-	snap.poolNext = p.poolNext
-	snap.rsrc = *p.r
-	if p.mux != nil {
-		snap.muxDebts.Capture(p.mux.debts)
+	c.wins = c.wins[:0]
+	i := 0
+	for _, s := range spans {
+		for end := i + int(s.n); i < end; i++ {
+			c.push(int(s.w), ev(i))
+		}
 	}
 }
 
-// Restore rewinds p to the captured state. p must be the population the
-// snapshot was captured from, not Reset since.
-func (snap *PopulationSnapshot) Restore(p *Population) {
-	n := snap.hosts.Len()
-	for i := 0; i < n; i++ {
-		hs := &snap.hostSnaps[i]
-		*hs.h = hs.state
-		hs.h.cache = hs.cache.Restore()
-	}
-	p.hosts = snap.hosts.Restore()
-	p.active, p.nextID, p.firstActive = snap.active, snap.nextID, snap.firstActive
-	p.pool = snap.pool.Restore()
-	p.poolNext = snap.poolNext
-	*p.r = snap.rsrc
-	if p.mux != nil {
-		p.mux.debts = snap.muxDebts.Restore()
-	}
+// calSnap captures one shard's calendar: the pending windows flattened
+// into one event list, the armed window's merge buffer and cursor, and the
+// refill queue.
+type calSnap struct {
+	events []planeEvent
+	spans  []calSpan
+	cur    snapshot.Slice[planeEvent]
+	cursor int
+	refill snapshot.Slice[int32]
 }
 
-// kernelShardSnap captures one shard's calendar: the window-bucket table
-// (outer header + every window's contents), the free-bucket list, the
-// refill queue and the current-window merge buffer. curBuf aliases the
-// current window's bucket by construction; both captures were taken at
-// the same instant, so the restore's double-write is consistent.
-type kernelShardSnap struct {
-	buckets    snapshot.Slice[[]planeEvent]
-	bucketData []snapshot.Slice[planeEvent]
-	freeB      snapshot.Slice[[]planeEvent]
-	refill     snapshot.Slice[int32]
-	curBuf     snapshot.Slice[planeEvent]
-}
-
-// KernelSnapshot captures a ShardKernel (the SoA mega-grid kernel) at an
-// event boundary: every SoA column, the spawn-slot pool, the per-shard
-// calendars, the overlay heap, the window cursor and the population
-// stream. The SpawnHint callback is captured as a func value because the
-// campaign's drain phase nils it. See the snapshot package doc.
+// KernelSnapshot captures a ShardKernel at an event boundary: every SoA
+// column, the spawn-slot pool, the per-shard calendars, the overlay heap,
+// the window cursor and the population stream. The SpawnHint callback is
+// captured as a func value because the campaign's drain phase nils it. See
+// the snapshot package doc.
 type KernelSnapshot struct {
 	flags       snapshot.Slice[uint8]
 	speedDown   snapshot.Slice[float64]
@@ -121,19 +87,22 @@ type KernelSnapshot struct {
 
 	spawnHint func(week float64) int
 
-	shards  []kernelShardSnap
-	cursor  snapshot.Slice[int]
+	cals    []calSnap
 	win     int
 	winEnd  sim.Time
 	armed   bool
-	prevWin int
 	overlay snapshot.Slice[planeEvent]
 
 	livePlane, peekSrc int
 }
 
-// Capture records k's complete mutable state.
+// Capture records k's complete mutable state. The per-host mux columns of
+// a multiplexed kernel are not captured, so such a kernel cannot be
+// snapshotted.
 func (snap *KernelSnapshot) Capture(k *ShardKernel) {
+	if k.mux != nil {
+		panic("volunteer: snapshots of a multiplexed kernel are not supported")
+	}
 	snap.flags.Capture(k.flags)
 	snap.speedDown.Capture(k.speedDown)
 	snap.src.Capture(k.src)
@@ -159,26 +128,18 @@ func (snap *KernelSnapshot) Capture(k *ShardKernel) {
 	snap.rsrc = *k.r
 	snap.spawnHint = k.SpawnHint
 
-	for len(snap.shards) < k.shards {
-		snap.shards = append(snap.shards, kernelShardSnap{})
+	for len(snap.cals) < k.shards {
+		snap.cals = append(snap.cals, calSnap{})
 	}
-	snap.shards = snap.shards[:k.shards]
-	for sh := 0; sh < k.shards; sh++ {
-		ss := &snap.shards[sh]
-		ss.buckets.Capture(k.buckets[sh])
-		for len(ss.bucketData) < len(k.buckets[sh]) {
-			ss.bucketData = append(ss.bucketData, snapshot.Slice[planeEvent]{})
-		}
-		for w := range k.buckets[sh] {
-			ss.bucketData[w].Capture(k.buckets[sh][w])
-		}
-		ss.freeB.Capture(k.freeB[sh])
-		ss.refill.Capture(k.refill[sh])
-		ss.curBuf.Capture(k.curBuf[sh])
+	snap.cals = snap.cals[:k.shards]
+	for sh := range k.cals {
+		c, cs := &k.cals[sh], &snap.cals[sh]
+		cs.events, cs.spans = c.flatten(cs.events[:0], cs.spans[:0])
+		cs.cur.Capture(c.cur)
+		cs.cursor = c.cursor
+		cs.refill.Capture(c.refill)
 	}
-	snap.cursor.Capture(k.cursor)
-	snap.win, snap.winEnd = k.win, k.winEnd
-	snap.armed, snap.prevWin = k.armed, k.prevWin
+	snap.win, snap.winEnd, snap.armed = k.win, k.winEnd, k.armed
 	snap.overlay.Capture(k.overlay)
 	snap.livePlane, snap.peekSrc = k.livePlane, k.peekSrc
 }
@@ -211,19 +172,14 @@ func (snap *KernelSnapshot) Restore(k *ShardKernel) {
 	*k.r = snap.rsrc
 	k.SpawnHint = snap.spawnHint
 
-	for sh := range snap.shards {
-		ss := &snap.shards[sh]
-		for w := 0; w < ss.buckets.Len(); w++ {
-			ss.bucketData[w].Restore()
-		}
-		k.buckets[sh] = ss.buckets.Restore()
-		k.freeB[sh] = ss.freeB.Restore()
-		k.refill[sh] = ss.refill.Restore()
-		k.curBuf[sh] = ss.curBuf.Restore()
+	for sh := range snap.cals {
+		c, cs := &k.cals[sh], &snap.cals[sh]
+		c.rebuild(cs.spans, func(i int) planeEvent { return cs.events[i] })
+		c.cur = cs.cur.Restore()
+		c.cursor = cs.cursor
+		c.refill = cs.refill.Restore()
 	}
-	k.cursor = snap.cursor.Restore()
-	k.win, k.winEnd = snap.win, snap.winEnd
-	k.armed, k.prevWin = snap.armed, snap.prevWin
+	k.win, k.winEnd, k.armed = snap.win, snap.winEnd, snap.armed
 	k.overlay = snap.overlay.Restore()
 	k.livePlane, k.peekSrc = snap.livePlane, snap.peekSrc
 }
@@ -232,7 +188,7 @@ func (snap *KernelSnapshot) Restore(k *ShardKernel) {
 // deadline, exactly as RunUntil would order them, and stops without
 // advancing the clock to the deadline or prepping the window that
 // contains it. The snapshot/fork path uses it to end a shared prefix at
-// a divergence time T: the window barrier covering T (bucket sorting,
+// a divergence time T: the window barrier covering T (calendar sorting,
 // decision refills, spawn-pool top-up) runs in each forked suffix, under
 // the forked cell's config, exactly as a straight run of that cell would
 // have run it.

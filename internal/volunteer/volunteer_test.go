@@ -10,6 +10,22 @@ import (
 	"repro/internal/workunit"
 )
 
+// testWindow is the calendar window of the unit-test kernels.
+const testWindow = sim.Hour
+
+// newKernel builds a K=1 kernel over src with its own population stream.
+func newKernel(engine *sim.Engine, src WorkSource, cfg HostConfig, seed uint64) *ShardKernel {
+	return NewShardKernel(engine, src, cfg, rng.New(seed), 1, testWindow)
+}
+
+// join switches the configuration later spawns are sampled from and grows
+// the fleet by n hosts — how a test puts hosts of different behaviour on
+// one kernel.
+func join(k *ShardKernel, cfg HostConfig, n int) {
+	k.cfg = cfg
+	k.SetTarget(k.Active() + n)
+}
+
 func makeServer(t testing.TB, engine *sim.Engine, nWU int, refSeconds float64) *wcg.Server {
 	t.Helper()
 	srv := wcg.NewServer(engine, wcg.Config{
@@ -32,16 +48,15 @@ func TestMeanSpeedDownConstant(t *testing.T) {
 func TestHostSpeedDownDistribution(t *testing.T) {
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 1, 100)
-	r := rng.New(1)
-	cfg := DefaultHostConfig()
 	const n = 20000
+	k := newKernel(engine, srv, DefaultHostConfig(), 1)
+	k.SetTarget(n)
 	var invSum float64
-	for i := 0; i < n; i++ {
-		h := NewHost(i, engine, srv, cfg, r.Split())
-		if h.SpeedDown < 1 {
-			t.Fatalf("host %d speed-down %v < 1", i, h.SpeedDown)
+	for i, sd := range k.speedDown {
+		if sd < 1 {
+			t.Fatalf("host %d speed-down %v < 1", i, sd)
 		}
-		invSum += 1 / h.SpeedDown
+		invSum += 1 / sd
 	}
 	// The throughput-weighted (harmonic) mean is what the paper observes.
 	harmonic := n / invSum
@@ -56,19 +71,19 @@ func TestHostCompletesWork(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 0
-	h := NewHost(0, engine, srv, cfg, rng.New(2))
-	h.Start()
-	engine.RunUntil(52 * sim.Week)
+	k := newKernel(engine, srv, cfg, 2)
+	k.SetTarget(1)
+	k.RunUntil(52 * sim.Week)
 	if srv.Stats.Completed != 5 {
 		t.Fatalf("completed %d of 5 workunits", srv.Stats.Completed)
 	}
-	if h.Done != 5 {
-		t.Fatalf("host Done = %d", h.Done)
+	if k.done[0] != 5 {
+		t.Fatalf("host done = %d", k.done[0])
 	}
 	// Reported CPU = refSeconds × speed-down for every task.
-	want := 5 * 1000 * h.SpeedDown
-	if math.Abs(h.CPUSpent-want) > 1e-6 {
-		t.Fatalf("CPUSpent = %v, want %v", h.CPUSpent, want)
+	want := 5 * 1000 * k.speedDown[0]
+	if math.Abs(k.cpuSpent[0]-want) > 1e-6 {
+		t.Fatalf("cpuSpent = %v, want %v", k.cpuSpent[0], want)
 	}
 }
 
@@ -78,13 +93,13 @@ func TestHostStopsAfterCurrentTask(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 0
-	h := NewHost(0, engine, srv, cfg, rng.New(3))
-	h.Start()
+	k := newKernel(engine, srv, cfg, 3)
+	k.SetTarget(1)
 	// Stop the host shortly after it picks up its first task.
-	engine.After(1, func() { h.Stop() })
-	engine.RunUntil(52 * sim.Week)
-	if h.Done != 1 {
-		t.Fatalf("stopped host completed %d tasks, want exactly 1", h.Done)
+	engine.After(1, func() { k.SetTarget(0) })
+	k.RunUntil(52 * sim.Week)
+	if k.done[0] != 1 {
+		t.Fatalf("stopped host completed %d tasks, want exactly 1", k.done[0])
 	}
 }
 
@@ -94,16 +109,15 @@ func TestHostErrorCausesResend(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 1 // always invalid
-	bad := NewHost(0, engine, srv, cfg, rng.New(4))
-	bad.Start()
-	engine.RunUntil(sim.Day)
-	bad.Stop()
+	k := newKernel(engine, srv, cfg, 4)
+	k.SetTarget(1)
+	k.RunUntil(sim.Day)
+	k.SetTarget(0)
 	// A clean host finishes the job.
 	good := cfg
 	good.ErrorProb = 0
-	h := NewHost(1, engine, srv, good, rng.New(5))
-	h.Start()
-	engine.RunUntil(20 * sim.Day)
+	join(k, good, 1)
+	k.RunUntil(20 * sim.Day)
 	if srv.Stats.Invalid == 0 {
 		t.Fatal("no invalid results recorded")
 	}
@@ -118,16 +132,15 @@ func TestAbandonTimesOutAndReissues(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 1
 	cfg.LateReturnProb = 0
-	quitter := NewHost(0, engine, srv, cfg, rng.New(6))
-	quitter.Start()
-	engine.RunUntil(sim.Hour)
-	quitter.Stop()
+	k := newKernel(engine, srv, cfg, 6)
+	k.SetTarget(1)
+	k.RunUntil(sim.Hour)
+	k.SetTarget(0)
 	good := DefaultHostConfig()
 	good.AbandonProb = 0
 	good.ErrorProb = 0
-	h := NewHost(1, engine, srv, good, rng.New(7))
-	h.Start()
-	engine.RunUntil(60 * sim.Day)
+	join(k, good, 1)
+	k.RunUntil(60 * sim.Day)
 	if srv.Stats.TimedOut == 0 {
 		t.Fatal("no timeout recorded")
 	}
@@ -142,16 +155,15 @@ func TestLateReturnCountedAsWasted(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 1
 	cfg.LateReturnProb = 1
-	late := NewHost(0, engine, srv, cfg, rng.New(8))
-	late.Start()
-	engine.RunUntil(sim.Hour)
-	late.Stop()
+	k := newKernel(engine, srv, cfg, 8)
+	k.SetTarget(1)
+	k.RunUntil(sim.Hour)
+	k.SetTarget(0)
 	good := DefaultHostConfig()
 	good.AbandonProb = 0
 	good.ErrorProb = 0
-	h := NewHost(1, engine, srv, good, rng.New(9))
-	h.Start()
-	engine.RunUntil(80 * sim.Day)
+	join(k, good, 1)
+	k.RunUntil(80 * sim.Day)
 	if srv.Stats.Completed != 1 {
 		t.Fatalf("not completed: %+v", srv.Stats)
 	}
@@ -171,26 +183,32 @@ func TestPopulationSetTarget(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 0
-	pop := NewPopulation(engine, srv, cfg, rng.New(10))
-	pop.SetTarget(50)
-	if pop.Active() != 50 {
-		t.Fatalf("active = %d", pop.Active())
+	k := newKernel(engine, srv, cfg, 10)
+	k.SetTarget(50)
+	if k.Active() != 50 {
+		t.Fatalf("active = %d", k.Active())
 	}
-	engine.RunUntil(sim.Day)
-	pop.SetTarget(20)
-	if pop.Active() != 20 {
-		t.Fatalf("after shrink: active = %d", pop.Active())
+	k.RunUntil(sim.Day)
+	k.SetTarget(20)
+	if k.Active() != 20 {
+		t.Fatalf("after shrink: active = %d", k.Active())
 	}
-	pop.SetTarget(80)
-	if pop.Active() != 80 {
-		t.Fatalf("after regrow: active = %d", pop.Active())
+	// The oldest hosts stop first.
+	for i := 0; i < 30; i++ {
+		if k.flags[i]&hfStopped == 0 {
+			t.Fatalf("host %d still active after the shrink; the oldest must stop first", i)
+		}
 	}
-	if pop.TotalJoined() != 110 { // 50 + 60 new (stopped ones don't return)
-		t.Fatalf("total joined = %d", pop.TotalJoined())
+	k.SetTarget(80)
+	if k.Active() != 80 {
+		t.Fatalf("after regrow: active = %d", k.Active())
 	}
-	pop.SetTarget(-5)
-	if pop.Active() != 0 {
-		t.Fatalf("negative target should stop everyone, active = %d", pop.Active())
+	if k.TotalJoined() != 110 { // 50 + 60 new (stopped ones don't return)
+		t.Fatalf("total joined = %d", k.TotalJoined())
+	}
+	k.SetTarget(-5)
+	if k.Active() != 0 {
+		t.Fatalf("negative target should stop everyone, active = %d", k.Active())
 	}
 }
 
@@ -200,10 +218,9 @@ func TestPopulationThroughputScales(t *testing.T) {
 	run := func(hosts int) int64 {
 		engine := sim.NewEngine()
 		srv := makeServer(t, engine, 100000, 3600)
-		cfg := DefaultHostConfig()
-		pop := NewPopulation(engine, srv, cfg, rng.New(42))
-		pop.SetTarget(hosts)
-		engine.RunUntil(4 * sim.Week)
+		k := newKernel(engine, srv, DefaultHostConfig(), 42)
+		k.SetTarget(hosts)
+		k.RunUntil(4 * sim.Week)
 		return srv.Stats.Completed
 	}
 	c1 := run(20)
@@ -217,14 +234,14 @@ func TestPopulationThroughputScales(t *testing.T) {
 func TestMeanSpeedDownAccessor(t *testing.T) {
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 10, 100)
-	pop := NewPopulation(engine, srv, DefaultHostConfig(), rng.New(3))
-	if pop.MeanSpeedDown() != 0 {
-		t.Fatal("empty population should report 0")
+	k := newKernel(engine, srv, DefaultHostConfig(), 3)
+	if k.MeanSpeedDown() != 0 {
+		t.Fatal("empty fleet should report 0")
 	}
-	pop.SetTarget(100)
-	m := pop.MeanSpeedDown()
+	k.SetTarget(100)
+	m := k.MeanSpeedDown()
 	if m < 2.5 || m > 6.5 {
-		t.Fatalf("population mean speed-down %v out of plausible band", m)
+		t.Fatalf("fleet mean speed-down %v out of plausible band", m)
 	}
 }
 
@@ -303,16 +320,18 @@ func TestNewHostPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewHost(0, engine, srv, cfg, rng.New(1))
+	newKernel(engine, srv, cfg, 1)
 }
 
-func BenchmarkPopulationMonth(b *testing.B) {
+// BenchmarkKernelMonth is the host layer's micro-bench: a 100-host K=1
+// kernel working one simulated month against a stocked server.
+func BenchmarkKernelMonth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		engine := sim.NewEngine()
 		srv := makeServer(b, engine, 50000, 3600)
-		pop := NewPopulation(engine, srv, DefaultHostConfig(), rng.New(1))
-		pop.SetTarget(100)
-		engine.RunUntil(4 * sim.Week)
+		k := newKernel(engine, srv, DefaultHostConfig(), 1)
+		k.SetTarget(100)
+		k.RunUntil(4 * sim.Week)
 	}
 }
 
@@ -327,9 +346,9 @@ func TestBOINCAccountingReportsLess(t *testing.T) {
 		cfg.AbandonProb = 0
 		cfg.ErrorProb = 0
 		cfg.Accounting = mode
-		h := NewHost(0, engine, srv, cfg, rng.New(77))
-		h.Start()
-		engine.RunUntil(26 * sim.Week)
+		k := newKernel(engine, srv, cfg, 77)
+		k.SetTarget(1)
+		k.RunUntil(26 * sim.Week)
 		if srv.Stats.Completed != 3 {
 			t.Fatalf("mode %v: completed %d", mode, srv.Stats.Completed)
 		}
@@ -358,11 +377,11 @@ func TestBOINCAccountingSameWallTime(t *testing.T) {
 		cfg.AbandonProb = 0
 		cfg.ErrorProb = 0
 		cfg.Accounting = mode
-		h := NewHost(0, engine, srv, cfg, rng.New(78))
-		h.Start()
 		done := -1.0
 		srv.OnComplete = func(*wcg.WUState) { done = engine.Now() }
-		engine.RunUntil(26 * sim.Week)
+		k := newKernel(engine, srv, cfg, 78)
+		k.SetTarget(1)
+		k.RunUntil(26 * sim.Week)
 		return done
 	}
 	if ud, boinc := run(UDWallClock), run(BOINCCPUTime); ud != boinc {
@@ -376,15 +395,16 @@ func TestHardwareTrendNewerHostsFaster(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.HardwareTrendPerWeek = 0.01
 	// Average speed-down of a cohort joining now vs two years later.
-	r := rng.New(5)
-	var early, late float64
 	const n = 2000
+	k := newKernel(engine, srv, cfg, 5)
+	k.SetTarget(n)
+	k.SetTarget(0) // the early cohort leaves; the late one joins at week 104
+	k.RunUntil(104 * sim.Week)
+	k.SetTarget(n)
+	var early, late float64
 	for i := 0; i < n; i++ {
-		early += NewHost(i, engine, srv, cfg, r.Split()).SpeedDown
-	}
-	engine.RunUntil(104 * sim.Week)
-	for i := 0; i < n; i++ {
-		late += NewHost(n+i, engine, srv, cfg, r.Split()).SpeedDown
+		early += k.speedDown[i]
+		late += k.speedDown[n+i]
 	}
 	if late >= early {
 		t.Fatalf("later cohort not faster: %v vs %v", late/n, early/n)
@@ -399,14 +419,14 @@ func TestHardwareTrendNewerHostsFaster(t *testing.T) {
 func TestHardwareFloor(t *testing.T) {
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 1, 1)
-	r := rng.New(9)
-	for i := 0; i < 5000; i++ {
-		h := NewHost(i, engine, srv, DefaultHostConfig(), r.Split())
-		if h.Hardware < 1 {
-			t.Fatalf("hardware factor %v < 1", h.Hardware)
+	k := newKernel(engine, srv, DefaultHostConfig(), 9)
+	k.SetTarget(5000)
+	for i, hw := range k.hardware {
+		if hw < 1 {
+			t.Fatalf("host %d hardware factor %v < 1", i, hw)
 		}
-		if h.Hardware > h.SpeedDown+1e-9 {
-			t.Fatalf("hardware %v exceeds total speed-down %v", h.Hardware, h.SpeedDown)
+		if hw > k.speedDown[i]+1e-9 {
+			t.Fatalf("host %d hardware %v exceeds total speed-down %v", i, hw, k.speedDown[i])
 		}
 	}
 }
@@ -418,14 +438,14 @@ func TestWorkBufferCompletesEverything(t *testing.T) {
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 0
 	cfg.WorkBuffer = 5
-	h := NewHost(0, engine, srv, cfg, rng.New(21))
-	h.Start()
-	engine.RunUntil(52 * sim.Week)
+	k := newKernel(engine, srv, cfg, 21)
+	k.SetTarget(1)
+	k.RunUntil(52 * sim.Week)
 	if srv.Stats.Completed != 20 {
 		t.Fatalf("completed %d of 20 with a work buffer", srv.Stats.Completed)
 	}
-	if h.Done != 20 {
-		t.Fatalf("host Done = %d", h.Done)
+	if k.done[0] != 20 {
+		t.Fatalf("host done = %d", k.done[0])
 	}
 }
 
@@ -444,9 +464,9 @@ func TestWorkBufferAgesTasksTowardDeadline(t *testing.T) {
 		cfg.AbandonProb = 0
 		cfg.ErrorProb = 0
 		cfg.WorkBuffer = buffer
-		h := NewHost(0, engine, srv, cfg, rng.New(31))
-		h.Start()
-		engine.RunUntil(30 * sim.Day)
+		k := newKernel(engine, srv, cfg, 31)
+		k.SetTarget(1)
+		k.RunUntil(30 * sim.Day)
 		return srv.Stats.TimedOut
 	}
 	shallow := run(1)
@@ -457,23 +477,27 @@ func TestWorkBufferAgesTasksTowardDeadline(t *testing.T) {
 }
 
 func TestWorkBufferStaysBounded(t *testing.T) {
-	// The reusable cache array must compact, not grow with every fetch
-	// (regression: with WorkBuffer >= 2 the refill kept one unconsumed
-	// entry alive and the slice grew by one per task processed).
+	// Each host's cache is a fixed WorkBuffer-slot window of one flat slab:
+	// refills must stay inside it however many tasks pass through.
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 500, 100)
 	cfg := DefaultHostConfig()
 	cfg.AbandonProb = 0
 	cfg.ErrorProb = 0
 	cfg.WorkBuffer = 3
-	h := NewHost(0, engine, srv, cfg, rng.New(13))
-	h.Start()
-	engine.RunUntil(52 * sim.Week)
+	k := newKernel(engine, srv, cfg, 13)
+	k.SetTarget(1)
+	for w := sim.Time(1); w <= 52; w++ {
+		k.RunUntil(w * sim.Week)
+		if n := k.cacheLen[0]; n < 0 || int(n) > cfg.WorkBuffer {
+			t.Fatalf("week %v: cache holds %d entries (buffer %d)", w, n, cfg.WorkBuffer)
+		}
+	}
 	if srv.Stats.Completed != 500 {
 		t.Fatalf("completed %d of 500", srv.Stats.Completed)
 	}
-	if len(h.cache) > cfg.WorkBuffer {
-		t.Fatalf("cache grew to %d entries (buffer %d)", len(h.cache), cfg.WorkBuffer)
+	if len(k.cache) != cfg.WorkBuffer {
+		t.Fatalf("cache slab grew to %d slots (buffer %d)", len(k.cache), cfg.WorkBuffer)
 	}
 }
 
@@ -484,9 +508,9 @@ func TestWorkBufferDefaultUnchanged(t *testing.T) {
 		srv := makeServer(t, engine, 10, 500)
 		cfg := DefaultHostConfig()
 		cfg.WorkBuffer = buffer
-		h := NewHost(0, engine, srv, cfg, rng.New(8))
-		h.Start()
-		engine.RunUntil(8 * sim.Week)
+		k := newKernel(engine, srv, cfg, 8)
+		k.SetTarget(1)
+		k.RunUntil(8 * sim.Week)
 		return srv.Stats.Received
 	}
 	if run(0) != run(1) {

@@ -4,13 +4,10 @@ import "repro/internal/wcg"
 
 // WorkSource is what a volunteer host needs from the project side of the
 // grid: a place to fetch work from, report results to, and ask deadlines
-// of. A single-project population binds a *wcg.Server here directly — the
-// host's fetch-compute-report loop then behaves exactly as it did before
-// the interface existed (same calls, same order, no extra random draws, no
-// allocation), which is what keeps single-project runs byte-identical to
-// the pre-multiplexer golden hashes. A multi-project population instead
-// binds each host its own *MuxPort (see Mux), which arbitrates every
-// request across the attached project servers.
+// of. A single-project kernel binds a *wcg.Server here directly (or the
+// fault plane wrapping it). A multi-project kernel is bound to a Mux
+// instead (see ShardKernel.Multiplex), which arbitrates every request
+// across the attached project servers per host.
 //
 // Determinism contract: an implementation must be a pure function of the
 // simulation state and its own seeded stream — no wall clock, no map
@@ -40,10 +37,9 @@ var _ WorkSource = (*wcg.Server)(nil)
 // with seeded jitter while the server is down, and announced-maintenance
 // deferral with reconnect smearing.
 //
-// Both kernels resolve the advisor once, by type assertion at bind time; a
+// The kernel resolves the advisor once, by type assertion at bind time; a
 // plain *wcg.Server (which does not implement it) costs one nil check per
-// idle retry and keeps the flat delay — byte-identical to the pre-advisor
-// code.
+// idle retry and keeps the flat delay.
 type RetryAdvisor interface {
 	// FetchRetryDelay returns how long host should wait before its next
 	// fetch given the configured flat idle-retry delay. Must be positive
