@@ -446,7 +446,7 @@ func BenchmarkSweepForkedParallel(b *testing.B) {
 			sweep.PrefixHits, len(opts.Scenarios))
 	}
 	if sweep.AdoptedRunners == 0 || sweep.ForksParallel == 0 {
-		b.Fatalf("no fan-out happened (adopted=%d, parallel forks=%d) — Materialize fell back",
+		b.Fatalf("no fan-out happened (adopted=%d, parallel forks=%d) — a prefix tree fell back to standalone cells",
 			sweep.AdoptedRunners, sweep.ForksParallel)
 	}
 	parallelSecs := elapsed.Seconds() / float64(b.N)

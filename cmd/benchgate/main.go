@@ -11,9 +11,9 @@
 // BenchmarkCampaignGrid10x (the grid-growth scale milestone, where
 // per-host overheads that vanish at CI scale show up multiplied by the
 // fleet), BenchmarkSweepForked (the prefix-shared sweep, where
-// snapshot/restore copy regressions hide), and
-// BenchmarkSweepForkedParallel (the fan-out sweep, where portable-snapshot
-// capture/adoption copy regressions hide).
+// snapshot materialize/adopt copy regressions hide), and
+// BenchmarkSweepForkedParallel (the fan-out sweep, where the same copies
+// recur on every adopting runner).
 //
 // Usage:
 //

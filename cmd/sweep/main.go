@@ -33,21 +33,20 @@
 //
 // -fork turns on prefix-shared execution: scenarios whose catalog entry
 // carries a divergence-time hint share the common prefix of their
-// trajectory — it is simulated once per replication, an in-memory snapshot
-// is taken at each divergence point, and every what-if cell forks from the
-// snapshot and simulates only its suffix. Results and aggregates are
+// trajectory — it is simulated once per replication, a portable in-memory
+// snapshot is taken at each divergence point, and every what-if cell forks
+// from the snapshot and simulates only its suffix. Results and aggregates are
 // byte-identical to an unforked sweep (grouped scenarios share one derived
 // trajectory seed per replication either way), so -fork composes with
 // -resume and -shards; only wall clock and the summary's prefix stats
 // change. Forked cells run unprobed (-metrics/-trace samples are skipped
 // for them). Ignored with -corun.
 //
-// -fork-workers N widens each divergence group's fork fan-out: the shared
-// prefix is captured once as a portable snapshot, N-1 chunks of the
-// group's what-if cells are handed to idle pool workers that adopt the
-// snapshot into their own pooled runners, and the suffixes race on all
-// cores instead of running sequentially on the publisher's. The default
-// (0) follows -workers; 1 restores sequential forks. Results stay
+// -fork-workers N widens each divergence group's fork fan-out: N-1 chunks
+// of the group's what-if cells are handed to idle pool workers that adopt
+// the group's snapshot into their own pooled runners, and the suffixes race
+// on all cores instead of running sequentially on the publisher's. The
+// default (0) follows -workers; 1 keeps every fork on the publisher. Results stay
 // byte-identical at any width — only wall clock and the summary's fan-out
 // line change.
 //
@@ -141,7 +140,7 @@ func run() (err error) {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = 1; results are byte-identical for every value; ignored with -corun)")
 	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; ignored with -corun)")
-	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt portable snapshots on this many pooled runners (0 = -workers; 1 = sequential forks)")
+	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt the group's snapshot on this many pooled runners (0 = -workers; 1 = sequential forks on the publishing runner)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")
 	hours := flag.Float64("hours", 0, "workunit target duration in hours (0 = deployed 3.7)")
 	seed := flag.Uint64("seed", 0, "sweep base seed (0 = campaign default)")

@@ -99,8 +99,8 @@ func TestForkedSweepIdentical(t *testing.T) {
 // snapshots on other pooled runners and race — and the results, the
 // aggregates, the prefix stats and the JSON rendering stay byte-identical
 // to the sequential single-worker unforked sweep. The fan-out stats prove
-// adoption really happened (a silent Materialize fallback would keep
-// results correct but show zero adopted runners here).
+// adoption really happened (a tree falling back to standalone cells would
+// keep results correct but show zero adopted runners here).
 func TestParallelForkedSweepIdentical(t *testing.T) {
 	scenarios := forkScenarios(t)
 	const reps = 2
@@ -145,7 +145,7 @@ func TestParallelForkedSweepIdentical(t *testing.T) {
 			}
 		} else {
 			// ForkWorkers is capped at Workers: one worker means sequential
-			// forks and no snapshots captured.
+			// forks and no snapshot published to other runners.
 			if sw.AdoptedRunners != 0 || sw.SnapshotBytes != 0 {
 				t.Errorf("workers=1: fan-out ran on a single worker (adopted=%d, bytes=%d)",
 					sw.AdoptedRunners, sw.SnapshotBytes)

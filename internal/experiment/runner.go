@@ -131,24 +131,24 @@ type Options struct {
 
 	// Fork enables prefix-shared execution: scenarios carrying a DivergesAt
 	// hint are grouped per replication, the shared prefix of their common
-	// trajectory runs once, and each cell forks from an in-memory snapshot
-	// at its divergence time (the project.Runner fork path). Results and
-	// aggregates are byte-identical to an unforked sweep — grouped
-	// scenarios share one derived trajectory seed per replication in both
-	// modes — only wall clock and the Sweep.Prefix* stats change. Grouped
-	// cells run unprobed: MetricsSink/TraceSink samples are skipped for
-	// them in fork mode.
+	// trajectory runs once, and each cell forks from a portable in-memory
+	// snapshot at its divergence time (the project.Runner fork path).
+	// Results and aggregates are byte-identical to an unforked sweep —
+	// grouped scenarios share one derived trajectory seed per replication
+	// in both modes — only wall clock and the Sweep.Prefix* stats change.
+	// Grouped cells run unprobed: MetricsSink/TraceSink samples are skipped
+	// for them in fork mode.
 	Fork bool
 
-	// ForkWorkers bounds the per-group parallel fan-out in fork mode: when
-	// a prefix group has more than one pending cell, the tree worker
-	// materializes a portable snapshot of the shared prefix
-	// (project.Runner.Materialize) and up to ForkWorkers-1 pool workers
-	// adopt it into their own run contexts and race the group's suffixes
-	// alongside the tree worker's own in-place forks. 0 or 1 keeps grouped
-	// suffixes sequential on the tree worker. Results and aggregates are
-	// byte-identical at every value — adoption is pinned to the in-place
-	// fork path — so this is purely a wall-clock choice; values above
+	// ForkWorkers bounds the per-group parallel fan-out in fork mode: the
+	// tree worker materializes every prefix group's shared prefix once
+	// (project.Runner.Materialize), and when the group has more than one
+	// pending cell up to ForkWorkers-1 pool workers adopt that snapshot
+	// into their own run contexts and race the group's suffixes alongside
+	// the tree worker's own forks. 0 or 1 keeps grouped suffixes
+	// sequential on the tree worker. Every fork, on any runner, runs from
+	// the same snapshot, so results and aggregates are byte-identical at
+	// every value and this is purely a wall-clock choice; values above
 	// Workers are capped to it.
 	ForkWorkers int
 
@@ -425,6 +425,37 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 				finish(i, res, false, wall)
 			}
 
+			// forkCells forks each cell of cis off the runner's held
+			// snapshot (taken at sim-time at, under seed) and finishes it,
+			// marking it in done so a panic fallback reruns only the rest.
+			// It returns the number forked and the sim-weeks they did not
+			// re-simulate.
+			forkCells := func(cis []int, seed uint64, at sim.Time, done map[int]bool) (hits int, saved float64) {
+				for _, ci := range cis {
+					c := cells[ci]
+					sc := opts.Scenarios[c.scenIdx]
+					cellStart := time.Now()
+					rp := runner.Fork(cellConfig(&opts, sc, seed, nil))
+					wall := time.Since(cellStart).Seconds()
+					res := RunResult{
+						Scenario: sc.Name,
+						Rep:      c.rep,
+						Seed:     seed,
+						Scale:    opts.Base.WorkScale,
+						HHours:   opts.Base.HHours,
+						Metrics:  ExtractMetrics(rp),
+					}
+					if opts.Checkpoint != nil {
+						opts.Checkpoint.Record(res)
+					}
+					done[ci] = true
+					hits++
+					saved += float64(at) / float64(sim.Week)
+					finish(ci, res, false, wall)
+				}
+				return hits, saved
+			}
+
 			// runChunk adopts a published prefix snapshot into this worker's
 			// pooled runner and forks its slice of the group's cells — the
 			// receiving half of a fanned-out prefix group. A panic (in
@@ -442,31 +473,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 					adoptStart := time.Now()
 					runner.AdoptSnapshot(ch.ps)
 					adoptDur := time.Since(adoptStart)
-					runner.Snapshot()
-					var nHits int
-					var saved float64
-					for _, ci := range ch.cells {
-						c := cells[ci]
-						sc := opts.Scenarios[c.scenIdx]
-						cellStart := time.Now()
-						rp := runner.Fork(cellConfig(&opts, sc, ch.seed, nil))
-						wall := time.Since(cellStart).Seconds()
-						res := RunResult{
-							Scenario: sc.Name,
-							Rep:      c.rep,
-							Seed:     ch.seed,
-							Scale:    opts.Base.WorkScale,
-							HHours:   opts.Base.HHours,
-							Metrics:  ExtractMetrics(rp),
-						}
-						if opts.Checkpoint != nil {
-							opts.Checkpoint.Record(res)
-						}
-						chunkDone[ci] = true
-						nHits++
-						saved += float64(ch.at) / float64(sim.Week)
-						finish(ci, res, false, wall)
-					}
+					nHits, saved := forkCells(ch.cells, ch.seed, ch.at, chunkDone)
 					mu.Lock()
 					prefixHits += nHits
 					savedWeeks += saved
@@ -542,61 +549,41 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 					runner.Begin(baseCfg)
 					for gi, g := range groups {
 						runner.RunTo(g.at)
+						// Every group materializes its shared prefix once. A
+						// group with more than one pending cell fans out: every
+						// chunk but the first goes to the pool for adoption,
+						// and the tree keeps the first. A context that cannot
+						// be made portable panics into the fallback below.
+						capStart := time.Now()
+						ps, err := runner.Materialize()
+						if err != nil {
+							panic(err)
+						}
+						capDur := time.Since(capStart)
 						mine := g.cells
-						// Fan the group's suffixes out: materialize the
-						// shared prefix once, hand every chunk but the first
-						// to the pool for snapshot adoption, and keep the
-						// first for the in-place fork path below. A context
-						// that cannot be made portable (Materialize error)
-						// runs the whole group sequentially here instead.
 						if n := min(forkWorkers, len(g.cells)); n > 1 {
-							capStart := time.Now()
-							ps, err := runner.Materialize()
-							capDur := time.Since(capStart)
-							if err == nil {
-								mu.Lock()
-								snapBytes += ps.Bytes()
-								snapCapNS += capDur.Nanoseconds()
-								if treeStats[rep] == nil {
-									treeStats[rep] = &treeStat{start: treeStart}
+							mu.Lock()
+							snapBytes += ps.Bytes()
+							snapCapNS += capDur.Nanoseconds()
+							if treeStats[rep] == nil {
+								treeStats[rep] = &treeStat{start: treeStart}
+							}
+							mu.Unlock()
+							per := (len(g.cells) + n - 1) / n
+							mine = g.cells[:per]
+							for lo := per; lo < len(g.cells); lo += per {
+								hi := min(lo+per, len(g.cells))
+								ch := &adoptChunk{ps: ps, at: g.at, seed: treeSeed, rep: rep, cells: g.cells[lo:hi]}
+								for _, ci := range ch.cells {
+									handedOff[ci] = true
 								}
-								mu.Unlock()
-								per := (len(g.cells) + n - 1) / n
-								mine = g.cells[:per]
-								for lo := per; lo < len(g.cells); lo += per {
-									hi := min(lo+per, len(g.cells))
-									ch := &adoptChunk{ps: ps, at: g.at, seed: treeSeed, rep: rep, cells: g.cells[lo:hi]}
-									for _, ci := range ch.cells {
-										handedOff[ci] = true
-									}
-									enqueue(job{cell: -1, chunk: ch})
-								}
+								enqueue(job{cell: -1, chunk: ch})
 							}
 						}
-						runner.Snapshot()
 						nGroups++
-						for _, ci := range mine {
-							c := cells[ci]
-							sc := opts.Scenarios[c.scenIdx]
-							cellStart := time.Now()
-							rp := runner.Fork(cellConfig(&opts, sc, treeSeed, nil))
-							wall := time.Since(cellStart).Seconds()
-							res := RunResult{
-								Scenario: sc.Name,
-								Rep:      c.rep,
-								Seed:     treeSeed,
-								Scale:    opts.Base.WorkScale,
-								HHours:   opts.Base.HHours,
-								Metrics:  ExtractMetrics(rp),
-							}
-							if opts.Checkpoint != nil {
-								opts.Checkpoint.Record(res)
-							}
-							treeDone[ci] = true
-							nHits++
-							saved += float64(g.at) / float64(sim.Week)
-							finish(ci, res, false, wall)
-						}
+						hits, s := forkCells(mine, treeSeed, g.at, treeDone)
+						nHits += hits
+						saved += s
 						if gi < len(groups)-1 {
 							runner.Restore()
 						}

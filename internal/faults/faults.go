@@ -104,6 +104,10 @@ func (c *Config) Enabled() bool {
 			c.UploadLossProb > 0 || c.ChurnPerWeek > 0)
 }
 
+// maxUploadRetries is the largest upload retry budget: the remaining
+// budget of an in-flight retry travels in a one-byte descriptor slot.
+const maxUploadRetries = 255
+
 // Normalized returns a copy with defaults filled in, panicking on
 // out-of-range values (mirroring the project layer's checkConfig
 // convention: a bad config is a programming error, not a runtime state).
@@ -117,6 +121,10 @@ func (c Config) Normalized() Config {
 		panic(fmt.Sprintf("faults: UploadLossProb %v outside [0,1)", c.UploadLossProb))
 	case c.UploadRetries < 0 || c.UploadRetryDelay < 0:
 		panic(fmt.Sprintf("faults: negative upload retry budget or delay %+v", c))
+	case c.UploadRetries > maxUploadRetries:
+		// In-flight retries carry their remaining budget in the one-byte
+		// K1 slot of their sim.CallUploadRetry descriptor.
+		panic(fmt.Sprintf("faults: UploadRetries %d above %d", c.UploadRetries, maxUploadRetries))
 	case c.ChurnPerWeek < 0 || c.ChurnPerWeek > 1:
 		panic(fmt.Sprintf("faults: ChurnPerWeek %v outside [0,1]", c.ChurnPerWeek))
 	case c.BackoffBase < 0 || c.BackoffCap < 0 || c.ReconnectSmear < 0:

@@ -76,6 +76,20 @@ func TestNormalizedPanics(t *testing.T) {
 	}
 }
 
+// TestUploadRetriesBound pins the retry-budget limit: 255 is the largest
+// budget the one-byte CallUploadRetry slot can carry, 256 is rejected.
+func TestUploadRetriesBound(t *testing.T) {
+	if got := (Config{UploadLossProb: 0.1, UploadRetries: 255}).Normalized().UploadRetries; got != 255 {
+		t.Errorf("UploadRetries 255 normalized to %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("UploadRetries 256 did not panic")
+		}
+	}()
+	Config{UploadLossProb: 0.1, UploadRetries: 256}.Normalized()
+}
+
 func TestEnabled(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Enabled() {

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/wcg"
@@ -34,14 +32,9 @@ func (p *PortablePlane) Bytes() int {
 }
 
 // ExportPortable deep-copies the plane's mutable state into a portable
-// snapshot. The retry budget must fit the one-byte slot of the
-// CallUploadRetry descriptor that in-flight retry events are revived
-// from; a larger budget makes the export fail and the caller falls back
-// to the sequential in-place path.
-func (p *Plane) ExportPortable() (*PortablePlane, error) {
-	if p.cfg.UploadRetries > 255 {
-		return nil, fmt.Errorf("faults: portable export supports at most 255 upload retries (got %d)", p.cfg.UploadRetries)
-	}
+// snapshot. In-flight retry events travel as CallUploadRetry descriptors;
+// Config.Normalized bounds the retry budget to their one-byte slot.
+func (p *Plane) ExportPortable() *PortablePlane {
 	return &PortablePlane{
 		winIdx:         p.winIdx,
 		outageNoted:    p.outageNoted,
@@ -52,7 +45,7 @@ func (p *Plane) ExportPortable() (*PortablePlane, error) {
 		upSeq:          snapshot.Clone(p.upSeq),
 		churnCarry:     p.churnCarry,
 		stats:          p.Stats,
-	}, nil
+	}
 }
 
 // AdoptPortable installs a portable plane snapshot into this plane. The

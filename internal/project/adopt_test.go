@@ -23,7 +23,7 @@ func materialize(t *testing.T, base Config) (*Runner, *PortableSnapshot) {
 
 // TestAdoptEqualsStraightRun is the portable-snapshot identity pin: a
 // snapshot materialized on one runner and adopted into a different one
-// must fork reports byte-identical to the in-place fork path and to a
+// must fork reports byte-identical to the publisher's own forks and to a
 // straight run — at K=1 and at K=4, into a fresh and
 // a dirty (pooled) adopter, and repeatedly into the same adopter.
 func TestAdoptEqualsStraightRun(t *testing.T) {
@@ -65,7 +65,7 @@ func TestAdoptEqualsStraightRun(t *testing.T) {
 		}
 
 		// Materialize is non-destructive: the publisher can still snapshot
-		// and fork in place afterwards.
+		// and fork its live context afterwards.
 		pub.Snapshot()
 		if got := reportHash(t, pub.Fork(cell)); got != straightCell {
 			t.Errorf("shards=%d: publisher fork(cell) after Materialize hash = %s, want %s", shards, got, straightCell)

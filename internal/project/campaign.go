@@ -285,11 +285,9 @@ type Campaign struct {
 	// alive would otherwise pin every arena chunk of the finished run.
 	pooled bool
 
-	// Run-phase tickers, installed by start and stopped by finish. Struct
-	// fields (not Run locals) so the fork path
-	// can capture their stopped flags alongside a snapshot; each ticker
-	// owns one engine-arena event for its whole life, so the pointers stay
-	// valid across a snapshot restore.
+	// Run-phase tickers, installed by start (or rebuilt dormant by snapshot
+	// adoption) and stopped by finish. Struct fields, not Run locals, so a
+	// fork's finish stops the tickers of whichever context it runs on.
 	weekly, daily, churn, sampler *sim.Ticker
 }
 
@@ -428,9 +426,11 @@ func (c *Campaign) reset(cfg Config) {
 type Runner struct {
 	c *Campaign
 
-	// snap holds the Begin/RunTo/Snapshot/Fork path's capture buffers
-	// (fork.go); one snapshot at a time, reused across groups and runs.
-	snap runSnapshot
+	// ps is the snapshot Fork and Restore return to (fork.go); atSnap
+	// reports that c still sits exactly at it, so the next Fork needs no
+	// adoption. Run and Begin drop it.
+	ps     *PortableSnapshot
+	atSnap bool
 }
 
 // NewRunner returns an empty runner; the first Run builds its arenas.
@@ -439,6 +439,14 @@ func NewRunner() *Runner { return &Runner{} }
 // Run simulates one campaign, reusing the previous run's storage.
 // Reports are bit-for-bit identical to New(cfg).Run() for the same cfg.
 func (r *Runner) Run(cfg Config) *Report {
+	r.rearm(cfg)
+	return r.c.Run()
+}
+
+// rearm drops the held snapshot and builds the Runner's campaign under cfg
+// on first use, or resets it.
+func (r *Runner) rearm(cfg Config) {
+	r.ps, r.atSnap = nil, false
 	if r.c == nil {
 		r.c = New(cfg)
 		r.c.pooled = true
@@ -448,7 +456,6 @@ func (r *Runner) Run(cfg Config) *Report {
 	} else {
 		r.c.reset(cfg)
 	}
-	return r.c.Run()
 }
 
 // Run executes the campaign and returns its report.
@@ -461,7 +468,7 @@ func (c *Campaign) Run() *Report {
 // start arms the run: batches prepared, callbacks bound, probe attached,
 // phase/feeder/churn tickers installed. The weekly loop keeps its state in
 // the tenant (t.done, t.doneWeek, t.snapIdx) rather than in closure cells
-// so a tenant snapshot carries the loop state and a restored fork resumes
+// so an exported tenant carries the loop state and an adopted fork resumes
 // it; the split into start / kernel run / finish is what lets the fork
 // path (fork.go) stop the run at a divergence time.
 func (c *Campaign) start() {

@@ -1,6 +1,7 @@
 package project
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -35,7 +36,7 @@ func forkHash(t *testing.T, r *Runner, base, cell Config) string {
 // forked config — at K=1 and at K=4, from a fresh and
 // from a dirty (pooled) runner, and repeatedly from one snapshot. Forking
 // the base config itself must reproduce the goldenSeed777 bytes, so the
-// whole snapshot/restore cycle is anchored to the pre-fork golden hash.
+// whole snapshot/adopt cycle is anchored to the pre-fork golden hash.
 func TestForkEqualsStraightRun(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		base := determinismConfig(t, 777)
@@ -57,7 +58,7 @@ func TestForkEqualsStraightRun(t *testing.T) {
 		if got := reportHash(t, r.Fork(cell)); got != straightCell {
 			t.Errorf("shards=%d: fork(cell) hash = %s, want straight-run %s", shards, got, straightCell)
 		}
-		// Same snapshot again: the restore must leave no residue.
+		// Same snapshot again: the adoption must leave no residue.
 		if got := reportHash(t, r.Fork(cell)); got != straightCell {
 			t.Errorf("shards=%d: second fork(cell) hash differs — restore leaks state", shards)
 		}
@@ -140,4 +141,71 @@ func TestForkRejectsBindTimeChanges(t *testing.T) {
 		}()
 		r.Fork(bad)
 	}()
+}
+
+// TestRunDropsSnapshot pins the Runner lifecycle: Run rewinds the arenas a
+// held snapshot was taken from, so Snapshot → Run → Fork must refuse to
+// fork rather than resume a context Run has replaced.
+func TestRunDropsSnapshot(t *testing.T) {
+	base := determinismConfig(t, 777)
+	other := base
+	other.Seed = 778
+	r := NewRunner()
+	r.Begin(base)
+	r.RunTo(forkDivergence)
+	r.Snapshot()
+	r.Run(other)
+	defer func() {
+		if p := recover(); p != "project: Restore/Fork without a Snapshot" {
+			t.Errorf("Fork after Run panicked with %v, want the missing-snapshot panic", p)
+		}
+	}()
+	r.Fork(base)
+}
+
+// TestMaterializeEveryWeek makes a non-portable event a test failure
+// rather than a runtime state: on the determinism, fault-stress and
+// sharded-stress configurations, at K=1 and K=4, the run context must
+// materialize at every weekly boundary up to completion, and at weeks 1,
+// 9, 14 and the last a second runner that adopts the snapshot must
+// fork(base) to the straight run's bytes.
+func TestMaterializeEveryWeek(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"determinism-777", determinismConfig(t, 777)},
+			{"fault-stress-777", faultStressConfig(t, 777)},
+			{"stress-909", shardedStressConfig(t, 909, shards)},
+		} {
+			base := tc.cfg
+			base.Shards = shards
+			straight := New(base).Run()
+			last := int(math.Min(math.Ceil(straight.WeeksElapsed), base.MaxWeeks))
+			if last <= 14 {
+				t.Fatalf("%s K=%d: run completes at week %d, before the checked weeks", tc.name, shards, last)
+			}
+			want := reportHash(t, straight)
+			check := map[int]bool{1: true, 9: true, 14: true, last: true}
+
+			pub, ad := NewRunner(), NewRunner()
+			pub.Begin(base)
+			for w := 1; w <= last; w++ {
+				pub.RunTo(sim.Time(w) * sim.Week)
+				ps, err := pub.Materialize()
+				if err != nil {
+					t.Fatalf("%s K=%d: Materialize at week %d: %v", tc.name, shards, w, err)
+				}
+				if !check[w] {
+					continue
+				}
+				ad.AdoptSnapshot(ps)
+				if got := reportHash(t, ad.Fork(base)); got != want {
+					t.Errorf("%s K=%d: adopted fork(base) at week %d hash = %s, want straight-run %s",
+						tc.name, shards, w, got, want)
+				}
+			}
+		}
+	}
 }

@@ -9,27 +9,8 @@ import (
 	"repro/internal/wcg"
 )
 
-// This file is the portable half of the snapshot/fork path (see fork.go
-// for the in-place half and the snapshot package doc for the model): a
-// Runner can Materialize its run context into a self-contained snapshot
-// and a *different* Runner — typically another worker's pooled context —
-// can adopt it, so the suffixes diverging from one shared prefix run on
-// all cores instead of sequentially on the publisher's.
-//
-//	pub.Begin(base); pub.RunTo(T)
-//	ps, err := pub.Materialize()   // self-contained, goroutine-safe
-//	... hand ps to N workers ...
-//	w.AdoptSnapshot(ps)            // rebuild the context in w's arenas
-//	w.Snapshot()                   // then fork cells exactly as before
-//	rep := w.Fork(cellCfg)
-//
-// A portable snapshot owns every byte it holds (Copies), names arena
-// objects by allocation index (Translates), and carries no closures: the
-// adopter re-runs the same Reset/prepare/bind machinery a fresh run uses
-// and revives the event schedule from sim.Call descriptors (Re-binds).
-// Multiple adopters may read one snapshot concurrently; adoption is
-// byte-identical to restoring in place on the publisher, which the
-// experiment layer's identity tests pin.
+// Portable run-context state: the PortableSnapshot a Runner materializes
+// and adopts. fork.go states the contract and the Runner lifecycle.
 
 // portableBatch is the mutable slice of a batch: everything else
 // (receptor, cost, total, plan) is rebuilt by prepare from the config.
@@ -144,13 +125,13 @@ func (ps *PortableSnapshot) Bytes() int {
 	return n
 }
 
-// Materialize captures the current run context as a portable snapshot a
-// different Runner can adopt. The run must be unprobed (like the in-place
-// fork path) and mid-run — between Begin/RunTo calls, at an event
-// boundary. A non-nil error means this context cannot be made portable
-// (an untagged event in the schedule, a non-retained server, an oversized
-// retry budget); callers fall back to the
-// sequential in-place path, which has no such limits.
+// Materialize captures the current run context as a portable snapshot,
+// holds it as the snapshot Fork and Restore return to, and returns it for
+// other Runners to adopt. The run must be unprobed and mid-run — between
+// Begin/RunTo calls, at an event boundary. A non-nil error means the
+// schedule holds an event that cannot be revived (an untagged event): a
+// programming error the snapshot tests catch, which leaves the held
+// snapshot unchanged.
 func (r *Runner) Materialize() (*PortableSnapshot, error) {
 	c := r.c
 	if c.t.cfg.Probe != nil {
@@ -160,40 +141,28 @@ func (r *Runner) Materialize() (*PortableSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	server, err := c.t.server.ExportPortable()
-	if err != nil {
-		return nil, err
-	}
-	ps := &PortableSnapshot{cfg: c.t.cfg, events: events, server: server}
+	ps := &PortableSnapshot{cfg: c.t.cfg, events: events, server: c.t.server.ExportPortable()}
 	ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive = c.engine.ExportState()
 	ps.kern = c.kern.ExportPortable()
 	if plane := c.activePlane(); plane != nil {
-		ps.plane, err = plane.ExportPortable()
-		if err != nil {
-			return nil, err
-		}
+		ps.plane = plane.ExportPortable()
 	}
 	ps.ten = exportTenant(&c.t)
+	r.ps, r.atSnap = ps, true
 	return ps, nil
 }
 
 // AdoptSnapshot rebuilds the captured run context inside this Runner's
-// own pooled arenas: a Reset under the snapshot's config re-creates the
-// immutable structure (batches, policies, wheels, outage windows) and
-// re-binds every closure, the portable state is installed over it, and
-// the event schedule is revived from its call descriptors onto freshly
-// bound closures. Afterwards the Runner is exactly where the publisher
-// stood at Materialize time — Snapshot/Fork/RunTo continue from there,
-// byte-identical to the publisher doing the same.
+// own pooled arenas and holds ps as the Runner's snapshot: a Reset under
+// the snapshot's config re-creates the immutable structure (batches,
+// policies, wheels, outage windows) and re-binds every closure, the
+// portable state is installed over it, and the event schedule is revived
+// from its call descriptors onto freshly bound closures. Afterwards the
+// Runner is exactly where the publisher stood at Materialize time —
+// Fork/RunTo continue from there, byte-identical to the publisher doing
+// the same.
 func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
-	if r.c == nil {
-		r.c = New(ps.cfg)
-		r.c.pooled = true
-		r.c.t.server.Retain()
-	} else {
-		r.c.reset(ps.cfg)
-	}
-	r.snap.valid = false
+	r.rearm(ps.cfg)
 	c := r.c
 	c.t.prepare()
 	c.t.bind()
@@ -249,4 +218,5 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 		}
 		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn, true)
 	}
+	r.ps, r.atSnap = ps, true
 }

@@ -64,8 +64,8 @@ type tenant struct {
 	ligScratch []int
 
 	// Weekly-loop state, shared by the single-project Campaign and the
-	// Grid co-run. Tenant fields (not run-locals) so a snapshot of the
-	// tenant carries the loop state across a fork restore.
+	// Grid co-run. Tenant fields (not run-locals) so a portable snapshot
+	// of the tenant carries the loop state into an adopted fork.
 	done     bool
 	doneWeek float64
 	snapIdx  int

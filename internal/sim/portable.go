@@ -4,11 +4,10 @@ import "fmt"
 
 // This file is the engine half of the portable-snapshot contract (see
 // internal/snapshot): exporting a schedule as passive descriptors and
-// rebuilding it inside a different engine. The in-place snapshot path in
-// snapshot.go keeps *Event pointers because it restores into the engine
-// that created them; a portable snapshot cannot, so events travel as
-// (time, seq, Call) triples and the adopting side re-binds callbacks from
-// the Call descriptors against its own model objects.
+// rebuilding it inside a different engine. An *Event and its closure belong
+// to the engine that created them, so events travel as (time, seq, Call)
+// triples and the adopting side re-binds callbacks from the Call
+// descriptors against its own model objects.
 
 // PortableEvent is one live scheduled event in portable form: its heap
 // ordering key plus the Call descriptor its scheduling site tagged it
@@ -22,9 +21,10 @@ type PortableEvent struct {
 // ExportEvents returns every live (non-cancelled) event in the schedule
 // as portable descriptors. It fails if any live event is untagged
 // (Call.Kind == CallNone) or is an observer event: neither can be rebuilt
-// on an adopting engine, and the caller is expected to fall back to
-// non-portable execution. Order follows the heap array and is
-// deterministic for a deterministic run; adoption keys only on (At, Seq).
+// on an adopting engine. Every scheduling site a snapshot can meet is
+// tagged, so the error marks a programming mistake, not a runtime state.
+// Order follows the heap array and is deterministic for a deterministic
+// run; adoption keys only on (At, Seq).
 func (e *Engine) ExportEvents() ([]PortableEvent, error) {
 	out := make([]PortableEvent, 0, len(e.queue))
 	for _, en := range e.queue {

@@ -55,11 +55,10 @@ const (
 )
 
 // Call describes what a scheduled event's closure does, in portable terms:
-// a kind tag plus the small arguments the closure captured. A snapshot that
-// must travel between run contexts cannot carry the closures themselves
-// (they pin the source context's pointers), so the scheduling sites tag
-// their events with a Call and the adopting context rebuilds an equivalent
-// closure from the descriptor. Kind 0 (CallNone) marks an untagged event;
+// a kind tag plus the small arguments the closure captured. A run snapshot
+// cannot carry the closures themselves (they pin the source context's
+// pointers), so the scheduling sites tag their events with a Call and the
+// adopting context rebuilds an equivalent closure from the descriptor. Kind 0 (CallNone) marks an untagged event;
 // ExportEvents refuses to materialize a schedule containing one.
 //
 // Field meaning is per-kind and documented at the kind constants; the

@@ -2,110 +2,26 @@ package snapshot
 
 import "testing"
 
-// TestSliceRestoreAfterMutation: in-place writes during the "suffix" are
-// undone, and the original header comes back.
-func TestSliceRestoreAfterMutation(t *testing.T) {
-	s := []int{1, 2, 3, 4}
-	var c Slice[int]
-	c.Capture(s)
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+// TestCloneOwnsItsCopy pins the Copies rule: a clone holds the source's
+// contents and shares no backing array with it, so the source can run on
+// while adopters read the clone.
+func TestCloneOwnsItsCopy(t *testing.T) {
+	src := []int{1, 2, 3}
+	c := Clone(src)
+	src[0] = 99
+	if len(c) != 3 || c[0] != 1 || c[1] != 2 || c[2] != 3 {
+		t.Fatalf("clone = %v, want [1 2 3] independent of the source", c)
 	}
-
-	s[0], s[3] = 99, -1
-	s = append(s[:2], 7) // shrink then regrow in place
-
-	got := c.Restore()
-	if len(got) != 4 {
-		t.Fatalf("restored len = %d, want 4", len(got))
-	}
-	for i, want := range []int{1, 2, 3, 4} {
-		if got[i] != want {
-			t.Fatalf("restored[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	if &got[0] != &s[0] {
-		t.Error("restore did not revive the original backing array")
+	if Clone([]int{}) != nil || Clone[int](nil) != nil {
+		t.Error("clone of an empty slice is not nil")
 	}
 }
 
-// TestSliceRestoreAfterRealloc: appends past capacity move the owner to a
-// new backing array; restore abandons it and revives the original one.
-func TestSliceRestoreAfterRealloc(t *testing.T) {
-	s := make([]int, 3, 3)
-	s[0], s[1], s[2] = 10, 20, 30
-	orig := &s[0]
-	var c Slice[int]
-	c.Capture(s)
-
-	grown := append(s, 40, 50) // must reallocate: cap == len
-	grown[0] = -10
-
-	got := c.Restore()
-	if len(got) != 3 || &got[0] != orig {
-		t.Fatalf("restore did not return the original 3-element header")
+func TestSize(t *testing.T) {
+	if got := Size(make([]int32, 5)); got != 20 {
+		t.Errorf("Size of 5 int32 = %d, want 20", got)
 	}
-	for i, want := range []int{10, 20, 30} {
-		if got[i] != want {
-			t.Fatalf("restored[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-// TestSliceAliasedCaptures: two captured headers over the same backing
-// array restore consistently — the double-write lands identical bytes.
-func TestSliceAliasedCaptures(t *testing.T) {
-	back := []int{1, 2, 3, 4, 5}
-	a := back[0:5]
-	b := back[2:4]
-	var ca, cb Slice[int]
-	ca.Capture(a)
-	cb.Capture(b)
-
-	for i := range back {
-		back[i] = -back[i]
-	}
-
-	ra := ca.Restore()
-	rb := cb.Restore()
-	for i, want := range []int{1, 2, 3, 4, 5} {
-		if ra[i] != want {
-			t.Fatalf("ra[%d] = %d, want %d", i, ra[i], want)
-		}
-	}
-	if rb[0] != 3 || rb[1] != 4 {
-		t.Fatalf("aliased restore rb = %v, want [3 4]", rb)
-	}
-	if &ra[2] != &rb[0] {
-		t.Error("aliasing lost across restore")
-	}
-}
-
-// TestSliceRepeatedCapture: the private buffer is reused; capturing a
-// shorter slice after a longer one truncates cleanly.
-func TestSliceRepeatedCapture(t *testing.T) {
-	var c Slice[int]
-	c.Capture([]int{1, 2, 3, 4, 5})
-	short := []int{7, 8}
-	c.Capture(short)
-	if c.Len() != 2 {
-		t.Fatalf("Len after recapture = %d, want 2", c.Len())
-	}
-	short[0] = 0
-	got := c.Restore()
-	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
-		t.Fatalf("recaptured restore = %v, want [7 8]", got)
-	}
-}
-
-// TestSliceNil: capturing a nil slice round-trips to nil.
-func TestSliceNil(t *testing.T) {
-	var c Slice[int]
-	c.Capture(nil)
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
-	}
-	if got := c.Restore(); got != nil {
-		t.Fatalf("restored nil capture = %v, want nil", got)
+	if got := Size[float64](nil); got != 0 {
+		t.Errorf("Size of nil = %d, want 0", got)
 	}
 }

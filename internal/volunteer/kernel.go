@@ -624,3 +624,52 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 	}
 	e.AdvanceTo(deadline)
 }
+
+// RunBefore merges and executes events with timestamps strictly before
+// deadline, exactly as RunUntil would order them, and stops without
+// advancing the clock to the deadline or prepping the window that
+// contains it. The snapshot/fork path uses it to end a shared prefix at
+// a divergence time T: the window barrier covering T (calendar sorting,
+// decision refills, spawn-pool top-up) runs in each forked suffix, under
+// the forked cell's config, exactly as a straight run of that cell would
+// have run it.
+func (k *ShardKernel) RunBefore(deadline sim.Time) {
+	e := k.eng
+	if !k.armed {
+		k.prepWindow(k.win)
+		k.armed = true
+	}
+	for {
+		pt, pseq, pok := k.peekPlane()
+		et, eseq, eok := e.Peek()
+		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
+			if pt >= deadline {
+				break
+			}
+			ev := k.popPlane()
+			k.exec(ev)
+			continue
+		}
+		if eok && et < k.winEnd {
+			if et >= deadline {
+				break
+			}
+			e.Step()
+			continue
+		}
+		// Current window exhausted on both calendars; advance the barrier
+		// only while the next window can still hold events before the
+		// deadline (its start is the current winEnd).
+		if k.livePlane == 0 {
+			if !eok || et >= deadline {
+				break
+			}
+			k.prepWindow(int(et / k.window))
+			continue
+		}
+		if k.winEnd >= deadline {
+			break
+		}
+		k.prepWindow(k.win + 1)
+	}
+}

@@ -36,6 +36,43 @@ func (pe portablePlaneEvent) adopt(asAt func(int32) *wcg.Assignment) planeEvent 
 		reported: pe.reported, host: pe.host, kind: pe.kind}
 }
 
+// calSpan names one window of a flattened calendar: window w holds the
+// next n events of the flat list.
+type calSpan struct{ w, n int32 }
+
+// flatten appends every pending window's events to evs, recording one span
+// per non-empty window.
+func (c *shardCal) flatten(evs []planeEvent, spans []calSpan) ([]planeEvent, []calSpan) {
+	for w := range c.wins {
+		if c.wins[w].n == 0 {
+			continue
+		}
+		spans = append(spans, calSpan{w: int32(w), n: int32(c.wins[w].n)})
+		for ch := c.wins[w].head; ch != nil; ch = ch.next {
+			evs = append(evs, ch.ev[:ch.n]...)
+		}
+	}
+	return evs, spans
+}
+
+// rebuild recycles every pending window's chunks and refills the windows
+// from a flattened portable calendar: spans name the windows of the flat
+// event list, whose assignments asAt resolves. A window's chunk layout is
+// invisible — its events are sorted by (time, seq) at its barrier — so the
+// rebuilt calendar is equivalent to the flattened one.
+func (c *shardCal) rebuild(spans []calSpan, evs []portablePlaneEvent, asAt func(int32) *wcg.Assignment) {
+	for w := range c.wins {
+		c.drop(w)
+	}
+	c.wins = c.wins[:0]
+	i := 0
+	for _, s := range spans {
+		for end := i + int(s.n); i < end; i++ {
+			c.push(int(s.w), evs[i].adopt(asAt))
+		}
+	}
+}
+
 // portableCal is one shard's calendar: the pending windows as one flat
 // event list named by spans, the armed window's unconsumed events in
 // merge order, and the refill queue.
@@ -119,8 +156,8 @@ func exportEvents(evs []planeEvent) []portablePlaneEvent {
 }
 
 // ExportPortable deep-copies the kernel's mutable state into a portable
-// snapshot. Like the in-place snapshot it does not cover a multiplexed
-// kernel's mux columns.
+// snapshot. It does not cover a multiplexed kernel's mux columns, so such
+// a kernel cannot be snapshotted.
 func (k *ShardKernel) ExportPortable() *PortableKernel {
 	if k.mux != nil {
 		panic("volunteer: snapshots of a multiplexed kernel are not supported")
@@ -221,7 +258,7 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 
 	for sh := range k.cals {
 		c, pc := &k.cals[sh], &p.cals[sh]
-		c.rebuild(pc.spans, func(i int) planeEvent { return pc.events[i].adopt(asAt) })
+		c.rebuild(pc.spans, pc.events, asAt)
 		c.cur, c.cursor = c.cur[:0], 0
 		for _, pe := range pc.cur {
 			c.cur = append(c.cur, pe.adopt(asAt))

@@ -1,18 +1,15 @@
 package wcg
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
-// Portable server snapshots (see the snapshot package doc): unlike
-// ServerSnapshot, which aliases the live server's backing arrays and
-// restores in place, PortableServer owns every byte it holds and names
-// arena objects by allocation index, so a different pooled server — which
-// re-carves the same objects in the same order — can adopt it. Closure
+// Portable server snapshots (see the snapshot package doc): PortableServer
+// owns every byte it holds and names arena objects by allocation index, so
+// a different pooled server — which re-carves the same objects in the same
+// order — can adopt it. Closure
 // state (policy method values, drain closures, completion hooks) is never
 // exported: the adopter re-binds it with the same Reset/bind machinery a
 // fresh run uses, then resolves indices back to its own pointers.
@@ -106,9 +103,9 @@ func (p *PortableServer) Bytes() int {
 // snapshot. The server must be in retained (pooled) allocation mode: the
 // one-shot Carve mode has no stable allocation-index order to translate
 // pointers against.
-func (s *Server) ExportPortable() (*PortableServer, error) {
+func (s *Server) ExportPortable() *PortableServer {
 	if !s.retain {
-		return nil, fmt.Errorf("wcg: portable export requires a retained (pooled) server")
+		panic("wcg: portable export requires a retained (pooled) server")
 	}
 	nWU := s.wuArena.Allocated()
 	nAs := s.asArena.Allocated()
@@ -171,7 +168,7 @@ func (s *Server) ExportPortable() (*PortableServer, error) {
 	p.spoolArmed = s.spoolArmed
 
 	p.stats = s.Stats
-	return p, nil
+	return p
 }
 
 // WUAt resolves a portable workunit index against this server's arena.
@@ -283,4 +280,21 @@ func (s *Server) SpoolDrainFn() func() {
 		s.spoolFn = s.drainSpool
 	}
 	return s.spoolFn
+}
+
+// ApplyConfig swaps the configuration in force mid-run, at a fork point:
+// on a context at (or adopted from) the snapshot, the forked cell's config
+// replaces the shared prefix's before the suffix runs. Only fields whose
+// effect is lazily read may differ from the config the prefix ran under —
+// the quorum fields (refreshQuorum picks the change up at the next public
+// entry, firing OnQuorumSwitch exactly as a straight run would) — and the
+// outage schedule header is refreshed from the new config, which must
+// describe the same windows. Everything resolved at bind time must be
+// identical: Scheduler, Validator, DeadlinePolicy and Deadline are NOT
+// re-bound here. The experiment layer's prefix grouping enforces these
+// constraints on grouped scenarios.
+func (s *Server) ApplyConfig(cfg Config) {
+	checkConfig(cfg)
+	s.cfg = cfg
+	s.outages = cfg.Outages
 }
