@@ -5,12 +5,15 @@
 // deterministic for a deterministic simulation, so the gate is
 // machine-independent — unlike ns/op, which is deliberately not gated.
 //
-// Five benchmarks are gated by default: BenchmarkCampaignCI (the fresh
-// one-shot campaign), BenchmarkSweepCell (the pooled steady-state
-// replication, which is where arena-reuse regressions hide),
-// BenchmarkCampaignGrid10x (the grid-growth scale milestone, where
-// per-host overheads that vanish at CI scale show up multiplied by the
-// fleet), BenchmarkSweepForked (the prefix-shared sweep, where
+// Seven benchmarks are gated by default, the same seven CI gates:
+// BenchmarkCampaignCI (the fresh one-shot campaign), BenchmarkSweepCell
+// (the pooled steady-state replication, which is where arena-reuse
+// regressions hide), BenchmarkSharedGrid2Proj (the two-project co-run on
+// the work-fetch mux), BenchmarkCampaignGrid10x (the grid-growth scale
+// milestone, where per-host overheads that vanish at CI scale show up
+// multiplied by the fleet), BenchmarkCampaignGrid100xCI (the mega-grid on
+// the sharded kernel at K=4, where the window barriers and calendar
+// chunks live), BenchmarkSweepForked (the prefix-shared sweep, where
 // snapshot materialize/adopt copy regressions hide), and
 // BenchmarkSweepForkedParallel (the fan-out sweep, where the same copies
 // recur on every adopting runner).
@@ -18,7 +21,7 @@
 // Usage:
 //
 //	benchgate -baseline BENCH_campaign.json -current BENCH_ci.json \
-//	          [-bench BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkCampaignGrid10x,BenchmarkSweepForked,BenchmarkSweepForkedParallel] \
+//	          [-bench BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkSharedGrid2Proj,BenchmarkCampaignGrid10x,BenchmarkCampaignGrid100xCI,BenchmarkSweepForked,BenchmarkSweepForkedParallel] \
 //	          [-max-alloc-growth 0.10] \
 //	          [-overhead Instrumented:Bare] [-max-overhead 0.05]
 //
@@ -40,7 +43,7 @@ import (
 func main() {
 	baseline := flag.String("baseline", "BENCH_campaign.json", "checked-in benchmark trajectory (the baseline)")
 	current := flag.String("current", "", "freshly measured benchmark file to gate")
-	bench := flag.String("bench", "BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkCampaignGrid10x,BenchmarkSweepForked,BenchmarkSweepForkedParallel", "comma-separated benchmark names to compare")
+	bench := flag.String("bench", "BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkSharedGrid2Proj,BenchmarkCampaignGrid10x,BenchmarkCampaignGrid100xCI,BenchmarkSweepForked,BenchmarkSweepForkedParallel", "comma-separated benchmark names to compare")
 	maxGrowth := flag.Float64("max-alloc-growth", 0.10, "allowed allocs/op growth over the baseline (0.10 = +10%)")
 	overhead := flag.String("overhead", "", "Instrumented:Bare pair in the current file to wall-time-gate against each other")
 	maxOverhead := flag.Float64("max-overhead", 0.05, "allowed instrumented ns/op overhead over the bare run (0.05 = +5%)")

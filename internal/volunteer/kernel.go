@@ -18,11 +18,25 @@
 // the K shard workers run in parallel, touching only their own hosts
 // (disjoint array ranges) and their own calendars: they refill the
 // consumed per-host decision transcripts (plus, before a weekly tick, the
-// spawn slot pool), gather the new window's chunks into one reused
-// per-shard merge buffer, recycle the chunks and sort the buffer by
-// (time, seq). Between barriers a single goroutine merges the K sorted
-// buffers, the overlay heap and the engine's own heap in global ascending
-// (time, seq) order and executes the model serially.
+// spawn slot pool) and arm the new window into one reused per-shard merge
+// buffer, recycling its chunks. Between barriers a single goroutine merges
+// the K sorted buffers, the overlay heap and the engine's own heap in
+// global ascending (time, seq) order and executes the model serially.
+//
+// # Window arming
+//
+// Arming is a calendar-queue bucket pass, linear in the window's n events
+// rather than a comparison sort: count the events into nb = min(n,
+// calBuckets) equal time buckets, b(at) = clamp(⌊(at − w·W)·nb/W⌋, 0,
+// nb−1), scatter them stably from the chunks into the merge buffer, and
+// sort each bucket by (time, seq) — insertion sort up to insertionCutoff
+// events, a comparison sort above it, so a window whose events share one
+// time stays O(n log n). The result is the exact (time, seq) order: b is
+// non-decreasing in at (IEEE subtraction, multiplication by a positive
+// constant, truncation and clamping are all monotone), so bucket order
+// never contradicts time order, and the in-bucket sort settles every tie
+// by seq. Events reach a window in ascending seq order, which keeps the
+// in-bucket sorts near-linear; the order does not depend on it.
 //
 // # K-invariance
 //
@@ -76,8 +90,15 @@ func planeEventLess(a, b planeEvent) int {
 	return 0
 }
 
-// chunkEvents is the size of one calendar chunk.
-const chunkEvents = 256
+const (
+	// chunkEvents is the size of one calendar chunk.
+	chunkEvents = 256
+	// calBuckets is the most time buckets a window's arming pass uses.
+	calBuckets = 4096
+	// insertionCutoff is the largest bucket the arming pass insertion-sorts;
+	// larger buckets fall back to a comparison sort.
+	insertionCutoff = 32
+)
 
 // eventChunk is a fixed block of one window's events, linked into the
 // window's list or into the shard's free list.
@@ -95,14 +116,15 @@ type calWindow struct {
 
 // shardCal is one shard's calendar: the future windows by absolute window
 // index, the free chunks, the armed window's sorted merge buffer with its
-// read cursor, and the hosts whose decision tuple was consumed since the
-// last barrier.
+// read cursor, the hosts whose decision tuple was consumed since the last
+// barrier, and the arming pass's bucket offsets (scratch, never exported).
 type shardCal struct {
-	wins   []calWindow
-	free   *eventChunk
-	cur    []planeEvent
-	cursor int
-	refill []int32
+	wins    []calWindow
+	free    *eventChunk
+	cur     []planeEvent
+	cursor  int
+	refill  []int32
+	buckets [calBuckets]int32
 }
 
 // push appends ev to window w, taking a chunk from the free list (or
@@ -140,17 +162,73 @@ func (c *shardCal) count(w int) int {
 	return 0
 }
 
-// take makes window w the armed window: its events gathered (unsorted)
-// into the merge buffer, its chunks recycled.
-func (c *shardCal) take(w int) {
+// take makes window w (of width width) the armed window: its events
+// bucketed by time into the merge buffer, each bucket sorted by (time,
+// seq), its chunks recycled (see Window arming above).
+func (c *shardCal) take(w int, width float64) {
 	c.cur, c.cursor = c.cur[:0], 0
 	if w >= len(c.wins) {
 		return
 	}
+	n := c.wins[w].n
+	c.cur = slices.Grow(c.cur, n)[:n]
+	nb := min(n, calBuckets)
+	lo, scale := float64(w)*width, float64(nb)/width
+	off := c.buckets[:nb]
+	clear(off)
 	for ch := c.wins[w].head; ch != nil; ch = ch.next {
-		c.cur = append(c.cur, ch.ev[:ch.n]...)
+		for i := range ch.ev[:ch.n] {
+			off[bucketOf(ch.ev[i].at, lo, scale, nb)]++
+		}
+	}
+	var start int32
+	for b, cnt := range off {
+		off[b] = start
+		start += cnt
+	}
+	for ch := c.wins[w].head; ch != nil; ch = ch.next {
+		for i := range ch.ev[:ch.n] {
+			b := bucketOf(ch.ev[i].at, lo, scale, nb)
+			c.cur[off[b]] = ch.ev[i]
+			off[b]++
+		}
+	}
+	start = 0
+	for _, end := range off { // off[b] is now bucket b's end
+		sortBucket(c.cur[start:end])
+		start = end
 	}
 	c.drop(w)
+}
+
+// bucketOf is the arming pass's bucket of time at: ⌊(at − lo)·scale⌋
+// clamped to [0, nb−1], non-decreasing in at. The clamp is taken in float
+// so out-of-range times never reach the integer conversion.
+func bucketOf(at, lo sim.Time, scale float64, nb int) int {
+	x := (at - lo) * scale
+	switch {
+	case x >= float64(nb-1):
+		return nb - 1
+	case x > 0:
+		return int(x)
+	}
+	return 0
+}
+
+// sortBucket sorts one bucket by (time, seq): insertion sort up to
+// insertionCutoff events, a comparison sort above it.
+func sortBucket(s []planeEvent) {
+	if len(s) > insertionCutoff {
+		slices.SortFunc(s, planeEventLess)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		ev, j := s[i], i
+		for ; j > 0 && planeEventLess(ev, s[j-1]) < 0; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = ev
+	}
 }
 
 // drop recycles window w's chunks without reading them.
@@ -539,10 +617,7 @@ func (k *ShardKernel) barrier(sh int) {
 			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
 	}
 	c.refill = c.refill[:0]
-	c.take(k.win)
-	if len(c.cur) > 1 {
-		slices.SortFunc(c.cur, planeEventLess)
-	}
+	c.take(k.win, k.window)
 }
 
 // topUpPool extends the spawn-slot pool by n slots: seeds drawn serially
@@ -629,7 +704,7 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 // deadline, exactly as RunUntil would order them, and stops without
 // advancing the clock to the deadline or prepping the window that
 // contains it. The snapshot/fork path uses it to end a shared prefix at
-// a divergence time T: the window barrier covering T (calendar sorting,
+// a divergence time T: the window barrier covering T (window arming,
 // decision refills, spawn-pool top-up) runs in each forked suffix, under
 // the forked cell's config, exactly as a straight run of that cell would
 // have run it.

@@ -58,7 +58,8 @@ func (c *shardCal) flatten(evs []planeEvent, spans []calSpan) ([]planeEvent, []c
 // rebuild recycles every pending window's chunks and refills the windows
 // from a flattened portable calendar: spans name the windows of the flat
 // event list, whose assignments asAt resolves. A window's chunk layout is
-// invisible — its events are sorted by (time, seq) at its barrier — so the
+// invisible — its barrier arms it into exact (time, seq) order whatever
+// the order of its events (see Window arming in kernel.go) — so the
 // rebuilt calendar is equivalent to the flattened one.
 func (c *shardCal) rebuild(spans []calSpan, evs []portablePlaneEvent, asAt func(int32) *wcg.Assignment) {
 	for w := range c.wins {
