@@ -22,13 +22,12 @@
 //
 //	benchgate -baseline BENCH_campaign.json -current BENCH_ci.json \
 //	          [-bench BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkSharedGrid2Proj,BenchmarkCampaignGrid10x,BenchmarkCampaignGrid100xCI,BenchmarkSweepForked,BenchmarkSweepForkedParallel] \
-//	          [-max-alloc-growth 0.10] \
-//	          [-overhead Instrumented:Bare] [-max-overhead 0.05]
+//	          [-max-alloc-growth 0.10]
 //
-// -overhead adds the observability-plane wall-time gate: both named
-// benchmarks must appear in the -current file (same machine, same session,
-// which is what makes ns/op comparable) and the first must not be slower
-// than the second by more than -max-overhead.
+// The observability plane's wall-time gate is not here: ns/op rows from two
+// benchmark runs are too noisy to compare, so BenchmarkCampaignCIOverhead
+// interleaves bare and instrumented campaigns in one process and gates the
+// median per-pair ratio itself.
 package main
 
 import (
@@ -45,17 +44,15 @@ func main() {
 	current := flag.String("current", "", "freshly measured benchmark file to gate")
 	bench := flag.String("bench", "BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkSharedGrid2Proj,BenchmarkCampaignGrid10x,BenchmarkCampaignGrid100xCI,BenchmarkSweepForked,BenchmarkSweepForkedParallel", "comma-separated benchmark names to compare")
 	maxGrowth := flag.Float64("max-alloc-growth", 0.10, "allowed allocs/op growth over the baseline (0.10 = +10%)")
-	overhead := flag.String("overhead", "", "Instrumented:Bare pair in the current file to wall-time-gate against each other")
-	maxOverhead := flag.Float64("max-overhead", 0.05, "allowed instrumented ns/op overhead over the bare run (0.05 = +5%)")
 	flag.Parse()
 
-	if err := run(*baseline, *current, *bench, *maxGrowth, *overhead, *maxOverhead); err != nil {
+	if err := run(*baseline, *current, *bench, *maxGrowth); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(baselinePath, currentPath, benchSpec string, maxGrowth float64, overheadSpec string, maxOverhead float64) error {
+func run(baselinePath, currentPath, benchSpec string, maxGrowth float64) error {
 	if currentPath == "" {
 		return fmt.Errorf("-current is required")
 	}
@@ -84,20 +81,6 @@ func run(baselinePath, currentPath, benchSpec string, maxGrowth float64, overhea
 	}
 	if gated == 0 {
 		return fmt.Errorf("-bench selected no benchmarks")
-	}
-	if overheadSpec != "" {
-		inst, bare, ok := strings.Cut(overheadSpec, ":")
-		if !ok || inst == "" || bare == "" {
-			return fmt.Errorf("-overhead wants Instrumented:Bare, got %q", overheadSpec)
-		}
-		if err := experiment.OverheadGate(cur, inst, bare, maxOverhead); err != nil {
-			return err
-		}
-		i, _ := cur.LatestRun(inst)
-		b, _ := cur.LatestRun(bare)
-		fmt.Printf("benchgate: %s ok — %.2fms/op vs %.2fms/op bare (%+.1f%%), limit +%.0f%%\n",
-			inst, float64(i.NsPerOp)/1e6, float64(b.NsPerOp)/1e6,
-			100*(float64(i.NsPerOp)/float64(b.NsPerOp)-1), maxOverhead*100)
 	}
 	return nil
 }

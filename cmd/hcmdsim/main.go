@@ -42,6 +42,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -77,13 +78,19 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-plane seed override (0 = derived from the campaign seed)")
 	flag.Parse()
 
-	if *scale <= 0 || *scale > 1 {
+	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintln(os.Stderr, "hcmdsim: -scale must be in (0, 1]")
 		os.Exit(2)
 	}
-	if *coshare < 0 || *coshare >= 1 {
+	if !(*coshare >= 0 && *coshare < 1) {
 		fmt.Fprintln(os.Stderr, "hcmdsim: -coshare must be in (0, 1)")
 		os.Exit(2)
+	}
+	for _, v := range []float64{*hours, *sampleEvery} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			fmt.Fprintln(os.Stderr, "hcmdsim: -hours and -sample-every must be finite")
+			os.Exit(2)
+		}
 	}
 	if *shards < 0 {
 		fmt.Fprintln(os.Stderr, "hcmdsim: -shards must be ≥ 0")
@@ -241,15 +248,15 @@ func main() {
 // byte-identical to a build without the fault plane).
 func buildFaults(maintHours, outageRate, outageHours, uploadLoss, churnWeekly float64, seed uint64) (*faults.Config, error) {
 	switch {
-	case maintHours < 0:
-		return nil, fmt.Errorf("-maintenance-hours must be >= 0, got %v", maintHours)
-	case outageRate < 0:
-		return nil, fmt.Errorf("-outage-rate must be >= 0, got %v", outageRate)
-	case outageRate > 0 && outageHours <= 0:
-		return nil, fmt.Errorf("-outage-hours must be > 0 with -outage-rate, got %v", outageHours)
-	case uploadLoss < 0 || uploadLoss >= 1:
+	case !(maintHours >= 0) || math.IsInf(maintHours, 1):
+		return nil, fmt.Errorf("-maintenance-hours must be finite and >= 0, got %v", maintHours)
+	case !(outageRate >= 0) || math.IsInf(outageRate, 1):
+		return nil, fmt.Errorf("-outage-rate must be finite and >= 0, got %v", outageRate)
+	case outageRate > 0 && !(outageHours > 0), math.IsInf(outageHours, 1):
+		return nil, fmt.Errorf("-outage-hours must be finite and > 0 with -outage-rate, got %v", outageHours)
+	case !(uploadLoss >= 0 && uploadLoss < 1):
 		return nil, fmt.Errorf("-upload-loss must be in [0, 1), got %v", uploadLoss)
-	case churnWeekly < 0 || churnWeekly >= 1:
+	case !(churnWeekly >= 0 && churnWeekly < 1):
 		return nil, fmt.Errorf("-churn-weekly must be in [0, 1), got %v", churnWeekly)
 	}
 	if maintHours == 0 && outageRate == 0 && uploadLoss == 0 && churnWeekly == 0 {

@@ -93,6 +93,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -204,8 +205,13 @@ func run() (err error) {
 		fmt.Print(g.String())
 		return nil
 	}
-	if *scale <= 0 || *scale > 1 {
+	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
+	}
+	for _, v := range []float64{*hours, *sampleEvery} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("-hours and -sample-every must be finite, got %v and %v", *hours, *sampleEvery)
+		}
 	}
 	msink, tsink, closeSinks, serr := openSinks(*metricsPath, *tracePath)
 	if serr != nil {
@@ -553,15 +559,15 @@ func applyPolicies(base *project.Config, scheduler, validator string, streak int
 // combination with -resume.
 func applyFaults(base *project.Config, maintHours, outageRate, outageHours, uploadLoss, churnWeekly float64, seed uint64) error {
 	switch {
-	case maintHours < 0:
-		return fmt.Errorf("-maintenance-hours must be >= 0, got %v", maintHours)
-	case outageRate < 0:
-		return fmt.Errorf("-outage-rate must be >= 0, got %v", outageRate)
-	case outageRate > 0 && outageHours <= 0:
-		return fmt.Errorf("-outage-hours must be > 0 with -outage-rate, got %v", outageHours)
-	case uploadLoss < 0 || uploadLoss >= 1:
+	case !(maintHours >= 0) || math.IsInf(maintHours, 1):
+		return fmt.Errorf("-maintenance-hours must be finite and >= 0, got %v", maintHours)
+	case !(outageRate >= 0) || math.IsInf(outageRate, 1):
+		return fmt.Errorf("-outage-rate must be finite and >= 0, got %v", outageRate)
+	case outageRate > 0 && !(outageHours > 0), math.IsInf(outageHours, 1):
+		return fmt.Errorf("-outage-hours must be finite and > 0 with -outage-rate, got %v", outageHours)
+	case !(uploadLoss >= 0 && uploadLoss < 1):
 		return fmt.Errorf("-upload-loss must be in [0, 1), got %v", uploadLoss)
-	case churnWeekly < 0 || churnWeekly >= 1:
+	case !(churnWeekly >= 0 && churnWeekly < 1):
 		return fmt.Errorf("-churn-weekly must be in [0, 1), got %v", churnWeekly)
 	}
 	if maintHours == 0 && outageRate == 0 && uploadLoss == 0 && churnWeekly == 0 {

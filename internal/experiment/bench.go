@@ -135,27 +135,3 @@ func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) er
 	}
 	return nil
 }
-
-// OverheadGate is the observability-plane wall-time gate: it compares the
-// latest runs of two benchmarks recorded in the SAME file — the
-// instrumented and the bare variant of one workload, measured in the same
-// session on the same machine, which is what makes ns/op comparable here
-// (unlike against the checked-in baseline file) — and returns an error
-// when the instrumented run is slower by more than maxOverhead
-// (0.05 = +5 %).
-func OverheadGate(f *BenchFile, instrumented, baseline string, maxOverhead float64) error {
-	inst, ok := f.LatestRun(instrumented)
-	if !ok {
-		return fmt.Errorf("experiment: file has no %s run", instrumented)
-	}
-	base, ok := f.LatestRun(baseline)
-	if !ok {
-		return fmt.Errorf("experiment: file has no %s run", baseline)
-	}
-	limit := float64(base.NsPerOp) * (1 + maxOverhead)
-	if float64(inst.NsPerOp) > limit {
-		return fmt.Errorf("experiment: %s overhead breach: %d ns/op > %d ns/op (%s) +%.0f%% = %.0f",
-			instrumented, inst.NsPerOp, base.NsPerOp, baseline, maxOverhead*100, limit)
-	}
-	return nil
-}

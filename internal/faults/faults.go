@@ -108,15 +108,34 @@ func (c *Config) Enabled() bool {
 // budget of an in-flight retry travels in a one-byte descriptor slot.
 const maxUploadRetries = 255
 
+// maxOutagesPerWeek bounds both outage cadences at one outage start per
+// simulated minute — the granularity below which an outage vanishes
+// (Windows stretches shorter unplanned outages to a minute) — so the
+// materialized schedule stays finite.
+const maxOutagesPerWeek = sim.Week / sim.Minute
+
 // Normalized returns a copy with defaults filled in, panicking on
 // out-of-range values (mirroring the project layer's checkConfig
 // convention: a bad config is a programming error, not a runtime state).
 func (c Config) Normalized() Config {
+	for _, v := range [...]float64{c.MaintenanceEvery, c.MaintenanceOffset, c.MaintenanceDuration,
+		c.UnplannedPerWeek, c.UnplannedMeanSeconds, c.UploadLossProb, c.UploadRetryDelay,
+		c.ChurnPerWeek, c.BackoffBase, c.BackoffCap, c.ReconnectSmear} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			// NaN fails every range check below and ±Inf passes the
+			// one-sided ones; an infinite outage rate never finishes Windows.
+			panic(fmt.Sprintf("faults: non-finite value %v in %+v", v, c))
+		}
+	}
 	switch {
 	case c.MaintenanceEvery < 0 || c.MaintenanceOffset < 0 || c.MaintenanceDuration < 0:
 		panic(fmt.Sprintf("faults: negative maintenance schedule %+v", c))
+	case c.MaintenanceEvery > 0 && c.MaintenanceEvery < sim.Minute:
+		panic(fmt.Sprintf("faults: maintenance every %vs, more often than once a minute", c.MaintenanceEvery))
 	case c.UnplannedPerWeek < 0 || c.UnplannedMeanSeconds < 0:
 		panic(fmt.Sprintf("faults: negative unplanned-outage rate or mean %+v", c))
+	case c.UnplannedPerWeek > maxOutagesPerWeek:
+		panic(fmt.Sprintf("faults: UnplannedPerWeek %v above %v (one a minute)", c.UnplannedPerWeek, maxOutagesPerWeek))
 	case c.UploadLossProb < 0 || c.UploadLossProb >= 1:
 		panic(fmt.Sprintf("faults: UploadLossProb %v outside [0,1)", c.UploadLossProb))
 	case c.UploadRetries < 0 || c.UploadRetryDelay < 0:

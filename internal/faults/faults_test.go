@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -74,6 +75,39 @@ func TestNormalizedPanics(t *testing.T) {
 			c.Normalized()
 		}()
 	}
+}
+
+// TestNormalizedRejectsNonFinite: every float field rejects NaN and ±Inf.
+// NaN used to pass each range check and +Inf the one-sided ones; an
+// infinite UnplannedPerWeek then hung Windows (a zero mean gap never
+// advances the outage walk). The runaway-cadence cases bound the
+// materialized schedule at one outage start per minute.
+func TestNormalizedRejectsNonFinite(t *testing.T) {
+	var bad []Config
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := 0; i < 11; i++ {
+			c := Config{MaintenanceEvery: sim.Week, UnplannedPerWeek: 1, UploadLossProb: 0.1, ChurnPerWeek: 0.1}
+			fields := []*float64{&c.MaintenanceEvery, &c.MaintenanceOffset, &c.MaintenanceDuration,
+				&c.UnplannedPerWeek, &c.UnplannedMeanSeconds, &c.UploadLossProb, &c.UploadRetryDelay,
+				&c.ChurnPerWeek, &c.BackoffBase, &c.BackoffCap, &c.ReconnectSmear}
+			*fields[i] = v
+			bad = append(bad, c)
+		}
+	}
+	bad = append(bad, Config{MaintenanceEvery: 30, MaintenanceDuration: 1},
+		Config{UnplannedPerWeek: maxOutagesPerWeek + 1})
+	for i, c := range bad {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "faults:") {
+					t.Errorf("config %d (%+v) was not rejected", i, c)
+				}
+			}()
+			c.Normalized()
+		}()
+	}
+	// The rate bound itself is accepted.
+	Config{UnplannedPerWeek: maxOutagesPerWeek}.Normalized()
 }
 
 // TestUploadRetriesBound pins the retry-budget limit: 255 is the largest

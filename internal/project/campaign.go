@@ -10,18 +10,15 @@
 // prioritization ramp (February), and a full-power phase at a constant
 // ~45 % share of a growing grid (March until completion).
 //
-// Two run shapes share the machinery (see tenant.go):
-//
-//   - Campaign is the single-project path of the paper's phase I: one
-//     project owning its entire host fleet, the fleet bound straight to
-//     the project's middleware server (golden_test.go pins the report
-//     hashes, fresh and pooled).
-//   - Grid (grid.go) is the shared multi-project path: N tenants on one
-//     volunteer fleet, each host multiplexing its work fetches across the
-//     attached project servers by resource share, so a project's grid
-//     share is a measured output instead of an assumed constant.
-//
-// Both run their fleet on the volunteer package's ShardKernel.
+// One run context, Campaign, carries the machinery: one engine, one host
+// fleet on the volunteer package's ShardKernel, one credit ledger and one
+// fleet schedule, with the per-project state in its tenants (tenant.go).
+// A single-project campaign (New, Runner) is the paper's phase I: one
+// tenant bound straight to the fleet under the §5.1 schedule (golden_test.go
+// pins the report hashes, fresh and pooled). A co-run (Grid, grid.go) arms
+// the same context with N tenants behind a work-fetch mux on a flat-share
+// schedule, so a project's grid share is a measured output instead of an
+// assumed constant; Grid adds only the share-window bookkeeping.
 package project
 
 import (
@@ -270,25 +267,64 @@ func (r Report) TotalFactor() float64 {
 	return r.ServerStats.CPUSeconds / r.TotalRefWork
 }
 
-// Campaign is a configured, runnable single-project simulation: one tenant
-// owning its entire host fleet, bound to it directly (no mux).
+// Campaign is the run context (see the package doc): a configured, runnable
+// simulation of its tenants on one host fleet.
 type Campaign struct {
-	t      tenant
+	// tenants are the run's projects. Tenant 0 lives in t and one backs
+	// the slice, so a single-project campaign allocates neither.
+	tenants []*tenant
+	t       tenant
+	one     [1]*tenant
+
+	// fleet is the fleet schedule and kernel plan — host model, grid model,
+	// share schedule, scale, seed, shards, horizon and probe: &t.cfg on a
+	// single-project campaign, the Grid's flat-share Config on a co-run.
+	fleet *Config
+	mux   *volunteer.Mux // nil on a single-project campaign
+	grid  *Grid          // the co-run this context runs; nil on a single-project campaign
+
 	engine *sim.Engine
 	kern   *volunteer.ShardKernel
 	ledger *credit.Ledger
 	plane  *faults.Plane // fault plane; kept across resets, bound only on fault runs
 
-	// pooled marks a Runner-owned campaign: its arenas survive Run for the
-	// next reset. A one-shot campaign instead releases them when Run ends —
+	// pooled marks a Runner- or GridRunner-owned context: its arenas
+	// survive Run for the next arm. A one-shot campaign instead releases them when Run ends —
 	// the Report is a field of this struct, so a caller keeping the report
 	// alive would otherwise pin every arena chunk of the finished run.
 	pooled bool
 
 	// Run-phase tickers, installed by start (or rebuilt dormant by snapshot
-	// adoption) and stopped by finish. Struct fields, not Run locals, so a
-	// fork's finish stops the tickers of whichever context it runs on.
+	// adoption) and stopped by runOut. Struct fields, not Run locals, so a
+	// fork's runOut stops the tickers of whichever context it runs on.
 	weekly, daily, churn, sampler *sim.Ticker
+}
+
+// maxWeeks bounds the MaxWeeks safety stop: twenty years of simulated
+// time, far past any phase-I or phase-II horizon, so the weekly tickers and
+// the materialized outage schedule stay finite.
+const maxWeeks = 1040
+
+// checkFinite panics unless v is a finite number. NaN fails every ordered
+// comparison and ±Inf passes every one-sided bound, so the range checks
+// alone would let them through.
+func checkFinite(field string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(fmt.Sprintf("project: %s %v is not finite", field, v))
+	}
+}
+
+// checkMaxWeeks validates a MaxWeeks safety stop, defaulting 0 (or a
+// negative value) to 60 weeks.
+func checkMaxWeeks(w float64) float64 {
+	checkFinite("MaxWeeks", w)
+	if w > maxWeeks {
+		panic(fmt.Sprintf("project: MaxWeeks %v above %v", w, maxWeeks))
+	}
+	if w <= 0 {
+		return 60
+	}
+	return w
 }
 
 // checkConfig validates cfg and fills in defaulted fields; New and reset
@@ -297,18 +333,26 @@ func checkConfig(cfg Config) Config {
 	if cfg.DS == nil || cfg.M == nil {
 		panic("project: config needs dataset and matrix")
 	}
+	checkFinite("HHours", cfg.HHours)
 	if cfg.HHours <= 0 {
 		cfg.HHours = DeployedHHours
 	}
-	if cfg.WorkScale <= 0 || cfg.WorkScale > 1 {
+	if !(cfg.WorkScale > 0 && cfg.WorkScale <= 1) {
 		panic(fmt.Sprintf("project: WorkScale %v out of (0,1]", cfg.WorkScale))
 	}
+	checkFinite("HostScale", cfg.HostScale)
 	if cfg.HostScale <= 0 {
 		panic("project: HostScale must be positive")
 	}
-	if cfg.MaxWeeks <= 0 {
-		cfg.MaxWeeks = 60
+	checkFinite("ControlWeeks", cfg.ControlWeeks)
+	checkFinite("RampWeeks", cfg.RampWeeks)
+	if cfg.ControlWeeks < 0 || cfg.RampWeeks < 0 {
+		panic(fmt.Sprintf("project: negative phase schedule (%v control, %v ramp weeks)", cfg.ControlWeeks, cfg.RampWeeks))
 	}
+	if !(cfg.ControlShare >= 0 && cfg.ControlShare <= 1 && cfg.FullShare >= 0 && cfg.FullShare <= 1) {
+		panic(fmt.Sprintf("project: grid shares (%v control, %v full) out of [0,1]", cfg.ControlShare, cfg.FullShare))
+	}
+	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -320,14 +364,17 @@ func checkConfig(cfg Config) Config {
 			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
 		}
 	}
-	if cfg.Faults.Enabled() {
+	if cfg.Faults != nil {
+		// Validate even an inert config: Enabled reads a NaN rate as off.
 		norm := cfg.Faults.Normalized()
 		cfg.Faults = &norm
+	}
+	if cfg.Faults.Enabled() {
 		// Materialize the outage schedule once here; the plane recomputes
 		// the same windows from the same inputs, so the server's refusal
 		// gate and the plane's backoff advisor agree to the second.
 		cfg.Server.Outages = faults.ServerOutages(
-			faults.Windows(&norm, norm.EffectiveSeed(cfg.Seed), faultHorizon(cfg)))
+			faults.Windows(cfg.Faults, cfg.Faults.EffectiveSeed(cfg.Seed), faultHorizon(cfg)))
 	} else {
 		// A present-but-inert fault config must not perturb anything: drop
 		// it so the run (and its report bytes) is exactly fault-free.
@@ -345,27 +392,88 @@ func faultHorizon(cfg Config) float64 {
 
 // New builds a campaign from the configuration.
 func New(cfg Config) *Campaign {
-	cfg = checkConfig(cfg)
-	c := &Campaign{engine: sim.NewEngine()}
-	c.t.initTenant(cfg, wcg.NewServer(c.engine, cfg.Server))
-	c.kern = volunteer.NewShardKernel(c.engine, c.workSource(cfg), cfg.Host,
-		rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
-	c.ledger = credit.NewLedger()
+	c := &Campaign{}
+	c.reset(cfg)
 	return c
 }
 
-// workSource resolves what the host kernel binds: the tenant's server
-// directly on a fault-free run, or the fault plane wrapping it. The plane struct is pooled across resets;
-// only fault runs rearm and bind it.
-func (c *Campaign) workSource(cfg Config) volunteer.WorkSource {
-	if cfg.Faults == nil {
+// reset arms the campaign for a single-project run under cfg: the tenant's
+// own config is the fleet schedule.
+func (c *Campaign) reset(cfg Config) {
+	c.fleet = &c.t.cfg
+	projects := [1]Config{checkConfig(cfg)}
+	c.arm(projects[:], nil)
+}
+
+// arm builds the run context around the checked tenant configs, with the
+// fleet schedule in place and shares the tenants' mux weights (nil on a
+// single-project campaign). Layers are built on first use and Reset on
+// every call, so a pooled context retains all backing storage — engine
+// heap and arena, server arenas, kernel columns and calendars, mux
+// columns, ledger slices, tenant plans and report buffers — and overwrites
+// the previous run's reports. Surplus tenants are dropped, missing ones
+// built fresh.
+func (c *Campaign) arm(projects []Config, shares []float64) {
+	if c.engine == nil {
+		c.engine, c.kern, c.ledger = sim.NewEngine(), new(volunteer.ShardKernel), credit.NewLedger()
+		c.tenants = c.one[:0]
+		if c.grid != nil {
+			c.mux = volunteer.NewMux()
+		}
+	}
+	c.engine.Reset()
+	c.ledger.Reset()
+	if c.mux != nil {
+		c.mux.Reset()
+	}
+	c.tenants = c.tenants[:min(len(c.tenants), len(projects))]
+	for i, p := range projects {
+		var t *tenant
+		if i < len(c.tenants) {
+			t = c.tenants[i]
+			t.server.Reset(p.Server)
+			t.reset(p)
+		} else {
+			t = &c.t
+			if i > 0 {
+				t = &tenant{}
+			}
+			t.initTenant(p, wcg.NewServer(c.engine, p.Server))
+			if c.pooled {
+				// Retain from the start so the first run's chunks already
+				// land in the reusable arenas (before any workunit is carved).
+				t.server.Retain()
+			}
+			c.tenants = append(c.tenants, t)
+		}
+		if c.mux != nil {
+			c.mux.Attach(t.server, shares[i])
+		}
+	}
+	f := c.fleet
+	c.kern.Reset(c.engine, c.workSource(), f.Host, rng.New(f.Seed), f.Shards, c.shardWindow())
+	if c.mux != nil {
+		c.kern.Multiplex(c.mux)
+	}
+}
+
+// workSource resolves what the host kernel binds: nothing on a co-run (the
+// mux binds the tenants' servers), otherwise the tenant's server directly
+// on a fault-free run, or the fault plane wrapping it. The plane struct is
+// pooled across resets; only fault runs rearm and bind it.
+func (c *Campaign) workSource() volunteer.WorkSource {
+	cfg := c.fleet
+	switch {
+	case c.mux != nil:
+		return nil
+	case cfg.Faults == nil:
 		return c.t.server
 	}
 	seed := cfg.Faults.EffectiveSeed(cfg.Seed)
 	if c.plane == nil {
-		c.plane = faults.NewPlane(c.engine, c.t.server, *cfg.Faults, seed, faultHorizon(cfg))
+		c.plane = faults.NewPlane(c.engine, c.t.server, *cfg.Faults, seed, faultHorizon(*cfg))
 	} else {
-		c.plane.Reset(c.engine, c.t.server, *cfg.Faults, seed, faultHorizon(cfg))
+		c.plane.Reset(c.engine, c.t.server, *cfg.Faults, seed, faultHorizon(*cfg))
 	}
 	return c.plane
 }
@@ -374,45 +482,31 @@ func (c *Campaign) workSource(cfg Config) volunteer.WorkSource {
 // nil otherwise (the plane struct may survive from an earlier pooled fault
 // run without being part of this run).
 func (c *Campaign) activePlane() *faults.Plane {
-	if c.t.cfg.Faults == nil {
+	if c.fleet.Faults == nil {
 		return nil
 	}
 	return c.plane
 }
 
-// shardWindow picks the host kernel's barrier width: half the target
-// task wall time, capped by the idle-retry interval — wide enough that
-// almost every host continuation lands beyond the current window (the
-// overlay heap catches the rest; any positive value is correct).
-func shardWindow(cfg Config) float64 {
-	w := cfg.Host.IdleRetry
+// shardWindow picks the host kernel's barrier width: half the shortest
+// tenant target task wall time, capped by the idle-retry interval — wide
+// enough that almost every host continuation lands beyond the current
+// window (the overlay heap catches the rest; any positive value is
+// correct).
+func (c *Campaign) shardWindow() float64 {
+	w := c.fleet.Host.IdleRetry
 	if w <= 0 {
 		w = 6 * sim.Hour
 	}
-	if h := cfg.HHours * 1800; h > 0 && h < w {
-		w = h
+	for _, t := range c.tenants {
+		if h := t.cfg.HHours * 1800; h > 0 && h < w {
+			w = h
+		}
 	}
 	if w < sim.Minute {
 		w = sim.Minute
 	}
 	return w
-}
-
-// reset rearms the campaign for another run under a new configuration,
-// retaining every layer's backing storage: the engine's heap and event
-// arena, the middleware's queue/ring/state arenas, the host kernel's
-// columns and calendars, the batch plans, the weekly accumulators, the
-// credit ledger's dense slices, and the report's series/histogram buffers. The previous run's
-// Report is overwritten — this is the Runner's pooled path.
-func (c *Campaign) reset(cfg Config) {
-	cfg = checkConfig(cfg)
-	c.engine.Reset()
-	c.t.server.Reset(cfg.Server)
-	// The source wrapping (fault plane or bare server) may differ run to run.
-	c.kern.Reset(c.engine, c.workSource(cfg), cfg.Host,
-		rng.New(cfg.Seed), cfg.Shards, shardWindow(cfg))
-	c.ledger.Reset()
-	c.t.reset(cfg)
 }
 
 // Runner runs campaigns back to back on one reusable arena of state: the
@@ -443,51 +537,47 @@ func (r *Runner) Run(cfg Config) *Report {
 	return r.c.Run()
 }
 
-// rearm drops the held snapshot and builds the Runner's campaign under cfg
-// on first use, or resets it.
+// rearm drops the held snapshot and arms the Runner's campaign under cfg:
+// built on first use, reset afterwards.
 func (r *Runner) rearm(cfg Config) {
 	r.ps, r.atSnap = nil, false
 	if r.c == nil {
-		r.c = New(cfg)
-		r.c.pooled = true
-		// Retain from the start so the first run's chunks already land in
-		// the reusable arenas (before any workunit is carved).
-		r.c.t.server.Retain()
-	} else {
-		r.c.reset(cfg)
+		r.c = &Campaign{pooled: true}
 	}
+	r.c.reset(cfg)
 }
 
 // Run executes the campaign and returns its report.
 func (c *Campaign) Run() *Report {
 	c.start()
-	c.kern.RunUntil(c.t.cfg.MaxWeeks * sim.Week)
+	c.runOut()
 	return c.finish()
 }
 
 // start arms the run: batches prepared, callbacks bound, probe attached,
 // phase/feeder/churn tickers installed. The weekly loop keeps its state in
-// the tenant (t.done, t.doneWeek, t.snapIdx) rather than in closure cells
+// the tenants (t.done, t.doneWeek, t.snapIdx) rather than in closure cells
 // so an exported tenant carries the loop state and an adopted fork resumes
-// it; the split into start / kernel run / finish is what lets the fork
-// path (fork.go) stop the run at a divergence time.
+// it; the split into start / runOut / finish is what lets the fork path
+// (fork.go) stop the run at a divergence time.
 func (c *Campaign) start() {
-	cfg := &c.t.cfg
-	c.t.prepare()
-	c.t.bind()
-	probe := cfg.Probe
+	for _, t := range c.tenants {
+		t.prepare()
+		t.bind()
+	}
+	probe := c.fleet.Probe
 	c.sampler = c.bindProbe(probe)
 
 	// The spawn-count forecast for the slot pool: active hosts only change
 	// at weekly ticks, so at the window barrier before a tick this is the
-	// exact spawn count — except when the project finishes at that very
-	// tick, where it overpredicts harmlessly (slots keep, seeds are
-	// pre-drawn from a stream nothing else reads).
+	// exact spawn count — except when the run finishes at that very tick,
+	// where it overpredicts harmlessly (slots keep, seeds are pre-drawn
+	// from a stream nothing else reads).
 	c.kern.SpawnHint = c.spawnHintFn()
 	c.weekly = c.engine.Every(0, sim.Week, c.weeklyFn(probe))
 	c.weekly.Tag(sim.Call{Kind: sim.CallTickWeekly})
-	// A daily feeder keeps the queue from draining dry between the weekly
-	// phase adjustments (the server would otherwise starve fast hosts).
+	// A daily feeder keeps the queues from draining dry between the weekly
+	// phase adjustments (a server would otherwise starve fast hosts).
 	c.daily = c.engine.Every(sim.Day/2, sim.Day, c.dailyFn())
 	c.daily.Tag(sim.Call{Kind: sim.CallTickDaily})
 	// Churn: permanent departures paired with replacement joins, sampled
@@ -501,11 +591,21 @@ func (c *Campaign) start() {
 	}
 }
 
-// hostTarget is the fleet size the §5.1 phase schedule asks for at week w
-// of the campaign.
+// hostTarget is the fleet size the share schedule asks for at week w of
+// the run: the §5.1 phases on a campaign, the flat GridShare on a co-run.
 func (c Config) hostTarget(w float64) int {
 	gridCap := c.Grid.VFTPAt(CampaignStartWeek + w)
 	return max(1, int(math.Round(c.Share(w)*gridCap*c.HostScale)))
+}
+
+// finished reports whether every tenant has completed its workload.
+func (c *Campaign) finished() bool {
+	for _, t := range c.tenants {
+		if !t.done {
+			return false
+		}
+	}
+	return true
 }
 
 // spawnHintFn builds the slot-pool spawn forecast. The ticker and hint
@@ -513,51 +613,73 @@ func (c Config) hostTarget(w float64) int {
 // adoption can rebuild identical closures on a dormant ticker or an
 // adopting kernel.
 func (c *Campaign) spawnHintFn() func(float64) int {
-	kern := c.kern
+	kern, fleet := c.kern, c.fleet
 	return func(w float64) int {
-		if c.t.done {
+		if c.finished() {
 			return 0
 		}
-		return c.t.cfg.hostTarget(w) - kern.Active()
+		return fleet.hostTarget(w) - kern.Active()
 	}
 }
 
-// weeklyFn builds the weekly phase-schedule tick (factory: see
-// spawnHintFn).
+// weeklyFn builds the weekly tick (factory: see spawnHintFn): Figure 7
+// captures and completion per tenant, then the fleet target and a feed of
+// every live tenant.
 func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
-	cfg := &c.t.cfg
-	kern := c.kern
+	kern, fleet := c.kern, c.fleet
 	return func(now sim.Time) {
 		w := now / sim.Week
-		if c.t.done {
+		if c.finished() {
 			return
 		}
-		if probe != nil {
-			if ph := cfg.phaseAt(w); ph != c.t.obsPhase {
+		if probe != nil && c.grid == nil { // a co-run's flat share has no phases
+			if ph := fleet.phaseAt(w); ph != c.t.obsPhase {
 				c.t.obsPhase = ph
-				probe.Emit(now, "phase", obs.Str("phase", ph), obs.Num("share", cfg.Share(w)))
+				probe.Emit(now, "phase", obs.Str("phase", ph), obs.Num("share", fleet.Share(w)))
 			}
 		}
-		// Figure 7 snapshots (captured at the first tick at/after the mark).
-		for c.t.snapIdx < len(cfg.SnapshotWeeks) && w >= cfg.SnapshotWeeks[c.t.snapIdx] {
-			c.t.captureSnapshot(w)
-			c.t.snapIdx++
-		}
-		if c.t.allDone() {
-			c.t.done = true
-			c.t.doneWeek = w
-			// Capture any snapshot marks not yet reached: the project is
+		live := 0
+		for _, t := range c.tenants {
+			if t.done {
+				continue
+			}
+			// Figure 7 snapshots (captured at the first tick at/after the mark).
+			for t.snapIdx < len(t.cfg.SnapshotWeeks) && w >= t.cfg.SnapshotWeeks[t.snapIdx] {
+				t.captureSnapshot(w)
+				t.snapIdx++
+			}
+			if !t.allDone() {
+				live++
+				continue
+			}
+			t.done, t.doneWeek = true, w
+			if c.grid != nil && t.probe != nil { // a campaign's completion is its run-end
+				t.emit(now, "tenant-drain", obs.Num("at-week", w))
+			}
+			// Capture any snapshot marks not yet reached: the tenant is
 			// finished, so they all see the final (complete) state.
-			for c.t.snapIdx < len(cfg.SnapshotWeeks) {
-				c.t.captureSnapshot(cfg.SnapshotWeeks[c.t.snapIdx])
-				c.t.snapIdx++
+			for t.snapIdx < len(t.cfg.SnapshotWeeks) {
+				t.captureSnapshot(t.cfg.SnapshotWeeks[t.snapIdx])
+				t.snapIdx++
 			}
+			if c.grid != nil {
+				c.grid.closeShareWindow(w)
+			}
+		}
+		if live == 0 {
 			kern.SetTarget(0)
 			return
 		}
-		kern.SetTarget(cfg.hostTarget(w))
-		c.t.server.EnsureHosts(kern.TotalJoined())
-		c.t.feed(kern.Active())
+		kern.SetTarget(fleet.hostTarget(w))
+		for _, t := range c.tenants {
+			if !t.done {
+				t.server.EnsureHosts(kern.TotalJoined())
+				t.feed(kern.Active())
+			}
+		}
+		if c.grid != nil {
+			c.grid.watchShareWindow(w, kern.Active())
+		}
 	}
 }
 
@@ -565,8 +687,10 @@ func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 func (c *Campaign) dailyFn() func(sim.Time) {
 	kern := c.kern
 	return func(sim.Time) {
-		if !c.t.done {
-			c.t.feed(kern.Active())
+		for _, t := range c.tenants {
+			if !t.done {
+				t.feed(kern.Active())
+			}
 		}
 	}
 }
@@ -575,7 +699,7 @@ func (c *Campaign) dailyFn() func(sim.Time) {
 func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
 	kern := c.kern
 	return func(sim.Time) {
-		if c.t.done {
+		if c.finished() {
 			return
 		}
 		if n := plane.ChurnCount(kern.Active()); n > 0 {
@@ -586,47 +710,64 @@ func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
 	}
 }
 
-// finish stops the phase tickers, drains the straggler tail and fills the
-// report.
-func (c *Campaign) finish() *Report {
-	cfg := &c.t.cfg
-	kern := c.kern
+// runOut runs the started (or adopted) context to the horizon, stops the
+// phase tickers and drains the straggler tail (late returns) without
+// advancing phases — and without forecasting spawns for ticks that will
+// never fire.
+func (c *Campaign) runOut() {
+	horizon := c.fleet.MaxWeeks * sim.Week
+	c.kern.RunUntil(horizon)
 	c.weekly.Stop()
 	c.daily.Stop()
 	if c.churn != nil {
 		c.churn.Stop()
 	}
-	// Drain stragglers (late returns) without advancing phases — and
-	// without forecasting spawns for ticks that will never fire.
-	kern.SpawnHint = nil
-	kern.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
+	c.kern.SpawnHint = nil
+	c.kern.RunUntil(horizon + 30*sim.Day)
 	if c.sampler != nil {
 		c.sampler.Stop()
 	}
+}
 
-	c.t.finishReport(c.engine, c.t.done, c.t.doneWeek)
+// finish fills the single-project report after runOut and ends the run.
+func (c *Campaign) finish() *Report {
+	c.t.finishReport()
 	r := &c.t.report
-	if probe := cfg.Probe; probe != nil {
-		probe.Emit(c.engine.Now(), "run-end",
-			obs.Str("completed", boolStr(c.t.done)),
-			obs.Num("weeks", r.WeeksElapsed),
-			obs.Int("events", int64(r.EventsExecuted)),
-			obs.Int("completed-wus", r.ServerStats.Completed))
-	}
-	r.MeanSpeedDown = kern.MeanSpeedDown()
-	r.HostsJoined = kern.TotalJoined()
-	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(kern, c.ledger)
+	r.EventsExecuted, r.PeakPending = c.engine.Executed(), c.engine.MaxPending()
+	r.MeanSpeedDown = c.kern.MeanSpeedDown()
+	r.HostsJoined = c.kern.TotalJoined()
+	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(c.kern, c.ledger)
 	if plane := c.activePlane(); plane != nil {
 		fr := plane.BuildReport()
 		r.Faults = &fr
 	}
-	if !c.pooled {
-		// Release the run context: engine, middleware, host kernel,
-		// scratch. The returned report shares this struct, and a one-shot
-		// caller holding it must not keep the dead simulation's arenas live
-		// with it.
-		c.engine, c.kern, c.ledger = nil, nil, nil
-		c.t.release()
-	}
+	c.endRun(r.WeeksElapsed)
 	return r
+}
+
+// endRun emits the run-end trace event and, on a one-shot run, releases
+// the run context: engine, middleware, host kernel, mux, scratch. The
+// returned report shares this struct, and a one-shot caller holding it
+// must not keep the dead simulation's arenas live with it; a pooled
+// context keeps them for the next arm.
+func (c *Campaign) endRun(weeks float64) {
+	if p := c.fleet.Probe; p != nil {
+		f := [...]obs.F{
+			obs.Str("completed", boolStr(c.finished())),
+			obs.Num("weeks", weeks),
+			obs.Int("events", int64(c.engine.Executed())),
+			obs.Int("completed-wus", c.t.server.Stats.Completed),
+		}
+		fields := f[:]
+		if c.grid != nil {
+			fields = f[:3] // a co-run's completions are per tenant, in its reports
+		}
+		p.Emit(c.engine.Now(), "run-end", fields...)
+	}
+	if !c.pooled {
+		c.engine, c.kern, c.mux, c.ledger = nil, nil, nil, nil
+		for _, t := range c.tenants {
+			t.release()
+		}
+	}
 }

@@ -103,7 +103,7 @@ func (r *Runner) Fork(cfg Config) *Report {
 	r.Restore()
 	r.atSnap = false
 	r.c.applyConfig(cfg)
-	r.c.kern.RunUntil(r.c.t.cfg.MaxWeeks * sim.Week)
+	r.c.runOut()
 	return r.c.finish()
 }
 

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/credit"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/volunteer"
-	"repro/internal/wcg"
 )
 
 // GridConfig parameterizes a shared multi-project grid run: one volunteer
@@ -111,7 +108,10 @@ func (r *GridReport) MaxShareError() float64 {
 	return max
 }
 
-// Grid is a configured, runnable shared multi-project simulation.
+// Grid is a configured, runnable shared multi-project simulation: the run
+// context (Campaign) armed with one tenant per project behind a work-fetch
+// mux, on a flat-share fleet schedule. Grid itself keeps only the
+// share-window bookkeeping and the GridReport assembly.
 //
 // # Determinism and Reset contract
 //
@@ -120,20 +120,16 @@ func (r *GridReport) MaxShareError() float64 {
 // mux breaks debt ties from per-host seeded streams. The fleet runs on a
 // K=1 volunteer.ShardKernel bound to the mux. GridRunner pools a Grid the
 // way Runner pools a Campaign — engine, servers, host kernel, mux and
-// report buffers are retained across Reset, and a pooled run's GridReport
+// report buffers are retained across runs, and a pooled run's GridReport
 // is bit-identical to a fresh NewGrid(cfg).Run() (grid_test.go asserts
 // it). The returned GridReport is owned by the GridRunner and valid only
 // until its next Run.
 type Grid struct {
-	cfg     GridConfig
-	engine  *sim.Engine
-	mux     *volunteer.Mux
-	kern    *volunteer.ShardKernel
-	tenants []*tenant
-	ledger  *credit.Ledger
+	c     Campaign
+	cfg   GridConfig
+	fleet Config // the co-run's fleet schedule: a flat GridShare, K=1
 
 	windowClosed bool
-	pooled       bool
 
 	report GridReport
 }
@@ -158,28 +154,31 @@ func checkGridConfig(cfg GridConfig) GridConfig {
 	}
 	var sum float64
 	for _, s := range cfg.Shares {
+		checkFinite("resource share", s)
 		if s <= 0 {
 			panic("project: resource shares must be positive")
 		}
 		sum += s
 	}
+	checkFinite("resource share sum", sum)
 	norm := make([]float64, len(cfg.Shares))
 	for i, s := range cfg.Shares {
-		norm[i] = s / sum
+		if norm[i] = s / sum; norm[i] == 0 {
+			panic(fmt.Sprintf("project: resource share %v vanishes against the sum %v", s, sum))
+		}
 	}
 	cfg.Shares = norm
-	if cfg.GridShare < 0 || cfg.GridShare > 1 {
-		panic("project: GridShare out of [0,1]")
+	if !(cfg.GridShare >= 0 && cfg.GridShare <= 1) {
+		panic(fmt.Sprintf("project: GridShare %v out of [0,1]", cfg.GridShare))
 	}
 	if cfg.GridShare == 0 {
 		cfg.GridShare = 1
 	}
+	checkFinite("HostScale", cfg.HostScale)
 	if cfg.HostScale <= 0 {
 		panic("project: HostScale must be positive")
 	}
-	if cfg.MaxWeeks <= 0 {
-		cfg.MaxWeeks = 60
-	}
+	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
 	if p := cfg.Probe; p != nil && p.Trace != nil {
 		cfg.Host.OnSaboteurTurn = func(id int, at sim.Time) {
 			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
@@ -211,54 +210,25 @@ func checkGridConfig(cfg GridConfig) GridConfig {
 
 // NewGrid builds a shared grid from the configuration.
 func NewGrid(cfg GridConfig) *Grid {
-	cfg = checkGridConfig(cfg)
-	g := &Grid{cfg: cfg, engine: sim.NewEngine(), mux: volunteer.NewMux()}
-	g.tenants = make([]*tenant, len(cfg.Projects))
-	for i, p := range cfg.Projects {
-		t := &tenant{}
-		t.initTenant(p, wcg.NewServer(g.engine, p.Server))
-		g.mux.Attach(t.server, cfg.Shares[i])
-		g.tenants[i] = t
-	}
-	g.kern = volunteer.NewShardKernel(g.engine, nil, cfg.Host, rng.New(cfg.Seed), 1, gridWindow(cfg))
-	g.kern.Multiplex(g.mux)
-	g.ledger = credit.NewLedger()
-	g.report.Config = cfg
+	g := &Grid{}
+	g.arm(cfg)
 	return g
 }
 
-// reset rearms the grid for another run, retaining every layer's backing
-// storage (engine heap and arenas, per-server queues and slabs, the host
-// kernel's columns and calendars, tenant batch plans and report buffers).
-// Tenants beyond the new project count are dropped; missing ones are built
-// fresh.
-func (g *Grid) reset(cfg GridConfig) {
+// arm checks cfg and arms the run context with its tenants behind the mux
+// (built on first use, reset afterwards): the fleet schedule is a flat
+// share from launch — no control or ramp weeks, FullShare = GridShare — on
+// a K=1 kernel. The share window reopens and the report's slices keep
+// their storage.
+func (g *Grid) arm(cfg GridConfig) {
 	cfg = checkGridConfig(cfg)
 	g.cfg = cfg
-	g.engine.Reset()
-	g.mux.Reset()
-	reuse := len(g.tenants)
-	if reuse > len(cfg.Projects) {
-		reuse = len(cfg.Projects)
-		g.tenants = g.tenants[:reuse]
+	g.fleet = Config{
+		Host: cfg.Host, Grid: cfg.Grid, FullShare: cfg.GridShare, HostScale: cfg.HostScale,
+		Seed: cfg.Seed, MaxWeeks: cfg.MaxWeeks, Shards: 1, Probe: cfg.Probe,
 	}
-	for i, p := range cfg.Projects {
-		if i < reuse {
-			t := g.tenants[i]
-			t.server.Reset(p.Server)
-			t.reset(p)
-			g.mux.Attach(t.server, cfg.Shares[i])
-			continue
-		}
-		t := &tenant{}
-		t.initTenant(p, wcg.NewServer(g.engine, p.Server))
-		t.server.Retain()
-		g.mux.Attach(t.server, cfg.Shares[i])
-		g.tenants = append(g.tenants, t)
-	}
-	g.kern.Reset(g.engine, nil, cfg.Host, rng.New(cfg.Seed), 1, gridWindow(cfg))
-	g.kern.Multiplex(g.mux)
-	g.ledger.Reset()
+	g.c.grid, g.c.fleet = g, &g.fleet
+	g.c.arm(cfg.Projects, cfg.Shares)
 	g.windowClosed = false
 
 	r := &g.report
@@ -281,32 +251,11 @@ func NewGridRunner() *GridRunner { return &GridRunner{} }
 // are bit-for-bit identical to NewGrid(cfg).Run() for the same cfg.
 func (r *GridRunner) Run(cfg GridConfig) *GridReport {
 	if r.g == nil {
-		r.g = NewGrid(cfg)
-		r.g.pooled = true
-		for _, t := range r.g.tenants {
-			t.server.Retain()
-		}
-	} else {
-		r.g.reset(cfg)
+		r.g = &Grid{}
+		r.g.c.pooled = true
 	}
+	r.g.arm(cfg)
 	return r.g.Run()
-}
-
-// gridWindow picks the host kernel's barrier width: the narrowest tenant's
-// campaign window (a performance knob; any positive value is correct).
-func gridWindow(cfg GridConfig) float64 {
-	w := math.Inf(1)
-	for _, p := range cfg.Projects {
-		w = min(w, shardWindow(p))
-	}
-	return w
-}
-
-// hostTarget is the fleet size the grid asks for at week w: its GridShare
-// slice of the modeled grid, flat from launch.
-func (c *GridConfig) hostTarget(w float64) int {
-	gridCap := c.Grid.VFTPAt(CampaignStartWeek + w)
-	return max(1, int(math.Round(c.GridShare*gridCap*c.HostScale)))
 }
 
 // closeShareWindow snapshots every tenant's consumed CPU at the moment the
@@ -321,145 +270,58 @@ func (g *Grid) closeShareWindow(week float64) {
 	if p := g.cfg.Probe; p != nil {
 		p.Emit(week*sim.Week, "share-window-close", obs.Num("at-week", week))
 	}
-	for _, t := range g.tenants {
+	for _, t := range g.c.tenants {
 		t.coCPU = t.server.Stats.CPUSeconds
+	}
+}
+
+// watchShareWindow runs after a weekly tick's feeds: the share window
+// closes when the first tenant stops being able to absorb its slice (all
+// batches out, queue below the restock level). Past that point the mux
+// hands its time to the others by design, and CPU is no longer contended.
+func (g *Grid) watchShareWindow(week float64, active int) {
+	if g.windowClosed {
+		return
+	}
+	for _, t := range g.c.tenants {
+		if t.draining(active) {
+			g.closeShareWindow(week)
+			return
+		}
 	}
 }
 
 // Run executes the co-run and returns its report.
 func (g *Grid) Run() *GridReport {
-	cfg := &g.cfg
-	for _, t := range g.tenants {
-		t.prepare()
-		t.bind()
-	}
-	probe := cfg.Probe
-	sampler := g.bindProbe(probe)
-
-	allDone := false
-	kern := g.kern
-	kern.SpawnHint = func(w float64) int {
-		if allDone {
-			return 0
-		}
-		return cfg.hostTarget(w) - kern.Active()
-	}
-	weekly := g.engine.Every(0, sim.Week, func(now sim.Time) {
-		w := now / sim.Week
-		if allDone {
-			return
-		}
-		live := 0
-		for _, t := range g.tenants {
-			if t.done {
-				continue
-			}
-			for t.snapIdx < len(t.cfg.SnapshotWeeks) && w >= t.cfg.SnapshotWeeks[t.snapIdx] {
-				t.captureSnapshot(w)
-				t.snapIdx++
-			}
-			if t.allDone() {
-				t.done, t.doneWeek = true, w
-				if t.probe != nil {
-					t.emit(now, "tenant-drain", obs.Num("at-week", w))
-				}
-				for t.snapIdx < len(t.cfg.SnapshotWeeks) {
-					t.captureSnapshot(t.cfg.SnapshotWeeks[t.snapIdx])
-					t.snapIdx++
-				}
-				g.closeShareWindow(w)
-				continue
-			}
-			live++
-		}
-		if live == 0 {
-			allDone = true
-			kern.SetTarget(0)
-			return
-		}
-		kern.SetTarget(cfg.hostTarget(w))
-		for _, t := range g.tenants {
-			if !t.done {
-				t.feed(kern.Active())
-			}
-		}
-		if !g.windowClosed {
-			// The share window closes when the first tenant stops being
-			// able to absorb its slice (all batches out, queue below the
-			// restock level): past that point the mux hands its time to
-			// the others by design, and CPU is no longer contended.
-			for _, t := range g.tenants {
-				if t.draining(kern.Active()) {
-					g.closeShareWindow(w)
-					break
-				}
-			}
-		}
-	})
-	daily := g.engine.Every(sim.Day/2, sim.Day, func(sim.Time) {
-		if allDone {
-			return
-		}
-		for _, t := range g.tenants {
-			if !t.done {
-				t.feed(kern.Active())
-			}
-		}
-	})
-
-	kern.RunUntil(cfg.MaxWeeks * sim.Week)
-	weekly.Stop()
-	daily.Stop()
-	// Drain any stragglers (late returns) without advancing phases — and
-	// without forecasting spawns for ticks that will never fire.
-	kern.SpawnHint = nil
-	kern.RunUntil(cfg.MaxWeeks*sim.Week + 30*sim.Day)
-	if sampler != nil {
-		sampler.Stop()
-	}
-
-	g.finishReport(allDone)
-	r := &g.report
-	if probe != nil {
-		probe.Emit(g.engine.Now(), "run-end",
-			obs.Str("completed", boolStr(allDone)),
-			obs.Num("weeks", r.WeeksElapsed),
-			obs.Int("events", int64(r.EventsExecuted)))
-	}
-	if !g.pooled {
-		g.engine, g.kern, g.mux, g.ledger = nil, nil, nil, nil
-		for _, t := range g.tenants {
-			t.release()
-		}
-		g.tenants = nil
-	}
-	return r
+	g.c.start()
+	g.c.runOut()
+	g.finishReport()
+	g.c.endRun(g.report.WeeksElapsed)
+	return &g.report
 }
 
 // finishReport assembles the GridReport: per-tenant reports, measured
 // shares over the contention window, and the shared-fleet accounting.
-func (g *Grid) finishReport(allDone bool) {
+func (g *Grid) finishReport() {
+	c := &g.c
 	r := &g.report
-	r.Completed = allDone
-	r.EventsExecuted = g.engine.Executed()
-	r.PeakPending = g.engine.MaxPending()
-	r.MeanSpeedDown = g.kern.MeanSpeedDown()
-	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(g.kern, g.ledger)
+	r.Completed = c.finished()
+	r.EventsExecuted = c.engine.Executed()
+	r.PeakPending = c.engine.MaxPending()
+	r.MeanSpeedDown = c.kern.MeanSpeedDown()
+	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(c.kern, c.ledger)
 
 	if !g.windowClosed {
 		// No tenant finished: the whole run was contended.
 		g.closeShareWindow(g.cfg.MaxWeeks)
 	}
 	var windowCPU float64
-	for _, t := range g.tenants {
+	for _, t := range c.tenants {
 		windowCPU += t.coCPU
 	}
-	for i, t := range g.tenants {
-		t.finishReport(g.engine, t.done, t.doneWeek)
+	for i, t := range c.tenants {
+		t.finishReport()
 		t.report.MeanSpeedDown = r.MeanSpeedDown
-		// Kernel accounting is co-run-wide: the grid report carries it,
-		// and per-tenant copies would read as N× double-counted totals.
-		t.report.EventsExecuted, t.report.PeakPending = 0, 0
 		r.Projects = append(r.Projects, &t.report)
 		r.Shares = append(r.Shares, g.cfg.Shares[i])
 		measured := 0.0

@@ -44,24 +44,46 @@ import (
 //
 // and the trace gains outage-begin / outage-recovered events.
 
-// bindProbe attaches the probe to a single-project campaign: rebinds the
-// registry to this run's objects, starts the observer sampler, and emits
-// the run-start trace event. Returns the sampler ticker (nil when no
-// metrics are attached); Run stops it after the straggler drain.
+// bindProbe attaches the probe to the run: rebinds the registry to this
+// run's objects, starts the observer sampler, and emits the run-start trace
+// event. On a co-run, tenant-scoped series and events carry a "p<i>" name
+// and the mux adds its debt spread to the fleet/engine series. Returns the
+// sampler ticker (nil when no metrics are attached); runOut stops it after
+// the straggler drain.
 func (c *Campaign) bindProbe(p *obs.Probe) *sim.Ticker {
 	if p == nil {
 		return nil
 	}
-	c.t.bindObs(p, c.engine, "")
-	p.Emit(0, "run-start",
-		obs.Int("wus", c.t.report.DistinctWUs),
-		obs.Num("ref-seconds", c.t.report.TotalRefWork),
-		obs.Int("batches", int64(len(c.t.order))))
+	var wus, batches int64
+	var ref float64
+	for i, t := range c.tenants {
+		name := ""
+		if c.grid != nil {
+			name = "p" + strconv.Itoa(i)
+		}
+		t.bindObs(p, c.engine, name)
+		wus += t.report.DistinctWUs
+		ref += t.report.TotalRefWork
+		batches += int64(len(t.order))
+	}
+	f := [...]obs.F{
+		obs.Int("projects", int64(len(c.tenants))),
+		obs.Int("wus", wus),
+		obs.Num("ref-seconds", ref),
+		obs.Int("batches", batches),
+	}
+	fields := f[:]
+	if c.grid == nil {
+		fields = f[1:] // the project count is a co-run field
+	}
+	p.Emit(0, "run-start", fields...)
 	var sampler *sim.Ticker
 	if reg := p.Metrics; reg != nil {
 		reg.Rebind()
-		bindServerMetrics(reg, c.engine, c.t.server, "")
-		bindFleetMetrics(reg, c.engine, c.kern, nil)
+		for _, t := range c.tenants {
+			bindServerMetrics(reg, c.engine, t.server, t.obsName)
+		}
+		bindFleetMetrics(reg, c.engine, c.kern, c.mux)
 		sampler = c.engine.ObserveEvery(0, p.Cadence(), func(now sim.Time) {
 			reg.Sample(now)
 		})
@@ -97,43 +119,13 @@ func (c *Campaign) bindFaultObs(p *obs.Probe) {
 	}
 }
 
-// bindProbe attaches the probe to a shared multi-project grid: tenant-
-// scoped series get a "p<i>-" prefix, the shared fleet contributes the
-// fleet/engine series plus the mux debt spread.
-func (g *Grid) bindProbe(p *obs.Probe) *sim.Ticker {
-	if p == nil {
-		return nil
-	}
-	var wus, batches int64
-	var ref float64
-	for i, t := range g.tenants {
-		t.bindObs(p, g.engine, "p"+strconv.Itoa(i))
-		wus += t.report.DistinctWUs
-		ref += t.report.TotalRefWork
-		batches += int64(len(t.order))
-	}
-	p.Emit(0, "run-start",
-		obs.Int("projects", int64(len(g.tenants))),
-		obs.Int("wus", wus),
-		obs.Num("ref-seconds", ref),
-		obs.Int("batches", batches))
-	var sampler *sim.Ticker
-	if reg := p.Metrics; reg != nil {
-		reg.Rebind()
-		for i, t := range g.tenants {
-			bindServerMetrics(reg, g.engine, t.server, "p"+strconv.Itoa(i)+"-")
-		}
-		bindFleetMetrics(reg, g.engine, g.kern, g.mux)
-		sampler = g.engine.ObserveEvery(0, p.Cadence(), func(now sim.Time) {
-			reg.Sample(now)
-		})
-	}
-	return sampler
-}
-
 // bindServerMetrics registers the middleware-scoped catalog for one project
-// server under the given series-name prefix.
-func bindServerMetrics(reg *obs.Registry, engine *sim.Engine, srv *wcg.Server, prefix string) {
+// server, its series names prefixed "<tenant>-" on a co-run.
+func bindServerMetrics(reg *obs.Registry, engine *sim.Engine, srv *wcg.Server, tenant string) {
+	prefix := tenant
+	if tenant != "" {
+		prefix += "-"
+	}
 	reg.Gauge(prefix+"queue-depth", func() float64 { return float64(srv.PendingCount()) })
 	reg.Gauge(prefix+"in-flight", func() float64 { return float64(srv.Stats.InFlight()) })
 	for k := 0; k < srv.WheelClasses(); k++ {

@@ -33,17 +33,18 @@ type batch struct {
 	plan      []slicePlan // release plan, one entry per sampled ligand
 }
 
-// tenant is one project's machinery on a grid: its middleware server, its
-// batches and release order, its feed loop state, and its Report. A
-// single-project Campaign owns exactly one tenant bound straight to the
-// population; a shared Grid owns N tenants multiplexed over one population.
-// The engine, population and credit ledger stay with the owner — a tenant
-// only ever touches its own server and accounting.
+// tenant is one project's machinery in the run context: its middleware
+// server, its batches and release order, its feed loop state, and its
+// Report. A single-project campaign carries one tenant bound straight to
+// the host fleet; a co-run carries N behind the mux. The engine, host
+// kernel, credit ledger and tickers belong to the run context (Campaign),
+// whose weekly and daily ticks loop over the tenants — a tenant only ever
+// touches its own server and accounting.
 //
 // Reset contract (PR3): reset() retains the batch array, the slicing-plan
 // capacity, the weekly accumulators, the ligand-sampling scratch and the
-// report's series/histogram buffers; the server is Reset (arenas retained)
-// by the owner alongside.
+// report's series/histogram buffers; Campaign.arm Resets the server
+// (arenas retained) alongside.
 type tenant struct {
 	cfg    Config
 	server *wcg.Server
@@ -63,9 +64,8 @@ type tenant struct {
 	seenBits   []uint64
 	ligScratch []int
 
-	// Weekly-loop state, shared by the single-project Campaign and the
-	// Grid co-run. Tenant fields (not run-locals) so a portable snapshot
-	// of the tenant carries the loop state into an adopted fork.
+	// Weekly-loop state. Tenant fields (not run-locals) so a portable
+	// snapshot of the tenant carries the loop state into an adopted fork.
 	done     bool
 	doneWeek float64
 	snapIdx  int
@@ -84,7 +84,7 @@ type tenant struct {
 }
 
 // initTenant arms a fresh tenant: configuration stored, report seeded.
-// The server is created by the owner (it owns the engine binding).
+// Campaign.arm creates the server (it owns the engine binding).
 func (t *tenant) initTenant(cfg Config, server *wcg.Server) {
 	t.cfg = cfg
 	t.server = server
@@ -93,7 +93,7 @@ func (t *tenant) initTenant(cfg Config, server *wcg.Server) {
 }
 
 // reset rearms the tenant for another run under a new configuration,
-// retaining every backing buffer. The owner must Reset the server first.
+// retaining every backing buffer. Campaign.arm Resets the server first.
 func (t *tenant) reset(cfg Config) {
 	t.cfg = cfg
 	t.next, t.outstanding = 0, 0
@@ -343,19 +343,16 @@ func (t *tenant) captureSnapshot(week float64) {
 }
 
 // finishReport fills the tenant-scoped part of the report: completion,
-// server stats, kernel accounting and the de-scaled weekly series. The
-// population-scoped part (mean speed-down, §8 points accounting) is the
-// owner's: a Campaign credits its private population to this report, a
-// Grid credits the shared population to the GridReport instead.
-func (t *tenant) finishReport(engine *sim.Engine, done bool, doneWeek float64) {
+// server stats and the de-scaled weekly series. The fleet- and
+// engine-scoped part (mean speed-down, §8 points accounting, kernel
+// accounting) is the run's: a single-project campaign fills it into this
+// report, a Grid into the GridReport instead.
+func (t *tenant) finishReport() {
 	r := &t.report
-	r.Completed = done
+	r.Completed = t.done
 	r.ServerStats = t.server.Stats
-	r.EventsExecuted = engine.Executed()
-	r.PeakPending = engine.MaxPending()
-
-	if done {
-		r.WeeksElapsed = doneWeek
+	if t.done {
+		r.WeeksElapsed = t.doneWeek
 	} else {
 		r.WeeksElapsed = t.cfg.MaxWeeks
 	}

@@ -41,11 +41,14 @@ func FormatYDHMS(seconds float64) string {
 
 // groupThousands renders n with comma separators.
 func groupThousands(n int64) string {
-	if n < 0 {
-		return "-" + groupThousands(-n)
-	}
 	digits := fmt.Sprintf("%d", n)
 	var b strings.Builder
+	if n < 0 {
+		// Split the sign off the digits instead of negating n: -MinInt64
+		// overflows to MinInt64, which is what int64(NaN) converts to.
+		b.WriteByte('-')
+		digits = digits[1:]
+	}
 	lead := len(digits) % 3
 	if lead > 0 {
 		b.WriteString(digits[:lead])

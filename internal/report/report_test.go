@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,18 @@ func TestComma(t *testing.T) {
 		if got := Comma(v); got != want {
 			t.Errorf("Comma(%v) = %q, want %q", v, got, want)
 		}
+	}
+}
+
+// TestGroupThousandsMinInt64: the most negative int64, which a NaN float
+// converts to on the way into Comma, renders instead of recursing until
+// the stack overflows.
+func TestGroupThousandsMinInt64(t *testing.T) {
+	if got, want := groupThousands(math.MinInt64), "-9,223,372,036,854,775,808"; got != want {
+		t.Fatalf("groupThousands(MinInt64) = %q, want %q", got, want)
+	}
+	if got := Comma(math.NaN()); got == "" {
+		t.Fatal("Comma(NaN) rendered nothing")
 	}
 }
 

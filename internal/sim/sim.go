@@ -505,24 +505,11 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if it is ahead of the last event).
+// clock to the deadline (if it is ahead of the last event). No float lies
+// between deadline and its successor, so this is RunBefore the successor.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.ev.canceled {
-			e.queue.pop()
-			e.discardTombstone(next.ev)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.RunBefore(math.Nextafter(deadline, math.Inf(1)))
+	e.AdvanceTo(deadline)
 }
 
 // RunBefore executes events with timestamps strictly before deadline and

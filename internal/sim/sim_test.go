@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,27 @@ func TestRunUntil(t *testing.T) {
 	e.RunUntil(30)
 	if len(fired) != 3 || e.Now() != 30 {
 		t.Fatalf("after second RunUntil: fired=%v now=%v", fired, e.Now())
+	}
+}
+
+// TestRunUntilDeadlineTies pins the boundary RunUntil and RunBefore share:
+// an event exactly at the deadline runs under RunUntil, not RunBefore, and
+// one at the deadline's float successor runs under neither.
+func TestRunUntilDeadlineTies(t *testing.T) {
+	const d = 20.0
+	var fired []float64
+	e := NewEngine()
+	for _, ts := range []float64{d, d, math.Nextafter(d, math.Inf(1))} {
+		ts := ts
+		e.At(ts, func() { fired = append(fired, ts) })
+	}
+	e.RunBefore(d)
+	if len(fired) != 0 || e.Now() != 0 {
+		t.Fatalf("RunBefore(%v) fired %v, now %v; want nothing", d, fired, e.Now())
+	}
+	e.RunUntil(d)
+	if len(fired) != 2 || e.Now() != d {
+		t.Fatalf("RunUntil(%v) fired %v, now %v; want both ties", d, fired, e.Now())
 	}
 }
 

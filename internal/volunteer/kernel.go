@@ -656,54 +656,18 @@ func (k *ShardKernel) buildSlots(sh int) {
 // order, executing everything with time ≤ deadline and advancing the clock
 // to the deadline, exactly as Engine.RunUntil does for a single heap.
 // Callable repeatedly with growing deadlines (the campaign runs the phase
-// horizon, then the straggler drain).
+// horizon, then the straggler drain). No float lies between deadline and
+// its successor, so running strictly before the successor runs exactly the
+// events at or before the deadline, in the same order.
 func (k *ShardKernel) RunUntil(deadline sim.Time) {
-	e := k.eng
-	if !k.armed {
-		k.prepWindow(k.win)
-		k.armed = true
-	}
-	for {
-		pt, pseq, pok := k.peekPlane()
-		et, eseq, eok := e.Peek()
-		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
-			if pt > deadline {
-				break
-			}
-			ev := k.popPlane()
-			k.exec(ev)
-			continue
-		}
-		if eok && et < k.winEnd {
-			if et > deadline {
-				break
-			}
-			e.Step()
-			continue
-		}
-		// Current window exhausted on both calendars (any engine head
-		// lies in a later window). Advance the window barrier — jumping
-		// straight to the engine head's window when no plane events
-		// remain anywhere — or stop at the deadline.
-		if k.livePlane == 0 {
-			if !eok || et > deadline {
-				break
-			}
-			k.prepWindow(int(et / k.window))
-			continue
-		}
-		if k.winEnd > deadline {
-			break
-		}
-		k.prepWindow(k.win + 1)
-	}
-	e.AdvanceTo(deadline)
+	k.RunBefore(math.Nextafter(deadline, math.Inf(1)))
+	k.eng.AdvanceTo(deadline)
 }
 
-// RunBefore merges and executes events with timestamps strictly before
-// deadline, exactly as RunUntil would order them, and stops without
-// advancing the clock to the deadline or prepping the window that
-// contains it. The snapshot/fork path uses it to end a shared prefix at
+// RunBefore merges plane and engine events in global ascending (time,
+// seq) order, executes those with timestamps strictly before deadline, and
+// stops without advancing the clock to the deadline or prepping the window
+// that contains it. The snapshot/fork path uses it to end a shared prefix at
 // a divergence time T: the window barrier covering T (window arming,
 // decision refills, spawn-pool top-up) runs in each forked suffix, under
 // the forked cell's config, exactly as a straight run of that cell would
@@ -732,9 +696,11 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 			e.Step()
 			continue
 		}
-		// Current window exhausted on both calendars; advance the barrier
-		// only while the next window can still hold events before the
-		// deadline (its start is the current winEnd).
+		// Current window exhausted on both calendars (any engine head
+		// lies in a later window). Advance the barrier — jumping straight
+		// to the engine head's window when no plane events remain
+		// anywhere — only while the next window can still hold events
+		// before the deadline (its start is the current winEnd).
 		if k.livePlane == 0 {
 			if !eok || et >= deadline {
 				break

@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/experiment"
@@ -27,6 +28,10 @@ func TestNilProbeAllocNeutrality(t *testing.T) {
 	}
 
 	cfg := system().CampaignConfig(ciBenchScale, 0) // the benchmark's exact config, Probe nil
+	// No GC cycle may start inside a measured run: background GC work
+	// allocates, and a cycle landing in the window read as 1-2 extra
+	// allocations. Each run starts from an explicit runtime.GC instead.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func() int64 {
 		runtime.GC()
 		var ms0, ms1 runtime.MemStats
