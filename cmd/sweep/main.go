@@ -15,7 +15,8 @@
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //	      [-metrics FILE] [-trace FILE] [-progress D] [-sample-every S]
 //	sweep -corun [-scenarios all|a,b,c] [-reps R] [-workers W] [-scale S]
-//	      [-seed N] [-out DIR] [-metrics FILE] [-trace FILE] [-progress D]
+//	      [-seed N] [-checkpoint FILE] [-resume] [-out DIR]
+//	      [-metrics FILE] [-trace FILE] [-progress D]
 //
 // Examples:
 //
@@ -28,8 +29,14 @@
 // -corun switches to the multi-project catalog: each scenario co-runs N
 // project tenants on one shared volunteer population through the work-fetch
 // multiplexer, and the headline metric is how closely each tenant's
-// measured grid share tracks its configured resource share. Co-runs have
-// no checkpoint path and ignore the policy-override flags.
+// measured grid share tracks its configured resource share. Co-runs run on
+// the same engine as any sweep, so they checkpoint, resume, drain and
+// isolate a panicking cell the same way; the checkpoint file is shared, so
+// a co-run without -resume starts it afresh like any sweep. A co-run is
+// single-shard, unforked and fault-free by construction and keeps the
+// catalog's policies: -fork, -fork-workers, -shards, -hours, -scheduler,
+// -validator, -adaptive-streak and the fault flags are rejected with
+// -corun when given.
 //
 // -fork turns on prefix-shared execution: scenarios whose catalog entry
 // carries a divergence-time hint share the common prefix of their
@@ -40,20 +47,20 @@
 // trajectory seed per replication either way), so -fork composes with
 // -resume and -shards; only wall clock and the summary's prefix stats
 // change. Forked cells run unprobed (-metrics/-trace samples are skipped
-// for them). Ignored with -corun.
+// for them).
 //
 // -fork-workers N widens each divergence group's fork fan-out: N-1 chunks
-// of the group's what-if cells are handed to idle pool workers that adopt
-// the group's snapshot into their own pooled runners, and the suffixes race
-// on all cores instead of running sequentially on the publisher's. The
-// default (0) follows -workers; 1 keeps every fork on the publisher. Results stay
+// of the group's what-if cells go to the next free pool workers, ahead of
+// any cell not yet started, which adopt the group's snapshot into their
+// own pooled runners, and the suffixes race on all cores instead of
+// running sequentially on the publisher's. The default (0) follows
+// -workers; 1 keeps every fork on the publisher. Results stay
 // byte-identical at any width — only wall clock and the summary's fan-out
 // line change.
 //
 // -shards K runs every cell's host kernel with K worker shards (0 = 1).
 // Results are byte-identical for every K, so it composes freely with
 // -resume and every scenario; it pays off at large -scale host fleets.
-// Ignored with -corun: the shared multi-project grid runs on one shard.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -73,7 +80,8 @@
 // up exactly where the sweep stopped.
 //
 // With -out the sweep also writes sweep.json (all runs + aggregates) and
-// sweep.csv (per-scenario mean/std/ci95 rows). With -cpuprofile /
+// sweep.csv (per-scenario mean/std/ci95 rows), or gridsweep.json with
+// -corun. With -cpuprofile /
 // -memprofile it writes pprof files covering the whole sweep, so perf
 // work on the simulator is profile-driven (go tool pprof cpu.out).
 //
@@ -99,6 +107,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -139,15 +148,15 @@ func run() (err error) {
 	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
 	reps := flag.Int("reps", 3, "replications per scenario")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = 1; results are byte-identical for every value; ignored with -corun)")
-	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; ignored with -corun)")
+	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = 1; results are byte-identical for every value; rejected with -corun)")
+	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; rejected with -corun)")
 	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt the group's snapshot on this many pooled runners (0 = -workers; 1 = sequential forks on the publishing runner)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")
 	hours := flag.Float64("hours", 0, "workunit target duration in hours (0 = deployed 3.7)")
 	seed := flag.Uint64("seed", 0, "sweep base seed (0 = campaign default)")
 	ckptPath := flag.String("checkpoint", "sweep.ckpt.jsonl", "checkpoint file (JSON lines, one per completed run)")
 	resume := flag.Bool("resume", false, "reuse completed runs from the checkpoint instead of starting over")
-	out := flag.String("out", "", "directory for sweep.json and sweep.csv (optional)")
+	out := flag.String("out", "", "directory for sweep.json and sweep.csv, or gridsweep.json with -corun (optional)")
 	scheduler := flag.String("scheduler", "", "dispatch policy for the base config: fifo, lifo, random or batch (default fifo)")
 	validator := flag.String("validator", "", "validation policy for the base config: quorum or adaptive (default quorum)")
 	adaptiveStreak := flag.Int("adaptive-streak", 10, "valid-result streak that earns a host per-host quorum 1 (with -validator adaptive)")
@@ -165,6 +174,23 @@ func run() (err error) {
 	churnWeekly := flag.Float64("churn-weekly", 0, "fraction of the fleet departing permanently per sim week, replaced by fresh joins (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-plane seed override (0 = derived from each run seed)")
 	flag.Parse()
+	if *corun {
+		// A co-run is one shard, unforked and fault-free by construction,
+		// and its tenants keep the catalog's policies and workunit duration,
+		// so these flags are refused when given; their defaults are not.
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "fork", "fork-workers", "shards", "hours", "scheduler", "validator", "adaptive-streak",
+				"maintenance-hours", "outage-rate", "outage-hours", "upload-loss", "churn-weekly", "fault-seed":
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("-corun cannot honour %s: co-runs are single-shard, unforked and fault-free, and keep the catalog's policies and workunit duration",
+				strings.Join(set, ", "))
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -213,6 +239,10 @@ func run() (err error) {
 			return fmt.Errorf("-hours and -sample-every must be finite, got %v and %v", *hours, *sampleEvery)
 		}
 	}
+	faultFlags := *maintHours != 0 || *outageRate != 0 || *uploadLoss != 0 || *churnWeekly != 0 || *faultSeed != 0
+	if *resume && (*scheduler != "" || *validator != "" || faultFlags) {
+		return fmt.Errorf("-resume cannot be combined with -scheduler/-validator or the fault flags: checkpoint cells don't record the overrides they ran under; use a fresh -checkpoint file")
+	}
 	msink, tsink, closeSinks, serr := openSinks(*metricsPath, *tracePath)
 	if serr != nil {
 		return serr
@@ -222,15 +252,47 @@ func run() (err error) {
 			err = cerr
 		}
 	}()
-	if *corun {
-		return runCoRuns(*scenarios, *reps, *workers, *scale, *seed, *out, *quiet,
-			msink, tsink, *sampleEvery, *progressEvery)
+
+	nWorkers := *workers
+	if nWorkers <= 0 {
+		nWorkers = runtime.GOMAXPROCS(0)
+	}
+	nForkWorkers := *forkWorkers
+	if *fork && nForkWorkers <= 0 {
+		nForkWorkers = nWorkers
+	}
+	forkNote := ""
+	if *fork {
+		forkNote = ", prefix-forked"
+		if nForkWorkers > 1 {
+			forkNote = fmt.Sprintf(", prefix-forked ×%d", nForkWorkers)
+		}
 	}
 
-	selected, err := experiment.Select(*scenarios)
+	// -corun selects the catalog, the front end, the table and the -out
+	// file; everything else — checkpoint, progress, drain, summary — is one
+	// path. The policy and fault flags are defaults under -corun.
+	var (
+		selected []experiment.Scenario
+		coruns   []experiment.GridScenario
+	)
+	if *corun {
+		coruns, err = experiment.GridSelect(*scenarios)
+	} else {
+		selected, err = experiment.Select(*scenarios)
+	}
 	if err != nil {
 		return err
 	}
+	sys := core.NewHCMD()
+	base := sys.CampaignConfig(*scale, *hours)
+	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
+		return err
+	}
+	if err := applyFaults(&base, *maintHours, *outageRate, *outageHours, *uploadLoss, *churnWeekly, *faultSeed); err != nil {
+		return err
+	}
+
 	ckpt, err := experiment.OpenCheckpoint(*ckptPath, *resume)
 	if err != nil {
 		return err
@@ -243,37 +305,10 @@ func run() (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	total := len(selected) * *reps
-	nForkWorkers := *forkWorkers
-	if *fork && nForkWorkers <= 0 {
-		nForkWorkers = nWorkers
-	}
-	forkNote := ""
-	if *fork {
-		forkNote = ", prefix-forked"
-		if nForkWorkers > 1 {
-			forkNote = fmt.Sprintf(", prefix-forked ×%d", nForkWorkers)
-		}
-	}
+	nScen := len(selected) + len(coruns)
+	total := nScen * *reps
 	fmt.Fprintf(os.Stderr, "sweep: %d scenarios × %d reps = %d runs on %d workers (scale %.4g, shards %d%s)\n",
-		len(selected), *reps, total, nWorkers, *scale, *shards, forkNote)
-
-	faultFlags := *maintHours != 0 || *outageRate != 0 || *uploadLoss != 0 || *churnWeekly != 0 || *faultSeed != 0
-	if *resume && (*scheduler != "" || *validator != "" || faultFlags) {
-		return fmt.Errorf("-resume cannot be combined with -scheduler/-validator or the fault flags: checkpoint cells don't record the overrides they ran under; use a fresh -checkpoint file")
-	}
-	sys := core.NewHCMD()
-	base := sys.CampaignConfig(*scale, *hours)
-	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
-		return err
-	}
-	if err := applyFaults(&base, *maintHours, *outageRate, *outageHours, *uploadLoss, *churnWeekly, *faultSeed); err != nil {
-		return err
-	}
+		nScen, *reps, total, nWorkers, *scale, *shards, forkNote)
 	start := time.Now()
 	tracker := experiment.NewTracker(total)
 	tracker.Workers, tracker.Shards, tracker.Forked = nWorkers, *shards, *fork
@@ -282,143 +317,82 @@ func run() (err error) {
 	}
 	stopTicker := startTicker(tracker, *progressEvery, msink)
 	defer stopTicker()
-	opts := experiment.Options{
-		Base:        base,
-		Scenarios:   selected,
-		Reps:        *reps,
-		Workers:     *workers,
-		Shards:      *shards,
-		Fork:        *fork,
-		ForkWorkers: nForkWorkers,
-		BaseSeed:    *seed,
-		Checkpoint:  ckpt,
-		MetricsSink: msink,
-		TraceSink:   tsink,
-		SampleEvery: *sampleEvery,
-	}
-	opts.Progress = func(p experiment.Progress) {
+	resumed := 0
+	progress := func(p experiment.Progress) {
 		tracker.Observe(p.WallSeconds)
+		r, tag := p.Result, ""
+		if p.Resumed {
+			resumed++
+			tag = " (resumed)"
+		}
 		if *quiet {
 			return
 		}
-		tag := ""
-		if p.Resumed {
-			tag = " (resumed)"
+		weeks, detail := r.Metrics.MakespanWeeks, fmt.Sprintf("redundancy %.2f", r.Metrics.Redundancy)
+		if r.Grid != nil {
+			weeks, detail = r.Grid.MakespanWeeks, fmt.Sprintf("max share err %.4f", r.Grid.MaxShareError)
 		}
-		fmt.Fprintf(os.Stderr, "[%3d/%d] %-20s rep %d: %.1f weeks, redundancy %.2f%s\n",
-			p.Done, p.Total, p.Result.Scenario, p.Result.Rep,
-			p.Result.Metrics.MakespanWeeks, p.Result.Metrics.Redundancy, tag)
+		fmt.Fprintf(os.Stderr, "[%3d/%d] %-20s rep %d: %.1f weeks, %s%s\n",
+			p.Done, p.Total, r.Scenario, r.Rep, weeks, detail, tag)
 	}
-	sweep, err := sys.RunExperiments(ctx, *scale, *hours, opts)
+
+	var (
+		done, failed int
+		table        *report.Table
+		write        func(dir string) error // the -out files
+	)
+	if *corun {
+		sw, rerr := experiment.RunGrid(ctx, experiment.GridOptions{
+			Base: sys.SharedGridConfig(2, *scale, nil), Scenarios: coruns, Reps: *reps, Workers: *workers,
+			BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
+			MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
+		})
+		if err = rerr; sw != nil {
+			done, failed, table = len(sw.Results), len(sw.Failed), experiment.GridTable(sw.Aggregates, sw.Results)
+			write = func(dir string) error { return writeJSON(dir, "gridsweep.json", sw) }
+		}
+	} else {
+		sw, rerr := sys.RunExperiments(ctx, *scale, *hours, experiment.Options{
+			Base: base, Scenarios: selected, Reps: *reps, Workers: *workers, Shards: *shards,
+			Fork: *fork, ForkWorkers: nForkWorkers, BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
+			MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
+		})
+		if err = rerr; sw != nil {
+			done, failed, table = len(sw.Results), len(sw.Failed), experiment.Table(sw.Aggregates)
+			write = func(dir string) error { return writeOutputs(dir, sw) }
+			tracker.RecordSweep(sw)
+		}
+	}
 	if err != nil {
-		if sweep != nil && len(sweep.Results) > 0 {
+		if done > 0 {
 			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "interrupted after %d/%d runs; rerun with -resume to continue\n",
-					len(sweep.Results), total)
+				fmt.Fprintf(os.Stderr, "interrupted after %d/%d runs; rerun with -resume to continue\n", done, total)
 			} else {
 				fmt.Fprintf(os.Stderr, "%d/%d runs completed, %d failed; failed cells are not checkpointed\n",
-					len(sweep.Results), total, len(sweep.Failed))
+					done, total, failed)
 			}
-			fmt.Print(experiment.Table(sweep.Aggregates).String())
+			fmt.Print(table.String())
 		}
 		return err
 	}
 	stopTicker()
 
-	fmt.Fprintf(os.Stderr, "done: %d runs (%d resumed) in %.1fs\n",
-		len(sweep.Results), sweep.Resumed, time.Since(start).Seconds())
-	tracker.RecordPrefix(sweep.PrefixGroups, sweep.PrefixHits, sweep.SavedSimWeeks)
-	tracker.RecordFanout(sweep.SnapshotBytes, sweep.SnapshotCaptureNS, sweep.SnapshotAdoptNS,
-		sweep.AdoptedRunners, sweep.ForksParallel, sweep.ParallelSpeedup)
+	fmt.Fprintf(os.Stderr, "done: %d runs (%d resumed) in %.1fs\n", done, resumed, time.Since(start).Seconds())
 	printSummary(tracker)
 	if msink != nil {
 		// Close the metrics NDJSON with one final sweep-telemetry record so
 		// the end-of-sweep totals (prefix stats included) are machine-readable.
 		msink.WriteLine(obs.Line(tracker.Snapshot().Fields()...))
 	}
-	fmt.Print(experiment.Table(sweep.Aggregates).String())
+	fmt.Print(table.String())
 
 	if *out != "" {
-		if err := writeOutputs(*out, sweep); err != nil {
+		if err := write(*out); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "sweep.json and sweep.csv written to %s\n", *out)
+		fmt.Fprintf(os.Stderr, "results written to %s\n", *out)
 	}
 	return ckpt.Close()
-}
-
-// runCoRuns executes the multi-project sweep: co-run scenarios ×
-// replications through pooled GridRunners, aggregated on measured-share
-// fidelity.
-func runCoRuns(scenarios string, reps, workers int, scale float64, seed uint64, out string, quiet bool,
-	msink, tsink *obs.Sink, sampleEvery float64, progressEvery time.Duration) error {
-	selected, err := experiment.GridSelect(scenarios)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	nWorkers := workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	total := len(selected) * reps
-	fmt.Fprintf(os.Stderr, "sweep -corun: %d scenarios × %d reps = %d co-runs on %d workers (scale %.4g)\n",
-		len(selected), reps, total, nWorkers, scale)
-
-	sys := core.NewHCMD()
-	tracker := experiment.NewTracker(total)
-	tracker.Workers = nWorkers
-	stopTicker := startTicker(tracker, progressEvery, msink)
-	defer stopTicker()
-	opts := experiment.GridOptions{
-		Base:        sys.SharedGridConfig(2, scale, nil),
-		Scenarios:   selected,
-		Reps:        reps,
-		Workers:     workers,
-		BaseSeed:    seed,
-		MetricsSink: msink,
-		TraceSink:   tsink,
-		SampleEvery: sampleEvery,
-	}
-	opts.Progress = func(p experiment.GridProgress) {
-		tracker.Observe(p.WallSeconds)
-		if quiet {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "[%3d/%d] %-20s rep %d: %.1f weeks, max share err %.4f\n",
-			p.Done, p.Total, p.Result.Scenario, p.Result.Rep,
-			p.Result.Metrics.MakespanWeeks, p.Result.Metrics.MaxShareError)
-	}
-	start := time.Now()
-	sweep, err := experiment.RunGrid(ctx, opts)
-	if err != nil {
-		if sweep != nil && len(sweep.Results) > 0 {
-			fmt.Fprintf(os.Stderr, "interrupted after %d/%d co-runs\n", len(sweep.Results), total)
-			fmt.Print(experiment.GridTable(sweep.Aggregates, sweep.Results).String())
-		}
-		return err
-	}
-	stopTicker()
-	fmt.Fprintf(os.Stderr, "done: %d co-runs in %.1fs\n", len(sweep.Results), time.Since(start).Seconds())
-	printSummary(tracker)
-	fmt.Print(experiment.GridTable(sweep.Aggregates, sweep.Results).String())
-
-	if out != "" {
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(sweep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(out, "gridsweep.json"), append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "gridsweep.json written to %s\n", out)
-	}
-	return nil
 }
 
 // openSinks opens the optional -metrics / -trace NDJSON outputs. Either
@@ -596,15 +570,21 @@ func applyFaults(base *project.Config, maintHours, outageRate, outageHours, uplo
 	return nil
 }
 
-func writeOutputs(dir string, sweep *experiment.Sweep) error {
+// writeJSON writes v as indented JSON to dir/name.
+func writeJSON(dir, name string, v any) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(sweep, "", "  ")
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "sweep.json"), append(data, '\n'), 0o644); err != nil {
+	return os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644)
+}
+
+// writeOutputs writes a campaign sweep's sweep.json and sweep.csv.
+func writeOutputs(dir string, sweep *experiment.Sweep) error {
+	if err := writeJSON(dir, "sweep.json", sweep); err != nil {
 		return err
 	}
 	f, err := os.Create(filepath.Join(dir, "sweep.csv"))

@@ -3,11 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/obs"
@@ -179,28 +176,17 @@ func ExtractGridMetrics(rep *project.GridReport) GridMetrics {
 	return m
 }
 
-// GridRunResult is one completed (scenario, replication) co-run cell.
+// GridRunResult is one completed (scenario, replication) co-run cell. In
+// GridSweep.Failed, Error carries the second panic message instead.
 type GridRunResult struct {
 	Scenario string      `json:"scenario"`
 	Rep      int         `json:"rep"`
 	Seed     uint64      `json:"seed"`
 	Metrics  GridMetrics `json:"metrics"`
+	Error    string      `json:"error,omitempty"`
 }
 
-// GridProgress is delivered to GridOptions.Progress after every cell.
-type GridProgress struct {
-	Done   int
-	Total  int
-	Result GridRunResult
-
-	// Live telemetry (wall clock, not sim time), as in Progress.
-	WallSeconds float64
-	CellsPerSec float64
-	ETASeconds  float64
-}
-
-// GridOptions parameterizes a co-run sweep. There is no checkpoint path:
-// co-runs are few and fast relative to the full single-project catalog.
+// GridOptions parameterizes a co-run sweep.
 type GridOptions struct {
 	// Base is the shared-grid configuration each scenario mutates a copy
 	// of. Base.Projects must carry at least as many tenants as the widest
@@ -216,7 +202,11 @@ type GridOptions struct {
 	// in the single-project sweep; 0 falls back to Base.Seed.
 	BaseSeed uint64
 
-	Progress func(GridProgress)
+	// Checkpoint and Progress mirror Options. A co-run cell is checkpointed
+	// with its seed and its first tenant's WorkScale and HHours, and
+	// resumes only under the same three.
+	Checkpoint *Checkpoint
+	Progress   func(Progress)
 
 	// MetricsSink / TraceSink / SampleEvery mirror Options: per-worker obs
 	// probes over shared sinks, re-tagged per cell.
@@ -229,6 +219,9 @@ type GridOptions struct {
 type GridSweep struct {
 	Results    []GridRunResult `json:"results"`
 	Aggregates []GridAggregate `json:"aggregates"`
+
+	// Failed holds the cells whose co-runs panicked twice, as in Sweep.
+	Failed []GridRunResult `json:"failed,omitempty"`
 }
 
 // GridAggregate is one co-run scenario's cross-replication summary.
@@ -303,11 +296,13 @@ func GridTable(aggs []GridAggregate, results []GridRunResult) *report.Table {
 }
 
 // RunGrid executes the co-run sweep: Scenarios × Reps shared-grid
-// simulations fanned out over a bounded worker pool, each worker owning a
+// simulations on the sweep engine's worker pool, each worker owning a
 // pooled project.GridRunner. Every simulation is single-threaded and
 // deterministic in its derived seed, so results and aggregates are
-// independent of Workers. Cancelling ctx stops handing out new cells and
-// returns the partial sweep with the context error.
+// independent of Workers. A cell that panics is retried once on a fresh
+// runner and, if it panics again, lands in Failed with an error returned.
+// Cancelling ctx stops handing out new cells and returns the partial sweep
+// with the context error.
 func RunGrid(ctx context.Context, opts GridOptions) (*GridSweep, error) {
 	if len(opts.Base.Projects) == 0 {
 		return nil, fmt.Errorf("experiment: GridOptions.Base needs at least one project")
@@ -318,106 +313,42 @@ func RunGrid(ctx context.Context, opts GridOptions) (*GridSweep, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be ≥ 1, got %d", opts.Reps)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	baseSeed := opts.BaseSeed
 	if baseSeed == 0 {
 		baseSeed = opts.Base.Seed
 	}
-
-	type cell struct {
-		scenIdx int
-		rep     int
+	e := &engine{
+		scale: opts.Base.Projects[0].WorkScale, hours: opts.Base.Projects[0].HHours, grid: true,
+		runCell: func(w *worker, c cell, probe *obs.Probe, res *RunResult) {
+			cfg := opts.Base // shallow copy; mutators own Projects/Shares edits
+			cfg.Projects = append([]project.Config(nil), cfg.Projects...)
+			cfg.Shares = append([]float64(nil), cfg.Shares...)
+			cfg.Seed = c.seed
+			opts.Scenarios[c.scen].Mutate(&cfg)
+			cfg.Seed = c.seed // a mutator must not undo the derived seed
+			cfg.Probe = probe
+			m := ExtractGridMetrics(w.grid.Run(cfg))
+			res.Grid = &m
+		},
+		workers: opts.Workers, ckpt: opts.Checkpoint, progress: opts.Progress,
+		metrics: opts.MetricsSink, trace: opts.TraceSink, sampleEvery: opts.SampleEvery,
 	}
-	cells := make([]cell, 0, len(opts.Scenarios)*opts.Reps)
-	for si := range opts.Scenarios {
-		for r := 0; r < opts.Reps; r++ {
-			cells = append(cells, cell{scenIdx: si, rep: r})
-		}
-	}
-	total := len(cells)
-	results := make([]GridRunResult, total)
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	start := time.Now()
-	finish := func(i int, res GridRunResult, wall float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		results[i] = res
-		done++
-		if opts.Progress != nil {
-			p := GridProgress{Done: done, Total: total, Result: res, WallSeconds: wall}
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				p.CellsPerSec = float64(done) / elapsed
-				p.ETASeconds = float64(total-done) / p.CellsPerSec
-			}
-			opts.Progress(p)
-		}
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := project.NewGridRunner()
-			cp := newCellProbe(opts.MetricsSink, opts.TraceSink, opts.SampleEvery)
-			for i := range jobs {
-				c := cells[i]
-				sc := opts.Scenarios[c.scenIdx]
-				seed := DeriveSeed(baseSeed, c.scenIdx, c.rep)
-				cfg := opts.Base // shallow copy; mutators own Projects/Shares edits
-				cfg.Projects = append([]project.Config(nil), cfg.Projects...)
-				cfg.Shares = append([]float64(nil), cfg.Shares...)
-				cfg.Seed = seed
-				sc.Mutate(&cfg)
-				cfg.Seed = seed // a mutator must not undo the derived seed
-				cfg.Probe = cp.arm(sc.Name, c.rep)
-				cellStart := time.Now()
-				rep := runner.Run(cfg)
-				wall := time.Since(cellStart).Seconds()
-				cp.flush(sc.Name, c.rep)
-				finish(i, GridRunResult{
-					Scenario: sc.Name,
-					Rep:      c.rep,
-					Seed:     seed,
-					Metrics:  ExtractGridMetrics(rep),
-				}, wall)
-			}
-		}()
-	}
-
-	var ctxErr error
-dispatch:
-	for i := range cells {
-		select {
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
 	order := make([]string, len(opts.Scenarios))
-	for i, s := range opts.Scenarios {
-		order[i] = s.Name
-	}
-	if ctxErr != nil {
-		partial := make([]GridRunResult, 0, done)
-		for _, r := range results {
-			if r.Scenario != "" {
-				partial = append(partial, r)
-			}
+	for si, sc := range opts.Scenarios {
+		order[si] = sc.Name
+		for r := 0; r < opts.Reps; r++ {
+			e.cells = append(e.cells, cell{Key: Key{Scenario: sc.Name, Rep: r}, scen: si, seed: DeriveSeed(baseSeed, si, r)})
 		}
-		return &GridSweep{Results: partial, Aggregates: GridAggregated(order, partial)}, ctxErr
 	}
-	return &GridSweep{Results: results, Aggregates: GridAggregated(order, results)}, nil
+	finished, failed, err := e.run(ctx, nil)
+
+	sw := &GridSweep{Results: make([]GridRunResult, 0, len(finished))}
+	for _, r := range finished {
+		sw.Results = append(sw.Results, GridRunResult{Scenario: r.Scenario, Rep: r.Rep, Seed: r.Seed, Metrics: *r.Grid})
+	}
+	for _, r := range failed {
+		sw.Failed = append(sw.Failed, GridRunResult{Scenario: r.Scenario, Rep: r.Rep, Seed: r.Seed, Error: r.Error})
+	}
+	sw.Aggregates = GridAggregated(order, sw.Results)
+	return sw, err
 }

@@ -2,9 +2,13 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -209,5 +213,158 @@ func TestRunGridCancellation(t *testing.T) {
 	}
 	if sw == nil {
 		t.Fatal("cancelled sweep returned no partial result")
+	}
+}
+
+// TestGridSweepIsolatesPanickingCell is the co-run analogue of
+// TestSweepIsolatesPanickingCell: a scenario whose mutator poisons the
+// shares panics in the project layer's grid config check. Each of its
+// cells is retried once on a fresh GridRunner, lands in Failed with the
+// panic message, and makes RunGrid fail, while the healthy scenarios'
+// cells — one of them run on the rebuilt runner — and aggregates match a
+// sweep that never met the poison.
+func TestGridSweepIsolatesPanickingCell(t *testing.T) {
+	var attempts atomic.Int32
+	poison := GridScenario{Name: "poison", Description: "negative share", Mutate: func(cfg *project.GridConfig) {
+		attempts.Add(1)
+		cfg.Shares = []float64{-1, 1}
+	}}
+	filler := GridScenario{Name: "filler", Description: "no-op", Mutate: func(*project.GridConfig) {}}
+	run := func(mid GridScenario) (*GridSweep, error) {
+		healthy := testGridScenarios()
+		return RunGrid(context.Background(), GridOptions{
+			Base:      testGridBase(t),
+			Scenarios: []GridScenario{healthy[0], mid, healthy[1]},
+			Reps:      2,
+			Workers:   1, // the last scenario runs on the runner rebuilt after the poison
+		})
+	}
+	clean, err := run(filler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := run(poison)
+	if err == nil || !strings.Contains(err.Error(), "failed after a retry") {
+		t.Fatalf("poisoned co-run sweep error = %v, want a failed-after-a-retry error", err)
+	}
+	if got := attempts.Load(); got != 4 {
+		t.Errorf("poisoned mutator ran %d times, want 4 (2 reps, each retried once)", got)
+	}
+	if len(sw.Failed) != 2 {
+		t.Fatalf("failed cells = %d, want 2", len(sw.Failed))
+	}
+	for _, r := range sw.Failed {
+		if r.Scenario != "poison" || !strings.Contains(r.Error, "resource shares must be positive") {
+			t.Fatalf("failed cell misrecorded: %+v", r)
+		}
+	}
+	var want []GridRunResult
+	for _, r := range clean.Results {
+		if r.Scenario != "filler" {
+			want = append(want, r)
+		}
+	}
+	if !reflect.DeepEqual(sw.Results, want) {
+		t.Fatal("healthy co-run cells differ from a sweep without the poison")
+	}
+	if !reflect.DeepEqual(sw.Aggregates, GridAggregated([]string{"equal", "skew"}, want)) {
+		t.Fatal("healthy co-run aggregates differ from a sweep without the poison")
+	}
+	if data, err := json.Marshal(clean); err != nil || strings.Contains(string(data), `"failed"`) {
+		t.Fatalf("a clean co-run sweep's JSON must not carry a failed list (err %v)", err)
+	}
+}
+
+// TestGridSweepCheckpointResume: co-run cells record to the checkpoint and
+// resume from it under the same match rule as campaign cells. A full
+// resume runs nothing and reproduces the results; with half the lines
+// dropped exactly the dropped cells re-run; and a co-run line never
+// satisfies a campaign cell of the same name, seed, scale and hours.
+func TestGridSweepCheckpointResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.ckpt.jsonl")
+	run := func(resume bool) (*GridSweep, map[Key]bool) {
+		t.Helper()
+		ckpt, err := OpenCheckpoint(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := make(map[Key]bool)
+		sw, err := RunGrid(context.Background(), GridOptions{
+			Base:       testGridBase(t),
+			Scenarios:  testGridScenarios(),
+			Reps:       2,
+			Workers:    2,
+			Checkpoint: ckpt,
+			Progress: func(p Progress) {
+				if !p.Resumed {
+					ran[Key{Scenario: p.Result.Scenario, Rep: p.Result.Rep}] = true
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ckpt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sw, ran
+	}
+
+	first, ran := run(false)
+	if len(ran) != 4 {
+		t.Fatalf("fresh co-run sweep ran %d cells, want 4", len(ran))
+	}
+	second, ran := run(true)
+	if len(ran) != 0 {
+		t.Fatalf("fully resumed co-run sweep re-ran %v", ran)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("resumed co-run sweep differs from the first run")
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := splitLines(data)
+	if len(lines) != 4 {
+		t.Fatalf("checkpoint has %d lines, want 4", len(lines))
+	}
+	dropped := make(map[Key]bool)
+	for _, l := range lines[len(lines)/2:] {
+		var r RunResult
+		if err := json.Unmarshal(l, &r); err != nil || r.Grid == nil {
+			t.Fatalf("co-run checkpoint line %s: err %v", l, err)
+		}
+		dropped[Key{Scenario: r.Scenario, Rep: r.Rep}] = true
+	}
+	if err := os.WriteFile(path, joinLines(lines[:len(lines)/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	third, ran := run(true)
+	if !reflect.DeepEqual(ran, dropped) {
+		t.Fatalf("partial resume re-ran %v, want exactly the dropped %v", ran, dropped)
+	}
+	if !reflect.DeepEqual(first, third) {
+		t.Fatal("partially resumed co-run sweep differs from the first run")
+	}
+
+	ckpt, err := OpenCheckpoint(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	sw, err := Run(context.Background(), Options{
+		Base:       testBase(t),
+		Scenarios:  []Scenario{{Name: "equal", Description: "no-op", Mutate: func(*project.Config) {}}},
+		Reps:       1,
+		Workers:    1,
+		Checkpoint: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Resumed != 0 {
+		t.Fatal("a co-run checkpoint line resumed a campaign cell")
 	}
 }

@@ -3,11 +3,13 @@ package experiment
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/project"
+	"repro/internal/sim"
 )
 
 // TestSweepIsolatesPanickingCell: a scenario whose cells panic (here via a
@@ -113,6 +115,49 @@ func TestSweepRetriesTransientPanic(t *testing.T) {
 	}
 	if calls.Load() != 3 {
 		t.Errorf("mutator called %d times, want 3 (rep0, retry, rep1)", calls.Load())
+	}
+}
+
+// TestForkedSweepRetriesPanickingCell pins the attempts a forked cell
+// gets: when its fork panics, on the tree's runner or in an adopt chunk,
+// the cell reruns standalone with the same one retry as an unforked cell.
+// A cell that always panics is tried three times before it lands in
+// Failed, and its grouped sibling still matches the unforked sweep.
+func TestForkedSweepRetriesPanickingCell(t *testing.T) {
+	healthy := Scenario{Name: "healthy", Description: "no-op", DivergesAt: sim.Week, Mutate: func(*project.Config) {}}
+	ref, err := Run(context.Background(), Options{Base: testBase(t), Scenarios: []Scenario{healthy}, Reps: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers 1 forks the poisoned cell on the tree's runner; with two fork
+	// workers it is the group's second cell, so it lands in the adopt chunk.
+	for _, fw := range []int{1, 2} {
+		var calls atomic.Int32
+		poison := Scenario{Name: "poison", Description: "panics every attempt", DivergesAt: sim.Week,
+			Mutate: func(*project.Config) {
+				calls.Add(1)
+				panic("poisoned fork")
+			}}
+		sw, err := Run(context.Background(), Options{
+			Base:        testBase(t),
+			Scenarios:   []Scenario{healthy, poison},
+			Reps:        1,
+			Workers:     fw,
+			ForkWorkers: fw,
+			Fork:        true,
+		})
+		if err == nil || !strings.Contains(err.Error(), "failed after a retry") {
+			t.Fatalf("fork workers %d: sweep error = %v, want a failed cell", fw, err)
+		}
+		if calls.Load() != 3 {
+			t.Errorf("fork workers %d: mutator called %d times, want 3 (fork, standalone, retry)", fw, calls.Load())
+		}
+		if len(sw.Failed) != 1 || sw.Failed[0].Scenario != "poison" || sw.Failed[0].Error != "poisoned fork" {
+			t.Errorf("fork workers %d: failed cells = %+v, want the poisoned one", fw, sw.Failed)
+		}
+		if !reflect.DeepEqual(sw.Results, ref.Results) {
+			t.Errorf("fork workers %d: healthy sibling %+v differs from its unforked run %+v", fw, sw.Results, ref.Results)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"sort"
 
+	"repro/internal/project"
 	"repro/internal/sim"
 )
 
@@ -49,11 +50,31 @@ func planPrefix(scenarios []Scenario) *prefixPlan {
 	return p
 }
 
-// cells returns the selection indexes of every scenario in the plan.
-func (p *prefixPlan) cells() []int {
-	var out []int
-	for _, g := range p.groups {
-		out = append(out, g.scens...)
+// trees returns a tree job per replication over its pending grouped
+// cells (cell index scenario*reps + rep), claiming them in pending, and
+// skips a replication whose grouped cells all resumed. prefix gives a
+// replication's shared-trajectory configuration.
+func (p *prefixPlan) trees(reps int, pending []bool, prefix func(rep int) project.Config) []*job {
+	var jobs []*job
+	for r := 0; r < reps; r++ {
+		j := &job{}
+		for _, g := range p.groups {
+			fg := forkGroup{at: g.at}
+			for _, si := range g.scens {
+				if i := si*reps + r; pending[i] {
+					pending[i] = false
+					fg.cells = append(fg.cells, i)
+				}
+			}
+			if len(fg.cells) > 0 {
+				j.groups = append(j.groups, fg)
+			}
+		}
+		if len(j.groups) > 0 {
+			cfg := prefix(r)
+			j.tree = &cfg
+			jobs = append(jobs, j)
+		}
 	}
-	return out
+	return jobs
 }

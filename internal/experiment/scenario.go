@@ -1,9 +1,15 @@
 // Package experiment turns the repository from "replays the paper" into a
-// design-space explorer: named what-if scenarios over the campaign
-// configuration, a bounded worker pool that fans scenario × replication runs
-// out across the machine's cores, cross-replication statistics with 95 %
-// confidence intervals, and JSON checkpointing so an interrupted sweep
-// resumes where it stopped.
+// design-space explorer: named what-if scenarios over the campaign and the
+// co-run configurations, one sweep engine whose bounded worker pool fans
+// scenario × replication runs out across the machine's cores,
+// cross-replication statistics with 95 % confidence intervals, and JSON
+// checkpointing so an interrupted sweep resumes where it stopped.
+//
+// Run (campaign cells) and RunGrid (co-run cells) are front ends of the
+// engine. Its jobs are standalone cells, prefix trees that fork a
+// replication's what-if cells off one shared trajectory, and adopt chunks
+// that race a tree's forks on other workers; every kind shares the
+// checkpoint, progress and panic-isolation paths.
 //
 // Each discrete-event run stays single-threaded and bit-for-bit
 // deterministic in its derived seed; parallelism is only across runs, so a

@@ -27,7 +27,7 @@ type Telemetry struct {
 
 	// Prefix-sharing stats, present only when the sweep runs forked
 	// (Forked gates them out of String and Fields so unforked telemetry
-	// lines keep their exact shape). Filled at sweep end via RecordPrefix.
+	// lines keep their exact shape). Filled at sweep end via RecordSweep.
 	Forked        bool
 	PrefixGroups  int
 	PrefixHits    int
@@ -35,7 +35,7 @@ type Telemetry struct {
 
 	// Parallel fan-out stats, present only when the sweep runs forked with
 	// ForkWorkers > 1 (same gating idea as Forked: fan-out off keeps the
-	// forked line shapes exactly as before). Filled via RecordFanout.
+	// forked line shapes exactly as before). Filled via RecordSweep.
 	ForkWorkers       int
 	SnapshotBytes     int
 	SnapshotCaptureNS int64
@@ -118,38 +118,16 @@ type Tracker struct {
 	done    int
 	ran     int // finished cells that actually simulated (not resumed)
 	wallSum float64
-
-	// Prefix-sharing totals, filled at sweep end via RecordPrefix.
-	prefixGroups int
-	prefixHits   int
-	savedWeeks   float64
-
-	// Parallel fan-out totals, filled at sweep end via RecordFanout.
-	snapBytes int
-	snapCapNS int64
-	adoptNS   int64
-	adopted   int
-	forksPar  int
-	speedup   float64
+	sweep   Sweep // prefix-sharing and fan-out totals, via RecordSweep
 }
 
-// RecordPrefix stores a finished forked sweep's prefix-sharing stats so
-// the final Snapshot (summary line, closing telemetry NDJSON record)
-// carries them.
-func (tr *Tracker) RecordPrefix(groups, hits int, savedSimWeeks float64) {
+// RecordSweep stores a finished sweep's prefix-sharing and parallel
+// fan-out stats so the final Snapshot (summary line, closing telemetry
+// NDJSON record) carries them.
+func (tr *Tracker) RecordSweep(sw *Sweep) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.prefixGroups, tr.prefixHits, tr.savedWeeks = groups, hits, savedSimWeeks
-}
-
-// RecordFanout stores a finished sweep's parallel fan-out stats (snapshot
-// volume, capture/adopt time, adopted runners, forks run in parallel,
-// speedup over a sequential walk of the same trees).
-func (tr *Tracker) RecordFanout(bytes int, capNS, adoptNS int64, adopted, forksPar int, speedup float64) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.snapBytes, tr.snapCapNS, tr.adoptNS = bytes, capNS, adoptNS
-	tr.adopted, tr.forksPar, tr.speedup = adopted, forksPar, speedup
+	tr.sweep = *sw
 }
 
 // NewTracker starts tracking a sweep of total cells from now.
@@ -185,17 +163,17 @@ func (tr *Tracker) Snapshot() Telemetry {
 		TotalAllocMB:   float64(ms.TotalAlloc) / (1 << 20),
 		SysMB:          float64(ms.Sys) / (1 << 20),
 		Forked:         tr.Forked,
-		PrefixGroups:   tr.prefixGroups,
-		PrefixHits:     tr.prefixHits,
-		SavedSimWeeks:  tr.savedWeeks,
+		PrefixGroups:   tr.sweep.PrefixGroups,
+		PrefixHits:     tr.sweep.PrefixHits,
+		SavedSimWeeks:  tr.sweep.SavedSimWeeks,
 
 		ForkWorkers:       tr.ForkWorkers,
-		SnapshotBytes:     tr.snapBytes,
-		SnapshotCaptureNS: tr.snapCapNS,
-		SnapshotAdoptNS:   tr.adoptNS,
-		AdoptedRunners:    tr.adopted,
-		ForksParallel:     tr.forksPar,
-		ParallelSpeedup:   tr.speedup,
+		SnapshotBytes:     tr.sweep.SnapshotBytes,
+		SnapshotCaptureNS: tr.sweep.SnapshotCaptureNS,
+		SnapshotAdoptNS:   tr.sweep.SnapshotAdoptNS,
+		AdoptedRunners:    tr.sweep.AdoptedRunners,
+		ForksParallel:     tr.sweep.ForksParallel,
+		ParallelSpeedup:   tr.sweep.ParallelSpeedup,
 	}
 	if t.ElapsedSeconds > 0 && tr.done > 0 {
 		t.CellsPerSec = float64(tr.done) / t.ElapsedSeconds
