@@ -14,9 +14,11 @@
 // The default scale (1/84) finishes in seconds; -scale 1 simulates the full
 // 3.9-million-workunit campaign (minutes, several GB of events).
 //
-// -shards K runs the host kernel with K worker shards (0 = 1). The printed
-// tables are byte-identical for every K; sharding pays off at mega-grid
-// host scales. The -coshare co-run always runs on one shard.
+// -shards K spreads the host kernel's pending events over K shard
+// calendars (0 = 1, at most 64; a larger K exits 2 before anything runs).
+// The printed tables are byte-identical for every K, and the kernel arms
+// every calendar on one goroutine, so K > 1 buys no speed. The -coshare
+// co-run always runs on one shard.
 //
 // With -coshare F (0 < F < 1) it additionally co-runs the HCMD workload at
 // resource share F on a shared grid against a phase-II-sized co-project
@@ -63,7 +65,7 @@ func main() {
 	outdir := flag.String("outdir", "", "directory for CSV figure series (optional)")
 	fig1Days := flag.Int("fig1days", 3*364, "days of grid history for Figure 1")
 	seed := flag.Uint64("seed", 0, "campaign seed (0 = the deployed default)")
-	shards := flag.Int("shards", 0, "host-kernel worker shards (0 = 1; output is byte-identical for every value)")
+	shards := flag.Int("shards", 0, "host-kernel shard calendars (0 = 1; output is byte-identical for every value)")
 	coshare := flag.Float64("coshare", 0, "co-run HCMD at this grid share against a phase-II co-project and cross-validate the §7 share assumption (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (captured after the run) to this file")
@@ -92,8 +94,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "hcmdsim: -shards must be ≥ 0")
+	if *shards < 0 || *shards > project.MaxShards {
+		fmt.Fprintf(os.Stderr, "hcmdsim: -shards must be in [0, %d]\n", project.MaxShards)
 		os.Exit(2)
 	}
 

@@ -58,9 +58,11 @@
 // byte-identical at any width — only wall clock and the summary's fan-out
 // line change.
 //
-// -shards K runs every cell's host kernel with K worker shards (0 = 1).
-// Results are byte-identical for every K, so it composes freely with
-// -resume and every scenario; it pays off at large -scale host fleets.
+// -shards K spreads every cell's host-kernel events over K shard calendars
+// (0 = 1, at most 64; a larger K exits 2 before anything runs). Results are
+// byte-identical for every K, so it composes freely with -resume and every
+// scenario; the kernel arms every calendar on one goroutine, so K > 1 buys
+// no speed.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -174,6 +176,11 @@ func run() (err error) {
 	churnWeekly := flag.Float64("churn-weekly", 0, "fraction of the fleet departing permanently per sim week, replaced by fresh joins (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-plane seed override (0 = derived from each run seed)")
 	flag.Parse()
+	if *shards < 0 || *shards > project.MaxShards {
+		// A bad flag value, like a flag the package cannot parse: exit 2.
+		fmt.Fprintf(os.Stderr, "sweep: -shards must be in [0, %d], got %d\n", project.MaxShards, *shards)
+		os.Exit(2)
+	}
 	if *corun {
 		// A co-run is one shard, unforked and fault-free by construction,
 		// and its tenants keep the catalog's policies and workunit duration,

@@ -83,3 +83,19 @@ func TestCorunRejectsFlagsItCannotHonour(t *testing.T) {
 		t.Fatalf("resumed gridsweep.json differs from the first run's (read errors %v, %v)", errA, errB)
 	}
 }
+
+// TestShardsOutOfRangeExitsTwo: -shards outside [0, 64] is a usage error,
+// exit 2, before the checkpoint or any other file is opened.
+func TestShardsOutOfRangeExitsTwo(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "shards.ckpt.jsonl")
+	for _, k := range []string{"65", "-1"} {
+		stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-q", "-shards", k, "-checkpoint", ckpt)
+		if code != 2 || !strings.Contains(stderr, "-shards") {
+			t.Fatalf("-shards %s: exit code %d, want 2 naming -shards; stderr:\n%s", k, code, stderr)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("a rejected sweep touched the checkpoint (stat err %v)", err)
+	}
+}

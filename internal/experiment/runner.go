@@ -114,10 +114,11 @@ type Options struct {
 	// Workers bounds the goroutine pool; 0 means GOMAXPROCS.
 	Workers int
 
-	// Shards is every cell's host-kernel shard count (0 = 1). The shard
-	// count never changes simulation results — runs are byte-identical for
-	// every K — so it is not part of the checkpoint key and checkpointed
-	// cells from a differently-sharded sweep stay valid.
+	// Shards is every cell's host-kernel shard count (0 = 1, at most
+	// project.MaxShards). The shard count never changes simulation results
+	// — runs are byte-identical for every K — so it is not part of the
+	// checkpoint key and checkpointed cells from a differently-sharded sweep
+	// stay valid.
 	Shards int
 
 	// BaseSeed is mixed with the scenario and replication indexes to derive
@@ -223,6 +224,9 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be ≥ 1, got %d", opts.Reps)
+	}
+	if opts.Shards < 0 || opts.Shards > project.MaxShards {
+		return nil, fmt.Errorf("experiment: Shards must be in [0, %d], got %d", project.MaxShards, opts.Shards)
 	}
 	baseSeed := opts.BaseSeed
 	if baseSeed == 0 {

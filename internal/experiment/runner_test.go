@@ -243,6 +243,22 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsShardsOutOfRange: Options.Shards outside [0,
+// project.MaxShards] is an error before any cell runs, where a negative
+// count used to be ignored and a huge one ran.
+func TestRunRejectsShardsOutOfRange(t *testing.T) {
+	base := testBase(t)
+	for _, k := range []int{-1, project.MaxShards + 1, math.MaxInt} {
+		ran := 0
+		opts := Options{Base: base, Scenarios: testScenarios(), Reps: 1, Workers: 1, Shards: k,
+			Progress: func(Progress) { ran++ }}
+		if sw, err := Run(context.Background(), opts); err == nil || sw != nil || ran != 0 {
+			t.Errorf("Shards %d: Run error %v (sweep returned: %v) after %d cells, want an error before any cell",
+				k, err, sw != nil, ran)
+		}
+	}
+}
+
 func TestEstimateCI(t *testing.T) {
 	c := EstimateCI([]float64{2, 4, 6})
 	if c.Mean != 4 {

@@ -87,11 +87,12 @@ type Config struct {
 	Seed     uint64
 	MaxWeeks float64 // safety stop
 
-	// Shards is the host kernel's worker shard count K (volunteer.
-	// ShardKernel); 0 = 1. Reports are byte-identical for every K, fresh
-	// and pooled (golden-hash pinned), so this is purely a performance
-	// choice for mega-grid host scales. Excluded from JSON so marshaled
-	// reports and scenario hashes are invariant to the plan.
+	// Shards is the host kernel's shard calendar count K (volunteer.
+	// ShardKernel); 0 = 1, at most MaxShards. Reports are byte-identical
+	// for every K, fresh and pooled (golden-hash pinned), and the kernel
+	// arms every calendar on one goroutine, so K changes neither a result
+	// nor, beyond its per-shard overhead, the run time. Excluded from JSON
+	// so marshaled reports and scenario hashes are invariant to the plan.
 	Shards int `json:"-"`
 
 	// SnapshotWeeks are the Figure 7 progression capture points.
@@ -305,6 +306,12 @@ type Campaign struct {
 // the materialized outage schedule stay finite.
 const maxWeeks = 1040
 
+// MaxShards bounds Config.Shards. Every shard owns a calendar with ~16 KB
+// of arming scratch, and the merge scans every shard's cursor once per
+// event, so a larger K costs memory and time and changes no output.
+// 64 is eight times the largest K any benchmark runs.
+const MaxShards = 64
+
 // checkFinite panics unless v is a finite number. NaN fails every ordered
 // comparison and ±Inf passes every one-sided bound, so the range checks
 // alone would let them through.
@@ -353,8 +360,11 @@ func checkConfig(cfg Config) Config {
 		panic(fmt.Sprintf("project: grid shares (%v control, %v full) out of [0,1]", cfg.ControlShare, cfg.FullShare))
 	}
 	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
-	if cfg.Shards < 1 {
+	switch {
+	case cfg.Shards < 1:
 		cfg.Shards = 1
+	case cfg.Shards > MaxShards:
+		panic(fmt.Sprintf("project: Shards %d above MaxShards (%d)", cfg.Shards, MaxShards))
 	}
 	if p := cfg.Probe; p != nil && p.Trace != nil {
 		// Saboteur onsets surface from deep inside the host layer; route
@@ -568,12 +578,6 @@ func (c *Campaign) start() {
 	probe := c.fleet.Probe
 	c.sampler = c.bindProbe(probe)
 
-	// The spawn-count forecast for the slot pool: active hosts only change
-	// at weekly ticks, so at the window barrier before a tick this is the
-	// exact spawn count — except when the run finishes at that very tick,
-	// where it overpredicts harmlessly (slots keep, seeds are pre-drawn
-	// from a stream nothing else reads).
-	c.kern.SpawnHint = c.spawnHintFn()
 	c.weekly = c.engine.Every(0, sim.Week, c.weeklyFn(probe))
 	c.weekly.Tag(sim.Call{Kind: sim.CallTickWeekly})
 	// A daily feeder keeps the queues from draining dry between the weekly
@@ -608,23 +612,10 @@ func (c *Campaign) finished() bool {
 	return true
 }
 
-// spawnHintFn builds the slot-pool spawn forecast. The ticker and hint
-// bodies are built by factories rather than inline in start so snapshot
-// adoption can rebuild identical closures on a dormant ticker or an
-// adopting kernel.
-func (c *Campaign) spawnHintFn() func(float64) int {
-	kern, fleet := c.kern, c.fleet
-	return func(w float64) int {
-		if c.finished() {
-			return 0
-		}
-		return fleet.hostTarget(w) - kern.Active()
-	}
-}
-
-// weeklyFn builds the weekly tick (factory: see spawnHintFn): Figure 7
-// captures and completion per tenant, then the fleet target and a feed of
-// every live tenant.
+// weeklyFn builds the weekly tick: Figure 7 captures and completion per
+// tenant, then the fleet target and a feed of every live tenant. The
+// ticker bodies are built by factories rather than inline in start so
+// snapshot adoption can rebuild identical closures on a dormant ticker.
 func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 	kern, fleet := c.kern, c.fleet
 	return func(now sim.Time) {
@@ -683,7 +674,7 @@ func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 	}
 }
 
-// dailyFn builds the daily feeder tick (factory: see spawnHintFn).
+// dailyFn builds the daily feeder tick (factory: see weeklyFn).
 func (c *Campaign) dailyFn() func(sim.Time) {
 	kern := c.kern
 	return func(sim.Time) {
@@ -695,7 +686,7 @@ func (c *Campaign) dailyFn() func(sim.Time) {
 	}
 }
 
-// churnFn builds the churn tick (factory: see spawnHintFn).
+// churnFn builds the churn tick (factory: see weeklyFn).
 func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
 	kern := c.kern
 	return func(sim.Time) {
@@ -712,8 +703,7 @@ func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
 
 // runOut runs the started (or adopted) context to the horizon, stops the
 // phase tickers and drains the straggler tail (late returns) without
-// advancing phases — and without forecasting spawns for ticks that will
-// never fire.
+// advancing phases.
 func (c *Campaign) runOut() {
 	horizon := c.fleet.MaxWeeks * sim.Week
 	c.kern.RunUntil(horizon)
@@ -722,7 +712,6 @@ func (c *Campaign) runOut() {
 	if c.churn != nil {
 		c.churn.Stop()
 	}
-	c.kern.SpawnHint = nil
 	c.kern.RunUntil(horizon + 30*sim.Day)
 	if c.sampler != nil {
 		c.sampler.Stop()

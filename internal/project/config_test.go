@@ -58,7 +58,8 @@ func checkBase() Config {
 
 // TestConfigRejectsNonFinite: NaN passes the old `v <= 0` style checks and
 // ±Inf their one-sided bounds, so these configs used to be accepted — and an
-// infinite horizon or outage rate then never returned.
+// infinite horizon or outage rate then never returned. The out-of-range
+// entries (MaxWeeks, Shards) ride along.
 func TestConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := map[string]func(*Config){
@@ -70,6 +71,8 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"MaxWeeks NaN":            func(c *Config) { c.MaxWeeks = nan },
 		"MaxWeeks +Inf":           func(c *Config) { c.MaxWeeks = inf },
 		"MaxWeeks past the cap":   func(c *Config) { c.MaxWeeks = maxWeeks + 1 },
+		"Shards past the cap":     func(c *Config) { c.Shards = MaxShards + 1 },
+		"Shards MaxInt":           func(c *Config) { c.Shards = math.MaxInt },
 		"ControlWeeks -Inf":       func(c *Config) { c.ControlWeeks = -inf },
 		"RampWeeks NaN":           func(c *Config) { c.RampWeeks = nan },
 		"ControlShare NaN":        func(c *Config) { c.ControlShare = nan },
@@ -86,6 +89,17 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		if _, p := runChecked(t, func() *Campaign { return New(cfg) }); !ownPanic(p) {
 			t.Errorf("%s: New returned (panic %v), want a project:/faults: rejection", name, p)
 		}
+	}
+}
+
+// TestConfigAcceptsMaxShards: the shard bound is inclusive
+// (TestConfigRejectsNonFinite covers the counts above it).
+func TestConfigAcceptsMaxShards(t *testing.T) {
+	cfg := checkBase()
+	cfg.Shards = MaxShards
+	out, p := runChecked(t, func() Config { return checkConfig(cfg) })
+	if p != nil || out.Shards != MaxShards {
+		t.Errorf("Shards %d: checkConfig gave %d (panic %v), want it accepted", MaxShards, out.Shards, p)
 	}
 }
 

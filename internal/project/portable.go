@@ -171,7 +171,6 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	c.t.server.AdoptPortable(ps.server)
 	asAt := c.t.server.AssignmentAt
 	c.kern.AdoptPortable(ps.kern, asAt)
-	c.kern.SpawnHint = c.spawnHintFn()
 	plane := c.activePlane()
 	if plane != nil {
 		plane.AdoptPortable(ps.plane)

@@ -55,11 +55,11 @@
 //     rebuilt by the adopter's Reset. Export requires the retained-arena
 //     (pooled Reset) mode: the one-shot slab.Carve mode has no stable
 //     allocation order.
-//   - volunteer.ShardKernel (PortableKernel): every SoA column, the spawn
-//     pool and stream, the overlay, and each shard calendar flattened into
-//     one event list plus window spans; the adopter rebuilds the windows
-//     onto its own chunks. Chunk layout is unobservable — a window is
-//     sorted by (time, seq) at its barrier. A multiplexed kernel's mux
+//   - volunteer.ShardKernel (PortableKernel): every SoA column, the
+//     population stream, the overlay, and each shard calendar flattened
+//     into one event list plus window spans; the adopter rebuilds the
+//     windows onto its own chunks. Chunk layout is unobservable — a window
+//     is sorted by (time, seq) at its barrier. A multiplexed kernel's mux
 //     columns are not covered, so grid co-runs cannot be snapshotted.
 //   - faults.Plane (PortablePlane): the per-host attempt/epoch/upload
 //     tables, window cursor, churn accumulator and stats; the outage

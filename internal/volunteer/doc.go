@@ -25,9 +25,12 @@
 // structure of arrays indexed by host ID (plane.go), and host
 // continuations live in per-shard window calendars merged against the
 // sim.Engine in global (time, seq) order (kernel.go). A fetch-compute-
-// report cycle per host is: refill the local work buffer from the work
+// report cycle per host is: top up the local work buffer from the work
 // source, start the front assignment, draw the task's behaviour
-// (abandon / late return / invalid), and schedule the completion.
+// (abandon / late return / invalid) from the host's own stream, and
+// schedule the completion. Every draw runs inline as the kernel executes
+// events in global order; the shard count only partitions the pending
+// events across calendars, so no result depends on it.
 //
 // # Behavior profiles
 //

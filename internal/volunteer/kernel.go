@@ -15,13 +15,11 @@
 // A window's events are appended, unsorted, to a list of fixed-size
 // chunks drawn from the shard's free list, so a calendar's memory tracks
 // the pending events rather than its peak window. At each window barrier
-// the K shard workers run in parallel, touching only their own hosts
-// (disjoint array ranges) and their own calendars: they refill the
-// consumed per-host decision transcripts (plus, before a weekly tick, the
-// spawn slot pool) and arm the new window into one reused per-shard merge
-// buffer, recycling its chunks. Between barriers a single goroutine merges
-// the K sorted buffers, the overlay heap and the engine's own heap in
-// global ascending (time, seq) order and executes the model serially.
+// every shard arms the new window into one reused per-shard merge buffer,
+// recycling the window's chunks. Between barriers the kernel merges the K
+// sorted buffers, the overlay heap and the engine's own heap in global
+// ascending (time, seq) order and executes the model, drawing every host
+// decision and join inline. Everything runs on the caller's goroutine.
 //
 // # Window arming
 //
@@ -41,17 +39,16 @@
 // # K-invariance
 //
 // Every tie-break seq is drawn from the engine counter (Engine.TakeSeq) in
-// the serial merge, and every model draw comes from fixed per-host stream
-// positions (the decision transcripts in plane.go), so the shard count K
-// changes only who precomputes a value, never the value or the execution
-// order: reports are byte-identical for every K, fresh and pooled
-// (golden-hash tests in internal/project pin them).
+// the merge, and every model draw comes from fixed per-host stream
+// positions as the merge executes events (the draw order in plane.go), so
+// the shard count K changes only which calendar holds an event, never a
+// value or the execution order: reports are byte-identical for every K,
+// fresh and pooled (golden-hash tests in internal/project pin them).
 package volunteer
 
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -116,14 +113,13 @@ type calWindow struct {
 
 // shardCal is one shard's calendar: the future windows by absolute window
 // index, the free chunks, the armed window's sorted merge buffer with its
-// read cursor, the hosts whose decision tuple was consumed since the last
-// barrier, and the arming pass's bucket offsets (scratch, never exported).
+// read cursor, and the arming pass's bucket offsets (scratch, never
+// exported).
 type shardCal struct {
 	wins    []calWindow
 	free    *eventChunk
 	cur     []planeEvent
 	cursor  int
-	refill  []int32
 	buckets [calBuckets]int32
 }
 
@@ -251,7 +247,6 @@ func (c *shardCal) reset() {
 	c.wins = c.wins[:0]
 	clear(c.cur)
 	c.cur, c.cursor = c.cur[:0], 0
-	c.refill = c.refill[:0]
 }
 
 // ShardKernel runs a host fleet in SoA form over K deterministic shard
@@ -265,7 +260,7 @@ type ShardKernel struct {
 	cfg    HostConfig
 	r      *rng.Source // population stream: host (and mux port) seeds only
 
-	mu, sigma float64 // speed-down LogNormal parameters (see buildSlot)
+	mu, sigma float64 // speed-down LogNormal parameters (see spawn)
 	buffer    int     // effective WorkBuffer (≥ 1)
 	shards    int
 	window    float64
@@ -274,7 +269,6 @@ type ShardKernel struct {
 	flags       []uint8
 	speedDown   []float64
 	src         []rng.Source
-	dec         []decision
 	errorProb   []float64
 	abandonProb []float64
 	phase       []float64
@@ -292,20 +286,6 @@ type ShardKernel struct {
 	active      int
 	firstActive int // hosts[:firstActive] are all stopped (stop-oldest cursor)
 
-	// Spawn-slot pool (see plane.go), consumed FIFO from poolHead. seedBuf
-	// and slots hold the seeds and pool tail a top-up is building.
-	pool     []spawnSlot
-	poolHead int
-	seedBuf  []uint64
-	slots    []spawnSlot
-
-	// SpawnHint, set by the campaign, predicts how many hosts the next
-	// weekly tick will spawn, so prepWindow can top the slot pool up in
-	// parallel before the tick runs. Overprediction is harmless (slots
-	// carry pre-drawn seeds; nothing else reads the population stream);
-	// nil or underprediction falls back to inline serial builds.
-	SpawnHint func(week float64) int
-
 	cals []shardCal // per-shard calendars
 
 	win     int      // current (armed) window index
@@ -315,10 +295,6 @@ type ShardKernel struct {
 
 	livePlane int // plane events scheduled and not yet executed
 	peekSrc   int // peekPlane result: shard index, or overlaySrc / noneSrc
-
-	// The per-shard barrier and slot-building work, bound once as method
-	// values so a window barrier allocates nothing.
-	barrierFn, slotsFn func(sh int)
 }
 
 const (
@@ -327,7 +303,7 @@ const (
 )
 
 // NewShardKernel builds an empty fleet bound to the engine and the project
-// work source. shards is the worker count K (≥ 1); window is the barrier
+// work source. shards is the calendar count K (≥ 1); window is the barrier
 // width W in seconds (a performance knob — any positive value is correct;
 // see the package notes above). The kernel copies r's state and draws host
 // seeds from its own stream from then on.
@@ -364,7 +340,6 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.flags = k.flags[:0]
 	k.speedDown = k.speedDown[:0]
 	k.src = k.src[:0]
-	k.dec = k.dec[:0]
 	k.errorProb = k.errorProb[:0]
 	k.abandonProb = k.abandonProb[:0]
 	k.phase = k.phase[:0]
@@ -381,8 +356,6 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	clear(k.cache)
 	k.cache = k.cache[:0]
 	k.active, k.firstActive = 0, 0
-	k.pool = k.pool[:0]
-	k.poolHead = 0
 
 	if shards != len(k.cals) {
 		k.cals = make([]shardCal, shards)
@@ -398,10 +371,6 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.armed = false
 	k.livePlane = 0
 	k.peekSrc = noneSrc
-	k.SpawnHint = nil
-	if k.barrierFn == nil {
-		k.barrierFn, k.slotsFn = k.barrier, k.buildSlots
-	}
 }
 
 // Multiplex binds the kernel to a multi-project mux instead of a single
@@ -560,95 +529,12 @@ func (k *ShardKernel) exec(ev planeEvent) {
 	}
 }
 
-// runParallel fans fn(0..shards-1) over goroutines, running shard 0 on the
-// caller. Shards touch disjoint host-ID ranges and their own calendars, so
-// the barrier is the only synchronization the data plane needs.
-func (k *ShardKernel) runParallel(fn func(sh int)) {
-	if k.shards == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(k.shards - 1)
-	for sh := 1; sh < k.shards; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			fn(sh)
-		}(sh)
-	}
-	fn(0)
-	wg.Wait()
-}
-
-// prepWindow is the window barrier: top up the spawn pool if a weekly tick
-// falls inside window w, then run every shard's barrier work — in parallel
-// when any shard has more than a trivial amount of it.
+// prepWindow is the window barrier: arm window w on every shard.
 func (k *ShardKernel) prepWindow(w int) {
 	k.win = w
 	k.winEnd = float64(w+1) * k.window
-
-	if k.SpawnHint != nil {
-		wStart := float64(w) * k.window
-		week := math.Ceil(wStart / sim.Week)
-		if tick := week * sim.Week; tick >= wStart && tick < k.winEnd {
-			if need := k.SpawnHint(week) - (len(k.pool) - k.poolHead); need > 0 {
-				k.topUpPool(need)
-			}
-		}
-	}
-
 	for sh := range k.cals {
-		if c := &k.cals[sh]; len(c.refill) > 0 || c.count(w) > 1 {
-			k.runParallel(k.barrierFn)
-			return
-		}
-	}
-	for sh := range k.cals {
-		k.barrier(sh)
-	}
-}
-
-// barrier is one shard's share of a window barrier: refill the consumed
-// decision tuples, then arm the window's merge buffer, sorted.
-func (k *ShardKernel) barrier(sh int) {
-	c := &k.cals[sh]
-	for _, h := range c.refill {
-		k.dec[h] = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
-			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
-	}
-	c.refill = c.refill[:0]
-	c.take(k.win, k.window)
-}
-
-// topUpPool extends the spawn-slot pool by n slots: seeds drawn serially
-// from the population stream in spawn order (host seed, then mux port seed
-// on a multiplexed fleet — nothing else reads the stream), slot
-// transcripts built in parallel.
-func (k *ShardKernel) topUpPool(n int) {
-	if k.poolHead > 0 {
-		m := copy(k.pool, k.pool[k.poolHead:])
-		k.pool = k.pool[:m]
-		k.poolHead = 0
-	}
-	k.seedBuf = k.seedBuf[:0]
-	base := len(k.pool)
-	for i := 0; i < n; i++ {
-		k.seedBuf = append(k.seedBuf, k.r.Uint64())
-		var slot spawnSlot
-		if k.mux != nil {
-			slot.portSeed = k.r.Uint64()
-		}
-		k.pool = append(k.pool, slot)
-	}
-	k.slots = k.pool[base:]
-	k.runParallel(k.slotsFn)
-	k.slots = nil
-}
-
-// buildSlots is one shard's share of a pool top-up.
-func (k *ShardKernel) buildSlots(sh int) {
-	for i := sh; i < len(k.slots); i += k.shards {
-		k.buildSlot(&k.slots[i], k.seedBuf[i])
+		k.cals[sh].take(w, k.window)
 	}
 }
 
@@ -668,10 +554,9 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 // seq) order, executes those with timestamps strictly before deadline, and
 // stops without advancing the clock to the deadline or prepping the window
 // that contains it. The snapshot/fork path uses it to end a shared prefix at
-// a divergence time T: the window barrier covering T (window arming,
-// decision refills, spawn-pool top-up) runs in each forked suffix, under
-// the forked cell's config, exactly as a straight run of that cell would
-// have run it.
+// a divergence time T: the window barrier covering T, which only arms
+// windows, runs in each forked suffix exactly as a straight run of that
+// cell would have run it.
 func (k *ShardKernel) RunBefore(deadline sim.Time) {
 	e := k.eng
 	if !k.armed {

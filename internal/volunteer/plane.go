@@ -8,9 +8,9 @@
 // arrays indexed by host ID:
 //
 //   - hot, touched every task: flags (packed bits), speedDown, src (the
-//     host's rng stream, 32 bytes by value), dec (the precomputed next
-//     per-task decision), cur/curOutcome/curReported (the in-flight task),
-//     cacheLen + a flat cache slab (WorkBuffer assignments per host);
+//     host's rng stream, 32 bytes by value), cur/curOutcome/curReported
+//     (the in-flight task), cacheLen + a flat cache slab (WorkBuffer
+//     assignments per host);
 //   - warm, touched by cohort behavior: errorProb, abandonProb, phase,
 //     onlineSpan;
 //   - cold, touched once per run: joinedAt, hardware, done, cpuSpent.
@@ -19,24 +19,21 @@
 // so a 1M-host run allocates O(arrays), not O(hosts·structs), and the
 // steady state of a pooled run context allocates nothing per host.
 //
-// # Precomputed decision transcripts
+// # Per-host draw order
 //
-// The per-task random transcript of a fetch is a short prefix of the
-// host's private stream: Bernoulli(abandon); if abandoned,
-// Bernoulli(lateReturn) and, if late, one Float64 for the extra delay;
-// otherwise — unless the host has already turned — Bernoulli(error). Nothing
-// else reads the stream between tasks, so the next transcript can be drawn
-// one task ahead, in parallel, without changing any draw's position: the
-// shard workers refill consumed decision tuples at every window barrier,
-// reading the turned bit as of the barrier (it only flips in the serial
-// merge, which consumes the tuple that flips it before the next refill).
-// A host that starts two tasks inside one window finds its tuple consumed
-// and draws inline in the serial merge — same stream, same bits, just not
-// prefetched. Spawn transcripts (speed-down LogNormal, cohort pick, diurnal
-// phase, first decision) are precomputed the same way into a slot pool:
-// weekly spawn counts are exact functions of serial state, so the pool is
-// topped up at the window barrier before each weekly tick, and host seeds
-// are pre-drawn FIFO from the population stream (nothing else reads it).
+// Every model draw runs inline as the kernel executes events, from a
+// stream with a single reader: the population stream, which only spawn
+// reads, and each host's own stream, which only that host's spawn and
+// fetch read. The shard count therefore never moves a draw:
+//
+//   - on join (spawn): from the population stream, the host's seed, then
+//     its mux tie-break seed on a multiplexed fleet; from the host's
+//     stream, the LogNormal speed-down, the cohort pick (profiled fleets
+//     only) and the diurnal phase (diurnal cohorts only);
+//   - on each task start (fetch), from the host's stream:
+//     Bernoulli(abandon); if abandoned, Bernoulli(lateReturn) and, if
+//     late, one Float64 for the extra delay; otherwise, unless the host
+//     has already turned, Bernoulli(error).
 package volunteer
 
 import (
@@ -54,81 +51,43 @@ const (
 	hfDiurnal                    // computes only during a daily online window
 )
 
-// Decision-transcript bits: the outcome of one task's behavior draws.
-const (
-	dValid   uint8 = 1 << iota // tuple holds an unconsumed transcript
-	dAbandon                   // volunteer shelves the task; deadline passes
-	dLate                      // abandoned result still returns, late
-	dErr                       // result comes back invalid
-	dTurns                     // this error turns a saboteur permanently bad
-)
-
-// decision is one precomputed per-task draw transcript.
-type decision struct {
-	lateFrac float64 // late-return delay fraction (dLate only)
-	flags    uint8
-}
-
-// spawnSlot is one precomputed host initialization: the draws a host makes
-// from its own stream when it joins, plus the stream state after them.
-// Time-dependent scaling (the hardware trend) is applied at consume time,
-// because only then is the host's join time known.
-type spawnSlot struct {
-	portSeed    uint64     // mux tie-break stream seed (multi-project fleets only)
-	src         rng.Source // stream state after the init + first-decision draws
-	rawSD       float64    // LogNormal speed-down before trend scaling
-	phase       float64    // diurnal window offset (0 unless hfDiurnal)
-	onlineSpan  float64    // diurnal window length (0 unless hfDiurnal)
-	errorProb   float64    // resolved per-task invalid probability
-	abandonProb float64    // resolved per-task abandon probability
-	dec         decision   // the host's first decision transcript
-	flags       uint8      // hfSaboteur / hfDiurnal cohort bits
-}
-
-// computeDecision draws one task transcript from src in the fetch loop's
-// branch order: abandon; if abandoned, late return and its delay fraction;
-// otherwise the error bit — which a turned host does not draw.
-func computeDecision(src *rng.Source, errorProb, abandonProb, lateProb float64, turned, saboteur bool) decision {
-	d := decision{flags: dValid}
-	if src.Bernoulli(abandonProb) {
-		d.flags |= dAbandon
-		if src.Bernoulli(lateProb) {
-			d.flags |= dLate
-			d.lateFrac = src.Float64()
-		}
-		return d
-	}
-	if turned {
-		d.flags |= dErr
-		return d
-	}
-	if src.Bernoulli(errorProb) {
-		d.flags |= dErr
-		if saboteur {
-			d.flags |= dTurns
-		}
-	}
-	return d
-}
-
-// buildSlot precomputes one host initialization from its seed: the join
-// draws (LogNormal speed-down, cohort pick, diurnal phase) followed by the
-// host's first decision transcript.
+// spawn joins one host and appends it to every plane array: the host
+// seed, then (on a multiplexed fleet) the mux port seed from the
+// population stream, then the join draws from the host's own stream
+// (LogNormal speed-down, cohort pick, diurnal phase). The speed-down gets
+// the join-time hardware-trend scaling (devices joining later are faster,
+// §5.1).
 //
 // The LogNormal is parameterized so the fleet's harmonic mean speed-down
 // is cfg.MeanSpeedDown: the paper's 3.96 is a throughput-weighted
 // observation (total CPU consumed / results returned), and hosts with a
 // small speed-down return more results per unit time.
-func (k *ShardKernel) buildSlot(slot *spawnSlot, seed uint64) {
-	rng.NewInto(&slot.src, seed)
-	slot.rawSD = slot.src.LogNormal(k.mu, k.sigma)
+func (k *ShardKernel) spawn() int32 {
+	id := int32(len(k.flags))
+	k.src = append(k.src, rng.Source{})
+	src := &k.src[id]
+	rng.NewInto(src, k.r.Uint64())
+	if k.mux != nil {
+		k.mux.arm(int(id), k.r.Uint64())
+	}
 	cfg := &k.cfg
+	now := k.eng.Now()
+	sd := src.LogNormal(k.mu, k.sigma)
+	if cfg.HardwareTrendPerWeek > 0 {
+		sd /= 1 + cfg.HardwareTrendPerWeek*now/sim.Week
+	}
+	if sd < 1 {
+		sd = 1 // a volunteer device cannot beat its own wall clock
+	}
+	hw := sd / (UDThrottleFactor * PriorityFactor)
+	if hw < 1 {
+		hw = 1
+	}
 	flags := uint8(0)
 	errP, abnP := cfg.ErrorProb, cfg.AbandonProb
-	slot.phase, slot.onlineSpan = 0, 0
+	var phase, onlineSpan float64
 	if len(cfg.Profiles) > 0 {
-		pi := pickProfile(&slot.src, cfg.Profiles)
-		p := &cfg.Profiles[pi]
+		p := &cfg.Profiles[pickProfile(src, cfg.Profiles)]
 		errP = p.ErrorProb
 		if p.AbandonProb >= 0 {
 			abnP = p.AbandonProb
@@ -138,57 +97,22 @@ func (k *ShardKernel) buildSlot(slot *spawnSlot, seed uint64) {
 		}
 		if p.Diurnal {
 			flags |= hfDiurnal
-			slot.onlineSpan = p.OnlineHours * sim.Hour
-			if slot.onlineSpan <= 0 {
-				slot.onlineSpan = DefaultOnlineHours * sim.Hour
+			onlineSpan = p.OnlineHours * sim.Hour
+			if onlineSpan <= 0 {
+				onlineSpan = DefaultOnlineHours * sim.Hour
 			}
-			if slot.onlineSpan > sim.Day {
-				slot.onlineSpan = sim.Day
+			if onlineSpan > sim.Day {
+				onlineSpan = sim.Day
 			}
-			slot.phase = slot.src.Float64() * sim.Day
+			phase = src.Float64() * sim.Day
 		}
 	}
-	slot.errorProb, slot.abandonProb, slot.flags = errP, abnP, flags
-	slot.dec = computeDecision(&slot.src, errP, abnP, cfg.LateReturnProb, false, flags&hfSaboteur != 0)
-}
-
-// spawn consumes one precomputed slot (or builds one inline after a pool
-// underrun — same seed stream, same bits) and appends the host to every
-// plane array, applying the join-time hardware-trend scaling (devices
-// joining later are faster, §5.1). On a multiplexed fleet it also arms the
-// host's mux columns. Runs in the serial merge only.
-func (k *ShardKernel) spawn() int32 {
-	var slot spawnSlot
-	if k.poolHead < len(k.pool) {
-		slot = k.pool[k.poolHead]
-		k.poolHead++
-	} else {
-		k.buildSlot(&slot, k.r.Uint64())
-		if k.mux != nil {
-			slot.portSeed = k.r.Uint64()
-		}
-	}
-	now := k.eng.Now()
-	sd := slot.rawSD
-	if k.cfg.HardwareTrendPerWeek > 0 {
-		sd /= 1 + k.cfg.HardwareTrendPerWeek*now/sim.Week
-	}
-	if sd < 1 {
-		sd = 1 // a volunteer device cannot beat its own wall clock
-	}
-	hw := sd / (UDThrottleFactor * PriorityFactor)
-	if hw < 1 {
-		hw = 1
-	}
-	id := int32(len(k.speedDown))
-	k.flags = append(k.flags, slot.flags)
+	k.flags = append(k.flags, flags)
 	k.speedDown = append(k.speedDown, sd)
-	k.src = append(k.src, slot.src)
-	k.dec = append(k.dec, slot.dec)
-	k.errorProb = append(k.errorProb, slot.errorProb)
-	k.abandonProb = append(k.abandonProb, slot.abandonProb)
-	k.phase = append(k.phase, slot.phase)
-	k.onlineSpan = append(k.onlineSpan, slot.onlineSpan)
+	k.errorProb = append(k.errorProb, errP)
+	k.abandonProb = append(k.abandonProb, abnP)
+	k.phase = append(k.phase, phase)
+	k.onlineSpan = append(k.onlineSpan, onlineSpan)
 	k.joinedAt = append(k.joinedAt, now)
 	k.hardware = append(k.hardware, hw)
 	k.done = append(k.done, 0)
@@ -199,9 +123,6 @@ func (k *ShardKernel) spawn() int32 {
 	k.cacheLen = append(k.cacheLen, 0)
 	for j := 0; j < k.buffer; j++ {
 		k.cache = append(k.cache, nil)
-	}
-	if k.mux != nil {
-		k.mux.arm(int(id), slot.portSeed)
 	}
 	k.active++
 	return id
@@ -292,10 +213,10 @@ func (k *ShardKernel) HostAccounting(i int) (hardware float64, joinedAt sim.Time
 	return k.hardware[i], k.joinedAt[i], k.cpuSpent[i]
 }
 
-// fetch is the host's fetch-compute-report step: refill the work cache,
-// start the front assignment, consume the precomputed decision transcript
-// (or draw it inline when the prefetch fell a task behind), and schedule
-// the continuation on the shard calendar. Runs in the serial merge only.
+// fetch is the host's fetch-compute-report step: top up the work cache,
+// start the front assignment, draw the task's behavior from the host's
+// stream in the order given above, and schedule the continuation on the
+// shard calendar.
 func (k *ShardKernel) fetch(h int32) {
 	if k.flags[h]&hfStopped != 0 {
 		return
@@ -324,7 +245,7 @@ func (k *ShardKernel) fetch(h int32) {
 		return
 	}
 	if k.flags[h]&hfBusy != 0 {
-		return // already crunching; the cache refill was all we needed
+		return // already crunching; topping up the cache was all we needed
 	}
 	a := k.cache[base]
 	copy(k.cache[base:base+n-1], k.cache[base+1:base+n])
@@ -337,24 +258,10 @@ func (k *ShardKernel) fetch(h int32) {
 		reported = a.WU.WU.RefSeconds * k.hardware[h]
 	}
 
-	d := k.dec[h]
-	if d.flags&dValid == 0 {
-		// Second task inside one window: the refill has not run yet, so
-		// draw the transcript inline. The host is already on the refill
-		// list from the consume that emptied the tuple.
-		d = computeDecision(&k.src[h], k.errorProb[h], k.abandonProb[h],
-			k.cfg.LateReturnProb, k.flags[h]&hfTurned != 0, k.flags[h]&hfSaboteur != 0)
-	} else {
-		// First consume this window: queue the host for the parallel
-		// refill at the next window barrier.
-		c := &k.cals[int(h)%k.shards]
-		c.refill = append(c.refill, h)
-	}
-	k.dec[h].flags = 0
-
-	if d.flags&dAbandon != 0 {
-		if d.flags&dLate != 0 {
-			delay := k.deadlineFor(a) + d.lateFrac*k.cfg.LateDelayMax
+	src := &k.src[h]
+	if src.Bernoulli(k.abandonProb[h]) {
+		if src.Bernoulli(k.cfg.LateReturnProb) {
+			delay := k.deadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
 			k.scheduleLate(h, k.eng.Now()+delay, a, reported)
 		}
 		k.flags[h] &^= hfBusy
@@ -365,9 +272,12 @@ func (k *ShardKernel) fetch(h int32) {
 	k.cur[h] = a
 	k.curReported[h] = reported
 	k.curOutcome[h] = wcg.OutcomeValid
-	if d.flags&dErr != 0 {
+	switch {
+	case k.flags[h]&hfTurned != 0:
 		k.curOutcome[h] = wcg.OutcomeInvalid
-		if d.flags&dTurns != 0 {
+	case src.Bernoulli(k.errorProb[h]):
+		k.curOutcome[h] = wcg.OutcomeInvalid
+		if k.flags[h]&hfSaboteur != 0 {
 			k.flags[h] |= hfTurned
 			if k.cfg.OnSaboteurTurn != nil {
 				k.cfg.OnSaboteurTurn(int(h), k.eng.Now())

@@ -12,8 +12,9 @@ import (
 // context can adopt. Assignments held by hosts — the work buffer, the
 // in-flight task, late-return calendar entries — are translated to arena
 // indices at export and resolved against the adopter's own server, which
-// has replayed the same allocation order. Closure state (the SpawnHint
-// callback) is never exported; the adopter re-binds it.
+// has replayed the same allocation order. The population stream's state
+// travels with the columns, so the adopter's next spawn draws the same
+// seeds the source's would have.
 
 // portablePlaneEvent is a planeEvent with its assignment pointer replaced
 // by the assignment's arena index.
@@ -55,8 +56,8 @@ func (c *shardCal) flatten(evs []planeEvent, spans []calSpan) ([]planeEvent, []c
 	return evs, spans
 }
 
-// rebuild recycles every pending window's chunks and refills the windows
-// from a flattened portable calendar: spans name the windows of the flat
+// rebuild recycles every pending window's chunks and pushes the windows
+// back from a flattened portable calendar: spans name the windows of the flat
 // event list, whose assignments asAt resolves. A window's chunk layout is
 // invisible — its barrier arms it into exact (time, seq) order whatever
 // the order of its events (see Window arming in kernel.go) — so the
@@ -75,13 +76,12 @@ func (c *shardCal) rebuild(spans []calSpan, evs []portablePlaneEvent, asAt func(
 }
 
 // portableCal is one shard's calendar: the pending windows as one flat
-// event list named by spans, the armed window's unconsumed events in
-// merge order, and the refill queue.
+// event list named by spans, and the armed window's unconsumed events in
+// merge order.
 type portableCal struct {
 	events []portablePlaneEvent
 	spans  []calSpan
 	cur    []portablePlaneEvent
-	refill []int32
 }
 
 // PortableKernel is a self-contained copy of a ShardKernel at an event
@@ -90,7 +90,6 @@ type PortableKernel struct {
 	flags       []uint8
 	speedDown   []float64
 	src         []rng.Source
-	dec         []decision
 	errorProb   []float64
 	abandonProb []float64
 	phase       []float64
@@ -106,10 +105,7 @@ type PortableKernel struct {
 	cache       []int32
 
 	active, firstActive int
-
-	pool     []spawnSlot
-	poolHead int
-	rsrc     rng.Source
+	rsrc                rng.Source
 
 	shards int
 	window float64
@@ -127,19 +123,17 @@ type PortableKernel struct {
 // snapshot_bytes accounting.
 func (p *PortableKernel) Bytes() int {
 	n := snapshot.Size(p.flags) + snapshot.Size(p.speedDown) +
-		snapshot.Size(p.src) + snapshot.Size(p.dec) +
+		snapshot.Size(p.src) +
 		snapshot.Size(p.errorProb) + snapshot.Size(p.abandonProb) +
 		snapshot.Size(p.phase) + snapshot.Size(p.onlineSpan) +
 		snapshot.Size(p.joinedAt) + snapshot.Size(p.hardware) +
 		snapshot.Size(p.done) + snapshot.Size(p.cpuSpent) +
 		snapshot.Size(p.cur) + snapshot.Size(p.curOutcome) +
 		snapshot.Size(p.curReported) + snapshot.Size(p.cacheLen) +
-		snapshot.Size(p.cache) + snapshot.Size(p.pool) +
-		snapshot.Size(p.overlay)
+		snapshot.Size(p.cache) + snapshot.Size(p.overlay)
 	for i := range p.cals {
 		c := &p.cals[i]
-		n += snapshot.Size(c.events) + snapshot.Size(c.spans) +
-			snapshot.Size(c.cur) + snapshot.Size(c.refill)
+		n += snapshot.Size(c.events) + snapshot.Size(c.spans) + snapshot.Size(c.cur)
 	}
 	return n
 }
@@ -167,7 +161,6 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		flags:       snapshot.Clone(k.flags),
 		speedDown:   snapshot.Clone(k.speedDown),
 		src:         snapshot.Clone(k.src),
-		dec:         snapshot.Clone(k.dec),
 		errorProb:   snapshot.Clone(k.errorProb),
 		abandonProb: snapshot.Clone(k.abandonProb),
 		phase:       snapshot.Clone(k.phase),
@@ -182,10 +175,7 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 
 		active:      k.active,
 		firstActive: k.firstActive,
-
-		pool:     snapshot.Clone(k.pool),
-		poolHead: k.poolHead,
-		rsrc:     *k.r,
+		rsrc:        *k.r,
 
 		shards: k.shards,
 		window: k.window,
@@ -213,7 +203,6 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		flat, pc.spans = c.flatten(flat[:0], nil)
 		pc.events = exportEvents(flat)
 		pc.cur = exportEvents(c.cur[c.cursor:])
-		pc.refill = snapshot.Clone(c.refill)
 	}
 	return p
 }
@@ -230,7 +219,6 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.flags = append(k.flags[:0], p.flags...)
 	k.speedDown = append(k.speedDown[:0], p.speedDown...)
 	k.src = append(k.src[:0], p.src...)
-	k.dec = append(k.dec[:0], p.dec...)
 	k.errorProb = append(k.errorProb[:0], p.errorProb...)
 	k.abandonProb = append(k.abandonProb[:0], p.abandonProb...)
 	k.phase = append(k.phase[:0], p.phase...)
@@ -252,9 +240,6 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	}
 
 	k.active, k.firstActive = p.active, p.firstActive
-
-	k.pool = append(k.pool[:0], p.pool...)
-	k.poolHead = p.poolHead
 	*k.r = p.rsrc
 
 	for sh := range k.cals {
@@ -264,7 +249,6 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 		for _, pe := range pc.cur {
 			c.cur = append(c.cur, pe.adopt(asAt))
 		}
-		c.refill = append(c.refill[:0], pc.refill...)
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.overlay = k.overlay[:0]

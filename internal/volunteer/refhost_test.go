@@ -16,8 +16,7 @@ import (
 // LogNormal speed-down, cohort, diurnal phase; per task: abandon, late
 // return and its delay, error). It plays the role wcg/refserver_test.go
 // plays for the server: the differential oracle the ShardKernel's SoA
-// columns, window calendars and precomputed transcripts must reproduce bit
-// for bit.
+// columns and window calendars must reproduce bit for bit.
 type refFleet struct {
 	eng    *sim.Engine
 	server WorkSource // nil when mux is set
@@ -278,16 +277,6 @@ func kernelUnder(cfg HostConfig, seed uint64, shards int) fleetUnder {
 		k := NewShardKernel(e, src, cfg, rng.New(seed), shards, 1.5*sim.Hour)
 		if m != nil {
 			k.Multiplex(m)
-		}
-		// Forecast each tick's spawns so the slot pool is topped up at the
-		// barrier, the path production campaigns take.
-		k.SpawnHint = func(week float64) int {
-			for _, ft := range fleetTargets {
-				if float64(ft.week) == week {
-					return ft.hosts - k.Active()
-				}
-			}
-			return 0
 		}
 		read := func(o *fleetOutcome) {
 			for i := range k.TotalJoined() {
