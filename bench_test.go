@@ -319,13 +319,43 @@ func BenchmarkSharedGrid2Proj(b *testing.B) {
 // must allocate under 10 % of the first run's bytes.
 func BenchmarkSweepCell(b *testing.B) {
 	cfg := system().CampaignConfig(1.0/84, 0) // the sweep CLI's default scale
+	benchPooledCell(b, "BenchmarkSweepCell", cfg, func() {})
+}
+
+// BenchmarkSweepCellInstrumented is BenchmarkSweepCell with the probe a
+// sweep worker carries: a pooled metrics registry and a trace bound to
+// every run, and after each run the cell's metric export, as the sweep
+// flushes it, both onto discarded sinks. Its row records the observability
+// plane's cost per pooled cell.
+func BenchmarkSweepCellInstrumented(b *testing.B) {
+	cfg := system().CampaignConfig(1.0/84, 0)
+	tags := []obs.F{obs.Str("scenario", "baseline"), obs.Int("rep", 0)}
+	cfg.Probe = &obs.Probe{
+		Metrics: obs.NewRegistry(0),
+		Trace:   obs.NewTrace(obs.NewSink(io.Discard), tags...),
+	}
+	metrics := obs.NewSink(io.Discard)
+	benchPooledCell(b, "BenchmarkSweepCellInstrumented", cfg, func() {
+		cfg.Probe.Metrics.WriteNDJSON(metrics, tags...)
+	})
+}
+
+// benchPooledCell runs cfg on one pooled runner, calling after once the
+// run has finished, and records the steady state.
+func benchPooledCell(b *testing.B, name string, cfg project.Config, after func()) {
 	runner := project.NewRunner()
+	run := func() *project.Report {
+		rep := runner.Run(cfg)
+		if !rep.Completed {
+			b.Fatal("campaign did not complete")
+		}
+		after()
+		return rep
+	}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
-	if rep := runner.Run(cfg); !rep.Completed {
-		b.Fatal("first campaign did not complete")
-	}
+	run()
 	runtime.ReadMemStats(&ms1)
 	firstBytes := ms1.TotalAlloc - ms0.TotalAlloc
 
@@ -335,17 +365,14 @@ func BenchmarkSweepCell(b *testing.B) {
 	start := time.Now()
 	var rep *project.Report
 	for i := 0; i < b.N; i++ {
-		rep = runner.Run(cfg)
-		if !rep.Completed {
-			b.Fatal("campaign did not complete")
-		}
+		rep = run()
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
 	steadyBytes := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N)
 	b.ReportMetric(float64(steadyBytes)/float64(firstBytes)*100, "steady-vs-first-%")
-	recordBench(b, "BenchmarkSweepCell", benchLabel(), cfg, rep,
+	recordBench(b, name, benchLabel(), cfg, rep,
 		elapsed.Nanoseconds()/int64(b.N), steadyBytes,
 		int64(ms1.Mallocs-ms0.Mallocs)/int64(b.N))
 }

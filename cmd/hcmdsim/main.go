@@ -41,7 +41,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -294,32 +293,11 @@ func openProbe(metricsPath, tracePath string, sampleEvery float64) (*obs.Probe, 
 	if metricsPath == "" && tracePath == "" {
 		return nil, func() error { return nil }, nil
 	}
-	var (
-		files []*os.File
-		bufs  []*bufio.Writer
-		sinks []*obs.Sink
-	)
-	open := func(path string) (*obs.Sink, error) {
-		if path == "" {
-			return nil, nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		bw := bufio.NewWriterSize(f, 1<<16)
-		s := obs.NewSink(bw)
-		files, bufs, sinks = append(files, f), append(bufs, bw), append(sinks, s)
-		return s, nil
-	}
-	msink, err := open(metricsPath)
+	sinks, closeSinks, err := obs.CreateFileSinks(metricsPath, tracePath)
 	if err != nil {
-		return nil, nil, fmt.Errorf("-metrics: %w", err)
+		return nil, nil, fmt.Errorf("-metrics/-trace: %w", err)
 	}
-	tsink, err := open(tracePath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("-trace: %w", err)
-	}
+	msink, tsink := sinks[0], sinks[1]
 	p := &obs.Probe{SampleEvery: sampleEvery}
 	if msink != nil {
 		p.Metrics = obs.NewRegistry(0)
@@ -331,19 +309,7 @@ func openProbe(metricsPath, tracePath string, sampleEvery float64) (*obs.Probe, 
 		if p.Metrics != nil {
 			p.Metrics.WriteNDJSON(msink)
 		}
-		var first error
-		for i := range bufs {
-			if e := bufs[i].Flush(); e != nil && first == nil {
-				first = e
-			}
-			if e := files[i].Close(); e != nil && first == nil {
-				first = e
-			}
-			if e := sinks[i].Err(); e != nil && first == nil {
-				first = e
-			}
-		}
-		return first
+		return closeSinks()
 	}
 	return p, flush, nil
 }

@@ -97,7 +97,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -250,10 +249,11 @@ func run() (err error) {
 	if *resume && (*scheduler != "" || *validator != "" || faultFlags) {
 		return fmt.Errorf("-resume cannot be combined with -scheduler/-validator or the fault flags: checkpoint cells don't record the overrides they ran under; use a fresh -checkpoint file")
 	}
-	msink, tsink, closeSinks, serr := openSinks(*metricsPath, *tracePath)
+	sinks, closeSinks, serr := obs.CreateFileSinks(*metricsPath, *tracePath)
 	if serr != nil {
-		return serr
+		return fmt.Errorf("-metrics/-trace: %w", serr)
 	}
+	msink, tsink := sinks[0], sinks[1]
 	defer func() {
 		if cerr := closeSinks(); cerr != nil && err == nil {
 			err = cerr
@@ -400,56 +400,6 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "results written to %s\n", *out)
 	}
 	return ckpt.Close()
-}
-
-// openSinks opens the optional -metrics / -trace NDJSON outputs. Either
-// path may be empty (that sink stays nil and the plane stays off). The
-// returned close function flushes the buffers and surfaces the first write
-// error; it is safe to call when neither file was opened.
-func openSinks(metricsPath, tracePath string) (metrics, trace *obs.Sink, close func() error, err error) {
-	var (
-		files []*os.File
-		bufs  []*bufio.Writer
-		sinks []*obs.Sink
-	)
-	open := func(path string) (*obs.Sink, error) {
-		if path == "" {
-			return nil, nil
-		}
-		f, ferr := os.Create(path)
-		if ferr != nil {
-			return nil, ferr
-		}
-		bw := bufio.NewWriterSize(f, 1<<16)
-		s := obs.NewSink(bw)
-		files = append(files, f)
-		bufs = append(bufs, bw)
-		sinks = append(sinks, s)
-		return s, nil
-	}
-	closeAll := func() error {
-		var first error
-		for i := range bufs {
-			if e := bufs[i].Flush(); e != nil && first == nil {
-				first = e
-			}
-			if e := files[i].Close(); e != nil && first == nil {
-				first = e
-			}
-			if e := sinks[i].Err(); e != nil && first == nil {
-				first = e
-			}
-		}
-		return first
-	}
-	if metrics, err = open(metricsPath); err != nil {
-		return nil, nil, closeAll, fmt.Errorf("-metrics: %w", err)
-	}
-	if trace, err = open(tracePath); err != nil {
-		closeAll()
-		return nil, nil, func() error { return nil }, fmt.Errorf("-trace: %w", err)
-	}
-	return metrics, trace, closeAll, nil
 }
 
 // startTicker launches the -progress telemetry loop: a human-readable

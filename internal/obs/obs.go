@@ -20,11 +20,16 @@
 //   - Registry.Rebind() drops the gauge bindings of the previous run (their
 //     closures capture dead engine/server state) and recycles the series
 //     ring buffers into an internal pool; the next run's Gauge/Counter
-//     calls pop storage from that pool instead of allocating.
+//     calls pop storage from that pool instead of allocating. Every
+//     instrument is bound before the run's first Sample; binding after it
+//     panics. The export's scratch buffers stay with the registry.
 //   - Trace carries only a sink pointer, per-run tags, and a scratch buffer
 //     that is reused line over line; SetTags rearms it for the next run.
-//   - Sink is the only shared mutable object: it serializes whole lines
-//     under a mutex, so concurrent sweep workers may write one sink.
+//   - Sink is the only shared mutable object: it serializes writes under a
+//     mutex, so concurrent sweep workers may write one sink. A registry's
+//     metric export reaches it in blocks of whole lines (about 64 KiB), so
+//     with several workers the lines of different cells interleave per
+//     block, never mid-line; a trace writes line by line.
 //
 // A probe must never be shared by two concurrently running campaigns — its
 // registry gauges capture one run's objects. Share the Sink, not the Probe.

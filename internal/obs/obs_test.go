@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -110,7 +110,8 @@ func TestLine(t *testing.T) {
 }
 
 func TestSinkStickyError(t *testing.T) {
-	s := NewSink(failAfter{n: 2})
+	w := &failAfter{n: 2}
+	s := NewSink(w)
 	s.WriteLine([]byte(`{"a":1}`))
 	s.WriteLine([]byte(`{"a":2}`))
 	s.WriteLine([]byte(`{"a":3}`)) // fails
@@ -121,17 +122,41 @@ func TestSinkStickyError(t *testing.T) {
 	if s.Err() == nil {
 		t.Error("sticky error lost")
 	}
+	if w.writes != 3 {
+		t.Errorf("writer saw %d writes, want 3: a line after the error reached it", w.writes)
+	}
+
+	// A metric export whose second block fails: the first block's lines
+	// count, the failing block's do not, and no later block is written.
+	r := blocksRegistry(0)
+	w = &failAfter{n: 1}
+	s = NewSink(w)
+	r.WriteNDJSON(s, Str("scenario", "x"))
+	if s.Err() == nil {
+		t.Fatal("failed block left no sticky error")
+	}
+	if want := int64(bytes.Count(w.ok, []byte("\n"))); s.Lines() != want || want == 0 {
+		t.Errorf("lines = %d, want the first block's %d", s.Lines(), want)
+	}
+	s.WriteLine([]byte(`{"a":5}`))
+	if w.writes != 2 {
+		t.Errorf("writer saw %d writes, want 2: blocks after the failed one reached it", w.writes)
+	}
 }
 
-type failAfter struct{ n int64 }
+// failAfter accepts its first n writes, keeping their bytes, and fails
+// every later one.
+type failAfter struct {
+	n, writes int
+	ok        []byte
+}
 
-var failCount int64
-
-func (f failAfter) Write(p []byte) (int, error) {
-	failCount++
-	if failCount > f.n {
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
 		return 0, errors.New("disk full")
 	}
+	f.ok = append(f.ok, p...)
 	return len(p), nil
 }
 
@@ -247,18 +272,209 @@ func TestRegistryWriteNDJSON(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteCSV(t *testing.T) {
+func TestRegistryBindAfterSamplePanics(t *testing.T) {
 	r := NewRegistry(8)
 	r.Gauge("a", func() float64 { return 1 })
-	r.Gauge("b", func() float64 { return 2 })
 	r.Sample(0)
-	r.Sample(week)
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("binding after Sample did not panic")
+			}
+		}()
+		r.Counter("late", func() float64 { return 2 })
+	}()
+	r.Rebind()
+	r.Gauge("a", func() float64 { return 1 }) // a rebound registry binds again
+}
+
+// refWriteNDJSON is the per-line metric export that WriteNDJSON replaced,
+// kept as its test-only reference: every line rendered in full from its
+// own series' time and value, series by series.
+func refWriteNDJSON(r *Registry, tags ...F) []byte {
+	var b []byte
+	r.Each(func(kind Kind, s *stats.Series) {
+		for k := range s.X {
+			b = append(b, `{"t":`...)
+			b = appendJSONFloat(b, s.X[k])
+			b = append(b, `,"week":`...)
+			b = appendJSONFloat(b, s.X[k]/week)
+			b = append(b, `,"series":`...)
+			b = appendJSONString(b, s.Name)
+			b = append(b, `,"kind":"`...)
+			b = append(b, kind.String()...)
+			b = append(b, `","v":`...)
+			b = appendJSONFloat(b, s.Y[k])
+			for j := range tags {
+				b = appendField(b, &tags[j])
+			}
+			b = append(b, '}', '\n')
+		}
+	})
+	return b
+}
+
+// sampledRegistry binds one series per name (gauges and counters
+// alternating), each polling value(series, point), and samples it at every
+// time in times.
+func sampledRegistry(maxSamples int, names []string, times []float64, value func(series, point int) float64) *Registry {
+	r := NewRegistry(maxSamples)
+	for i, name := range names {
+		bind, point := r.Gauge, 0
+		if i%2 == 1 {
+			bind = r.Counter
+		}
+		bind(name, func() float64 { point++; return value(i, point-1) })
 	}
-	got := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(got) != 3 || !strings.HasPrefix(got[0], "t,week,") {
-		t.Fatalf("CSV shape wrong:\n%s", buf.String())
+	for _, t := range times {
+		r.Sample(t)
+	}
+	return r
+}
+
+// cadence returns n sample times from start, half a sim day apart.
+func cadence(start float64, n int) []float64 {
+	ts := make([]float64, n)
+	for i := range ts {
+		ts[i] = start + float64(i)*DefaultSampleEvery
+	}
+	return ts
+}
+
+// blocksRegistry is an export of several blocks: 6 series of 900 points,
+// about 100 lines a block. seed varies the values.
+func blocksRegistry(seed int) *Registry {
+	names := []string{"queue-depth", "results-received", "redundancy", "cpu-seconds", "active-hosts", "timeouts"}
+	return sampledRegistry(4096, names, cadence(0, 900), func(i, k int) float64 {
+		return float64(seed*1000003+i*7919+k*k) / 3
+	})
+}
+
+type exportCase struct {
+	name string
+	reg  *Registry
+	tags []F
+}
+
+func exportCases(t *testing.T) []exportCase {
+	cellTags := []F{Str("scenario", "baseline"), Int("rep", 3)}
+	two := []string{"queue-depth", "results-received"}
+	decimated := sampledRegistry(8, two, cadence(0, 50), func(i, k int) float64 { return float64(i*100 + k) })
+	if decimated.stride < 2 {
+		t.Fatalf("decimated registry kept stride %d", decimated.stride)
+	}
+	rebound := blocksRegistry(1)
+	rebound.WriteNDJSON(NewSink(io.Discard), cellTags...)
+	rebound.Rebind()
+	rebound.Gauge("after-rebind", func() float64 { return 0.25 })
+	for _, at := range cadence(1e3, 3) {
+		rebound.Sample(at)
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1}
+	unbound := NewRegistry(8)
+	unbound.Sample(0)
+	return []exportCase{
+		{"decimated (stride > 1)", decimated, cellTags},
+		{"NaN and ±Inf", sampledRegistry(8, two, cadence(0, 4), func(i, k int) float64 { return specials[(i+k)%4] }), cellTags},
+		{"negative zero", sampledRegistry(8, two, cadence(0, 3), func(int, int) float64 { return math.Copysign(0, -1) }), cellTags},
+		{"exponent form", sampledRegistry(8, two, cadence(1e6+0.5, 5), func(i, k int) float64 { return 1e6 * math.Pow(10, float64(i*9+k)) / 3 }), cellTags},
+		{"escaped tags", sampledRegistry(8, []string{`odd "series"\`}, cadence(0, 2), func(int, int) float64 { return 1 }),
+			[]F{Str("scenario", `quote " back \ ctl `+"\x01\n"), Str(`k"ey`, "v"), Num("n", math.NaN()), Int("rep", -2)}},
+		{"no tags", sampledRegistry(8, two, cadence(0, 3), func(i, k int) float64 { return float64(k) }), nil},
+		{"no bound series", unbound, cellTags},
+		{"bound series, no samples", sampledRegistry(8, two, nil, nil), cellTags},
+		{"rebound", rebound, []F{Str("scenario", "s")}},
+		{"several blocks", blocksRegistry(0), cellTags},
+	}
+}
+
+// recordingWriter keeps every write it receives.
+type recordingWriter struct{ writes [][]byte }
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestWriteNDJSONMatchesPerLineReference is the export's differential
+// oracle: for every registry shape the row-rendered, block-written export
+// must produce the per-line reference's bytes, in blocks of whole lines.
+func TestWriteNDJSONMatchesPerLineReference(t *testing.T) {
+	for _, c := range exportCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			want := refWriteNDJSON(c.reg, c.tags...)
+			var w recordingWriter
+			sink := NewSink(&w)
+			c.reg.WriteNDJSON(sink, c.tags...)
+			got := bytes.Join(w.writes, nil)
+			if !bytes.Equal(got, want) {
+				gl, wl := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
+				i := 0
+				for i < len(gl) && i < len(wl) && bytes.Equal(gl[i], wl[i]) {
+					i++
+				}
+				line := func(ls [][]byte) []byte {
+					if i < len(ls) {
+						return ls[i]
+					}
+					return nil
+				}
+				t.Fatalf("line %d differs (%d vs %d bytes in all):\n got  %q\n want %q", i+1, len(got), len(want), line(gl), line(wl))
+			}
+			lines := int64(bytes.Count(want, []byte("\n")))
+			if sink.Lines() != lines {
+				t.Errorf("sink counted %d lines, want %d", sink.Lines(), lines)
+			}
+			for i, blk := range w.writes {
+				if len(blk) == 0 || blk[len(blk)-1] != '\n' {
+					t.Fatalf("block %d does not end a line", i)
+				}
+				if i < len(w.writes)-1 && len(blk) < exportBlock {
+					t.Errorf("block %d holds %d bytes, under the %d-byte block", i, len(blk), exportBlock)
+				}
+			}
+			if c.name == "several blocks" && len(w.writes) < 3 {
+				t.Errorf("export of %d bytes took %d writes, want several blocks", len(want), len(w.writes))
+			}
+		})
+	}
+}
+
+// TestSinkConcurrentRegistryExports exports several registries into one
+// sink at once, as sweep workers do: every line must arrive whole, each
+// registry's lines in its own order, and the sink must count them all.
+func TestSinkConcurrentRegistryExports(t *testing.T) {
+	const workers = 6
+	var buf bytes.Buffer
+	sink := NewSink(&buf)
+	want := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		r, tags := blocksRegistry(w), []F{Int("worker", int64(w))}
+		want[w] = refWriteNDJSON(r, tags...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.WriteNDJSON(sink, tags...)
+		}()
+	}
+	wg.Wait()
+
+	got := make([][]byte, workers)
+	lines := parseLines(t, buf.Bytes())
+	for i, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		w := int(lines[i]["worker"].(float64))
+		got[w] = append(got[w], line...)
+	}
+	for w := range want {
+		if !bytes.Equal(got[w], want[w]) {
+			t.Errorf("worker %d: its %d lines arrived out of order or altered", w, bytes.Count(want[w], []byte("\n")))
+		}
+	}
+	if total := int64(len(lines)); sink.Lines() != total || total != workers*6*900 {
+		t.Errorf("sink counted %d lines, parsed %d, want %d", sink.Lines(), total, workers*6*900)
 	}
 }

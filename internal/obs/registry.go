@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"io"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -51,7 +51,11 @@ type Registry struct {
 	phase  int
 	n      int // samples currently held per series
 
-	buf []byte // export scratch, reused line over line
+	// Export scratch, reused export over export: the rendered row prefixes
+	// and their offsets (row k is rows[rowOff[k]:rowOff[k+1]]), the tag
+	// tail, one series head, and the block of lines handed to the sink.
+	rows, tail, head, block []byte
+	rowOff                  []int
 }
 
 // NewRegistry returns an empty registry whose series each hold at most
@@ -70,7 +74,13 @@ func (r *Registry) Gauge(name string, fn func() float64) { r.bind(name, Gauge, f
 // Counter binds a cumulative monotone instrument under name.
 func (r *Registry) Counter(name string, fn func() float64) { r.bind(name, Counter, fn) }
 
+// bind adds an instrument. Sample appends one point to every bound series,
+// so the export can share one set of sample times only if every binding
+// precedes the first Sample since the last Rebind; a later binding is a bug.
 func (r *Registry) bind(name string, kind Kind, fn func() float64) {
+	if r.n > 0 {
+		panic("obs: " + name + " bound after the registry's first Sample")
+	}
 	var s *stats.Series
 	if n := len(r.pool); n > 0 {
 		s = r.pool[n-1]
@@ -145,63 +155,61 @@ func (r *Registry) Each(fn func(kind Kind, s *stats.Series)) {
 	}
 }
 
+// exportBlock is how many bytes of whole lines WriteNDJSON gathers before
+// it hands them to its sink in one write: a block ends with the first line
+// that reaches the bound.
+const exportBlock = 64 << 10
+
 // WriteNDJSON exports every sample of every series as one NDJSON line
 //
 //	{"t":<sim s>,"week":<t/week>,"series":"<name>","kind":"gauge","v":<y>,<tags...>}
 //
-// onto the sink, interleaved metric by metric.
+// onto the sink, series by series. Every series shares the sample times
+// (see bind), so each row's t/week prefix, each series' name/kind head and
+// the tag tail are rendered once and a line costs one float rendering. The
+// lines reach the sink in blocks of whole lines, one lock per block.
 func (r *Registry) WriteNDJSON(sink *Sink, tags ...F) {
+	if len(r.metrics) == 0 || r.n == 0 {
+		return
+	}
+	rows, off := r.rows[:0], append(slices.Grow(r.rowOff[:0], r.n+1), 0)
+	for _, t := range r.metrics[0].s.X {
+		rows = append(rows, `{"t":`...)
+		rows = appendJSONFloat(rows, t)
+		rows = append(rows, `,"week":`...)
+		rows = appendJSONFloat(rows, t/week)
+		off = append(off, len(rows))
+	}
+	tail := r.tail[:0]
+	for j := range tags {
+		tail = appendField(tail, &tags[j])
+	}
+	tail = append(tail, '}', '\n')
+	if r.block == nil {
+		// Room for a full block plus the line that crosses the bound.
+		r.block = make([]byte, 0, exportBlock+4<<10)
+	}
+	b, lines := r.block[:0], 0
 	for i := range r.metrics {
 		m := &r.metrics[i]
-		for k := 0; k < len(m.s.X); k++ {
-			b := r.buf[:0]
-			b = append(b, `{"t":`...)
-			b = appendJSONFloat(b, m.s.X[k])
-			b = append(b, `,"week":`...)
-			b = appendJSONFloat(b, m.s.X[k]/week)
-			b = append(b, `,"series":`...)
-			b = appendJSONString(b, m.s.Name)
-			b = append(b, `,"kind":"`...)
-			b = append(b, m.kind.String()...)
-			b = append(b, `","v":`...)
-			b = appendJSONFloat(b, m.s.Y[k])
-			for j := range tags {
-				b = appendField(b, &tags[j])
+		head := append(r.head[:0], `,"series":`...)
+		head = appendJSONString(head, m.s.Name)
+		head = append(head, `,"kind":"`...)
+		head = append(head, m.kind.String()...)
+		head = append(head, `","v":`...)
+		r.head = head
+		for k, v := range m.s.Y {
+			if len(b) >= exportBlock {
+				sink.writeBlock(b, lines)
+				b, lines = b[:0], 0
 			}
-			b = append(b, '}')
-			r.buf = b
-			sink.WriteLine(b)
+			b = append(b, rows[off[k]:off[k+1]]...)
+			b = append(b, head...)
+			b = appendJSONFloat(b, v)
+			b = append(b, tail...)
+			lines++
 		}
 	}
-}
-
-// WriteCSV exports the registry as one wide CSV table: a t/week pair of
-// time columns followed by one column per series, one row per sample.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	b := r.buf[:0]
-	b = append(b, "t,week"...)
-	for i := range r.metrics {
-		b = append(b, ',')
-		b = append(b, r.metrics[i].s.Name...)
-	}
-	b = append(b, '\n')
-	for k := 0; k < r.n; k++ {
-		var t float64
-		if len(r.metrics) > 0 && k < len(r.metrics[0].s.X) {
-			t = r.metrics[0].s.X[k]
-		}
-		b = appendJSONFloat(b, t)
-		b = append(b, ',')
-		b = appendJSONFloat(b, t/week)
-		for i := range r.metrics {
-			b = append(b, ',')
-			if k < len(r.metrics[i].s.Y) {
-				b = appendJSONFloat(b, r.metrics[i].s.Y[k])
-			}
-		}
-		b = append(b, '\n')
-	}
-	r.buf = b
-	_, err := w.Write(b)
-	return err
+	sink.writeBlock(b, lines)
+	r.rows, r.rowOff, r.tail, r.block = rows, off, tail, b
 }

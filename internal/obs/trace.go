@@ -29,17 +29,23 @@ func NewSink(w io.Writer) *Sink { return &Sink{w: w} }
 
 // WriteLine writes one line (a terminating '\n' is appended; line must not
 // contain one). Safe for concurrent use.
-func (s *Sink) WriteLine(line []byte) {
+func (s *Sink) WriteLine(line []byte) { s.writeBlock(append(line, '\n'), 1) }
+
+// writeBlock writes a block of whole lines, each ending in '\n', in one
+// write under one lock, so lines from concurrent writers interleave per
+// block and never mid-line. A failed write sets the sticky error and counts
+// none of the block's lines.
+func (s *Sink) writeBlock(block []byte, lines int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	if _, err := s.w.Write(append(line, '\n')); err != nil {
+	if _, err := s.w.Write(block); err != nil {
 		s.err = err
 		return
 	}
-	s.lines++
+	s.lines += int64(lines)
 }
 
 // Lines returns how many lines were written successfully.
