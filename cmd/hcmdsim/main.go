@@ -55,7 +55,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/project"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -87,11 +86,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hcmdsim: -coshare must be in (0, 1)")
 		os.Exit(2)
 	}
-	for _, v := range []float64{*hours, *sampleEvery} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			fmt.Fprintln(os.Stderr, "hcmdsim: -hours and -sample-every must be finite")
-			os.Exit(2)
-		}
+	if math.IsNaN(*hours) || math.IsInf(*hours, 0) {
+		fmt.Fprintln(os.Stderr, "hcmdsim: -hours must be finite")
+		os.Exit(2)
+	}
+	if err := obs.CheckSampleEvery(*sampleEvery); err != nil {
+		fmt.Fprintf(os.Stderr, "hcmdsim: -sample-every: %v\n", err)
+		os.Exit(2)
 	}
 	if *shards < 0 || *shards > project.MaxShards {
 		fmt.Fprintf(os.Stderr, "hcmdsim: -shards must be in [0, %d]\n", project.MaxShards)
@@ -156,7 +157,8 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Shards = *shards
-	fcfg, ferr := buildFaults(*maintHours, *outageRate, *outageHours, *uploadLoss, *churnWeekly, *faultSeed)
+	fcfg, ferr := faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
+		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
 	if ferr != nil {
 		fmt.Fprintf(os.Stderr, "hcmdsim: %v\n", ferr)
 		os.Exit(2)
@@ -242,47 +244,6 @@ func main() {
 		}
 		fmt.Printf("\nCSV series written to %s\n", *outdir)
 	}
-}
-
-// buildFaults resolves the fault-plane flags into a campaign fault
-// configuration, or nil when no fault flag is set (the zero-fault path,
-// byte-identical to a build without the fault plane).
-func buildFaults(maintHours, outageRate, outageHours, uploadLoss, churnWeekly float64, seed uint64) (*faults.Config, error) {
-	switch {
-	case !(maintHours >= 0) || math.IsInf(maintHours, 1):
-		return nil, fmt.Errorf("-maintenance-hours must be finite and >= 0, got %v", maintHours)
-	case !(outageRate >= 0) || math.IsInf(outageRate, 1):
-		return nil, fmt.Errorf("-outage-rate must be finite and >= 0, got %v", outageRate)
-	case outageRate > 0 && !(outageHours > 0), math.IsInf(outageHours, 1):
-		return nil, fmt.Errorf("-outage-hours must be finite and > 0 with -outage-rate, got %v", outageHours)
-	case !(uploadLoss >= 0 && uploadLoss < 1):
-		return nil, fmt.Errorf("-upload-loss must be in [0, 1), got %v", uploadLoss)
-	case !(churnWeekly >= 0 && churnWeekly < 1):
-		return nil, fmt.Errorf("-churn-weekly must be in [0, 1), got %v", churnWeekly)
-	}
-	if maintHours == 0 && outageRate == 0 && uploadLoss == 0 && churnWeekly == 0 {
-		if seed != 0 {
-			return nil, fmt.Errorf("-fault-seed needs at least one fault flag (-maintenance-hours, -outage-rate, -upload-loss, -churn-weekly)")
-		}
-		return nil, nil
-	}
-	fc := &faults.Config{Seed: seed}
-	if maintHours > 0 {
-		fc.MaintenanceEvery = sim.Week
-		fc.MaintenanceDuration = maintHours * sim.Hour
-	}
-	if outageRate > 0 {
-		fc.UnplannedPerWeek = outageRate
-		fc.UnplannedMeanSeconds = outageHours * sim.Hour
-	}
-	if uploadLoss > 0 {
-		fc.UploadLossProb = uploadLoss
-		fc.UploadRetries = 3
-	}
-	if churnWeekly > 0 {
-		fc.ChurnPerWeek = churnWeekly
-	}
-	return fc, nil
 }
 
 // openProbe builds the -metrics/-trace observability probe for the single

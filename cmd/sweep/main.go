@@ -119,7 +119,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/project"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/wcg"
 )
 
@@ -240,10 +239,11 @@ func run() (err error) {
 	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
 	}
-	for _, v := range []float64{*hours, *sampleEvery} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("-hours and -sample-every must be finite, got %v and %v", *hours, *sampleEvery)
-		}
+	if math.IsNaN(*hours) || math.IsInf(*hours, 0) {
+		return fmt.Errorf("-hours must be finite, got %v", *hours)
+	}
+	if err := obs.CheckSampleEvery(*sampleEvery); err != nil {
+		return fmt.Errorf("-sample-every: %w", err)
 	}
 	faultFlags := *maintHours != 0 || *outageRate != 0 || *uploadLoss != 0 || *churnWeekly != 0 || *faultSeed != 0
 	if *resume && (*scheduler != "" || *validator != "" || faultFlags) {
@@ -296,7 +296,11 @@ func run() (err error) {
 	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
 		return err
 	}
-	if err := applyFaults(&base, *maintHours, *outageRate, *outageHours, *uploadLoss, *churnWeekly, *faultSeed); err != nil {
+	// Like the policy overrides, fault overrides change run outputs without
+	// changing the checkpoint key, which is why -resume rejects them above.
+	base.Faults, err = faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
+		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
+	if err != nil {
 		return err
 	}
 
@@ -481,49 +485,6 @@ func applyPolicies(base *project.Config, scheduler, validator string, streak int
 	default:
 		return fmt.Errorf("-validator: unknown policy %q (have quorum, adaptive)", validator)
 	}
-	return nil
-}
-
-// applyFaults resolves the fault-plane flags onto the base campaign
-// configuration. Like the policy overrides, fault overrides change run
-// outputs without changing the checkpoint key, so run() rejects them in
-// combination with -resume.
-func applyFaults(base *project.Config, maintHours, outageRate, outageHours, uploadLoss, churnWeekly float64, seed uint64) error {
-	switch {
-	case !(maintHours >= 0) || math.IsInf(maintHours, 1):
-		return fmt.Errorf("-maintenance-hours must be finite and >= 0, got %v", maintHours)
-	case !(outageRate >= 0) || math.IsInf(outageRate, 1):
-		return fmt.Errorf("-outage-rate must be finite and >= 0, got %v", outageRate)
-	case outageRate > 0 && !(outageHours > 0), math.IsInf(outageHours, 1):
-		return fmt.Errorf("-outage-hours must be finite and > 0 with -outage-rate, got %v", outageHours)
-	case !(uploadLoss >= 0 && uploadLoss < 1):
-		return fmt.Errorf("-upload-loss must be in [0, 1), got %v", uploadLoss)
-	case !(churnWeekly >= 0 && churnWeekly < 1):
-		return fmt.Errorf("-churn-weekly must be in [0, 1), got %v", churnWeekly)
-	}
-	if maintHours == 0 && outageRate == 0 && uploadLoss == 0 && churnWeekly == 0 {
-		if seed != 0 {
-			return fmt.Errorf("-fault-seed needs at least one fault flag (-maintenance-hours, -outage-rate, -upload-loss, -churn-weekly)")
-		}
-		return nil
-	}
-	fc := &faults.Config{Seed: seed}
-	if maintHours > 0 {
-		fc.MaintenanceEvery = sim.Week
-		fc.MaintenanceDuration = maintHours * sim.Hour
-	}
-	if outageRate > 0 {
-		fc.UnplannedPerWeek = outageRate
-		fc.UnplannedMeanSeconds = outageHours * sim.Hour
-	}
-	if uploadLoss > 0 {
-		fc.UploadLossProb = uploadLoss
-		fc.UploadRetries = 3
-	}
-	if churnWeekly > 0 {
-		fc.ChurnPerWeek = churnWeekly
-	}
-	base.Faults = fc
 	return nil
 }
 

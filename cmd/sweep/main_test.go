@@ -99,3 +99,24 @@ func TestShardsOutOfRangeExitsTwo(t *testing.T) {
 		t.Fatalf("a rejected sweep touched the checkpoint (stat err %v)", err)
 	}
 }
+
+// TestSampleEveryOutOfRangeExitsOne: a sampling cadence below one sim
+// second (the sampler would tick ~4e16 times) or a negative one is refused
+// with exit 1, before the checkpoint or any other file is opened.
+func TestSampleEveryOutOfRangeExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "cadence.ckpt.jsonl")
+	metrics := filepath.Join(dir, "m.ndjson")
+	for _, s := range []string{"1e-9", "-1"} {
+		stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-scale", "0.005", "-q",
+			"-sample-every", s, "-metrics", metrics, "-checkpoint", ckpt)
+		if code != 1 || !strings.Contains(stderr, "-sample-every") {
+			t.Fatalf("-sample-every %s: exit code %d, want 1 naming -sample-every; stderr:\n%s", s, code, stderr)
+		}
+	}
+	for _, f := range []string{ckpt, metrics} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("a rejected sweep touched %s (stat err %v)", f, err)
+		}
+	}
+}

@@ -313,6 +313,9 @@ func RunGrid(ctx context.Context, opts GridOptions) (*GridSweep, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be ≥ 1, got %d", opts.Reps)
 	}
+	if err := obs.CheckSampleEvery(opts.SampleEvery); err != nil {
+		return nil, fmt.Errorf("experiment: SampleEvery: %w", err)
+	}
 	baseSeed := opts.BaseSeed
 	if baseSeed == 0 {
 		baseSeed = opts.Base.Seed

@@ -165,7 +165,8 @@ type Options struct {
 	MetricsSink *obs.Sink
 	TraceSink   *obs.Sink
 	// SampleEvery is the metrics sampling cadence in sim seconds
-	// (0 = obs.DefaultSampleEvery).
+	// (0 = obs.DefaultSampleEvery; otherwise finite and at least
+	// obs.MinSampleEvery).
 	SampleEvery float64
 }
 
@@ -227,6 +228,9 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 	if opts.Shards < 0 || opts.Shards > project.MaxShards {
 		return nil, fmt.Errorf("experiment: Shards must be in [0, %d], got %d", project.MaxShards, opts.Shards)
+	}
+	if err := obs.CheckSampleEvery(opts.SampleEvery); err != nil {
+		return nil, fmt.Errorf("experiment: SampleEvery: %w", err)
 	}
 	baseSeed := opts.BaseSeed
 	if baseSeed == 0 {

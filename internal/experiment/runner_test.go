@@ -259,6 +259,28 @@ func TestRunRejectsShardsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSampleEveryOutOfRange: a sampling cadence the sampler
+// could not finish (1e-9 s asks for ~4e16 ticks) or that is negative or
+// not finite is an error before any cell runs, from both front ends.
+func TestRunRejectsSampleEveryOutOfRange(t *testing.T) {
+	base := testBase(t)
+	for _, s := range []float64{1e-9, -1, math.NaN(), math.Inf(1)} {
+		ran := 0
+		opts := Options{Base: base, Scenarios: testScenarios(), Reps: 1, Workers: 1, SampleEvery: s,
+			Progress: func(Progress) { ran++ }}
+		if sw, err := Run(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "SampleEvery") || sw != nil || ran != 0 {
+			t.Errorf("SampleEvery %v: Run error %v (sweep returned: %v) after %d cells, want an error before any cell",
+				s, err, sw != nil, ran)
+		}
+		gopts := GridOptions{Base: project.GridConfig{Projects: []project.Config{base}}, Scenarios: GridCatalog()[:1],
+			Reps: 1, Workers: 1, SampleEvery: s, Progress: func(Progress) { ran++ }}
+		if gs, err := RunGrid(context.Background(), gopts); err == nil || !strings.Contains(err.Error(), "SampleEvery") || gs != nil || ran != 0 {
+			t.Errorf("SampleEvery %v: RunGrid error %v (sweep returned: %v) after %d cells, want an error before any cell",
+				s, err, gs != nil, ran)
+		}
+	}
+}
+
 func TestEstimateCI(t *testing.T) {
 	c := EstimateCI([]float64{2, 4, 6})
 	if c.Mean != 4 {

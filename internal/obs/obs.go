@@ -35,10 +35,33 @@
 // registry gauges capture one run's objects. Share the Sink, not the Probe.
 package obs
 
+import (
+	"fmt"
+	"math"
+)
+
 // DefaultSampleEvery is the metrics sampling cadence (in sim seconds) used
 // when Probe.SampleEvery is zero: half a sim day, fine enough to resolve
 // the weekday/weekend capacity swing the paper's Figure 1 shows.
 const DefaultSampleEvery = 43200
+
+// MinSampleEvery is the finest sampling cadence a run accepts, in sim
+// seconds. The sampler ticks until the campaign's horizon, MaxWeeks plus a
+// 30-day drain (about 3.9e7 s at the default 60 weeks), so this floor
+// bounds it to about 4e7 ticks; a cadence of 1e-9 s would ask for 4e16
+// and never finish.
+const MinSampleEvery = 1.0
+
+// CheckSampleEvery validates a sampling cadence as Probe.SampleEvery
+// takes it: 0 means DefaultSampleEvery, and any other value must be finite
+// and at least MinSampleEvery.
+func CheckSampleEvery(s float64) error {
+	if s == 0 || (s >= MinSampleEvery && !math.IsInf(s, 1)) {
+		return nil
+	}
+	return fmt.Errorf("sampling cadence must be 0 (the default, %v s) or a finite number of sim seconds >= %v, got %v",
+		DefaultSampleEvery, MinSampleEvery, s)
+}
 
 // Probe carries the observability plane into one run. Any field may be nil:
 // a probe with only Metrics samples silently, one with only Trace records
@@ -51,7 +74,7 @@ type Probe struct {
 	// feeds, quorum switches, tenant drains, saboteur onsets).
 	Trace *Trace
 	// SampleEvery is the sim-time sampling cadence in seconds;
-	// 0 means DefaultSampleEvery.
+	// 0 means DefaultSampleEvery (see CheckSampleEvery).
 	SampleEvery float64
 }
 

@@ -98,6 +98,19 @@ func TestNilTraceAndProbeAreNoops(t *testing.T) {
 	}
 }
 
+func TestCheckSampleEvery(t *testing.T) {
+	for _, s := range []float64{0, MinSampleEvery, 7, DefaultSampleEvery, math.MaxFloat64} {
+		if err := CheckSampleEvery(s); err != nil {
+			t.Errorf("CheckSampleEvery(%v) = %v, want accepted", s, err)
+		}
+	}
+	for _, s := range []float64{1e-9, 0.5, -1, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := CheckSampleEvery(s); err == nil {
+			t.Errorf("CheckSampleEvery(%v) accepted a cadence that must be rejected", s)
+		}
+	}
+}
+
 func TestLine(t *testing.T) {
 	b := Line(Str("event", "sweep-telemetry"), Int("done", 3), Num("eta-s", 1.5))
 	var obj map[string]any

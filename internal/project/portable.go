@@ -207,15 +207,15 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 			fn = plane.ResolveCall(pe.Call, asAt)
 		}
 		if tick != nil {
-			// The ticker owns its one event for the run's whole life;
-			// hand it the adopted entry in place of a first tick.
-			tick.AttachEvent(c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, tick.TickFn(), false))
+			// The adopted entry is the ticker's pending tick, in place of
+			// a first tick.
+			tick.Adopt(pe.At, pe.Seq, pe.Call)
 			continue
 		}
 		if fn == nil {
 			panic("project: adopted event resolved to no closure — untagged or foreign call kind")
 		}
-		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn, true)
+		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn)
 	}
 	r.ps, r.atSnap = ps, true
 }

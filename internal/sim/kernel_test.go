@@ -1,72 +1,44 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// The lazy-cancel kernel contract: Cancel is O(1), Pending() stays exact,
-// FIFO ties hold across both scheduling paths, and recycled events never
-// leak state between schedules. These tests cover the paths sim_test.go
-// (written against the eager-removal kernel) does not reach.
+// The engine contract beyond plain ordering: FIFO ties across every
+// scheduling path, ticker stops that take the pending tick out of the heap
+// at once, and a Reset that leaves nothing behind. FuzzEngine checks the
+// same contract against a reference model.
 
 func TestScheduleFIFOWithAt(t *testing.T) {
+	// Ties at one timestamp run in scheduling order whichever path
+	// scheduled them, a ticker's first tick included.
 	e := NewEngine()
 	var order []int
-	e.At(5, func() { order = append(order, 0) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.At(5, func() { order = append(order, 2) })
+	e.Schedule(5, func() { order = append(order, 0) })
+	e.ScheduleCall(5, func() { order = append(order, 1) }, Call{Kind: CallSpoolDrain})
+	tk := e.Every(5, 1, func(Time) { order = append(order, 2) })
 	e.ScheduleAfter(5, func() { order = append(order, 3) })
-	e.Run()
+	e.ScheduleAfterCall(5, func() { order = append(order, 4) }, Call{Kind: CallSpoolDrain})
+	e.RunUntil(5)
+	tk.Stop()
+	if len(order) != 5 {
+		t.Fatalf("mixed-path ties ran %v, want 5 events", order)
+	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("mixed At/Schedule ties not FIFO: %v", order)
+			t.Fatalf("mixed-path ties not FIFO: %v", order)
 		}
-	}
-}
-
-func TestScheduleRecyclesEvents(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var chain func()
-	chain = func() {
-		count++
-		if count < 10000 {
-			e.ScheduleAfter(1, chain)
-		}
-	}
-	e.Schedule(0, chain)
-	e.Run()
-	if count != 10000 {
-		t.Fatalf("count = %d", count)
-	}
-	// A self-rescheduling chain needs exactly one live event at a time:
-	// the free list must be feeding the next link, not growing the slab.
-	if len(e.free) != 1 {
-		t.Fatalf("free list holds %d events, want 1 (recycling broken)", len(e.free))
-	}
-}
-
-func TestRecycledEventSafeAfterHandleCancel(t *testing.T) {
-	// Cancelling a stale handle (its event already fired) must not corrupt
-	// an unrelated recycled event scheduled afterwards.
-	e := NewEngine()
-	ev := e.At(1, func() {})
-	fired := false
-	e.Schedule(2, func() { fired = true })
-	e.RunUntil(1.5)
-	e.Cancel(ev) // already fired: no-op
-	e.Run()
-	if !fired {
-		t.Fatal("recycled event lost to a stale handle cancel")
 	}
 }
 
 func TestMaxPending(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.At(float64(i+1), func() {})
+		e.Schedule(float64(i+1), func() {})
 	}
 	if e.MaxPending() != 5 {
 		t.Fatalf("max pending = %d, want 5", e.MaxPending())
@@ -75,111 +47,70 @@ func TestMaxPending(t *testing.T) {
 	if e.MaxPending() != 5 {
 		t.Fatalf("max pending after run = %d, want 5 (high-water mark)", e.MaxPending())
 	}
-	e.At(100, func() {})
+	e.Schedule(100, func() {})
 	if e.MaxPending() != 5 {
 		t.Fatalf("max pending = %d, want 5 (1 live < old peak)", e.MaxPending())
 	}
 }
 
-func TestCancelHeavySweep(t *testing.T) {
-	// Cancelling most of a large queue must compact the heap (bounding
-	// memory) without disturbing the survivors' order.
+func TestStopTakesTickOutOfHeap(t *testing.T) {
+	// Stop removes a pending tick from anywhere in a deep heap, sifting
+	// the heap's last event up or down into the hole: Pending drops at
+	// once and every other event still runs in (time, FIFO) order.
 	e := NewEngine()
-	const n = 20000
-	evs := make([]*Event, n)
+	r := rng.New(3)
+	const n, k = 2000, 200
+	type firing struct {
+		at Time
+		id int
+	}
+	var fired []firing
 	for i := 0; i < n; i++ {
-		evs[i] = e.At(float64(i), func() {})
+		e.Schedule(math.Floor(r.Float64()*100), func() { fired = append(fired, firing{e.Now(), i}) })
 	}
-	var fired []float64
-	keep := 100
-	e.At(float64(n), func() {})
-	for i := keep; i < n; i++ {
-		e.Cancel(evs[i])
+	tickers := make([]*Ticker, k)
+	for i := range tickers {
+		tickers[i] = e.Every(math.Floor(r.Float64()*100), 1, func(Time) { t.Error("a stopped ticker fired") })
 	}
-	if e.Pending() != keep+1 {
-		t.Fatalf("pending = %d, want %d", e.Pending(), keep+1)
-	}
-	if len(e.queue) >= n {
-		t.Fatalf("heap not swept: %d entries for %d live", len(e.queue), e.Pending())
-	}
-	for i := 0; i < keep; i++ {
-		i := i
-		evs[i].fn = func() { fired = append(fired, float64(i)) }
-	}
-	e.Run()
-	if len(fired) != keep {
-		t.Fatalf("fired %d, want %d", len(fired), keep)
-	}
-	for i, v := range fired {
-		if v != float64(i) {
-			t.Fatalf("sweep broke ordering: %v", fired[:i+1])
-		}
-	}
-}
-
-func TestSweepAllTombstones(t *testing.T) {
-	// Cancelling every event must survive the sweep compacting the heap to
-	// empty (regression: eventHeap.init read h[0] on a zero-length heap).
-	e := NewEngine()
-	evs := make([]*Event, 1024)
-	for i := range evs {
-		evs[i] = e.At(float64(i+1), func() {})
-	}
-	for _, ev := range evs {
-		e.Cancel(ev)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	fired := false
-	e.Schedule(1, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("engine unusable after all-tombstone sweep")
-	}
-}
-
-func TestCancelIsO1UnderLoad(t *testing.T) {
-	// Not a timing test: verifies the accounting stays exact through an
-	// adversarial cancel/schedule interleave.
-	e := NewEngine()
-	r := rng.New(11)
-	live := 0
-	var handles []*Event
-	for i := 0; i < 50000; i++ {
-		switch {
-		case len(handles) > 0 && r.Bernoulli(0.4):
-			h := handles[len(handles)-1]
-			handles = handles[:len(handles)-1]
-			if !h.Canceled() {
-				e.Cancel(h)
-				live--
-			}
-		default:
-			handles = append(handles, e.At(e.Now()+r.Float64()*100, func() {}))
-			live++
-		}
-		if e.Pending() != live {
-			t.Fatalf("step %d: pending %d, want %d", i, e.Pending(), live)
+	for i, tk := range tickers {
+		tk.Stop()
+		if want := n + k - i - 1; e.Pending() != want {
+			t.Fatalf("Pending after %d stops = %d, want %d", i+1, e.Pending(), want)
 		}
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("pending after run = %d", e.Pending())
+	ordered := sort.SliceIsSorted(fired, func(a, b int) bool {
+		return fired[a].at < fired[b].at || fired[a].at == fired[b].at && fired[a].id < fired[b].id
+	})
+	if len(fired) != n || !ordered {
+		t.Fatalf("fired %d events (in order: %v), want %d in (time, FIFO) order", len(fired), ordered, n)
 	}
 }
 
 func TestTickerNaNIntervalPanics(t *testing.T) {
-	// A NaN interval slips past the `interval <= 0` guard; the reschedule
-	// path must reject the non-finite tick time like At does.
-	e := NewEngine()
-	e.Every(0, nan(), func(Time) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic rescheduling at NaN")
+	// A NaN interval passes an `interval <= 0` guard; the ticker
+	// constructor shared by Every, ObserveEvery and DormantTicker must
+	// reject it, and ±Inf, before anything is scheduled.
+	for _, iv := range []float64{nan(), math.Inf(1), math.Inf(-1)} {
+		for name, build := range map[string]func(*Engine){
+			"Every":         func(e *Engine) { e.Every(0, iv, func(Time) {}) },
+			"ObserveEvery":  func(e *Engine) { e.ObserveEvery(0, iv, func(Time) {}) },
+			"DormantTicker": func(e *Engine) { e.DormantTicker(iv, func(Time) {}) },
+		} {
+			e := NewEngine()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with interval %v: no panic at construction", name, iv)
+					}
+				}()
+				build(e)
+			}()
+			if _, _, ok := e.Peek(); ok {
+				t.Errorf("%s with interval %v scheduled a tick before panicking", name, iv)
+			}
 		}
-	}()
-	e.Run()
+	}
 }
 
 func TestTickerDoesNotAllocatePerTick(t *testing.T) {
@@ -191,21 +122,22 @@ func TestTickerDoesNotAllocatePerTick(t *testing.T) {
 	if ticks != 10001 {
 		t.Fatalf("ticks = %d", ticks)
 	}
-	// The ticker reuses its single event; the slab must not have grown
-	// past its first chunk on the ticker's account.
-	if e.seq < 10000 {
-		t.Fatalf("seq = %d, ticker not rescheduling", e.seq)
+	// A tick is a value in the heap: rescheduling one allocates nothing.
+	tk = e.Every(e.Now(), 1, func(Time) { ticks++ })
+	if allocs := testing.AllocsPerRun(10, func() { e.RunUntil(e.Now() + 100) }); allocs != 0 {
+		t.Fatalf("ticking allocated %v times per 100 ticks", allocs)
 	}
+	tk.Stop()
 }
 
 func TestResetIndistinguishableFromFresh(t *testing.T) {
 	// A reset engine must replay a schedule exactly like a fresh one:
 	// same clock, same FIFO tie-breaks, same counters.
 	run := func(e *Engine) (order []int, executed uint64, maxPending int) {
-		e.At(5, func() { order = append(order, 0) })
+		e.Schedule(5, func() { order = append(order, 0) })
 		e.Schedule(5, func() { order = append(order, 1) })
-		ev := e.At(3, func() { order = append(order, 2) })
-		e.Cancel(ev)
+		tk := e.Every(3, 1, func(Time) { order = append(order, 2) })
+		tk.Stop()
 		e.ScheduleAfter(5, func() { order = append(order, 3) })
 		e.Run()
 		return order, e.Executed(), e.MaxPending()
@@ -214,16 +146,22 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 	o1, x1, m1 := run(fresh)
 
 	reused := NewEngine()
-	for i := 0; i < 1000; i++ { // dirty the heap, free list and arena
+	for i := 0; i < 1000; i++ { // dirty the heap
 		reused.Schedule(float64(i), func() {})
 	}
-	reused.Every(0, 7, func(Time) {})
+	stale := reused.Every(0, 7, func(Time) {})
 	reused.RunUntil(500)
 	reused.Reset()
 	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 {
 		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d",
 			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending())
 	}
+	reused.Schedule(5, func() {})
+	stale.Stop() // owns no event after the Reset: must not touch the new schedule
+	if reused.Pending() != 1 {
+		t.Fatalf("a ticker stopped after Reset changed Pending to %d, want 1", reused.Pending())
+	}
+	reused.Reset()
 	o2, x2, m2 := run(reused)
 	if len(o1) != len(o2) {
 		t.Fatalf("orders differ: %v vs %v", o1, o2)
@@ -239,8 +177,8 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 }
 
 func TestResetRetainsStorage(t *testing.T) {
-	// The steady state of a run-reset-run loop must not allocate events:
-	// the second run re-carves the first run's arena.
+	// The steady state of a run-reset-run loop must not allocate: the
+	// second run reuses the first run's heap array.
 	e := NewEngine()
 	const n = 3 * 1024
 	run := func() {
@@ -255,14 +193,14 @@ func TestResetRetainsStorage(t *testing.T) {
 		run()
 		e.Reset()
 	})
-	// The heap array and arena are retained; only closure-free scheduling
-	// remains, so per-event allocations must be gone entirely.
+	// The heap array is retained and the closures capture nothing, so
+	// per-event allocations must be gone entirely.
 	if allocs > float64(n)/100 {
 		t.Fatalf("reused run made %v allocations for %d events", allocs, n)
 	}
 }
 
-func BenchmarkScheduleRecycled(b *testing.B) {
+func BenchmarkScheduleStep(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
 	b.ReportAllocs()
@@ -270,18 +208,5 @@ func BenchmarkScheduleRecycled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(e.Now()+1, fn)
 		e.Step()
-	}
-}
-
-func BenchmarkCancelO1(b *testing.B) {
-	e := NewEngine()
-	// A deep queue: eager removal would pay O(log n) sift per cancel.
-	for i := 0; i < 100000; i++ {
-		e.At(float64(i+1), func() {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.At(1e9, func() {})
-		e.Cancel(ev)
 	}
 }

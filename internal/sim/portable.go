@@ -4,12 +4,12 @@ import "fmt"
 
 // This file is the engine half of the portable-snapshot contract (see
 // internal/snapshot): exporting a schedule as passive descriptors and
-// rebuilding it inside a different engine. An *Event and its closure belong
-// to the engine that created them, so events travel as (time, seq, Call)
-// triples and the adopting side re-binds callbacks from the Call
-// descriptors against its own model objects.
+// rebuilding it inside a different engine. An event's closure belongs to
+// the engine's model, so events travel as (time, seq, Call) triples and the
+// adopting side re-binds callbacks from the Call descriptors against its
+// own model objects.
 
-// PortableEvent is one live scheduled event in portable form: its heap
+// PortableEvent is one scheduled event in portable form: its heap
 // ordering key plus the Call descriptor its scheduling site tagged it
 // with. No pointers — safe to hand to another goroutine/engine.
 type PortableEvent struct {
@@ -18,26 +18,24 @@ type PortableEvent struct {
 	Call Call
 }
 
-// ExportEvents returns every live (non-cancelled) event in the schedule
-// as portable descriptors. It fails if any live event is untagged
-// (Call.Kind == CallNone) or is an observer event: neither can be rebuilt
-// on an adopting engine. Every scheduling site a snapshot can meet is
-// tagged, so the error marks a programming mistake, not a runtime state.
-// Order follows the heap array and is deterministic for a deterministic
-// run; adoption keys only on (At, Seq).
+// ExportEvents returns every event in the schedule as portable
+// descriptors. It fails if any event is untagged (Call.Kind == CallNone)
+// or is an observer tick: neither can be rebuilt on an adopting engine.
+// Every scheduling site a snapshot can meet is tagged, so the error marks
+// a programming mistake, not a runtime state. Order follows the heap
+// array; pushing the events in that order into an empty heap (AdoptEvent,
+// Ticker.Adopt) rebuilds the same array.
 func (e *Engine) ExportEvents() ([]PortableEvent, error) {
 	out := make([]PortableEvent, 0, len(e.queue))
-	for _, en := range e.queue {
-		if en.ev.canceled {
-			continue
+	for i := range e.queue {
+		ev := &e.queue[i]
+		if ev.observer() {
+			return nil, fmt.Errorf("sim: observer event at %v is not portable", ev.at)
 		}
-		if en.ev.observer {
-			return nil, fmt.Errorf("sim: observer event at %v is not portable", en.at)
+		if ev.call.Kind == CallNone {
+			return nil, fmt.Errorf("sim: untagged event at %v (seq %d) is not portable", ev.at, ev.seq)
 		}
-		if en.ev.call.Kind == CallNone {
-			return nil, fmt.Errorf("sim: untagged event at %v (seq %d) is not portable", en.at, en.seq)
-		}
-		out = append(out, PortableEvent{At: en.at, Seq: en.seq, Call: en.ev.call})
+		out = append(out, PortableEvent{At: ev.at, Seq: ev.seq, Call: ev.call})
 	}
 	return out, nil
 }
@@ -68,11 +66,8 @@ func (e *Engine) AdoptState(now Time, seq, nEvent uint64, live, maxLive int) {
 // adopted schedule is installed after AdoptState has already advanced the
 // clock, and heap pushes maintain the invariant under any insertion
 // order). It deliberately does not touch seq or the live counters —
-// AdoptState owns those wholesale. Returns the handle so tickers can
-// re-attach their pending tick.
-func (e *Engine) AdoptEvent(at Time, seq uint64, c Call, fn func(), recycle bool) *Event {
-	ev := e.alloc()
-	*ev = Event{at: at, fn: fn, call: c, recycle: recycle, inHeap: true}
-	e.queue.push(entry{at: at, seq: seq, ev: ev})
-	return ev
+// AdoptState owns those wholesale. A ticker's tick is adopted through
+// Ticker.Adopt instead.
+func (e *Engine) AdoptEvent(at Time, seq uint64, c Call, fn func()) {
+	e.queue.push(event{at: at, seq: seq, fn: fn, call: c})
 }

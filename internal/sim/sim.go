@@ -1,53 +1,44 @@
 // Package sim implements the discrete-event simulation kernel on which the
 // volunteer-grid and dedicated-grid models run.
 //
-// The kernel is a classic event-list simulator: a binary heap of timestamped
-// events, a virtual clock that jumps from event to event, and helpers for
-// periodic processes (used by the weekly VFTP samplers and the availability
-// models). Time is a float64 number of seconds since the simulation epoch;
-// the HCMD campaign spans ~26 weeks ≈ 1.6e7 s, far below float64 integer
-// precision limits.
+// The kernel is a classic event-list simulator: a binary min-heap of
+// timestamped events, a virtual clock that jumps from event to event, and
+// tickers for periodic processes (the weekly and daily campaign loops, the
+// churn sampler, the metrics sampler). Time is a float64 number of seconds
+// since the simulation epoch; the HCMD campaign spans ~26 weeks ≈ 1.6e7 s,
+// far below float64 integer precision limits.
 //
-// Two design choices keep the hot path cheap on a deep event list:
+// Every scheduled event is a value in the heap, ordered by (time, seq),
+// where seq is a FIFO counter that breaks ties in scheduling order. An
+// event carries its callback and a portable Call descriptor (see
+// ExportEvents); scheduling returns no handle. The one handle is the
+// Ticker, which owns its pending tick: Stop finds that tick by a linear
+// scan and takes it out of the heap at once, so Pending() is exact.
 //
-//   - Cancellation is lazy: Cancel marks the event and returns in O(1);
-//     the tombstone is discarded when it reaches the top of the heap (or by
-//     an amortized sweep if tombstones ever dominate the heap). Pending()
-//     stays exact through a live-event counter.
-//   - Events scheduled through Schedule/ScheduleAfter (no cancellation
-//     handle) are recycled through a free list once they fire, so steady-
-//     state simulation allocates no per-event memory. At/After still return
-//     a handle and therefore allocate; handles are never recycled, so a
-//     stale handle can never cancel an unrelated reused event.
-//
-// Campaigns no longer give the heap that depth: host continuations live
-// in the host kernel's shard calendars (volunteer.ShardKernel), merged
-// against this heap through TakeSeq and the External* accounting hooks.
-// On the full-scale phase-I replay only 291,281 of the 9,243,124 executed
-// events pass through the heap, and it never holds more than 3 at once.
-// Across the 31-scenario catalog at 1/84 scale it never holds more than 8,
-// with at most 3 cancellations per run (the ticker stops). The deep-heap
-// paths (4-ary sift, inline keys, lazy cancellation, the tombstone sweep)
-// now serve the benchmark's hold driver and the engine's own tests.
+// The heap is shallow. Host continuations live in the host kernel's shard
+// calendars (volunteer.ShardKernel), merged against this heap through
+// Peek, TakeSeq and the External* accounting hooks. What remains here are
+// deadline-wheel and spool drains, fault-plane upload retries and the
+// tickers: on the full-scale phase-I replay only 291,281 of the 9,243,124
+// executed events pass through the heap, and it never holds more than 3 at
+// once; across the 31-scenario catalog at 1/84 scale it never holds more
+// than 8, and a run removes at most 3 events early, all of them ticker
+// stops. Standalone uses (the middleware's own tests, the benchmark's hold
+// model) still keep tens of thousands of events pending, which is why the
+// list stays a heap.
 //
 // # Reset contract
 //
-// Engine.Reset rearms an engine for another run while retaining the
-// backing storage a run is expensive to rebuild: the heap array, the
-// free list's backing array, and the event arena's chunks. Everything
-// observable is zeroed — clock, schedule, executed/pending counters, the
-// FIFO tie-break sequence — so a reset engine is indistinguishable from a
-// fresh one to the model running on it. Event handles returned by
-// At/After before the Reset are invalidated: their structs are zeroed and
-// re-carved, and passing one to Cancel afterwards corrupts an unrelated
-// event. Callers must drop every handle before resetting.
+// Engine.Reset rearms an engine for another run, retaining the heap array.
+// Everything observable is zeroed — clock, schedule, executed/pending
+// counters, the FIFO tie-break sequence — so a reset engine is
+// indistinguishable from a fresh one to the model running on it. A ticker
+// created before the Reset owns no event afterwards: its Stop does nothing.
 package sim
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/slab"
 )
 
 // Time is a simulation timestamp in seconds since the simulation epoch.
@@ -99,129 +90,100 @@ const (
 	CallTickChurn
 )
 
-// Event is a scheduled callback. Cancel it via its handle.
-type Event struct {
-	at       Time
-	fn       func()
-	call     Call
-	inHeap   bool
-	canceled bool
-	recycle  bool // no handle outstanding; safe to reuse after it pops
-	observer bool // excluded from Pending/MaxPending/Executed accounting
+// event is one scheduled callback, stored by value in the heap and ordered
+// by (at, seq). A ticker's pending tick carries the ticker in tick and no
+// fn; every other event carries fn and no tick.
+type event struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among equal timestamps
+	fn   func()
+	call Call
+	tick *Ticker
 }
 
-// Time returns the timestamp the event is scheduled for.
-func (e *Event) Time() Time { return e.at }
-
-// Canceled reports whether the event has been cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// entry is one heap slot. The ordering key (timestamp + FIFO sequence)
-// lives inline in the slice, so sift comparisons touch contiguous memory
-// instead of dereferencing an *Event per comparison; those misses dominate
-// on a deep heap. A campaign's heap holds a handful of events (see the
-// package doc), so the layout pays off only for deep-heap users such as
-// the benchmark's hold driver.
-type entry struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	ev  *Event
-}
-
-func entryLess(a, b entry) bool {
+func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// The heap is 4-ary: half the levels of a binary heap, and the four
-// children of a node share cache lines. Hand-rolled so the comparisons
+// observer reports whether the event is an observer ticker's tick, which
+// no counter sees.
+func (a *event) observer() bool { return a.tick != nil && a.tick.observer }
+
+// eventHeap is a binary min-heap of events. Hand-rolled so the comparisons
 // inline (container/heap pays an interface call per Less/Swap).
-const heapArity = 4
+type eventHeap []event
 
-type eventHeap []entry
-
-func (h *eventHeap) push(en entry) {
-	q := append(*h, en)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !entryLess(q[i], q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	*h = q
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, event{})
+	h.up(len(*h)-1, ev)
 }
 
-// siftDown moves item from the hole at i toward the leaves of h[:n] until
-// the heap property holds, writing it into its final slot.
-func siftDown(h []entry, i, n int, item entry) {
+// up moves ev from the hole at i toward the root until its parent precedes
+// it, writing it into its final slot.
+func (h eventHeap) up(i int, ev event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// down moves ev from the hole at i toward the leaves until it precedes its
+// children, writing it into its final slot.
+func (h eventHeap) down(i int, ev event) {
+	n := len(h)
 	for {
-		c := heapArity*i + 1
+		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		m := c
-		end := c + heapArity
-		if end > n {
-			end = n
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
 		}
-		for j := c + 1; j < end; j++ {
-			if entryLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !entryLess(h[m], item) {
+		if !h[c].before(&ev) {
 			break
 		}
-		h[i] = h[m]
-		i = m
+		h[i] = h[c]
+		i = c
 	}
-	h[i] = item
+	h[i] = ev
 }
 
-func (h *eventHeap) pop() entry {
+// remove takes the event at index i out of the heap and returns it.
+func (h *eventHeap) remove(i int) event {
 	q := *h
-	top := q[0]
+	ev := q[i]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = entry{}
+	q[n] = event{} // drop the closure and ticker references
 	q = q[:n]
-	if n > 0 {
-		siftDown(q, 0, n, last)
-	}
 	*h = q
-	return top
-}
-
-// init re-establishes the heap property over arbitrary contents.
-func (h eventHeap) init() {
-	n := len(h)
-	if n < 2 {
-		return
+	if i < n {
+		if i > 0 && last.before(&q[(i-1)/2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
 	}
-	for i := (n - 2) / heapArity; i >= 0; i-- {
-		siftDown(h, i, n, h[i])
-	}
+	return ev
 }
 
 // Engine is a discrete-event simulator. The zero value is not valid;
 // use NewEngine.
 type Engine struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	nEvent uint64 // events executed
-
-	live       int // scheduled, not cancelled: the exact Pending() count
-	tombstones int // cancelled events still sitting in the heap
-	maxLive    int // high-water mark of live
-
-	free []*Event          // recycled no-handle events
-	slab slab.Arena[Event] // bump allocator backing new events
+	now     Time
+	queue   eventHeap
+	seq     uint64
+	nEvent  uint64 // events executed
+	live    int    // the exact Pending() count
+	maxLive int    // high-water mark of live
 }
 
 // NewEngine returns an engine with the clock at 0 and an empty event list.
@@ -230,19 +192,14 @@ func NewEngine() *Engine {
 }
 
 // Reset rearms the engine for another run: clock back to 0, schedule
-// empty, all counters zeroed. The heap array, free-list array and event
-// arena are retained, so a reset engine schedules without allocating.
-// See the package-level Reset contract: all outstanding event handles are
-// invalidated.
+// empty, all counters zeroed. The heap array is retained, so a reset
+// engine schedules without allocating.
 func (e *Engine) Reset() {
 	clear(e.queue)
 	e.queue = e.queue[:0]
-	clear(e.free)
-	e.free = e.free[:0]
-	e.slab.Reset()
 	e.now = 0
 	e.seq, e.nEvent = 0, 0
-	e.live, e.tombstones, e.maxLive = 0, 0, 0
+	e.live, e.maxLive = 0, 0
 }
 
 // Now returns the current simulation time.
@@ -251,56 +208,29 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.nEvent }
 
-// Pending returns the exact number of live scheduled events. Cancelled
-// events are never counted: Cancel decrements the live counter the moment
-// it is called, even though the tombstone leaves the heap lazily.
+// Pending returns the exact number of scheduled events, including the
+// external calendar's (see ExternalSchedule) and excluding observer ticks.
 func (e *Engine) Pending() int { return e.live }
 
 // MaxPending returns the high-water mark of Pending() over the engine's
 // lifetime — the peak event-queue depth, reported by the campaign bench.
 func (e *Engine) MaxPending() int { return e.maxLive }
 
-// alloc returns an event struct: recycled if one is free, freshly carved
-// from the bump slab otherwise. Slab allocation batches the garbage
-// collector's work; recycled events make the steady state allocation-free.
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+// insert validates ev.at and enters ev into the schedule under the next
+// FIFO sequence number, maintaining the live counters. Every scheduling
+// path goes through it, so the invariants live in one place.
+func (e *Engine) insert(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.now))
 	}
-	return e.slab.Alloc()
-}
-
-// release returns a popped event to the free list if it is recyclable.
-// Events created by At/After have a caller-held handle and are never
-// reused; recyclable events by construction have no handle outstanding.
-func (e *Engine) release(ev *Event) {
-	if !ev.recycle {
-		return
-	}
-	ev.fn = nil
-	ev.canceled = false
-	e.free = append(e.free, ev)
-}
-
-// insert validates t and enters ev into the schedule, maintaining the
-// FIFO sequence and the live counters. Shared by every scheduling path so
-// the invariants live in one place.
-func (e *Engine) insert(ev *Event, t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
+	if math.IsNaN(ev.at) || math.IsInf(ev.at, 0) {
 		panic("sim: scheduling event at non-finite time")
 	}
-	ev.at = t
-	ev.inHeap = true
-	e.queue.push(entry{at: t, seq: e.seq, ev: ev})
+	ev.seq = e.seq
 	e.seq++
-	if ev.observer {
-		// Observer events (metrics samplers) ride the schedule but must be
+	e.queue.push(ev)
+	if ev.observer() {
+		// Observer ticks (metrics samplers) ride the schedule but must be
 		// invisible to every model-observable counter, so an instrumented
 		// run reports the same Pending/MaxPending/Executed as a bare one.
 		return
@@ -311,46 +241,22 @@ func (e *Engine) insert(ev *Event, t Time) {
 	}
 }
 
-// push schedules fn on a fresh (or recycled) event.
-func (e *Engine) push(t Time, fn func(), recycle bool) *Event {
-	ev := e.alloc()
-	*ev = Event{fn: fn, recycle: recycle}
-	e.insert(ev, t)
-	return ev
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// a model that does so is broken, and silently clamping would corrupt
-// causality. Returns a handle for cancellation.
-func (e *Engine) At(t Time, fn func()) *Event {
-	return e.push(t, fn, false)
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func()) *Event {
-	return e.At(e.now+d, fn)
-}
-
-// Schedule schedules fn at absolute time t with no cancellation handle.
-// The event struct is recycled after it fires, so hot loops that never
-// cancel (host compute completions, the deadline wheel) schedule without
-// allocating.
+// Schedule schedules fn to run at absolute time t. Scheduling in the past
+// panics: a model that does so is broken, and silently clamping would
+// corrupt causality.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.push(t, fn, true)
+	e.insert(event{at: t, fn: fn})
 }
 
-// ScheduleAfter schedules fn to run d seconds from now, with no handle.
+// ScheduleAfter schedules fn to run d seconds from now.
 func (e *Engine) ScheduleAfter(d float64, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
 // ScheduleCall is Schedule plus a portable Call descriptor, so the event
-// survives snapshot materialization (see ExportEvents). Costs the same as
-// Schedule apart from a few extra stores.
+// survives snapshot materialization (see ExportEvents).
 func (e *Engine) ScheduleCall(t Time, fn func(), c Call) {
-	ev := e.alloc()
-	*ev = Event{fn: fn, recycle: true, call: c}
-	e.insert(ev, t)
+	e.insert(event{at: t, fn: fn, call: c})
 }
 
 // ScheduleAfterCall is ScheduleAfter plus a portable Call descriptor.
@@ -358,86 +264,16 @@ func (e *Engine) ScheduleAfterCall(d float64, fn func(), c Call) {
 	e.ScheduleCall(e.now+d, fn, c)
 }
 
-// reschedule re-arms a popped handle event at a new time, reusing its
-// struct. Only the Ticker uses it: the caller must own the handle and the
-// event must not be in the heap. fn is re-attached because Step detaches
-// callbacks from popped events (so fired closures don't outlive them).
-func (e *Engine) reschedule(ev *Event, t Time, fn func()) {
-	ev.fn = fn
-	ev.canceled = false
-	e.insert(ev, t)
-}
-
-// Cancel removes the event from the schedule in O(1): the event is marked
-// and skipped when it surfaces, rather than removed from the middle of the
-// heap. Cancelling an already-fired or already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled {
-		return
-	}
-	ev.canceled = true
-	// A cancelled event's callback never runs: free it now rather than
-	// when the tombstone surfaces, so the closure's captures don't stay
-	// reachable until the event's (possibly far-future) timestamp.
-	ev.fn = nil
-	if ev.inHeap {
-		if !ev.observer {
-			e.live--
-		}
-		e.tombstones++
-		e.maybeSweep()
-	}
-}
-
-// maybeSweep compacts the heap when tombstones dominate it, bounding the
-// memory a cancel-heavy workload can pin. Amortized O(1) per cancel.
-func (e *Engine) maybeSweep() {
-	if e.tombstones < 1024 || e.tombstones*2 < len(e.queue) {
-		return
-	}
-	kept := e.queue[:0]
-	for _, en := range e.queue {
-		if en.ev.canceled {
-			en.ev.inHeap = false
-			en.ev.fn = nil
-			e.release(en.ev)
-			continue
-		}
-		kept = append(kept, en)
-	}
-	for i := len(kept); i < len(e.queue); i++ {
-		e.queue[i] = entry{}
-	}
-	e.queue = kept
-	e.queue.init()
-	e.tombstones = 0
-}
-
-// discardTombstone retires a popped cancelled event.
-func (e *Engine) discardTombstone(ev *Event) {
-	ev.inHeap = false
-	ev.fn = nil
-	e.tombstones--
-	e.release(ev)
-}
-
-// Peek returns the (time, seq) ordering key of the next live event without
-// executing it, discarding any tombstones that surface on the way. ok is
-// false when no live events remain. The sharded host kernel merges its own
-// event calendars with the engine's schedule through this key: the global
-// execution order is exactly "ascending (time, seq)" whichever side an
-// event lives on.
+// Peek returns the (time, seq) ordering key of the next event without
+// executing it; ok is false when the schedule is empty. The host kernel
+// merges its own event calendars with the engine's schedule through this
+// key: the global execution order is exactly "ascending (time, seq)"
+// whichever side an event lives on.
 func (e *Engine) Peek() (t Time, seq uint64, ok bool) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.ev.canceled {
-			e.queue.pop()
-			e.discardTombstone(next.ev)
-			continue
-		}
-		return next.at, next.seq, true
+	if len(e.queue) == 0 {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	return e.queue[0].at, e.queue[0].seq, true
 }
 
 // TakeSeq hands out the next FIFO tie-break sequence number, exactly as
@@ -484,29 +320,21 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // Step executes the next event. It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		en := e.queue.pop()
-		ev := en.ev
-		if ev.canceled {
-			e.discardTombstone(ev)
-			continue
-		}
-		ev.inHeap = false
-		// Detach the callback: a popped event may sit in a slab chunk
-		// pinned by a long-lived neighbour's handle, and its closure must
-		// not stay reachable for the rest of the run.
-		fn := ev.fn
-		ev.fn = nil
-		if !ev.observer {
-			e.live--
-			e.nEvent++
-		}
-		e.now = en.at
-		e.release(ev)
-		fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.remove(0)
+	e.now = ev.at
+	if !ev.observer() {
+		e.live--
+		e.nEvent++
+	}
+	if ev.tick != nil {
+		ev.tick.fire()
+	} else {
+		ev.fn()
+	}
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -530,40 +358,39 @@ func (e *Engine) RunUntil(deadline Time) {
 // (the weekly tick that applies a phase change, say) belong to the
 // suffix, where they run under the forked cell's config.
 func (e *Engine) RunBefore(deadline Time) {
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.ev.canceled {
-			e.queue.pop()
-			e.discardTombstone(next.ev)
-			continue
-		}
-		if next.at >= deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at < deadline {
 		e.Step()
 	}
 }
 
 // Ticker invokes fn(now) every interval seconds starting at start, until
-// Stop is called or the engine runs out of events. fn runs before the next
-// tick is scheduled, so it may stop the ticker from within.
+// Stop is called. fn runs before the next tick is scheduled, so it may
+// stop the ticker from within. A ticker owns
+// at most one pending tick, which it finds by scanning the heap: campaign
+// heaps hold a handful of events (see the package doc).
 type Ticker struct {
 	engine   *Engine
 	interval float64
 	fn       func(Time)
-	tickFn   func() // bound once; re-attached on every reschedule
-	ev       *Event
+	call     Call // the descriptor every tick carries (see Tag)
+	observer bool
 	stopped  bool
 }
 
-// Every creates and starts a ticker. interval must be positive.
-func (e *Engine) Every(start Time, interval float64, fn func(Time)) *Ticker {
-	if interval <= 0 {
-		panic("sim: ticker interval must be positive")
+// newTicker builds an unarmed ticker, rejecting an interval that is not
+// positive and finite: a zero or NaN interval would never advance the
+// clock, an infinite one would schedule its second tick at +Inf.
+func (e *Engine) newTicker(interval float64, fn func(Time), observer bool) *Ticker {
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		panic(fmt.Sprintf("sim: ticker interval must be positive and finite, got %v", interval))
 	}
-	t := &Ticker{engine: e, interval: interval, fn: fn}
-	t.tickFn = t.tick
-	t.ev = e.At(start, t.tickFn)
+	return &Ticker{engine: e, interval: interval, fn: fn, observer: observer}
+}
+
+// Every creates and starts a ticker.
+func (e *Engine) Every(start Time, interval float64, fn func(Time)) *Ticker {
+	t := e.newTicker(interval, fn, false)
+	e.insert(event{at: start, tick: t})
 	return t
 }
 
@@ -572,87 +399,83 @@ func (e *Engine) Every(start Time, interval float64, fn func(Time)) *Ticker {
 // so attaching one (a metrics sampler, say) leaves every model-observable
 // kernel counter — and therefore the run's Report — byte-identical. The
 // contract is that fn is read-only with respect to the model: it may poll
-// state but must not schedule, cancel, or mutate anything the simulation
+// state but must not schedule, stop, or mutate anything the simulation
 // reads.
 //
 // An observer ticker reschedules itself forever, so it keeps a bare Run()
 // loop alive; drive engines carrying observers with RunUntil and Stop the
 // ticker when the run's horizon is reached.
 func (e *Engine) ObserveEvery(start Time, interval float64, fn func(Time)) *Ticker {
-	if interval <= 0 {
-		panic("sim: ticker interval must be positive")
-	}
-	t := &Ticker{engine: e, interval: interval, fn: fn}
-	t.tickFn = t.tick
-	ev := e.alloc()
-	*ev = Event{fn: t.tickFn, observer: true}
-	e.insert(ev, start)
-	t.ev = ev
+	t := e.newTicker(interval, fn, true)
+	e.insert(event{at: start, tick: t})
 	return t
 }
-
-// Tag attaches a portable Call descriptor to the ticker's pending event.
-// A ticker reuses one event struct for its whole life and reschedule
-// preserves every field except the callback, so tagging once at creation
-// keeps the tick exportable forever.
-func (t *Ticker) Tag(c Call) { t.ev.call = c }
 
 // DormantTicker builds a ticker that is bound to the engine but has no
-// pending event: AttachEvent arms it with an adopted heap entry. Snapshot
-// adoption uses the pair to revive a mid-run periodic process without
-// scheduling a fresh first tick (which would double-fire it).
+// pending tick: Adopt arms it. Snapshot adoption uses the pair to revive a
+// mid-run periodic process without scheduling a fresh first tick (which
+// would double-fire it).
 func (e *Engine) DormantTicker(interval float64, fn func(Time)) *Ticker {
-	if interval <= 0 {
-		panic("sim: ticker interval must be positive")
-	}
-	t := &Ticker{engine: e, interval: interval, fn: fn}
-	t.tickFn = t.tick
-	return t
+	return e.newTicker(interval, fn, false)
 }
 
-// TickFn returns the ticker's bound per-tick callback, the func() an
-// adopted heap event must invoke so the ticker reschedules itself exactly
-// as a natively started one would.
-func (t *Ticker) TickFn() func() { return t.tickFn }
-
-// AttachEvent hands the ticker ownership of an adopted event handle.
-func (t *Ticker) AttachEvent(ev *Event) { t.ev = ev }
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.fn(t.engine.Now())
-	if t.stopped {
-		return
-	}
-	// Reuse the popped event struct: the ticker owns the handle, so
-	// re-arming it is safe and the ticker never allocates per tick.
-	t.engine.reschedule(t.ev, t.engine.Now()+t.interval, t.tickFn)
+// Adopt arms a dormant ticker with an adopted pending tick, keeping its
+// original ordering key. Like AdoptEvent it leaves seq and the live
+// counters to AdoptState.
+func (t *Ticker) Adopt(at Time, seq uint64, c Call) {
+	t.call = c
+	t.engine.queue.push(event{at: at, seq: seq, call: c, tick: t})
 }
 
-// Stop halts the ticker. Safe to call multiple times and from within fn.
+// Tag attaches a portable Call descriptor to the ticker's pending tick and
+// every later one, so the ticks stay exportable for the ticker's life.
+func (t *Ticker) Tag(c Call) {
+	t.call = c
+	if i := t.pending(); i >= 0 {
+		t.engine.queue[i].call = c
+	}
+}
+
+// pending returns the heap index of the ticker's pending tick, or -1 when
+// it has none: it is firing, stopped, dormant, or the engine was Reset.
+func (t *Ticker) pending() int {
+	for i := range t.engine.queue {
+		if t.engine.queue[i].tick == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// fire runs one tick and schedules the next unless fn stopped the ticker.
+func (t *Ticker) fire() {
+	e := t.engine
+	t.fn(e.now)
+	if !t.stopped {
+		e.insert(event{at: e.now + t.interval, call: t.call, tick: t})
+	}
+}
+
+// Stop halts the ticker, taking its pending tick out of the schedule.
+// Safe to call multiple times and from within fn.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	t.engine.Cancel(t.ev)
+	if i := t.pending(); i >= 0 {
+		e := t.engine
+		e.queue.remove(i)
+		if !t.observer {
+			e.live--
+		}
+	}
 }
 
 // Calendar converts simulation time into calendar-like coordinates used by
-// the availability models: day of week, hour of day, and week index.
+// the availability models: day of week and week index.
 // The simulation epoch is taken to be a Monday at midnight.
 type Calendar struct{}
-
-// HourOfDay returns the hour in [0, 24).
-func (Calendar) HourOfDay(t Time) float64 {
-	d := math.Mod(t, Day)
-	if d < 0 {
-		d += Day
-	}
-	return d / Hour
-}
 
 // DayOfWeek returns the day in [0, 7), 0 = Monday.
 func (Calendar) DayOfWeek(t Time) int {
@@ -675,12 +498,4 @@ func (Calendar) WeekIndex(t Time) int {
 		return int(math.Floor(t / Week))
 	}
 	return int(t / Week)
-}
-
-// DayIndex returns the zero-based day number of t.
-func (Calendar) DayIndex(t Time) int {
-	if t < 0 {
-		return int(math.Floor(t / Day))
-	}
-	return int(t / Day)
 }

@@ -12,9 +12,9 @@ import (
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.Schedule(30, func() { order = append(order, 3) })
+	e.Schedule(10, func() { order = append(order, 1) })
+	e.Schedule(20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
@@ -29,7 +29,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.Schedule(5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -49,7 +49,7 @@ func TestOrderingProperty(t *testing.T) {
 		for i := 0; i < count; i++ {
 			times[i] = r.Float64() * 1000
 			ti := times[i]
-			e.At(ti, func() { fired = append(fired, ti) })
+			e.Schedule(ti, func() { fired = append(fired, ti) })
 		}
 		e.Run()
 		if len(fired) != count {
@@ -65,8 +65,8 @@ func TestOrderingProperty(t *testing.T) {
 func TestScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired []float64
-	e.At(10, func() {
-		e.After(5, func() { fired = append(fired, e.Now()) })
+	e.Schedule(10, func() {
+		e.ScheduleAfter(5, func() { fired = append(fired, e.Now()) })
 	})
 	e.Run()
 	if len(fired) != 1 || fired[0] != 15 {
@@ -76,14 +76,14 @@ func TestScheduleDuringRun(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
+	e.Schedule(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.At(5, func() {})
+	e.Schedule(5, func() {})
 }
 
 func TestScheduleNaNPanics(t *testing.T) {
@@ -93,7 +93,7 @@ func TestScheduleNaNPanics(t *testing.T) {
 			t.Fatal("expected panic scheduling at NaN")
 		}
 	}()
-	e.At(nan(), func() {})
+	e.Schedule(nan(), func() {})
 }
 
 func nan() float64 {
@@ -101,50 +101,12 @@ func nan() float64 {
 	return z / z
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked cancelled")
-	}
-	// Double cancel and nil cancel are no-ops.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	evs := make([]*Event, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		evs[i] = e.At(float64(i), func() { order = append(order, i) })
-	}
-	e.Cancel(evs[2])
-	e.Run()
-	want := []int{0, 1, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []float64
 	for _, ts := range []float64{5, 15, 25} {
 		ts := ts
-		e.At(ts, func() { fired = append(fired, ts) })
+		e.Schedule(ts, func() { fired = append(fired, ts) })
 	}
 	e.RunUntil(20)
 	if len(fired) != 2 {
@@ -168,7 +130,7 @@ func TestRunUntilDeadlineTies(t *testing.T) {
 	e := NewEngine()
 	for _, ts := range []float64{d, d, math.Nextafter(d, math.Inf(1))} {
 		ts := ts
-		e.At(ts, func() { fired = append(fired, ts) })
+		e.Schedule(ts, func() { fired = append(fired, ts) })
 	}
 	e.RunBefore(d)
 	if len(fired) != 0 || e.Now() != 0 {
@@ -235,7 +197,7 @@ func TestTickerBadInterval(t *testing.T) {
 func TestExecutedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.At(float64(i), func() {})
+		e.Schedule(float64(i), func() {})
 	}
 	e.Run()
 	if e.Executed() != 7 {
@@ -243,39 +205,6 @@ func TestExecutedCount(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d", e.Pending())
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	evs := make([]*Event, 5)
-	for i := range evs {
-		evs[i] = e.At(float64(i+1), func() {})
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", e.Pending())
-	}
-	e.Cancel(evs[1])
-	e.Cancel(evs[3])
-	if e.Pending() != 3 {
-		t.Fatalf("pending after cancel = %d, want 3", e.Pending())
-	}
-	e.Cancel(evs[1]) // double-cancel must not double-count
-	if e.Pending() != 3 {
-		t.Fatalf("pending after double-cancel = %d, want 3", e.Pending())
-	}
-	e.Step()
-	if e.Pending() != 2 {
-		t.Fatalf("pending after step = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("pending after run = %d, want 0", e.Pending())
-	}
-	// Cancelling an already-executed event is a no-op for the count.
-	e.Cancel(evs[0])
-	if e.Pending() != 0 {
-		t.Fatalf("pending after post-run cancel = %d, want 0", e.Pending())
 	}
 }
 
@@ -290,21 +219,15 @@ func TestCalendar(t *testing.T) {
 	if c.IsWeekend(2 * Day) {
 		t.Fatal("Wednesday is not a weekend")
 	}
-	if h := c.HourOfDay(Day + 6*Hour); h != 6 {
-		t.Fatalf("hour = %v", h)
-	}
 	if c.WeekIndex(8*Day) != 1 {
 		t.Fatalf("week index = %d", c.WeekIndex(8*Day))
-	}
-	if c.DayIndex(36*Hour) != 1 {
-		t.Fatalf("day index = %d", c.DayIndex(36*Hour))
 	}
 }
 
 func TestCalendarNegativeTime(t *testing.T) {
 	var c Calendar
-	if h := c.HourOfDay(-1 * Hour); h != 23 {
-		t.Fatalf("hour of -1h = %v, want 23", h)
+	if d := c.DayOfWeek(-1 * Hour); d != 6 {
+		t.Fatalf("day of week of -1h = %d, want 6 (Sunday)", d)
 	}
 	if c.WeekIndex(-1) != -1 {
 		t.Fatalf("week index of -1s = %d", c.WeekIndex(-1))
@@ -317,7 +240,7 @@ func TestManyEventsStress(t *testing.T) {
 	const n = 100000
 	count := 0
 	for i := 0; i < n; i++ {
-		e.At(r.Float64()*1e6, func() { count++ })
+		e.Schedule(r.Float64()*1e6, func() { count++ })
 	}
 	e.Run()
 	if count != n {
@@ -335,7 +258,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		for _, ts := range times {
-			e.At(ts, func() {})
+			e.Schedule(ts, func() {})
 		}
 		e.Run()
 	}

@@ -31,7 +31,8 @@
 //     schedule from portable descriptors: every scheduled event carries a
 //     sim.Call tag naming its kind and small arguments, and the adopting
 //     subsystems rebuild equivalent closures bound to their own objects
-//     (sim.Engine.AdoptEvent, dormant tickers). An untagged event makes
+//     (sim.Engine.AdoptEvent, and sim.Ticker.Adopt for a dormant ticker's
+//     pending tick). An untagged event makes
 //     sim.Engine.ExportEvents fail; the snapshot tests materialize at every
 //     weekly boundary of the stress configurations so one cannot ship.
 //
@@ -45,9 +46,9 @@
 // Each runtime package owns its portable type (the state is private):
 //
 //   - sim.Engine: clock, FIFO sequence and live/executed counters as
-//     scalars; the heap as PortableEvent descriptors (cancelled entries
-//     dropped). Tickers are not exported: the adopter builds them dormant
-//     and attaches the adopted tick event.
+//     scalars; the heap as PortableEvent descriptors, in heap-array order.
+//     Tickers are not exported: the adopter builds them dormant and arms
+//     each with its adopted tick (Ticker.Adopt).
 //   - wcg.Server (PortableServer): the WUState and Assignment arenas in
 //     allocation order with pointers as indices, the work queue, batch
 //     buckets, deadline rings, trust streaks, outage spool, scheduler rng

@@ -245,7 +245,7 @@ func runDiff(t *testing.T, muxed bool, mkFleet fleetUnder) fleetOutcome {
 	}
 	setTarget, run, read := mkFleet(e, src, m)
 	for _, ft := range fleetTargets {
-		e.At(sim.Time(ft.week)*sim.Week, func() { setTarget(ft.hosts) })
+		e.Schedule(sim.Time(ft.week)*sim.Week, func() { setTarget(ft.hosts) })
 	}
 	run(8 * sim.Week)
 	var out fleetOutcome

@@ -96,7 +96,7 @@ func TestHostStopsAfterCurrentTask(t *testing.T) {
 	k := newKernel(engine, srv, cfg, 3)
 	k.SetTarget(1)
 	// Stop the host shortly after it picks up its first task.
-	engine.After(1, func() { k.SetTarget(0) })
+	engine.ScheduleAfter(1, func() { k.SetTarget(0) })
 	k.RunUntil(52 * sim.Week)
 	if k.done[0] != 1 {
 		t.Fatalf("stopped host completed %d tasks, want exactly 1", k.done[0])

@@ -94,16 +94,16 @@ func TestServerInvariantsUnderRandomTraffic(t *testing.T) {
 				case 0: // vanish: deadline will fire
 				case 1: // invalid result after a short delay
 					delay := r.Float64() * 3 * sim.Day
-					engine.After(delay, func() { srv.CompleteFrom(a, OutcomeInvalid, delay, host) })
+					engine.ScheduleAfter(delay, func() { srv.CompleteFrom(a, OutcomeInvalid, delay, host) })
 				case 2: // very late valid result (after the deadline)
 					delay := 5*sim.Day + r.Float64()*10*sim.Day
-					engine.After(delay, func() { srv.CompleteFrom(a, OutcomeValid, delay, host) })
+					engine.ScheduleAfter(delay, func() { srv.CompleteFrom(a, OutcomeValid, delay, host) })
 				default: // normal valid result
 					delay := r.Float64() * 2 * sim.Day
-					engine.After(delay, func() { srv.CompleteFrom(a, OutcomeValid, delay, host) })
+					engine.ScheduleAfter(delay, func() { srv.CompleteFrom(a, OutcomeValid, delay, host) })
 				}
 			}
-			engine.After(6*sim.Hour, loop)
+			engine.ScheduleAfter(6*sim.Hour, loop)
 		}
 		loop()
 		engine.RunUntil(200 * sim.Day)
@@ -210,16 +210,16 @@ func driveTraffic(engine *sim.Engine, ts trafficServer, seed uint64, nWU, agents
 			case 0: // vanish: the deadline fires
 			case 1, 2: // invalid result
 				d := r.Float64() * 2 * sim.Day
-				engine.After(d, func() { ts.finish(h, OutcomeInvalid, d, host) })
+				engine.ScheduleAfter(d, func() { ts.finish(h, OutcomeInvalid, d, host) })
 			case 3: // very late valid result (after every class deadline)
 				d := 8*sim.Day + r.Float64()*8*sim.Day
-				engine.After(d, func() { ts.finish(h, OutcomeValid, d, host) })
+				engine.ScheduleAfter(d, func() { ts.finish(h, OutcomeValid, d, host) })
 			default: // normal valid result
 				d := r.Float64() * 2 * sim.Day
-				engine.After(d, func() { ts.finish(h, OutcomeValid, d, host) })
+				engine.ScheduleAfter(d, func() { ts.finish(h, OutcomeValid, d, host) })
 			}
 		}
-		engine.After(6*sim.Hour, loop)
+		engine.ScheduleAfter(6*sim.Hour, loop)
 	}
 	loop()
 	engine.RunUntil(diffHorizon)

@@ -156,7 +156,7 @@ func (s *refServer) requestWork() *refAssignment {
 		s.stats.Sent++
 		a := &refAssignment{wu: w, issuedAt: s.engine.Now()}
 		deadline := s.deadlineOf(w)
-		s.engine.After(deadline, func() { s.timeout(a) })
+		s.engine.ScheduleAfter(deadline, func() { s.timeout(a) })
 		return a
 	}
 	return nil

@@ -16,7 +16,7 @@ func TestDeadlineWheelExactTimestamp(t *testing.T) {
 	engine, srv := newTestServer(q1Config())
 	srv.AddWorkunit(wu(1, 100), 0)
 	var a *Assignment
-	engine.At(7, func() { a = srv.RequestWork() })
+	engine.Schedule(7, func() { a = srv.RequestWork() })
 	due := 7 + srv.Deadline()
 	engine.RunUntil(due - 1e-9)
 	if srv.Stats.TimedOut != 0 {
@@ -37,7 +37,7 @@ func TestDeadlineWheelIssueOrder(t *testing.T) {
 	var issued []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		engine.At(float64(i)*sim.Hour, func() {
+		engine.Schedule(float64(i)*sim.Hour, func() {
 			a := srv.RequestWork()
 			if a == nil {
 				t.Errorf("no work at issue %d", i)
