@@ -113,7 +113,6 @@ func recordBench(b *testing.B, name, label string, cfg project.Config, rep *proj
 		Label:           label,
 		Date:            time.Now().UTC().Format("2006-01-02"),
 		Scale:           cfg.WorkScale,
-		Shards:          cfg.Shards,
 		HostsJoined:     rep.HostsJoined,
 		NsPerOp:         nsPerOp,
 		BytesPerOp:      bytesPerOp,
@@ -232,32 +231,29 @@ func BenchmarkCampaignGrid10x(b *testing.B) {
 // launch (the §7 phase-II stance — no control period, no ramp; with the
 // default §5.1 schedule the campaign finishes inside the 5 %-share control
 // weeks and the fleet never ramps).
-func megaGrid(cfg project.Config, times float64, shards int) project.Config {
+func megaGrid(cfg project.Config, times float64) project.Config {
 	cfg.HostScale = times
 	cfg.ControlWeeks = 0
 	cfg.RampWeeks = 0
-	cfg.Shards = shards
 	return cfg
 }
 
 // BenchmarkCampaignGrid100x is the mega-grid milestone: the full workload
 // at 1-hour workunits on a grid one hundred times the 2007 capacity — a
 // fleet of over a million concurrent volunteer hosts — driven through the
-// sharded SoA kernel (K=8, fixed so allocations stay deterministic across
-// machines). Run it with
+// SoA kernel's window calendar. Run it with
 //
 //	BENCH_JSON=BENCH_campaign.json go test -run xxx -bench 'CampaignGrid100x$' -benchtime 1x
 func BenchmarkCampaignGrid100x(b *testing.B) {
 	// 1-hour workunits
-	benchCampaign(b, "BenchmarkCampaignGrid100x", megaGrid(system().CampaignConfig(1, 1), 100, 8), benchLabel())
+	benchCampaign(b, "BenchmarkCampaignGrid100x", megaGrid(system().CampaignConfig(1, 1), 100), benchLabel())
 }
 
 // BenchmarkCampaignGrid100xCI is the CI-sized mega-grid variant: the same
-// 100:1 host-to-work overprovisioning ratio and the same sharded kernel
-// (K=4 fixed), reduced to the CI work scale so the per-PR bench job can
-// run and gate it.
+// 100:1 host-to-work overprovisioning ratio, reduced to the CI work scale
+// so the per-PR bench job can run and gate it.
 func BenchmarkCampaignGrid100xCI(b *testing.B) {
-	benchCampaign(b, "BenchmarkCampaignGrid100xCI", megaGrid(system().CampaignConfig(ciBenchScale, 1), 100*ciBenchScale, 4), benchLabel())
+	benchCampaign(b, "BenchmarkCampaignGrid100xCI", megaGrid(system().CampaignConfig(ciBenchScale, 1), 100*ciBenchScale), benchLabel())
 }
 
 // BenchmarkSharedGrid2Proj measures a two-project equal-share co-run on

@@ -11,8 +11,8 @@
 // regressions hide), BenchmarkSharedGrid2Proj (the two-project co-run on
 // the work-fetch mux), BenchmarkCampaignGrid10x (the grid-growth scale
 // milestone, where per-host overheads that vanish at CI scale show up
-// multiplied by the fleet), BenchmarkCampaignGrid100xCI (the mega-grid on
-// the sharded kernel at K=4, where the window barriers and calendar
+// multiplied by the fleet), BenchmarkCampaignGrid100xCI (the 100:1
+// over-provisioned mega-grid, where the window barriers and calendar
 // chunks live), BenchmarkSweepForked (the prefix-shared sweep, where
 // snapshot materialize/adopt copy regressions hide), and
 // BenchmarkSweepForkedParallel (the fan-out sweep, where the same copies

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hcmdsim [-scale 1/N] [-hours H] [-outdir DIR] [-seed S] [-shards K]
+//	hcmdsim [-scale 1/N] [-hours H] [-outdir DIR] [-fig1days D] [-seed S]
 //	        [-coshare F] [-cpuprofile FILE] [-memprofile FILE]
 //	        [-metrics FILE] [-trace FILE] [-sample-every S]
 //	        [-maintenance-hours H] [-outage-rate R] [-outage-hours H]
@@ -14,11 +14,9 @@
 // The default scale (1/84) finishes in seconds; -scale 1 simulates the full
 // 3.9-million-workunit campaign (minutes, several GB of events).
 //
-// -shards K spreads the host kernel's pending events over K shard
-// calendars (0 = 1, at most 64; a larger K exits 2 before anything runs).
-// The printed tables are byte-identical for every K, and the kernel arms
-// every calendar on one goroutine, so K > 1 buys no speed. The -coshare
-// co-run always runs on one shard.
+// A flag value out of range (-scale outside (0, 1], -fig1days outside
+// [1, 36400], a non-finite -hours, ...) exits 2 before anything runs or
+// any file is written.
 //
 // With -coshare F (0 < F < 1) it additionally co-runs the HCMD workload at
 // resource share F on a shared grid against a phase-II-sized co-project
@@ -30,8 +28,7 @@
 // planned weekly maintenance windows, seeded unplanned outages, flaky
 // result uploads, and permanent host churn with replacement joins. Hosts
 // degrade gracefully (capped exponential backoff, smeared reconnects,
-// upload retries) and the run ends with a one-line fault summary. Fault
-// runs stay byte-identical across -shards values.
+// upload retries) and the run ends with a one-line fault summary.
 //
 // -cpuprofile / -memprofile write pprof files covering the run, the same
 // profiling loop cmd/sweep has. -metrics / -trace attach the observability
@@ -57,13 +54,15 @@ import (
 	"repro/internal/report"
 )
 
+// maxFig1Days bounds -fig1days: a century of grid history.
+const maxFig1Days = 100 * 364
+
 func main() {
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")
 	hours := flag.Float64("hours", 0, "workunit target duration in hours (0 = deployed 3.7)")
 	outdir := flag.String("outdir", "", "directory for CSV figure series (optional)")
 	fig1Days := flag.Int("fig1days", 3*364, "days of grid history for Figure 1")
 	seed := flag.Uint64("seed", 0, "campaign seed (0 = the deployed default)")
-	shards := flag.Int("shards", 0, "host-kernel shard calendars (0 = 1; output is byte-identical for every value)")
 	coshare := flag.Float64("coshare", 0, "co-run HCMD at this grid share against a phase-II co-project and cross-validate the §7 share assumption (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (captured after the run) to this file")
@@ -94,8 +93,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hcmdsim: -sample-every: %v\n", err)
 		os.Exit(2)
 	}
-	if *shards < 0 || *shards > project.MaxShards {
-		fmt.Fprintf(os.Stderr, "hcmdsim: -shards must be in [0, %d]\n", project.MaxShards)
+	if *fig1Days < 1 || *fig1Days > maxFig1Days {
+		fmt.Fprintf(os.Stderr, "hcmdsim: -fig1days must be in [1, %d]\n", maxFig1Days)
+		os.Exit(2)
+	}
+	fcfg, ferr := faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
+		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
+	if ferr != nil {
+		fmt.Fprintf(os.Stderr, "hcmdsim: %v\n", ferr)
 		os.Exit(2)
 	}
 
@@ -155,13 +160,6 @@ func main() {
 	cfg := sys.CampaignConfig(*scale, *hours)
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	cfg.Shards = *shards
-	fcfg, ferr := faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
-		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
-	if ferr != nil {
-		fmt.Fprintf(os.Stderr, "hcmdsim: %v\n", ferr)
-		os.Exit(2)
 	}
 	cfg.Faults = fcfg
 	probe, flushObs, perr := openProbe(*metricsPath, *tracePath, *sampleEvery)

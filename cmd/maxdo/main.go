@@ -32,6 +32,9 @@ func main() {
 	dumpPDB := flag.String("dump-pdb", "", "write the receptor and ligand reduced models as PDB files with this prefix and exit")
 	flag.Parse()
 
+	if *nrot < 1 || *nrot > protein.NRotWorkunit {
+		fail("-nrot must be in [1, %d]", protein.NRotWorkunit)
+	}
 	ds := protein.HCMD168()
 	if *receptor < 0 || *receptor >= ds.Len() || *ligand < 0 || *ligand >= ds.Len() {
 		fail("protein index out of range [0,%d)", ds.Len())

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sweep -list
-//	sweep [-scenarios all|a,b,c] [-reps R] [-workers W] [-shards K] [-fork]
+//	sweep [-scenarios all|a,b,c] [-reps R] [-workers W] [-fork]
 //	      [-fork-workers N]
 //	      [-scale S] [-hours H] [-seed N] [-checkpoint FILE] [-resume] [-out DIR]
 //	      [-scheduler fifo|lifo|random|batch] [-validator quorum|adaptive]
@@ -33,10 +33,10 @@
 // the same engine as any sweep, so they checkpoint, resume, drain and
 // isolate a panicking cell the same way; the checkpoint file is shared, so
 // a co-run without -resume starts it afresh like any sweep. A co-run is
-// single-shard, unforked and fault-free by construction and keeps the
-// catalog's policies: -fork, -fork-workers, -shards, -hours, -scheduler,
-// -validator, -adaptive-streak and the fault flags are rejected with
-// -corun when given.
+// unforked and fault-free by construction and keeps the catalog's
+// policies: -fork, -fork-workers, -hours, -scheduler, -validator,
+// -adaptive-streak and the fault flags are rejected with -corun when
+// given.
 //
 // -fork turns on prefix-shared execution: scenarios whose catalog entry
 // carries a divergence-time hint share the common prefix of their
@@ -45,9 +45,8 @@
 // from the snapshot and simulates only its suffix. Results and aggregates are
 // byte-identical to an unforked sweep (grouped scenarios share one derived
 // trajectory seed per replication either way), so -fork composes with
-// -resume and -shards; only wall clock and the summary's prefix stats
-// change. Forked cells run unprobed (-metrics/-trace samples are skipped
-// for them).
+// -resume; only wall clock and the summary's prefix stats change. Forked
+// cells run unprobed (-metrics/-trace samples are skipped for them).
 //
 // -fork-workers N widens each divergence group's fork fan-out: N-1 chunks
 // of the group's what-if cells go to the next free pool workers, ahead of
@@ -57,12 +56,6 @@
 // -workers; 1 keeps every fork on the publisher. Results stay
 // byte-identical at any width — only wall clock and the summary's fan-out
 // line change.
-//
-// -shards K spreads every cell's host-kernel events over K shard calendars
-// (0 = 1, at most 64; a larger K exits 2 before anything runs). Results are
-// byte-identical for every K, so it composes freely with -resume and every
-// scenario; the kernel arms every calendar on one goroutine, so K > 1 buys
-// no speed.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -148,7 +141,6 @@ func run() (err error) {
 	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
 	reps := flag.Int("reps", 3, "replications per scenario")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-campaign host-kernel shards (0 = 1; results are byte-identical for every value; rejected with -corun)")
 	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; rejected with -corun)")
 	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt the group's snapshot on this many pooled runners (0 = -workers; 1 = sequential forks on the publishing runner)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")
@@ -174,25 +166,20 @@ func run() (err error) {
 	churnWeekly := flag.Float64("churn-weekly", 0, "fraction of the fleet departing permanently per sim week, replaced by fresh joins (0 = off)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault-plane seed override (0 = derived from each run seed)")
 	flag.Parse()
-	if *shards < 0 || *shards > project.MaxShards {
-		// A bad flag value, like a flag the package cannot parse: exit 2.
-		fmt.Fprintf(os.Stderr, "sweep: -shards must be in [0, %d], got %d\n", project.MaxShards, *shards)
-		os.Exit(2)
-	}
 	if *corun {
-		// A co-run is one shard, unforked and fault-free by construction,
-		// and its tenants keep the catalog's policies and workunit duration,
+		// A co-run is unforked and fault-free by construction, and its
+		// tenants keep the catalog's policies and workunit duration,
 		// so these flags are refused when given; their defaults are not.
 		var set []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "fork", "fork-workers", "shards", "hours", "scheduler", "validator", "adaptive-streak",
+			case "fork", "fork-workers", "hours", "scheduler", "validator", "adaptive-streak",
 				"maintenance-hours", "outage-rate", "outage-hours", "upload-loss", "churn-weekly", "fault-seed":
 				set = append(set, "-"+f.Name)
 			}
 		})
 		if len(set) > 0 {
-			return fmt.Errorf("-corun cannot honour %s: co-runs are single-shard, unforked and fault-free, and keep the catalog's policies and workunit duration",
+			return fmt.Errorf("-corun cannot honour %s: co-runs are unforked and fault-free, and keep the catalog's policies and workunit duration",
 				strings.Join(set, ", "))
 		}
 	}
@@ -318,11 +305,11 @@ func run() (err error) {
 
 	nScen := len(selected) + len(coruns)
 	total := nScen * *reps
-	fmt.Fprintf(os.Stderr, "sweep: %d scenarios × %d reps = %d runs on %d workers (scale %.4g, shards %d%s)\n",
-		nScen, *reps, total, nWorkers, *scale, *shards, forkNote)
+	fmt.Fprintf(os.Stderr, "sweep: %d scenarios × %d reps = %d runs on %d workers (scale %.4g%s)\n",
+		nScen, *reps, total, nWorkers, *scale, forkNote)
 	start := time.Now()
 	tracker := experiment.NewTracker(total)
-	tracker.Workers, tracker.Shards, tracker.Forked = nWorkers, *shards, *fork
+	tracker.Workers, tracker.Forked = nWorkers, *fork
 	if *fork {
 		tracker.ForkWorkers = nForkWorkers
 	}
@@ -364,7 +351,7 @@ func run() (err error) {
 		}
 	} else {
 		sw, rerr := sys.RunExperiments(ctx, *scale, *hours, experiment.Options{
-			Base: base, Scenarios: selected, Reps: *reps, Workers: *workers, Shards: *shards,
+			Base: base, Scenarios: selected, Reps: *reps, Workers: *workers,
 			Fork: *fork, ForkWorkers: nForkWorkers, BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
 			MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
 		})
@@ -444,8 +431,8 @@ func startTicker(tr *experiment.Tracker, every time.Duration, metrics *obs.Sink)
 // forked sweep appends its prefix-sharing stats.
 func printSummary(tr *experiment.Tracker) {
 	t := tr.Snapshot()
-	fmt.Fprintf(os.Stderr, "summary: %d cells in %.1fs, %.2f cells/s, mean cell %.2fs, %d workers (GOMAXPROCS %d), %d shards, %.1f MB sys (peak RSS), %.1f MB allocated\n",
-		t.Done, t.ElapsedSeconds, t.CellsPerSec, t.MeanCellSeconds, t.Workers, t.Gomaxprocs, t.Shards, t.SysMB, t.TotalAllocMB)
+	fmt.Fprintf(os.Stderr, "summary: %d cells in %.1fs, %.2f cells/s, mean cell %.2fs, %d workers (GOMAXPROCS %d), %.1f MB sys (peak RSS), %.1f MB allocated\n",
+		t.Done, t.ElapsedSeconds, t.CellsPerSec, t.MeanCellSeconds, t.Workers, t.Gomaxprocs, t.SysMB, t.TotalAllocMB)
 	if t.Forked {
 		fmt.Fprintf(os.Stderr, "prefix sharing: %d groups snapshotted, %d cells forked, %.1f sim-weeks saved\n",
 			t.PrefixGroups, t.PrefixHits, t.SavedSimWeeks)

@@ -45,11 +45,11 @@ func sweep(t *testing.T, args ...string) (string, int) {
 func TestCorunRejectsFlagsItCannotHonour(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "corun.ckpt.jsonl")
-	rejected := []string{"-fork", "-fork-workers", "-shards", "-hours", "-scheduler", "-validator",
+	rejected := []string{"-fork", "-fork-workers", "-hours", "-scheduler", "-validator",
 		"-adaptive-streak", "-maintenance-hours", "-outage-rate", "-outage-hours", "-upload-loss",
 		"-churn-weekly", "-fault-seed"}
 	stderr, code := sweep(t, "-corun", "-reps", "1", "-checkpoint", ckpt,
-		"-fork", "-fork-workers", "2", "-shards", "2", "-hours", "4", "-scheduler", "lifo",
+		"-fork", "-fork-workers", "2", "-hours", "4", "-scheduler", "lifo",
 		"-validator", "adaptive", "-adaptive-streak", "5", "-maintenance-hours", "1",
 		"-outage-rate", "1", "-outage-hours", "2", "-upload-loss", "0.1", "-churn-weekly", "0.1",
 		"-fault-seed", "3")
@@ -81,22 +81,6 @@ func TestCorunRejectsFlagsItCannotHonour(t *testing.T) {
 	b, errB := os.ReadFile(filepath.Join(dir, "b", "gridsweep.json"))
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
 		t.Fatalf("resumed gridsweep.json differs from the first run's (read errors %v, %v)", errA, errB)
-	}
-}
-
-// TestShardsOutOfRangeExitsTwo: -shards outside [0, 64] is a usage error,
-// exit 2, before the checkpoint or any other file is opened.
-func TestShardsOutOfRangeExitsTwo(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "shards.ckpt.jsonl")
-	for _, k := range []string{"65", "-1"} {
-		stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-q", "-shards", k, "-checkpoint", ckpt)
-		if code != 2 || !strings.Contains(stderr, "-shards") {
-			t.Fatalf("-shards %s: exit code %d, want 2 naming -shards; stderr:\n%s", k, code, stderr)
-		}
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("a rejected sweep touched the checkpoint (stat err %v)", err)
 	}
 }
 

@@ -5,11 +5,15 @@
 // Usage:
 //
 //	wupack [-hours 10] [-bins 28] [-csv out.csv]
+//
+// -hours must be finite and positive and -bins in [1, 10000]; any other
+// value exits 2 before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -22,8 +26,12 @@ func main() {
 	csvPath := flag.String("csv", "", "write the histogram as CSV")
 	flag.Parse()
 
-	if *hours <= 0 {
-		fmt.Fprintln(os.Stderr, "wupack: -hours must be positive")
+	if !(*hours > 0) || math.IsInf(*hours, 1) {
+		fmt.Fprintln(os.Stderr, "wupack: -hours must be finite and positive")
+		os.Exit(2)
+	}
+	if *bins < 1 || *bins > 10000 {
+		fmt.Fprintln(os.Stderr, "wupack: -bins must be in [1, 10000]")
 		os.Exit(2)
 	}
 	sys := core.NewHCMD()

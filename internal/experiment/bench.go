@@ -21,7 +21,7 @@ type BenchRun struct {
 	CPU             string  `json:"cpu,omitempty"`          // informational; ns/op is machine-bound
 	Scale           float64 `json:"scale"`                  // WorkScale of the run
 	HostScale       float64 `json:"host_scale,omitempty"`   // only when ≠ Scale (grid-growth runs)
-	Shards          int     `json:"shards,omitempty"`       // host-kernel shards (0 = 1)
+	Shards          int     `json:"shards,omitempty"`       // host-kernel shards of older rows; set by nothing
 	HostsJoined     int     `json:"hosts_joined,omitempty"` // volunteers that ever joined (churn included)
 	NsPerOp         int64   `json:"ns_per_op"`              // wall-clock per campaign
 	BytesPerOp      int64   `json:"bytes_per_op"`           // heap allocated per campaign

@@ -30,20 +30,18 @@ func forkScenarios(t *testing.T) []Scenario {
 
 // TestForkedSweepIdentical is the sweep-level fork pin: with prefix sharing
 // on, results and aggregates are byte-identical to the unforked sweep — on
-// one worker and eight, at K=1 and at K=4 — and the
-// prefix stats prove every grouped cell really was served by a fork (a
+// one worker and eight — and the prefix stats prove every grouped cell really was served by a fork (a
 // silent fallback to standalone runs would keep results correct but show
 // up as missing hits here).
 func TestForkedSweepIdentical(t *testing.T) {
 	scenarios := forkScenarios(t)
 	const reps = 2
-	run := func(fork bool, workers, shards int) *Sweep {
+	run := func(fork bool, workers int) *Sweep {
 		sw, err := Run(context.Background(), Options{
 			Base:      testBase(t),
 			Scenarios: scenarios,
 			Reps:      reps,
 			Workers:   workers,
-			Shards:    shards,
 			Fork:      fork,
 		})
 		if err != nil {
@@ -52,7 +50,7 @@ func TestForkedSweepIdentical(t *testing.T) {
 		return sw
 	}
 
-	ref := run(false, 1, 0)
+	ref := run(false, 1)
 	if ref.PrefixHits != 0 || ref.PrefixGroups != 0 {
 		t.Fatalf("unforked sweep reported prefix stats: %d hits, %d groups", ref.PrefixHits, ref.PrefixGroups)
 	}
@@ -61,21 +59,20 @@ func TestForkedSweepIdentical(t *testing.T) {
 	// per rep the tree takes 3 snapshots and forks 5 cells, saving
 	// (1+1) + 9 + (14+14) − 14 = 25 sim-weeks over standalone runs.
 	const wantHits, wantGroups, wantSaved = 5 * reps, 3 * reps, 25.0 * reps
-	for _, tc := range []struct{ workers, shards int }{{1, 0}, {8, 0}, {1, 4}, {8, 4}} {
-		sw := run(true, tc.workers, tc.shards)
+	for _, workers := range []int{1, 8} {
+		sw := run(true, workers)
 		if !reflect.DeepEqual(ref.Results, sw.Results) {
-			t.Fatalf("workers=%d shards=%d: forked results differ from unforked", tc.workers, tc.shards)
+			t.Fatalf("workers=%d: forked results differ from unforked", workers)
 		}
 		if !reflect.DeepEqual(ref.Aggregates, sw.Aggregates) {
-			t.Fatalf("workers=%d shards=%d: forked aggregates differ from unforked", tc.workers, tc.shards)
+			t.Fatalf("workers=%d: forked aggregates differ from unforked", workers)
 		}
 		if sw.PrefixHits != wantHits || sw.PrefixGroups != wantGroups {
-			t.Errorf("workers=%d shards=%d: prefix stats = %d hits / %d groups, want %d / %d",
-				tc.workers, tc.shards, sw.PrefixHits, sw.PrefixGroups, wantHits, wantGroups)
+			t.Errorf("workers=%d: prefix stats = %d hits / %d groups, want %d / %d",
+				workers, sw.PrefixHits, sw.PrefixGroups, wantHits, wantGroups)
 		}
 		if sw.SavedSimWeeks != wantSaved {
-			t.Errorf("workers=%d shards=%d: saved sim-weeks = %v, want %v",
-				tc.workers, tc.shards, sw.SavedSimWeeks, wantSaved)
+			t.Errorf("workers=%d: saved sim-weeks = %v, want %v", workers, sw.SavedSimWeeks, wantSaved)
 		}
 	}
 
@@ -85,7 +82,7 @@ func TestForkedSweepIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forkJSON, err := json.Marshal(run(true, 8, 0))
+	forkJSON, err := json.Marshal(run(true, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +101,13 @@ func TestForkedSweepIdentical(t *testing.T) {
 func TestParallelForkedSweepIdentical(t *testing.T) {
 	scenarios := forkScenarios(t)
 	const reps = 2
-	run := func(fork bool, workers, forkWorkers, shards int) *Sweep {
+	run := func(fork bool, workers, forkWorkers int) *Sweep {
 		sw, err := Run(context.Background(), Options{
 			Base:        testBase(t),
 			Scenarios:   scenarios,
 			Reps:        reps,
 			Workers:     workers,
 			ForkWorkers: forkWorkers,
-			Shards:      shards,
 			Fork:        fork,
 		})
 		if err != nil {
@@ -120,28 +116,28 @@ func TestParallelForkedSweepIdentical(t *testing.T) {
 		return sw
 	}
 
-	ref := run(false, 1, 0, 0)
+	ref := run(false, 1, 0)
 	const wantHits, wantGroups, wantSaved = 5 * reps, 3 * reps, 25.0 * reps
-	for _, tc := range []struct{ workers, forkWorkers, shards int }{{8, 8, 0}, {8, 8, 4}, {1, 8, 0}} {
-		sw := run(true, tc.workers, tc.forkWorkers, tc.shards)
+	for _, tc := range []struct{ workers, forkWorkers int }{{8, 8}, {1, 8}} {
+		sw := run(true, tc.workers, tc.forkWorkers)
 		if !reflect.DeepEqual(ref.Results, sw.Results) {
-			t.Fatalf("workers=%d fork-workers=%d shards=%d: parallel-forked results differ from unforked",
-				tc.workers, tc.forkWorkers, tc.shards)
+			t.Fatalf("workers=%d fork-workers=%d: parallel-forked results differ from unforked",
+				tc.workers, tc.forkWorkers)
 		}
 		if !reflect.DeepEqual(ref.Aggregates, sw.Aggregates) {
-			t.Fatalf("workers=%d fork-workers=%d shards=%d: parallel-forked aggregates differ from unforked",
-				tc.workers, tc.forkWorkers, tc.shards)
+			t.Fatalf("workers=%d fork-workers=%d: parallel-forked aggregates differ from unforked",
+				tc.workers, tc.forkWorkers)
 		}
 		if sw.PrefixHits != wantHits || sw.PrefixGroups != wantGroups || sw.SavedSimWeeks != wantSaved {
-			t.Errorf("workers=%d fork-workers=%d shards=%d: prefix stats = %d hits / %d groups / %v weeks, want %d / %d / %v",
-				tc.workers, tc.forkWorkers, tc.shards,
+			t.Errorf("workers=%d fork-workers=%d: prefix stats = %d hits / %d groups / %v weeks, want %d / %d / %v",
+				tc.workers, tc.forkWorkers,
 				sw.PrefixHits, sw.PrefixGroups, sw.SavedSimWeeks, wantHits, wantGroups, wantSaved)
 		}
 		if tc.workers > 1 {
 			// Real fan-out: at least one chunk adopted on another runner.
 			if sw.AdoptedRunners == 0 || sw.ForksParallel == 0 || sw.SnapshotBytes == 0 {
-				t.Errorf("workers=%d fork-workers=%d shards=%d: no fan-out happened (adopted=%d, parallel forks=%d, bytes=%d)",
-					tc.workers, tc.forkWorkers, tc.shards, sw.AdoptedRunners, sw.ForksParallel, sw.SnapshotBytes)
+				t.Errorf("workers=%d fork-workers=%d: no fan-out happened (adopted=%d, parallel forks=%d, bytes=%d)",
+					tc.workers, tc.forkWorkers, sw.AdoptedRunners, sw.ForksParallel, sw.SnapshotBytes)
 			}
 		} else {
 			// ForkWorkers is capped at Workers: one worker means sequential
@@ -159,7 +155,7 @@ func TestParallelForkedSweepIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parJSON, err := json.Marshal(run(true, 8, 8, 0))
+	parJSON, err := json.Marshal(run(true, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,21 +174,20 @@ func TestFaultScenariosWorkerIndependent(t *testing.T) {
 		}
 		scenarios = append(scenarios, s)
 	}
-	run := func(workers, shards int) *Sweep {
+	run := func(workers int) *Sweep {
 		sw, err := Run(context.Background(), Options{
 			Base:      testBase(t),
 			Scenarios: scenarios,
 			Reps:      2,
 			Workers:   workers,
-			Shards:    shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sw
 	}
-	serial := run(1, 0)
-	parallel := run(8, 0)
+	serial := run(1)
+	parallel := run(8)
 	if len(serial.Results) != len(parallel.Results) {
 		t.Fatal("fault sweeps differ in cell count across worker counts")
 	}
@@ -196,13 +195,6 @@ func TestFaultScenariosWorkerIndependent(t *testing.T) {
 		if serial.Results[i] != parallel.Results[i] {
 			t.Fatalf("fault cell %d differs between -workers=1 and -workers=8:\n%+v\n%+v",
 				i, serial.Results[i], parallel.Results[i])
-		}
-	}
-	sharded := run(8, 8)
-	for i := range serial.Results {
-		if serial.Results[i] != sharded.Results[i] {
-			t.Fatalf("fault cell %d differs between the 1-shard and 8-shard kernels:\n%+v\n%+v",
-				i, serial.Results[i], sharded.Results[i])
 		}
 	}
 	// The fault metrics actually surface in sweep cells.

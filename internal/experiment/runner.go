@@ -114,11 +114,8 @@ type Options struct {
 	// Workers bounds the goroutine pool; 0 means GOMAXPROCS.
 	Workers int
 
-	// Shards is every cell's host-kernel shard count (0 = 1, at most
-	// project.MaxShards). The shard count never changes simulation results
-	// — runs are byte-identical for every K — so it is not part of the
-	// checkpoint key and checkpointed cells from a differently-sharded sweep
-	// stay valid.
+	// Shards is ignored: the host kernel runs one window calendar. The
+	// field stays only for callers that still assign it.
 	Shards int
 
 	// BaseSeed is mixed with the scenario and replication indexes to derive
@@ -226,9 +223,6 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be ≥ 1, got %d", opts.Reps)
 	}
-	if opts.Shards < 0 || opts.Shards > project.MaxShards {
-		return nil, fmt.Errorf("experiment: Shards must be in [0, %d], got %d", project.MaxShards, opts.Shards)
-	}
 	if err := obs.CheckSampleEvery(opts.SampleEvery); err != nil {
 		return nil, fmt.Errorf("experiment: SampleEvery: %w", err)
 	}
@@ -288,16 +282,13 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 }
 
 // cellConfig builds the campaign configuration for one sweep cell: a copy
-// of Base with the derived seed pinned across the scenario mutation, the
-// sweep's shard plan, and the cell's probe (nil for forked cells).
+// of Base with the derived seed pinned across the scenario mutation, and
+// the cell's probe (nil for forked cells).
 func cellConfig(opts *Options, sc Scenario, seed uint64, probe *obs.Probe) project.Config {
 	cfg := opts.Base // shallow copy; DS and M stay shared read-only
 	cfg.Seed = seed
 	sc.Mutate(&cfg)
 	cfg.Seed = seed // a mutator must not undo the derived seed
-	if opts.Shards > 0 {
-		cfg.Shards = opts.Shards // execution plan, not an experiment variable
-	}
 	cfg.Probe = probe
 	return cfg
 }

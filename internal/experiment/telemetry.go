@@ -17,7 +17,6 @@ type Telemetry struct {
 	Total           int
 	Workers         int // sweep worker goroutines
 	Gomaxprocs      int // runtime.GOMAXPROCS when the snapshot was taken
-	Shards          int // per-campaign host-kernel shards (0 = 1)
 	ElapsedSeconds  float64
 	CellsPerSec     float64
 	ETASeconds      float64 // 0 when no cell has finished yet
@@ -69,7 +68,6 @@ func (t Telemetry) Fields() []obs.F {
 		obs.Int("total", int64(t.Total)),
 		obs.Int("workers", int64(t.Workers)),
 		obs.Int("gomaxprocs", int64(t.Gomaxprocs)),
-		obs.Int("shards", int64(t.Shards)),
 		obs.Num("elapsed-s", t.ElapsedSeconds),
 		obs.Num("cells-per-s", t.CellsPerSec),
 		obs.Num("eta-s", t.ETASeconds),
@@ -102,11 +100,10 @@ func (t Telemetry) Fields() []obs.F {
 // a Progress callback (Observe) and poll it from a ticker goroutine
 // (Snapshot); both are safe concurrently.
 type Tracker struct {
-	// Workers, Shards and Forked describe the sweep's execution plan
-	// (worker goroutines, per-campaign kernel shards, prefix sharing); set
-	// them before the sweep starts and they are copied into every Snapshot.
+	// Workers and Forked describe the sweep's execution plan (worker
+	// goroutines, prefix sharing); set them before the sweep starts and
+	// they are copied into every Snapshot.
 	Workers int
-	Shards  int
 	Forked  bool
 	// ForkWorkers is the parallel fan-out width (0 or 1 = sequential
 	// forks); > 1 gates the fan-out stats into Snapshot output.
@@ -158,7 +155,6 @@ func (tr *Tracker) Snapshot() Telemetry {
 		Total:          tr.total,
 		Workers:        tr.Workers,
 		Gomaxprocs:     runtime.GOMAXPROCS(0),
-		Shards:         tr.Shards,
 		ElapsedSeconds: time.Since(tr.start).Seconds(),
 		TotalAllocMB:   float64(ms.TotalAlloc) / (1 << 20),
 		SysMB:          float64(ms.Sys) / (1 << 20),

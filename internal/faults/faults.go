@@ -3,7 +3,7 @@
 // upload-loss with retry budgets, and permanent host departure with
 // replacement joins (churn). Every fault is an ordinary kernel event or a
 // pure function of (seed, host, attempt) — never ambient randomness — so a
-// fault scenario is byte-reproducible and independent of shard count.
+// fault scenario is byte-reproducible.
 //
 // The plane sits between the host kernel and the middleware as a
 // volunteer.WorkSource wrapper (it also implements volunteer.RetryAdvisor,
@@ -20,7 +20,7 @@
 //   - Per-host draws (upload loss, retry jitter, backoff jitter, reconnect
 //     smear) come from a stateless splitmix-style hash of (seed, host,
 //     sequence), so they are independent of the order hosts are simulated
-//     in — the property that keeps K=1 and K=8 byte-equal.
+//     in.
 //   - Churn uses the population's existing SetTarget machinery at a fixed
 //     ticker cadence; replacement hosts draw their seeds from the same
 //     FIFO seed stream both kernels already share.
@@ -215,8 +215,8 @@ const (
 
 // mix3 is a splitmix64-style avalanche of (seed, a, b): a stateless hash
 // whose output is uniform enough for Bernoulli and jitter draws. Stateless
-// is the point — the draw for (host, seq) is the same whichever kernel,
-// shard, or simulation order reaches it.
+// is the point — the draw for (host, seq) is the same whichever kernel or
+// simulation order reaches it.
 func mix3(seed, a, b uint64) uint64 {
 	z := seed + a*0x9e3779b97f4a7c15 + b*0xd1342543de82ef95
 	z ^= z >> 30

@@ -87,12 +87,9 @@ type Config struct {
 	Seed     uint64
 	MaxWeeks float64 // safety stop
 
-	// Shards is the host kernel's shard calendar count K (volunteer.
-	// ShardKernel); 0 = 1, at most MaxShards. Reports are byte-identical
-	// for every K, fresh and pooled (golden-hash pinned), and the kernel
-	// arms every calendar on one goroutine, so K changes neither a result
-	// nor, beyond its per-shard overhead, the run time. Excluded from JSON
-	// so marshaled reports and scenario hashes are invariant to the plan.
+	// Shards is ignored: the host kernel runs one window calendar. The
+	// field stays only for callers that still assign it. Excluded from
+	// JSON so marshaled reports and scenario hashes never carry it.
 	Shards int `json:"-"`
 
 	// SnapshotWeeks are the Figure 7 progression capture points.
@@ -278,7 +275,7 @@ type Campaign struct {
 	one     [1]*tenant
 
 	// fleet is the fleet schedule and kernel plan — host model, grid model,
-	// share schedule, scale, seed, shards, horizon and probe: &t.cfg on a
+	// share schedule, scale, seed, horizon and probe: &t.cfg on a
 	// single-project campaign, the Grid's flat-share Config on a co-run.
 	fleet *Config
 	mux   *volunteer.Mux // nil on a single-project campaign
@@ -306,12 +303,6 @@ type Campaign struct {
 // the materialized outage schedule stay finite.
 const maxWeeks = 1040
 
-// MaxShards bounds Config.Shards. Every shard owns a calendar with ~16 KB
-// of arming scratch, and the merge scans every shard's cursor once per
-// event, so a larger K costs memory and time and changes no output.
-// 64 is eight times the largest K any benchmark runs.
-const MaxShards = 64
-
 // checkFinite panics unless v is a finite number. NaN fails every ordered
 // comparison and ±Inf passes every one-sided bound, so the range checks
 // alone would let them through.
@@ -319,6 +310,63 @@ func checkFinite(field string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("project: %s %v is not finite", field, v))
 	}
+}
+
+// checkPositive, checkNonNegative and checkUnit panic unless v is finite
+// and positive, finite and non-negative, or in [0, 1]. NaN fails every
+// comparison, so each bound rejects it.
+func checkPositive(field string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("project: %s %v is not finite and positive", field, v))
+	}
+}
+
+func checkNonNegative(field string, v float64) {
+	if !(v >= 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("project: %s %v is not finite and non-negative", field, v))
+	}
+}
+
+func checkUnit(field string, v float64) {
+	if !(v >= 0 && v <= 1) {
+		panic(fmt.Sprintf("project: %s %v out of [0,1]", field, v))
+	}
+}
+
+// checkFleet validates the host and grid models a fleet runs on. A zero
+// IdleRetry re-fetches at the same instant forever, and a NaN or infinite
+// speed-down, delay or capacity either indexes the host kernel's calendar
+// at int(NaN) or runs a campaign that silently never completes.
+func checkFleet(h volunteer.HostConfig, g volunteer.GridModel) {
+	checkPositive("Host.MeanSpeedDown", h.MeanSpeedDown)
+	checkNonNegative("Host.SpeedDownSigma", h.SpeedDownSigma)
+	checkUnit("Host.AbandonProb", h.AbandonProb)
+	checkUnit("Host.LateReturnProb", h.LateReturnProb)
+	checkUnit("Host.ErrorProb", h.ErrorProb)
+	checkPositive("Host.IdleRetry", h.IdleRetry)
+	checkNonNegative("Host.LateDelayMax", h.LateDelayMax)
+	checkNonNegative("Host.HardwareTrendPerWeek", h.HardwareTrendPerWeek)
+	var weights float64
+	for i, p := range h.Profiles {
+		field := fmt.Sprintf("Host.Profiles[%d].", i)
+		checkNonNegative(field+"Weight", p.Weight)
+		checkUnit(field+"ErrorProb", p.ErrorProb)
+		if p.AbandonProb < 0 {
+			checkFinite(field+"AbandonProb", p.AbandonProb) // negative: inherit Host.AbandonProb
+		} else {
+			checkUnit(field+"AbandonProb", p.AbandonProb)
+		}
+		checkFinite(field+"OnlineHours", p.OnlineHours)
+		weights += p.Weight
+	}
+	if len(h.Profiles) > 0 {
+		checkPositive("Host.Profiles weight sum", weights)
+	}
+	checkNonNegative("Grid.BaseVFTP", g.BaseVFTP)
+	checkNonNegative("Grid.GrowthPerWeek", g.GrowthPerWeek)
+	checkUnit("Grid.WeekendDip", g.WeekendDip)
+	checkUnit("Grid.HolidayDip", g.HolidayDip)
+	checkNonNegative("Grid.Noise", g.Noise)
 }
 
 // checkMaxWeeks validates a MaxWeeks safety stop, defaulting 0 (or a
@@ -360,12 +408,9 @@ func checkConfig(cfg Config) Config {
 		panic(fmt.Sprintf("project: grid shares (%v control, %v full) out of [0,1]", cfg.ControlShare, cfg.FullShare))
 	}
 	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
-	switch {
-	case cfg.Shards < 1:
-		cfg.Shards = 1
-	case cfg.Shards > MaxShards:
-		panic(fmt.Sprintf("project: Shards %d above MaxShards (%d)", cfg.Shards, MaxShards))
-	}
+	checkFleet(cfg.Host, cfg.Grid)
+	checkPositive("Server.Deadline", cfg.Server.Deadline)
+	checkNonNegative("Server.QuorumSwitchTime", cfg.Server.QuorumSwitchTime)
 	if p := cfg.Probe; p != nil && p.Trace != nil {
 		// Saboteur onsets surface from deep inside the host layer; route
 		// them to the run trace through the host-config hook so the
@@ -461,7 +506,7 @@ func (c *Campaign) arm(projects []Config, shares []float64) {
 		}
 	}
 	f := c.fleet
-	c.kern.Reset(c.engine, c.workSource(), f.Host, rng.New(f.Seed), f.Shards, c.shardWindow())
+	c.kern.Reset(c.engine, c.workSource(), f.Host, rng.New(f.Seed), c.shardWindow())
 	if c.mux != nil {
 		c.kern.Multiplex(c.mux)
 	}
@@ -504,10 +549,7 @@ func (c *Campaign) activePlane() *faults.Plane {
 // window (the overlay heap catches the rest; any positive value is
 // correct).
 func (c *Campaign) shardWindow() float64 {
-	w := c.fleet.Host.IdleRetry
-	if w <= 0 {
-		w = 6 * sim.Hour
-	}
+	w := c.fleet.Host.IdleRetry // positive: checkFleet
 	for _, t := range c.tenants {
 		if h := t.cfg.HHours * 1800; h > 0 && h < w {
 			w = h

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/protein"
 	"repro/internal/sim"
+	"repro/internal/volunteer"
 )
 
 // checkTimeout bounds one config check: a regression that makes a check
@@ -59,9 +60,14 @@ func checkBase() Config {
 // TestConfigRejectsNonFinite: NaN passes the old `v <= 0` style checks and
 // ±Inf their one-sided bounds, so these configs used to be accepted — and an
 // infinite horizon or outage rate then never returned. The out-of-range
-// entries (MaxWeeks, Shards) ride along.
+// entries ride along: a zero idle retry re-fetched at the same instant
+// forever, a negative one scheduled into the past, and a NaN speed-down,
+// late delay or deadline crashed the host kernel's calendar or the engine.
 func TestConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
+	profile := func(p volunteer.BehaviorProfile) func(*Config) {
+		return func(c *Config) { c.Host.Profiles = []volunteer.BehaviorProfile{p} }
+	}
 	cases := map[string]func(*Config){
 		"HHours NaN":              func(c *Config) { c.HHours = nan },
 		"HHours +Inf":             func(c *Config) { c.HHours = inf },
@@ -71,8 +77,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"MaxWeeks NaN":            func(c *Config) { c.MaxWeeks = nan },
 		"MaxWeeks +Inf":           func(c *Config) { c.MaxWeeks = inf },
 		"MaxWeeks past the cap":   func(c *Config) { c.MaxWeeks = maxWeeks + 1 },
-		"Shards past the cap":     func(c *Config) { c.Shards = MaxShards + 1 },
-		"Shards MaxInt":           func(c *Config) { c.Shards = math.MaxInt },
 		"ControlWeeks -Inf":       func(c *Config) { c.ControlWeeks = -inf },
 		"RampWeeks NaN":           func(c *Config) { c.RampWeeks = nan },
 		"ControlShare NaN":        func(c *Config) { c.ControlShare = nan },
@@ -81,6 +85,47 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"maintenance NaN":         func(c *Config) { c.Faults = &faults.Config{MaintenanceEvery: sim.Week, MaintenanceDuration: nan} },
 		"inert fault config NaN":  func(c *Config) { c.Faults = &faults.Config{UploadLossProb: nan} },
 		"outage rate above limit": func(c *Config) { c.Faults = &faults.Config{UnplannedPerWeek: 1e9} },
+
+		"IdleRetry 0":                func(c *Config) { c.Host.IdleRetry = 0 },
+		"IdleRetry -1":               func(c *Config) { c.Host.IdleRetry = -1 },
+		"IdleRetry NaN":              func(c *Config) { c.Host.IdleRetry = nan },
+		"MeanSpeedDown 0":            func(c *Config) { c.Host.MeanSpeedDown = 0 },
+		"MeanSpeedDown NaN":          func(c *Config) { c.Host.MeanSpeedDown = nan },
+		"MeanSpeedDown +Inf":         func(c *Config) { c.Host.MeanSpeedDown = inf },
+		"SpeedDownSigma NaN":         func(c *Config) { c.Host.SpeedDownSigma = nan },
+		"SpeedDownSigma -1":          func(c *Config) { c.Host.SpeedDownSigma = -1 },
+		"LateDelayMax NaN":           func(c *Config) { c.Host.LateDelayMax = nan },
+		"LateDelayMax +Inf":          func(c *Config) { c.Host.LateDelayMax = inf },
+		"LateDelayMax -1":            func(c *Config) { c.Host.LateDelayMax = -1 },
+		"HardwareTrendPerWeek NaN":   func(c *Config) { c.Host.HardwareTrendPerWeek = nan },
+		"HardwareTrendPerWeek +Inf":  func(c *Config) { c.Host.HardwareTrendPerWeek = inf },
+		"HardwareTrendPerWeek -1":    func(c *Config) { c.Host.HardwareTrendPerWeek = -1 },
+		"ErrorProb NaN":              func(c *Config) { c.Host.ErrorProb = nan },
+		"ErrorProb 1.5":              func(c *Config) { c.Host.ErrorProb = 1.5 },
+		"AbandonProb -0.1":           func(c *Config) { c.Host.AbandonProb = -0.1 },
+		"LateReturnProb +Inf":        func(c *Config) { c.Host.LateReturnProb = inf },
+		"profile ErrorProb NaN":      profile(volunteer.BehaviorProfile{Weight: 1, ErrorProb: nan}),
+		"profile ErrorProb negative": profile(volunteer.BehaviorProfile{Weight: 1, ErrorProb: -0.5}),
+		"profile AbandonProb 2":      profile(volunteer.BehaviorProfile{Weight: 1, AbandonProb: 2}),
+		"profile AbandonProb -Inf":   profile(volunteer.BehaviorProfile{Weight: 1, AbandonProb: -inf}),
+		"profile Weight NaN":         profile(volunteer.BehaviorProfile{Weight: nan}),
+		"profile Weight -1":          profile(volunteer.BehaviorProfile{Weight: -1}),
+		"profile weights sum to 0":   profile(volunteer.BehaviorProfile{Weight: 0}),
+		"profile OnlineHours NaN":    profile(volunteer.BehaviorProfile{Weight: 1, Diurnal: true, OnlineHours: nan}),
+		"profile OnlineHours -Inf":   profile(volunteer.BehaviorProfile{Weight: 1, OnlineHours: -inf}),
+		"Server.Deadline NaN":        func(c *Config) { c.Server.Deadline = nan },
+		"Server.Deadline +Inf":       func(c *Config) { c.Server.Deadline = inf },
+		"Server.Deadline 0":          func(c *Config) { c.Server.Deadline = 0 },
+		"QuorumSwitchTime NaN":       func(c *Config) { c.Server.QuorumSwitchTime = nan },
+		"QuorumSwitchTime -1":        func(c *Config) { c.Server.QuorumSwitchTime = -1 },
+		"Grid.BaseVFTP NaN":          func(c *Config) { c.Grid.BaseVFTP = nan },
+		"Grid.BaseVFTP +Inf":         func(c *Config) { c.Grid.BaseVFTP = inf },
+		"Grid.GrowthPerWeek -1":      func(c *Config) { c.Grid.GrowthPerWeek = -1 },
+		"Grid.GrowthPerWeek +Inf":    func(c *Config) { c.Grid.GrowthPerWeek = inf },
+		"Grid.WeekendDip 1.5":        func(c *Config) { c.Grid.WeekendDip = 1.5 },
+		"Grid.HolidayDip -0.1":       func(c *Config) { c.Grid.HolidayDip = -0.1 },
+		"Grid.Noise NaN":             func(c *Config) { c.Grid.Noise = nan },
+		"Grid.Noise -1":              func(c *Config) { c.Grid.Noise = -1 },
 	}
 	base := checkBase()
 	for name, mutate := range cases {
@@ -89,17 +134,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		if _, p := runChecked(t, func() *Campaign { return New(cfg) }); !ownPanic(p) {
 			t.Errorf("%s: New returned (panic %v), want a project:/faults: rejection", name, p)
 		}
-	}
-}
-
-// TestConfigAcceptsMaxShards: the shard bound is inclusive
-// (TestConfigRejectsNonFinite covers the counts above it).
-func TestConfigAcceptsMaxShards(t *testing.T) {
-	cfg := checkBase()
-	cfg.Shards = MaxShards
-	out, p := runChecked(t, func() Config { return checkConfig(cfg) })
-	if p != nil || out.Shards != MaxShards {
-		t.Errorf("Shards %d: checkConfig gave %d (panic %v), want it accepted", MaxShards, out.Shards, p)
 	}
 }
 
@@ -114,6 +148,10 @@ func TestGridConfigRejectsNonFinite(t *testing.T) {
 		"HostScale NaN":      func(c *GridConfig) { c.HostScale = nan },
 		"HostScale +Inf":     func(c *GridConfig) { c.HostScale = inf },
 		"MaxWeeks +Inf":      func(c *GridConfig) { c.MaxWeeks = inf },
+		"Host.IdleRetry 0":   func(c *GridConfig) { c.Host.IdleRetry = 0 },
+		"Host.ErrorProb NaN": func(c *GridConfig) { c.Host.ErrorProb = nan },
+		"Grid.BaseVFTP NaN":  func(c *GridConfig) { c.Grid.BaseVFTP = nan },
+		"Grid.WeekendDip 2":  func(c *GridConfig) { c.Grid.WeekendDip = 2 },
 	}
 	base := gridConfig(t, 1, nil)
 	for name, mutate := range cases {
@@ -143,21 +181,73 @@ func configFloats(cfg *Config) []*float64 {
 	return p
 }
 
+// rangedFloat is a float field the fuzz target drives, with the closed
+// range an accepted config holds it in (NaN is in no range).
+type rangedFloat struct {
+	v      *float64
+	lo, hi float64
+}
+
+// fleetFloats lists the host and grid models' floats with their ranges:
+// positive, non-negative, a probability or a dip in [0, 1], and finite.
+func fleetFloats(h *volunteer.HostConfig, g *volunteer.GridModel) []rangedFloat {
+	const pos, big = math.SmallestNonzeroFloat64, math.MaxFloat64
+	return []rangedFloat{
+		{&h.MeanSpeedDown, pos, big}, {&h.SpeedDownSigma, 0, big}, {&h.AbandonProb, 0, 1},
+		{&h.LateReturnProb, 0, 1}, {&h.ErrorProb, 0, 1}, {&h.IdleRetry, pos, big},
+		{&h.LateDelayMax, 0, big}, {&h.HardwareTrendPerWeek, 0, big},
+		{&g.BaseVFTP, 0, big}, {&g.GrowthPerWeek, 0, big}, {&g.WeekendDip, 0, 1},
+		{&g.HolidayDip, 0, 1}, {&g.Noise, 0, big},
+	}
+}
+
+// modelFloats lists cfg's host and grid models, its server deadline and
+// quorum switch time, then each behavior profile's floats (a negative
+// AbandonProb inherits the flat rate).
+func modelFloats(cfg *Config) []rangedFloat {
+	const pos, big = math.SmallestNonzeroFloat64, math.MaxFloat64
+	p := append(fleetFloats(&cfg.Host, &cfg.Grid),
+		rangedFloat{&cfg.Server.Deadline, pos, big}, rangedFloat{&cfg.Server.QuorumSwitchTime, 0, big})
+	for i := range cfg.Host.Profiles {
+		pr := &cfg.Host.Profiles[i]
+		p = append(p, rangedFloat{&pr.Weight, 0, big}, rangedFloat{&pr.ErrorProb, 0, 1},
+			rangedFloat{&pr.AbandonProb, -big, 1}, rangedFloat{&pr.OnlineHours, -big, big})
+	}
+	return p
+}
+
+// checkRanged asserts every field lies in its range.
+func checkRanged(t *testing.T, fields []rangedFloat) {
+	t.Helper()
+	for i, f := range fields {
+		if !(*f.v >= f.lo && *f.v <= f.hi) {
+			t.Fatalf("checked model field %d = %v, want in [%v, %v]", i, *f.v, f.lo, f.hi)
+		}
+	}
+}
+
 // FuzzCheckConfig drives checkConfig and checkGridConfig with float fields
 // picked from fuzzValues: input byte i selects field i — Config's eight,
 // its fault plane's eleven, then a two-tenant GridConfig's two Shares,
-// GridShare, HostScale and MaxWeeks. The contract: a check either panics
-// with a "project:" or "faults:" message, or returns finite, in-range
-// fields that check again to the same values.
+// GridShare, HostScale and MaxWeeks, then Config's host and grid models
+// (thirteen), server deadline and quorum switch time, and one behavior
+// profile (four), then the GridConfig's host and grid models (thirteen).
+// The contract: a check either panics with a "project:" or "faults:"
+// message, or returns finite, in-range fields that check again to the same
+// values.
 func FuzzCheckConfig(f *testing.F) {
 	base := checkBase()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := base
 		cfg.Faults = &faults.Config{}
+		cfg.Host.Profiles = []volunteer.BehaviorProfile{{Name: "fuzz", Weight: 1, ErrorProb: 0.01, AbandonProb: -1}}
 		tenant := base
 		g := GridConfig{Projects: []Config{tenant, tenant}, Shares: []float64{1, 1},
 			Host: base.Host, Grid: base.Grid, GridShare: 0.5, HostScale: 0.01, MaxWeeks: 60}
 		fields := append(configFloats(&cfg), &g.Shares[0], &g.Shares[1], &g.GridShare, &g.HostScale, &g.MaxWeeks)
+		for _, rf := range append(modelFloats(&cfg), fleetFloats(&g.Host, &g.Grid)...) {
+			fields = append(fields, rf.v)
+		}
 		for i, b := range data {
 			if sel := int(b % 16); i < len(fields) && sel < len(fuzzValues) {
 				*fields[i] = fuzzValues[sel]
@@ -195,6 +285,8 @@ func checkConfigOut(t *testing.T, out Config) {
 		out.MaxWeeks <= 0, out.MaxWeeks > maxWeeks, out.ControlShare > 1, out.FullShare > 1:
 		t.Fatalf("checked config out of range: %+v", out)
 	}
+	model := modelFloats(&out)
+	checkRanged(t, model)
 	again, p := runChecked(t, func() Config { return checkConfig(out) })
 	if p != nil {
 		t.Fatalf("re-checking an accepted config panicked: %v", p)
@@ -205,6 +297,11 @@ func checkConfigOut(t *testing.T, out Config) {
 	for i, v := range configFloats(&again) {
 		if *v != *got[i] {
 			t.Fatalf("re-check moved field %d: %v → %v", i, *got[i], *v)
+		}
+	}
+	for i, f := range modelFloats(&again) {
+		if *f.v != *model[i].v {
+			t.Fatalf("re-check moved model field %d: %v → %v", i, *model[i].v, *f.v)
 		}
 	}
 }
@@ -224,6 +321,7 @@ func checkGridOut(t *testing.T, out GridConfig) {
 		t.Fatalf("checked grid out of range: shares %v, grid share %v, host scale %v, max weeks %v",
 			out.Shares, out.GridShare, out.HostScale, out.MaxWeeks)
 	}
+	checkRanged(t, fleetFloats(&out.Host, &out.Grid))
 	again, p := runChecked(t, func() GridConfig { return checkGridConfig(out) })
 	if p != nil {
 		t.Fatalf("re-checking an accepted grid config panicked: %v", p)

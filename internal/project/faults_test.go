@@ -30,7 +30,7 @@ func faultStressConfig(t *testing.T, seed uint64) Config {
 
 // TestFaultRunByteEqualAcrossKernels is the fault plane's kernel invariant:
 // a fault scenario reproduces the golden bytes recorded on the former
-// per-host kernel at every shard count, fresh and pooled.
+// per-host kernel, fresh and pooled.
 func TestFaultRunByteEqualAcrossKernels(t *testing.T) {
 	base := renderReport(t, New(faultStressConfig(t, 777)).Run())
 	if !bytes.Contains(base, []byte(`"Faults"`)) {
@@ -39,23 +39,11 @@ func TestFaultRunByteEqualAcrossKernels(t *testing.T) {
 	if got := hashBytes(base); got != goldenFaultStress {
 		t.Errorf("fault stress hash = %s, want golden %s", got, goldenFaultStress)
 	}
-	for _, k := range []int{1, 4, 8} {
-		cfg := faultStressConfig(t, 777)
-		cfg.Shards = k
-		if got := renderReport(t, New(cfg).Run()); !bytes.Equal(got, base) {
-			t.Errorf("shards=%d fault report differs from the default plan's", k)
-		}
-	}
 	// Pooled: arenas dirtied by a different fault run, then the same cell.
 	runner := NewRunner()
 	runner.Run(faultStressConfig(t, 778))
 	if got := renderReport(t, runner.Run(faultStressConfig(t, 777))); !bytes.Equal(got, base) {
 		t.Error("pooled fault report differs from the fresh run")
-	}
-	pooledSharded := faultStressConfig(t, 777)
-	pooledSharded.Shards = 4
-	if got := renderReport(t, runner.Run(pooledSharded)); !bytes.Equal(got, base) {
-		t.Error("pooled K=4 fault report differs from the fresh run")
 	}
 }
 
@@ -76,11 +64,6 @@ func TestZeroFaultConfigKeepsGoldenBytes(t *testing.T) {
 	runner.Run(faultStressConfig(t, 778))
 	if got := reportHash(t, runner.Run(determinismConfig(t, 777))); got != goldenSeed777 {
 		t.Errorf("pooled fault→zero-fault hash = %s, want golden %s (stale fault plane still bound?)", got, goldenSeed777)
-	}
-	shardedZero := determinismConfig(t, 777)
-	shardedZero.Shards = 4
-	if got := reportHash(t, runner.Run(shardedZero)); got != goldenSeed777 {
-		t.Errorf("pooled fault→zero-fault sharded hash = %s, want golden %s", got, goldenSeed777)
 	}
 }
 

@@ -36,7 +36,7 @@ import "repro/internal/sim"
 // next Fork/Run call, exactly like Runner.Run. Run and Begin drop the held
 // snapshot. Fork requires an unprobed run and a fork config that agrees
 // with the prefix config on everything resolved at bind time (dataset,
-// seed, scales, order, kernel plan, horizon, fault plane);
+// seed, scales, order, horizon, fault plane);
 // wcg.Server.ApplyConfig documents the middleware half of that contract.
 
 // applyConfig swaps the configuration in force at a fork point. Anything
@@ -58,8 +58,8 @@ func (c *Campaign) applyConfig(cfg Config) {
 		panic("project: fork cannot change the seed")
 	case cfg.WorkScale != base.WorkScale || cfg.HostScale != base.HostScale || cfg.HHours != base.HHours:
 		panic("project: fork cannot change the work/host scales")
-	case cfg.Order != base.Order || cfg.Shards != base.Shards || cfg.MaxWeeks != base.MaxWeeks:
-		panic("project: fork cannot change release order, shard count or horizon")
+	case cfg.Order != base.Order || cfg.MaxWeeks != base.MaxWeeks:
+		panic("project: fork cannot change release order or horizon")
 	case (cfg.Faults == nil) != (base.Faults == nil),
 		cfg.Faults != nil && *cfg.Faults != *base.Faults:
 		panic("project: fork cannot change the fault plane")

@@ -33,42 +33,39 @@ func forkHash(t *testing.T, r *Runner, base, cell Config) string {
 
 // TestForkEqualsStraightRun is the fork-identity pin: a run forked at the
 // divergence time must hash byte-identically to a straight run of the
-// forked config — at K=1 and at K=4, from a fresh and
-// from a dirty (pooled) runner, and repeatedly from one snapshot. Forking
-// the base config itself must reproduce the goldenSeed777 bytes, so the
-// whole snapshot/adopt cycle is anchored to the pre-fork golden hash.
+// forked config — from a fresh and from a dirty (pooled) runner, and
+// repeatedly from one snapshot. Forking the base config itself must
+// reproduce the goldenSeed777 bytes, so the whole snapshot/adopt cycle is
+// anchored to the pre-fork golden hash.
 func TestForkEqualsStraightRun(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		base := determinismConfig(t, 777)
-		base.Shards = shards
-		cell := quorumWhatIf(base)
+	base := determinismConfig(t, 777)
+	cell := quorumWhatIf(base)
 
-		straightCell := reportHash(t, New(cell).Run())
-		if straightCell == goldenSeed777 {
-			t.Fatalf("shards=%d: quorum what-if did not change the report — divergence fixture is dead", shards)
-		}
+	straightCell := reportHash(t, New(cell).Run())
+	if straightCell == goldenSeed777 {
+		t.Fatal("quorum what-if did not change the report — divergence fixture is dead")
+	}
 
-		r := NewRunner()
-		r.Begin(base)
-		r.RunTo(forkDivergence)
-		r.Snapshot()
-		if got := reportHash(t, r.Fork(base)); got != goldenSeed777 {
-			t.Errorf("shards=%d: fork(base) hash = %s, want golden %s", shards, got, goldenSeed777)
-		}
-		if got := reportHash(t, r.Fork(cell)); got != straightCell {
-			t.Errorf("shards=%d: fork(cell) hash = %s, want straight-run %s", shards, got, straightCell)
-		}
-		// Same snapshot again: the adoption must leave no residue.
-		if got := reportHash(t, r.Fork(cell)); got != straightCell {
-			t.Errorf("shards=%d: second fork(cell) hash differs — restore leaks state", shards)
-		}
+	r := NewRunner()
+	r.Begin(base)
+	r.RunTo(forkDivergence)
+	r.Snapshot()
+	if got := reportHash(t, r.Fork(base)); got != goldenSeed777 {
+		t.Errorf("fork(base) hash = %s, want golden %s", got, goldenSeed777)
+	}
+	if got := reportHash(t, r.Fork(cell)); got != straightCell {
+		t.Errorf("fork(cell) hash = %s, want straight-run %s", got, straightCell)
+	}
+	// Same snapshot again: the adoption must leave no residue.
+	if got := reportHash(t, r.Fork(cell)); got != straightCell {
+		t.Error("second fork(cell) hash differs — restore leaks state")
+	}
 
-		// Dirty runner: arenas carry a finished unrelated run.
-		dirty := NewRunner()
-		dirty.Run(determinismConfig(t, 778))
-		if got := forkHash(t, dirty, base, cell); got != straightCell {
-			t.Errorf("shards=%d: pooled fork(cell) hash = %s, want %s", shards, got, straightCell)
-		}
+	// Dirty runner: arenas carry a finished unrelated run.
+	dirty := NewRunner()
+	dirty.Run(determinismConfig(t, 778))
+	if got := forkHash(t, dirty, base, cell); got != straightCell {
+		t.Errorf("pooled fork(cell) hash = %s, want %s", got, straightCell)
 	}
 }
 
@@ -99,27 +96,24 @@ func TestForkRestoreContinuesPrefix(t *testing.T) {
 // fault class enabled: the snapshot must carry the fault plane (retry
 // budgets, upload sequences, churn accumulator) byte-exactly.
 func TestForkWithFaultPlane(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		base := faultStressConfig(t, 777)
-		base.Shards = shards
-		cell := quorumWhatIf(base)
+	base := faultStressConfig(t, 777)
+	cell := quorumWhatIf(base)
 
-		straightBase := reportHash(t, New(base).Run())
-		straightCell := reportHash(t, New(cell).Run())
-		if straightCell == straightBase {
-			t.Fatalf("shards=%d: fault what-if did not change the report", shards)
-		}
+	straightBase := reportHash(t, New(base).Run())
+	straightCell := reportHash(t, New(cell).Run())
+	if straightCell == straightBase {
+		t.Fatal("fault what-if did not change the report")
+	}
 
-		r := NewRunner()
-		r.Begin(base)
-		r.RunTo(forkDivergence)
-		r.Snapshot()
-		if got := reportHash(t, r.Fork(base)); got != straightBase {
-			t.Errorf("shards=%d: fault fork(base) hash = %s, want %s", shards, got, straightBase)
-		}
-		if got := reportHash(t, r.Fork(cell)); got != straightCell {
-			t.Errorf("shards=%d: fault fork(cell) hash = %s, want %s", shards, got, straightCell)
-		}
+	r := NewRunner()
+	r.Begin(base)
+	r.RunTo(forkDivergence)
+	r.Snapshot()
+	if got := reportHash(t, r.Fork(base)); got != straightBase {
+		t.Errorf("fault fork(base) hash = %s, want %s", got, straightBase)
+	}
+	if got := reportHash(t, r.Fork(cell)); got != straightCell {
+		t.Errorf("fault fork(cell) hash = %s, want %s", got, straightCell)
 	}
 }
 
@@ -165,46 +159,43 @@ func TestRunDropsSnapshot(t *testing.T) {
 
 // TestMaterializeEveryWeek makes a non-portable event a test failure
 // rather than a runtime state: on the determinism, fault-stress and
-// sharded-stress configurations, at K=1 and K=4, the run context must
-// materialize at every weekly boundary up to completion, and at weeks 1,
-// 9, 14 and the last a second runner that adopts the snapshot must
-// fork(base) to the straight run's bytes.
+// host-stress configurations, the run context must materialize at every
+// weekly boundary up to completion, and at weeks 1, 9, 14 and the last a
+// second runner that adopts the snapshot must fork(base) to the straight
+// run's bytes.
 func TestMaterializeEveryWeek(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, tc := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"determinism-777", determinismConfig(t, 777)},
-			{"fault-stress-777", faultStressConfig(t, 777)},
-			{"stress-909", shardedStressConfig(t, 909, shards)},
-		} {
-			base := tc.cfg
-			base.Shards = shards
-			straight := New(base).Run()
-			last := int(math.Min(math.Ceil(straight.WeeksElapsed), base.MaxWeeks))
-			if last <= 14 {
-				t.Fatalf("%s K=%d: run completes at week %d, before the checked weeks", tc.name, shards, last)
-			}
-			want := reportHash(t, straight)
-			check := map[int]bool{1: true, 9: true, 14: true, last: true}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"determinism-777", determinismConfig(t, 777)},
+		{"fault-stress-777", faultStressConfig(t, 777)},
+		{"stress-909", hostStressConfig(t, 909)},
+	} {
+		base := tc.cfg
+		straight := New(base).Run()
+		last := int(math.Min(math.Ceil(straight.WeeksElapsed), base.MaxWeeks))
+		if last <= 14 {
+			t.Fatalf("%s: run completes at week %d, before the checked weeks", tc.name, last)
+		}
+		want := reportHash(t, straight)
+		check := map[int]bool{1: true, 9: true, 14: true, last: true}
 
-			pub, ad := NewRunner(), NewRunner()
-			pub.Begin(base)
-			for w := 1; w <= last; w++ {
-				pub.RunTo(sim.Time(w) * sim.Week)
-				ps, err := pub.Materialize()
-				if err != nil {
-					t.Fatalf("%s K=%d: Materialize at week %d: %v", tc.name, shards, w, err)
-				}
-				if !check[w] {
-					continue
-				}
-				ad.AdoptSnapshot(ps)
-				if got := reportHash(t, ad.Fork(base)); got != want {
-					t.Errorf("%s K=%d: adopted fork(base) at week %d hash = %s, want straight-run %s",
-						tc.name, shards, w, got, want)
-				}
+		pub, ad := NewRunner(), NewRunner()
+		pub.Begin(base)
+		for w := 1; w <= last; w++ {
+			pub.RunTo(sim.Time(w) * sim.Week)
+			ps, err := pub.Materialize()
+			if err != nil {
+				t.Fatalf("%s: Materialize at week %d: %v", tc.name, w, err)
+			}
+			if !check[w] {
+				continue
+			}
+			ad.AdoptSnapshot(ps)
+			if got := reportHash(t, ad.Fork(base)); got != want {
+				t.Errorf("%s: adopted fork(base) at week %d hash = %s, want straight-run %s",
+					tc.name, w, got, want)
 			}
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/volunteer"
+	"repro/internal/wcg"
 )
 
 // Golden report hashes of the single-project determinism configuration,
@@ -28,7 +31,7 @@ const (
 // kernel against an independent implementation rather than against
 // itself: the shared grid (gridConfig seed 777, equal and 25/75 shares;
 // renderGridReport bytes), the host-model stress configuration
-// (shardedStressConfig seed 909) and the fault-plane stress configuration
+// (hostStressConfig seed 909) and the fault-plane stress configuration
 // (faultStressConfig seed 777; renderReport bytes).
 const (
 	goldenGridEqual   = "752d990db3941b23d4b6687849f422fc30a14f8c8ef3cc894afd8d8a7dd0729a"
@@ -76,6 +79,57 @@ func TestGoldenSingleProjectPooled(t *testing.T) {
 	}
 }
 
+// TestShardedMatchesLegacyGolden pins the ShardKernel — its SoA plane, its
+// window calendar and the (time, seq) merge — to the golden report hashes
+// recorded on the former AoS per-host kernel, with the seed-777 and
+// seed-778 campaigns running at once on two goroutines, as a sweep pool's
+// workers run them: the kernel keeps no state outside its campaign, so
+// concurrent runs reproduce an independent implementation's bytes.
+func TestShardedMatchesLegacyGolden(t *testing.T) {
+	cases := []struct {
+		seed uint64
+		want string
+	}{{777, goldenSeed777}, {778, goldenSeed778}}
+	cfgs := make([]Config, len(cases))
+	for i, c := range cases {
+		cfgs[i] = determinismConfig(t, c.seed)
+	}
+	reps := make([]*Report, len(cases))
+	done := make(chan int)
+	for i := range cases {
+		go func() {
+			reps[i] = New(cfgs[i]).Run()
+			done <- i
+		}()
+	}
+	for range cases {
+		<-done
+	}
+	for i, c := range cases {
+		if got := reportHash(t, reps[i]); got != c.want {
+			t.Errorf("concurrent seed-%d hash = %s, want golden %s", c.seed, got, c.want)
+		}
+	}
+}
+
+// TestShardedPooledMatchesGolden pins the pooled ShardKernel to the same
+// golden hashes after the arenas were dirtied by runs under another seed
+// and another host model (a deeper work buffer, behavior cohorts and
+// adaptive validation fill the calendar differently): the recycled
+// calendar, plane and overlay must not leak state from a differently
+// shaped run.
+func TestShardedPooledMatchesGolden(t *testing.T) {
+	runner := NewRunner()
+	runner.Run(determinismConfig(t, 778)) // dirty every arena
+	runner.Run(hostStressConfig(t, 31))   // and change the host model
+	if got := reportHash(t, runner.Run(determinismConfig(t, 777))); got != goldenSeed777 {
+		t.Errorf("pooled seed-777 hash after a stress run = %s, want golden %s", got, goldenSeed777)
+	}
+	if got := reportHash(t, runner.Run(determinismConfig(t, 778))); got != goldenSeed778 {
+		t.Errorf("pooled seed-778 hash after a stress run = %s, want golden %s", got, goldenSeed778)
+	}
+}
+
 // TestGoldenGrid pins the shared-grid co-run, fresh and pooled, to the
 // hashes recorded before the mux moved onto the kernel's SoA plane.
 func TestGoldenGrid(t *testing.T) {
@@ -92,5 +146,36 @@ func TestGoldenGrid(t *testing.T) {
 		if got := gridHash(t, runner.Run(gridConfig(t, 777, c.shares))); got != c.want {
 			t.Errorf("pooled grid shares %v: hash = %s, want golden %s", c.shares, got, c.want)
 		}
+	}
+}
+
+// hostStressConfig exercises every host-model path the seed-777/778 goldens
+// do not: behavior cohorts (saboteurs + diurnal day-cycles), adaptive
+// validation, a work buffer deeper than one, and BOINC CPU-time accounting.
+func hostStressConfig(t *testing.T, seed uint64) Config {
+	t.Helper()
+	cfg := determinismConfig(t, seed)
+	cfg.Host.WorkBuffer = 3
+	cfg.Host.Accounting = volunteer.BOINCCPUTime
+	cfg.Host.Profiles = []volunteer.BehaviorProfile{
+		{Name: "faithful", Weight: 0.70, ErrorProb: 0.01, AbandonProb: -1},
+		{Name: "saboteur", Weight: 0.05, ErrorProb: 0.004, AbandonProb: -1, Saboteur: true},
+		{Name: "diurnal", Weight: 0.25, ErrorProb: 0.02, AbandonProb: -1, Diurnal: true, OnlineHours: 12},
+	}
+	cfg.Server.Validator = wcg.AdaptiveValidator{Streak: 5}
+	return cfg
+}
+
+// TestGoldenHostStress pins the host-model stress configuration to the
+// golden bytes recorded on the former per-host kernel, fresh and pooled
+// with the arenas dirtied by a stress run under another seed first.
+func TestGoldenHostStress(t *testing.T) {
+	if got := reportHash(t, New(hostStressConfig(t, 909)).Run()); got != goldenStress909 {
+		t.Errorf("fresh stress hash = %s, want golden %s", got, goldenStress909)
+	}
+	runner := NewRunner()
+	runner.Run(hostStressConfig(t, 31)) // dirty every arena
+	if got := reportHash(t, runner.Run(hostStressConfig(t, 909))); got != goldenStress909 {
+		t.Errorf("pooled stress hash = %s, want golden %s", got, goldenStress909)
 	}
 }

@@ -117,8 +117,8 @@ func (r *GridReport) MaxShareError() float64 {
 //
 // A Grid run is byte-for-bit deterministic in its GridConfig: the host
 // kernel serializes all events, hosts draw from per-host streams, and the
-// mux breaks debt ties from per-host seeded streams. The fleet runs on a
-// K=1 volunteer.ShardKernel bound to the mux. GridRunner pools a Grid the
+// mux breaks debt ties from per-host seeded streams. The fleet runs on the
+// volunteer.ShardKernel bound to the mux. GridRunner pools a Grid the
 // way Runner pools a Campaign — engine, servers, host kernel, mux and
 // report buffers are retained across runs, and a pooled run's GridReport
 // is bit-identical to a fresh NewGrid(cfg).Run() (grid_test.go asserts
@@ -127,7 +127,7 @@ func (r *GridReport) MaxShareError() float64 {
 type Grid struct {
 	c     Campaign
 	cfg   GridConfig
-	fleet Config // the co-run's fleet schedule: a flat GridShare, K=1
+	fleet Config // the co-run's fleet schedule: a flat GridShare
 
 	windowClosed bool
 
@@ -179,6 +179,7 @@ func checkGridConfig(cfg GridConfig) GridConfig {
 		panic("project: HostScale must be positive")
 	}
 	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
+	checkFleet(cfg.Host, cfg.Grid)
 	if p := cfg.Probe; p != nil && p.Trace != nil {
 		cfg.Host.OnSaboteurTurn = func(id int, at sim.Time) {
 			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
@@ -217,15 +218,14 @@ func NewGrid(cfg GridConfig) *Grid {
 
 // arm checks cfg and arms the run context with its tenants behind the mux
 // (built on first use, reset afterwards): the fleet schedule is a flat
-// share from launch — no control or ramp weeks, FullShare = GridShare — on
-// a K=1 kernel. The share window reopens and the report's slices keep
-// their storage.
+// share from launch — no control or ramp weeks, FullShare = GridShare. The
+// share window reopens and the report's slices keep their storage.
 func (g *Grid) arm(cfg GridConfig) {
 	cfg = checkGridConfig(cfg)
 	g.cfg = cfg
 	g.fleet = Config{
 		Host: cfg.Host, Grid: cfg.Grid, FullShare: cfg.GridShare, HostScale: cfg.HostScale,
-		Seed: cfg.Seed, MaxWeeks: cfg.MaxWeeks, Shards: 1, Probe: cfg.Probe,
+		Seed: cfg.Seed, MaxWeeks: cfg.MaxWeeks, Probe: cfg.Probe,
 	}
 	g.c.grid, g.c.fleet = g, &g.fleet
 	g.c.arm(cfg.Projects, cfg.Shares)

@@ -80,22 +80,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n)) // negligible bias for n << 2^64
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes the elements of a slice of any indexable collection using
 // the provided swap function, Fisher-Yates style.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
@@ -146,85 +130,7 @@ func (r *Source) Exponential(mean float64) float64 {
 	return mean * r.ExpFloat64()
 }
 
-// Pareto returns a Pareto(xm, alpha) distributed value: heavy-tailed with
-// minimum xm and shape alpha (smaller alpha = heavier tail).
-func (r *Source) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// Uniform returns a uniform value in [lo, hi).
-func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
-// Triangular returns a value from a triangular distribution on [lo, hi]
-// with the given mode. Useful for bounded, skewed quantities.
-func (r *Source) Triangular(lo, mode, hi float64) float64 {
-	u := r.Float64()
-	c := (mode - lo) / (hi - lo)
-	if u < c {
-		return lo + math.Sqrt(u*(hi-lo)*(mode-lo))
-	}
-	return hi - math.Sqrt((1-u)*(hi-lo)*(hi-mode))
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and normal approximation for large ones.
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Weighted selects an index in [0, len(weights)) with probability
-// proportional to weights[i]. It panics if all weights are zero or any is
-// negative.
-func (r *Source) Weighted(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("rng: all weights zero")
-	}
-	target := r.Float64() * total
-	var cum float64
-	for i, w := range weights {
-		cum += w
-		if target < cum {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -85,25 +84,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	f := func(n uint8) bool {
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(8)
 	const n = 200000
@@ -154,78 +134,6 @@ func TestExponentialMean(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-7) > 0.1 {
 		t.Fatalf("exponential mean %v, want ~7", mean)
-	}
-}
-
-func TestParetoMinimum(t *testing.T) {
-	r := New(11)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(3, 2); v < 3 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-	}
-}
-
-func TestTriangularBounds(t *testing.T) {
-	r := New(12)
-	for i := 0; i < 10000; i++ {
-		v := r.Triangular(1, 2, 5)
-		if v < 1 || v > 5 {
-			t.Fatalf("Triangular out of bounds: %v", v)
-		}
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := New(13)
-	for _, mean := range []float64{0.5, 4, 50, 1000} {
-		const n = 20000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > mean*0.05+0.1 {
-			t.Errorf("Poisson(%v) sample mean %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(14)
-	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive mean must be 0")
-	}
-}
-
-func TestWeightedDistribution(t *testing.T) {
-	r := New(15)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Weighted(w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index selected %d times", counts[1])
-	}
-	frac0 := float64(counts[0]) / n
-	if math.Abs(frac0-0.25) > 0.01 {
-		t.Fatalf("weight-1 index fraction %v, want ~0.25", frac0)
-	}
-}
-
-func TestWeightedPanics(t *testing.T) {
-	r := New(16)
-	for _, w := range [][]float64{{0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for weights %v", w)
-				}
-			}()
-			r.Weighted(w)
-		}()
 	}
 }
 

@@ -15,8 +15,8 @@
 // Ticker, which owns its pending tick: Stop finds that tick by a linear
 // scan and takes it out of the heap at once, so Pending() is exact.
 //
-// The heap is shallow. Host continuations live in the host kernel's shard
-// calendars (volunteer.ShardKernel), merged against this heap through
+// The heap is shallow. Host continuations live in the host kernel's window
+// calendar (volunteer.ShardKernel), merged against this heap through
 // Peek, TakeSeq and the External* accounting hooks. What remains here are
 // deadline-wheel and spool drains, fault-plane upload retries and the
 // tickers: on the full-scale phase-I replay only 291,281 of the 9,243,124
@@ -278,7 +278,7 @@ func (e *Engine) Peek() (t Time, seq uint64, ok bool) {
 
 // TakeSeq hands out the next FIFO tie-break sequence number, exactly as
 // scheduling an event here would. An external event calendar (the host
-// kernel's shard calendars) draws its sequence numbers from the engine's
+// kernel's window calendar) draws its sequence numbers from the engine's
 // counter at the moment it schedules, so ties between external and engine
 // events resolve in one global FIFO order.
 func (e *Engine) TakeSeq() uint64 {

@@ -57,7 +57,7 @@
 //     (pooled Reset) mode: the one-shot slab.Carve mode has no stable
 //     allocation order.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
-//     population stream, the overlay, and each shard calendar flattened
+//     population stream, the overlay, and the window calendar flattened
 //     into one event list plus window spans; the adopter rebuilds the
 //     windows onto its own chunks. Chunk layout is unobservable — a window
 //     is sorted by (time, seq) at its barrier. A multiplexed kernel's mux

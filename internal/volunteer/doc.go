@@ -23,14 +23,13 @@
 //
 // The fleet runs on one kernel, ShardKernel: host state is stored as a
 // structure of arrays indexed by host ID (plane.go), and host
-// continuations live in per-shard window calendars merged against the
-// sim.Engine in global (time, seq) order (kernel.go). A fetch-compute-
-// report cycle per host is: top up the local work buffer from the work
-// source, start the front assignment, draw the task's behaviour
-// (abandon / late return / invalid) from the host's own stream, and
-// schedule the completion. Every draw runs inline as the kernel executes
-// events in global order; the shard count only partitions the pending
-// events across calendars, so no result depends on it.
+// continuations live in one window calendar merged against the sim.Engine
+// in global (time, seq) order (kernel.go). A fetch-compute-report cycle
+// per host is: top up the local work buffer from the work source, start
+// the front assignment, draw the task's behaviour (abandon / late return /
+// invalid) from the host's own stream, and schedule the completion. Every
+// draw runs inline as the kernel executes events in global order, on the
+// caller's goroutine.
 //
 // # Behavior profiles
 //

@@ -1,25 +1,25 @@
-// The deterministic sharded time-window kernel: the execution half of the
+// The deterministic time-window kernel: the execution half of the
 // host plane (see plane.go for the SoA layout).
 //
-// # Shard time-window invariant
+// # Time-window invariant
 //
 // Host continuation events (task completions, idle retries, late returns)
-// are not stored in the central sim.Engine heap. They live in per-shard
-// window calendars: shard = host mod K, window = floor(time / W). The
-// window width W is min(IdleRetry, half the target task wall time), so
-// almost every continuation lands one or more windows ahead of the window
-// that schedules it; the rare event that falls due inside the current
+// are not stored in the central sim.Engine heap. They live in one window
+// calendar, indexed by window = floor(time / W). The window width W is
+// min(IdleRetry, half the target task wall time), so almost every
+// continuation lands one or more windows ahead of the window that
+// schedules it; the rare event that falls due inside the current
 // window goes to a small overlay heap instead, which makes W a pure
 // performance knob — correctness holds for any W > 0.
 //
 // A window's events are appended, unsorted, to a list of fixed-size
-// chunks drawn from the shard's free list, so a calendar's memory tracks
-// the pending events rather than its peak window. At each window barrier
-// every shard arms the new window into one reused per-shard merge buffer,
-// recycling the window's chunks. Between barriers the kernel merges the K
-// sorted buffers, the overlay heap and the engine's own heap in global
-// ascending (time, seq) order and executes the model, drawing every host
-// decision and join inline. Everything runs on the caller's goroutine.
+// chunks drawn from the calendar's free list, so its memory tracks the
+// pending events rather than its peak window. At each window barrier the
+// calendar arms the new window into one reused merge buffer, recycling the
+// window's chunks. Between barriers the kernel merges the sorted buffer,
+// the overlay heap and the engine's own heap in global ascending (time,
+// seq) order and executes the model, drawing every host decision and join
+// inline. Everything runs on the caller's goroutine.
 //
 // # Window arming
 //
@@ -36,14 +36,17 @@
 // by seq. Events reach a window in ascending seq order, which keeps the
 // in-bucket sorts near-linear; the order does not depend on it.
 //
-// # K-invariance
+// # Merge order
 //
-// Every tie-break seq is drawn from the engine counter (Engine.TakeSeq) in
-// the merge, and every model draw comes from fixed per-host stream
-// positions as the merge executes events (the draw order in plane.go), so
-// the shard count K changes only which calendar holds an event, never a
-// value or the execution order: reports are byte-identical for every K,
-// fresh and pooled (golden-hash tests in internal/project pin them).
+// Every tie-break seq is drawn from the engine counter (Engine.TakeSeq) as
+// the event is scheduled, so no two events share a (time, seq) key, and
+// every model draw comes from fixed per-host stream positions as the merge
+// executes events (the draw order in plane.go). The merge therefore has
+// exactly one order: whichever of the armed buffer, the overlay and the
+// engine heap holds the least (time, seq) key runs next. The window width
+// only decides where an event waits, never a value or the execution order:
+// reports are byte-identical fresh and pooled (golden-hash tests in
+// internal/project pin them).
 package volunteer
 
 import (
@@ -62,7 +65,7 @@ const (
 	evLate               // abandoned task returns after its deadline
 )
 
-// planeEvent is one host continuation in a shard calendar.
+// planeEvent is one host continuation in the window calendar.
 type planeEvent struct {
 	at       sim.Time
 	seq      uint64
@@ -98,7 +101,7 @@ const (
 )
 
 // eventChunk is a fixed block of one window's events, linked into the
-// window's list or into the shard's free list.
+// window's list or into the calendar's free list.
 type eventChunk struct {
 	ev   [chunkEvents]planeEvent
 	n    int
@@ -111,10 +114,10 @@ type calWindow struct {
 	n          int
 }
 
-// shardCal is one shard's calendar: the future windows by absolute window
-// index, the free chunks, the armed window's sorted merge buffer with its
-// read cursor, and the arming pass's bucket offsets (scratch, never
-// exported).
+// shardCal is the kernel's window calendar: the future windows by absolute
+// window index, the free chunks, the armed window's sorted merge buffer
+// with its read cursor, and the arming pass's bucket offsets (scratch,
+// never exported).
 type shardCal struct {
 	wins    []calWindow
 	free    *eventChunk
@@ -249,8 +252,8 @@ func (c *shardCal) reset() {
 	c.cur, c.cursor = c.cur[:0], 0
 }
 
-// ShardKernel runs a host fleet in SoA form over K deterministic shard
-// calendars merged against a sim.Engine: the host kernel of every campaign
+// ShardKernel runs a host fleet in SoA form over one deterministic window
+// calendar merged against a sim.Engine: the host kernel of every campaign
 // and co-run.
 type ShardKernel struct {
 	eng    *sim.Engine
@@ -262,7 +265,6 @@ type ShardKernel struct {
 
 	mu, sigma float64 // speed-down LogNormal parameters (see spawn)
 	buffer    int     // effective WorkBuffer (≥ 1)
-	shards    int
 	window    float64
 
 	// SoA host plane, indexed by host ID (see plane.go).
@@ -286,7 +288,7 @@ type ShardKernel struct {
 	active      int
 	firstActive int // hosts[:firstActive] are all stopped (stop-oldest cursor)
 
-	cals []shardCal // per-shard calendars
+	cal shardCal // the window calendar
 
 	win     int      // current (armed) window index
 	winEnd  sim.Time // (win+1)·window
@@ -294,37 +296,28 @@ type ShardKernel struct {
 	overlay []planeEvent
 
 	livePlane int // plane events scheduled and not yet executed
-	peekSrc   int // peekPlane result: shard index, or overlaySrc / noneSrc
 }
 
-const (
-	overlaySrc = -1
-	noneSrc    = -2
-)
-
 // NewShardKernel builds an empty fleet bound to the engine and the project
-// work source. shards is the calendar count K (≥ 1); window is the barrier
-// width W in seconds (a performance knob — any positive value is correct;
-// see the package notes above). The kernel copies r's state and draws host
-// seeds from its own stream from then on.
-func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, shards int, window float64) *ShardKernel {
+// work source. window is the barrier width W in seconds (a performance
+// knob — any positive value is correct; see the package notes above). The
+// kernel copies r's state and draws host seeds from its own stream from
+// then on.
+func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, window float64) *ShardKernel {
 	k := &ShardKernel{}
-	k.Reset(engine, server, cfg, r, shards, window)
+	k.Reset(engine, server, cfg, r, window)
 	return k
 }
 
 // Reset rearms the kernel for another run on a freshly reset engine and
 // server: zero hosts joined, new configuration and seed stream, every
 // backing array retained (see the package Reset contract).
-func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, shards int, window float64) {
+func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, window float64) {
 	if cfg.MeanSpeedDown <= 0 {
 		panic("volunteer: mean speed-down must be positive")
 	}
-	if shards < 1 {
-		panic("volunteer: shard count must be >= 1")
-	}
 	if !(window > 0) {
-		panic("volunteer: shard window must be positive")
+		panic("volunteer: calendar window must be positive")
 	}
 	k.eng = engine
 	k.server = server
@@ -357,20 +350,12 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.cache = k.cache[:0]
 	k.active, k.firstActive = 0, 0
 
-	if shards != len(k.cals) {
-		k.cals = make([]shardCal, shards)
-	} else {
-		for sh := range k.cals {
-			k.cals[sh].reset()
-		}
-	}
-	k.shards = shards
+	k.cal.reset()
 	clear(k.overlay)
 	k.overlay = k.overlay[:0]
 	k.win, k.winEnd = 0, window
 	k.armed = false
 	k.livePlane = 0
-	k.peekSrc = noneSrc
 }
 
 // Multiplex binds the kernel to a multi-project mux instead of a single
@@ -423,7 +408,7 @@ func (k *ShardKernel) scheduleLate(h int32, at sim.Time, a *wcg.Assignment, repo
 
 // insert routes one event to the overlay heap (due inside the current
 // window — the exact comparison, immune to division rounding at the
-// boundary) or to its shard's future-window calendar.
+// boundary) or to the future-window calendar.
 func (k *ShardKernel) insert(ev planeEvent) {
 	k.eng.ExternalSchedule()
 	k.livePlane++
@@ -432,7 +417,7 @@ func (k *ShardKernel) insert(ev planeEvent) {
 		return
 	}
 	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
-	k.cals[int(ev.host)%k.shards].push(int(ev.at/k.window), ev)
+	k.cal.push(int(ev.at/k.window), ev)
 }
 
 // overlayPush / overlayPop: a plain binary min-heap on (at, seq).
@@ -477,38 +462,31 @@ func (k *ShardKernel) overlayPop() planeEvent {
 }
 
 // peekPlane returns the ordering key of the earliest plane event in the
-// current window (across the K sorted merge buffers and the overlay),
-// remembering which source holds it for popPlane.
-func (k *ShardKernel) peekPlane() (at sim.Time, seq uint64, ok bool) {
-	best := noneSrc
-	var bt sim.Time
-	var bs uint64
-	for sh := range k.cals {
-		c := &k.cals[sh]
-		if c.cursor >= len(c.cur) {
-			continue
-		}
-		ev := &c.cur[c.cursor]
-		if best == noneSrc || ev.at < bt || (ev.at == bt && ev.seq < bs) {
-			best, bt, bs = sh, ev.at, ev.seq
-		}
-	}
+// current window (the calendar's merge-buffer cursor or the overlay's
+// head) and whether the overlay holds it, for popPlane.
+func (k *ShardKernel) peekPlane() (at sim.Time, seq uint64, ok, overlay bool) {
+	c := &k.cal
+	calOK := c.cursor < len(c.cur)
 	if len(k.overlay) > 0 {
 		ov := &k.overlay[0]
-		if best == noneSrc || ov.at < bt || (ov.at == bt && ov.seq < bs) {
-			best, bt, bs = overlaySrc, ov.at, ov.seq
+		if !calOK || planeEventLess(*ov, c.cur[c.cursor]) < 0 {
+			return ov.at, ov.seq, true, true
 		}
 	}
-	k.peekSrc = best
-	return bt, bs, best != noneSrc
+	if !calOK {
+		return 0, 0, false, false
+	}
+	ev := &c.cur[c.cursor]
+	return ev.at, ev.seq, true, false
 }
 
-// popPlane removes and returns the event peekPlane found.
-func (k *ShardKernel) popPlane() planeEvent {
-	if k.peekSrc == overlaySrc {
+// popPlane removes and returns the event peekPlane found, from the overlay
+// or the calendar.
+func (k *ShardKernel) popPlane(overlay bool) planeEvent {
+	if overlay {
 		return k.overlayPop()
 	}
-	c := &k.cals[k.peekSrc]
+	c := &k.cal
 	ev := c.cur[c.cursor]
 	c.cursor++
 	return ev
@@ -529,13 +507,11 @@ func (k *ShardKernel) exec(ev planeEvent) {
 	}
 }
 
-// prepWindow is the window barrier: arm window w on every shard.
+// prepWindow is the window barrier: arm window w.
 func (k *ShardKernel) prepWindow(w int) {
 	k.win = w
 	k.winEnd = float64(w+1) * k.window
-	for sh := range k.cals {
-		k.cals[sh].take(w, k.window)
-	}
+	k.cal.take(w, k.window)
 }
 
 // RunUntil merges plane and engine events in global ascending (time, seq)
@@ -564,13 +540,13 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 		k.armed = true
 	}
 	for {
-		pt, pseq, pok := k.peekPlane()
+		pt, pseq, pok, pov := k.peekPlane()
 		et, eseq, eok := e.Peek()
 		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
 			if pt >= deadline {
 				break
 			}
-			ev := k.popPlane()
+			ev := k.popPlane(pov)
 			k.exec(ev)
 			continue
 		}

@@ -1,4 +1,4 @@
-// The mega-grid SoA host plane: the data layout half of the sharded kernel.
+// The mega-grid SoA host plane: the data layout half of the host kernel.
 //
 // # SoA layout
 //
@@ -24,7 +24,8 @@
 // Every model draw runs inline as the kernel executes events, from a
 // stream with a single reader: the population stream, which only spawn
 // reads, and each host's own stream, which only that host's spawn and
-// fetch read. The shard count therefore never moves a draw:
+// fetch read. Where an event waits (calendar window or overlay) therefore
+// never moves a draw:
 //
 //   - on join (spawn): from the population stream, the host's seed, then
 //     its mux tie-break seed on a multiplexed fleet; from the host's
@@ -216,7 +217,7 @@ func (k *ShardKernel) HostAccounting(i int) (hardware float64, joinedAt sim.Time
 // fetch is the host's fetch-compute-report step: top up the work cache,
 // start the front assignment, draw the task's behavior from the host's
 // stream in the order given above, and schedule the continuation on the
-// shard calendar.
+// window calendar.
 func (k *ShardKernel) fetch(h int32) {
 	if k.flags[h]&hfStopped != 0 {
 		return
@@ -238,7 +239,7 @@ func (k *ShardKernel) fetch(h int32) {
 			// The server's advisor (the fault plane) may stretch the wait:
 			// exponential backoff during an outage, smear after
 			// maintenance. The draw is a stateless hash of (host, window,
-			// attempt), so shard order is irrelevant.
+			// attempt), so it depends on no execution order.
 			d = k.retry.FetchRetryDelay(int(h), d)
 		}
 		k.scheduleHostEvent(h, evFetch, k.eng.Now()+d)

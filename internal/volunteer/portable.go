@@ -41,16 +41,23 @@ func (pe portablePlaneEvent) adopt(asAt func(int32) *wcg.Assignment) planeEvent 
 // next n events of the flat list.
 type calSpan struct{ w, n int32 }
 
-// flatten appends every pending window's events to evs, recording one span
+// flatten returns every pending window's events in portable form, one span
 // per non-empty window.
-func (c *shardCal) flatten(evs []planeEvent, spans []calSpan) ([]planeEvent, []calSpan) {
+func (c *shardCal) flatten() (evs []portablePlaneEvent, spans []calSpan) {
+	n := 0
+	for _, win := range c.wins {
+		n += win.n
+	}
+	evs = make([]portablePlaneEvent, 0, n)
 	for w := range c.wins {
 		if c.wins[w].n == 0 {
 			continue
 		}
 		spans = append(spans, calSpan{w: int32(w), n: int32(c.wins[w].n)})
 		for ch := c.wins[w].head; ch != nil; ch = ch.next {
-			evs = append(evs, ch.ev[:ch.n]...)
+			for _, ev := range ch.ev[:ch.n] {
+				evs = append(evs, exportEvent(ev))
+			}
 		}
 	}
 	return evs, spans
@@ -73,15 +80,6 @@ func (c *shardCal) rebuild(spans []calSpan, evs []portablePlaneEvent, asAt func(
 			c.push(int(s.w), evs[i].adopt(asAt))
 		}
 	}
-}
-
-// portableCal is one shard's calendar: the pending windows as one flat
-// event list named by spans, and the armed window's unconsumed events in
-// merge order.
-type portableCal struct {
-	events []portablePlaneEvent
-	spans  []calSpan
-	cur    []portablePlaneEvent
 }
 
 // PortableKernel is a self-contained copy of a ShardKernel at an event
@@ -107,22 +105,25 @@ type PortableKernel struct {
 	active, firstActive int
 	rsrc                rng.Source
 
-	shards int
 	window float64
 
-	cals    []portableCal
+	// The calendar: the pending windows as one flat event list named by
+	// spans, and the armed window's unconsumed events in merge order.
+	events  []portablePlaneEvent
+	spans   []calSpan
+	calCur  []portablePlaneEvent
 	win     int
 	winEnd  sim.Time
 	armed   bool
 	overlay []portablePlaneEvent
 
-	livePlane, peekSrc int
+	livePlane int
 }
 
 // Bytes estimates the portable kernel's memory footprint for the
 // snapshot_bytes accounting.
 func (p *PortableKernel) Bytes() int {
-	n := snapshot.Size(p.flags) + snapshot.Size(p.speedDown) +
+	return snapshot.Size(p.flags) + snapshot.Size(p.speedDown) +
 		snapshot.Size(p.src) +
 		snapshot.Size(p.errorProb) + snapshot.Size(p.abandonProb) +
 		snapshot.Size(p.phase) + snapshot.Size(p.onlineSpan) +
@@ -130,12 +131,8 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.done) + snapshot.Size(p.cpuSpent) +
 		snapshot.Size(p.cur) + snapshot.Size(p.curOutcome) +
 		snapshot.Size(p.curReported) + snapshot.Size(p.cacheLen) +
-		snapshot.Size(p.cache) + snapshot.Size(p.overlay)
-	for i := range p.cals {
-		c := &p.cals[i]
-		n += snapshot.Size(c.events) + snapshot.Size(c.spans) + snapshot.Size(c.cur)
-	}
-	return n
+		snapshot.Size(p.cache) + snapshot.Size(p.overlay) +
+		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.calCur)
 }
 
 // exportEvents translates events into owned portable form.
@@ -177,16 +174,15 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		firstActive: k.firstActive,
 		rsrc:        *k.r,
 
-		shards: k.shards,
 		window: k.window,
 
+		calCur:  exportEvents(k.cal.cur[k.cal.cursor:]),
 		win:     k.win,
 		winEnd:  k.winEnd,
 		armed:   k.armed,
 		overlay: exportEvents(k.overlay),
 
 		livePlane: k.livePlane,
-		peekSrc:   k.peekSrc,
 	}
 	p.cur = make([]int32, len(k.cur))
 	for i, a := range k.cur {
@@ -196,25 +192,18 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 	for i, a := range k.cache {
 		p.cache[i] = wcg.AssignmentIndex(a)
 	}
-	p.cals = make([]portableCal, k.shards)
-	var flat []planeEvent
-	for sh := range k.cals {
-		c, pc := &k.cals[sh], &p.cals[sh]
-		flat, pc.spans = c.flatten(flat[:0], nil)
-		pc.events = exportEvents(flat)
-		pc.cur = exportEvents(c.cur[c.cursor:])
-	}
+	p.events, p.spans = k.cal.flatten()
 	return p
 }
 
 // AdoptPortable installs a portable kernel snapshot into this kernel. The
-// kernel must have been Reset under the same configuration, shard count
-// and window width the source ran; every assignment index is resolved
-// through asAt against the adopter's server. Calendar windows are rebuilt
-// from the flat event lists onto the adopter's own chunks.
+// kernel must have been Reset under the same configuration and window
+// width the source ran; every assignment index is resolved through asAt
+// against the adopter's server. Calendar windows are rebuilt from the flat
+// event list onto the adopter's own chunks.
 func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Assignment) {
-	if k.shards != p.shards || k.window != p.window {
-		panic("volunteer: adopting kernel has a different shard layout — config mismatch")
+	if k.window != p.window {
+		panic("volunteer: adopting kernel has a different window width — config mismatch")
 	}
 	k.flags = append(k.flags[:0], p.flags...)
 	k.speedDown = append(k.speedDown[:0], p.speedDown...)
@@ -242,18 +231,16 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.active, k.firstActive = p.active, p.firstActive
 	*k.r = p.rsrc
 
-	for sh := range k.cals {
-		c, pc := &k.cals[sh], &p.cals[sh]
-		c.rebuild(pc.spans, pc.events, asAt)
-		c.cur, c.cursor = c.cur[:0], 0
-		for _, pe := range pc.cur {
-			c.cur = append(c.cur, pe.adopt(asAt))
-		}
+	c := &k.cal
+	c.rebuild(p.spans, p.events, asAt)
+	c.cur, c.cursor = c.cur[:0], 0
+	for _, pe := range p.calCur {
+		c.cur = append(c.cur, pe.adopt(asAt))
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.overlay = k.overlay[:0]
 	for _, pe := range p.overlay {
 		k.overlay = append(k.overlay, pe.adopt(asAt))
 	}
-	k.livePlane, k.peekSrc = p.livePlane, p.peekSrc
+	k.livePlane = p.livePlane
 }

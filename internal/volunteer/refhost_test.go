@@ -272,9 +272,9 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 	}
 }
 
-func kernelUnder(cfg HostConfig, seed uint64, shards int) fleetUnder {
+func kernelUnder(cfg HostConfig, seed uint64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
-		k := NewShardKernel(e, src, cfg, rng.New(seed), shards, 1.5*sim.Hour)
+		k := NewShardKernel(e, src, cfg, rng.New(seed), 1.5*sim.Hour)
 		if m != nil {
 			k.Multiplex(m)
 		}
@@ -290,10 +290,10 @@ func kernelUnder(cfg HostConfig, seed uint64, shards int) fleetUnder {
 	}
 }
 
-// TestKernelMatchesReferenceFleet is the differential oracle: the kernel at
-// K=1 and K=3 reproduces the reference fleet's every server counter,
-// engine count and per-host outcome, single-project (through a
-// RetryAdvisor) and on a two-project mux.
+// TestKernelMatchesReferenceFleet is the differential oracle: the kernel
+// reproduces the reference fleet's every server counter, engine count and
+// per-host outcome, single-project (through a RetryAdvisor) and on a
+// two-project mux.
 func TestKernelMatchesReferenceFleet(t *testing.T) {
 	cfg := diffFleetConfig()
 	for _, muxed := range []bool{false, true} {
@@ -301,27 +301,25 @@ func TestKernelMatchesReferenceFleet(t *testing.T) {
 		if want.stats[0].Received == 0 || want.stats[0].Invalid == 0 || want.stats[0].TimedOut == 0 {
 			t.Fatalf("muxed=%v: reference run too quiet to compare: %+v", muxed, want.stats[0])
 		}
-		for _, shards := range []int{1, 3} {
-			got := runDiff(t, muxed, kernelUnder(cfg, 404, shards))
-			for i := range want.stats {
-				if got.stats[i] != want.stats[i] {
-					t.Errorf("muxed=%v K=%d server %d stats:\n got %+v\nwant %+v", muxed, shards, i, got.stats[i], want.stats[i])
-				}
+		got := runDiff(t, muxed, kernelUnder(cfg, 404))
+		for i := range want.stats {
+			if got.stats[i] != want.stats[i] {
+				t.Errorf("muxed=%v server %d stats:\n got %+v\nwant %+v", muxed, i, got.stats[i], want.stats[i])
 			}
-			if got.executed != want.executed || got.maxPending != want.maxPending {
-				t.Errorf("muxed=%v K=%d engine: executed %d/%d, peak pending %d/%d",
-					muxed, shards, got.executed, want.executed, got.maxPending, want.maxPending)
-			}
-			if len(got.done) != len(want.done) {
-				t.Fatalf("muxed=%v K=%d: %d hosts joined, want %d", muxed, shards, len(got.done), len(want.done))
-			}
-			for i := range want.done {
-				if got.done[i] != want.done[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
-					got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
-					t.Fatalf("muxed=%v K=%d host %d: done %d/%d cpu %v/%v speed %v/%v turned %v/%v", muxed, shards, i,
-						got.done[i], want.done[i], got.cpuSpent[i], want.cpuSpent[i],
-						got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
-				}
+		}
+		if got.executed != want.executed || got.maxPending != want.maxPending {
+			t.Errorf("muxed=%v engine: executed %d/%d, peak pending %d/%d",
+				muxed, got.executed, want.executed, got.maxPending, want.maxPending)
+		}
+		if len(got.done) != len(want.done) {
+			t.Fatalf("muxed=%v: %d hosts joined, want %d", muxed, len(got.done), len(want.done))
+		}
+		for i := range want.done {
+			if got.done[i] != want.done[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
+				got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
+				t.Fatalf("muxed=%v host %d: done %d/%d cpu %v/%v speed %v/%v turned %v/%v", muxed, i,
+					got.done[i], want.done[i], got.cpuSpent[i], want.cpuSpent[i],
+					got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func testStack(seed uint64) (*sim.Engine, *wcg.Server, *ShardKernel) {
 func resetStack(engine *sim.Engine, srv *wcg.Server, k *ShardKernel, seed uint64) {
 	engine.Reset()
 	srv.Reset(wcg.Config{InitialQuorum: 1, SteadyQuorum: 1, Deadline: 12 * sim.Day})
-	k.Reset(engine, srv, DefaultHostConfig(), rng.New(seed), 1, testWindow)
+	k.Reset(engine, srv, DefaultHostConfig(), rng.New(seed), testWindow)
 }
 
 func TestPopulationResetMatchesFresh(t *testing.T) {
@@ -95,15 +95,12 @@ func TestPopulationResetReusesHostStructs(t *testing.T) {
 // calendarChunks counts every calendar chunk the kernel owns.
 func calendarChunks(k *ShardKernel) int {
 	n := 0
-	for sh := range k.cals {
-		c := &k.cals[sh]
-		for ch := c.free; ch != nil; ch = ch.next {
+	for ch := k.cal.free; ch != nil; ch = ch.next {
+		n++
+	}
+	for _, w := range k.cal.wins {
+		for ch := w.head; ch != nil; ch = ch.next {
 			n++
-		}
-		for _, w := range c.wins {
-			for ch := w.head; ch != nil; ch = ch.next {
-				n++
-			}
 		}
 	}
 	return n

@@ -13,9 +13,9 @@ import (
 // testWindow is the calendar window of the unit-test kernels.
 const testWindow = sim.Hour
 
-// newKernel builds a K=1 kernel over src with its own population stream.
+// newKernel builds a kernel over src with its own population stream.
 func newKernel(engine *sim.Engine, src WorkSource, cfg HostConfig, seed uint64) *ShardKernel {
-	return NewShardKernel(engine, src, cfg, rng.New(seed), 1, testWindow)
+	return NewShardKernel(engine, src, cfg, rng.New(seed), testWindow)
 }
 
 // join switches the configuration later spawns are sampled from and grows
@@ -323,7 +323,7 @@ func TestNewHostPanics(t *testing.T) {
 	newKernel(engine, srv, cfg, 1)
 }
 
-// BenchmarkKernelMonth is the host layer's micro-bench: a 100-host K=1
+// BenchmarkKernelMonth is the host layer's micro-bench: a 100-host
 // kernel working one simulated month against a stocked server.
 func BenchmarkKernelMonth(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -763,8 +763,7 @@ func (s *Server) down() bool {
 // drainSpool replays the results that arrived during the outage, in
 // arrival order, through the normal completion path. It runs as a single
 // engine event at the window's end, so the replay occupies one
-// deterministic slot in the global event order regardless of kernel or
-// shard count.
+// deterministic slot in the global event order regardless of kernel.
 func (s *Server) drainSpool() {
 	s.spoolArmed = false
 	s.refreshQuorum()
