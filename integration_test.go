@@ -104,8 +104,9 @@ func TestPipelineWorkunitToKernel(t *testing.T) {
 	task := docking.NewTask(rec, lig, first.ISepLo, first.ISepHi, protein.NRotWorkunit,
 		docking.MinimizeParams{MaxIter: 2, GammaSub: 1})
 	results := task.Run()
-	if len(results) != first.Lines() {
-		t.Fatalf("kernel produced %d lines, workunit promised %d", len(results), first.Lines())
+	lines := (first.ISepHi - first.ISepLo + 1) * protein.NRotWorkunit
+	if len(results) != lines {
+		t.Fatalf("kernel produced %d lines, workunit promised %d", len(results), lines)
 	}
 	var buf bytes.Buffer
 	if err := docking.WriteResults(&buf, results); err != nil {
@@ -115,40 +116,40 @@ func TestPipelineWorkunitToKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := docking.DefaultValidRange.CheckResults(parsed, first.Lines()); err != nil {
+	if err := docking.DefaultValidRange.CheckResults(parsed, lines); err != nil {
 		t.Fatalf("workunit output fails §5.2 validation: %v", err)
 	}
 }
 
-// TestPipelineValidateArchive runs kernel → result files → validation
-// pipeline for a tiny campaign.
+// TestPipelineValidateArchive runs kernel → result files → the §5.2
+// checks for every couple of a tiny campaign, and checks that the archive
+// holds the lines EstimateArchive predicts.
 func TestPipelineValidateArchive(t *testing.T) {
 	ds := protein.Generate(2, 60)
 	for _, p := range ds.Proteins {
 		p.Nsep = 3
 	}
-	pipe := validate.NewPipeline(ds)
 	params := docking.MinimizeParams{MaxIter: 2, GammaSub: 1}
-	for rec := 0; rec < ds.Len(); rec++ {
-		d := validate.Delivery{Receptor: rec, Files: make(map[int][][]byte)}
-		for lig := 0; lig < ds.Len(); lig++ {
-			results := docking.EnergyMap(ds.Proteins[rec], ds.Proteins[lig], params)
+	var lines int64
+	for _, rec := range ds.Proteins {
+		for _, lig := range ds.Proteins {
+			results := docking.DockRange(rec, lig, 1, rec.Nsep, protein.NRotWorkunit, params, nil)
 			var buf bytes.Buffer
 			if err := docking.WriteResults(&buf, results); err != nil {
 				t.Fatal(err)
 			}
-			d.Files[lig] = [][]byte{buf.Bytes()}
-		}
-		if _, err := pipe.Receive(d); err != nil {
-			t.Fatal(err)
+			parsed, err := docking.ParseResults(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := docking.DefaultValidRange.CheckResults(parsed, rec.Nsep*protein.NRotWorkunit); err != nil {
+				t.Fatalf("couple (%s, %s): %v", rec.Name, lig.Name, err)
+			}
+			lines += int64(len(parsed))
 		}
 	}
-	if !pipe.Complete() {
-		t.Fatal("archive incomplete")
-	}
-	wantLines := int64(ds.Len() * ds.SumNsep() * protein.NRotWorkunit)
-	if pipe.Lines() != wantLines {
-		t.Fatalf("archive lines %d, want %d", pipe.Lines(), wantLines)
+	if want, _, _ := validate.EstimateArchive(ds); lines != want {
+		t.Fatalf("archive lines %d, EstimateArchive predicts %d", lines, want)
 	}
 }
 

@@ -54,16 +54,6 @@ func NewHCMD() *System {
 	}
 }
 
-// NewScaled assembles a reduced system of n proteins (tests, examples).
-func NewScaled(n int, seed uint64) *System {
-	ds := protein.Generate(n, seed)
-	return &System{
-		DS:     ds,
-		Matrix: costmodel.Synthesize(ds, costmodel.SynthesizeOptions{Seed: seed + 1}),
-		Grid:   volunteer.DefaultGridModel(),
-	}
-}
-
 // TotalWork evaluates formula (1): the campaign's total reference-processor
 // seconds.
 func (s *System) TotalWork() float64 { return s.Matrix.TotalWork(s.DS) }
@@ -166,37 +156,6 @@ func (s *System) ForecastPhaseII() forecast.Forecast {
 	return forecast.PaperForecast()
 }
 
-// ForecastFromRun computes the phase II estimate from a simulated campaign
-// instead of the paper's record: the "what if our own run had been phase I"
-// view.
-func (s *System) ForecastFromRun(rep *project.Report, plan forecast.PhaseIIPlan) forecast.Forecast {
-	fullPowerWeeks := rep.WeeksElapsed - rep.Config.ControlWeeks - rep.Config.RampWeeks
-	if fullPowerWeeks < 1 {
-		fullPowerWeeks = rep.WeeksElapsed
-	}
-	p1 := forecast.PhaseI{
-		CPUSeconds: rep.ServerStats.CPUSeconds / rep.Config.HostScale,
-		Weeks:      fullPowerWeeks,
-		Proteins:   s.DS.Len(),
-		Members:    forecast.PaperPhaseI().Members,
-	}
-	return forecast.Estimate(p1, plan)
-}
-
-// PhaseIIRatio is the §7 workload ratio: 4000² / (168² × 100).
-const PhaseIIRatio = 4000.0 * 4000.0 / (168.0 * 168.0 * 100.0)
-
-// phaseIIMatrix synthesizes the §7 phase II cost matrix — the benchmark's
-// shape carrying PhaseIIRatio× the work — the one recipe shared by
-// PhaseIIConfig and CoShareConfig.
-func phaseIIMatrix(ds *protein.Dataset, seed uint64) *costmodel.Matrix {
-	return costmodel.Synthesize(ds, costmodel.SynthesizeOptions{
-		Seed:        seed,
-		MeanSeconds: costmodel.Table1.Mean * PhaseIIRatio,
-		TargetTotal: costmodel.PaperTotalSeconds * PhaseIIRatio,
-	})
-}
-
 // PhaseIIConfig builds a campaign configuration for the phase II plan of
 // §7, validated by simulation rather than arithmetic: the same benchmark
 // shape carries 5.67× the work (each couple's per-point cost stands in for
@@ -204,7 +163,7 @@ func phaseIIMatrix(ds *protein.Dataset, seed uint64) *costmodel.Matrix {
 // constant 59,730 VFTP — the Table 3 operating point. The §7 estimate says
 // this completes in 40 weeks.
 func (s *System) PhaseIIConfig(scale float64) project.Config {
-	cfg := project.DefaultConfig(s.DS, phaseIIMatrix(s.DS, protein.DefaultSeed+11))
+	cfg := project.DefaultConfig(s.DS, costmodel.SynthesizePhaseII(s.DS, protein.DefaultSeed+11))
 	// §7 assumes a steady allocation, not the phase I ramp: a flat grid
 	// slice of 59,730 VFTP for the whole run.
 	cfg.Grid = volunteer.GridModel{BaseVFTP: 59730, GrowthPerWeek: 0}
@@ -266,7 +225,7 @@ func (s *System) CoShareConfig(scale, share float64) project.GridConfig {
 	}
 	cfg := s.SharedGridConfig(2, scale, []float64{share, 1 - share})
 	big := &cfg.Projects[1]
-	big.M = phaseIIMatrix(big.DS, big.Seed+11)
+	big.M = costmodel.SynthesizePhaseII(big.DS, big.Seed+11)
 	cfg.MaxWeeks = 120
 	return cfg
 }

@@ -111,32 +111,10 @@ func TestForecastPhaseII(t *testing.T) {
 	}
 }
 
-func TestForecastFromRun(t *testing.T) {
-	rep := hcmd.RunCampaign(1.0/168, 0)
-	fc := hcmd.ForecastFromRun(rep, forecast.PaperPhaseIIPlan())
-	// Shape: phase II needs tens of thousands of VFTP.
-	if fc.VFTPII < 20000 || fc.VFTPII > 150000 {
-		t.Fatalf("VFTP II %v", fc.VFTPII)
-	}
-	if fc.WorkRatio < 5.6 || fc.WorkRatio > 5.8 {
-		t.Fatalf("work ratio %v", fc.WorkRatio)
-	}
-}
-
 func TestDockCouple(t *testing.T) {
 	res := hcmd.DockCouple(0, 1, 1, 2, docking.MinimizeParams{MaxIter: 4, GammaSub: 1})
 	if len(res) != 2*21 {
 		t.Fatalf("results %d", len(res))
-	}
-}
-
-func TestNewScaled(t *testing.T) {
-	s := NewScaled(12, 7)
-	if s.DS.Len() != 12 {
-		t.Fatalf("len %d", s.DS.Len())
-	}
-	if s.TotalWork() <= 0 {
-		t.Fatal("no work")
 	}
 }
 
@@ -159,7 +137,7 @@ func TestPhaseIIConfigShape(t *testing.T) {
 	cfg := hcmd.PhaseIIConfig(1.0 / 168)
 	// The phase II matrix carries PhaseIIRatio× the phase I work.
 	got := cfg.M.TotalWork(hcmd.DS)
-	want := costmodel.PaperTotalSeconds * PhaseIIRatio
+	want := costmodel.PaperTotalSeconds * costmodel.PhaseIIRatio
 	if math.Abs(got-want)/want > 1e-3 {
 		t.Fatalf("phase II total %.3g, want %.3g", got, want)
 	}
@@ -182,23 +160,6 @@ func TestSimulatePhaseIICompletes(t *testing.T) {
 	}
 }
 
-func TestForecastFromRunShortCampaign(t *testing.T) {
-	// A run shorter than control+ramp weeks falls back to the whole
-	// duration as the normalization window.
-	rep := hcmd.RunCampaign(1.0/168, 0)
-	saved := rep.Config.ControlWeeks
-	rep.Config.ControlWeeks = rep.WeeksElapsed + 10
-	fc := hcmd.ForecastFromRun(rep, forecast.PaperPhaseIIPlan())
-	if fc.VFTPII <= 0 {
-		t.Fatal("fallback normalization produced no estimate")
-	}
-	rep.Config.ControlWeeks = saved
-}
-
-// TestSharedGridCrossValidation runs the §7 share assumption through the
-// simulator: HCMD at a 25 % resource share of a shared grid against a
-// phase-II-sized co-project, measured share fed back into the Table 3
-// member arithmetic.
 func TestSharedGridCrossValidation(t *testing.T) {
 	cfg := hcmd.CoShareConfig(1.0/168, 0.25)
 	cfg.HostScale = 0.002 // keep the test population tiny

@@ -275,6 +275,19 @@ func SynthesizeHCMD(ds *protein.Dataset) *Matrix {
 	return Synthesize(ds, SynthesizeOptions{Seed: protein.DefaultSeed + 1})
 }
 
+// PhaseIIRatio is the §7 workload ratio: 4000² / (168² × 100).
+const PhaseIIRatio = 4000.0 * 4000.0 / (168.0 * 168.0 * 100.0)
+
+// SynthesizePhaseII generates the §7 phase II cost matrix: the benchmark's
+// shape carrying PhaseIIRatio× the phase I work.
+func SynthesizePhaseII(ds *protein.Dataset, seed uint64) *Matrix {
+	return Synthesize(ds, SynthesizeOptions{
+		Seed:        seed,
+		MeanSeconds: Table1.Mean * PhaseIIRatio,
+		TargetTotal: PaperTotalSeconds * PhaseIIRatio,
+	})
+}
+
 // LinearityReport holds the Figure 3 verification for one couple: fits of
 // kernel cost against the number of rotations (3a) and the number of
 // starting positions (3b).

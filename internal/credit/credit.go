@@ -46,26 +46,22 @@ func (d Device) Weight() float64 {
 
 // Result is one returned workunit result from the accounting point of view.
 type Result struct {
-	Device     int
-	ReportedS  float64 // run time the agent reported, seconds
-	EffectiveS float64 // reference-CPU seconds of useful work in the result
-	At         float64 // completion time, seconds since grid launch
+	Device    int
+	ReportedS float64 // run time the agent reported, seconds
+	At        float64 // completion time, seconds since grid launch
 }
 
-// Ledger accumulates points per device and over time.
+// Ledger accumulates the points granted over a run, the run time reported
+// for them, and the registered devices' benchmark scores.
 //
-// The data plane is dense: devices and points are slices indexed by device
-// ID, and the weekly rollup is a slice indexed by week number — device IDs
-// in this repository are small sequential integers (the volunteer
-// population's join counter), so dense indexing replaces three map lookups
-// per credited result with three array accesses. A slot with Score == 0
-// is unregistered (Register rejects non-positive scores, so a registered
-// device always has Score > 0).
+// Devices are a dense slice indexed by device ID: device IDs in this
+// repository are small sequential integers (the volunteer population's
+// join counter), so a credited result costs one array access instead of a
+// map lookup. A slot with Score == 0 is unregistered (Register rejects
+// non-positive scores, so a registered device always has Score > 0).
 type Ledger struct {
-	devices []Device  // by device ID; Score == 0 marks an empty slot
-	points  []float64 // by device ID
-	weekly  []float64 // by week index
-	n       int       // registered devices
+	devices []Device // by device ID; Score == 0 marks an empty slot
+	n       int      // registered devices
 	total   float64
 	// reported run time total, for the VFTP comparison
 	reportedS float64
@@ -76,15 +72,11 @@ func NewLedger() *Ledger {
 	return &Ledger{}
 }
 
-// Reset empties the ledger for another run, retaining the dense backing
-// slices so a pooled run context accumulates without allocating.
+// Reset empties the ledger for another run, retaining the dense device
+// slice so a pooled run context accumulates without allocating.
 func (l *Ledger) Reset() {
 	clear(l.devices)
 	l.devices = l.devices[:0]
-	clear(l.points)
-	l.points = l.points[:0]
-	clear(l.weekly)
-	l.weekly = l.weekly[:0]
 	l.n = 0
 	l.total, l.reportedS = 0, 0
 }
@@ -99,7 +91,6 @@ func (l *Ledger) Register(d Device) {
 	}
 	for len(l.devices) <= d.ID {
 		l.devices = append(l.devices, Device{})
-		l.points = append(l.points, 0)
 	}
 	if l.devices[d.ID].Score == 0 {
 		l.n++
@@ -125,54 +116,13 @@ func (l *Ledger) Credit(r Result) (float64, error) {
 		return 0, fmt.Errorf("credit: negative completion time %v", r.At)
 	}
 	pts := r.ReportedS * l.devices[r.Device].Weight() * PointsPerSecond
-	l.points[r.Device] += pts
 	l.total += pts
 	l.reportedS += r.ReportedS
-	week := int(r.At / (7 * 86400))
-	for len(l.weekly) <= week {
-		l.weekly = append(l.weekly, 0)
-	}
-	l.weekly[week] += pts
 	return pts, nil
 }
 
 // Total returns all points granted.
 func (l *Ledger) Total() float64 { return l.total }
-
-// DevicePoints returns the points of one device (0 if unknown).
-func (l *Ledger) DevicePoints(id int) float64 {
-	if id < 0 || id >= len(l.points) {
-		return 0
-	}
-	return l.points[id]
-}
-
-// WeeklySeries returns points per week as a series over [0, maxWeek].
-func (l *Ledger) WeeklySeries(maxWeek int) *stats.Series {
-	s := stats.NewSeries("points-per-week")
-	for w := 0; w <= maxWeek; w++ {
-		v := 0.0
-		if w < len(l.weekly) {
-			v = l.weekly[w]
-		}
-		s.Add(float64(w), v)
-	}
-	return s
-}
-
-// PointsVFTP converts a week's points into point-based virtual full-time
-// processors: the number of reference processors that would earn those
-// points computing full time — the middleware-independent VFTP variant of
-// the conclusion.
-func PointsVFTP(weekPoints float64) float64 {
-	return weekPoints / (7 * 86400 * PointsPerSecond)
-}
-
-// RuntimeVFTP converts a week's reported run time into the paper's §3.1
-// run-time-based VFTP.
-func RuntimeVFTP(weekReportedSeconds float64) float64 {
-	return weekReportedSeconds / (7 * 86400)
-}
 
 // AccountingBias compares the two metrics over the whole ledger: how much
 // the run-time VFTP overstates the points VFTP. For a fleet of devices

@@ -40,7 +40,7 @@ func TestCreditGrants(t *testing.T) {
 	if math.Abs(pts-1) > 1e-12 {
 		t.Fatalf("points = %v", pts)
 	}
-	if l.Total() != pts || l.DevicePoints(1) != pts {
+	if l.Total() != pts {
 		t.Fatal("ledger totals wrong")
 	}
 }
@@ -66,32 +66,6 @@ func TestCreditErrors(t *testing.T) {
 	l.Register(Device{ID: 1, Score: 100})
 	if _, err := l.Credit(Result{Device: 1, ReportedS: -1}); err == nil {
 		t.Fatal("negative time accepted")
-	}
-}
-
-func TestWeeklySeries(t *testing.T) {
-	l := NewLedger()
-	l.Register(Device{ID: 1, Score: 100})
-	l.Credit(Result{Device: 1, ReportedS: 3600, At: 0})
-	l.Credit(Result{Device: 1, ReportedS: 3600, At: 8 * 86400})
-	s := l.WeeklySeries(2)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if s.Y[0] != 1 || s.Y[1] != 1 || s.Y[2] != 0 {
-		t.Fatalf("weekly = %v", s.Y)
-	}
-}
-
-func TestPointsVFTPRoundTrip(t *testing.T) {
-	// A reference processor computing full time for a week earns
-	// 7·86400·PointsPerSecond points = exactly 1 points-VFTP.
-	weekPts := 7 * 86400 * PointsPerSecond
-	if got := PointsVFTP(weekPts); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("PointsVFTP = %v", got)
-	}
-	if got := RuntimeVFTP(7 * 86400); got != 1 {
-		t.Fatalf("RuntimeVFTP = %v", got)
 	}
 }
 
@@ -172,18 +146,12 @@ func TestPowerTrendDegenerate(t *testing.T) {
 // and the dense Ledger the same traffic and demands bit-identical output.
 type mapLedger struct {
 	devices   map[int]Device
-	points    map[int]float64
-	weekly    map[int]float64
 	total     float64
 	reportedS float64
 }
 
 func newMapLedger() *mapLedger {
-	return &mapLedger{
-		devices: make(map[int]Device),
-		points:  make(map[int]float64),
-		weekly:  make(map[int]float64),
-	}
+	return &mapLedger{devices: make(map[int]Device)}
 }
 
 func (l *mapLedger) register(d Device) { l.devices[d.ID] = d }
@@ -191,10 +159,8 @@ func (l *mapLedger) register(d Device) { l.devices[d.ID] = d }
 func (l *mapLedger) credit(r Result) float64 {
 	d := l.devices[r.Device]
 	pts := r.ReportedS * d.Weight() * PointsPerSecond
-	l.points[r.Device] += pts
 	l.total += pts
 	l.reportedS += r.ReportedS
-	l.weekly[int(r.At/(7*86400))] += pts
 	return pts
 }
 
@@ -256,15 +222,11 @@ func TestDenseLedgerMatchesMapReference(t *testing.T) {
 			dense.Register(d)
 			ref.register(d)
 		}
-		maxWeek := 0
 		for i := 0; i < 5000; i++ {
 			res := Result{
 				Device:    r.Intn(nDev),
 				ReportedS: r.Float64() * 1e5,
 				At:        r.Float64() * 40 * 7 * 86400,
-			}
-			if w := int(res.At / (7 * 86400)); w > maxWeek {
-				maxWeek = w
 			}
 			got, err := dense.Credit(res)
 			if err != nil {
@@ -274,13 +236,6 @@ func TestDenseLedgerMatchesMapReference(t *testing.T) {
 		}
 		same("total", dense.Total(), ref.total)
 		same("accounting bias", dense.AccountingBias(), ref.accountingBias())
-		for id := 0; id < nDev; id++ {
-			same("device points", dense.DevicePoints(id), ref.points[id])
-		}
-		ws := dense.WeeklySeries(maxWeek + 1)
-		for i, w := range ws.X {
-			same("weekly", ws.Y[i], ref.weekly[int(w)])
-		}
 		dTrend, dFit, dOK := dense.PowerTrend()
 		mTrend, mFit, mOK := ref.powerTrend()
 		if dOK != mOK {
@@ -293,7 +248,7 @@ func TestDenseLedgerMatchesMapReference(t *testing.T) {
 }
 
 func TestLedgerReset(t *testing.T) {
-	run := func(l *Ledger) (float64, float64, float64) {
+	run := func(l *Ledger) (total, bias, trend float64) {
 		l.Register(Device{ID: 0, Score: 80, JoinedAt: 0})
 		l.Register(Device{ID: 1, Score: 120, JoinedAt: 7 * 86400})
 		l.Register(Device{ID: 2, Score: 140, JoinedAt: 14 * 86400})
@@ -302,26 +257,27 @@ func TestLedgerReset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return l.Total(), l.DevicePoints(1), l.AccountingBias()
+		trend, _, _ = l.PowerTrend()
+		return l.Total(), l.AccountingBias(), trend
 	}
 	fresh := NewLedger()
-	wantT, wantP, wantB := run(fresh)
+	wantT, wantB, wantR := run(fresh)
 
 	reused := NewLedger()
 	reused.Register(Device{ID: 7, Score: 50})
 	reused.Credit(Result{Device: 7, ReportedS: 12345, At: 3e6})
 	reused.Reset()
-	if reused.Total() != 0 || reused.DevicePoints(7) != 0 {
+	if reused.Total() != 0 {
 		t.Fatalf("reset ledger kept points: total=%v", reused.Total())
 	}
 	if _, err := reused.Credit(Result{Device: 7, ReportedS: 1}); err == nil {
 		t.Fatal("reset ledger kept device registrations")
 	}
-	gotT, gotP, gotB := run(reused)
+	gotT, gotB, gotR := run(reused)
 	if math.Float64bits(gotT) != math.Float64bits(wantT) ||
-		math.Float64bits(gotP) != math.Float64bits(wantP) ||
+		math.Float64bits(gotR) != math.Float64bits(wantR) ||
 		math.Float64bits(gotB) != math.Float64bits(wantB) {
-		t.Fatalf("reused ledger diverged: %v/%v %v/%v %v/%v", gotT, wantT, gotP, wantP, gotB, wantB)
+		t.Fatalf("reused ledger diverged: %v/%v %v/%v %v/%v", gotT, wantT, gotB, wantB, gotR, wantR)
 	}
 }
 

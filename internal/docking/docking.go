@@ -267,10 +267,3 @@ func DockRange(receptor, ligand *protein.Protein, isepLo, isepHi, nrot int, para
 	}
 	return out
 }
-
-// EnergyMap computes the full interaction map for a couple: every
-// (isep, irot) result. This is what merging all workunits of a couple
-// reconstructs (§5.2).
-func EnergyMap(receptor, ligand *protein.Protein, params MinimizeParams) []Result {
-	return DockRange(receptor, ligand, 1, receptor.Nsep, protein.NRotWorkunit, params, nil)
-}

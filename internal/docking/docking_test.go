@@ -213,16 +213,6 @@ func TestLinearityInNsep(t *testing.T) {
 	}
 }
 
-func TestEnergyMapComplete(t *testing.T) {
-	d := protein.Generate(2, 77)
-	rec, lig := d.Proteins[0], d.Proteins[1]
-	rec.Nsep = 4
-	res := EnergyMap(rec, lig, MinimizeParams{MaxIter: 2, GammaSub: 1})
-	if len(res) != 4*protein.NRotWorkunit {
-		t.Fatalf("map has %d entries, want %d", len(res), 4*protein.NRotWorkunit)
-	}
-}
-
 func TestMinimizeParamsDefaults(t *testing.T) {
 	p := MinimizeParams{}.withDefaults()
 	if p != DefaultMinimize {

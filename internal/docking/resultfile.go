@@ -117,35 +117,3 @@ func (v ValidRange) CheckResults(results []Result, wantLines int) error {
 	}
 	return nil
 }
-
-// MergeResults concatenates per-workunit result sets of one couple into a
-// single map ordered by (isep, irot), detecting duplicates and gaps — the
-// merge step of §5.2 ("we merged result files in order to have one result
-// file for one couple of proteins"). wantNsep and nrot define completeness.
-func MergeResults(parts [][]Result, wantNsep, nrot int) ([]Result, error) {
-	type key struct{ isep, irot int }
-	seen := make(map[key]Result, wantNsep*nrot)
-	for _, part := range parts {
-		for _, r := range part {
-			k := key{r.ISep, r.IRot}
-			if _, dup := seen[k]; dup {
-				return nil, fmt.Errorf("docking: duplicate result for (isep=%d, irot=%d)", r.ISep, r.IRot)
-			}
-			seen[k] = r
-		}
-	}
-	out := make([]Result, 0, wantNsep*nrot)
-	for isep := 1; isep <= wantNsep; isep++ {
-		for irot := 1; irot <= nrot; irot++ {
-			r, ok := seen[key{isep, irot}]
-			if !ok {
-				return nil, fmt.Errorf("docking: missing result for (isep=%d, irot=%d)", isep, irot)
-			}
-			out = append(out, r)
-		}
-	}
-	if len(seen) != wantNsep*nrot {
-		return nil, fmt.Errorf("docking: %d results beyond the expected grid", len(seen)-wantNsep*nrot)
-	}
-	return out, nil
-}

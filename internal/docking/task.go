@@ -79,12 +79,6 @@ func (t *Task) Run() []Result {
 // Results returns the results computed so far, in (isep, irot) order.
 func (t *Task) Results() []Result { return t.results }
 
-// Abort simulates the volunteer killing the process mid-position: any work
-// beyond the last completed starting position is discarded (it was never
-// there — Step is atomic per position — so Abort is a no-op on state, but it
-// documents the contract and is used by the agent model).
-func (t *Task) Abort() {}
-
 // Checkpoint is the serializable resume state of a Task.
 type Checkpoint struct {
 	ReceptorID int      `json:"receptor"`

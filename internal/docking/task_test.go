@@ -203,39 +203,6 @@ func TestCheckResultsLineCount(t *testing.T) {
 	}
 }
 
-func TestMergeResults(t *testing.T) {
-	mk := func(isep, irot int) Result { return Result{ISep: isep, IRot: irot} }
-	partA := []Result{mk(1, 1), mk(1, 2)}
-	partB := []Result{mk(2, 1), mk(2, 2)}
-	merged, err := MergeResults([][]Result{partB, partA}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 4 {
-		t.Fatalf("merged %d", len(merged))
-	}
-	// Canonical (isep, irot) order regardless of part order.
-	if merged[0] != mk(1, 1) || merged[3] != mk(2, 2) {
-		t.Fatalf("merge order wrong: %+v", merged)
-	}
-}
-
-func TestMergeResultsDuplicate(t *testing.T) {
-	mk := func(isep, irot int) Result { return Result{ISep: isep, IRot: irot} }
-	_, err := MergeResults([][]Result{{mk(1, 1)}, {mk(1, 1)}}, 1, 1)
-	if err == nil {
-		t.Fatal("expected duplicate error")
-	}
-}
-
-func TestMergeResultsGap(t *testing.T) {
-	mk := func(isep, irot int) Result { return Result{ISep: isep, IRot: irot} }
-	_, err := MergeResults([][]Result{{mk(1, 1)}}, 2, 1)
-	if err == nil {
-		t.Fatal("expected gap error")
-	}
-}
-
 func BenchmarkResultFileWrite(b *testing.B) {
 	res := make([]Result, 1000)
 	for i := range res {

@@ -22,17 +22,6 @@ type GridScenario struct {
 	Mutate      func(cfg *project.GridConfig)
 }
 
-// phase2Matrix synthesizes the §7 phase II cost matrix (5.67× the phase I
-// work) against the base tenant's dataset — the heavyweight co-project
-// several grid scenarios pit the HCMD workload against.
-func phase2Matrix(p *project.Config) *costmodel.Matrix {
-	return costmodel.Synthesize(p.DS, costmodel.SynthesizeOptions{
-		Seed:        p.Seed + 11,
-		MeanSeconds: costmodel.Table1.Mean * PhaseIIRatio,
-		TargetTotal: costmodel.PaperTotalSeconds * PhaseIIRatio,
-	})
-}
-
 // GridCatalog returns the built-in multi-project co-run scenarios. The
 // base configuration (see core.SharedGridConfig) carries two equal HCMD
 // tenants; each scenario reshapes the tenant mix, the resource shares, or
@@ -53,7 +42,7 @@ func GridCatalog() []GridScenario {
 			Mutate: func(cfg *project.GridConfig) {
 				cfg.Projects = cfg.Projects[:2]
 				big := &cfg.Projects[1]
-				big.M = phase2Matrix(big)
+				big.M = costmodel.SynthesizePhaseII(big.DS, big.Seed+11)
 				cfg.Shares = []float64{0.25, 0.75}
 				cfg.MaxWeeks = 120
 			},
@@ -64,7 +53,7 @@ func GridCatalog() []GridScenario {
 			Mutate: func(cfg *project.GridConfig) {
 				cfg.Projects = cfg.Projects[:2]
 				greedy := &cfg.Projects[1]
-				greedy.M = phase2Matrix(greedy)
+				greedy.M = costmodel.SynthesizePhaseII(greedy.DS, greedy.Seed+11)
 				greedy.HHours = 10
 				greedy.Order = project.CostliestFirst
 				greedy.Server.InitialQuorum = 1
@@ -80,7 +69,7 @@ func GridCatalog() []GridScenario {
 			Mutate: func(cfg *project.GridConfig) {
 				cfg.Projects = cfg.Projects[:2]
 				p2 := &cfg.Projects[1]
-				p2.M = phase2Matrix(p2)
+				p2.M = costmodel.SynthesizePhaseII(p2.DS, p2.Seed+11)
 				cfg.Shares = nil
 				cfg.MaxWeeks = 120
 			},
@@ -91,7 +80,7 @@ func GridCatalog() []GridScenario {
 			Mutate: func(cfg *project.GridConfig) {
 				cfg.Projects = cfg.Projects[:2]
 				big := &cfg.Projects[1]
-				big.M = phase2Matrix(big)
+				big.M = costmodel.SynthesizePhaseII(big.DS, big.Seed+11)
 				cfg.Shares = []float64{0.05, 0.95}
 				cfg.MaxWeeks = 40 // the point is the share, not completion
 			},

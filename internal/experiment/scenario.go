@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/costmodel"
 	"repro/internal/faults"
 	"repro/internal/project"
 	"repro/internal/sim"
@@ -307,7 +308,7 @@ func Catalog() []Scenario {
 			Name:        "phase2-plan",
 			Description: "§7 phase II operating point: 5.67× workload on a flat 59,730-VFTP slice, validated by simulation",
 			Mutate: func(cfg *project.Config) {
-				cfg.M = phase2Matrix(cfg)
+				cfg.M = costmodel.SynthesizePhaseII(cfg.DS, cfg.Seed+11)
 				cfg.Grid = volunteer.GridModel{BaseVFTP: 59730, GrowthPerWeek: 0}
 				cfg.ControlWeeks = 0
 				cfg.RampWeeks = 0.1
@@ -318,9 +319,6 @@ func Catalog() []Scenario {
 		},
 	}
 }
-
-// PhaseIIRatio is the §7 workload ratio: 4000² / (168² × 100).
-const PhaseIIRatio = 4000.0 * 4000.0 / (168.0 * 168.0 * 100.0)
 
 // Lookup returns the catalog scenario with the given name.
 func Lookup(name string) (Scenario, bool) {

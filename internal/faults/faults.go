@@ -379,10 +379,6 @@ func (p *Plane) Reset(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64
 	p.OnRecovery = nil
 }
 
-// Windows exposes the materialized schedule (read-only; tests and the
-// report builder use it).
-func (p *Plane) Windows() []Window { return p.wins }
-
 // growHost ensures the per-host tables cover host.
 func (p *Plane) growHost(host int) {
 	for len(p.attempt) <= host {

@@ -303,6 +303,14 @@ type Campaign struct {
 // the materialized outage schedule stay finite.
 const maxWeeks = 1040
 
+// minIdleRetry floors Host.IdleRetry at one sim minute: an idle host
+// re-fetches every IdleRetry, so below it the retries, not the work, set a
+// run's cost. Measured on determinismConfig(777) on a 2-core x86-64 VM,
+// where the default 6 h takes 4.7 ms: 1e-9 s never finishes (late in a run
+// now + IdleRetry == now), 1e-3 s had not finished after 20 s, 1 s takes
+// 10.9 s and 60 s takes 0.11 s.
+const minIdleRetry = sim.Minute
+
 // checkFinite panics unless v is a finite number. NaN fails every ordered
 // comparison and ±Inf passes every one-sided bound, so the range checks
 // alone would let them through.
@@ -333,17 +341,20 @@ func checkUnit(field string, v float64) {
 	}
 }
 
-// checkFleet validates the host and grid models a fleet runs on. A zero
-// IdleRetry re-fetches at the same instant forever, and a NaN or infinite
-// speed-down, delay or capacity either indexes the host kernel's calendar
-// at int(NaN) or runs a campaign that silently never completes.
+// checkFleet validates the host and grid models a fleet runs on. An
+// IdleRetry below minIdleRetry re-fetches so often that a run takes seconds
+// or never ends, and a NaN or infinite speed-down, delay or capacity either
+// indexes the host kernel's calendar at int(NaN) or runs a campaign that
+// silently never completes.
 func checkFleet(h volunteer.HostConfig, g volunteer.GridModel) {
 	checkPositive("Host.MeanSpeedDown", h.MeanSpeedDown)
 	checkNonNegative("Host.SpeedDownSigma", h.SpeedDownSigma)
 	checkUnit("Host.AbandonProb", h.AbandonProb)
 	checkUnit("Host.LateReturnProb", h.LateReturnProb)
 	checkUnit("Host.ErrorProb", h.ErrorProb)
-	checkPositive("Host.IdleRetry", h.IdleRetry)
+	if !(h.IdleRetry >= minIdleRetry) || math.IsInf(h.IdleRetry, 1) {
+		panic(fmt.Sprintf("project: Host.IdleRetry %v is not finite and at least %v s", h.IdleRetry, minIdleRetry))
+	}
 	checkNonNegative("Host.LateDelayMax", h.LateDelayMax)
 	checkNonNegative("Host.HardwareTrendPerWeek", h.HardwareTrendPerWeek)
 	var weights float64
@@ -549,7 +560,7 @@ func (c *Campaign) activePlane() *faults.Plane {
 // window (the overlay heap catches the rest; any positive value is
 // correct).
 func (c *Campaign) shardWindow() float64 {
-	w := c.fleet.Host.IdleRetry // positive: checkFleet
+	w := c.fleet.Host.IdleRetry // at least minIdleRetry: checkFleet
 	for _, t := range c.tenants {
 		if h := t.cfg.HHours * 1800; h > 0 && h < w {
 			w = h

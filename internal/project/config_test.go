@@ -61,8 +61,9 @@ func checkBase() Config {
 // ±Inf their one-sided bounds, so these configs used to be accepted — and an
 // infinite horizon or outage rate then never returned. The out-of-range
 // entries ride along: a zero idle retry re-fetched at the same instant
-// forever, a negative one scheduled into the past, and a NaN speed-down,
-// late delay or deadline crashed the host kernel's calendar or the engine.
+// forever (and one below minIdleRetry took seconds or never finished), a
+// negative one scheduled into the past, and a NaN speed-down, late delay or
+// deadline crashed the host kernel's calendar or the engine.
 func TestConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	profile := func(p volunteer.BehaviorProfile) func(*Config) {
@@ -89,6 +90,8 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"IdleRetry 0":                func(c *Config) { c.Host.IdleRetry = 0 },
 		"IdleRetry -1":               func(c *Config) { c.Host.IdleRetry = -1 },
 		"IdleRetry NaN":              func(c *Config) { c.Host.IdleRetry = nan },
+		"IdleRetry 1e-9":             func(c *Config) { c.Host.IdleRetry = 1e-9 },
+		"IdleRetry 1":                func(c *Config) { c.Host.IdleRetry = 1 },
 		"MeanSpeedDown 0":            func(c *Config) { c.Host.MeanSpeedDown = 0 },
 		"MeanSpeedDown NaN":          func(c *Config) { c.Host.MeanSpeedDown = nan },
 		"MeanSpeedDown +Inf":         func(c *Config) { c.Host.MeanSpeedDown = inf },
@@ -141,17 +144,19 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 func TestGridConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := map[string]func(*GridConfig){
-		"share NaN":          func(c *GridConfig) { c.Shares = []float64{1, nan} },
-		"share +Inf":         func(c *GridConfig) { c.Shares = []float64{inf, 1} },
-		"share sum overflow": func(c *GridConfig) { c.Shares = []float64{math.MaxFloat64, math.MaxFloat64} },
-		"GridShare NaN":      func(c *GridConfig) { c.GridShare = nan },
-		"HostScale NaN":      func(c *GridConfig) { c.HostScale = nan },
-		"HostScale +Inf":     func(c *GridConfig) { c.HostScale = inf },
-		"MaxWeeks +Inf":      func(c *GridConfig) { c.MaxWeeks = inf },
-		"Host.IdleRetry 0":   func(c *GridConfig) { c.Host.IdleRetry = 0 },
-		"Host.ErrorProb NaN": func(c *GridConfig) { c.Host.ErrorProb = nan },
-		"Grid.BaseVFTP NaN":  func(c *GridConfig) { c.Grid.BaseVFTP = nan },
-		"Grid.WeekendDip 2":  func(c *GridConfig) { c.Grid.WeekendDip = 2 },
+		"share NaN":           func(c *GridConfig) { c.Shares = []float64{1, nan} },
+		"share +Inf":          func(c *GridConfig) { c.Shares = []float64{inf, 1} },
+		"share sum overflow":  func(c *GridConfig) { c.Shares = []float64{math.MaxFloat64, math.MaxFloat64} },
+		"GridShare NaN":       func(c *GridConfig) { c.GridShare = nan },
+		"HostScale NaN":       func(c *GridConfig) { c.HostScale = nan },
+		"HostScale +Inf":      func(c *GridConfig) { c.HostScale = inf },
+		"MaxWeeks +Inf":       func(c *GridConfig) { c.MaxWeeks = inf },
+		"Host.IdleRetry 0":    func(c *GridConfig) { c.Host.IdleRetry = 0 },
+		"Host.IdleRetry 1e-9": func(c *GridConfig) { c.Host.IdleRetry = 1e-9 },
+		"Host.IdleRetry 1":    func(c *GridConfig) { c.Host.IdleRetry = 1 },
+		"Host.ErrorProb NaN":  func(c *GridConfig) { c.Host.ErrorProb = nan },
+		"Grid.BaseVFTP NaN":   func(c *GridConfig) { c.Grid.BaseVFTP = nan },
+		"Grid.WeekendDip 2":   func(c *GridConfig) { c.Grid.WeekendDip = 2 },
 	}
 	base := gridConfig(t, 1, nil)
 	for name, mutate := range cases {
@@ -194,7 +199,7 @@ func fleetFloats(h *volunteer.HostConfig, g *volunteer.GridModel) []rangedFloat 
 	const pos, big = math.SmallestNonzeroFloat64, math.MaxFloat64
 	return []rangedFloat{
 		{&h.MeanSpeedDown, pos, big}, {&h.SpeedDownSigma, 0, big}, {&h.AbandonProb, 0, 1},
-		{&h.LateReturnProb, 0, 1}, {&h.ErrorProb, 0, 1}, {&h.IdleRetry, pos, big},
+		{&h.LateReturnProb, 0, 1}, {&h.ErrorProb, 0, 1}, {&h.IdleRetry, minIdleRetry, big},
 		{&h.LateDelayMax, 0, big}, {&h.HardwareTrendPerWeek, 0, big},
 		{&g.BaseVFTP, 0, big}, {&g.GrowthPerWeek, 0, big}, {&g.WeekendDip, 0, 1},
 		{&g.HolidayDip, 0, 1}, {&g.Noise, 0, big},

@@ -19,41 +19,14 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the dot product v · w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Norm2 returns the squared length of v.
 func (v Vec3) Norm2() float64 { return v.Dot(v) }
 
-// Dist returns the distance between v and w.
-func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
-
-// Normalize returns v scaled to unit length. The zero vector is returned
-// unchanged.
-func (v Vec3) Normalize() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // Matrix3 is a 3×3 rotation matrix in row-major order.
 type Matrix3 [3][3]float64
-
-// Identity3 returns the identity matrix.
-func Identity3() Matrix3 {
-	return Matrix3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
 
 // Apply returns m·v.
 func (m Matrix3) Apply(v Vec3) Vec3 {
@@ -62,30 +35,6 @@ func (m Matrix3) Apply(v Vec3) Vec3 {
 		m[1][0]*v.X + m[1][1]*v.Y + m[1][2]*v.Z,
 		m[2][0]*v.X + m[2][1]*v.Y + m[2][2]*v.Z,
 	}
-}
-
-// Mul returns the matrix product m·n.
-func (m Matrix3) Mul(n Matrix3) Matrix3 {
-	var out Matrix3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				out[i][j] += m[i][k] * n[k][j]
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of m (its inverse, for rotations).
-func (m Matrix3) Transpose() Matrix3 {
-	var out Matrix3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out[i][j] = m[j][i]
-		}
-	}
-	return out
 }
 
 // EulerZYZ builds a rotation matrix from the ZYZ Euler angles (α, β, γ) in

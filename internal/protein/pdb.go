@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WritePDB writes the reduced protein model in PDB format, one HETATM
@@ -27,74 +25,4 @@ func WritePDB(w io.Writer, p *Protein) error {
 	}
 	fmt.Fprintln(bw, "END")
 	return bw.Flush()
-}
-
-// ParsePDB reads a protein written by WritePDB back. Only the fields this
-// package emits are recovered; the name comes from the HEADER record.
-func ParsePDB(r io.Reader) (*Protein, error) {
-	sc := bufio.NewScanner(r)
-	p := &Protein{}
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "HEADER"):
-			fields := strings.Fields(line)
-			if len(fields) >= 4 {
-				p.Name = fields[len(fields)-1]
-			}
-		case strings.HasPrefix(line, "REMARK"):
-			fields := strings.Fields(line)
-			for i := 0; i+1 < len(fields); i++ {
-				switch fields[i] {
-				case "NSEP":
-					v, err := strconv.Atoi(fields[i+1])
-					if err != nil {
-						return nil, fmt.Errorf("protein: bad NSEP remark: %w", err)
-					}
-					p.Nsep = v
-				case "RADIUS":
-					v, err := strconv.ParseFloat(fields[i+1], 64)
-					if err != nil {
-						return nil, fmt.Errorf("protein: bad RADIUS remark: %w", err)
-					}
-					p.Radius = v
-				}
-			}
-		case strings.HasPrefix(line, "HETATM"):
-			if len(line) < 66 {
-				return nil, fmt.Errorf("protein: short HETATM record %q", line)
-			}
-			parse := func(lo, hi int) (float64, error) {
-				return strconv.ParseFloat(strings.TrimSpace(line[lo:hi]), 64)
-			}
-			x, err := parse(30, 38)
-			if err != nil {
-				return nil, fmt.Errorf("protein: HETATM x: %w", err)
-			}
-			y, err := parse(38, 46)
-			if err != nil {
-				return nil, fmt.Errorf("protein: HETATM y: %w", err)
-			}
-			z, err := parse(46, 54)
-			if err != nil {
-				return nil, fmt.Errorf("protein: HETATM z: %w", err)
-			}
-			occ, err := parse(54, 60)
-			if err != nil {
-				return nil, fmt.Errorf("protein: HETATM occupancy: %w", err)
-			}
-			bf, err := parse(60, 66)
-			if err != nil {
-				return nil, fmt.Errorf("protein: HETATM b-factor: %w", err)
-			}
-			p.Beads = append(p.Beads, Bead{Pos: Vec3{X: x, Y: y, Z: z}, Radius: occ, Charge: bf})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("protein: reading PDB: %w", err)
-	}
-	if len(p.Beads) == 0 {
-		return nil, fmt.Errorf("protein: no HETATM records found")
-	}
-	return p, nil
 }

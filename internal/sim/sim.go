@@ -46,12 +46,10 @@ type Time = float64
 
 // Common durations, in seconds.
 const (
-	Second = 1.0
 	Minute = 60.0
 	Hour   = 3600.0
 	Day    = 24 * Hour
 	Week   = 7 * Day
-	Year   = 365.25 * Day
 )
 
 // Call describes what a scheduled event's closure does, in portable terms:

@@ -231,12 +231,6 @@ func (h *Histogram) AddN(v float64, n int) {
 // Total returns the number of observations recorded (including out of range).
 func (h *Histogram) Total() int { return h.total }
 
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // BinLow returns the lower edge of bin i.
 func (h *Histogram) BinLow(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Bins))
@@ -252,19 +246,6 @@ func (h *Histogram) MaxBin() int {
 		}
 	}
 	return best
-}
-
-// Fractions returns each bin count as a fraction of the total (including
-// under/overflow in the denominator). Empty histogram returns all zeros.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Bins))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Bins {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
 }
 
 // String renders a compact ASCII view of the histogram, useful in logs and
@@ -421,23 +402,4 @@ func KolmogorovSmirnov(a, b []float64) float64 {
 		}
 	}
 	return d
-}
-
-// ShareOfTop returns the fraction of the total mass carried by the k largest
-// values.
-func ShareOfTop(vals []float64, k int) float64 {
-	if len(vals) == 0 || k <= 0 {
-		return 0
-	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	total := Sum(sorted)
-	if total <= 0 {
-		return 0
-	}
-	return Sum(sorted[:k]) / total
 }

@@ -1,174 +1,10 @@
 package validate
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"repro/internal/docking"
 	"repro/internal/protein"
 )
-
-// tinyDataset builds a dataset small enough to dock fully in tests.
-func tinyDataset(t testing.TB) *protein.Dataset {
-	t.Helper()
-	ds := protein.Generate(3, 77)
-	for _, p := range ds.Proteins {
-		p.Nsep = 4 // shrink so full maps are cheap
-	}
-	return ds
-}
-
-var fastParams = docking.MinimizeParams{MaxIter: 3, GammaSub: 1}
-
-// makeDelivery computes a full, valid delivery for a receptor, splitting
-// each couple's results into nFiles workunit files.
-func makeDelivery(t testing.TB, ds *protein.Dataset, rec, nFiles int) Delivery {
-	t.Helper()
-	d := Delivery{Receptor: rec, Files: make(map[int][][]byte)}
-	for lig := 0; lig < ds.Len(); lig++ {
-		results := docking.EnergyMap(ds.Proteins[rec], ds.Proteins[lig], fastParams)
-		per := (len(results) + nFiles - 1) / nFiles
-		var files [][]byte
-		for lo := 0; lo < len(results); lo += per {
-			hi := lo + per
-			if hi > len(results) {
-				hi = len(results)
-			}
-			var buf bytes.Buffer
-			if err := docking.WriteResults(&buf, results[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, buf.Bytes())
-		}
-		d.Files[lig] = files
-	}
-	return d
-}
-
-func TestReceiveValidDelivery(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	rep, err := p.Receive(makeDelivery(t, ds, 0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Couples != ds.Len() {
-		t.Fatalf("couples = %d", rep.Couples)
-	}
-	wantLines := int64(ds.Len() * ds.Proteins[0].Nsep * protein.NRotWorkunit)
-	if rep.Lines != wantLines {
-		t.Fatalf("lines = %d, want %d", rep.Lines, wantLines)
-	}
-	if p.MergedCouples() != ds.Len() {
-		t.Fatalf("merged = %d", p.MergedCouples())
-	}
-	if p.Complete() {
-		t.Fatal("one receptor should not complete the archive")
-	}
-}
-
-func TestArchiveCompletes(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	for rec := 0; rec < ds.Len(); rec++ {
-		if _, err := p.Receive(makeDelivery(t, ds, rec, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !p.Complete() {
-		t.Fatal("archive should be complete")
-	}
-	text, compressed := p.ArchiveBytes()
-	if text <= 0 || compressed <= 0 || compressed >= text {
-		t.Fatalf("bytes accounting wrong: %d / %d", text, compressed)
-	}
-}
-
-func TestFileCountCheck(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	delete(d.Files, 1)
-	if _, err := p.Receive(d); err == nil || !strings.Contains(err.Error(), "file-count") {
-		t.Fatalf("missing-ligand delivery accepted: %v", err)
-	}
-}
-
-func TestLineCountCheck(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	// Drop the last line of one file.
-	f := d.Files[2][0]
-	trimmed := bytes.TrimRight(f, "\n")
-	idx := bytes.LastIndexByte(trimmed, '\n')
-	d.Files[2][0] = trimmed[:idx+1]
-	if _, err := p.Receive(d); err == nil || !strings.Contains(err.Error(), "line-count") {
-		t.Fatalf("short file accepted: %v", err)
-	}
-}
-
-func TestRangeCheck(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	// Corrupt one energy to an absurd value.
-	f := string(d.Files[0][0])
-	lines := strings.SplitN(f, "\n", 2)
-	fields := strings.Fields(lines[0])
-	fields[8] = "9.9e99"
-	d.Files[0][0] = []byte(strings.Join(fields, " ") + "\n" + lines[1])
-	if _, err := p.Receive(d); err == nil || !strings.Contains(err.Error(), "range check") {
-		t.Fatalf("corrupt value accepted: %v", err)
-	}
-}
-
-func TestDuplicateLinesRejected(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	// Duplicate a whole file: merge must detect the duplicate grid points.
-	d.Files[0] = append(d.Files[0], d.Files[0][0])
-	if _, err := p.Receive(d); err == nil {
-		t.Fatal("duplicated workunit file accepted")
-	}
-}
-
-func TestRejectedDeliveryLeavesNoTrace(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	delete(d.Files, 0)
-	p.Receive(d) // rejected
-	if p.MergedCouples() != 0 || p.Lines() != 0 {
-		t.Fatal("rejected delivery left state behind")
-	}
-}
-
-func TestReceptorRangeChecked(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	if _, err := p.Receive(Delivery{Receptor: 99}); err == nil {
-		t.Fatal("bad receptor accepted")
-	}
-}
-
-func TestRedeliveryIdempotentCount(t *testing.T) {
-	ds := tinyDataset(t)
-	p := NewPipeline(ds)
-	d := makeDelivery(t, ds, 0, 1)
-	if _, err := p.Receive(d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Receive(d); err != nil {
-		t.Fatal(err)
-	}
-	// Re-delivery re-validates but the couple count does not double.
-	if p.MergedCouples() != ds.Len() {
-		t.Fatalf("merged = %d after redelivery", p.MergedCouples())
-	}
-}
 
 func TestEstimateArchivePaperScale(t *testing.T) {
 	ds := protein.HCMD168()
@@ -186,17 +22,5 @@ func TestEstimateArchivePaperScale(t *testing.T) {
 	cgb := float64(compressed) / 1e9
 	if cgb/gb < 0.3 || cgb/gb > 0.4 {
 		t.Fatalf("compression ratio %.2f, want 45/123", cgb/gb)
-	}
-}
-
-func BenchmarkReceiveDelivery(b *testing.B) {
-	ds := tinyDataset(b)
-	d := makeDelivery(b, ds, 0, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := NewPipeline(ds)
-		if _, err := p.Receive(d); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

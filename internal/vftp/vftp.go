@@ -10,11 +10,7 @@
 // speed-down factor to compare against a dedicated grid.
 package vftp
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // SecondsPerDay is the VFTP accounting granularity.
 const SecondsPerDay = 86400.0
@@ -26,16 +22,6 @@ func FromCPU(cpuSeconds, wallSeconds float64) float64 {
 		panic("vftp: wall window must be positive")
 	}
 	return cpuSeconds / wallSeconds
-}
-
-// FromWeeklyCPU converts a series of per-week CPU seconds into a weekly
-// VFTP series (x = week index).
-func FromWeeklyCPU(weekly []float64) *stats.Series {
-	s := stats.NewSeries("vftp")
-	for w, cpu := range weekly {
-		s.Add(float64(w), FromCPU(cpu, 7*SecondsPerDay))
-	}
-	return s
 }
 
 // DedicatedEquivalent converts volunteer VFTP into the number of dedicated

@@ -38,17 +38,6 @@ func TestFromCPUPanics(t *testing.T) {
 	FromCPU(1, 0)
 }
 
-func TestFromWeeklyCPU(t *testing.T) {
-	weekly := []float64{7 * SecondsPerDay, 14 * SecondsPerDay}
-	s := FromWeeklyCPU(weekly)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if s.Y[0] != 1 || s.Y[1] != 2 {
-		t.Fatalf("series = %v", s.Y)
-	}
-}
-
 func TestDedicatedEquivalentTable2(t *testing.T) {
 	// Table 2: 16,450 VFTP / 5.43 = 3,029 dedicated processors;
 	// 26,248 / 5.43 = 4,833.

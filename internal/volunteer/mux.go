@@ -111,9 +111,6 @@ func (m *Mux) Projects() int { return len(m.atts) }
 // Share returns project i's normalized resource share (Σ over projects = 1).
 func (m *Mux) Share(i int) float64 { return m.atts[i].share }
 
-// Server returns project i's server.
-func (m *Mux) Server(i int) *wcg.Server { return m.atts[i].server }
-
 // Debts returns a copy of host id's per-project short-term debts
 // (diagnostics and invariant tests; the hot path never calls it).
 func (m *Mux) Debts(id int) []float64 {

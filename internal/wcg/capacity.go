@@ -1,20 +1,12 @@
 package wcg
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/workunit"
-)
-
 // Task-server capacity model (§3.2). The wanted workunit duration is "also
 // constrained by the capacity of the servers at World Community Grid to
 // distribute the work to volunteer devices: it determines the rate of
 // transactions with the servers" — the paper cites the BOINC task-server
 // study of Anderson, Korpela and Walton for the machinery. This file
-// provides the closed-form planning model: how many server transactions a
-// packaging choice implies, and the smallest workunit duration a given
-// server can sustain.
+// provides the closed-form load model: the average transaction rate a
+// packaging choice puts on the server.
 
 // ServerCapacity describes a task server's sustainable load.
 type ServerCapacity struct {
@@ -53,80 +45,4 @@ func (c ServerCapacity) LoadFor(workunits int64, redundancy float64, campaignSec
 		redundancy = 1
 	}
 	return float64(workunits) * redundancy * c.TxPerResult / campaignSeconds
-}
-
-// Sustainable reports whether the load fits in the project's share of the
-// server.
-func (c ServerCapacity) Sustainable(loadTxPerSec float64) bool {
-	return loadTxPerSec <= c.TransactionsPerSecond*c.UtilizationTarget
-}
-
-// MaxWorkunits returns the largest workunit count the server sustains over
-// a campaign of the given length at the given redundancy.
-func (c ServerCapacity) MaxWorkunits(redundancy float64, campaignSeconds float64) int64 {
-	if redundancy < 1 {
-		redundancy = 1
-	}
-	budget := c.TransactionsPerSecond * c.UtilizationTarget * campaignSeconds
-	return int64(budget / (redundancy * c.TxPerResult))
-}
-
-// MinWantedHours finds the smallest §4.2 wanted duration h whose packaging
-// the server can sustain over the campaign, by bisection on the monotone
-// count(h) curve. Returns the duration and the resulting workunit count.
-// It searches h in [0.1, 1000] hours and errors if even the largest h
-// exceeds capacity.
-func (c ServerCapacity) MinWantedHours(plan func(hHours float64) int64, redundancy, campaignSeconds float64) (float64, int64, error) {
-	limit := c.MaxWorkunits(redundancy, campaignSeconds)
-	lo, hi := 0.1, 1000.0
-	if plan(hi) > limit {
-		return 0, 0, fmt.Errorf("wcg: even %v-hour workunits exceed server capacity (%d > %d)", hi, plan(hi), limit)
-	}
-	if plan(lo) <= limit {
-		return lo, plan(lo), nil
-	}
-	for i := 0; i < 50 && hi-lo > 1e-3; i++ {
-		mid := (lo + hi) / 2
-		if plan(mid) > limit {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, plan(hi), nil
-}
-
-// HumanFactorHours is the §3.2 empirical target: "the team at World
-// Community Grid has determined a workunit should last around 10 hours...
-// the time a volunteer would wait to accomplish a workunit".
-const HumanFactorHours = 10.0
-
-// RecommendWantedHours combines both §3.2 constraints: at least the
-// server-sustainable minimum, at most the volunteer patience budget. It
-// returns the recommended h given a packaging plan for the dataset.
-func RecommendWantedHours(plan *workunit.Plan, cap ServerCapacity, redundancy, campaignSeconds float64) (float64, error) {
-	count := func(h float64) int64 {
-		return workunit.NewPlan(plan.DS, plan.M, h).Count()
-	}
-	minH, _, err := cap.MinWantedHours(count, redundancy, campaignSeconds)
-	if err != nil {
-		return 0, err
-	}
-	h := math.Max(minH, 1)
-	if h > HumanFactorHours {
-		return HumanFactorHours, fmt.Errorf("wcg: server needs %0.1f-hour workunits, beyond the %v-hour human factor", h, HumanFactorHours)
-	}
-	return h, nil
-}
-
-// TransactionsEstimate returns the §3.2 planning numbers for a concrete
-// packaging: total copies, total transactions and average rate.
-func TransactionsEstimate(count int64, redundancy, campaignSeconds float64) (copies int64, tx int64, perSecond float64) {
-	if redundancy < 1 {
-		redundancy = 1
-	}
-	copies = int64(math.Round(float64(count) * redundancy))
-	tx = copies * 2
-	perSecond = float64(tx) / campaignSeconds
-	return copies, tx, perSecond
 }

@@ -399,9 +399,6 @@ func (s *Server) SetProject(id int) {
 	s.proj = uint8(id)
 }
 
-// Project returns the identity set by SetProject (0 when standalone).
-func (s *Server) Project() int { return int(s.proj) }
-
 // Retain switches the server to retained (arena) allocation: object
 // chunks survive Reset and are re-carved by the next run. Pooled run
 // contexts call it right after NewServer, before the first workunit is

@@ -35,13 +35,6 @@ type Workunit struct {
 	RefSeconds float64 // predicted duration on the reference processor
 }
 
-// NSep returns the number of starting positions the workunit covers.
-func (w Workunit) NSep() int { return w.ISepHi - w.ISepLo + 1 }
-
-// Lines returns the expected number of result-file lines for the workunit
-// (one per (isep, irot) pair), used by the §5.2 validation checks.
-func (w Workunit) Lines() int { return w.NSep() * protein.NRotWorkunit }
-
 // SliceCouple computes the per-workunit nsep for one couple, following the
 // §4.2 clamped-quotient rule. hSeconds is the wanted duration and perIsep
 // the couple's matrix entry (seconds per starting position).
@@ -147,17 +140,6 @@ func (p *Plan) ForEach(fn func(Workunit) bool) {
 			}
 		}
 	})
-}
-
-// Materialize builds the full workunit catalog. Use only for small plans
-// (tests, examples); full-scale plans should stream with ForEach.
-func (p *Plan) Materialize() []Workunit {
-	var out []Workunit
-	p.ForEach(func(w Workunit) bool {
-		out = append(out, w)
-		return true
-	})
-	return out
 }
 
 // Summary aggregates a plan: Figure 4's workunit count and duration

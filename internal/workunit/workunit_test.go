@@ -103,7 +103,7 @@ func TestConservationProperty(t *testing.T) {
 				ok = false
 				return false
 			}
-			sum[[2]int{w.Receptor, w.Ligand}] += w.NSep()
+			sum[[2]int{w.Receptor, w.Ligand}] += w.ISepHi - w.ISepLo + 1
 			return true
 		})
 		if !ok {
@@ -171,8 +171,8 @@ func TestWorkunitDurationBounded(t *testing.T) {
 	// starting position (the indivisible unit).
 	_, plan := smallPlan(t, 5)
 	plan.ForEach(func(w Workunit) bool {
-		if w.RefSeconds > 5*3600 && w.NSep() > 1 {
-			t.Fatalf("workunit %d: %v s with %d positions exceeds h", w.ID, w.RefSeconds, w.NSep())
+		if nsep := w.ISepHi - w.ISepLo + 1; w.RefSeconds > 5*3600 && nsep > 1 {
+			t.Fatalf("workunit %d: %v s with %d positions exceeds h", w.ID, w.RefSeconds, nsep)
 		}
 		return true
 	})
@@ -217,16 +217,6 @@ func TestIDsSequential(t *testing.T) {
 		next++
 		return true
 	})
-}
-
-func TestLines(t *testing.T) {
-	w := Workunit{ISepLo: 3, ISepHi: 7}
-	if w.NSep() != 5 {
-		t.Fatalf("NSep = %d", w.NSep())
-	}
-	if w.Lines() != 5*protein.NRotWorkunit {
-		t.Fatalf("Lines = %d", w.Lines())
-	}
 }
 
 func TestNewPlanPanics(t *testing.T) {
