@@ -1,9 +1,11 @@
 // Command benchgate is the CI allocation-regression gate: it compares a
 // freshly measured benchmark file against the checked-in
-// BENCH_campaign.json baseline and exits non-zero when allocs/op grew
-// beyond the allowed margin for any gated benchmark. Allocations are
-// deterministic for a deterministic simulation, so the gate is
-// machine-independent — unlike ns/op, which is deliberately not gated.
+// BENCH_campaign.json baseline and exits non-zero when allocs/op or
+// bytes/op grew beyond the allowed margin for any gated benchmark.
+// Allocation counts and allocated bytes are deterministic for a
+// deterministic simulation, so the gate is machine-independent — unlike
+// ns/op, which is deliberately not gated. One margin, -max-alloc-growth,
+// applies to both.
 //
 // Seven benchmarks are gated by default, the same seven CI gates:
 // BenchmarkCampaignCI (the fresh one-shot campaign), BenchmarkSweepCell
@@ -43,7 +45,7 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_campaign.json", "checked-in benchmark trajectory (the baseline)")
 	current := flag.String("current", "", "freshly measured benchmark file to gate")
 	bench := flag.String("bench", "BenchmarkCampaignCI,BenchmarkSweepCell,BenchmarkSharedGrid2Proj,BenchmarkCampaignGrid10x,BenchmarkCampaignGrid100xCI,BenchmarkSweepForked,BenchmarkSweepForkedParallel", "comma-separated benchmark names to compare")
-	maxGrowth := flag.Float64("max-alloc-growth", 0.10, "allowed allocs/op growth over the baseline (0.10 = +10%)")
+	maxGrowth := flag.Float64("max-alloc-growth", 0.10, "allowed allocs/op and bytes/op growth over the baseline (0.10 = +10%)")
 	flag.Parse()
 
 	if err := run(*baseline, *current, *bench, *maxGrowth); err != nil {
@@ -75,8 +77,8 @@ func run(baselinePath, currentPath, benchSpec string, maxGrowth float64) error {
 		}
 		b, _ := base.LatestRun(bench)
 		c, _ := cur.LatestRun(bench)
-		fmt.Printf("benchgate: %s ok — %d allocs/op (%q) vs %d baseline (%q), limit +%.0f%%\n",
-			bench, c.AllocsPerOp, c.Label, b.AllocsPerOp, b.Label, maxGrowth*100)
+		fmt.Printf("benchgate: %s ok — %d allocs/op, %d B/op (%q) vs %d, %d B/op baseline (%q), limit +%.0f%%\n",
+			bench, c.AllocsPerOp, c.BytesPerOp, c.Label, b.AllocsPerOp, b.BytesPerOp, b.Label, maxGrowth*100)
 		gated++
 	}
 	if gated == 0 {

@@ -115,10 +115,11 @@ func (f *BenchFile) LatestRun(bench string) (BenchRun, bool) {
 
 // AllocGate is the CI allocation-regression gate: it compares the latest
 // current run of bench against the latest baseline run and returns an
-// error when allocs/op grew by more than maxGrowth (0.10 = +10 %).
-// ns/op is deliberately not gated — CI machines vary — but allocations
-// are deterministic for a deterministic simulation, so a breach means the
-// change really did add per-op allocations.
+// error when allocs/op or bytes/op grew by more than maxGrowth (0.10 =
+// +10 %). ns/op is deliberately not gated — CI machines vary — but
+// allocation counts and allocated bytes are deterministic for a
+// deterministic simulation, so a breach means the change really did add
+// per-op allocations or make them larger.
 func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) error {
 	base, ok := baseline.LatestRun(bench)
 	if !ok {
@@ -128,10 +129,18 @@ func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) er
 	if !ok {
 		return fmt.Errorf("experiment: current file has no %s run", bench)
 	}
-	limit := int64(float64(base.AllocsPerOp) * (1 + maxGrowth))
-	if cur.AllocsPerOp > limit {
-		return fmt.Errorf("experiment: %s allocs/op regressed: %d (%q) > %d baseline (%q) +%.0f%% = %d",
-			bench, cur.AllocsPerOp, cur.Label, base.AllocsPerOp, base.Label, maxGrowth*100, limit)
+	for _, m := range []struct {
+		unit      string
+		base, cur int64
+	}{
+		{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
+		{"bytes/op", base.BytesPerOp, cur.BytesPerOp},
+	} {
+		limit := int64(float64(m.base) * (1 + maxGrowth))
+		if m.cur > limit {
+			return fmt.Errorf("experiment: %s %s regressed: %d (%q) > %d baseline (%q) +%.0f%% = %d",
+				bench, m.unit, m.cur, cur.Label, m.base, base.Label, maxGrowth*100, limit)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +105,33 @@ func TestAllocGate(t *testing.T) {
 	}
 	if err := AllocGate(cur(1), base, "BenchmarkOther", 0.10); err == nil {
 		t.Fatal("missing current benchmark accepted")
+	}
+
+	// Bytes/op are gated at the same margin, against the same latest row,
+	// whatever the allocation count does.
+	base.Runs[0].BytesPerOp = 100_000
+	base.Runs[1].BytesPerOp = 10_000
+	for _, c := range []struct {
+		allocs, bytes int64
+		ok            bool
+	}{
+		{1000, 11_000, true},   // at the margin
+		{1000, 11_001, false},  // one byte past it
+		{900, 11_001, false},   // fewer allocations do not excuse bigger ones
+		{1000, 6_000, true},    // improvement
+		{1101, 10_000, false},  // the count alone still trips the gate
+		{1000, 100_000, false}, // not measured against the older row
+	} {
+		f := &BenchFile{Runs: []BenchRun{
+			{Benchmark: "BenchmarkCampaignCI", Label: "pr", AllocsPerOp: c.allocs, BytesPerOp: c.bytes},
+		}}
+		err := AllocGate(base, f, "BenchmarkCampaignCI", 0.10)
+		if (err == nil) != c.ok {
+			t.Errorf("allocs=%d bytes=%d: err=%v, want ok=%v", c.allocs, c.bytes, err, c.ok)
+		}
+		if err != nil && c.allocs <= 1100 && !strings.Contains(err.Error(), "bytes/op") {
+			t.Errorf("allocs=%d bytes=%d: error %q does not name bytes/op", c.allocs, c.bytes, err)
+		}
 	}
 }
 

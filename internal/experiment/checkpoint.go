@@ -38,11 +38,15 @@ const ckptSyncEvery = 32
 // truncated: the sweep starts from scratch.
 func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	c := &Checkpoint{path: path, done: make(map[Key]RunResult)}
+	var data []byte
 	if resume {
-		if data, err := os.ReadFile(path); err == nil {
+		var err error
+		if data, err = os.ReadFile(path); err == nil {
 			// Parse line by line and skip torn lines rather than stopping:
-			// a sweep killed mid-write leaves one, and a later resume
-			// appends intact lines after it.
+			// a sweep killed mid-write leaves one at the end of the file.
+			// It is ended with a newline below, before anything is
+			// appended, so the cells this sweep records land on lines of
+			// their own instead of being glued onto the fragment.
 			for _, line := range bytes.Split(data, []byte("\n")) {
 				if len(bytes.TrimSpace(line)) == 0 {
 					continue
@@ -72,6 +76,12 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: open checkpoint: %w", err)
+	}
+	if n := len(data); n > 0 && data[n-1] != '\n' {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("experiment: end torn checkpoint line: %w", err)
+		}
 	}
 	c.f = f
 	c.w = bufio.NewWriter(f)

@@ -218,6 +218,54 @@ func TestCheckpointSurvivesTornLine(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornTailResumesTwice: a sweep killed mid-write leaves a
+// fragment with no trailing newline at the end of the file. The first
+// resume must not glue its first recorded cell onto that fragment, or the
+// next resume cannot parse the line and runs the cell again.
+func TestCheckpointTornTailResumesTwice(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tail.ckpt.jsonl")
+	cell := func(name string) RunResult { return RunResult{Scenario: name, Seed: 7, Scale: 0.5} }
+	record := func(resume bool, names ...string) *Checkpoint {
+		t.Helper()
+		ckpt, err := OpenCheckpoint(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			ckpt.Record(cell(name))
+		}
+		return ckpt
+	}
+	if err := record(false, "a", "b").Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Kill mid-write: b's line loses its second half and its newline.
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	torn := data[:last+(len(data)-last)/2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := record(true, "b", "c").Close(); err != nil {
+		t.Fatal(err)
+	}
+	second := record(true)
+	defer second.Close()
+	for _, name := range []string{"a", "b", "c"} {
+		if _, ok := second.Lookup(Key{Scenario: name}); !ok {
+			data, _ := os.ReadFile(path)
+			t.Fatalf("cell %s recorded by a resumed sweep is lost on the next resume; file:\n%s", name, data)
+		}
+	}
+	if second.Len() != 3 {
+		t.Fatalf("second resume loaded %d cells, want 3", second.Len())
+	}
+}
+
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: no cell should be dispatched

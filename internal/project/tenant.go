@@ -129,7 +129,7 @@ func (t *tenant) bind() {
 	t.server.OnComplete = func(st *wcg.WUState) {
 		b := &t.batches[st.Batch]
 		b.remaining--
-		b.doneRef += st.WU.RefSeconds
+		b.doneRef += st.RefSeconds
 		if b.remaining == 0 {
 			t.outstanding--
 		}
@@ -246,7 +246,6 @@ func (t *tenant) releaseBatch(orderIdx int) {
 	ds, m := t.cfg.DS, t.cfg.M
 	rec := b.receptor
 	total := ds.Proteins[rec].Nsep
-	var id int64
 	for _, p := range b.plan {
 		cost := m.At(rec, p.ligand)
 		for lo := 1; lo <= total; lo += p.nsep {
@@ -254,13 +253,7 @@ func (t *tenant) releaseBatch(orderIdx int) {
 			if hi > total {
 				hi = total
 			}
-			t.server.AddWorkunit(workunit.Workunit{
-				ID:       int64(rec)<<32 | id,
-				Receptor: rec, Ligand: p.ligand,
-				ISepLo: lo, ISepHi: hi,
-				RefSeconds: float64(hi-lo+1) * cost,
-			}, bi)
-			id++
+			t.server.AddWorkunit(workunit.Workunit{RefSeconds: float64(hi-lo+1) * cost}, bi)
 		}
 	}
 	t.outstanding++

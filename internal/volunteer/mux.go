@@ -169,7 +169,7 @@ func (m *Mux) RequestWork(id int) *wcg.Assignment {
 	// Short-term debt update over the projects that were offering work:
 	// renormalize their shares, credit each its slice of the fetched
 	// reference seconds, debit the chosen project in full. Zero-sum.
-	w := a.WU.WU.RefSeconds
+	w := a.WU.RefSeconds
 	var offered float64
 	for i := range atts {
 		if i == best || atts[i].server.HasWork() {

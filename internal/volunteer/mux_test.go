@@ -112,7 +112,7 @@ func TestMuxPortShareConvergence(t *testing.T) {
 		if a == nil {
 			t.Fatal("ran out of work")
 		}
-		ref[a.Project()] += a.WU.WU.RefSeconds
+		ref[a.Project()] += a.WU.RefSeconds
 	}
 	got := ref[0] / (ref[0] + ref[1])
 	if math.Abs(got-0.25) > 0.01 {

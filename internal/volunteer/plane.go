@@ -253,10 +253,10 @@ func (k *ShardKernel) fetch(h int32) {
 	k.cache[base+n-1] = nil
 	k.cacheLen[h] = int32(n - 1)
 	k.flags[h] |= hfBusy
-	wall := a.WU.WU.RefSeconds * k.speedDown[h]
+	wall := a.WU.RefSeconds * k.speedDown[h]
 	reported := wall
 	if k.cfg.Accounting == BOINCCPUTime {
-		reported = a.WU.WU.RefSeconds * k.hardware[h]
+		reported = a.WU.RefSeconds * k.hardware[h]
 	}
 
 	src := &k.src[h]

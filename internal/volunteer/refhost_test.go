@@ -118,10 +118,10 @@ func (f *refFleet) fetch(h *refHost) {
 	a := h.cache[0]
 	h.cache = append(h.cache[:0], h.cache[1:]...)
 	h.busy = true
-	wall := a.WU.WU.RefSeconds * h.speedDown
+	wall := a.WU.RefSeconds * h.speedDown
 	reported := wall
 	if f.cfg.Accounting == BOINCCPUTime {
-		reported = a.WU.WU.RefSeconds * h.hardware
+		reported = a.WU.RefSeconds * h.hardware
 	}
 	if h.src.Bernoulli(h.abandonProb) {
 		if h.src.Bernoulli(f.cfg.LateReturnProb) {

@@ -375,7 +375,7 @@ func (s *Server) randNext() *WUState {
 // batchPush enqueues into the per-batch bucket, assigning each batch its
 // seniority rank (first-enqueue order) the first time it appears.
 func (s *Server) batchPush(st *WUState) {
-	b := st.Batch
+	b := int(st.Batch)
 	for len(s.batchRank) <= b {
 		s.batchRank = append(s.batchRank, 0)
 	}
@@ -487,7 +487,7 @@ func (s *Server) sizeWheels(n int) {
 // reference-seconds bound covers it, the last class catching the rest.
 func (s *Server) classOf(st *WUState) uint8 {
 	for i, cut := range s.classCut {
-		if st.WU.RefSeconds <= cut {
+		if st.RefSeconds <= cut {
 			return uint8(i)
 		}
 	}

@@ -20,8 +20,9 @@ func withScheduler(sched Scheduler) Config {
 func issueOrder(t *testing.T, cfg Config, n int) []int64 {
 	t.Helper()
 	_, srv := newTestServer(cfg)
+	ids := make(map[*WUState]int64)
 	for i := 0; i < n; i++ {
-		srv.AddWorkunit(wu(int64(i), 100), i)
+		ids[srv.AddWorkunit(wu(int64(i), 100), i)] = int64(i)
 	}
 	var order []int64
 	for {
@@ -29,7 +30,7 @@ func issueOrder(t *testing.T, cfg Config, n int) []int64 {
 		if a == nil {
 			break
 		}
-		order = append(order, a.WU.WU.ID)
+		order = append(order, ids[a.WU])
 		srv.Complete(a, OutcomeValid, 1)
 	}
 	if len(order) != n {
@@ -78,27 +79,30 @@ func TestRandomSchedulerDeterministicInSeed(t *testing.T) {
 func TestBatchPrioritySeniority(t *testing.T) {
 	engine, srv := newTestServer(withScheduler(BatchPriorityScheduler{}))
 	// Batch 7 enqueued first → senior, whatever its numeric id.
-	srv.AddWorkunit(wu(70, 100), 7)
-	srv.AddWorkunit(wu(0, 100), 0)
-	srv.AddWorkunit(wu(1, 100), 0)
+	// The calls run in source order (left to right in the literal).
+	ids := map[*WUState]int64{
+		srv.AddWorkunit(wu(70, 100), 7): 70,
+		srv.AddWorkunit(wu(0, 100), 0):  0,
+		srv.AddWorkunit(wu(1, 100), 0):  1,
+	}
 
 	a := srv.RequestWork()
-	if a.WU.WU.ID != 70 {
-		t.Fatalf("first issue = %d, want the senior batch's 70", a.WU.WU.ID)
+	if ids[a.WU] != 70 {
+		t.Fatalf("first issue = %d, want the senior batch's 70", ids[a.WU])
 	}
 	// The senior copy vanishes; its timeout re-enqueues it behind the
 	// junior batch's fresh workunits — seniority must still win.
 	b := srv.RequestWork()
-	if b.WU.WU.ID != 0 {
-		t.Fatalf("second issue = %d, want 0", b.WU.WU.ID)
+	if ids[b.WU] != 0 {
+		t.Fatalf("second issue = %d, want 0", ids[b.WU])
 	}
 	engine.RunUntil(srv.Deadline() + sim.Hour)
 	if srv.Stats.TimedOut != 2 {
 		t.Fatalf("timeouts = %d, want 2", srv.Stats.TimedOut)
 	}
 	c := srv.RequestWork()
-	if c.WU.WU.ID != 70 {
-		t.Fatalf("post-timeout issue = %d, want the reissued senior 70", c.WU.WU.ID)
+	if ids[c.WU] != 70 {
+		t.Fatalf("post-timeout issue = %d, want the reissued senior 70", ids[c.WU])
 	}
 }
 
@@ -313,8 +317,9 @@ func TestQuorumRecountPerScheduler(t *testing.T) {
 		}
 		engine, srv := newTestServer(cfg)
 		const n = 20
+		ids := make(map[*WUState]int64)
 		for i := 0; i < n; i++ {
-			srv.AddWorkunit(wu(int64(i), 100), i%3)
+			ids[srv.AddWorkunit(wu(int64(i), 100), i%3)] = int64(i)
 		}
 		// One valid return each; the partner copies stay out.
 		seen := make(map[int64]bool)
@@ -323,8 +328,8 @@ func TestQuorumRecountPerScheduler(t *testing.T) {
 			if a == nil {
 				break
 			}
-			if !seen[a.WU.WU.ID] {
-				seen[a.WU.WU.ID] = true
+			if id := ids[a.WU]; !seen[id] {
+				seen[id] = true
 				srv.Complete(a, OutcomeValid, 1)
 			}
 		}

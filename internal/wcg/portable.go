@@ -15,10 +15,11 @@ import (
 // fresh run uses, then resolves indices back to its own pointers.
 
 // portableAssignment is an Assignment with its workunit pointer replaced
-// by the workunit's arena index.
+// by the workunit's arena index. The float leads so the record packs into
+// 16 bytes.
 type portableAssignment struct {
-	wu       int32
 	issuedAt sim.Time
+	wu       int32
 	returned bool
 	class    uint8
 	proj     uint8

@@ -65,6 +65,7 @@ package wcg
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -84,29 +85,38 @@ const (
 	OutcomeInvalid
 )
 
-// WUState tracks one distinct workunit through its life cycle.
+// WUState tracks one distinct workunit through its life cycle. It keeps
+// only what the simulation reads: of the workunit, its RefSeconds. The
+// server keeps no couple, starting positions or ID; a campaign can rebuild
+// them from its tenant's slicing plan (one receptor per batch, each
+// ligand's starting positions cut by workunit.SliceCouple). The record is
+// 32 bytes and free of pointers, so a 512-record chunk is exactly 16 KiB;
+// the full-scale replay holds 3,872,769 of them for the whole run.
 type WUState struct {
-	WU workunit.Workunit
+	// RefSeconds is the workunit's predicted duration on the reference
+	// processor (workunit.Workunit.RefSeconds).
+	RefSeconds float64
+	// Batch the workunit belongs to (campaign bookkeeping).
+	Batch int32
 
 	// Copies currently in the hands of volunteers.
-	outstanding int
+	outstanding int32
 	// Valid results received so far (for quorum validation).
-	validReturns int
-	// Completed reports whether the workunit has been validated and
-	// assimilated.
-	Completed bool
-	// Batch the workunit belongs to (campaign bookkeeping).
-	Batch int
-
-	// Counter bookkeeping (see syncCounts).
-	queued     bool // sitting in the server's FIFO
-	queuedLive bool // counted in nQueuedLive
-	needy      bool // counted in nNeedy
+	validReturns int32
 
 	// idx is the workunit's allocation index, stamped at allocWU: the
 	// portable name a cross-context snapshot translates this pointer to
 	// (in retained mode it equals the arena slot; see slab.Arena.At).
 	idx int32
+
+	// Completed reports whether the workunit has been validated and
+	// assimilated.
+	Completed bool
+
+	// Counter bookkeeping (see syncCounts).
+	queued     bool // sitting in the server's FIFO
+	queuedLive bool // counted in nQueuedLive
+	needy      bool // counted in nNeedy
 }
 
 // Config tunes the middleware policies.
@@ -525,7 +535,7 @@ func (s *Server) syncCounts(st *WUState) {
 		}
 		st.queuedLive = ql
 	}
-	ny := ql && st.validReturns+st.outstanding < s.qCache
+	ny := ql && s.needsCopies(st)
 	if ny != st.needy {
 		if ny {
 			s.nNeedy++
@@ -536,12 +546,23 @@ func (s *Server) syncCounts(st *WUState) {
 	}
 }
 
-// AddWorkunit registers a distinct workunit for distribution.
+// AddWorkunit registers a distinct workunit for distribution. The server
+// keeps only the workunit's RefSeconds; the returned state is the caller's
+// handle to it. A batch outside [0, math.MaxInt32] or a RefSeconds that is
+// not finite and positive panics: the record could not hold the one, and
+// the other would surface only later, as a NaN event time in the host
+// plane.
 func (s *Server) AddWorkunit(wu workunit.Workunit, batch int) *WUState {
+	if batch < 0 || batch > math.MaxInt32 {
+		panic(fmt.Sprintf("wcg: workunit batch %d outside [0, %d]", batch, math.MaxInt32))
+	}
+	if !(wu.RefSeconds > 0) || math.IsInf(wu.RefSeconds, 1) {
+		panic(fmt.Sprintf("wcg: workunit RefSeconds %v is not finite and positive", wu.RefSeconds))
+	}
 	s.refreshQuorum()
 	st := s.allocWU()
-	st.WU = wu
-	st.Batch = batch
+	st.RefSeconds = wu.RefSeconds
+	st.Batch = int32(batch)
 	s.enqueue(st)
 	return st
 }
@@ -595,7 +616,7 @@ func (s *Server) HasWork() bool {
 // needsCopies reports whether more copies of st should be out, given the
 // quorum currently in force.
 func (s *Server) needsCopies(st *WUState) bool {
-	return st.validReturns+st.outstanding < s.qCache
+	return int(st.validReturns+st.outstanding) < s.qCache
 }
 
 // completeWU marks st validated and assimilated: the single place a
@@ -614,7 +635,7 @@ func (s *Server) completeWU(st *WUState) {
 // already holds enough valid returns under the new quorum completes without
 // waiting for further copies.
 func (s *Server) maybeComplete(st *WUState) {
-	if st.Completed || st.validReturns < s.qCache {
+	if st.Completed || int(st.validReturns) < s.qCache {
 		return
 	}
 	s.completeWU(st)

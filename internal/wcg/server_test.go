@@ -177,9 +177,10 @@ func TestLateResultCanStillValidate(t *testing.T) {
 
 func TestOnCompleteCallback(t *testing.T) {
 	_, srv := newTestServer(q1Config())
+	ids := make(map[*WUState]int64)
 	var got []int64
-	srv.OnComplete = func(st *WUState) { got = append(got, st.WU.ID) }
-	srv.AddWorkunit(wu(7, 10), 3)
+	srv.OnComplete = func(st *WUState) { got = append(got, ids[st]) }
+	ids[srv.AddWorkunit(wu(7, 10), 3)] = 7
 	a := srv.RequestWork()
 	srv.Complete(a, OutcomeValid, 10)
 	if len(got) != 1 || got[0] != 7 {
@@ -205,13 +206,14 @@ func TestOnWeekCPU(t *testing.T) {
 
 func TestFIFOOrder(t *testing.T) {
 	_, srv := newTestServer(q1Config())
+	ids := make(map[*WUState]int64)
 	for i := int64(0); i < 5; i++ {
-		srv.AddWorkunit(wu(i, 10), 0)
+		ids[srv.AddWorkunit(wu(i, 10), 0)] = i
 	}
 	for i := int64(0); i < 5; i++ {
 		a := srv.RequestWork()
-		if a.WU.WU.ID != i {
-			t.Fatalf("got WU %d, want %d", a.WU.WU.ID, i)
+		if ids[a.WU] != i {
+			t.Fatalf("got WU %d, want %d", ids[a.WU], i)
 		}
 	}
 }

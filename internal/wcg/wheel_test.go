@@ -226,7 +226,7 @@ func scanCounts(s *Server) (pending, needy int) {
 			continue
 		}
 		pending++
-		if st.validReturns+st.outstanding < s.quorum() {
+		if int(st.validReturns+st.outstanding) < s.quorum() {
 			needy++
 		}
 	}
