@@ -224,7 +224,7 @@ func main() {
 				gcfg.Projects[i].Seed = *seed + uint64(i)
 			}
 		}
-		gr := sys.RunSharedGrid(gcfg)
+		gr := project.NewGrid(gcfg).Run()
 		plan := forecast.PaperPhaseIIPlan()
 		plan.GridShare = *coshare
 		check := sys.CrossValidateGridShare(gr, 0, plan)

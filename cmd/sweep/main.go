@@ -26,17 +26,19 @@
 //	sweep -resume                                 # continue a killed sweep
 //	sweep -corun -reps 3                          # multi-project co-run catalog
 //
-// -corun switches to the multi-project catalog: each scenario co-runs N
-// project tenants on one shared volunteer population through the work-fetch
-// multiplexer, and the headline metric is how closely each tenant's
-// measured grid share tracks its configured resource share. Co-runs run on
-// the same engine as any sweep, so they checkpoint, resume, drain and
-// isolate a panicking cell the same way; the checkpoint file is shared, so
-// a co-run without -resume starts it afresh like any sweep. A co-run is
-// unforked and fault-free by construction and keeps the catalog's
-// policies: -fork, -fork-workers, -hours, -scheduler, -validator,
-// -adaptive-streak and the fault flags are rejected with -corun when
-// given.
+// -corun switches to the multi-project scenario list over a co-run base
+// config (two HCMD tenants): each scenario co-runs N project tenants on one
+// shared volunteer population through the work-fetch multiplexer, and the
+// headline metric is how closely each tenant's measured grid share tracks
+// its configured resource share. -corun chooses only the list, the base,
+// the table and the -out file: the sweep is the same call as any other, so
+// co-runs checkpoint, resume, drain and isolate a panicking cell the same
+// way. The checkpoint file is shared (the two lists' scenario names are
+// distinct), so a co-run without -resume starts it afresh like any sweep.
+// A co-run is unforked and fault-free by construction and keeps the
+// catalog's policies: -fork, -fork-workers, -hours, -scheduler,
+// -validator, -adaptive-streak and the fault flags are rejected with
+// -corun when given.
 //
 // -fork turns on prefix-shared execution: scenarios whose catalog entry
 // carries a divergence-time hint share the common prefix of their
@@ -263,23 +265,19 @@ func run() (err error) {
 		}
 	}
 
-	// -corun selects the catalog, the front end, the table and the -out
-	// file; everything else — checkpoint, progress, drain, summary — is one
-	// path. The policy and fault flags are defaults under -corun.
-	var (
-		selected []experiment.Scenario
-		coruns   []experiment.GridScenario
-	)
+	// -corun selects the scenario list, the base config, the table and the
+	// -out file; everything else — the sweep itself, checkpoint, progress,
+	// drain, summary — is one path. The policy and fault flags are
+	// defaults under -corun, which leave the base as it is.
+	sys := core.NewHCMD()
+	catalog, base := experiment.Catalog(), sys.CampaignConfig(*scale, *hours)
 	if *corun {
-		coruns, err = experiment.GridSelect(*scenarios)
-	} else {
-		selected, err = experiment.Select(*scenarios)
+		catalog, base = experiment.GridCatalog(), sys.SharedGridConfig(2, *scale, nil)
 	}
+	selected, err := experiment.Select(catalog, *scenarios)
 	if err != nil {
 		return err
 	}
-	sys := core.NewHCMD()
-	base := sys.CampaignConfig(*scale, *hours)
 	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
 		return err
 	}
@@ -303,10 +301,9 @@ func run() (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	nScen := len(selected) + len(coruns)
-	total := nScen * *reps
+	total := len(selected) * *reps
 	fmt.Fprintf(os.Stderr, "sweep: %d scenarios × %d reps = %d runs on %d workers (scale %.4g%s)\n",
-		nScen, *reps, total, nWorkers, *scale, forkNote)
+		len(selected), *reps, total, nWorkers, *scale, forkNote)
 	start := time.Now()
 	tracker := experiment.NewTracker(total)
 	tracker.Workers, tracker.Forked = nWorkers, *fork
@@ -334,32 +331,21 @@ func run() (err error) {
 			p.Done, p.Total, r.Scenario, r.Rep, weeks, detail, tag)
 	}
 
-	var (
-		done, failed int
-		table        *report.Table
-		write        func(dir string) error // the -out files
-	)
+	sw, err := experiment.Run(ctx, experiment.Options{
+		Base: base, Scenarios: selected, Reps: *reps, Workers: *workers,
+		Fork: *fork, ForkWorkers: nForkWorkers, BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
+		MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
+	})
+	if sw == nil {
+		return err
+	}
+	tracker.RecordSweep(sw)
+	done := len(sw.Results)
+	table, write := experiment.Table(sw.Aggregates), func(dir string) error { return writeOutputs(dir, sw) }
 	if *corun {
-		sw, rerr := experiment.RunGrid(ctx, experiment.GridOptions{
-			Base: sys.SharedGridConfig(2, *scale, nil), Scenarios: coruns, Reps: *reps, Workers: *workers,
-			BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
-			MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
-		})
-		if err = rerr; sw != nil {
-			done, failed, table = len(sw.Results), len(sw.Failed), experiment.GridTable(sw.Aggregates, sw.Results)
-			write = func(dir string) error { return writeJSON(dir, "gridsweep.json", sw) }
-		}
-	} else {
-		sw, rerr := sys.RunExperiments(ctx, *scale, *hours, experiment.Options{
-			Base: base, Scenarios: selected, Reps: *reps, Workers: *workers,
-			Fork: *fork, ForkWorkers: nForkWorkers, BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
-			MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
-		})
-		if err = rerr; sw != nil {
-			done, failed, table = len(sw.Results), len(sw.Failed), experiment.Table(sw.Aggregates)
-			write = func(dir string) error { return writeOutputs(dir, sw) }
-			tracker.RecordSweep(sw)
-		}
+		gs := experiment.NewGridSweep(sw)
+		table = experiment.GridTable(gs.Aggregates, gs.Results)
+		write = func(dir string) error { return writeJSON(dir, "gridsweep.json", gs) }
 	}
 	if err != nil {
 		if done > 0 {
@@ -367,7 +353,7 @@ func run() (err error) {
 				fmt.Fprintf(os.Stderr, "interrupted after %d/%d runs; rerun with -resume to continue\n", done, total)
 			} else {
 				fmt.Fprintf(os.Stderr, "%d/%d runs completed, %d failed; failed cells are not checkpointed\n",
-					done, total, failed)
+					done, total, len(sw.Failed))
 			}
 			fmt.Print(table.String())
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -101,6 +103,71 @@ func TestSampleEveryOutOfRangeExitsOne(t *testing.T) {
 	for _, f := range []string{ckpt, metrics} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Fatalf("a rejected sweep touched %s (stat err %v)", f, err)
+		}
+	}
+}
+
+// Golden sha256 hashes of the files both sweep front ends write, recorded
+// at one worker and 0.005 scale before the co-run front end was folded into
+// the campaign one: the co-run catalog's gridsweep.json, checkpoint,
+// metrics NDJSON (without the wall-clock sweep-telemetry line) and trace
+// NDJSON, and a three-scenario campaign sweep's sweep.json, sweep.csv and
+// checkpoint. Like the report goldens they are tied to the generator's
+// float stream (go1.24 linux/amd64 at record time).
+var goldenSweepFiles = map[string]map[string]string{
+	"corun": {
+		"gridsweep.json": "6959a81a76f43f92da30081964e7c60fb25a4a418c15904c8865c187e9bc7d7c",
+		"ckpt.jsonl":     "8338936420dd8328e46a4f03186ce691c7ef2ae6c3a5adfbebd79ab6fd945139",
+		"metrics.ndjson": "49e4cfff8daada8407afcdb2de1763402bc8295a0e521b3e90dc1dd6edff2550",
+		"trace.ndjson":   "b655d9df6037c2ccbf861dcd0f93cef25a866d4b8139bdf49887a22029116026",
+	},
+	"campaign": {
+		"sweep.json": "08ff98c0966ca5cf09667dcf8935f3b99352425899465a864b1956c8e04519c6",
+		"sweep.csv":  "e297d7269d276fc227791d9f2e36b7543b12fe2ccd68d4216b6ebd2f6663a84e",
+		"ckpt.jsonl": "fc324f5feae76d69fedca3c1cc54386d81755ac6bf5fb866435c98e6e6f945c8",
+	},
+}
+
+// TestGoldenSweepFiles runs both front ends in a child process and pins the
+// bytes of every file they write. The closing sweep-telemetry line carries
+// wall-clock figures, so it is dropped from the metrics before hashing.
+func TestGoldenSweepFiles(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"corun", []string{"-corun", "-metrics", "metrics.ndjson", "-trace", "trace.ndjson"}},
+		{"campaign", []string{"-scenarios", "baseline,quorum-2,weekly-maintenance"}},
+	} {
+		dir := t.TempDir()
+		args := append(c.args, "-scale", "0.005", "-reps", "1", "-workers", "1", "-q",
+			"-checkpoint", "ckpt.jsonl", "-out", ".")
+		for i, a := range args {
+			if strings.HasSuffix(a, ".ndjson") || a == "ckpt.jsonl" || a == "." {
+				args[i] = filepath.Join(dir, a)
+			}
+		}
+		if stderr, code := sweep(t, args...); code != 0 {
+			t.Fatalf("%s sweep exited %d:\n%s", c.name, code, stderr)
+		}
+		for file, want := range goldenSweepFiles[c.name] {
+			data, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if file == "metrics.ndjson" {
+				var kept []byte
+				for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+					if !bytes.Contains(line, []byte(`"sweep-telemetry"`)) {
+						kept = append(kept, line...)
+					}
+				}
+				data = kept
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s %s (%d bytes) hash = %s, want golden %s", c.name, file, len(data), got, want)
+			}
 		}
 	}
 }

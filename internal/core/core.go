@@ -20,12 +20,10 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/costmodel"
 	"repro/internal/docking"
-	"repro/internal/experiment"
 	"repro/internal/forecast"
 	"repro/internal/grid"
 	"repro/internal/project"
@@ -122,22 +120,6 @@ func (s *System) RunCampaign(scale, hHours float64) *project.Report {
 	return project.New(s.CampaignConfig(scale, hHours)).Run()
 }
 
-// RunExperiments fans a scenario sweep out across the machine: every
-// selected scenario × replication pair becomes one deterministic campaign
-// simulation scheduled on the experiment worker pool. Options.Base is
-// filled in from this system (at the given scale and workunit duration) when
-// the caller leaves it zero; the remaining options (scenarios, replication
-// count, worker bound, checkpoint, progress callback) pass through.
-func (s *System) RunExperiments(ctx context.Context, scale, hHours float64, opts experiment.Options) (*experiment.Sweep, error) {
-	if opts.Base.DS == nil {
-		opts.Base = s.CampaignConfig(scale, hHours)
-	}
-	if len(opts.Scenarios) == 0 {
-		opts.Scenarios = experiment.Catalog()
-	}
-	return experiment.Run(ctx, opts)
-}
-
 // DedicatedEquivalent returns how many dedicated reference processors match
 // the given volunteer VFTP under the paper's measured inflation.
 func (s *System) DedicatedEquivalent(vftpValue float64) float64 {
@@ -186,12 +168,12 @@ func (s *System) SimulatePhaseII(scale float64) *project.Report {
 	return project.New(s.PhaseIIConfig(scale)).Run()
 }
 
-// SharedGridConfig builds a shared multi-project grid configuration: n
-// co-running copies of the HCMD workload (per-tenant seeds offset so
-// seed-dependent choices decorrelate) on one volunteer population carved
-// from the whole modeled grid, under the given resource shares (nil =
-// equal). scale subsamples work and hosts together, as in CampaignConfig.
-func (s *System) SharedGridConfig(n int, scale float64, shares []float64) project.GridConfig {
+// SharedGridConfig builds a co-run configuration: n co-running copies of
+// the HCMD workload (per-tenant seeds offset so seed-dependent choices
+// decorrelate) on one volunteer population carved from the whole modeled
+// grid, under the given resource shares (nil = equal). scale subsamples
+// work and hosts together, as in CampaignConfig.
+func (s *System) SharedGridConfig(n int, scale float64, shares []float64) project.Config {
 	if n < 1 {
 		panic("core: shared grid needs at least one project")
 	}
@@ -202,12 +184,12 @@ func (s *System) SharedGridConfig(n int, scale float64, shares []float64) projec
 		p.Seed = base.Seed + uint64(i)
 		projects[i] = p
 	}
-	return project.GridConfig{
+	return project.Config{
 		Projects:  projects,
 		Shares:    shares,
 		Host:      base.Host,
 		Grid:      s.Grid,
-		GridShare: 1, // the shared population is the whole grid
+		FullShare: 1, // the shared population is the whole grid
 		HostScale: base.HostScale,
 		Seed:      base.Seed,
 		MaxWeeks:  base.MaxWeeks,
@@ -219,7 +201,7 @@ func (s *System) SharedGridConfig(n int, scale float64, shares []float64) projec
 // phase-II-sized co-project holding the rest. The co-project carries 5.67×
 // the work, so it outlasts HCMD and the HCMD tenant's measured share is
 // contended for its whole lifetime.
-func (s *System) CoShareConfig(scale, share float64) project.GridConfig {
+func (s *System) CoShareConfig(scale, share float64) project.Config {
 	if share <= 0 || share >= 1 {
 		panic("core: co-run share must be in (0,1)")
 	}
@@ -228,14 +210,6 @@ func (s *System) CoShareConfig(scale, share float64) project.GridConfig {
 	big.M = costmodel.SynthesizePhaseII(big.DS, big.Seed+11)
 	cfg.MaxWeeks = 120
 	return cfg
-}
-
-// RunSharedGrid simulates a multi-project co-run on one shared volunteer
-// population: each host multiplexes its work fetches across the attached
-// project servers by resource share, so each project's grid share comes
-// out as a measurement instead of an assumption.
-func (s *System) RunSharedGrid(cfg project.GridConfig) *project.GridReport {
-	return project.NewGrid(cfg).Run()
 }
 
 // GridShareCheck is the §7 cross-validation: the forecast's assumed grid

@@ -10,6 +10,7 @@ import (
 	"repro/internal/docking"
 	"repro/internal/experiment"
 	"repro/internal/forecast"
+	"repro/internal/project"
 )
 
 var hcmd = NewHCMD() // shared across tests; System is read-only after build
@@ -163,7 +164,7 @@ func TestSimulatePhaseIICompletes(t *testing.T) {
 func TestSharedGridCrossValidation(t *testing.T) {
 	cfg := hcmd.CoShareConfig(1.0/168, 0.25)
 	cfg.HostScale = 0.002 // keep the test population tiny
-	rep := hcmd.RunSharedGrid(cfg)
+	rep := project.NewGrid(cfg).Run()
 	if len(rep.Projects) != 2 {
 		t.Fatalf("co-run carried %d projects, want 2", len(rep.Projects))
 	}
@@ -201,19 +202,19 @@ func TestSharedGridConfigShape(t *testing.T) {
 		}
 		seen[p.Seed] = true
 	}
-	if cfg.GridShare != 1 {
-		t.Fatalf("GridShare = %v, want the whole grid", cfg.GridShare)
+	if cfg.FullShare != 1 {
+		t.Fatalf("FullShare = %v, want the whole grid", cfg.FullShare)
 	}
 }
 
 func TestRunExperiments(t *testing.T) {
 	base := hcmd.CampaignConfig(1.0/168, 0)
 	base.HostScale = 0.002 // keep the test population tiny
-	scen, err := experiment.Select("baseline,quorum-1")
+	scen, err := experiment.Select(experiment.Catalog(), "baseline,quorum-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := hcmd.RunExperiments(context.Background(), 0, 0, experiment.Options{
+	sweep, err := experiment.Run(context.Background(), experiment.Options{
 		Base:      base,
 		Scenarios: scen,
 		Reps:      2,

@@ -17,9 +17,9 @@ import (
 	"repro/internal/volunteer"
 )
 
-// testGridBase returns a tiny two-tenant shared-grid configuration over
-// the runner-test dataset, fast enough for replicated sweeps.
-func testGridBase(t *testing.T) project.GridConfig {
+// testGridBase returns a tiny two-tenant co-run configuration over the
+// runner-test dataset, fast enough for replicated sweeps.
+func testGridBase(t *testing.T) project.Config {
 	t.Helper()
 	ds := protein.Generate(10, 31)
 	m := costmodel.Synthesize(ds, costmodel.SynthesizeOptions{Seed: 32})
@@ -27,21 +27,21 @@ func testGridBase(t *testing.T) project.GridConfig {
 	pa.WorkScale = 0.3
 	pb := pa
 	pb.Seed = pa.Seed + 1
-	return project.GridConfig{
+	return project.Config{
 		Projects:  []project.Config{pa, pb},
 		Host:      volunteer.DefaultHostConfig(),
 		Grid:      volunteer.DefaultGridModel(),
-		GridShare: 0.48,
+		FullShare: 0.48,
 		HostScale: 0.003,
 		Seed:      1234,
 		MaxWeeks:  80,
 	}
 }
 
-func testGridScenarios() []GridScenario {
-	return []GridScenario{
-		{Name: "equal", Description: "two equal tenants", Mutate: func(cfg *project.GridConfig) { cfg.Shares = nil }},
-		{Name: "skew", Description: "1:3 shares", Mutate: func(cfg *project.GridConfig) { cfg.Shares = []float64{1, 3} }},
+func testGridScenarios() []Scenario {
+	return []Scenario{
+		{Name: "equal", Description: "two equal tenants", Mutate: func(cfg *project.Config) { cfg.Shares = nil }},
+		{Name: "skew", Description: "1:3 shares", Mutate: func(cfg *project.Config) { cfg.Shares = []float64{1, 3} }},
 	}
 }
 
@@ -50,7 +50,7 @@ func testGridScenarios() []GridScenario {
 // must not depend on the worker pool size.
 func TestGridSweepIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *GridSweep {
-		sw, err := RunGrid(context.Background(), GridOptions{
+		sw, err := Run(context.Background(), Options{
 			Base:      testGridBase(t),
 			Scenarios: testGridScenarios(),
 			Reps:      3,
@@ -59,7 +59,10 @@ func TestGridSweepIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sw
+		if sw.Aggregates != nil {
+			t.Fatal("a co-run sweep carries campaign aggregates")
+		}
+		return NewGridSweep(sw)
 	}
 	serial := run(1)
 	parallel := run(8)
@@ -136,108 +139,99 @@ func TestGridCatalogMutatorsPure(t *testing.T) {
 }
 
 // TestGridCatalogRunnable runs every co-run scenario once at a small scale
-// through a pooled runner and sanity-checks the share arbitration.
+// through Run on one worker's pooled GridRunner and sanity-checks the share
+// arbitration; no co-run scenario may carry a DivergesAt hint, which Run
+// refuses for a co-run.
 func TestGridCatalogRunnable(t *testing.T) {
+	var scens []Scenario
+	for _, s := range GridCatalog() {
+		if s.DivergesAt != 0 {
+			t.Fatalf("%s: a co-run scenario carries a DivergesAt hint", s.Name)
+		}
+		mutate := s.Mutate
+		s.Mutate = func(cfg *project.Config) {
+			mutate(cfg)
+			cfg.MaxWeeks = 25 // cap the heavyweight scenarios for test budget
+		}
+		scens = append(scens, s)
+	}
 	base := testGridBase(t)
-	runner := project.NewGridRunner()
-	for si, s := range GridCatalog() {
-		cfg := base
-		cfg.Projects = append([]project.Config(nil), base.Projects...)
-		cfg.Seed = DeriveSeed(base.Seed, si, 0)
-		s.Mutate(&cfg)
-		cfg.MaxWeeks = 25 // cap the heavyweight scenarios for test budget
-		rep := runner.Run(cfg)
-		m := ExtractGridMetrics(rep)
+	sw, err := Run(context.Background(), Options{Base: base, Scenarios: scens, Reps: 1, Workers: 1, BaseSeed: base.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sw.Results {
+		name, m := r.Scenario, *r.Grid
 		if len(m.Shares) != len(m.MeasuredShares) || len(m.Shares) == 0 {
-			t.Fatalf("%s: malformed shares %v / %v", s.Name, m.Shares, m.MeasuredShares)
+			t.Fatalf("%s: malformed shares %v / %v", name, m.Shares, m.MeasuredShares)
 		}
 		var sum float64
 		for _, sh := range m.Shares {
 			sum += sh
 		}
 		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("%s: configured shares sum to %v", s.Name, sum)
+			t.Fatalf("%s: configured shares sum to %v", name, sum)
 		}
 		if m.MaxShareError > 0.06 {
 			t.Fatalf("%s: measured shares %v drifted from configured %v (err %.4f)",
-				s.Name, m.MeasuredShares, m.Shares, m.MaxShareError)
+				name, m.MeasuredShares, m.Shares, m.MaxShareError)
 		}
 	}
 }
 
+// TestGridSelect resolves specs against the co-run catalog.
 func TestGridSelect(t *testing.T) {
-	all, err := GridSelect("all")
-	if err != nil || len(all) != len(GridCatalog()) {
-		t.Fatalf("GridSelect(all) = %d scenarios, err %v", len(all), err)
-	}
-	some, err := GridSelect("share-starvation, two-project-equal,share-starvation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(some) != 2 || some[0].Name != "share-starvation" || some[1].Name != "two-project-equal" {
-		t.Fatalf("GridSelect dedup/order broken: %d", len(some))
-	}
-	if _, err := GridSelect("no-such-corun"); err == nil || !strings.Contains(err.Error(), "co-run") {
-		t.Fatalf("expected co-run unknown-name error, got %v", err)
-	}
-	if _, err := GridSelect(" , "); err == nil {
-		t.Fatal("expected error for empty selection")
-	}
+	checkSelect(t, GridCatalog(), "share-starvation, two-project-equal,share-starvation",
+		"share-starvation", "two-project-equal", "baseline")
 }
 
+// TestRunGridValidation: Run refuses, before any cell runs, a co-run sweep
+// without tenants, without scenarios or without replications, and one
+// that would fork or that meets a scenario with a DivergesAt hint: a
+// multiplexed kernel cannot be snapshotted.
 func TestRunGridValidation(t *testing.T) {
-	ctx := context.Background()
-	if _, err := RunGrid(ctx, GridOptions{Scenarios: testGridScenarios(), Reps: 1}); err == nil {
-		t.Fatal("missing base accepted")
-	}
-	if _, err := RunGrid(ctx, GridOptions{Base: testGridBase(t), Reps: 1}); err == nil {
-		t.Fatal("missing scenarios accepted")
-	}
-	if _, err := RunGrid(ctx, GridOptions{Base: testGridBase(t), Scenarios: testGridScenarios(), Reps: 0}); err == nil {
-		t.Fatal("zero reps accepted")
-	}
+	grid := testGridBase(t)
+	quorum2, _ := Lookup(Catalog(), "quorum-2")
+	hinted := testGridScenarios()[0]
+	hinted.DivergesAt = quorum2.DivergesAt
+	checkRunRefuses(t, map[string]Options{
+		"missing co-run base":      {Scenarios: testGridScenarios(), Reps: 1},
+		"empty co-run list":        {Base: grid, Reps: 1},
+		"zero co-run reps":         {Base: grid, Scenarios: testGridScenarios(), Reps: 0},
+		"forked co-run":            {Base: grid, Scenarios: testGridScenarios(), Reps: 1, Fork: true},
+		"co-run with a DivergesAt": {Base: grid, Scenarios: []Scenario{testGridScenarios()[1], hinted}, Reps: 1},
+	})
 }
 
-// TestRunGridCancellation: a cancelled context returns the partial sweep.
+// TestRunGridCancellation: a co-run sweep whose context is already
+// cancelled dispatches no cell and returns the empty partial sweep.
 func TestRunGridCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sw, err := RunGrid(ctx, GridOptions{
-		Base:      testGridBase(t),
-		Scenarios: testGridScenarios(),
-		Reps:      2,
-		Workers:   1,
-	})
-	if err == nil {
-		t.Fatal("cancelled sweep reported success")
-	}
-	if sw == nil {
-		t.Fatal("cancelled sweep returned no partial result")
-	}
+	checkCancelledSweep(t, Options{Base: testGridBase(t), Scenarios: testGridScenarios(), Reps: 2, Workers: 1})
 }
 
 // TestGridSweepIsolatesPanickingCell is the co-run analogue of
 // TestSweepIsolatesPanickingCell: a scenario whose mutator poisons the
 // shares panics in the project layer's grid config check. Each of its
 // cells is retried once on a fresh GridRunner, lands in Failed with the
-// panic message, and makes RunGrid fail, while the healthy scenarios'
-// cells — one of them run on the rebuilt runner — and aggregates match a
-// sweep that never met the poison.
+// panic message, and makes Run fail, while the healthy scenarios' cells —
+// one of them run on the rebuilt runner — and aggregates match a sweep
+// that never met the poison.
 func TestGridSweepIsolatesPanickingCell(t *testing.T) {
 	var attempts atomic.Int32
-	poison := GridScenario{Name: "poison", Description: "negative share", Mutate: func(cfg *project.GridConfig) {
+	poison := Scenario{Name: "poison", Description: "negative share", Mutate: func(cfg *project.Config) {
 		attempts.Add(1)
 		cfg.Shares = []float64{-1, 1}
 	}}
-	filler := GridScenario{Name: "filler", Description: "no-op", Mutate: func(*project.GridConfig) {}}
-	run := func(mid GridScenario) (*GridSweep, error) {
+	filler := Scenario{Name: "filler", Description: "no-op", Mutate: func(*project.Config) {}}
+	run := func(mid Scenario) (*GridSweep, error) {
 		healthy := testGridScenarios()
-		return RunGrid(context.Background(), GridOptions{
+		sw, err := Run(context.Background(), Options{
 			Base:      testGridBase(t),
-			Scenarios: []GridScenario{healthy[0], mid, healthy[1]},
+			Scenarios: []Scenario{healthy[0], mid, healthy[1]},
 			Reps:      2,
 			Workers:   1, // the last scenario runs on the runner rebuilt after the poison
 		})
+		return NewGridSweep(sw), err
 	}
 	clean, err := run(filler)
 	if err != nil {
@@ -289,7 +283,7 @@ func TestGridSweepCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		ran := make(map[Key]bool)
-		sw, err := RunGrid(context.Background(), GridOptions{
+		sw, err := Run(context.Background(), Options{
 			Base:       testGridBase(t),
 			Scenarios:  testGridScenarios(),
 			Reps:       2,
@@ -307,7 +301,7 @@ func TestGridSweepCheckpointResume(t *testing.T) {
 		if err := ckpt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return sw, ran
+		return NewGridSweep(sw), ran
 	}
 
 	first, ran := run(false)

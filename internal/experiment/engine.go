@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/project"
 	"repro/internal/sim"
 )
@@ -115,28 +114,19 @@ func (q *queue) done() {
 	}
 }
 
-// engine is the sweep engine behind Run and RunGrid, and owns the only
-// worker pool: each worker keeps its pooled run contexts and takes jobs
-// off one queue. Every job kind shares the checkpoint lookup and record,
-// the progress and ETA path, and the recover-rebuild-rerun path.
+// engine is the sweep engine behind Run, and owns the only worker pool:
+// each worker keeps its pooled run contexts and takes jobs off one queue.
+// Every job kind shares the checkpoint lookup and record, the progress and
+// ETA path, and the recover-rebuild-rerun path.
 type engine struct {
+	opts         *Options
 	cells        []cell
 	scale, hours float64 // recorded on every result; with the seed, the checkpoint match rule
-	fanout       int     // ForkWorkers: a fork group splits into up to this many chunks (≤ 1: none)
+	fanout       int     // ForkWorkers capped to the pool: a fork group splits into up to this many chunks (≤ 1: none)
 
-	// grid marks co-run cells (RunGrid), which carry RunResult.Grid: a
-	// checkpointed cell of the other kind never stands in for one. runCell
-	// runs cell c standalone under probe on w's run context and fills in
-	// res's metrics; forkConfig is the campaign configuration a fork runs.
-	grid       bool
-	runCell    func(w *worker, c cell, probe *obs.Probe, res *RunResult)
-	forkConfig func(c cell) project.Config
-
-	workers        int // 0 = GOMAXPROCS
-	ckpt           *Checkpoint
-	progress       func(Progress)
-	metrics, trace *obs.Sink
-	sampleEvery    float64
+	// grid marks co-run cells, which carry RunResult.Grid: a checkpointed
+	// cell of the other kind never stands in for one.
+	grid bool
 
 	q queue
 
@@ -152,19 +142,24 @@ type engine struct {
 // run finishes every cell the checkpoint holds, turns the pending rest
 // into jobs — plan's prefix jobs, which claim their cells by clearing them
 // in pending (plan may be nil), and a standalone job for every other cell —
-// and runs them on the pool. Each cell's simulation is deterministic in its
-// seed, so the results do not depend on the worker count. Cancelling ctx
-// stops jobs from starting (running ones finish).
+// and runs them on the pool, which holds at most one worker per cell. Each
+// cell's simulation is deterministic in its seed, so the results do not
+// depend on the worker count. Cancelling ctx stops jobs from starting
+// (running ones finish).
 //
 // It returns the finished and the failed cells' results in cell order
 // (cells a cancelled sweep never ran are in neither) and ctx's error if
 // cancellation dropped a job, else an error naming the failed cells.
 func (e *engine) run(ctx context.Context, plan func(pending []bool) []*job) (finished, failed []RunResult, err error) {
-	workers := e.workers
+	opts := e.opts
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e.fanout = min(e.fanout, workers)
+	// A worker without a job would park until the last job ends, holding
+	// its probe all the while.
+	workers = min(workers, len(e.cells))
+	e.fanout = min(opts.ForkWorkers, workers)
 	e.start = time.Now()
 	e.results = make([]RunResult, len(e.cells))
 	pending := make([]bool, len(e.cells))
@@ -172,8 +167,8 @@ func (e *engine) run(ctx context.Context, plan func(pending []bool) []*job) (fin
 		// A checkpointed cell resumes only under this sweep's parameters:
 		// the same seed, scale and workunit hours, and the same cell kind.
 		prev, ok := RunResult{}, false
-		if e.ckpt != nil {
-			prev, ok = e.ckpt.Lookup(c.Key)
+		if opts.Checkpoint != nil {
+			prev, ok = opts.Checkpoint.Lookup(c.Key)
 		}
 		if ok && prev.Seed == c.seed && prev.Scale == e.scale && prev.HHours == e.hours &&
 			(prev.Grid != nil) == e.grid {
@@ -199,7 +194,7 @@ func (e *engine) run(ctx context.Context, plan func(pending []bool) []*job) (fin
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{e: e, probe: newCellProbe(e.metrics, e.trace, e.sampleEvery), slot: make(chan *job, 1)}
+			w := &worker{e: e, probe: newCellProbe(opts.MetricsSink, opts.TraceSink, opts.SampleEvery), slot: make(chan *job, 1)}
 			for j := e.q.pop(w.slot); j != nil; j = e.q.pop(w.slot) {
 				if ctx.Err() == nil { // a cancelled sweep drops the jobs left
 					w.run(j)
@@ -240,20 +235,20 @@ func (e *engine) result(i int) RunResult {
 // finish stores cell i's result, checkpoints it when it was simulated,
 // and reports progress.
 func (e *engine) finish(i int, res RunResult, resumed bool, wall float64) {
-	if !resumed && e.ckpt != nil {
-		e.ckpt.Record(res) // drops failed cells: a resumed sweep retries them
+	if ckpt := e.opts.Checkpoint; !resumed && ckpt != nil {
+		ckpt.Record(res) // drops failed cells: a resumed sweep retries them
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.results[i] = res
 	e.done++
-	if e.progress != nil {
+	if progress := e.opts.Progress; progress != nil {
 		p := Progress{Done: e.done, Total: len(e.cells), Resumed: resumed, Result: res, WallSeconds: wall}
 		if elapsed := time.Since(e.start).Seconds(); elapsed > 0 {
 			p.CellsPerSec = float64(e.done) / elapsed
 			p.ETASeconds = float64(len(e.cells)-e.done) / p.CellsPerSec
 		}
-		e.progress(p)
+		progress(p)
 	}
 }
 
@@ -263,8 +258,8 @@ func (e *engine) finish(i int, res RunResult, resumed bool, wall float64) {
 // through while it is parked.
 type worker struct {
 	e      *engine
-	runner project.Runner     // Run's cells
-	grid   project.GridRunner // RunGrid's cells
+	runner project.Runner     // campaign cells
+	grid   project.GridRunner // co-run cells
 	probe  *cellProbe
 	slot   chan *job
 }
@@ -338,13 +333,20 @@ func (w *worker) attempt(j *job) (panicMsg string, ok bool) {
 	return "", true
 }
 
-// simulate runs cell i standalone and probed.
+// simulate runs cell i standalone and probed, on the worker's campaign or
+// co-run context.
 func (w *worker) simulate(i int) {
 	e, c := w.e, w.e.cells[i]
 	res := e.result(i)
 	probe := w.probe.arm(c.Scenario, c.Rep)
 	start := time.Now()
-	e.runCell(w, c, probe, &res)
+	cfg := cellConfig(e.opts, e.opts.Scenarios[c.scen], c.seed, probe)
+	if e.grid {
+		m := ExtractGridMetrics(w.grid.Run(cfg))
+		res.Grid = &m
+	} else {
+		res.Metrics = ExtractMetrics(w.runner.Run(cfg))
+	}
 	wall := time.Since(start).Seconds()
 	w.probe.flush(c.Scenario, c.Rep)
 	e.finish(i, res, false, wall)
@@ -355,9 +357,10 @@ func (w *worker) simulate(i int) {
 func (w *worker) forks(g forkGroup) (saved float64) {
 	e := w.e
 	for _, i := range g.cells {
+		c := e.cells[i]
 		res := e.result(i)
 		start := time.Now()
-		res.Metrics = ExtractMetrics(w.runner.Fork(e.forkConfig(e.cells[i])))
+		res.Metrics = ExtractMetrics(w.runner.Fork(cellConfig(e.opts, e.opts.Scenarios[c.scen], c.seed, nil)))
 		e.finish(i, res, false, time.Since(start).Seconds())
 		saved += float64(g.at) / float64(sim.Week)
 	}

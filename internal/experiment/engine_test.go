@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -80,5 +81,27 @@ func TestQueueHandsOutChunksFirst(t *testing.T) {
 	q.done() // the running job: the parked worker sees the queue drained
 	if j := <-got; j != nil {
 		t.Fatal("parked worker was handed a job from a drained queue")
+	}
+}
+
+// TestPoolHoldsOneWorkerPerCell: the pool starts at most one worker per
+// cell. A worker without a job would park until the last job ends, holding
+// its probe, so an uncapped 2-cell sweep asking for 4096 workers would
+// hold 4094 idle goroutines; it must run about as many as a 2-worker one.
+func TestPoolHoldsOneWorkerPerCell(t *testing.T) {
+	goroutines := func(workers int) int {
+		peak := 0
+		_, err := Run(context.Background(), Options{
+			Base: testBase(t), Scenarios: testScenarios()[:1], Reps: 2, Workers: workers,
+			Progress: func(Progress) { peak = max(peak, runtime.NumGoroutine()) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peak
+	}
+	want := goroutines(2)
+	if got := goroutines(4096); got > want+4 {
+		t.Fatalf("a 2-cell sweep asking for 4096 workers ran %d goroutines, a 2-worker one %d", got, want)
 	}
 }

@@ -19,7 +19,7 @@ func forkScenarios(t *testing.T) []Scenario {
 	var out []Scenario
 	for _, name := range []string{"baseline", "quorum-1", "quorum-2", "late-quorum-switch",
 		"no-control-phase", "slow-ramp", "grid-static", "half-share"} {
-		sc, ok := Lookup(name)
+		sc, ok := Lookup(Catalog(), name)
 		if !ok {
 			t.Fatalf("catalog lost scenario %q", name)
 		}

@@ -26,7 +26,7 @@ const (
 )
 
 func TestGoldenSweepNDJSON(t *testing.T) {
-	scens, err := experiment.Select("baseline,weekly-maintenance")
+	scens, err := experiment.Select(experiment.Catalog(), "baseline,weekly-maintenance")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestFaultScenariosWorkerIndependent(t *testing.T) {
 	var scenarios []Scenario
 	for _, name := range []string{"weekly-maintenance", "unplanned-24h-outage",
 		"flaky-uplink-1pct", "churn-steady", "outage-no-backoff", "fault-storm"} {
-		s, ok := Lookup(name)
+		s, ok := Lookup(Catalog(), name)
 		if !ok {
 			t.Fatalf("catalog lost scenario %q", name)
 		}

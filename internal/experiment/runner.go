@@ -69,9 +69,9 @@ type RunResult struct {
 	HHours   float64 `json:"h_hours"`
 	Metrics  Metrics `json:"metrics"`
 
-	// Grid carries a co-run cell's metrics (RunGrid); Metrics stays zero.
-	// A pointer, so campaign cells' lines keep their bytes and RunResult
-	// stays comparable.
+	// Grid carries a co-run cell's metrics; Metrics stays zero. A pointer,
+	// so campaign cells' lines keep their bytes and RunResult stays
+	// comparable.
 	Grid *GridMetrics `json:"grid,omitempty"`
 
 	// Failed marks a cell whose simulation panicked twice (see Run's
@@ -87,9 +87,9 @@ type Key struct {
 	Rep      int
 }
 
-// Progress is delivered to the Options.Progress (or GridOptions.Progress)
-// callback after every cell: from the goroutine that ran it, or before the
-// pool starts for a cell resumed from the checkpoint.
+// Progress is delivered to the Options.Progress callback after every cell:
+// from the goroutine that ran it, or before the pool starts for a cell
+// resumed from the checkpoint.
 type Progress struct {
 	Done    int // cells finished so far (resumed ones included)
 	Total   int // cells in the sweep
@@ -104,8 +104,13 @@ type Progress struct {
 
 // Options parameterizes a sweep.
 type Options struct {
-	// Base is the already-scaled campaign configuration each scenario
-	// mutates a copy of. Its DS and M are shared read-only across workers.
+	// Base is the already-scaled configuration each scenario mutates a
+	// copy of. Its DS and M are shared read-only across workers. A Base
+	// with Projects is a co-run (project.GridRunner): its cells carry
+	// RunResult.Grid, it must hold at least as many tenants as the widest
+	// scenario trims it to (core.SharedGridConfig(2, ...) covers
+	// GridCatalog), and it can neither fork nor run a scenario with a
+	// DivergesAt hint, since a multiplexed kernel cannot be snapshotted.
 	Base project.Config
 
 	Scenarios []Scenario
@@ -123,7 +128,8 @@ type Options struct {
 	BaseSeed uint64
 
 	// Checkpoint, when non-nil, is consulted before each cell (completed
-	// cells are skipped) and receives every freshly completed cell.
+	// cells are skipped) and receives every freshly completed cell. A
+	// co-run cell records its first tenant's WorkScale and HHours.
 	Checkpoint *Checkpoint
 
 	// Progress, when non-nil, is called after every cell. Calls are
@@ -168,7 +174,8 @@ type Options struct {
 }
 
 // Sweep is a completed sweep: every cell result in deterministic
-// (scenario, replication) order plus the per-scenario aggregates.
+// (scenario, replication) order plus the per-scenario aggregates. A co-run
+// sweep carries no Aggregates; NewGridSweep renders it with its own.
 type Sweep struct {
 	Results    []RunResult `json:"results"`
 	Aggregates []Aggregate `json:"aggregates"`
@@ -207,15 +214,18 @@ func DeriveSeed(base uint64, scenario, rep int) uint64 {
 	return rng.New(base ^ uint64(scenario+1)*goldenGamma ^ uint64(rep+1)*mixGamma).Uint64()
 }
 
-// Run executes the sweep: Scenarios × Reps campaign simulations on the
-// sweep engine's bounded worker pool. Each simulation is single-threaded and
-// deterministic in its derived seed; only scheduling is concurrent, so the
-// returned results and aggregates are independent of Workers. Cancelling
+// Run executes the sweep: Scenarios × Reps campaign or co-run simulations
+// on the sweep engine's bounded worker pool. Each simulation is
+// single-threaded and deterministic in its derived seed; only scheduling is
+// concurrent, so the returned results and aggregates are independent of
+// Workers. A cell that panics is retried once on a rebuilt run context and,
+// if it panics again, lands in Failed with an error returned. Cancelling
 // ctx stops handing out new cells (in-flight simulations finish) and Run
 // returns the context error alongside the partial sweep.
 func Run(ctx context.Context, opts Options) (*Sweep, error) {
-	if opts.Base.DS == nil || opts.Base.M == nil {
-		return nil, fmt.Errorf("experiment: Options.Base needs dataset and matrix")
+	corun := len(opts.Base.Projects) > 0
+	if !corun && (opts.Base.DS == nil || opts.Base.M == nil) {
+		return nil, fmt.Errorf("experiment: Options.Base needs dataset and matrix, or tenants")
 	}
 	if len(opts.Scenarios) == 0 {
 		return nil, fmt.Errorf("experiment: no scenarios selected")
@@ -226,21 +236,23 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	if err := obs.CheckSampleEvery(opts.SampleEvery); err != nil {
 		return nil, fmt.Errorf("experiment: SampleEvery: %w", err)
 	}
+	scale, hours := opts.Base.WorkScale, opts.Base.HHours
+	if corun {
+		if opts.Fork {
+			return nil, fmt.Errorf("experiment: a co-run cannot fork: a multiplexed kernel cannot be snapshotted")
+		}
+		for _, sc := range opts.Scenarios {
+			if sc.DivergesAt > 0 {
+				return nil, fmt.Errorf("experiment: co-run scenario %q carries a DivergesAt hint: a multiplexed kernel cannot be snapshotted", sc.Name)
+			}
+		}
+		scale, hours = opts.Base.Projects[0].WorkScale, opts.Base.Projects[0].HHours
+	}
 	baseSeed := opts.BaseSeed
 	if baseSeed == 0 {
 		baseSeed = opts.Base.Seed
 	}
-	e := &engine{
-		scale: opts.Base.WorkScale, hours: opts.Base.HHours, fanout: opts.ForkWorkers,
-		workers: opts.Workers, ckpt: opts.Checkpoint, progress: opts.Progress,
-		metrics: opts.MetricsSink, trace: opts.TraceSink, sampleEvery: opts.SampleEvery,
-		runCell: func(w *worker, c cell, probe *obs.Probe, res *RunResult) {
-			res.Metrics = ExtractMetrics(w.runner.Run(cellConfig(&opts, opts.Scenarios[c.scen], c.seed, probe)))
-		},
-		forkConfig: func(c cell) project.Config {
-			return cellConfig(&opts, opts.Scenarios[c.scen], c.seed, nil)
-		},
-	}
+	e := &engine{opts: &opts, scale: scale, hours: hours, grid: corun}
 
 	// The prefix plan exists whether or not the sweep forks: grouped
 	// scenarios (DivergesAt > 0) share one trajectory seed per replication
@@ -277,15 +289,20 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	if span > 0 {
 		sw.ParallelSpeedup = cost / span
 	}
-	sw.Aggregates = Aggregated(orderedNames(opts.Scenarios), finished)
+	if !corun {
+		sw.Aggregates = Aggregated(orderedNames(opts.Scenarios), finished)
+	}
 	return &sw, err
 }
 
-// cellConfig builds the campaign configuration for one sweep cell: a copy
-// of Base with the derived seed pinned across the scenario mutation, and
-// the cell's probe (nil for forked cells).
+// cellConfig builds the configuration for one sweep cell: a copy of Base
+// with the derived seed pinned across the scenario mutation, and the
+// cell's probe (nil for forked cells). A co-run's tenant and share slices
+// are copied too, since mutators edit them.
 func cellConfig(opts *Options, sc Scenario, seed uint64, probe *obs.Probe) project.Config {
 	cfg := opts.Base // shallow copy; DS and M stay shared read-only
+	cfg.Projects = append([]project.Config(nil), cfg.Projects...)
+	cfg.Shares = append([]float64(nil), cfg.Shares...)
 	cfg.Seed = seed
 	sc.Mutate(&cfg)
 	cfg.Seed = seed // a mutator must not undo the derived seed

@@ -29,7 +29,7 @@ func testBase(t *testing.T) project.Config {
 }
 
 func testScenarios() []Scenario {
-	quorum1, _ := Lookup("quorum-1")
+	quorum1, _ := Lookup(Catalog(), "quorum-1")
 	return []Scenario{
 		{Name: "base", Description: "no-op", Mutate: func(*project.Config) {}},
 		quorum1,
@@ -79,7 +79,7 @@ func TestPolicyScenariosWorkerIndependent(t *testing.T) {
 	var scenarios []Scenario
 	for _, name := range []string{"lifo-dispatch", "random-dispatch", "batch-priority",
 		"adaptive-replication", "saboteurs-5pct", "deadline-2class", "diurnal-hosts"} {
-		s, ok := Lookup(name)
+		s, ok := Lookup(Catalog(), name)
 		if !ok {
 			t.Fatalf("catalog lost scenario %q", name)
 		}
@@ -266,49 +266,76 @@ func TestCheckpointTornTailResumesTwice(t *testing.T) {
 	}
 }
 
+// TestSweepCancellation: a campaign sweep whose context is already
+// cancelled dispatches no cell and returns the empty partial sweep with the
+// context error.
 func TestSweepCancellation(t *testing.T) {
+	checkCancelledSweep(t, Options{Base: testBase(t), Scenarios: testScenarios(), Reps: 2, Workers: 2})
+}
+
+// checkCancelledSweep runs opts under an already cancelled context: no
+// cell may be dispatched, and Run must return the empty partial sweep with
+// the context error.
+func checkCancelledSweep(t *testing.T, opts Options) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: no cell should be dispatched
-	sw, err := Run(ctx, Options{Base: testBase(t), Scenarios: testScenarios(), Reps: 2, Workers: 2})
+	cancel()
+	sw, err := Run(ctx, opts)
 	if err == nil {
 		t.Fatal("expected context error")
+	}
+	if sw == nil {
+		t.Fatal("cancelled sweep returned no partial result")
 	}
 	if len(sw.Results) != 0 {
 		t.Fatalf("cancelled-before-start sweep ran %d cells", len(sw.Results))
 	}
 }
 
+// TestRunValidation: Run refuses, before any cell runs, a campaign sweep
+// without a base dataset, without scenarios or without replications.
 func TestRunValidation(t *testing.T) {
 	base := testBase(t)
-	if _, err := Run(context.Background(), Options{Scenarios: testScenarios(), Reps: 1}); err == nil {
-		t.Fatal("expected error for missing base config")
+	checkRunRefuses(t, map[string]Options{
+		"missing base config": {Scenarios: testScenarios(), Reps: 1},
+		"empty scenario list": {Base: base, Reps: 1},
+		"zero reps":           {Base: base, Scenarios: testScenarios(), Reps: 0},
+	})
+}
+
+// checkRunRefuses asserts that Run returns an error and no sweep for each
+// named options set, and that no cell ran before it refused.
+func checkRunRefuses(t *testing.T, cases map[string]Options) {
+	t.Helper()
+	ran := 0
+	for name, opts := range cases {
+		opts.Progress = func(Progress) { ran++ }
+		if sw, err := Run(context.Background(), opts); err == nil || sw != nil {
+			t.Errorf("%s: Run returned (sweep %v, err %v), want an error and no sweep", name, sw != nil, err)
+		}
 	}
-	if _, err := Run(context.Background(), Options{Base: base, Reps: 1}); err == nil {
-		t.Fatal("expected error for empty scenario list")
-	}
-	if _, err := Run(context.Background(), Options{Base: base, Scenarios: testScenarios(), Reps: 0}); err == nil {
-		t.Fatal("expected error for zero reps")
+	if ran != 0 {
+		t.Fatalf("%d cells ran before Run refused the sweep", ran)
 	}
 }
 
 // TestRunRejectsSampleEveryOutOfRange: a sampling cadence the sampler
 // could not finish (1e-9 s asks for ~4e16 ticks) or that is negative or
-// not finite is an error before any cell runs, from both front ends.
+// not finite is an error before any cell runs, over a campaign base and a
+// co-run base.
 func TestRunRejectsSampleEveryOutOfRange(t *testing.T) {
 	base := testBase(t)
 	for _, s := range []float64{1e-9, -1, math.NaN(), math.Inf(1)} {
 		ran := 0
-		opts := Options{Base: base, Scenarios: testScenarios(), Reps: 1, Workers: 1, SampleEvery: s,
-			Progress: func(Progress) { ran++ }}
-		if sw, err := Run(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "SampleEvery") || sw != nil || ran != 0 {
-			t.Errorf("SampleEvery %v: Run error %v (sweep returned: %v) after %d cells, want an error before any cell",
-				s, err, sw != nil, ran)
-		}
-		gopts := GridOptions{Base: project.GridConfig{Projects: []project.Config{base}}, Scenarios: GridCatalog()[:1],
-			Reps: 1, Workers: 1, SampleEvery: s, Progress: func(Progress) { ran++ }}
-		if gs, err := RunGrid(context.Background(), gopts); err == nil || !strings.Contains(err.Error(), "SampleEvery") || gs != nil || ran != 0 {
-			t.Errorf("SampleEvery %v: RunGrid error %v (sweep returned: %v) after %d cells, want an error before any cell",
-				s, err, gs != nil, ran)
+		for _, opts := range []Options{
+			{Base: base, Scenarios: testScenarios()},
+			{Base: project.Config{Projects: []project.Config{base}}, Scenarios: GridCatalog()[:1]},
+		} {
+			opts.Reps, opts.Workers, opts.SampleEvery, opts.Progress = 1, 1, s, func(Progress) { ran++ }
+			if sw, err := Run(context.Background(), opts); err == nil || !strings.Contains(err.Error(), "SampleEvery") || sw != nil || ran != 0 {
+				t.Errorf("SampleEvery %v, %d tenants: Run error %v (sweep returned: %v) after %d cells, want an error before any cell",
+					s, len(opts.Base.Projects), err, sw != nil, ran)
+			}
 		}
 	}
 }

@@ -5,11 +5,14 @@
 // cross-replication statistics with 95 % confidence intervals, and JSON
 // checkpointing so an interrupted sweep resumes where it stopped.
 //
-// Run (campaign cells) and RunGrid (co-run cells) are front ends of the
-// engine. Its jobs are standalone cells, prefix trees that fork a
-// replication's what-if cells off one shared trajectory, and adopt chunks
-// that race a tree's forks on other workers; every kind shares the
-// checkpoint, progress and panic-isolation paths.
+// There is one scenario type and one front end, Run. Its base config is a
+// campaign, or a co-run when it carries tenants (project.Config.Projects);
+// Catalog and GridCatalog are the built-in lists for each, and Select
+// resolves a name list against either. The engine's jobs are standalone
+// cells, prefix trees that fork a replication's what-if cells off one
+// shared trajectory, and adopt chunks that race a tree's forks on other
+// workers; every kind shares the checkpoint, progress and panic-isolation
+// paths. A co-run sweep's gridsweep.json form is NewGridSweep.
 //
 // Each discrete-event run stays single-threaded and bit-for-bit
 // deterministic in its derived seed; parallelism is only across runs, so a
@@ -30,9 +33,10 @@ import (
 )
 
 // Scenario is one named point of the design space: a description and a
-// mutation applied to the base campaign configuration. Mutators must be
-// pure functions of the config (no captured mutable state): the runner
-// applies them concurrently to per-run config copies.
+// mutation applied to the sweep's base configuration, a campaign or a
+// co-run. Mutators must be pure functions of the config (no captured
+// mutable state): the runner applies them concurrently to per-run config
+// copies, a co-run's Projects and Shares included.
 type Scenario struct {
 	Name        string
 	Description string
@@ -320,9 +324,9 @@ func Catalog() []Scenario {
 	}
 }
 
-// Lookup returns the catalog scenario with the given name.
-func Lookup(name string) (Scenario, bool) {
-	for _, s := range Catalog() {
+// Lookup returns the scenario of list with the given name.
+func Lookup(list []Scenario, name string) (Scenario, bool) {
+	for _, s := range list {
 		if s.Name == name {
 			return s, true
 		}
@@ -330,13 +334,14 @@ func Lookup(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// Select resolves a CLI-style scenario spec: "all" (or "") yields the whole
-// catalog in canonical order; otherwise a comma-separated list of names,
-// deduplicated, in the order given.
-func Select(spec string) ([]Scenario, error) {
+// Select resolves a CLI-style scenario spec against list (Catalog or
+// GridCatalog): "all" (or "") yields the whole list in its order;
+// otherwise a comma-separated list of names, deduplicated, in the order
+// given.
+func Select(list []Scenario, spec string) ([]Scenario, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "all" {
-		return Catalog(), nil
+		return list, nil
 	}
 	var out []Scenario
 	seen := make(map[string]bool)
@@ -345,9 +350,9 @@ func Select(spec string) ([]Scenario, error) {
 		if name == "" || seen[name] {
 			continue
 		}
-		s, ok := Lookup(name)
+		s, ok := Lookup(list, name)
 		if !ok {
-			return nil, fmt.Errorf("experiment: unknown scenario %q (have: %s)", name, strings.Join(Names(), ", "))
+			return nil, fmt.Errorf("experiment: unknown scenario %q (have: %s)", name, strings.Join(Names(list), ", "))
 		}
 		seen[name] = true
 		out = append(out, s)
@@ -358,13 +363,9 @@ func Select(spec string) ([]Scenario, error) {
 	return out, nil
 }
 
-// Names returns the sorted catalog scenario names.
-func Names() []string {
-	cat := Catalog()
-	names := make([]string, len(cat))
-	for i, s := range cat {
-		names[i] = s.Name
-	}
+// Names returns list's scenario names, sorted.
+func Names(list []Scenario) []string {
+	names := orderedNames(list)
 	sort.Strings(names)
 	return names
 }

@@ -87,35 +87,67 @@ func TestCatalogMutatorsKeepConfigRunnable(t *testing.T) {
 	}
 }
 
+// TestSelect resolves specs against the campaign catalog.
 func TestSelect(t *testing.T) {
-	all, err := Select("all")
-	if err != nil || len(all) != len(Catalog()) {
+	checkSelect(t, Catalog(), "quorum-1, baseline,quorum-1", "quorum-1", "baseline", "share-starvation")
+}
+
+// checkSelect resolves specs against list: "all" and "" yield the whole
+// list, spec names first and second (and first again) and must resolve to
+// them deduplicated in that order, and an unknown name — other, a name of
+// the other list, included — is an error that lists this list's names.
+func checkSelect(t *testing.T, list []Scenario, spec, first, second, other string) {
+	t.Helper()
+	all, err := Select(list, "all")
+	if err != nil || len(all) != len(list) {
 		t.Fatalf("Select(all) = %d scenarios, err %v", len(all), err)
 	}
-	if def, err := Select(""); err != nil || len(def) != len(Catalog()) {
+	if def, err := Select(list, ""); err != nil || len(def) != len(list) {
 		t.Fatalf("Select(\"\") = %d scenarios, err %v", len(def), err)
 	}
-	some, err := Select("quorum-1, baseline,quorum-1")
+	some, err := Select(list, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(some) != 2 || some[0].Name != "quorum-1" || some[1].Name != "baseline" {
+	if len(some) != 2 || some[0].Name != first || some[1].Name != second {
 		t.Fatalf("Select dedup/order broken: %v", orderedNames(some))
 	}
-	if _, err := Select("no-such-scenario"); err == nil {
-		t.Fatal("expected error for unknown scenario")
+	for _, unknown := range []string{"no-such-scenario", other} {
+		_, err := Select(list, unknown)
+		if err == nil || !strings.Contains(err.Error(), first) || !strings.Contains(err.Error(), second) {
+			t.Fatalf("Select(%q): error %v, want one listing this list's names", unknown, err)
+		}
 	}
-	if _, err := Select(" , "); err == nil {
+	if _, err := Select(list, " , "); err == nil {
 		t.Fatal("expected error for empty selection")
 	}
 }
 
 func TestLookup(t *testing.T) {
-	if _, ok := Lookup("baseline"); !ok {
+	if _, ok := Lookup(Catalog(), "baseline"); !ok {
 		t.Fatal("baseline missing from catalog")
 	}
-	if _, ok := Lookup("nope"); ok {
+	if _, ok := Lookup(GridCatalog(), "two-project-equal"); !ok {
+		t.Fatal("two-project-equal missing from the co-run catalog")
+	}
+	if _, ok := Lookup(Catalog(), "nope"); ok {
 		t.Fatal("Lookup invented a scenario")
+	}
+	if _, ok := Lookup(GridCatalog(), "baseline"); ok {
+		t.Fatal("Lookup found a campaign scenario in the co-run catalog")
+	}
+}
+
+// TestScenarioNamesUniqueAcrossLists: both lists share cmd/sweep's default
+// checkpoint file, whose lines are keyed by scenario name, so no name may
+// be in both.
+func TestScenarioNamesUniqueAcrossLists(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, s := range append(Catalog(), GridCatalog()...) {
+		if seen[s.Name] {
+			t.Fatalf("scenario name %q is in both lists", s.Name)
+		}
+		seen[s.Name] = true
 	}
 }
 

@@ -158,7 +158,7 @@ func TestProgressTelemetryFields(t *testing.T) {
 func TestGridSinksProduceNDJSON(t *testing.T) {
 	var mbuf, tbuf bytes.Buffer
 	msink, tsink := obs.NewSink(&mbuf), obs.NewSink(&tbuf)
-	opts := GridOptions{
+	opts := Options{
 		Base:        testGridBase(t),
 		Scenarios:   testGridScenarios(),
 		Reps:        1,
@@ -166,7 +166,7 @@ func TestGridSinksProduceNDJSON(t *testing.T) {
 		MetricsSink: msink,
 		TraceSink:   tsink,
 	}
-	sw, err := RunGrid(context.Background(), opts)
+	sw, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,14 @@
 // One run context, Campaign, carries the machinery: one engine, one host
 // fleet on the volunteer package's ShardKernel, one credit ledger and one
 // fleet schedule, with the per-project state in its tenants (tenant.go).
-// A single-project campaign (New, Runner) is the paper's phase I: one
-// tenant bound straight to the fleet under the §5.1 schedule (golden_test.go
-// pins the report hashes, fresh and pooled). A co-run (Grid, grid.go) arms
-// the same context with N tenants behind a work-fetch mux on a flat-share
-// schedule, so a project's grid share is a measured output instead of an
-// assumed constant; Grid adds only the share-window bookkeeping.
+// One configuration type, Config, describes both shapes of a run. A
+// single-project campaign (New, Runner) is the paper's phase I: one tenant
+// bound straight to the fleet under the §5.1 schedule (golden_test.go pins
+// the report hashes, fresh and pooled). A Config with Projects is a co-run
+// (NewGrid, GridRunner; grid.go): the same context armed with one tenant
+// per project behind a work-fetch mux on a flat-share schedule, so a
+// project's grid share is a measured output instead of an assumed
+// constant; Grid adds only the share-window bookkeeping.
 package project
 
 import (
@@ -60,8 +62,19 @@ const DeployedHHours = 3.7
 // model's time axis (weeks since the WCG launch of November 16, 2004).
 const CampaignStartWeek = 109
 
-// Config parameterizes a campaign run.
+// Config parameterizes a campaign run, or a co-run when it carries
+// Projects. A co-run's own Host, Grid, FullShare, HostScale, Seed, MaxWeeks
+// and Probe describe the shared fleet; its tenants own their workloads and
+// middleware, and its other fields are not read.
 type Config struct {
+	// Projects are a co-run's tenant configurations, one per co-running
+	// project (at most 256: assignments carry the project index in a
+	// byte). Shares are the tenants' resource shares: any positive
+	// weights, normalized to sum to 1; nil means equal shares. Both are
+	// omitted from JSON when empty, so campaign configs marshal as before.
+	Projects []Config  `json:",omitempty"`
+	Shares   []float64 `json:",omitempty"`
+
 	DS *protein.Dataset
 	M  *costmodel.Matrix
 
@@ -70,7 +83,9 @@ type Config struct {
 	Host   volunteer.HostConfig
 	Grid   volunteer.GridModel
 
-	// Phase schedule (§5.1), in weeks from campaign start.
+	// Phase schedule (§5.1), in weeks from campaign start. A co-run has no
+	// phases: its fleet holds FullShare of the modeled grid from launch,
+	// and 0 there means 1, the whole grid.
 	ControlWeeks float64 // low-priority period
 	RampWeeks    float64 // prioritization ramp
 	ControlShare float64 // grid share during the control period
@@ -101,8 +116,8 @@ type Config struct {
 	// config injecting nothing — leaves every layer byte-identical to the
 	// fault-free code (the golden hashes pin this). A pointer with
 	// omitempty so fault-free configs marshal to exactly the pre-fault
-	// JSON. Single-project runs only; the shared multi-project grid
-	// rejects it.
+	// JSON. Single-project runs only; a co-run rejects it, on itself and
+	// on its tenants.
 	Faults *faults.Config `json:",omitempty"`
 
 	// Probe, if non-nil, attaches the observability plane (metrics
@@ -276,7 +291,7 @@ type Campaign struct {
 
 	// fleet is the fleet schedule and kernel plan — host model, grid model,
 	// share schedule, scale, seed, horizon and probe: &t.cfg on a
-	// single-project campaign, the Grid's flat-share Config on a co-run.
+	// single-project campaign, the Grid's checked co-run Config on a co-run.
 	fleet *Config
 	mux   *volunteer.Mux // nil on a single-project campaign
 	grid  *Grid          // the co-run this context runs; nil on a single-project campaign
@@ -395,7 +410,12 @@ func checkMaxWeeks(w float64) float64 {
 
 // checkConfig validates cfg and fills in defaulted fields; New and reset
 // share it so a pooled campaign enforces exactly the constructor's rules.
+// A co-run config is refused here, so no single-project entry (New,
+// Runner.Run, Begin, Fork) runs one, and no co-run tenant has tenants.
 func checkConfig(cfg Config) Config {
+	if len(cfg.Projects) > 0 || len(cfg.Shares) > 0 {
+		panic("project: a config with Projects or Shares is a co-run; run it with NewGrid or a GridRunner")
+	}
 	if cfg.DS == nil || cfg.M == nil {
 		panic("project: config needs dataset and matrix")
 	}
@@ -649,7 +669,7 @@ func (c *Campaign) start() {
 }
 
 // hostTarget is the fleet size the share schedule asks for at week w of
-// the run: the §5.1 phases on a campaign, the flat GridShare on a co-run.
+// the run: the §5.1 phases on a campaign, the flat FullShare on a co-run.
 func (c Config) hostTarget(w float64) int {
 	gridCap := c.Grid.VFTPAt(CampaignStartWeek + w)
 	return max(1, int(math.Round(c.Share(w)*gridCap*c.HostScale)))

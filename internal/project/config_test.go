@@ -143,20 +143,20 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 // TestGridConfigRejectsNonFinite covers checkGridConfig's float fields.
 func TestGridConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	cases := map[string]func(*GridConfig){
-		"share NaN":           func(c *GridConfig) { c.Shares = []float64{1, nan} },
-		"share +Inf":          func(c *GridConfig) { c.Shares = []float64{inf, 1} },
-		"share sum overflow":  func(c *GridConfig) { c.Shares = []float64{math.MaxFloat64, math.MaxFloat64} },
-		"GridShare NaN":       func(c *GridConfig) { c.GridShare = nan },
-		"HostScale NaN":       func(c *GridConfig) { c.HostScale = nan },
-		"HostScale +Inf":      func(c *GridConfig) { c.HostScale = inf },
-		"MaxWeeks +Inf":       func(c *GridConfig) { c.MaxWeeks = inf },
-		"Host.IdleRetry 0":    func(c *GridConfig) { c.Host.IdleRetry = 0 },
-		"Host.IdleRetry 1e-9": func(c *GridConfig) { c.Host.IdleRetry = 1e-9 },
-		"Host.IdleRetry 1":    func(c *GridConfig) { c.Host.IdleRetry = 1 },
-		"Host.ErrorProb NaN":  func(c *GridConfig) { c.Host.ErrorProb = nan },
-		"Grid.BaseVFTP NaN":   func(c *GridConfig) { c.Grid.BaseVFTP = nan },
-		"Grid.WeekendDip 2":   func(c *GridConfig) { c.Grid.WeekendDip = 2 },
+	cases := map[string]func(*Config){
+		"share NaN":           func(c *Config) { c.Shares = []float64{1, nan} },
+		"share +Inf":          func(c *Config) { c.Shares = []float64{inf, 1} },
+		"share sum overflow":  func(c *Config) { c.Shares = []float64{math.MaxFloat64, math.MaxFloat64} },
+		"FullShare NaN":       func(c *Config) { c.FullShare = nan },
+		"HostScale NaN":       func(c *Config) { c.HostScale = nan },
+		"HostScale +Inf":      func(c *Config) { c.HostScale = inf },
+		"MaxWeeks +Inf":       func(c *Config) { c.MaxWeeks = inf },
+		"Host.IdleRetry 0":    func(c *Config) { c.Host.IdleRetry = 0 },
+		"Host.IdleRetry 1e-9": func(c *Config) { c.Host.IdleRetry = 1e-9 },
+		"Host.IdleRetry 1":    func(c *Config) { c.Host.IdleRetry = 1 },
+		"Host.ErrorProb NaN":  func(c *Config) { c.Host.ErrorProb = nan },
+		"Grid.BaseVFTP NaN":   func(c *Config) { c.Grid.BaseVFTP = nan },
+		"Grid.WeekendDip 2":   func(c *Config) { c.Grid.WeekendDip = 2 },
 	}
 	base := gridConfig(t, 1, nil)
 	for name, mutate := range cases {
@@ -165,6 +165,44 @@ func TestGridConfigRejectsNonFinite(t *testing.T) {
 		if _, p := runChecked(t, func() *Grid { return NewGrid(cfg) }); !ownPanic(p) {
 			t.Errorf("%s: NewGrid returned (panic %v), want a project: rejection", name, p)
 		}
+	}
+}
+
+// TestCoRunConfigRefused: a config with Projects or Shares is a co-run, so
+// every single-project entry (New, Runner.Run, Begin, Fork) refuses it
+// with a project: message that points to the co-run entries, and a co-run
+// refuses a tenant with tenants of its own and a fault plane of its own.
+func TestCoRunConfigRefused(t *testing.T) {
+	base := checkBase()
+	base.HostScale = 0.002 // a small fleet for the forked prefix
+	corun := base
+	corun.Projects = []Config{base}
+	shares := base
+	shares.Shares = []float64{1}
+	forked := NewRunner()
+	forked.Begin(base)
+	forked.RunTo(sim.Day)
+	forked.Snapshot()
+	for name, run := range map[string]func(){
+		"New":                     func() { New(corun) },
+		"Runner.Run":              func() { NewRunner().Run(corun) },
+		"Begin":                   func() { NewRunner().Begin(corun) },
+		"Fork":                    func() { forked.Fork(corun) },
+		"Shares without Projects": func() { New(shares) },
+		"tenant with tenants":     func() { g := gridConfig(t, 1, nil); g.Projects[1] = corun; NewGrid(g) },
+	} {
+		_, p := runChecked(t, func() bool { run(); return true })
+		if msg, _ := p.(string); !ownPanic(p) || !strings.Contains(msg, "NewGrid") {
+			t.Errorf("%s: panic %v, want a project: refusal naming NewGrid", name, p)
+		}
+	}
+	faulty := gridConfig(t, 1, nil)
+	faulty.Faults = &faults.Config{}
+	if _, p := runChecked(t, func() *Grid { return NewGrid(faulty) }); !ownPanic(p) || !strings.Contains(p.(string), "Faults") {
+		t.Errorf("co-run with a fault plane: panic %v, want a project: refusal naming Faults", p)
+	}
+	if _, p := runChecked(t, func() *Grid { return NewGrid(shares) }); !ownPanic(p) {
+		t.Errorf("co-run with shares but no projects: panic %v, want a project: refusal", p)
 	}
 }
 
@@ -233,10 +271,10 @@ func checkRanged(t *testing.T, fields []rangedFloat) {
 
 // FuzzCheckConfig drives checkConfig and checkGridConfig with float fields
 // picked from fuzzValues: input byte i selects field i — Config's eight,
-// its fault plane's eleven, then a two-tenant GridConfig's two Shares,
-// GridShare, HostScale and MaxWeeks, then Config's host and grid models
+// its fault plane's eleven, then a two-tenant co-run's two Shares,
+// FullShare, HostScale and MaxWeeks, then Config's host and grid models
 // (thirteen), server deadline and quorum switch time, and one behavior
-// profile (four), then the GridConfig's host and grid models (thirteen).
+// profile (four), then the co-run's host and grid models (thirteen).
 // The contract: a check either panics with a "project:" or "faults:"
 // message, or returns finite, in-range fields that check again to the same
 // values.
@@ -247,9 +285,9 @@ func FuzzCheckConfig(f *testing.F) {
 		cfg.Faults = &faults.Config{}
 		cfg.Host.Profiles = []volunteer.BehaviorProfile{{Name: "fuzz", Weight: 1, ErrorProb: 0.01, AbandonProb: -1}}
 		tenant := base
-		g := GridConfig{Projects: []Config{tenant, tenant}, Shares: []float64{1, 1},
-			Host: base.Host, Grid: base.Grid, GridShare: 0.5, HostScale: 0.01, MaxWeeks: 60}
-		fields := append(configFloats(&cfg), &g.Shares[0], &g.Shares[1], &g.GridShare, &g.HostScale, &g.MaxWeeks)
+		g := Config{Projects: []Config{tenant, tenant}, Shares: []float64{1, 1},
+			Host: base.Host, Grid: base.Grid, FullShare: 0.5, HostScale: 0.01, MaxWeeks: 60}
+		fields := append(configFloats(&cfg), &g.Shares[0], &g.Shares[1], &g.FullShare, &g.HostScale, &g.MaxWeeks)
 		for _, rf := range append(modelFloats(&cfg), fleetFloats(&g.Host, &g.Grid)...) {
 			fields = append(fields, rf.v)
 		}
@@ -266,7 +304,7 @@ func FuzzCheckConfig(f *testing.F) {
 		} else {
 			checkConfigOut(t, out)
 		}
-		if out, p := runChecked(t, func() GridConfig { return checkGridConfig(g) }); p != nil {
+		if out, p := runChecked(t, func() Config { return checkGridConfig(g) }); p != nil {
 			if !ownPanic(p) {
 				t.Fatalf("checkGridConfig panicked outside the contract: %v", p)
 			}
@@ -311,23 +349,23 @@ func checkConfigOut(t *testing.T, out Config) {
 	}
 }
 
-// checkGridOut asserts the contract on a GridConfig checkGridConfig
+// checkGridOut asserts the contract on a co-run config checkGridConfig
 // accepted. Normalized shares sum to 1 only to within rounding, so
 // renormalizing them may move each by an ulp.
-func checkGridOut(t *testing.T, out GridConfig) {
+func checkGridOut(t *testing.T, out Config) {
 	t.Helper()
 	for _, s := range out.Shares {
 		if !(s > 0 && s <= 1) {
 			t.Fatalf("checked shares %v, want each in (0,1]", out.Shares)
 		}
 	}
-	if !(out.GridShare > 0 && out.GridShare <= 1) || !(out.HostScale > 0) || math.IsInf(out.HostScale, 1) ||
+	if !(out.FullShare > 0 && out.FullShare <= 1) || !(out.HostScale > 0) || math.IsInf(out.HostScale, 1) ||
 		!(out.MaxWeeks > 0 && out.MaxWeeks <= maxWeeks) {
 		t.Fatalf("checked grid out of range: shares %v, grid share %v, host scale %v, max weeks %v",
-			out.Shares, out.GridShare, out.HostScale, out.MaxWeeks)
+			out.Shares, out.FullShare, out.HostScale, out.MaxWeeks)
 	}
 	checkRanged(t, fleetFloats(&out.Host, &out.Grid))
-	again, p := runChecked(t, func() GridConfig { return checkGridConfig(out) })
+	again, p := runChecked(t, func() Config { return checkGridConfig(out) })
 	if p != nil {
 		t.Fatalf("re-checking an accepted grid config panicked: %v", p)
 	}
@@ -336,7 +374,7 @@ func checkGridOut(t *testing.T, out GridConfig) {
 			t.Fatalf("re-check moved share %d: %v → %v", i, out.Shares[i], s)
 		}
 	}
-	if again.GridShare != out.GridShare || again.HostScale != out.HostScale || again.MaxWeeks != out.MaxWeeks {
+	if again.FullShare != out.FullShare || again.HostScale != out.HostScale || again.MaxWeeks != out.MaxWeeks {
 		t.Fatalf("re-check moved grid fields: %+v → %+v", out, again)
 	}
 }

@@ -6,52 +6,18 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/volunteer"
 )
 
-// GridConfig parameterizes a shared multi-project grid run: one volunteer
-// fleet multiplexed across N project tenants by resource share. The
-// grid-level fields here (Host, Grid, GridShare, HostScale, Seed, MaxWeeks)
-// override the same-named fields of every tenant Config — a tenant on a
-// shared grid no longer owns a fleet or a phase schedule, only its
-// workload (DS, M, HHours, WorkScale, Order, Seed for RandomOrder,
-// SnapshotWeeks) and its middleware configuration (Server).
-type GridConfig struct {
-	// Projects are the tenant configurations, one per co-running project.
-	// At most 256 (assignments carry the project index in a byte).
-	Projects []Config
-	// Shares are the tenants' resource shares: any positive weights,
-	// normalized to sum to 1. Nil means equal shares.
-	Shares []float64
-
-	// Host configures the shared volunteer fleet; Grid models the
-	// capacity of the whole World Community Grid it is carved from.
-	Host volunteer.HostConfig
-	Grid volunteer.GridModel
-	// GridShare is the fraction of the modeled grid's capacity this shared
-	// fleet represents (all tenants together). 0 means 1: the whole
-	// grid. There is no per-tenant phase ramp — tenants contend for the
-	// shared fleet through the work-fetch mux from day one, which is
-	// exactly the §7 steady-state regime the forecast assumes.
-	GridShare float64
-	HostScale float64
-
-	Seed     uint64
-	MaxWeeks float64 // safety stop for the whole co-run
-
-	// Probe, if non-nil, attaches the observability plane to the co-run:
-	// tenant-scoped metric series get a "p<i>-" prefix, trace events carry
-	// a "project" tag, and the shared fleet contributes the mux-debt-spread
-	// series. Same zero-cost contract as Config.Probe.
-	Probe *obs.Probe `json:"-"`
-}
+// GridConfig is Config: a Config with Projects is a co-run. The alias
+// stays only because bench/ still names it.
+type GridConfig = Config
 
 // GridReport is what a shared-grid run produces: every tenant's full
 // single-project Report plus the co-run quantities that only exist when
 // projects contend — most importantly the measured grid share, the number
 // the paper's §7 forecast could only assume.
 type GridReport struct {
-	Config GridConfig `json:"-"`
+	Config Config `json:"-"` // the checked co-run config
 
 	// Projects are the per-tenant campaign reports (same shape as a
 	// single-project run). Their fleet-scoped fields — the §8 points
@@ -86,12 +52,12 @@ type GridReport struct {
 
 // MeasuredShareOf returns tenant i's measured grid share relative to the
 // whole modeled grid (not just this fleet): the mux share scaled by the
-// fleet's GridShare slice. This is the number to compare against
+// fleet's FullShare slice. This is the number to compare against
 // forecast.PhaseIIPlan.GridShare.
 func (r *GridReport) MeasuredShareOf(i int) float64 {
 	share := 1.0
-	if r.Config.GridShare > 0 {
-		share = r.Config.GridShare
+	if r.Config.FullShare > 0 {
+		share = r.Config.FullShare
 	}
 	return r.MeasuredShares[i] * share
 }
@@ -115,7 +81,7 @@ func (r *GridReport) MaxShareError() float64 {
 //
 // # Determinism and Reset contract
 //
-// A Grid run is byte-for-bit deterministic in its GridConfig: the host
+// A Grid run is byte-for-bit deterministic in its Config: the host
 // kernel serializes all events, hosts draw from per-host streams, and the
 // mux breaks debt ties from per-host seeded streams. The fleet runs on the
 // volunteer.ShardKernel bound to the mux. GridRunner pools a Grid the
@@ -125,20 +91,26 @@ func (r *GridReport) MaxShareError() float64 {
 // it). The returned GridReport is owned by the GridRunner and valid only
 // until its next Run.
 type Grid struct {
-	c     Campaign
-	cfg   GridConfig
-	fleet Config // the co-run's fleet schedule: a flat GridShare
+	c   Campaign
+	cfg Config // checked: the tenants and the fleet schedule, a flat FullShare
 
 	windowClosed bool
 
 	report GridReport
 }
 
-// checkGridConfig validates cfg, fills defaults, normalizes shares, and
-// pushes the grid-level fields down into every tenant configuration.
-func checkGridConfig(cfg GridConfig) GridConfig {
+// checkGridConfig validates a co-run config, fills defaults, normalizes
+// shares, and pushes the fleet fields down into every tenant
+// configuration. The checked config is the co-run's fleet schedule: no
+// control or ramp weeks, a flat FullShare from launch.
+func checkGridConfig(cfg Config) Config {
 	if len(cfg.Projects) == 0 {
 		panic("project: grid needs at least one project")
+	}
+	if cfg.Faults != nil {
+		// The fault plane wraps a single-project work source; the mux
+		// path has no plane to wrap it with.
+		panic("project: the fault plane is single-project only (a co-run cannot set Faults)")
 	}
 	if len(cfg.Projects) > 256 {
 		panic("project: at most 256 co-running projects")
@@ -168,12 +140,13 @@ func checkGridConfig(cfg GridConfig) GridConfig {
 		}
 	}
 	cfg.Shares = norm
-	if !(cfg.GridShare >= 0 && cfg.GridShare <= 1) {
-		panic(fmt.Sprintf("project: GridShare %v out of [0,1]", cfg.GridShare))
+	if !(cfg.FullShare >= 0 && cfg.FullShare <= 1) {
+		panic(fmt.Sprintf("project: co-run FullShare %v out of [0,1]", cfg.FullShare))
 	}
-	if cfg.GridShare == 0 {
-		cfg.GridShare = 1
+	if cfg.FullShare == 0 {
+		cfg.FullShare = 1
 	}
+	cfg.ControlWeeks, cfg.RampWeeks, cfg.ControlShare = 0, 0, 0
 	checkFinite("HostScale", cfg.HostScale)
 	if cfg.HostScale <= 0 {
 		panic("project: HostScale must be positive")
@@ -209,31 +182,26 @@ func checkGridConfig(cfg GridConfig) GridConfig {
 	return cfg
 }
 
-// NewGrid builds a shared grid from the configuration.
-func NewGrid(cfg GridConfig) *Grid {
+// NewGrid builds a shared grid from a co-run configuration.
+func NewGrid(cfg Config) *Grid {
 	g := &Grid{}
 	g.arm(cfg)
 	return g
 }
 
 // arm checks cfg and arms the run context with its tenants behind the mux
-// (built on first use, reset afterwards): the fleet schedule is a flat
-// share from launch — no control or ramp weeks, FullShare = GridShare. The
-// share window reopens and the report's slices keep their storage.
-func (g *Grid) arm(cfg GridConfig) {
-	cfg = checkGridConfig(cfg)
-	g.cfg = cfg
-	g.fleet = Config{
-		Host: cfg.Host, Grid: cfg.Grid, FullShare: cfg.GridShare, HostScale: cfg.HostScale,
-		Seed: cfg.Seed, MaxWeeks: cfg.MaxWeeks, Probe: cfg.Probe,
-	}
-	g.c.grid, g.c.fleet = g, &g.fleet
-	g.c.arm(cfg.Projects, cfg.Shares)
+// (built on first use, reset afterwards), the checked config as the fleet
+// schedule. The share window reopens and the report's slices keep their
+// storage.
+func (g *Grid) arm(cfg Config) {
+	g.cfg = checkGridConfig(cfg)
+	g.c.grid, g.c.fleet = g, &g.cfg
+	g.c.arm(g.cfg.Projects, g.cfg.Shares)
 	g.windowClosed = false
 
 	r := &g.report
 	projects, shares, measured := r.Projects[:0], r.Shares[:0], r.MeasuredShares[:0]
-	*r = GridReport{Config: cfg}
+	*r = GridReport{Config: g.cfg}
 	r.Projects, r.Shares, r.MeasuredShares = projects, shares, measured
 }
 
@@ -249,7 +217,7 @@ func NewGridRunner() *GridRunner { return &GridRunner{} }
 
 // Run simulates one co-run, reusing the previous run's storage. Reports
 // are bit-for-bit identical to NewGrid(cfg).Run() for the same cfg.
-func (r *GridRunner) Run(cfg GridConfig) *GridReport {
+func (r *GridRunner) Run(cfg Config) *GridReport {
 	if r.g == nil {
 		r.g = &Grid{}
 		r.g.c.pooled = true

@@ -14,7 +14,7 @@ import (
 // gridConfig builds a small two-project shared grid over the determinism
 // dataset: big enough that both tenants run for weeks under contention,
 // small enough for the unit-test budget.
-func gridConfig(t *testing.T, seed uint64, shares []float64) GridConfig {
+func gridConfig(t *testing.T, seed uint64, shares []float64) Config {
 	t.Helper()
 	ds := protein.Generate(10, 51)
 	m := costmodel.Synthesize(ds, costmodel.SynthesizeOptions{Seed: 52})
@@ -22,12 +22,12 @@ func gridConfig(t *testing.T, seed uint64, shares []float64) GridConfig {
 	pa.WorkScale = 0.3
 	pb := pa
 	pb.Seed = pa.Seed + 1
-	return GridConfig{
+	return Config{
 		Projects:  []Config{pa, pb},
 		Shares:    shares,
 		Host:      volunteer.DefaultHostConfig(),
 		Grid:      volunteer.DefaultGridModel(),
-		GridShare: 0.48,
+		FullShare: 0.48,
 		HostScale: 0.004,
 		Seed:      seed,
 		MaxWeeks:  80,
@@ -84,7 +84,7 @@ func renderGridReport(t *testing.T, gr *GridReport) []byte {
 	return data
 }
 
-// TestGridByteDeterminism: same GridConfig, byte-identical GridReport.
+// TestGridByteDeterminism: same co-run Config, byte-identical GridReport.
 func TestGridByteDeterminism(t *testing.T) {
 	a := renderGridReport(t, NewGrid(gridConfig(t, 777, []float64{1, 2})).Run())
 	b := renderGridReport(t, NewGrid(gridConfig(t, 777, []float64{1, 2})).Run())
@@ -151,7 +151,7 @@ func TestGridShareStarvationResists(t *testing.T) {
 }
 
 // TestMeasuredShareOfScalesByGridShare: the whole-grid share is the mux
-// share scaled by the population's slice of the modeled grid.
+// share scaled by the population's slice of the modeled grid, FullShare.
 func TestMeasuredShareOfScalesByGridShare(t *testing.T) {
 	gr := NewGrid(gridConfig(t, 777, nil)).Run()
 	want := gr.MeasuredShares[0] * 0.48
@@ -181,13 +181,13 @@ func TestGridSingleTenantCompletes(t *testing.T) {
 // TestGridConfigValidation covers the checkGridConfig panics.
 func TestGridConfigValidation(t *testing.T) {
 	base := gridConfig(t, 1, nil)
-	cases := map[string]func() GridConfig{
-		"no projects":     func() GridConfig { c := base; c.Projects = nil; return c },
-		"share mismatch":  func() GridConfig { c := base; c.Shares = []float64{1}; return c },
-		"negative share":  func() GridConfig { c := base; c.Shares = []float64{1, -1}; return c },
-		"zero share":      func() GridConfig { c := base; c.Shares = []float64{1, 0}; return c },
-		"bad grid share":  func() GridConfig { c := base; c.GridShare = 1.5; return c },
-		"zero host scale": func() GridConfig { c := base; c.HostScale = 0; return c },
+	cases := map[string]func() Config{
+		"no projects":     func() Config { c := base; c.Projects = nil; return c },
+		"share mismatch":  func() Config { c := base; c.Shares = []float64{1}; return c },
+		"negative share":  func() Config { c := base; c.Shares = []float64{1, -1}; return c },
+		"zero share":      func() Config { c := base; c.Shares = []float64{1, 0}; return c },
+		"bad grid share":  func() Config { c := base; c.FullShare = 1.5; return c },
+		"zero host scale": func() Config { c := base; c.HostScale = 0; return c },
 	}
 	for name, mk := range cases {
 		func() {
