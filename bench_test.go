@@ -17,6 +17,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -337,7 +338,10 @@ func BenchmarkSweepCellInstrumented(b *testing.B) {
 }
 
 // benchPooledCell runs cfg on one pooled runner, calling after once the
-// run has finished, and records the steady state.
+// run has finished, and records the steady state. The GC is paused over
+// the timed runs, as TestNilProbeAllocNeutrality pauses it: the counts are
+// process-wide, and a background cycle landing in the loop adds its own
+// allocations to the row.
 func benchPooledCell(b *testing.B, name string, cfg project.Config, after func()) {
 	runner := project.NewRunner()
 	run := func() *project.Report {
@@ -356,6 +360,7 @@ func benchPooledCell(b *testing.B, name string, cfg project.Config, after func()
 	firstBytes := ms1.TotalAlloc - ms0.TotalAlloc
 
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	start := time.Now()

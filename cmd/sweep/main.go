@@ -249,22 +249,6 @@ func run() (err error) {
 		}
 	}()
 
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	nForkWorkers := *forkWorkers
-	if *fork && nForkWorkers <= 0 {
-		nForkWorkers = nWorkers
-	}
-	forkNote := ""
-	if *fork {
-		forkNote = ", prefix-forked"
-		if nForkWorkers > 1 {
-			forkNote = fmt.Sprintf(", prefix-forked ×%d", nForkWorkers)
-		}
-	}
-
 	// -corun selects the scenario list, the base config, the table and the
 	// -out file; everything else — the sweep itself, checkpoint, progress,
 	// drain, summary — is one path. The policy and fault flags are
@@ -302,6 +286,25 @@ func run() (err error) {
 	defer stop()
 
 	total := len(selected) * *reps
+	// The pool the engine starts: -workers (0 = GOMAXPROCS), at most one
+	// worker per cell, and a fork fan-out no wider than the pool.
+	nWorkers := *workers
+	if nWorkers <= 0 {
+		nWorkers = runtime.GOMAXPROCS(0)
+	}
+	nWorkers = min(nWorkers, total)
+	nForkWorkers := *forkWorkers
+	if *fork && nForkWorkers <= 0 {
+		nForkWorkers = nWorkers
+	}
+	nForkWorkers = min(nForkWorkers, nWorkers)
+	forkNote := ""
+	if *fork {
+		forkNote = ", prefix-forked"
+		if nForkWorkers > 1 {
+			forkNote = fmt.Sprintf(", prefix-forked ×%d", nForkWorkers)
+		}
+	}
 	fmt.Fprintf(os.Stderr, "sweep: %d scenarios × %d reps = %d runs on %d workers (scale %.4g%s)\n",
 		len(selected), *reps, total, nWorkers, *scale, forkNote)
 	start := time.Now()

@@ -107,6 +107,37 @@ func TestSampleEveryOutOfRangeExitsOne(t *testing.T) {
 	}
 }
 
+// TestReportsThePoolItStarts: the engine starts at most one worker per
+// cell, so a one-cell sweep asked for 64 workers reports one worker on its
+// header line, its summary line and its closing sweep-telemetry line.
+func TestReportsThePoolItStarts(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.ndjson")
+	stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-scale", "0.005", "-workers", "64", "-q",
+		"-checkpoint", filepath.Join(dir, "ckpt.jsonl"), "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("sweep exited %d:\n%s", code, stderr)
+	}
+	for _, want := range []string{"= 1 runs on 1 workers (", "s, 1 workers (GOMAXPROCS"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var telemetry []byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if bytes.Contains(line, []byte(`"event":"sweep-telemetry"`)) {
+			telemetry = line
+		}
+	}
+	if !bytes.Contains(telemetry, []byte(`"workers":1,`)) {
+		t.Errorf("sweep-telemetry line does not report one worker: %s", telemetry)
+	}
+}
+
 // Golden sha256 hashes of the files both sweep front ends write, recorded
 // at one worker and 0.005 scale before the co-run front end was folded into
 // the campaign one: the co-run catalog's gridsweep.json, checkpoint,

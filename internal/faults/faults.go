@@ -6,12 +6,14 @@
 // fault scenario is byte-reproducible.
 //
 // The plane sits between the host kernel and the middleware as a
-// volunteer.WorkSource wrapper (it also implements volunteer.RetryAdvisor,
-// replacing the flat IdleRetry with capped exponential backoff while the
-// server is down). The outage schedule itself is enforced by wcg.Server —
-// Config.Outages refuses dispatch and defers validation inside the windows
-// — so the serial execution path sees exactly the same events no matter
-// how host work is partitioned.
+// volunteer.WorkSource wrapper, and it alone owns the outage schedule:
+// inside a window it refuses every work request without reaching the
+// server, and spools every result that gets through the uplink, handing
+// the spool to the server in arrival order from one drain event at the
+// window's end. The server keeps no outage state; its deadline wheels keep
+// running, so a copy times out during an outage exactly as it would have.
+// The plane also implements volunteer.RetryAdvisor, replacing the flat
+// IdleRetry with capped exponential backoff while the server is down.
 //
 // Determinism rules the plane obeys:
 //
@@ -26,8 +28,8 @@
 //     FIFO seed stream both kernels already share.
 //
 // A nil *Config (the default) leaves every code path untouched: the kernels
-// bind the raw *wcg.Server, the server has no outage windows, and report
-// bytes are identical to the pre-fault-plane code.
+// bind the raw *wcg.Server and report bytes are identical to the
+// pre-fault-plane code.
 package faults
 
 import (
@@ -234,8 +236,8 @@ func frac(seed, a, b uint64) float64 {
 // Windows materializes the outage schedule for one run: the planned
 // maintenance series plus a seeded walk of unplanned outages, sorted,
 // coalesced (overlapping or touching windows merge) and clipped to the
-// horizon. Pure function of (cfg, seed, horizon) — checkConfig and the
-// plane both call it and must agree.
+// horizon. Pure function of (cfg, seed, horizon), so a plane Reset under
+// a snapshot's config recomputes the source's schedule.
 func Windows(c *Config, seed uint64, horizon float64) []Window {
 	var wins []Window
 	if c.MaintenanceEvery > 0 {
@@ -278,19 +280,6 @@ func Windows(c *Config, seed uint64, horizon float64) []Window {
 	return merged
 }
 
-// ServerOutages converts a window schedule to the wcg server's outage
-// config (the server only needs the intervals, not the planned flag).
-func ServerOutages(wins []Window) []wcg.OutageWindow {
-	if len(wins) == 0 {
-		return nil
-	}
-	out := make([]wcg.OutageWindow, len(wins))
-	for i, w := range wins {
-		out[i] = wcg.OutageWindow{Start: w.Start, End: w.End}
-	}
-	return out
-}
-
 // WorkSource is the middleware surface the plane wraps; structurally
 // identical to volunteer.WorkSource (declared locally so faults does not
 // import the volunteer package).
@@ -302,6 +291,8 @@ type WorkSource interface {
 
 // Stats counts the plane's fault injections and recoveries for one run.
 type Stats struct {
+	Refused        int64 // work requests refused inside outage windows
+	Deferred       int64 // results spooled for post-outage validation
 	LostUploads    int64 // upload attempts the flaky uplink ate
 	RetriedUploads int64 // re-send events scheduled after a loss
 	DroppedResults int64 // results abandoned after the retry budget
@@ -312,9 +303,10 @@ type Stats struct {
 }
 
 // Plane is the per-run fault state: the materialized outage schedule, the
-// per-host backoff and upload-sequence tables, and the churn accumulator.
-// It wraps the tenant's server as the kernels' WorkSource. Not safe for
-// concurrent use; like the server it lives on the serial execution path.
+// outage spool, the per-host backoff and upload-sequence tables, and the
+// churn accumulator. It wraps the tenant's server as the kernels'
+// WorkSource. Not safe for concurrent use; like the server it lives on the
+// serial execution path.
 type Plane struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -327,6 +319,12 @@ type Plane struct {
 	outageNoted    bool // OnOutage fired for wins[winIdx]
 	recoverPending bool // a window ended; waiting for the first dispatch
 	lastEnd        float64
+
+	// Results that arrived inside the current window, in arrival order,
+	// and whether the drain event at its end is armed.
+	spool      []spooled
+	spoolArmed bool
+	spoolFn    func() // drainSpool, bound once by NewPlane
 
 	// Per-host state, grown on demand (host IDs are dense in both
 	// kernels). attempt/epoch implement per-window backoff; upSeq numbers
@@ -341,7 +339,7 @@ type Plane struct {
 
 	// Observability hooks (bound by the project layer when a probe is
 	// attached; cleared on Reset). OnOutage fires at the first fetch the
-	// server refuses inside a window; OnRecovery at the first successful
+	// plane refuses inside a window; OnRecovery at the first successful
 	// dispatch after one, with the lag since the window ended.
 	OnOutage   func(at sim.Time, planned bool)
 	OnRecovery func(at sim.Time, lag float64)
@@ -352,13 +350,14 @@ type Plane struct {
 // schedule (use the campaign's maximum runtime plus drain slack).
 func NewPlane(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64, horizon float64) *Plane {
 	p := &Plane{}
+	p.spoolFn = p.drainSpool
 	p.Reset(eng, inner, cfg, seed, horizon)
 	return p
 }
 
 // Reset rearms a pooled plane for a new run: recomputes the window
-// schedule, rewinds the cursor and per-host tables, zeroes stats and
-// hooks. The per-host slices keep their capacity.
+// schedule, rewinds the cursor, empties the spool and the per-host tables,
+// zeroes stats and hooks. The slices keep their capacity.
 func (p *Plane) Reset(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64, horizon float64) {
 	p.cfg = cfg
 	p.eng = eng
@@ -370,6 +369,9 @@ func (p *Plane) Reset(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64
 	p.outageNoted = false
 	p.recoverPending = false
 	p.lastEnd = 0
+	clear(p.spool)
+	p.spool = p.spool[:0]
+	p.spoolArmed = false
 	p.attempt = p.attempt[:0]
 	p.epoch = p.epoch[:0]
 	p.upSeq = p.upSeq[:0]
@@ -401,24 +403,25 @@ func (p *Plane) advance(now float64) bool {
 	return p.winIdx < len(p.wins) && now >= p.wins[p.winIdx].Start
 }
 
-// RequestWork delegates to the middleware (which refuses inside outage
-// windows) and keeps the outage/recovery bookkeeping: the first refused
-// fetch of a window fires OnOutage, the first successful dispatch after a
-// window records the recovery lag.
+// RequestWork refuses every fetch inside an outage window without reaching
+// the middleware — no dispatch, no deadline started; FetchRetryDelay
+// decides how long the host backs off — and delegates otherwise. The first
+// refusal of a window fires OnOutage, the first successful dispatch after
+// a window records the recovery lag.
 func (p *Plane) RequestWork() *wcg.Assignment {
-	a := p.inner.RequestWork()
-	if len(p.wins) == 0 {
-		return a
-	}
 	now := p.eng.Now()
 	if p.advance(now) {
+		p.Stats.Refused++
 		if !p.outageNoted {
 			p.outageNoted = true
 			if p.OnOutage != nil {
 				p.OnOutage(now, p.wins[p.winIdx].Planned)
 			}
 		}
-	} else if a != nil && p.recoverPending {
+		return nil
+	}
+	a := p.inner.RequestWork()
+	if a != nil && p.recoverPending {
 		p.recoverPending = false
 		lag := now - p.lastEnd
 		p.Stats.Recoveries++
@@ -451,7 +454,7 @@ func (p *Plane) lostUpload(host int) bool {
 // host is not blocked on the retry — the re-send is an engine event.
 func (p *Plane) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
 	if !p.lostUpload(host) {
-		p.inner.CompleteFrom(a, outcome, cpuSeconds, host)
+		p.deliver(a, outcome, cpuSeconds, host)
 		return
 	}
 	p.Stats.LostUploads++
@@ -481,7 +484,7 @@ func (p *Plane) scheduleRetry(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds
 func (p *Plane) retryFn(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host, budget int) func() {
 	return func() {
 		if !p.lostUpload(host) {
-			p.inner.CompleteFrom(a, outcome, cpuSeconds, host)
+			p.deliver(a, outcome, cpuSeconds, host)
 			return
 		}
 		p.Stats.LostUploads++
@@ -491,6 +494,45 @@ func (p *Plane) retryFn(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float
 			p.Stats.DroppedResults++
 		}
 	}
+}
+
+// spooled is one result that arrived inside an outage window, held
+// verbatim until the window's drain event hands it to the middleware.
+type spooled struct {
+	a       *wcg.Assignment
+	cpu     float64
+	host    int32 // reporting host identity (negative = anonymous)
+	outcome wcg.Outcome
+}
+
+// deliver hands a result that got through the uplink to the middleware,
+// or spools it inside an outage window: the window's first spooled result
+// arms one drain event at its end. A spooled copy may time out on the
+// server's deadline wheel in the meantime and then lands as a late return,
+// the §5.1 path an offline straggler takes.
+func (p *Plane) deliver(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
+	if !p.advance(p.eng.Now()) {
+		p.inner.CompleteFrom(a, outcome, cpuSeconds, host)
+		return
+	}
+	p.Stats.Deferred++
+	if !p.spoolArmed {
+		p.spoolArmed = true
+		p.eng.ScheduleCall(p.wins[p.winIdx].End, p.spoolFn, sim.Call{Kind: sim.CallSpoolDrain})
+	}
+	p.spool = append(p.spool, spooled{a: a, cpu: cpuSeconds, host: int32(host), outcome: outcome})
+}
+
+// drainSpool is a window's drain event: it hands the spooled results to
+// the middleware in arrival order, in one slot of the event order.
+func (p *Plane) drainSpool() {
+	p.spoolArmed = false
+	for i := 0; i < len(p.spool); i++ {
+		sp := p.spool[i]
+		p.spool[i] = spooled{}
+		p.inner.CompleteFrom(sp.a, sp.outcome, sp.cpu, int(sp.host))
+	}
+	p.spool = p.spool[:0]
 }
 
 // DeadlineFor delegates to the middleware unchanged.

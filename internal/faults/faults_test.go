@@ -8,18 +8,38 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/wcg"
+	"repro/internal/workunit"
 )
 
 // stubSource is a minimal WorkSource: it hands out whatever assignment it
-// holds and counts deliveries, so plane tests need no middleware.
+// holds and counts requests and deliveries, logging each delivery with its
+// engine time when eng is set, so plane tests need no middleware.
 type stubSource struct {
+	eng       *sim.Engine
 	next      *wcg.Assignment
+	requests  int
 	delivered int
+	log       []delivery
 }
 
-func (s *stubSource) RequestWork() *wcg.Assignment { return s.next }
-func (s *stubSource) CompleteFrom(*wcg.Assignment, wcg.Outcome, float64, int) {
+// delivery is one result as it reached the stub.
+type delivery struct {
+	a       *wcg.Assignment
+	outcome wcg.Outcome
+	cpu     float64
+	host    int
+	at      sim.Time
+}
+
+func (s *stubSource) RequestWork() *wcg.Assignment {
+	s.requests++
+	return s.next
+}
+func (s *stubSource) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpu float64, host int) {
 	s.delivered++
+	if s.eng != nil {
+		s.log = append(s.log, delivery{a, outcome, cpu, host, s.eng.Now()})
+	}
 }
 func (s *stubSource) DeadlineFor(*wcg.Assignment) float64 { return 0 }
 
@@ -377,6 +397,139 @@ func TestOutageHooksAndRecoveryLag(t *testing.T) {
 	}
 	if p.Stats.Recoveries != 1 || p.Stats.RecoveryLagMax != lastLag {
 		t.Errorf("stats not updated: %+v", p.Stats)
+	}
+}
+
+// TestOutageGateAndSpool pins the plane as the one owner of the outage
+// schedule, with a counting stub in place of the server. Inside the
+// maintenance window [1 h, 2 h) a fetch never reaches the server, and a
+// result, an upload retry's included, reaches it only at the window's end,
+// in arrival order, also after the spool has crossed a snapshot.
+func TestOutageGateAndSpool(t *testing.T) {
+	const seed = 11
+	window := Config{MaintenanceEvery: sim.Week, MaintenanceOffset: sim.Hour, MaintenanceDuration: sim.Hour}
+	newPlane := func(cfg Config) (*sim.Engine, *stubSource, *Plane) {
+		eng := sim.NewEngine()
+		src := &stubSource{eng: eng, next: &wcg.Assignment{}}
+		return eng, src, NewPlane(eng, src, cfg.Normalized(), seed, sim.Week)
+	}
+	// spoolThree completes three assignments a minute apart inside the
+	// window, each with its own outcome, cpu and host.
+	spoolThree := func(eng *sim.Engine, p *Plane, as []*wcg.Assignment) {
+		for i, a := range as {
+			eng.AdvanceTo(sim.Hour + float64(i+1)*sim.Minute)
+			p.CompleteFrom(a, wcg.Outcome(i%2), float64(10+i), i)
+		}
+	}
+	// drainedInOrder checks that log holds exactly as, delivered at the
+	// window's end in arrival order.
+	drainedInOrder := func(t *testing.T, log []delivery, as []*wcg.Assignment) {
+		t.Helper()
+		if len(log) != len(as) {
+			t.Fatalf("%d results delivered, want %d", len(log), len(as))
+		}
+		for i, d := range log {
+			if d.a != as[i] || d.outcome != wcg.Outcome(i%2) || d.cpu != float64(10+i) || d.host != i || d.at != 2*sim.Hour {
+				t.Errorf("delivery %d = %+v, want result %d at the window's end", i, d, i)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"fetches are refused without reaching the server", func(t *testing.T) {
+			eng, src, p := newPlane(window)
+			eng.AdvanceTo(sim.Hour + sim.Minute)
+			for i := 0; i < 3; i++ {
+				if p.RequestWork() != nil {
+					t.Fatal("fetch dispatched inside the window")
+				}
+			}
+			if src.requests != 0 || p.Stats.Refused != 3 {
+				t.Fatalf("inside the window: %d requests reached the server, %d refusals counted; want 0 and 3",
+					src.requests, p.Stats.Refused)
+			}
+			eng.AdvanceTo(2 * sim.Hour)
+			if p.RequestWork() == nil || src.requests != 1 || p.Stats.Refused != 3 {
+				t.Errorf("at the window's end: %d requests, %d refusals; want the fetch delegated", src.requests, p.Stats.Refused)
+			}
+		}},
+		{"results are spooled to the window's end", func(t *testing.T) {
+			eng, src, p := newPlane(window)
+			as := []*wcg.Assignment{{}, {}, {}}
+			spoolThree(eng, p, as)
+			if eng.Pending() != 1 {
+				t.Fatalf("%d events pending, want the one spool drain", eng.Pending())
+			}
+			eng.RunUntil(2*sim.Hour - sim.Minute)
+			if src.delivered != 0 || p.Stats.Deferred != 3 {
+				t.Fatalf("before the window's end: %d delivered, %d deferred; want 0 and 3", src.delivered, p.Stats.Deferred)
+			}
+			eng.RunUntil(2 * sim.Hour)
+			drainedInOrder(t, src.log, as)
+		}},
+		{"an upload retry landing in the window is spooled", func(t *testing.T) {
+			cfg := window
+			cfg.UploadLossProb, cfg.UploadRetries, cfg.UploadRetryDelay = 0.5, 1, 20*sim.Minute
+			eng, src, p := newPlane(cfg)
+			host := 0 // the first host whose first upload is lost and whose retry is not
+			for !(frac(seed^domLoss, uint64(host), 0) < 0.5 && frac(seed^domLoss, uint64(host), 1) >= 0.5) {
+				host++
+			}
+			a := &wcg.Assignment{}
+			eng.AdvanceTo(sim.Hour - 10*sim.Minute) // the retry fires in [1 h, 1 h 20 min)
+			p.CompleteFrom(a, wcg.OutcomeValid, 1, host)
+			eng.RunUntil(sim.Hour + 30*sim.Minute)
+			if p.Stats.LostUploads != 1 || p.Stats.RetriedUploads != 1 || eng.Pending() != 1 {
+				t.Fatalf("retry not fired once inside the window: %+v, %d events pending", p.Stats, eng.Pending())
+			}
+			if src.delivered != 0 || p.Stats.Deferred != 1 {
+				t.Fatalf("retried result delivered inside the window (%d delivered, %d deferred)", src.delivered, p.Stats.Deferred)
+			}
+			eng.RunUntil(2 * sim.Hour)
+			if len(src.log) != 1 || src.log[0].a != a || src.log[0].at != 2*sim.Hour {
+				t.Errorf("retried result delivered as %+v, want once at the window's end", src.log)
+			}
+		}},
+		{"an adopter drains the same spool", func(t *testing.T) {
+			// Portable spool entries name assignments by allocation index,
+			// so they come from a retained server.
+			srv := wcg.NewServer(sim.NewEngine(), wcg.DefaultConfig())
+			srv.Retain()
+			as := make([]*wcg.Assignment, 3)
+			for i := range as {
+				srv.AddWorkunit(workunit.Workunit{RefSeconds: 1}, 0)
+				as[i] = srv.RequestWork()
+			}
+			eng, src, p := newPlane(window)
+			spoolThree(eng, p, as)
+			ps := p.ExportPortable()
+			evs, err := eng.ExportEvents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng2, src2, p2 := newPlane(window)
+			spoolThree(eng2, p2, []*wcg.Assignment{{}, {}, {}}) // a dirty adopter
+			eng2.Reset()
+			p2.Reset(eng2, src2, window.Normalized(), seed, sim.Week)
+			src2.delivered, src2.log = 0, nil
+			p2.AdoptPortable(ps, srv.AssignmentAt)
+			eng2.AdoptState(eng.ExportState())
+			for _, pe := range evs {
+				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2.ResolveCall(pe.Call, srv.AssignmentAt))
+			}
+			eng.RunUntil(2 * sim.Hour)
+			eng2.RunUntil(2 * sim.Hour)
+			drainedInOrder(t, src.log, as)
+			drainedInOrder(t, src2.log, as)
+			if p2.Stats != p.Stats {
+				t.Errorf("adopter stats %+v, source %+v", p2.Stats, p.Stats)
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 

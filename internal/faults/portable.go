@@ -17,6 +17,9 @@ type PortablePlane struct {
 	recoverPending bool
 	lastEnd        float64
 
+	spool      []portableSpooled
+	spoolArmed bool
+
 	attempt []int32
 	epoch   []int32
 	upSeq   []uint32
@@ -25,38 +28,61 @@ type PortablePlane struct {
 	stats      Stats
 }
 
+// portableSpooled is a spooled result with its assignment as a portable
+// allocation index (wcg.AssignmentIndex).
+type portableSpooled struct {
+	a       int32
+	cpu     float64
+	host    int32
+	outcome wcg.Outcome
+}
+
 // Bytes estimates the portable plane's memory footprint for the
 // snapshot_bytes accounting.
 func (p *PortablePlane) Bytes() int {
-	return snapshot.Size(p.attempt) + snapshot.Size(p.epoch) + snapshot.Size(p.upSeq)
+	return snapshot.Size(p.spool) + snapshot.Size(p.attempt) + snapshot.Size(p.epoch) + snapshot.Size(p.upSeq)
 }
 
 // ExportPortable deep-copies the plane's mutable state into a portable
-// snapshot. In-flight retry events travel as CallUploadRetry descriptors;
-// Config.Normalized bounds the retry budget to their one-byte slot.
+// snapshot. In-flight retry events travel as CallUploadRetry descriptors
+// (Config.Normalized bounds the retry budget to their one-byte slot), an
+// armed spool drain as a CallSpoolDrain.
 func (p *Plane) ExportPortable() *PortablePlane {
-	return &PortablePlane{
+	ps := &PortablePlane{
 		winIdx:         p.winIdx,
 		outageNoted:    p.outageNoted,
 		recoverPending: p.recoverPending,
 		lastEnd:        p.lastEnd,
+		spool:          make([]portableSpooled, len(p.spool)),
+		spoolArmed:     p.spoolArmed,
 		attempt:        snapshot.Clone(p.attempt),
 		epoch:          snapshot.Clone(p.epoch),
 		upSeq:          snapshot.Clone(p.upSeq),
 		churnCarry:     p.churnCarry,
 		stats:          p.Stats,
 	}
+	for i, sp := range p.spool {
+		ps.spool[i] = portableSpooled{a: wcg.AssignmentIndex(sp.a), cpu: sp.cpu, host: sp.host, outcome: sp.outcome}
+	}
+	return ps
 }
 
-// AdoptPortable installs a portable plane snapshot into this plane. The
-// plane must have been Reset under the same (cfg, seed, horizon), so the
-// recomputed window schedule matches the source's; only the cursor and
-// per-host tables transfer. Hooks stay nil — adopted forks run unprobed.
-func (p *Plane) AdoptPortable(ps *PortablePlane) {
+// AdoptPortable installs a portable plane snapshot into this plane,
+// resolving spooled assignments with asAt against the adopting server's
+// arena. The plane must have been Reset under the same (cfg, seed,
+// horizon), so the recomputed window schedule matches the source's; only
+// the cursor, the spool and the per-host tables transfer. Hooks stay nil —
+// adopted forks run unprobed.
+func (p *Plane) AdoptPortable(ps *PortablePlane, asAt func(int32) *wcg.Assignment) {
 	p.winIdx = ps.winIdx
 	p.outageNoted = ps.outageNoted
 	p.recoverPending = ps.recoverPending
 	p.lastEnd = ps.lastEnd
+	p.spool = p.spool[:0]
+	for _, sp := range ps.spool {
+		p.spool = append(p.spool, spooled{a: asAt(sp.a), cpu: sp.cpu, host: sp.host, outcome: sp.outcome})
+	}
+	p.spoolArmed = ps.spoolArmed
 	p.attempt = append(p.attempt[:0], ps.attempt...)
 	p.epoch = append(p.epoch[:0], ps.epoch...)
 	p.upSeq = append(p.upSeq[:0], ps.upSeq...)
@@ -65,11 +91,14 @@ func (p *Plane) AdoptPortable(ps *PortablePlane) {
 }
 
 // ResolveCall rebuilds the closure an adopted engine event should run from
-// its portable CallUploadRetry descriptor. Returns nil for calls the
-// plane does not own.
+// its portable CallUploadRetry or CallSpoolDrain descriptor. Returns nil
+// for calls the plane does not own.
 func (p *Plane) ResolveCall(c sim.Call, asAt func(int32) *wcg.Assignment) func() {
-	if c.Kind != sim.CallUploadRetry {
-		return nil
+	switch c.Kind {
+	case sim.CallUploadRetry:
+		return p.retryFn(asAt(c.A1), wcg.Outcome(c.K0), c.F0, int(c.A0), int(c.K1))
+	case sim.CallSpoolDrain:
+		return p.spoolFn
 	}
-	return p.retryFn(asAt(c.A1), wcg.Outcome(c.K0), c.F0, int(c.A0), int(c.K1))
+	return nil
 }

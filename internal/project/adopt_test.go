@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// materialize runs base to the fork divergence time on a fresh publisher
-// runner and captures the portable snapshot, failing the test if the
-// context cannot be made portable (every test fixture here must be).
-func materialize(t *testing.T, base Config) (*Runner, *PortableSnapshot) {
+// materialize runs base to at (the fork divergence time, in most tests) on
+// a fresh publisher runner and captures the portable snapshot, failing the
+// test if the context cannot be made portable (every test fixture here
+// must be).
+func materialize(t *testing.T, base Config, at sim.Time) (*Runner, *PortableSnapshot) {
 	t.Helper()
 	pub := NewRunner()
 	pub.Begin(base)
-	pub.RunTo(forkDivergence)
+	pub.RunTo(at)
 	ps, err := pub.Materialize()
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
@@ -31,7 +34,7 @@ func TestAdoptEqualsStraightRun(t *testing.T) {
 	cell := quorumWhatIf(base)
 	straightCell := reportHash(t, New(cell).Run())
 
-	pub, ps := materialize(t, base)
+	pub, ps := materialize(t, base, forkDivergence)
 
 	// Fresh adopter: base fork reproduces the golden bytes, cell fork the
 	// straight run, and a second fork off the adopted context leaves no
@@ -73,14 +76,16 @@ func TestAdoptEqualsStraightRun(t *testing.T) {
 // TestAdoptWithFaultPlane extends the adoption identity pin to a run with
 // every fault class enabled: outage spool, upload retries in flight,
 // churn accumulator and per-host fault tables all cross the portability
-// boundary.
+// boundary. The week-14 snapshot holds no spool drain and no retry, so a
+// second one is taken at the end of that week's maintenance window
+// (week 14 + 2 d 6 h), where results are spooled and a retry is pending.
 func TestAdoptWithFaultPlane(t *testing.T) {
 	base := faultStressConfig(t, 777)
 	cell := quorumWhatIf(base)
 	straightBase := reportHash(t, New(base).Run())
 	straightCell := reportHash(t, New(cell).Run())
 
-	_, ps := materialize(t, base)
+	_, ps := materialize(t, base, forkDivergence)
 	ad := NewRunner()
 	ad.AdoptSnapshot(ps)
 	ad.Snapshot()
@@ -89,6 +94,29 @@ func TestAdoptWithFaultPlane(t *testing.T) {
 	}
 	if got := reportHash(t, ad.Fork(cell)); got != straightCell {
 		t.Errorf("fault adopted fork(cell) hash = %s, want %s", got, straightCell)
+	}
+
+	_, ps = materialize(t, base, forkDivergence+2*sim.Day+6*sim.Hour)
+	var drains, retries int
+	for _, pe := range ps.events {
+		switch pe.Call.Kind {
+		case sim.CallSpoolDrain:
+			drains++
+		case sim.CallUploadRetry:
+			retries++
+		}
+	}
+	if drains != 1 || retries != 1 {
+		t.Fatalf("mid-window snapshot holds %d spool drains and %d upload retries, want one of each", drains, retries)
+	}
+	dirty := NewRunner()
+	dirty.Run(faultStressConfig(t, 778))
+	for name, r := range map[string]*Runner{"fresh": NewRunner(), "dirty": dirty} {
+		r.AdoptSnapshot(ps)
+		r.Snapshot()
+		if got := reportHash(t, r.Fork(base)); got != straightBase {
+			t.Errorf("%s adopter of the mid-window snapshot: fork(base) hash = %s, want %s", name, got, straightBase)
+		}
 	}
 }
 
@@ -100,7 +128,7 @@ func TestAdoptConcurrent(t *testing.T) {
 	cell := quorumWhatIf(base)
 	straightCell := reportHash(t, New(cell).Run())
 
-	_, ps := materialize(t, base)
+	_, ps := materialize(t, base, forkDivergence)
 	const n = 4
 	errs := make(chan error, n)
 	var wg sync.WaitGroup

@@ -455,17 +455,10 @@ func checkConfig(cfg Config) Config {
 		norm := cfg.Faults.Normalized()
 		cfg.Faults = &norm
 	}
-	if cfg.Faults.Enabled() {
-		// Materialize the outage schedule once here; the plane recomputes
-		// the same windows from the same inputs, so the server's refusal
-		// gate and the plane's backoff advisor agree to the second.
-		cfg.Server.Outages = faults.ServerOutages(
-			faults.Windows(cfg.Faults, cfg.Faults.EffectiveSeed(cfg.Seed), faultHorizon(cfg)))
-	} else {
+	if !cfg.Faults.Enabled() {
 		// A present-but-inert fault config must not perturb anything: drop
 		// it so the run (and its report bytes) is exactly fault-free.
 		cfg.Faults = nil
-		cfg.Server.Outages = nil
 	}
 	return cfg
 }
@@ -802,6 +795,7 @@ func (c *Campaign) finish() *Report {
 	if plane := c.activePlane(); plane != nil {
 		fr := plane.BuildReport()
 		r.Faults = &fr
+		r.ServerStats.Refused, r.ServerStats.Deferred = plane.Stats.Refused, plane.Stats.Deferred
 	}
 	c.endRun(r.WeeksElapsed)
 	return r

@@ -110,9 +110,8 @@ func (c *Campaign) bindFaultObs(p *obs.Probe) {
 		}
 	}
 	if reg := p.Metrics; reg != nil {
-		srv := c.t.server
-		reg.Counter("fault-refused", func() float64 { return float64(srv.Stats.Refused) })
-		reg.Counter("fault-deferred", func() float64 { return float64(srv.Stats.Deferred) })
+		reg.Counter("fault-refused", func() float64 { return float64(pl.Stats.Refused) })
+		reg.Counter("fault-deferred", func() float64 { return float64(pl.Stats.Deferred) })
 		reg.Counter("fault-lost-uploads", func() float64 { return float64(pl.Stats.LostUploads) })
 		reg.Counter("fault-dropped-results", func() float64 { return float64(pl.Stats.DroppedResults) })
 		reg.Counter("fault-churned-hosts", func() float64 { return float64(pl.Stats.Departures) })

@@ -173,7 +173,7 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	c.kern.AdoptPortable(ps.kern, asAt)
 	plane := c.activePlane()
 	if plane != nil {
-		plane.AdoptPortable(ps.plane)
+		plane.AdoptPortable(ps.plane, asAt)
 	}
 
 	// Dormant tickers: bound like start's, armed below by the adopted
@@ -201,9 +201,7 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 			tick = c.churn
 		case sim.CallWheelDrain:
 			fn = c.t.server.WheelDrainFn(int(pe.Call.K0))
-		case sim.CallSpoolDrain:
-			fn = c.t.server.SpoolDrainFn()
-		case sim.CallUploadRetry:
+		case sim.CallSpoolDrain, sim.CallUploadRetry:
 			fn = plane.ResolveCall(pe.Call, asAt)
 		}
 		if tick != nil {

@@ -76,7 +76,7 @@ const (
 	CallNone uint8 = iota
 	// CallWheelDrain: a deadline-wheel drain tick. K0 = deadline class.
 	CallWheelDrain
-	// CallSpoolDrain: the outage spool drain at a window end.
+	// CallSpoolDrain: the fault plane's outage-spool drain at a window end.
 	CallSpoolDrain
 	// CallUploadRetry: a fault-plane upload retry. A0 = host index,
 	// A1 = assignment arena index, K0 = outcome, K1 = remaining budget,

@@ -51,18 +51,18 @@
 //     each with its adopted tick (Ticker.Adopt).
 //   - wcg.Server (PortableServer): the WUState and Assignment arenas in
 //     allocation order with pointers as indices, the work queue, batch
-//     buckets, deadline rings, trust streaks, outage spool, scheduler rng
-//     and stats. The outage schedule and every bind-time policy value are
-//     rebuilt by the adopter's Reset. Export requires the retained-arena
-//     (pooled Reset) mode: the one-shot slab.Carve mode has no stable
-//     allocation order.
+//     buckets, deadline rings, trust streaks, scheduler rng and stats.
+//     Every bind-time policy value is rebuilt by the adopter's Reset.
+//     Export requires the retained-arena (pooled Reset) mode: the one-shot
+//     slab.Carve mode has no stable allocation order.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
 //     population stream, the overlay, and the window calendar flattened
 //     into one event list plus window spans; the adopter rebuilds the
 //     windows onto its own chunks. Chunk layout is unobservable — a window
 //     is sorted by (time, seq) at its barrier. A multiplexed kernel's mux
 //     columns are not covered, so grid co-runs cannot be snapshotted.
-//   - faults.Plane (PortablePlane): the per-host attempt/epoch/upload
+//   - faults.Plane (PortablePlane): the outage spool (assignments as
+//     indices) and its armed flag, the per-host attempt/epoch/upload
 //     tables, window cursor, churn accumulator and stats; the outage
 //     schedule is recomputed from (cfg, seed, horizon).
 //   - stats.Histogram (PortableHistogram): bins and counters.

@@ -32,14 +32,6 @@ type portableWheel struct {
 	armed  bool
 }
 
-// portableSpooled is a spooled result with its assignment as an index.
-type portableSpooled struct {
-	a       int32
-	cpu     float64
-	host    int32
-	outcome Outcome
-}
-
 // PortableServer is a self-contained copy of a Server's mutable state at
 // an event boundary. Safe to publish across goroutines; read-only once
 // built.
@@ -66,10 +58,6 @@ type PortableServer struct {
 
 	adStreak []int
 
-	outIdx     int
-	spool      []portableSpooled
-	spoolArmed bool
-
 	stats Stats
 }
 
@@ -89,8 +77,7 @@ func wuIndex(st *WUState) int32 {
 func (p *PortableServer) Bytes() int {
 	n := snapshot.Size(p.wus) + snapshot.Size(p.ass) +
 		snapshot.Size(p.queue) + snapshot.Size(p.bucketHead) +
-		snapshot.Size(p.batchRank) + snapshot.Size(p.adStreak) +
-		snapshot.Size(p.spool)
+		snapshot.Size(p.batchRank) + snapshot.Size(p.adStreak)
 	for i := range p.buckets {
 		n += snapshot.Size(p.buckets[i])
 	}
@@ -160,14 +147,6 @@ func (s *Server) ExportPortable() *PortableServer {
 	}
 
 	p.adStreak = snapshot.Clone(s.adStreak)
-
-	p.outIdx = s.outIdx
-	p.spool = make([]portableSpooled, len(s.spool))
-	for i, sp := range s.spool {
-		p.spool[i] = portableSpooled{a: AssignmentIndex(sp.a), cpu: sp.cpu, host: sp.host, outcome: sp.outcome}
-	}
-	p.spoolArmed = s.spoolArmed
-
 	p.stats = s.Stats
 	return p
 }
@@ -191,11 +170,11 @@ func (s *Server) AssignmentAt(i int32) *Assignment {
 
 // AdoptPortable installs a portable snapshot's state into this server.
 // The server must have been Reset under the same configuration the source
-// ran (policies, deadlines, outage windows), so everything bind-time —
-// scheduler/validator method values, wheel count and deadlines, class
-// tables — is already identical; this call rebuilds only the mutable
-// state, allocating the same arena objects in the same order as the
-// source and resolving the snapshot's indices against them.
+// ran (policies, deadlines), so everything bind-time — scheduler/validator
+// method values, wheel count and deadlines, class tables — is already
+// identical; this call rebuilds only the mutable state, allocating the
+// same arena objects in the same order as the source and resolving the
+// snapshot's indices against them.
 func (s *Server) AdoptPortable(p *PortableServer) {
 	if !s.retain {
 		panic("wcg: portable adoption requires a retained (pooled) server")
@@ -256,17 +235,6 @@ func (s *Server) AdoptPortable(p *PortableServer) {
 
 	s.adStreak = s.adStreak[:0]
 	s.adStreak = append(s.adStreak, p.adStreak...)
-
-	s.outIdx = p.outIdx
-	s.spool = s.spool[:0]
-	for _, sp := range p.spool {
-		s.spool = append(s.spool, spooled{a: s.AssignmentAt(sp.a), cpu: sp.cpu, host: sp.host, outcome: sp.outcome})
-	}
-	s.spoolArmed = p.spoolArmed
-	if s.spoolArmed && s.spoolFn == nil {
-		s.spoolFn = s.drainSpool
-	}
-
 	s.Stats = p.stats
 }
 
@@ -274,28 +242,16 @@ func (s *Server) AdoptPortable(p *PortableServer) {
 // re-binding an adopted CallWheelDrain event.
 func (s *Server) WheelDrainFn(k int) func() { return s.wheels[k].drainFn }
 
-// SpoolDrainFn returns the bound spool-drain closure (binding it on first
-// use, exactly as the live path does), for an adopted CallSpoolDrain event.
-func (s *Server) SpoolDrainFn() func() {
-	if s.spoolFn == nil {
-		s.spoolFn = s.drainSpool
-	}
-	return s.spoolFn
-}
-
 // ApplyConfig swaps the configuration in force mid-run, at a fork point:
 // on a context at (or adopted from) the snapshot, the forked cell's config
 // replaces the shared prefix's before the suffix runs. Only fields whose
 // effect is lazily read may differ from the config the prefix ran under —
 // the quorum fields (refreshQuorum picks the change up at the next public
-// entry, firing OnQuorumSwitch exactly as a straight run would) — and the
-// outage schedule header is refreshed from the new config, which must
-// describe the same windows. Everything resolved at bind time must be
-// identical: Scheduler, Validator, DeadlinePolicy and Deadline are NOT
-// re-bound here. The experiment layer's prefix grouping enforces these
-// constraints on grouped scenarios.
+// entry, firing OnQuorumSwitch exactly as a straight run would).
+// Everything resolved at bind time must be identical: Scheduler, Validator,
+// DeadlinePolicy and Deadline are NOT re-bound here. The experiment layer's
+// prefix grouping enforces these constraints on grouped scenarios.
 func (s *Server) ApplyConfig(cfg Config) {
 	checkConfig(cfg)
 	s.cfg = cfg
-	s.outages = cfg.Outages
 }

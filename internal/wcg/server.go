@@ -18,7 +18,10 @@
 //     reissued.
 //
 // The server is driven by a discrete-event engine; it has no goroutines of
-// its own and is deterministic given the engine's event order.
+// its own and is deterministic given the engine's event order. It is always
+// up: server outages are a scenario the fault plane (internal/faults)
+// injects in front of it, refusing work requests and holding back results
+// inside its windows.
 //
 // # Policy layer
 //
@@ -146,22 +149,6 @@ type Config struct {
 	// DeadlinePolicy selects the reissue-deadline regime; nil means
 	// UniformDeadline: one class at Deadline.
 	DeadlinePolicy DeadlinePolicy
-
-	// Outages is the server-down schedule (sorted, disjoint windows,
-	// typically materialized by the faults package): inside a window the
-	// server refuses work requests and spools arriving results, deferring
-	// their validation to a drain event at the window's end. The deadline
-	// wheels keep running — copies time out during an outage exactly as
-	// they would have, which is what keeps the schedule an ordinary set of
-	// kernel events rather than a change to the timeline. Empty (the
-	// default) leaves every path byte-identical to the pre-outage server.
-	Outages []OutageWindow `json:",omitempty"`
-}
-
-// OutageWindow is one half-open [Start, End) interval during which the
-// server is unreachable.
-type OutageWindow struct {
-	Start, End sim.Time
 }
 
 // DefaultConfig mirrors the production deployment: quorum-2 comparison
@@ -196,9 +183,10 @@ type Stats struct {
 	// so report bytes (and the golden hashes pinned on them) are unchanged.
 	LateReturns int64 `json:"-"`
 
-	// Outage accounting (always zero — and omitted from the JSON
-	// rendering — when Config.Outages is empty, so fault-free report
-	// bytes are unchanged).
+	// Outage accounting. The server itself never sets these: the fault
+	// plane counts its refusals and spooled results, and the project layer
+	// copies them in when it builds a fault run's report. Zero, and so
+	// omitted from the JSON rendering, on a fault-free run.
 	Refused  int64 `json:",omitempty"` // work requests refused while down
 	Deferred int64 `json:",omitempty"` // results spooled for post-outage validation
 }
@@ -266,15 +254,6 @@ type wheel struct {
 	drainFn  func() // bound once per class; re-armed without allocating
 }
 
-// spooled is one result that arrived during an outage, held verbatim until
-// the window's drain event replays it through the normal completion path.
-type spooled struct {
-	a       *Assignment
-	cpu     float64
-	host    int32 // reporting host identity (negative = anonymous)
-	outcome Outcome
-}
-
 // Server is the volunteer-grid work distributor.
 type Server struct {
 	cfg    Config
@@ -317,17 +296,6 @@ type Server struct {
 	adaptiveOn  bool
 	adThreshold int
 	adStreak    []int
-
-	// Outage machinery: the sorted down windows, a monotone cursor over
-	// them (simulation time never decreases), and the deferred-validation
-	// spool drained by a single engine event at the window's end. All
-	// inert — one integer compare per public entry — when no windows are
-	// configured.
-	outages    []OutageWindow
-	outIdx     int
-	spool      []spooled
-	spoolArmed bool
-	spoolFn    func() // bound lazily at the first spooled result, then reused
 
 	// Bump allocators: workunit states and assignments are carved from
 	// chunks instead of allocated one by one (millions per campaign). Two
@@ -372,7 +340,6 @@ func NewServer(engine *sim.Engine, cfg Config) *Server {
 		cfg:    cfg,
 		engine: engine,
 	}
-	s.outages = cfg.Outages
 	s.qCache = s.quorum()
 	s.bindPolicies()
 	return s
@@ -384,14 +351,6 @@ func checkConfig(cfg Config) {
 	}
 	if cfg.Deadline <= 0 {
 		panic("wcg: deadline must be positive")
-	}
-	for i, w := range cfg.Outages {
-		if w.End <= w.Start || w.Start < 0 {
-			panic("wcg: outage window must satisfy 0 <= Start < End")
-		}
-		if i > 0 && w.Start < cfg.Outages[i-1].End {
-			panic("wcg: outage windows must be sorted and disjoint")
-		}
 	}
 }
 
@@ -469,11 +428,6 @@ func (s *Server) Reset(cfg Config) {
 	s.nQueuedLive, s.nNeedy = 0, 0
 	s.qCache = s.quorum()
 	clear(s.adStreak)
-	s.outages = cfg.Outages
-	s.outIdx = 0
-	clear(s.spool)
-	s.spool = s.spool[:0]
-	s.spoolArmed = false
 	s.bindPolicies() // sizes and clears the deadline wheels
 	s.wuArena.Reset()
 	s.asArena.Reset()
@@ -646,12 +600,6 @@ func (s *Server) maybeComplete(st *WUState) {
 // starts immediately, on the wheel of the workunit's deadline class.
 func (s *Server) RequestWork() *Assignment {
 	s.refreshQuorum()
-	if s.down() {
-		// Unreachable middleware: no dispatch, no deadline started. The
-		// fault plane's RetryAdvisor decides how long the host backs off.
-		s.Stats.Refused++
-		return nil
-	}
 	st := s.schedNext()
 	if st == nil {
 		return nil
@@ -739,63 +687,6 @@ func (s *Server) CompleteFrom(a *Assignment, outcome Outcome, cpuSeconds float64
 		panic("wcg: Complete(nil)")
 	}
 	s.refreshQuorum()
-	if s.down() {
-		// Deferred validation: the result arrives while the server is down
-		// and is spooled verbatim; the drain event at the window's end
-		// replays it through completeNow in arrival order. Its copy may
-		// time out on the wheel in the meantime, in which case it lands as
-		// a late return — the same §5.1 path an offline straggler takes.
-		s.Stats.Deferred++
-		if !s.spoolArmed {
-			s.spoolArmed = true
-			if s.spoolFn == nil {
-				// Bound lazily at the first spooled result ever, so a
-				// server that never sees an outage allocates nothing for
-				// the spool machinery (the nil-probe alloc gate covers it).
-				s.spoolFn = s.drainSpool
-			}
-			s.engine.ScheduleCall(s.outages[s.outIdx].End, s.spoolFn,
-				sim.Call{Kind: sim.CallSpoolDrain})
-		}
-		s.spool = append(s.spool, spooled{a: a, cpu: cpuSeconds, host: int32(host), outcome: outcome})
-		return
-	}
-	s.completeNow(a, outcome, cpuSeconds, host)
-}
-
-// down reports whether the current simulation time falls inside a
-// configured outage window, advancing the monotone cursor past windows
-// that have ended. O(1) amortized; a single compare when no windows are
-// configured.
-func (s *Server) down() bool {
-	if s.outIdx >= len(s.outages) {
-		return false
-	}
-	now := s.engine.Now()
-	for s.outIdx < len(s.outages) && now >= s.outages[s.outIdx].End {
-		s.outIdx++
-	}
-	return s.outIdx < len(s.outages) && now >= s.outages[s.outIdx].Start
-}
-
-// drainSpool replays the results that arrived during the outage, in
-// arrival order, through the normal completion path. It runs as a single
-// engine event at the window's end, so the replay occupies one
-// deterministic slot in the global event order regardless of kernel.
-func (s *Server) drainSpool() {
-	s.spoolArmed = false
-	s.refreshQuorum()
-	for i := 0; i < len(s.spool); i++ {
-		sp := s.spool[i]
-		s.spool[i] = spooled{}
-		s.completeNow(sp.a, sp.outcome, sp.cpu, int(sp.host))
-	}
-	s.spool = s.spool[:0]
-}
-
-// completeNow is the validation path proper (CompleteFrom minus the
-// outage gate); the caller has already refreshed the quorum.
-func (s *Server) completeNow(a *Assignment, outcome Outcome, cpuSeconds float64, host int) {
 	late := a.returned
 	if late {
 		s.Stats.LateReturns++
