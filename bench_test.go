@@ -62,7 +62,7 @@ var (
 const benchScale = 1.0 / 42
 
 func campaign() *project.Report {
-	campOnce.Do(func() { campRep = system().RunCampaign(benchScale, 0) })
+	campOnce.Do(func() { campRep = project.New(system().CampaignConfig(benchScale, 0)).Run() })
 	return campRep
 }
 
@@ -889,7 +889,7 @@ func BenchmarkKernelDock(b *testing.B) {
 func BenchmarkFullCampaignScaled(b *testing.B) {
 	s := system()
 	for i := 0; i < b.N; i++ {
-		rep := s.RunCampaign(ablationScale, 0)
+		rep := project.New(s.CampaignConfig(ablationScale, 0)).Run()
 		if !rep.Completed {
 			b.Fatal("campaign did not complete")
 		}

@@ -15,8 +15,8 @@
 // 3.9-million-workunit campaign (minutes, several GB of events).
 //
 // A flag value out of range (-scale outside (0, 1], -fig1days outside
-// [1, 36400], a non-finite -hours, ...) exits 2 before anything runs or
-// any file is written.
+// [1, 36400], a negative or non-finite -hours, ...) exits 2 before
+// anything runs or any file is written.
 //
 // With -coshare F (0 < F < 1) it additionally co-runs the HCMD workload at
 // resource share F on a shared grid against a phase-II-sized co-project
@@ -85,8 +85,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hcmdsim: -coshare must be in (0, 1)")
 		os.Exit(2)
 	}
-	if math.IsNaN(*hours) || math.IsInf(*hours, 0) {
-		fmt.Fprintln(os.Stderr, "hcmdsim: -hours must be finite")
+	if !(*hours >= 0) || math.IsInf(*hours, 1) {
+		fmt.Fprintln(os.Stderr, "hcmdsim: -hours must be finite and ≥ 0 (0 = deployed 3.7)")
 		os.Exit(2)
 	}
 	if err := obs.CheckSampleEvery(*sampleEvery); err != nil {

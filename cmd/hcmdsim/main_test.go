@@ -41,8 +41,9 @@ func runCommand(t *testing.T, args ...string) (string, string, int) {
 // TestBadFlagValuesExitTwo: a flag value out of range exits 2 with a
 // message naming the flag and no panic, before anything is printed or
 // -outdir is created. -fig1days -1 used to run the whole campaign and
-// then panic while writing Figure 1, and a bad fault flag was refused only
-// after the planning tables. -shards is no longer a flag.
+// then panic while writing Figure 1, a bad fault flag was refused only
+// after the planning tables, and -hours -1 ran as the deployed 3.7 h that
+// only 0 stands for. -shards is no longer a flag.
 func TestBadFlagValuesExitTwo(t *testing.T) {
 	outdir := filepath.Join(t.TempDir(), "out")
 	for _, args := range [][]string{
@@ -50,6 +51,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"-fig1days", "0"},
 		{"-fig1days", "100000000"},
 		{"-outage-rate", "Inf"},
+		{"-hours", "-1"},
 		{"-shards", "2"},
 	} {
 		stdout, stderr, code := runCommand(t, append(args, "-outdir", outdir)...)

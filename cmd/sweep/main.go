@@ -228,8 +228,8 @@ func run() (err error) {
 	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
 	}
-	if math.IsNaN(*hours) || math.IsInf(*hours, 0) {
-		return fmt.Errorf("-hours must be finite, got %v", *hours)
+	if !(*hours >= 0) || math.IsInf(*hours, 1) {
+		return fmt.Errorf("-hours must be finite and ≥ 0 (0 = deployed 3.7), got %v", *hours)
 	}
 	if err := obs.CheckSampleEvery(*sampleEvery); err != nil {
 		return fmt.Errorf("-sample-every: %w", err)

@@ -90,14 +90,27 @@ func TestCorunRejectsFlagsItCannotHonour(t *testing.T) {
 // second (the sampler would tick ~4e16 times) or a negative one is refused
 // with exit 1, before the checkpoint or any other file is opened.
 func TestSampleEveryOutOfRangeExitsOne(t *testing.T) {
+	refusedBeforeAnyFile(t, "-sample-every", "1e-9", "-1")
+}
+
+// TestNegativeHoursExitsOne: -hours 0 stands for the deployed 3.7 h, and a
+// negative value used to run as that too.
+func TestNegativeHoursExitsOne(t *testing.T) {
+	refusedBeforeAnyFile(t, "-hours", "-1")
+}
+
+// refusedBeforeAnyFile checks that each value of flag exits 1 naming the
+// flag, before the checkpoint or any other file is opened.
+func refusedBeforeAnyFile(t *testing.T, flag string, values ...string) {
+	t.Helper()
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "cadence.ckpt.jsonl")
+	ckpt := filepath.Join(dir, "refused.ckpt.jsonl")
 	metrics := filepath.Join(dir, "m.ndjson")
-	for _, s := range []string{"1e-9", "-1"} {
+	for _, v := range values {
 		stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-scale", "0.005", "-q",
-			"-sample-every", s, "-metrics", metrics, "-checkpoint", ckpt)
-		if code != 1 || !strings.Contains(stderr, "-sample-every") {
-			t.Fatalf("-sample-every %s: exit code %d, want 1 naming -sample-every; stderr:\n%s", s, code, stderr)
+			flag, v, "-metrics", metrics, "-checkpoint", ckpt)
+		if code != 1 || !strings.Contains(stderr, flag) {
+			t.Fatalf("%s %s: exit code %d, want 1 naming %s; stderr:\n%s", flag, v, code, flag, stderr)
 		}
 	}
 	for _, f := range []string{ckpt, metrics} {

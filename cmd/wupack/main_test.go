@@ -21,20 +21,20 @@ func TestMain(m *testing.M) {
 }
 
 // runCommand runs the command with args in a child process and returns its
-// stderr and exit code.
-func runCommand(t *testing.T, args ...string) (string, int) {
+// stdout, stderr and exit code.
+func runCommand(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "WUPACK_TEST_ARGS="+strings.Join(args, " "))
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	if ee, ok := err.(*exec.ExitError); ok {
-		return stderr.String(), ee.ExitCode()
+		return stdout.String(), stderr.String(), ee.ExitCode()
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	return stderr.String(), 0
+	return stdout.String(), stderr.String(), 0
 }
 
 // TestBadFlagValuesExitTwo: a flag value out of range exits 2 with a
@@ -48,9 +48,22 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"-hours", "+Inf"},
 		{"-hours", "0"},
 	} {
-		stderr, code := runCommand(t, args...)
+		_, stderr, code := runCommand(t, args...)
 		if code != 2 || !strings.Contains(stderr, args[0]) || strings.Contains(stderr, "panic:") {
 			t.Errorf("%s: exit code %d, want 2 naming %s without a panic; stderr:\n%s", args, code, args[0], stderr)
+		}
+	}
+}
+
+// TestHugeHoursPackOneWorkunitPerCouple: a wanted duration longer than any
+// couple packs each of the 168 × 168 couples into one workunit. At -hours
+// 1e20 the h/ct quotient used to overflow int before the §4.2 clamp, and
+// every starting position became its own workunit (49,481,544).
+func TestHugeHoursPackOneWorkunitPerCouple(t *testing.T) {
+	for _, hours := range []string{"1e6", "1e20", "1e300"} {
+		stdout, stderr, code := runCommand(t, "-hours", hours)
+		if code != 0 || !strings.Contains(stdout, "Nb wu = 28,224\n") {
+			t.Errorf("-hours %s: exit code %d, want 0 and 28,224 workunits; stdout:\n%s\nstderr:\n%s", hours, code, stdout, stderr)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/report"
+	"repro/internal/vftp"
 	"repro/internal/workunit"
 )
 
@@ -58,6 +59,6 @@ func main() {
 	fmt.Printf("to finish in 26 weeks a dedicated grid needs %s processors\n",
 		report.Comma(float64(grid.ProcessorsFor(full, 26*7*86400))))
 	fmt.Printf("World Community Grid delivered the equivalent of ≈ %s dedicated processors\n",
-		report.Comma(sys.DedicatedEquivalent(26248)))
+		report.Comma(vftp.DedicatedEquivalent(26248, vftp.PaperTotalFactor)))
 	fmt.Println("\n⇒ the workload is feasible only on a volunteer grid — the paper's premise.")
 }

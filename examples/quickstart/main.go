@@ -1,5 +1,6 @@
 // Quickstart: assemble the HCMD system, dock one couple of proteins, and
-// plan the campaign — the whole public API in ~40 effective lines.
+// plan the campaign — the first steps of the pipeline in ~40 effective
+// lines.
 package main
 
 import (
@@ -7,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/docking"
+	"repro/internal/grid"
+	"repro/internal/protein"
 	"repro/internal/report"
 )
 
@@ -18,7 +21,7 @@ func main() {
 
 	// 2. Dock a couple for a few starting positions (the MAXDo kernel).
 	rec, lig := sys.DS.Proteins[0], sys.DS.Proteins[1]
-	results := sys.DockCouple(0, 1, 1, 3, docking.MinimizeParams{MaxIter: 20, GammaSub: 2})
+	results := docking.DockRange(rec, lig, 1, 3, protein.NRotWorkunit, docking.MinimizeParams{MaxIter: 20, GammaSub: 2}, nil)
 	best := results[0]
 	for _, r := range results {
 		if r.Energy.Total() < best.Energy.Total() {
@@ -38,6 +41,6 @@ func main() {
 		report.Comma(float64(sum.Count)), sum.MeanSeconds/3600)
 
 	// 5. What does that cost on a dedicated grid? (§6)
-	weeks := sys.DedicatedMakespan(4833) / (7 * 86400)
+	weeks := grid.NewCluster(4833).AnalyticMakespan(sys.TotalWork()) / (7 * 86400)
 	fmt.Printf("on 4,833 dedicated processors: %.1f weeks\n", weeks)
 }

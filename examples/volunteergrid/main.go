@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/project"
 	"repro/internal/report"
 )
 
@@ -13,7 +14,7 @@ func main() {
 	sys := core.NewHCMD()
 
 	// 1/168 scale: one ligand per receptor, ~25k workunits, a few seconds.
-	rep := sys.RunCampaign(1.0/168, 0)
+	rep := project.New(sys.CampaignConfig(1.0/168, 0)).Run()
 
 	fmt.Printf("campaign completed: %v in %.0f weeks (paper: 26)\n", rep.Completed, rep.WeeksElapsed)
 	fmt.Printf("distinct workunits: %s, results received: %s\n",

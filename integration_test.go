@@ -49,7 +49,7 @@ func TestPipelinePlanningInvariants(t *testing.T) {
 // TestPipelineCampaignConservation runs a scaled campaign and checks that
 // the server-side accounting balances exactly.
 func TestPipelineCampaignConservation(t *testing.T) {
-	rep := system().RunCampaign(1.0/168, 0)
+	rep := project.New(system().CampaignConfig(1.0/168, 0)).Run()
 	st := rep.ServerStats
 	if !rep.Completed {
 		t.Fatal("campaign incomplete")

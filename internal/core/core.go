@@ -1,6 +1,8 @@
 // Package core is the public façade of the HCMD reproduction: one type that
-// wires the substrates together and exposes, as plain method calls, every
-// planning step and every experiment of the paper.
+// wires the substrates together and exposes, as plain method calls, the
+// paper's planning steps and the configurations of its experiments. Where a
+// step is one call into a substrate (running a campaign, docking a couple,
+// the §6 dedicated-grid arithmetic), callers make that call directly.
 //
 // The pipeline mirrors the paper's own workflow:
 //
@@ -14,9 +16,9 @@
 // Example:
 //
 //	sys := core.NewHCMD()
-//	plan := sys.Package(10)                   // 10-hour workunits
-//	rep := sys.RunCampaign(1.0/84, 0)         // scaled simulation
-//	fc := sys.ForecastPhaseII()               // Table 3
+//	plan := sys.Package(10)                                 // 10-hour workunits
+//	rep := project.New(sys.CampaignConfig(1.0/84, 0)).Run() // scaled simulation
+//	fc := sys.ForecastPhaseII()                             // Table 3
 package core
 
 import (
@@ -25,11 +27,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/docking"
 	"repro/internal/forecast"
-	"repro/internal/grid"
 	"repro/internal/project"
 	"repro/internal/protein"
 	"repro/internal/stats"
-	"repro/internal/vftp"
 	"repro/internal/volunteer"
 	"repro/internal/workunit"
 )
@@ -112,24 +112,6 @@ func (s *System) CampaignConfig(scale, hHours float64) project.Config {
 		cfg.HHours = hHours
 	}
 	return cfg
-}
-
-// RunCampaign simulates the HCMD campaign on the volunteer grid at the
-// given scale and returns the full report (Figures 6-8, Table 2 inputs).
-func (s *System) RunCampaign(scale, hHours float64) *project.Report {
-	return project.New(s.CampaignConfig(scale, hHours)).Run()
-}
-
-// DedicatedEquivalent returns how many dedicated reference processors match
-// the given volunteer VFTP under the paper's measured inflation.
-func (s *System) DedicatedEquivalent(vftpValue float64) float64 {
-	return vftp.DedicatedEquivalent(vftpValue, vftp.PaperTotalFactor)
-}
-
-// DedicatedMakespan returns the ideal dedicated-grid makespan (seconds) of
-// the whole campaign on n reference processors.
-func (s *System) DedicatedMakespan(n int) float64 {
-	return grid.NewCluster(n).AnalyticMakespan(s.TotalWork())
 }
 
 // ForecastPhaseII computes the §7 phase II estimate from the paper's
@@ -249,10 +231,4 @@ func (s *System) CrossValidateGridShare(rep *project.GridReport, proj int, plan 
 	}
 	check.AbsError = math.Abs(measured - plan.GridShare)
 	return check
-}
-
-// DockCouple runs the real docking kernel for one couple over a range of
-// starting positions — the quickstart entry point.
-func (s *System) DockCouple(receptor, ligand, isepLo, isepHi int, params docking.MinimizeParams) []docking.Result {
-	return docking.DockRange(s.DS.Proteins[receptor], s.DS.Proteins[ligand], isepLo, isepHi, protein.NRotWorkunit, params, nil)
 }

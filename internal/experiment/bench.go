@@ -3,6 +3,7 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -119,8 +120,11 @@ func (f *BenchFile) LatestRun(bench string) (BenchRun, bool) {
 // +10 %). ns/op is deliberately not gated — CI machines vary — but
 // allocation counts and allocated bytes are deterministic for a
 // deterministic simulation, so a breach means the change really did add
-// per-op allocations or make them larger.
+// per-op allocations or make them larger. maxGrowth must be finite and ≥ 0.
 func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) error {
+	if !(maxGrowth >= 0) || math.IsInf(maxGrowth, 1) {
+		return fmt.Errorf("experiment: allocation growth margin %v must be finite and ≥ 0", maxGrowth)
+	}
 	base, ok := baseline.LatestRun(bench)
 	if !ok {
 		return fmt.Errorf("experiment: baseline has no %s run", bench)
@@ -136,9 +140,11 @@ func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) er
 		{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
 		{"bytes/op", base.BytesPerOp, cur.BytesPerOp},
 	} {
-		limit := int64(float64(m.base) * (1 + maxGrowth))
-		if m.cur > limit {
-			return fmt.Errorf("experiment: %s %s regressed: %d (%q) > %d baseline (%q) +%.0f%% = %d",
+		// In float64: converting a huge limit back to int64 is
+		// implementation-dependent.
+		limit := float64(m.base) * (1 + maxGrowth)
+		if float64(m.cur) > limit {
+			return fmt.Errorf("experiment: %s %s regressed: %d (%q) > %d baseline (%q) +%.0f%% = %.0f",
 				bench, m.unit, m.cur, cur.Label, m.base, base.Label, maxGrowth*100, limit)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +106,18 @@ func TestAllocGate(t *testing.T) {
 	}
 	if err := AllocGate(cur(1), base, "BenchmarkOther", 0.10); err == nil {
 		t.Fatal("missing current benchmark accepted")
+	}
+	// The margin must be finite and ≥ 0. NaN and +Inf used to turn the
+	// limit into an implementation-dependent int64 (MinInt64 on amd64), so
+	// identical rows "regressed"; a negative margin failed them too. A
+	// huge finite margin passes them.
+	for _, m := range []float64{math.NaN(), math.Inf(1), -0.5} {
+		if err := AllocGate(base, cur(1000), "BenchmarkCampaignCI", m); err == nil || !strings.Contains(err.Error(), "margin") {
+			t.Errorf("margin %v: err = %v, want an error naming the margin", m, err)
+		}
+	}
+	if err := AllocGate(base, cur(1000), "BenchmarkCampaignCI", 1e300); err != nil {
+		t.Errorf("margin 1e300 failed identical rows: %v", err)
 	}
 
 	// Bytes/op are gated at the same margin, against the same latest row,

@@ -19,7 +19,6 @@ import (
 // with different parameters is ignored rather than silently mixed in.
 type Checkpoint struct {
 	mu    sync.Mutex
-	path  string
 	done  map[Key]RunResult
 	f     *os.File
 	w     *bufio.Writer
@@ -37,7 +36,7 @@ const ckptSyncEvery = 32
 // any cells a previous sweep recorded. With resume=false an existing file is
 // truncated: the sweep starts from scratch.
 func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, done: make(map[Key]RunResult)}
+	c := &Checkpoint{done: make(map[Key]RunResult)}
 	var data []byte
 	if resume {
 		var err error

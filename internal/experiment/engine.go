@@ -131,7 +131,6 @@ type engine struct {
 	q queue
 
 	mu      sync.Mutex
-	start   time.Time
 	results []RunResult // by cell; zero until the cell finishes
 	done    int
 	resumed int
@@ -160,7 +159,6 @@ func (e *engine) run(ctx context.Context, plan func(pending []bool) []*job) (fin
 	// its probe all the while.
 	workers = min(workers, len(e.cells))
 	e.fanout = min(opts.ForkWorkers, workers)
-	e.start = time.Now()
 	e.results = make([]RunResult, len(e.cells))
 	pending := make([]bool, len(e.cells))
 	for i, c := range e.cells {
@@ -243,12 +241,7 @@ func (e *engine) finish(i int, res RunResult, resumed bool, wall float64) {
 	e.results[i] = res
 	e.done++
 	if progress := e.opts.Progress; progress != nil {
-		p := Progress{Done: e.done, Total: len(e.cells), Resumed: resumed, Result: res, WallSeconds: wall}
-		if elapsed := time.Since(e.start).Seconds(); elapsed > 0 {
-			p.CellsPerSec = float64(e.done) / elapsed
-			p.ETASeconds = float64(len(e.cells)-e.done) / p.CellsPerSec
-		}
-		progress(p)
+		progress(Progress{Done: e.done, Total: len(e.cells), Resumed: resumed, Result: res, WallSeconds: wall})
 	}
 }
 

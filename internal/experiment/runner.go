@@ -98,8 +98,6 @@ type Progress struct {
 
 	// Live telemetry (wall clock, not sim time).
 	WallSeconds float64 // this cell's simulation wall time (0 if resumed)
-	CellsPerSec float64 // finished cells per wall second so far
-	ETASeconds  float64 // projected seconds to sweep completion
 }
 
 // Options parameterizes a sweep.

@@ -102,8 +102,8 @@ func TestSweepSinksAreRunNeutral(t *testing.T) {
 }
 
 // TestProgressTelemetryFields checks the live telemetry the sweep reports:
-// per-cell wall time, throughput and ETA populated on Progress, and the
-// Tracker's aggregate snapshot consistent with what it observed.
+// per-cell wall time on Progress, and the Tracker's aggregate snapshot
+// (throughput and ETA included) consistent with what it observed.
 func TestProgressTelemetryFields(t *testing.T) {
 	var progressed []Progress
 	opts := Options{
@@ -123,13 +123,6 @@ func TestProgressTelemetryFields(t *testing.T) {
 		if p.WallSeconds <= 0 {
 			t.Errorf("progress %d: WallSeconds = %v, want > 0", i, p.WallSeconds)
 		}
-		if p.CellsPerSec <= 0 {
-			t.Errorf("progress %d: CellsPerSec = %v, want > 0", i, p.CellsPerSec)
-		}
-	}
-	last := progressed[len(progressed)-1]
-	if last.ETASeconds != 0 {
-		t.Errorf("final ETA = %v, want 0", last.ETASeconds)
 	}
 
 	tr := NewTracker(3)
@@ -142,6 +135,9 @@ func TestProgressTelemetryFields(t *testing.T) {
 	}
 	if snap.MeanCellSeconds <= 0 || snap.SysMB <= 0 {
 		t.Errorf("snapshot mean %v / sys %v, want > 0", snap.MeanCellSeconds, snap.SysMB)
+	}
+	if snap.CellsPerSec <= 0 || snap.ETASeconds != 0 {
+		t.Errorf("snapshot rate %v cells/s, eta %v s; want > 0 and 0 with every cell done", snap.CellsPerSec, snap.ETASeconds)
 	}
 	line := obs.Line(snap.Fields()...)
 	var obj map[string]any

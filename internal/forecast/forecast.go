@@ -105,8 +105,7 @@ type Forecast struct {
 	MembersI          float64
 	MembersII         float64 // members whose yield supplies VFTPII
 	WeeksAtPhaseIRate float64 // §7: ~90 weeks if nothing changes
-	GridShareUsed     float64 // the share the member arithmetic rested on
-	GridMembersNeeded float64 // §7: members so a GridShareUsed slice supplies VFTPII
+	GridMembersNeeded float64 // §7: members so the share in force supplies VFTPII
 	NewMembersNeeded  float64 // §7: beyond the current grid membership
 }
 
@@ -146,7 +145,6 @@ func Estimate(p1 PhaseI, plan PhaseIIPlan) Forecast {
 		// assumed 25 % share; a MeasuredShare substitutes the share a
 		// shared-grid co-run actually realized.
 		gridYield := gridVFTPForMembers / float64(CurrentGridMembers)
-		f.GridShareUsed = share
 		f.GridMembersNeeded = vftpII / (gridYield * share)
 		f.NewMembersNeeded = f.GridMembersNeeded - CurrentGridMembers
 		if f.NewMembersNeeded < 0 {

@@ -124,9 +124,6 @@ func TestMeasuredShareInputPath(t *testing.T) {
 		t.Fatalf("measured share equal to the assumption diverged: %v vs %v",
 			f.GridMembersNeeded, assumed.GridMembersNeeded)
 	}
-	if f.GridShareUsed != 0.25 {
-		t.Fatalf("GridShareUsed = %v, want 0.25", f.GridShareUsed)
-	}
 	// And against the paper's own text: ~1,300,000 members at 25 %.
 	if math.Abs(f.GridMembersNeeded-1294150)/1294150 > 0.01 {
 		t.Fatalf("members at measured 25%% = %.0f, want ≈ 1,300,000", f.GridMembersNeeded)
@@ -140,9 +137,6 @@ func TestMeasuredShareInputPath(t *testing.T) {
 	if math.Abs(g.GridMembersNeeded*2-assumed.GridMembersNeeded) > 1 {
 		t.Fatalf("doubled share should halve the member need: %v vs %v",
 			g.GridMembersNeeded, assumed.GridMembersNeeded)
-	}
-	if g.GridShareUsed != 0.5 {
-		t.Fatalf("GridShareUsed = %v, want the measured 0.5", g.GridShareUsed)
 	}
 	// Everything share-independent is untouched.
 	if g.VFTPII != assumed.VFTPII || g.MembersII != assumed.MembersII {

@@ -44,8 +44,7 @@ func (c Cluster) AnalyticMakespan(totalRefSeconds float64) float64 {
 // ScheduleResult reports a simulated run.
 type ScheduleResult struct {
 	Makespan    float64 // wall-clock seconds to drain the bag
-	CPUSeconds  float64 // total processor-seconds consumed
-	Utilization float64 // CPUSeconds / (Makespan × Procs)
+	Utilization float64 // processor-seconds consumed / (Makespan × Procs)
 	Tasks       int
 }
 
@@ -81,7 +80,7 @@ func (c Cluster) Schedule(durations []float64) ScheduleResult {
 	if makespan > 0 {
 		util = cpu / (makespan * float64(c.Procs))
 	}
-	return ScheduleResult{Makespan: makespan, CPUSeconds: cpu, Utilization: util, Tasks: len(durations)}
+	return ScheduleResult{Makespan: makespan, Utilization: util, Tasks: len(durations)}
 }
 
 type procHeap []float64

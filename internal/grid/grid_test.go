@@ -30,7 +30,7 @@ func TestScheduleUniformTasks(t *testing.T) {
 	if res.Utilization != 1 {
 		t.Fatalf("utilization = %v", res.Utilization)
 	}
-	if res.CPUSeconds != 1600 || res.Tasks != 16 {
+	if cpu := res.Utilization * res.Makespan * float64(c.Procs); cpu != 1600 || res.Tasks != 16 {
 		t.Fatalf("res = %+v", res)
 	}
 }

@@ -283,7 +283,7 @@ func FuzzCheckConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := base
 		cfg.Faults = &faults.Config{}
-		cfg.Host.Profiles = []volunteer.BehaviorProfile{{Name: "fuzz", Weight: 1, ErrorProb: 0.01, AbandonProb: -1}}
+		cfg.Host.Profiles = []volunteer.BehaviorProfile{{Weight: 1, ErrorProb: 0.01, AbandonProb: -1}}
 		tenant := base
 		g := Config{Projects: []Config{tenant, tenant}, Shares: []float64{1, 1},
 			Host: base.Host, Grid: base.Grid, FullShare: 0.5, HostScale: 0.01, MaxWeeks: 60}

@@ -158,9 +158,9 @@ func hostStressConfig(t *testing.T, seed uint64) Config {
 	cfg.Host.WorkBuffer = 3
 	cfg.Host.Accounting = volunteer.BOINCCPUTime
 	cfg.Host.Profiles = []volunteer.BehaviorProfile{
-		{Name: "faithful", Weight: 0.70, ErrorProb: 0.01, AbandonProb: -1},
-		{Name: "saboteur", Weight: 0.05, ErrorProb: 0.004, AbandonProb: -1, Saboteur: true},
-		{Name: "diurnal", Weight: 0.25, ErrorProb: 0.02, AbandonProb: -1, Diurnal: true, OnlineHours: 12},
+		{Weight: 0.70, ErrorProb: 0.01, AbandonProb: -1},
+		{Weight: 0.05, ErrorProb: 0.004, AbandonProb: -1, Saboteur: true},
+		{Weight: 0.25, ErrorProb: 0.02, AbandonProb: -1, Diurnal: true, OnlineHours: 12},
 	}
 	cfg.Server.Validator = wcg.AdaptiveValidator{Streak: 5}
 	return cfg

@@ -23,8 +23,6 @@ const DefaultOnlineHours = 14.0
 // profiles every host follows the flat HostConfig fields, bit-for-bit as
 // before profiles existed.
 type BehaviorProfile struct {
-	// Name tags the cohort in diagnostics and scenario descriptions.
-	Name string
 	// Weight is the cohort's relative share of joining hosts. Weights
 	// need not sum to 1; they are normalized. Must not all be zero.
 	Weight float64
@@ -56,8 +54,8 @@ type BehaviorProfile struct {
 // with probability turnProb per task.
 func SaboteurProfiles(frac, faithfulErrProb, turnProb float64) []BehaviorProfile {
 	return []BehaviorProfile{
-		{Name: "faithful", Weight: 1 - frac, ErrorProb: faithfulErrProb, AbandonProb: -1},
-		{Name: "saboteur", Weight: frac, ErrorProb: turnProb, AbandonProb: -1, Saboteur: true},
+		{Weight: 1 - frac, ErrorProb: faithfulErrProb, AbandonProb: -1},
+		{Weight: frac, ErrorProb: turnProb, AbandonProb: -1, Saboteur: true},
 	}
 }
 
@@ -66,7 +64,7 @@ func SaboteurProfiles(frac, faithfulErrProb, turnProb float64) []BehaviorProfile
 // inherited from the flat HostConfig fields.
 func DiurnalProfiles(onlineHours, errProb float64) []BehaviorProfile {
 	return []BehaviorProfile{
-		{Name: "diurnal", Weight: 1, ErrorProb: errProb, AbandonProb: -1, Diurnal: true, OnlineHours: onlineHours},
+		{Weight: 1, ErrorProb: errProb, AbandonProb: -1, Diurnal: true, OnlineHours: onlineHours},
 	}
 }
 

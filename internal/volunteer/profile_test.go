@@ -57,7 +57,7 @@ func TestSaboteurTurnsPermanently(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.LateReturnProb = 1 // every abandoned task comes back late
 	cfg.Profiles = []BehaviorProfile{
-		{Name: "saboteur", Weight: 1, ErrorProb: 0.3, AbandonProb: 0.2, Saboteur: true},
+		{Weight: 1, ErrorProb: 0.3, AbandonProb: 0.2, Saboteur: true},
 	}
 	k := newKernel(engine, srv, cfg, 12)
 	k.SetTarget(1)
@@ -87,8 +87,8 @@ func TestProfileWeightsRespected(t *testing.T) {
 	srv := makeServer(t, engine, 10, 3600)
 	cfg := DefaultHostConfig()
 	cfg.Profiles = []BehaviorProfile{
-		{Name: "a", Weight: 3, ErrorProb: 0.01, AbandonProb: -1},
-		{Name: "b", Weight: 1, ErrorProb: 0.10, AbandonProb: -1},
+		{Weight: 3, ErrorProb: 0.01, AbandonProb: -1},
+		{Weight: 1, ErrorProb: 0.10, AbandonProb: -1},
 	}
 	k := newKernel(engine, srv, cfg, 5)
 	const n = 8000
@@ -113,7 +113,7 @@ func TestProfileValidation(t *testing.T) {
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 1, 1)
 	cfg := DefaultHostConfig()
-	cfg.Profiles = []BehaviorProfile{{Name: "void", Weight: 0}}
+	cfg.Profiles = []BehaviorProfile{{Weight: 0}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for zero total weight")

@@ -186,9 +186,9 @@ func diffFleetConfig() HostConfig {
 	cfg.AbandonProb = 0.1
 	cfg.HardwareTrendPerWeek = 0.01
 	cfg.Profiles = []BehaviorProfile{
-		{Name: "faithful", Weight: 0.6, ErrorProb: 0.02, AbandonProb: -1},
-		{Name: "saboteur", Weight: 0.15, ErrorProb: 0.05, AbandonProb: -1, Saboteur: true},
-		{Name: "diurnal", Weight: 0.25, ErrorProb: 0.03, AbandonProb: 0.2, Diurnal: true, OnlineHours: 9},
+		{Weight: 0.6, ErrorProb: 0.02, AbandonProb: -1},
+		{Weight: 0.15, ErrorProb: 0.05, AbandonProb: -1, Saboteur: true},
+		{Weight: 0.25, ErrorProb: 0.03, AbandonProb: 0.2, Diurnal: true, OnlineHours: 9},
 	}
 	return cfg
 }

@@ -8,30 +8,17 @@ package wcg
 // provides the closed-form load model: the average transaction rate a
 // packaging choice puts on the server.
 
-// ServerCapacity describes a task server's sustainable load.
+// ServerCapacity describes the load a task server carries per result.
 type ServerCapacity struct {
-	// TransactionsPerSecond the server sustains (scheduler RPCs that
-	// assign or collect work). The BOINC task-server paper measured
-	// hundreds per second on 2005 hardware.
-	TransactionsPerSecond float64
 	// TxPerResult is the number of transactions one result copy costs:
 	// one to fetch, one to report (plus validator/assimilator work folded
 	// into the constant).
 	TxPerResult float64
-	// UtilizationTarget is the fraction of capacity the operator is
-	// willing to spend on one project (headroom for the other hosted
-	// projects and load spikes).
-	UtilizationTarget float64
 }
 
-// DefaultServerCapacity reflects a mid-2000s BOINC task server hosting
-// several projects.
+// DefaultServerCapacity reflects a mid-2000s BOINC task server.
 func DefaultServerCapacity() ServerCapacity {
-	return ServerCapacity{
-		TransactionsPerSecond: 200,
-		TxPerResult:           2,
-		UtilizationTarget:     0.25,
-	}
+	return ServerCapacity{TxPerResult: 2}
 }
 
 // LoadFor returns the average transactions per second a campaign imposes:

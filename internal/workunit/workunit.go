@@ -39,17 +39,19 @@ type Workunit struct {
 // §4.2 clamped-quotient rule. hSeconds is the wanted duration and perIsep
 // the couple's matrix entry (seconds per starting position).
 func SliceCouple(hSeconds, perIsep float64, nsepTotal int) int {
-	if hSeconds <= 0 || perIsep <= 0 || nsepTotal <= 0 {
+	if !(hSeconds > 0) || !(perIsep > 0) || nsepTotal <= 0 {
 		panic(fmt.Sprintf("workunit: invalid slice inputs h=%v ct=%v Nsep=%d", hSeconds, perIsep, nsepTotal))
 	}
-	q := int(math.Floor(hSeconds / perIsep))
+	// Clamp the float quotient before converting it: past 2^63 the
+	// conversion to int is implementation-dependent.
+	q := math.Floor(hSeconds / perIsep)
 	if q <= 1 {
 		return 1
 	}
-	if q >= nsepTotal {
+	if q >= float64(nsepTotal) {
 		return nsepTotal
 	}
-	return q
+	return int(q)
 }
 
 // CoupleCount returns the number of workunits one couple generates at the
@@ -64,7 +66,6 @@ func CoupleCount(nsepTotal, nsep int) int {
 type Plan struct {
 	DS      *protein.Dataset
 	M       *costmodel.Matrix
-	HHours  float64
 	hSecs   float64
 	couples [][2]int // explicit couple order; nil = all (p1, p2) pairs
 }
@@ -78,7 +79,7 @@ func NewPlan(ds *protein.Dataset, m *costmodel.Matrix, hHours float64) *Plan {
 	if hHours <= 0 {
 		panic("workunit: wanted duration must be positive")
 	}
-	return &Plan{DS: ds, M: m, HHours: hHours, hSecs: hHours * 3600}
+	return &Plan{DS: ds, M: m, hSecs: hHours * 3600}
 }
 
 // WithCouples restricts the plan to an explicit ordered couple list

@@ -17,17 +17,33 @@ func smallPlan(t testing.TB, h float64) (*protein.Dataset, *Plan) {
 }
 
 func TestSliceCoupleRules(t *testing.T) {
-	// q <= 1 → 1
-	if got := SliceCouple(3600, 7200, 100); got != 1 {
-		t.Fatalf("slow couple: nsep = %d, want 1", got)
+	for _, c := range []struct {
+		name       string
+		h, ct      float64
+		nsep, want int
+	}{
+		{"slow couple: q <= 1", 3600, 7200, 100, 1},
+		{"fast couple: q >= Nsep", 3600 * 100, 1, 50, 50},
+		{"typical couple: floor(h/ct)", 36000, 671, 5000, 53},
+		// Quotients past 2^63 clamp to Nsep too, not to whatever an
+		// out-of-range float-to-int conversion gives.
+		{"quotient 1e19", 1e19, 1, 10, 10},
+		{"quotient 1e300", 1e300, 1, 10, 10},
+		{"quotient +Inf", math.Inf(1), 1, 10, 10},
+	} {
+		if got := SliceCouple(c.h, c.ct, c.nsep); got != c.want {
+			t.Errorf("%s: nsep = %d, want %d", c.name, got, c.want)
+		}
 	}
-	// q >= Nsep → Nsep
-	if got := SliceCouple(3600*100, 1, 50); got != 50 {
-		t.Fatalf("fast couple: nsep = %d, want 50", got)
-	}
-	// middle: floor(h/ct)
-	if got := SliceCouple(36000, 671, 5000); got != 53 {
-		t.Fatalf("typical couple: nsep = %d, want 53", got)
+	// nsep never falls as the wanted duration grows, across the int64
+	// boundary included.
+	prev := 0
+	for h := 1.0; h < 1e305; h *= 10 {
+		got := SliceCouple(h, 671, 5000)
+		if got < prev || got > 5000 {
+			t.Fatalf("h = %g: nsep = %d after %d", h, got, prev)
+		}
+		prev = got
 	}
 }
 
@@ -36,6 +52,7 @@ func TestSliceCouplePanics(t *testing.T) {
 		func() { SliceCouple(0, 1, 1) },
 		func() { SliceCouple(1, 0, 1) },
 		func() { SliceCouple(1, 1, 0) },
+		func() { SliceCouple(math.NaN(), 1, 1) },
 	} {
 		func() {
 			defer func() {
