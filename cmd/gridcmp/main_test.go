@@ -21,20 +21,20 @@ func TestMain(m *testing.M) {
 }
 
 // runCommand runs the command with args in a child process and returns its
-// stderr and exit code.
-func runCommand(t *testing.T, args ...string) (string, int) {
+// stdout, stderr and exit code.
+func runCommand(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "GRIDCMP_TEST_ARGS="+strings.Join(args, " "))
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	if ee, ok := err.(*exec.ExitError); ok {
-		return stderr.String(), ee.ExitCode()
+		return stdout.String(), stderr.String(), ee.ExitCode()
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	return stderr.String(), 0
+	return stdout.String(), stderr.String(), 0
 }
 
 // TestBadFlagValuesExitTwo: a flag value out of range exits 2 with a
@@ -49,9 +49,19 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"-vftp-whole", "NaN"},
 		{"-vftp-full", "-1"},
 	} {
-		stderr, code := runCommand(t, args...)
+		_, stderr, code := runCommand(t, args...)
 		if code != 2 || !strings.Contains(stderr, args[0]) || strings.Contains(stderr, "panic:") {
 			t.Errorf("%s: exit code %d, want 2 naming %s without a panic; stderr:\n%s", args, code, args[0], stderr)
 		}
+	}
+}
+
+// TestHugeFiguresPrintTheirDigits: -vftp-whole 1e300 puts both
+// whole-period cells past 2^63, which used to print as
+// -9,223,372,036,854,775,808.
+func TestHugeFiguresPrintTheirDigits(t *testing.T) {
+	stdout, stderr, code := runCommand(t, "-vftp-whole", "1e300")
+	if code != 0 || strings.Contains(stdout, "-9,223,372,036,854,775,808") || !strings.Contains(stdout, "World Community Grid") {
+		t.Errorf("exit code %d, want 0 without a wrapped int64; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }

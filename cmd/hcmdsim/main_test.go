@@ -42,8 +42,10 @@ func runCommand(t *testing.T, args ...string) (string, string, int) {
 // message naming the flag and no panic, before anything is printed or
 // -outdir is created. -fig1days -1 used to run the whole campaign and
 // then panic while writing Figure 1, a bad fault flag was refused only
-// after the planning tables, and -hours -1 ran as the deployed 3.7 h that
-// only 0 stands for. -shards is no longer a flag.
+// after the planning tables, a week-long maintenance window or more than
+// one outage a minute panicked in the fault plane after them, and -hours
+// -1 ran as the deployed 3.7 h that only 0 stands for. -shards is no
+// longer a flag.
 func TestBadFlagValuesExitTwo(t *testing.T) {
 	outdir := filepath.Join(t.TempDir(), "out")
 	for _, args := range [][]string{
@@ -51,6 +53,8 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		{"-fig1days", "0"},
 		{"-fig1days", "100000000"},
 		{"-outage-rate", "Inf"},
+		{"-maintenance-hours", "168"},
+		{"-outage-rate", "10081"},
 		{"-hours", "-1"},
 		{"-shards", "2"},
 	} {

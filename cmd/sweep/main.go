@@ -7,7 +7,6 @@
 //
 //	sweep -list
 //	sweep [-scenarios all|a,b,c] [-reps R] [-workers W] [-fork]
-//	      [-fork-workers N]
 //	      [-scale S] [-hours H] [-seed N] [-checkpoint FILE] [-resume] [-out DIR]
 //	      [-scheduler fifo|lifo|random|batch] [-validator quorum|adaptive]
 //	      [-adaptive-streak N] [-maintenance-hours H] [-outage-rate R]
@@ -36,9 +35,9 @@
 // way. The checkpoint file is shared (the two lists' scenario names are
 // distinct), so a co-run without -resume starts it afresh like any sweep.
 // A co-run is unforked and fault-free by construction and keeps the
-// catalog's policies: -fork, -fork-workers, -hours, -scheduler,
-// -validator, -adaptive-streak and the fault flags are rejected with
-// -corun when given.
+// catalog's policies: -fork, -hours, -scheduler, -validator,
+// -adaptive-streak and the fault flags are rejected with -corun when
+// given.
 //
 // -fork turns on prefix-shared execution: scenarios whose catalog entry
 // carries a divergence-time hint share the common prefix of their
@@ -48,16 +47,12 @@
 // byte-identical to an unforked sweep (grouped scenarios share one derived
 // trajectory seed per replication either way), so -fork composes with
 // -resume; only wall clock and the summary's prefix stats change. Forked
-// cells run unprobed (-metrics/-trace samples are skipped for them).
-//
-// -fork-workers N widens each divergence group's fork fan-out: N-1 chunks
-// of the group's what-if cells go to the next free pool workers, ahead of
-// any cell not yet started, which adopt the group's snapshot into their
-// own pooled runners, and the suffixes race on all cores instead of
-// running sequentially on the publisher's. The default (0) follows
-// -workers; 1 keeps every fork on the publisher. Results stay
-// byte-identical at any width — only wall clock and the summary's fan-out
-// line change.
+// cells run unprobed (-metrics/-trace samples are skipped for them). Each
+// divergence group fans its fork out over the whole worker pool: chunks of
+// the group's what-if cells go to the next free workers, ahead of any cell
+// not yet started, adopt the group's snapshot into their own pooled
+// runners, and race on all cores; -workers 1 keeps every fork on the
+// publishing runner. Results stay byte-identical at any pool size.
 //
 // -scheduler and -validator override the base configuration's grid
 // policies before each scenario's mutation is applied, so any catalog
@@ -144,7 +139,6 @@ func run() (err error) {
 	reps := flag.Int("reps", 3, "replications per scenario")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	fork := flag.Bool("fork", false, "share scenario prefixes: run each replication's common trajectory once and fork what-if cells from in-memory snapshots (results are byte-identical either way; rejected with -corun)")
-	forkWorkers := flag.Int("fork-workers", 0, "parallel fork fan-out width per prefix group with -fork: divergent suffixes adopt the group's snapshot on this many pooled runners (0 = -workers; 1 = sequential forks on the publishing runner)")
 	scale := flag.Float64("scale", 1.0/84, "work and host scale (0 < s <= 1)")
 	hours := flag.Float64("hours", 0, "workunit target duration in hours (0 = deployed 3.7)")
 	seed := flag.Uint64("seed", 0, "sweep base seed (0 = campaign default)")
@@ -175,7 +169,7 @@ func run() (err error) {
 		var set []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "fork", "fork-workers", "hours", "scheduler", "validator", "adaptive-streak",
+			case "fork", "hours", "scheduler", "validator", "adaptive-streak",
 				"maintenance-hours", "outage-rate", "outage-hours", "upload-loss", "churn-weekly", "fault-seed":
 				set = append(set, "-"+f.Name)
 			}
@@ -225,6 +219,9 @@ func run() (err error) {
 		fmt.Print(g.String())
 		return nil
 	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be at least 1, got %d", *reps)
+	}
 	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
 	}
@@ -234,8 +231,12 @@ func run() (err error) {
 	if err := obs.CheckSampleEvery(*sampleEvery); err != nil {
 		return fmt.Errorf("-sample-every: %w", err)
 	}
-	faultFlags := *maintHours != 0 || *outageRate != 0 || *uploadLoss != 0 || *churnWeekly != 0 || *faultSeed != 0
-	if *resume && (*scheduler != "" || *validator != "" || faultFlags) {
+	faultCfg, err := faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
+		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
+	if err != nil {
+		return err
+	}
+	if *resume && (*scheduler != "" || *validator != "" || faultCfg != nil) {
 		return fmt.Errorf("-resume cannot be combined with -scheduler/-validator or the fault flags: checkpoint cells don't record the overrides they ran under; use a fresh -checkpoint file")
 	}
 	sinks, closeSinks, serr := obs.CreateFileSinks(*metricsPath, *tracePath)
@@ -267,11 +268,7 @@ func run() (err error) {
 	}
 	// Like the policy overrides, fault overrides change run outputs without
 	// changing the checkpoint key, which is why -resume rejects them above.
-	base.Faults, err = faults.Flags{MaintenanceHours: *maintHours, OutageRate: *outageRate, OutageHours: *outageHours,
-		UploadLoss: *uploadLoss, ChurnWeekly: *churnWeekly, Seed: *faultSeed}.Config()
-	if err != nil {
-		return err
-	}
+	base.Faults = faultCfg
 
 	ckpt, err := experiment.OpenCheckpoint(*ckptPath, *resume)
 	if err != nil {
@@ -287,19 +284,16 @@ func run() (err error) {
 
 	total := len(selected) * *reps
 	// The pool the engine starts: -workers (0 = GOMAXPROCS), at most one
-	// worker per cell, and a fork fan-out no wider than the pool.
+	// worker per cell. A forked sweep fans each group out over the pool.
 	nWorkers := *workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
 	nWorkers = min(nWorkers, total)
-	nForkWorkers := *forkWorkers
-	if *fork && nForkWorkers <= 0 {
-		nForkWorkers = nWorkers
-	}
-	nForkWorkers = min(nForkWorkers, nWorkers)
+	nForkWorkers := 0
 	forkNote := ""
 	if *fork {
+		nForkWorkers = nWorkers
 		forkNote = ", prefix-forked"
 		if nForkWorkers > 1 {
 			forkNote = fmt.Sprintf(", prefix-forked ×%d", nForkWorkers)
@@ -309,10 +303,7 @@ func run() (err error) {
 		len(selected), *reps, total, nWorkers, *scale, forkNote)
 	start := time.Now()
 	tracker := experiment.NewTracker(total)
-	tracker.Workers, tracker.Forked = nWorkers, *fork
-	if *fork {
-		tracker.ForkWorkers = nForkWorkers
-	}
+	tracker.Workers, tracker.Forked, tracker.ForkWorkers = nWorkers, *fork, nForkWorkers
 	stopTicker := startTicker(tracker, *progressEvery, msink)
 	defer stopTicker()
 	resumed := 0

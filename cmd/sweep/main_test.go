@@ -47,11 +47,11 @@ func sweep(t *testing.T, args ...string) (string, int) {
 func TestCorunRejectsFlagsItCannotHonour(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "corun.ckpt.jsonl")
-	rejected := []string{"-fork", "-fork-workers", "-hours", "-scheduler", "-validator",
+	rejected := []string{"-fork", "-hours", "-scheduler", "-validator",
 		"-adaptive-streak", "-maintenance-hours", "-outage-rate", "-outage-hours", "-upload-loss",
 		"-churn-weekly", "-fault-seed"}
 	stderr, code := sweep(t, "-corun", "-reps", "1", "-checkpoint", ckpt,
-		"-fork", "-fork-workers", "2", "-hours", "4", "-scheduler", "lifo",
+		"-fork", "-hours", "4", "-scheduler", "lifo",
 		"-validator", "adaptive", "-adaptive-streak", "5", "-maintenance-hours", "1",
 		"-outage-rate", "1", "-outage-hours", "2", "-upload-loss", "0.1", "-churn-weekly", "0.1",
 		"-fault-seed", "3")
@@ -99,6 +99,20 @@ func TestNegativeHoursExitsOne(t *testing.T) {
 	refusedBeforeAnyFile(t, "-hours", "-1")
 }
 
+// TestRepsBelowOneExitsOne: -reps 0 used to be refused only by the sweep
+// engine, after the checkpoint had been opened and truncated.
+func TestRepsBelowOneExitsOne(t *testing.T) {
+	refusedBeforeAnyFile(t, "-reps", "0", "-1")
+}
+
+// TestFaultFlagsOutOfRangeExitOne: a maintenance window of a week or more,
+// or more than one unplanned outage a minute, passed the flag check and
+// failed every cell in the fault plane after the checkpoint was truncated.
+func TestFaultFlagsOutOfRangeExitOne(t *testing.T) {
+	refusedBeforeAnyFile(t, "-maintenance-hours", "168", "200")
+	refusedBeforeAnyFile(t, "-outage-rate", "10081", "1e5")
+}
+
 // refusedBeforeAnyFile checks that each value of flag exits 1 naming the
 // flag, before the checkpoint or any other file is opened.
 func refusedBeforeAnyFile(t *testing.T, flag string, values ...string) {
@@ -107,6 +121,7 @@ func refusedBeforeAnyFile(t *testing.T, flag string, values ...string) {
 	ckpt := filepath.Join(dir, "refused.ckpt.jsonl")
 	metrics := filepath.Join(dir, "m.ndjson")
 	for _, v := range values {
+		// The flag under test follows the default -reps, so its value wins.
 		stderr, code := sweep(t, "-scenarios", "baseline", "-reps", "1", "-scale", "0.005", "-q",
 			flag, v, "-metrics", metrics, "-checkpoint", ckpt)
 		if code != 1 || !strings.Contains(stderr, flag) {
@@ -156,7 +171,10 @@ func TestReportsThePoolItStarts(t *testing.T) {
 // the campaign one: the co-run catalog's gridsweep.json, checkpoint,
 // metrics NDJSON (without the wall-clock sweep-telemetry line) and trace
 // NDJSON, and a three-scenario campaign sweep's sweep.json, sweep.csv and
-// checkpoint. Like the report goldens they are tied to the generator's
+// checkpoint. The six fault scenarios' files were recorded before their
+// one-value fault options became constants; at this scale each scenario's
+// own mechanism reads non-zero (downtime, lost uploads, churned hosts,
+// recovery lag). Like the report goldens they are tied to the generator's
 // float stream (go1.24 linux/amd64 at record time).
 var goldenSweepFiles = map[string]map[string]string{
 	"corun": {
@@ -170,6 +188,11 @@ var goldenSweepFiles = map[string]map[string]string{
 		"sweep.csv":  "e297d7269d276fc227791d9f2e36b7543b12fe2ccd68d4216b6ebd2f6663a84e",
 		"ckpt.jsonl": "fc324f5feae76d69fedca3c1cc54386d81755ac6bf5fb866435c98e6e6f945c8",
 	},
+	"faults": {
+		"sweep.json": "55358caa05595427dce36835946ba95f883f2e2c127a45276e857aca23910b05",
+		"sweep.csv":  "f77feded33c9a11cdf66ef5cf848295f2021932c7b36d0009f77bdc8c40b2793",
+		"ckpt.jsonl": "9b304ce0f177a0d4151a039cdb17047ba494611e872555ba5e0facb0853ebdd6",
+	},
 }
 
 // TestGoldenSweepFiles runs both front ends in a child process and pins the
@@ -182,6 +205,7 @@ func TestGoldenSweepFiles(t *testing.T) {
 	}{
 		{"corun", []string{"-corun", "-metrics", "metrics.ndjson", "-trace", "trace.ndjson"}},
 		{"campaign", []string{"-scenarios", "baseline,quorum-2,weekly-maintenance"}},
+		{"faults", []string{"-scenarios", "weekly-maintenance,unplanned-24h-outage,flaky-uplink-1pct,churn-steady,outage-no-backoff,fault-storm"}},
 	} {
 		dir := t.TempDir()
 		args := append(c.args, "-scale", "0.005", "-reps", "1", "-workers", "1", "-q",

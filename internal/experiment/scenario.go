@@ -246,11 +246,7 @@ func Catalog() []Scenario {
 			Name:        "weekly-maintenance",
 			Description: "planned ops: a 4-hour server maintenance window every week, hosts back off and reconnect smeared",
 			Mutate: func(cfg *project.Config) {
-				cfg.Faults = &faults.Config{
-					MaintenanceEvery:    sim.Week,
-					MaintenanceOffset:   2*sim.Day + 2*sim.Hour,
-					MaintenanceDuration: 4 * sim.Hour,
-				}
+				cfg.Faults = &faults.Config{MaintenanceDuration: 4 * sim.Hour}
 			},
 		},
 		{
@@ -267,10 +263,7 @@ func Catalog() []Scenario {
 			Name:        "flaky-uplink-1pct",
 			Description: "lossy last mile: 1% of result uploads vanish, three retries before a result is abandoned",
 			Mutate: func(cfg *project.Config) {
-				cfg.Faults = &faults.Config{
-					UploadLossProb: 0.01,
-					UploadRetries:  3,
-				}
+				cfg.Faults = &faults.Config{UploadLossProb: 0.01}
 			},
 		},
 		{
@@ -284,12 +277,7 @@ func Catalog() []Scenario {
 			Name:        "outage-no-backoff",
 			Description: "degradation control: weekly maintenance with exponential backoff disabled (flat retry hammering)",
 			Mutate: func(cfg *project.Config) {
-				cfg.Faults = &faults.Config{
-					MaintenanceEvery:    sim.Week,
-					MaintenanceOffset:   2*sim.Day + 2*sim.Hour,
-					MaintenanceDuration: 4 * sim.Hour,
-					NoBackoff:           true,
-				}
+				cfg.Faults = &faults.Config{MaintenanceDuration: 4 * sim.Hour, NoBackoff: true}
 			},
 		},
 		{
@@ -297,13 +285,10 @@ func Catalog() []Scenario {
 			Description: "everything at once: weekly maintenance, frequent unplanned outages, 2% upload loss, 5% weekly churn",
 			Mutate: func(cfg *project.Config) {
 				cfg.Faults = &faults.Config{
-					MaintenanceEvery:     sim.Week,
-					MaintenanceOffset:    2*sim.Day + 2*sim.Hour,
 					MaintenanceDuration:  4 * sim.Hour,
 					UnplannedPerWeek:     0.1,
 					UnplannedMeanSeconds: 12 * sim.Hour,
 					UploadLossProb:       0.02,
-					UploadRetries:        3,
 					ChurnPerWeek:         0.05,
 				}
 			},

@@ -1,9 +1,16 @@
 // Package faults is the deterministic fault plane: server outage windows
 // (planned maintenance plus seeded unplanned downtime), per-result
-// upload-loss with retry budgets, and permanent host departure with
+// upload-loss with a retry budget, and permanent host departure with
 // replacement joins (churn). Every fault is an ordinary kernel event or a
 // pure function of (seed, host, attempt) — never ambient randomness — so a
 // fault scenario is byte-reproducible.
+//
+// A Config sets how much of each fault a run injects. The schedule and the
+// degradation around them are package constants: maintenance recurs weekly
+// from Wednesday 02:00, a lost upload is re-sent three times about 30
+// minutes apart, a host probing an unplanned outage backs off from 15
+// minutes doubling to 12 hours, and hosts reconnect after maintenance
+// smeared over an hour.
 //
 // The plane sits between the host kernel and the middleware as a
 // volunteer.WorkSource wrapper, and it alone owns the outage schedule:
@@ -17,7 +24,7 @@
 //
 // Determinism rules the plane obeys:
 //
-//   - The outage schedule is materialized up front by Windows from its own
+//   - The outage schedule is materialized up front by windows from its own
 //     seed; no draws happen during the run.
 //   - Per-host draws (upload loss, retry jitter, backoff jitter, reconnect
 //     smear) come from a stateless splitmix-style hash of (seed, host,
@@ -39,21 +46,21 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/volunteer"
 	"repro/internal/wcg"
 )
 
 // Config declares the fault plane for one campaign. All durations are in
 // simulation seconds (use the sim.Hour/Day/Week constants); a zero Config
 // is valid and means "no faults" (Enabled reports false and the project
-// layer drops it).
+// layer drops it). The schedule and the degradation behaviour around these
+// amounts are fixed (see the package doc).
 type Config struct {
-	// Planned maintenance: a recurring announced window every
-	// MaintenanceEvery seconds, starting at MaintenanceOffset (defaults to
-	// Tuesday 02:00, i.e. 2 days + 2 hours into the run), lasting
-	// MaintenanceDuration (default 4 hours). Hosts know the announced end:
-	// they sleep the window out and reconnect smeared over ReconnectSmear.
-	MaintenanceEvery    float64
-	MaintenanceOffset   float64
+	// Planned maintenance: an announced window of MaintenanceDuration
+	// seconds (0 = none, otherwise less than a week) every week from
+	// Wednesday 02:00, 2 days + 2 hours after the Monday-midnight epoch.
+	// Hosts know the announced end: they sleep the window out and
+	// reconnect smeared over an hour.
 	MaintenanceDuration float64
 
 	// Unplanned downtime: a seeded Poisson process of outages at
@@ -66,13 +73,10 @@ type Config struct {
 
 	// Flaky uplink: each returned result is lost with probability
 	// UploadLossProb (per attempt, hashed from seed/host/upload-sequence).
-	// A lost upload is retried up to UploadRetries times, each retry
-	// delayed by UploadRetryDelay (default 30 min) with ±50% seeded
-	// jitter; when the budget runs out the result is dropped and the
-	// server's deadline wheel eventually reissues the work.
-	UploadLossProb   float64
-	UploadRetries    int
-	UploadRetryDelay float64
+	// A lost upload is retried three times, each retry delayed by 30 min
+	// with ±50% seeded jitter; when the budget runs out the result is
+	// dropped and the server's deadline wheel eventually reissues the work.
+	UploadLossProb float64
 
 	// Churn: the expected fraction of active hosts that permanently
 	// depart per week. Each departure is paired with a replacement join,
@@ -81,15 +85,10 @@ type Config struct {
 	// underneath).
 	ChurnPerWeek float64
 
-	// Graceful-degradation knobs. BackoffBase (default 15 min) doubles per
-	// failed probe up to BackoffCap (default 12 h), with ±50% seeded
-	// jitter; NoBackoff disables the exponential growth (every probe waits
-	// a flat BackoffBase — the thundering-herd control scenario).
-	// ReconnectSmear (default 1 h) spreads post-maintenance reconnects.
-	BackoffBase    float64
-	BackoffCap     float64
-	ReconnectSmear float64
-	NoBackoff      bool
+	// NoBackoff disables the hosts' exponential backoff while an
+	// unplanned outage lasts: every probe waits a flat 15 min, the
+	// thundering-herd control scenario.
+	NoBackoff bool
 
 	// Seed drives the outage schedule and the per-host fault hashes;
 	// 0 derives it from the campaign seed so fault draws never share a
@@ -98,88 +97,69 @@ type Config struct {
 }
 
 // Enabled reports whether the configuration injects any fault at all.
-// A Config that only tunes degradation knobs (backoff, smear) is not
-// enabled — there is nothing to degrade gracefully from.
+// A Config that only sets NoBackoff is not enabled — there is nothing to
+// degrade gracefully from.
 func (c *Config) Enabled() bool {
 	return c != nil &&
-		(c.MaintenanceEvery > 0 || c.UnplannedPerWeek > 0 ||
+		(c.MaintenanceDuration > 0 || c.UnplannedPerWeek > 0 ||
 			c.UploadLossProb > 0 || c.ChurnPerWeek > 0)
 }
 
-// maxUploadRetries is the largest upload retry budget: the remaining
-// budget of an in-flight retry travels in a one-byte descriptor slot.
-const maxUploadRetries = 255
+// The fixed schedule and degradation constants of the plane.
+const (
+	// Planned maintenance recurs every maintenanceEvery, the first window
+	// opening maintenanceOffset into the run (Wednesday 02:00).
+	maintenanceEvery  = sim.Week
+	maintenanceOffset = 2*sim.Day + 2*sim.Hour
 
-// maxOutagesPerWeek bounds both outage cadences at one outage start per
-// simulated minute — the granularity below which an outage vanishes
-// (Windows stretches shorter unplanned outages to a minute) — so the
-// materialized schedule stays finite.
-const maxOutagesPerWeek = sim.Week / sim.Minute
+	// A lost upload is re-sent up to uploadRetries times, each re-send
+	// uploadRetryDelay ±50 % after the loss. An in-flight re-send carries
+	// its remaining budget in the one-byte K1 slot of its
+	// sim.CallUploadRetry descriptor.
+	uploadRetries    = 3
+	uploadRetryDelay = 30 * sim.Minute
 
-// Normalized returns a copy with defaults filled in, panicking on
-// out-of-range values (mirroring the project layer's checkConfig
-// convention: a bad config is a programming error, not a runtime state).
+	// A host probing an unplanned outage waits backoffBase, doubling per
+	// probe up to backoffCap (±50 % jitter); after a planned window it
+	// reconnects at a random offset within reconnectSmear of the end.
+	backoffBase    = 15 * sim.Minute
+	backoffCap     = 12 * sim.Hour
+	reconnectSmear = sim.Hour
+
+	// maxOutagesPerWeek bounds the unplanned-outage cadence at one outage
+	// start per simulated minute — the granularity below which an outage
+	// vanishes (windows stretches shorter unplanned outages to a minute) —
+	// so the materialized schedule stays finite.
+	maxOutagesPerWeek = sim.Week / sim.Minute
+)
+
+// Normalized returns a copy with the unplanned-outage mean's default (12 h)
+// filled in, panicking on out-of-range values (mirroring the project
+// layer's checkConfig convention: a bad config is a programming error, not
+// a runtime state).
 func (c Config) Normalized() Config {
-	for _, v := range [...]float64{c.MaintenanceEvery, c.MaintenanceOffset, c.MaintenanceDuration,
-		c.UnplannedPerWeek, c.UnplannedMeanSeconds, c.UploadLossProb, c.UploadRetryDelay,
-		c.ChurnPerWeek, c.BackoffBase, c.BackoffCap, c.ReconnectSmear} {
+	for _, v := range [...]float64{c.MaintenanceDuration, c.UnplannedPerWeek, c.UnplannedMeanSeconds,
+		c.UploadLossProb, c.ChurnPerWeek} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			// NaN fails every range check below and ±Inf passes the
-			// one-sided ones; an infinite outage rate never finishes Windows.
+			// one-sided ones; an infinite outage rate never finishes windows.
 			panic(fmt.Sprintf("faults: non-finite value %v in %+v", v, c))
 		}
 	}
 	switch {
-	case c.MaintenanceEvery < 0 || c.MaintenanceOffset < 0 || c.MaintenanceDuration < 0:
-		panic(fmt.Sprintf("faults: negative maintenance schedule %+v", c))
-	case c.MaintenanceEvery > 0 && c.MaintenanceEvery < sim.Minute:
-		panic(fmt.Sprintf("faults: maintenance every %vs, more often than once a minute", c.MaintenanceEvery))
+	case c.MaintenanceDuration < 0 || c.MaintenanceDuration >= maintenanceEvery:
+		panic(fmt.Sprintf("faults: maintenance window %vs outside [0, %vs), its weekly period", c.MaintenanceDuration, maintenanceEvery))
 	case c.UnplannedPerWeek < 0 || c.UnplannedMeanSeconds < 0:
 		panic(fmt.Sprintf("faults: negative unplanned-outage rate or mean %+v", c))
 	case c.UnplannedPerWeek > maxOutagesPerWeek:
 		panic(fmt.Sprintf("faults: UnplannedPerWeek %v above %v (one a minute)", c.UnplannedPerWeek, maxOutagesPerWeek))
 	case c.UploadLossProb < 0 || c.UploadLossProb >= 1:
 		panic(fmt.Sprintf("faults: UploadLossProb %v outside [0,1)", c.UploadLossProb))
-	case c.UploadRetries < 0 || c.UploadRetryDelay < 0:
-		panic(fmt.Sprintf("faults: negative upload retry budget or delay %+v", c))
-	case c.UploadRetries > maxUploadRetries:
-		// In-flight retries carry their remaining budget in the one-byte
-		// K1 slot of their sim.CallUploadRetry descriptor.
-		panic(fmt.Sprintf("faults: UploadRetries %d above %d", c.UploadRetries, maxUploadRetries))
 	case c.ChurnPerWeek < 0 || c.ChurnPerWeek > 1:
 		panic(fmt.Sprintf("faults: ChurnPerWeek %v outside [0,1]", c.ChurnPerWeek))
-	case c.BackoffBase < 0 || c.BackoffCap < 0 || c.ReconnectSmear < 0:
-		panic(fmt.Sprintf("faults: negative backoff/smear %+v", c))
-	}
-	if c.MaintenanceEvery > 0 {
-		if c.MaintenanceOffset == 0 {
-			c.MaintenanceOffset = 2*sim.Day + 2*sim.Hour
-		}
-		if c.MaintenanceDuration == 0 {
-			c.MaintenanceDuration = 4 * sim.Hour
-		}
-		if c.MaintenanceDuration >= c.MaintenanceEvery {
-			panic(fmt.Sprintf("faults: maintenance window %vs does not fit its period %vs",
-				c.MaintenanceDuration, c.MaintenanceEvery))
-		}
 	}
 	if c.UnplannedPerWeek > 0 && c.UnplannedMeanSeconds == 0 {
 		c.UnplannedMeanSeconds = 12 * sim.Hour
-	}
-	if c.UploadLossProb > 0 && c.UploadRetryDelay == 0 {
-		c.UploadRetryDelay = 30 * sim.Minute
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 15 * sim.Minute
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 12 * sim.Hour
-	}
-	if c.BackoffCap < c.BackoffBase {
-		c.BackoffCap = c.BackoffBase
-	}
-	if c.ReconnectSmear == 0 {
-		c.ReconnectSmear = sim.Hour
 	}
 	return c
 }
@@ -194,12 +174,12 @@ func (c *Config) EffectiveSeed(runSeed uint64) uint64 {
 	return runSeed ^ 0xfa17a1de5eedc0de
 }
 
-// Window is one server-down interval of the materialized outage schedule.
+// window is one server-down interval of the materialized outage schedule.
 // Planned windows are announced (hosts wait them out and reconnect
 // smeared); unplanned ones are probed with exponential backoff. A merged
 // window counts as planned only if every constituent was — hosts cannot
 // trust an announced end that an unplanned overrun extends.
-type Window struct {
+type window struct {
 	Start, End float64
 	Planned    bool
 }
@@ -233,16 +213,16 @@ func frac(seed, a, b uint64) float64 {
 	return float64(mix3(seed, a, b)>>11) * (1.0 / (1 << 53))
 }
 
-// Windows materializes the outage schedule for one run: the planned
+// windows materializes the outage schedule for one run: the planned
 // maintenance series plus a seeded walk of unplanned outages, sorted,
 // coalesced (overlapping or touching windows merge) and clipped to the
 // horizon. Pure function of (cfg, seed, horizon), so a plane Reset under
 // a snapshot's config recomputes the source's schedule.
-func Windows(c *Config, seed uint64, horizon float64) []Window {
-	var wins []Window
-	if c.MaintenanceEvery > 0 {
-		for t := c.MaintenanceOffset; t < horizon; t += c.MaintenanceEvery {
-			wins = append(wins, Window{Start: t, End: t + c.MaintenanceDuration, Planned: true})
+func windows(c *Config, seed uint64, horizon float64) []window {
+	var wins []window
+	if c.MaintenanceDuration > 0 {
+		for t := maintenanceOffset; t < horizon; t += maintenanceEvery {
+			wins = append(wins, window{Start: t, End: t + c.MaintenanceDuration, Planned: true})
 		}
 	}
 	if c.UnplannedPerWeek > 0 {
@@ -253,7 +233,7 @@ func Windows(c *Config, seed uint64, horizon float64) []Window {
 			if d < sim.Minute {
 				d = sim.Minute // sub-minute blips would vanish under event granularity
 			}
-			wins = append(wins, Window{Start: t, End: t + d})
+			wins = append(wins, window{Start: t, End: t + d})
 		}
 	}
 	if len(wins) == 0 {
@@ -280,15 +260,6 @@ func Windows(c *Config, seed uint64, horizon float64) []Window {
 	return merged
 }
 
-// WorkSource is the middleware surface the plane wraps; structurally
-// identical to volunteer.WorkSource (declared locally so faults does not
-// import the volunteer package).
-type WorkSource interface {
-	RequestWork() *wcg.Assignment
-	CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int)
-	DeadlineFor(a *wcg.Assignment) float64
-}
-
 // Stats counts the plane's fault injections and recoveries for one run.
 type Stats struct {
 	Refused        int64 // work requests refused inside outage windows
@@ -310,11 +281,11 @@ type Stats struct {
 type Plane struct {
 	cfg     Config
 	eng     *sim.Engine
-	inner   WorkSource
+	inner   volunteer.WorkSource
 	seed    uint64
 	horizon float64
 
-	wins           []Window
+	wins           []window
 	winIdx         int  // monotone cursor: first window not yet ended
 	outageNoted    bool // OnOutage fired for wins[winIdx]
 	recoverPending bool // a window ended; waiting for the first dispatch
@@ -348,7 +319,7 @@ type Plane struct {
 // NewPlane builds a fault plane over inner for one run. cfg must already be
 // Normalized and seed resolved via EffectiveSeed; horizon bounds the outage
 // schedule (use the campaign's maximum runtime plus drain slack).
-func NewPlane(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64, horizon float64) *Plane {
+func NewPlane(eng *sim.Engine, inner volunteer.WorkSource, cfg Config, seed uint64, horizon float64) *Plane {
 	p := &Plane{}
 	p.spoolFn = p.drainSpool
 	p.Reset(eng, inner, cfg, seed, horizon)
@@ -358,13 +329,13 @@ func NewPlane(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64, horizo
 // Reset rearms a pooled plane for a new run: recomputes the window
 // schedule, rewinds the cursor, empties the spool and the per-host tables,
 // zeroes stats and hooks. The slices keep their capacity.
-func (p *Plane) Reset(eng *sim.Engine, inner WorkSource, cfg Config, seed uint64, horizon float64) {
+func (p *Plane) Reset(eng *sim.Engine, inner volunteer.WorkSource, cfg Config, seed uint64, horizon float64) {
 	p.cfg = cfg
 	p.eng = eng
 	p.inner = inner
 	p.seed = seed
 	p.horizon = horizon
-	p.wins = Windows(&cfg, seed, horizon)
+	p.wins = windows(&cfg, seed, horizon)
 	p.winIdx = 0
 	p.outageNoted = false
 	p.recoverPending = false
@@ -458,11 +429,7 @@ func (p *Plane) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds 
 		return
 	}
 	p.Stats.LostUploads++
-	if p.cfg.UploadRetries > 0 {
-		p.scheduleRetry(a, outcome, cpuSeconds, host, p.cfg.UploadRetries)
-	} else {
-		p.Stats.DroppedResults++
-	}
+	p.scheduleRetry(a, outcome, cpuSeconds, host, uploadRetries)
 }
 
 // scheduleRetry queues one re-send attempt with ±50% seeded jitter; the
@@ -472,7 +439,7 @@ func (p *Plane) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds 
 func (p *Plane) scheduleRetry(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host, budget int) {
 	p.Stats.RetriedUploads++
 	j := frac(p.seed^domRetry, uint64(host), uint64(p.upSeq[host]))
-	p.eng.ScheduleAfterCall(p.cfg.UploadRetryDelay*(0.5+j), p.retryFn(a, outcome, cpuSeconds, host, budget),
+	p.eng.ScheduleAfterCall(uploadRetryDelay*(0.5+j), p.retryFn(a, outcome, cpuSeconds, host, budget),
 		sim.Call{Kind: sim.CallUploadRetry, K0: uint8(outcome), K1: uint8(budget),
 			A0: int32(host), A1: wcg.AssignmentIndex(a), F0: cpuSeconds})
 }
@@ -543,7 +510,7 @@ func (p *Plane) DeadlineFor(a *wcg.Assignment) float64 { return p.inner.Deadline
 // announced end plus a smeared reconnect offset; inside an unplanned one
 // it backs off exponentially (doubling per probe, capped, ±50% jitter),
 // with the attempt counter reset per window. NoBackoff flattens the
-// unplanned case to BackoffBase — the thundering-herd control.
+// unplanned case to backoffBase — the thundering-herd control.
 func (p *Plane) FetchRetryDelay(host int, idleRetry float64) float64 {
 	if len(p.wins) == 0 {
 		return idleRetry
@@ -554,10 +521,10 @@ func (p *Plane) FetchRetryDelay(host int, idleRetry float64) float64 {
 	}
 	w := &p.wins[p.winIdx]
 	if w.Planned {
-		return (w.End - now) + p.cfg.ReconnectSmear*frac(p.seed^domSmear, uint64(host), uint64(p.winIdx))
+		return (w.End - now) + reconnectSmear*frac(p.seed^domSmear, uint64(host), uint64(p.winIdx))
 	}
 	if p.cfg.NoBackoff {
-		return p.cfg.BackoffBase
+		return backoffBase
 	}
 	p.growHost(host)
 	if p.epoch[host] != int32(p.winIdx) {
@@ -566,9 +533,9 @@ func (p *Plane) FetchRetryDelay(host int, idleRetry float64) float64 {
 	}
 	n := p.attempt[host]
 	p.attempt[host]++
-	d := p.cfg.BackoffBase * math.Pow(2, float64(min(n, 20)))
-	if d > p.cfg.BackoffCap {
-		d = p.cfg.BackoffCap
+	d := backoffBase * math.Pow(2, float64(min(n, 20)))
+	if d > backoffCap {
+		d = backoffCap
 	}
 	return d * (0.5 + frac(p.seed^domBackoff, uint64(host), uint64(p.winIdx)<<32|uint64(n)))
 }

@@ -43,47 +43,31 @@ func (s *stubSource) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpu fl
 }
 func (s *stubSource) DeadlineFor(*wcg.Assignment) float64 { return 0 }
 
+// TestNormalizedDefaults: the unplanned-outage mean is the one default;
+// every other field is kept as given.
 func TestNormalizedDefaults(t *testing.T) {
-	c := Config{
-		MaintenanceEvery: sim.Week,
-		UnplannedPerWeek: 0.5,
-		UploadLossProb:   0.01,
-	}.Normalized()
-	if c.MaintenanceOffset != 2*sim.Day+2*sim.Hour {
-		t.Errorf("MaintenanceOffset default = %v", c.MaintenanceOffset)
+	in := Config{MaintenanceDuration: 4 * sim.Hour, UnplannedPerWeek: 0.5, UploadLossProb: 0.01, NoBackoff: true, Seed: 3}
+	want := in
+	want.UnplannedMeanSeconds = 12 * sim.Hour
+	if c := in.Normalized(); c != want {
+		t.Errorf("Normalized() = %+v, want %+v", c, want)
 	}
-	if c.MaintenanceDuration != 4*sim.Hour {
-		t.Errorf("MaintenanceDuration default = %v", c.MaintenanceDuration)
-	}
-	if c.UnplannedMeanSeconds != 12*sim.Hour {
-		t.Errorf("UnplannedMeanSeconds default = %v", c.UnplannedMeanSeconds)
-	}
-	if c.UploadRetryDelay != 30*sim.Minute {
-		t.Errorf("UploadRetryDelay default = %v", c.UploadRetryDelay)
-	}
-	if c.BackoffBase != 15*sim.Minute || c.BackoffCap != 12*sim.Hour {
-		t.Errorf("backoff defaults = %v / %v", c.BackoffBase, c.BackoffCap)
-	}
-	if c.ReconnectSmear != sim.Hour {
-		t.Errorf("ReconnectSmear default = %v", c.ReconnectSmear)
-	}
-	// The cap never undercuts the base.
-	c2 := Config{UploadLossProb: 0.1, BackoffBase: 2 * sim.Hour, BackoffCap: sim.Minute}.Normalized()
-	if c2.BackoffCap != c2.BackoffBase {
-		t.Errorf("BackoffCap %v not lifted to BackoffBase %v", c2.BackoffCap, c2.BackoffBase)
+	in.UnplannedMeanSeconds = 6 * sim.Hour
+	if c := in.Normalized(); c != in {
+		t.Errorf("an explicit unplanned mean moved: %+v", c)
 	}
 }
 
 func TestNormalizedPanics(t *testing.T) {
 	bad := []Config{
-		{MaintenanceEvery: -1},
+		{MaintenanceDuration: -1},
+		{MaintenanceDuration: maintenanceEvery}, // the window must fit its weekly period
 		{UnplannedPerWeek: -0.1},
+		{UnplannedPerWeek: 1, UnplannedMeanSeconds: -1},
 		{UploadLossProb: 1.0},
 		{UploadLossProb: -0.1},
-		{UploadLossProb: 0.1, UploadRetries: -1},
 		{ChurnPerWeek: 1.5},
-		{ChurnPerWeek: 0.1, BackoffBase: -1},
-		{MaintenanceEvery: sim.Hour, MaintenanceDuration: 2 * sim.Hour},
+		{ChurnPerWeek: -0.1},
 	}
 	for i, c := range bad {
 		func() {
@@ -99,23 +83,21 @@ func TestNormalizedPanics(t *testing.T) {
 
 // TestNormalizedRejectsNonFinite: every float field rejects NaN and ±Inf.
 // NaN used to pass each range check and +Inf the one-sided ones; an
-// infinite UnplannedPerWeek then hung Windows (a zero mean gap never
-// advances the outage walk). The runaway-cadence cases bound the
+// infinite UnplannedPerWeek then hung windows (a zero mean gap never
+// advances the outage walk). The runaway-cadence case bounds the
 // materialized schedule at one outage start per minute.
 func TestNormalizedRejectsNonFinite(t *testing.T) {
 	var bad []Config
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for i := 0; i < 11; i++ {
-			c := Config{MaintenanceEvery: sim.Week, UnplannedPerWeek: 1, UploadLossProb: 0.1, ChurnPerWeek: 0.1}
-			fields := []*float64{&c.MaintenanceEvery, &c.MaintenanceOffset, &c.MaintenanceDuration,
-				&c.UnplannedPerWeek, &c.UnplannedMeanSeconds, &c.UploadLossProb, &c.UploadRetryDelay,
-				&c.ChurnPerWeek, &c.BackoffBase, &c.BackoffCap, &c.ReconnectSmear}
+		for i := 0; i < 5; i++ {
+			c := Config{MaintenanceDuration: 4 * sim.Hour, UnplannedPerWeek: 1, UploadLossProb: 0.1, ChurnPerWeek: 0.1}
+			fields := []*float64{&c.MaintenanceDuration, &c.UnplannedPerWeek, &c.UnplannedMeanSeconds,
+				&c.UploadLossProb, &c.ChurnPerWeek}
 			*fields[i] = v
 			bad = append(bad, c)
 		}
 	}
-	bad = append(bad, Config{MaintenanceEvery: 30, MaintenanceDuration: 1},
-		Config{UnplannedPerWeek: maxOutagesPerWeek + 1})
+	bad = append(bad, Config{UnplannedPerWeek: maxOutagesPerWeek + 1})
 	for i, c := range bad {
 		func() {
 			defer func() {
@@ -126,22 +108,9 @@ func TestNormalizedRejectsNonFinite(t *testing.T) {
 			c.Normalized()
 		}()
 	}
-	// The rate bound itself is accepted.
+	// The bounds themselves are accepted.
 	Config{UnplannedPerWeek: maxOutagesPerWeek}.Normalized()
-}
-
-// TestUploadRetriesBound pins the retry-budget limit: 255 is the largest
-// budget the one-byte CallUploadRetry slot can carry, 256 is rejected.
-func TestUploadRetriesBound(t *testing.T) {
-	if got := (Config{UploadLossProb: 0.1, UploadRetries: 255}).Normalized().UploadRetries; got != 255 {
-		t.Errorf("UploadRetries 255 normalized to %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("UploadRetries 256 did not panic")
-		}
-	}()
-	Config{UploadLossProb: 0.1, UploadRetries: 256}.Normalized()
+	Config{MaintenanceDuration: math.Nextafter(maintenanceEvery, 0)}.Normalized()
 }
 
 func TestEnabled(t *testing.T) {
@@ -149,11 +118,11 @@ func TestEnabled(t *testing.T) {
 	if nilCfg.Enabled() {
 		t.Error("nil config reports enabled")
 	}
-	if (&Config{BackoffBase: sim.Hour, NoBackoff: true}).Enabled() {
+	if (&Config{NoBackoff: true, Seed: 3}).Enabled() {
 		t.Error("knob-only config reports enabled")
 	}
 	for _, c := range []Config{
-		{MaintenanceEvery: sim.Week},
+		{MaintenanceDuration: 4 * sim.Hour},
 		{UnplannedPerWeek: 0.1},
 		{UploadLossProb: 0.01},
 		{ChurnPerWeek: 0.05},
@@ -166,13 +135,13 @@ func TestEnabled(t *testing.T) {
 
 func TestWindowsDeterministicAndSorted(t *testing.T) {
 	cfg := Config{
-		MaintenanceEvery:     sim.Week,
+		MaintenanceDuration:  4 * sim.Hour,
 		UnplannedPerWeek:     0.5,
 		UnplannedMeanSeconds: 6 * sim.Hour,
 	}.Normalized()
 	horizon := 20 * sim.Week
-	a := Windows(&cfg, 42, horizon)
-	b := Windows(&cfg, 42, horizon)
+	a := windows(&cfg, 42, horizon)
+	b := windows(&cfg, 42, horizon)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same (cfg, seed, horizon) produced different schedules")
 	}
@@ -194,42 +163,57 @@ func TestWindowsDeterministicAndSorted(t *testing.T) {
 	if planned == 0 {
 		t.Error("no planned maintenance windows in a maintenance schedule")
 	}
-	c := Windows(&cfg, 43, horizon)
+	c := windows(&cfg, 43, horizon)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical unplanned schedules")
 	}
 }
 
+// TestWindowsMergePlannedness: a maintenance window that an unplanned
+// outage overlaps or touches merges with it and loses its Planned flag,
+// because an unplanned overrun makes the announced end a lie; a
+// maintenance window nothing reaches keeps its announced bounds.
 func TestWindowsMergePlannedness(t *testing.T) {
-	// Two literal windows that overlap: the merge must drop the Planned
-	// flag, because an unplanned overrun makes the announced end a lie.
-	cfg := Config{MaintenanceEvery: sim.Day, MaintenanceOffset: sim.Hour, MaintenanceDuration: 25 * sim.Hour}
-	// Duration > period is rejected by Normalized, so build the overlap via
-	// the raw Windows call: consecutive maintenance windows overlap.
-	wins := Windows(&cfg, 1, 5*sim.Day)
-	if len(wins) != 1 {
-		t.Fatalf("overlapping series did not coalesce: %d windows", len(wins))
+	cfg := Config{MaintenanceDuration: 4 * sim.Hour, UnplannedPerWeek: 3, UnplannedMeanSeconds: 12 * sim.Hour}
+	planned, overrun := 0, 0
+	for _, w := range windows(&cfg, 5, 20*sim.Week) {
+		// The maintenance windows this merged window covers.
+		var covered []window
+		for at := maintenanceOffset; at <= w.End; at += maintenanceEvery {
+			if m := (window{Start: at, End: at + cfg.MaintenanceDuration}); m.End >= w.Start {
+				covered = append(covered, m)
+			}
+		}
+		exact := len(covered) == 1 && covered[0].Start == w.Start && covered[0].End == w.End
+		switch {
+		case w.Planned && !exact:
+			t.Fatalf("window %+v is planned but is not one maintenance window (covers %v)", w, covered)
+		case w.Planned:
+			planned++
+		case len(covered) > 0:
+			overrun++
+		}
 	}
-	if !wins[0].Planned {
-		t.Error("merged all-planned window lost its Planned flag")
+	if planned == 0 || overrun == 0 {
+		t.Errorf("%d planned and %d merged maintenance windows, want both", planned, overrun)
 	}
 }
 
 func TestPlannedDelaySleepsToWindowEnd(t *testing.T) {
-	cfg := Config{MaintenanceEvery: sim.Week, MaintenanceOffset: sim.Hour, MaintenanceDuration: 4 * sim.Hour}.Normalized()
+	cfg := Config{MaintenanceDuration: 4 * sim.Hour}.Normalized()
 	eng := sim.NewEngine()
 	p := NewPlane(eng, &stubSource{}, cfg, 99, 2*sim.Week)
-	eng.AdvanceTo(2 * sim.Hour) // inside the first window, 3h before its end
+	eng.AdvanceTo(maintenanceOffset + sim.Hour) // inside the first window, 3h before its end
 	idle := 10 * sim.Minute
 	for host := 0; host < 50; host++ {
 		d := p.FetchRetryDelay(host, idle)
-		sleep := d - (cfg.MaintenanceOffset + cfg.MaintenanceDuration - eng.Now())
-		if sleep < 0 || sleep >= cfg.ReconnectSmear {
+		sleep := d - (maintenanceOffset + cfg.MaintenanceDuration - eng.Now())
+		if sleep < 0 || sleep >= reconnectSmear {
 			t.Fatalf("host %d: planned-window delay %v not in [window-end, +smear)", host, d)
 		}
 	}
 	// Outside any window the flat idle retry stands.
-	eng.AdvanceTo(6 * sim.Hour)
+	eng.AdvanceTo(maintenanceOffset + 5*sim.Hour)
 	if d := p.FetchRetryDelay(0, idle); d != idle {
 		t.Errorf("outside outage: delay %v != idleRetry %v", d, idle)
 	}
@@ -241,14 +225,14 @@ func TestUnplannedBackoffGrowsAndCaps(t *testing.T) {
 	cfg := Config{UnplannedPerWeek: 1e-9}.Normalized() // plane needs wins non-empty
 	eng := sim.NewEngine()
 	p := NewPlane(eng, &stubSource{}, cfg, 7, sim.Week)
-	p.wins = []Window{{Start: 0, End: 30 * sim.Day}} // replace with a fixed unplanned window
+	p.wins = []window{{Start: 0, End: 30 * sim.Day}} // replace with a fixed unplanned window
 	p.winIdx = 0
 	prevMax := 0.0
 	for n := 0; n < 24; n++ {
 		d := p.FetchRetryDelay(3, sim.Minute)
-		ideal := cfg.BackoffBase * math.Pow(2, float64(n))
-		if ideal > cfg.BackoffCap {
-			ideal = cfg.BackoffCap
+		ideal := backoffBase * math.Pow(2, float64(n))
+		if ideal > backoffCap {
+			ideal = backoffCap
 		}
 		if d < 0.5*ideal || d >= 1.5*ideal {
 			t.Fatalf("probe %d: delay %v outside jitter band of %v", n, d, ideal)
@@ -257,7 +241,7 @@ func TestUnplannedBackoffGrowsAndCaps(t *testing.T) {
 			prevMax = d
 		}
 	}
-	if prevMax > 1.5*cfg.BackoffCap {
+	if prevMax > 1.5*backoffCap {
 		t.Errorf("max backoff %v exceeds jittered cap", prevMax)
 	}
 	// A different host draws different jitter but the same band.
@@ -270,20 +254,21 @@ func TestNoBackoffIsFlat(t *testing.T) {
 	cfg := Config{UnplannedPerWeek: 1e-9, NoBackoff: true}.Normalized()
 	eng := sim.NewEngine()
 	p := NewPlane(eng, &stubSource{}, cfg, 7, sim.Week)
-	p.wins = []Window{{Start: 0, End: 30 * sim.Day}}
+	p.wins = []window{{Start: 0, End: 30 * sim.Day}}
 	p.winIdx = 0
 	for n := 0; n < 10; n++ {
-		if d := p.FetchRetryDelay(5, sim.Minute); d != cfg.BackoffBase {
-			t.Fatalf("probe %d: NoBackoff delay %v != BackoffBase %v", n, d, cfg.BackoffBase)
+		if d := p.FetchRetryDelay(5, sim.Minute); d != backoffBase {
+			t.Fatalf("probe %d: NoBackoff delay %v != backoffBase %v", n, d, float64(backoffBase))
 		}
 	}
 }
 
 func TestUploadLossRetryAndDrop(t *testing.T) {
 	// Deterministic loss draws: with p=0.5 and a seeded hash some uploads
-	// are lost and retried; reruns are byte-identical.
+	// are lost and retried, some lose every retry and are dropped; reruns
+	// are byte-identical.
 	run := func() (Stats, int) {
-		cfg := Config{UploadLossProb: 0.5, UploadRetries: 2}.Normalized()
+		cfg := Config{UploadLossProb: 0.5}.Normalized()
 		eng := sim.NewEngine()
 		src := &stubSource{}
 		p := NewPlane(eng, src, cfg, 1234, sim.Week)
@@ -299,11 +284,16 @@ func TestUploadLossRetryAndDrop(t *testing.T) {
 	if s1 != s2 || d1 != d2 {
 		t.Fatalf("upload-loss stats not reproducible: %+v/%d vs %+v/%d", s1, d1, s2, d2)
 	}
-	if s1.LostUploads == 0 || s1.RetriedUploads == 0 {
-		t.Fatalf("p=0.5 lost nothing: %+v", s1)
+	if s1.LostUploads == 0 || s1.RetriedUploads == 0 || s1.DroppedResults == 0 {
+		t.Fatalf("p=0.5 lost, retried or dropped nothing: %+v", s1)
 	}
 	if d1+int(s1.DroppedResults) != 200 {
 		t.Errorf("delivered %d + dropped %d != 200 submissions", d1, s1.DroppedResults)
+	}
+	// Each loss is re-sent unless it was a result's last retry.
+	if s1.LostUploads != s1.RetriedUploads+s1.DroppedResults || s1.RetriedUploads < uploadRetries*s1.DroppedResults {
+		t.Errorf("losses %d, re-sends %d, drops %d: a result is dropped only after %d re-sends",
+			s1.LostUploads, s1.RetriedUploads, s1.DroppedResults, uploadRetries)
 	}
 	// Anonymous completions bypass the uplink entirely.
 	cfg := Config{UploadLossProb: 0.99}.Normalized()
@@ -313,22 +303,6 @@ func TestUploadLossRetryAndDrop(t *testing.T) {
 	p.CompleteFrom(&wcg.Assignment{}, wcg.OutcomeValid, 1, -1)
 	if src.delivered != 1 || p.Stats.LostUploads != 0 {
 		t.Error("host<0 completion went through the uplink model")
-	}
-}
-
-func TestZeroRetryBudgetDropsImmediately(t *testing.T) {
-	cfg := Config{UploadLossProb: 0.999}.Normalized() // UploadRetries stays 0
-	eng := sim.NewEngine()
-	src := &stubSource{}
-	p := NewPlane(eng, src, cfg, 5, sim.Week)
-	for host := 0; host < 100; host++ {
-		p.CompleteFrom(&wcg.Assignment{}, wcg.OutcomeValid, 1, host)
-	}
-	if p.Stats.RetriedUploads != 0 {
-		t.Errorf("no-budget plane scheduled %d retries", p.Stats.RetriedUploads)
-	}
-	if p.Stats.DroppedResults != p.Stats.LostUploads {
-		t.Errorf("drops %d != losses %d with zero budget", p.Stats.DroppedResults, p.Stats.LostUploads)
 	}
 }
 
@@ -360,7 +334,8 @@ func TestChurnCountCarry(t *testing.T) {
 }
 
 func TestOutageHooksAndRecoveryLag(t *testing.T) {
-	cfg := Config{MaintenanceEvery: sim.Week, MaintenanceOffset: sim.Hour, MaintenanceDuration: sim.Hour}.Normalized()
+	const off = maintenanceOffset
+	cfg := Config{MaintenanceDuration: sim.Hour}.Normalized()
 	eng := sim.NewEngine()
 	src := &stubSource{next: nil} // the server "refuses" by returning nil
 	p := NewPlane(eng, src, cfg, 11, 2*sim.Week)
@@ -374,25 +349,25 @@ func TestOutageHooksAndRecoveryLag(t *testing.T) {
 	}
 	p.OnRecovery = func(at sim.Time, lag float64) { recoveries++; lastLag = lag }
 
-	eng.AdvanceTo(sim.Hour + sim.Minute) // inside the window
+	eng.AdvanceTo(off + sim.Minute) // inside the window
 	p.RequestWork()
 	p.RequestWork()
 	if outages != 1 {
 		t.Fatalf("OnOutage fired %d times inside one window", outages)
 	}
 	// After the window: a refused fetch is not a recovery, a dispatch is.
-	eng.AdvanceTo(2*sim.Hour + 30*sim.Minute)
+	eng.AdvanceTo(off + sim.Hour + 30*sim.Minute)
 	p.RequestWork()
 	if recoveries != 0 {
 		t.Fatal("recovery recorded on a nil dispatch")
 	}
 	src.next = &wcg.Assignment{}
-	eng.AdvanceTo(3 * sim.Hour)
+	eng.AdvanceTo(off + 2*sim.Hour)
 	p.RequestWork()
 	if recoveries != 1 {
 		t.Fatalf("recoveries = %d after first real dispatch", recoveries)
 	}
-	if want := 3*sim.Hour - 2*sim.Hour; lastLag != want {
+	if want := sim.Hour; lastLag != want {
 		t.Errorf("recovery lag = %v, want %v", lastLag, want)
 	}
 	if p.Stats.Recoveries != 1 || p.Stats.RecoveryLagMax != lastLag {
@@ -402,12 +377,14 @@ func TestOutageHooksAndRecoveryLag(t *testing.T) {
 
 // TestOutageGateAndSpool pins the plane as the one owner of the outage
 // schedule, with a counting stub in place of the server. Inside the
-// maintenance window [1 h, 2 h) a fetch never reaches the server, and a
-// result, an upload retry's included, reaches it only at the window's end,
-// in arrival order, also after the spool has crossed a snapshot.
+// one-hour maintenance window [off, end) a fetch never reaches the server,
+// and a result, an upload retry's included, reaches it only at the
+// window's end, in arrival order, also after the spool has crossed a
+// snapshot.
 func TestOutageGateAndSpool(t *testing.T) {
 	const seed = 11
-	window := Config{MaintenanceEvery: sim.Week, MaintenanceOffset: sim.Hour, MaintenanceDuration: sim.Hour}
+	const off, end = maintenanceOffset, maintenanceOffset + sim.Hour
+	maintenance := Config{MaintenanceDuration: sim.Hour}
 	newPlane := func(cfg Config) (*sim.Engine, *stubSource, *Plane) {
 		eng := sim.NewEngine()
 		src := &stubSource{eng: eng, next: &wcg.Assignment{}}
@@ -417,7 +394,7 @@ func TestOutageGateAndSpool(t *testing.T) {
 	// window, each with its own outcome, cpu and host.
 	spoolThree := func(eng *sim.Engine, p *Plane, as []*wcg.Assignment) {
 		for i, a := range as {
-			eng.AdvanceTo(sim.Hour + float64(i+1)*sim.Minute)
+			eng.AdvanceTo(off + float64(i+1)*sim.Minute)
 			p.CompleteFrom(a, wcg.Outcome(i%2), float64(10+i), i)
 		}
 	}
@@ -429,7 +406,7 @@ func TestOutageGateAndSpool(t *testing.T) {
 			t.Fatalf("%d results delivered, want %d", len(log), len(as))
 		}
 		for i, d := range log {
-			if d.a != as[i] || d.outcome != wcg.Outcome(i%2) || d.cpu != float64(10+i) || d.host != i || d.at != 2*sim.Hour {
+			if d.a != as[i] || d.outcome != wcg.Outcome(i%2) || d.cpu != float64(10+i) || d.host != i || d.at != end {
 				t.Errorf("delivery %d = %+v, want result %d at the window's end", i, d, i)
 			}
 		}
@@ -440,8 +417,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"fetches are refused without reaching the server", func(t *testing.T) {
-			eng, src, p := newPlane(window)
-			eng.AdvanceTo(sim.Hour + sim.Minute)
+			eng, src, p := newPlane(maintenance)
+			eng.AdvanceTo(off + sim.Minute)
 			for i := 0; i < 3; i++ {
 				if p.RequestWork() != nil {
 					t.Fatal("fetch dispatched inside the window")
@@ -451,45 +428,45 @@ func TestOutageGateAndSpool(t *testing.T) {
 				t.Fatalf("inside the window: %d requests reached the server, %d refusals counted; want 0 and 3",
 					src.requests, p.Stats.Refused)
 			}
-			eng.AdvanceTo(2 * sim.Hour)
+			eng.AdvanceTo(end)
 			if p.RequestWork() == nil || src.requests != 1 || p.Stats.Refused != 3 {
 				t.Errorf("at the window's end: %d requests, %d refusals; want the fetch delegated", src.requests, p.Stats.Refused)
 			}
 		}},
 		{"results are spooled to the window's end", func(t *testing.T) {
-			eng, src, p := newPlane(window)
+			eng, src, p := newPlane(maintenance)
 			as := []*wcg.Assignment{{}, {}, {}}
 			spoolThree(eng, p, as)
 			if eng.Pending() != 1 {
 				t.Fatalf("%d events pending, want the one spool drain", eng.Pending())
 			}
-			eng.RunUntil(2*sim.Hour - sim.Minute)
+			eng.RunUntil(end - sim.Minute)
 			if src.delivered != 0 || p.Stats.Deferred != 3 {
 				t.Fatalf("before the window's end: %d delivered, %d deferred; want 0 and 3", src.delivered, p.Stats.Deferred)
 			}
-			eng.RunUntil(2 * sim.Hour)
+			eng.RunUntil(end)
 			drainedInOrder(t, src.log, as)
 		}},
 		{"an upload retry landing in the window is spooled", func(t *testing.T) {
-			cfg := window
-			cfg.UploadLossProb, cfg.UploadRetries, cfg.UploadRetryDelay = 0.5, 1, 20*sim.Minute
+			cfg := maintenance
+			cfg.UploadLossProb = 0.5
 			eng, src, p := newPlane(cfg)
 			host := 0 // the first host whose first upload is lost and whose retry is not
 			for !(frac(seed^domLoss, uint64(host), 0) < 0.5 && frac(seed^domLoss, uint64(host), 1) >= 0.5) {
 				host++
 			}
 			a := &wcg.Assignment{}
-			eng.AdvanceTo(sim.Hour - 10*sim.Minute) // the retry fires in [1 h, 1 h 20 min)
+			eng.AdvanceTo(off - 15*sim.Minute) // the retry fires 15 to 45 min later, in the window
 			p.CompleteFrom(a, wcg.OutcomeValid, 1, host)
-			eng.RunUntil(sim.Hour + 30*sim.Minute)
+			eng.RunUntil(off + 30*sim.Minute)
 			if p.Stats.LostUploads != 1 || p.Stats.RetriedUploads != 1 || eng.Pending() != 1 {
 				t.Fatalf("retry not fired once inside the window: %+v, %d events pending", p.Stats, eng.Pending())
 			}
 			if src.delivered != 0 || p.Stats.Deferred != 1 {
 				t.Fatalf("retried result delivered inside the window (%d delivered, %d deferred)", src.delivered, p.Stats.Deferred)
 			}
-			eng.RunUntil(2 * sim.Hour)
-			if len(src.log) != 1 || src.log[0].a != a || src.log[0].at != 2*sim.Hour {
+			eng.RunUntil(end)
+			if len(src.log) != 1 || src.log[0].a != a || src.log[0].at != end {
 				t.Errorf("retried result delivered as %+v, want once at the window's end", src.log)
 			}
 		}},
@@ -503,25 +480,25 @@ func TestOutageGateAndSpool(t *testing.T) {
 				srv.AddWorkunit(workunit.Workunit{RefSeconds: 1}, 0)
 				as[i] = srv.RequestWork()
 			}
-			eng, src, p := newPlane(window)
+			eng, src, p := newPlane(maintenance)
 			spoolThree(eng, p, as)
 			ps := p.ExportPortable()
 			evs, err := eng.ExportEvents()
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng2, src2, p2 := newPlane(window)
+			eng2, src2, p2 := newPlane(maintenance)
 			spoolThree(eng2, p2, []*wcg.Assignment{{}, {}, {}}) // a dirty adopter
 			eng2.Reset()
-			p2.Reset(eng2, src2, window.Normalized(), seed, sim.Week)
+			p2.Reset(eng2, src2, maintenance.Normalized(), seed, sim.Week)
 			src2.delivered, src2.log = 0, nil
 			p2.AdoptPortable(ps, srv.AssignmentAt)
 			eng2.AdoptState(eng.ExportState())
 			for _, pe := range evs {
 				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2.ResolveCall(pe.Call, srv.AssignmentAt))
 			}
-			eng.RunUntil(2 * sim.Hour)
-			eng2.RunUntil(2 * sim.Hour)
+			eng.RunUntil(end)
+			eng2.RunUntil(end)
 			drainedInOrder(t, src.log, as)
 			drainedInOrder(t, src2.log, as)
 			if p2.Stats != p.Stats {
@@ -534,8 +511,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 }
 
 func TestBuildReportClipsToHorizon(t *testing.T) {
-	cfg := Config{MaintenanceEvery: sim.Week, MaintenanceOffset: sim.Hour, MaintenanceDuration: 4 * sim.Hour}.Normalized()
-	horizon := sim.Hour + 2*sim.Hour // mid-window
+	cfg := Config{MaintenanceDuration: 4 * sim.Hour}.Normalized()
+	horizon := maintenanceOffset + 2*sim.Hour // mid-window
 	p := NewPlane(sim.NewEngine(), &stubSource{}, cfg, 3, horizon)
 	r := p.BuildReport()
 	if r.Outages != 1 || r.PlannedOutages != 1 {
@@ -561,7 +538,7 @@ func TestEffectiveSeed(t *testing.T) {
 }
 
 func TestResetReusesPlane(t *testing.T) {
-	cfg := Config{UploadLossProb: 0.5, UploadRetries: 1}.Normalized()
+	cfg := Config{UploadLossProb: 0.5}.Normalized()
 	eng := sim.NewEngine()
 	src := &stubSource{}
 	p := NewPlane(eng, src, cfg, 9, sim.Week)

@@ -20,15 +20,18 @@ type Flags struct {
 
 // Config resolves the flags into a campaign fault configuration, or nil
 // when no fault flag is set (the zero-fault path, byte-identical to a run
-// without the fault plane). Maintenance recurs weekly and a lost upload is
-// retried 3 times. The error names the offending flag.
+// without the fault plane). The error names the offending flag; a value the
+// plane would refuse (a maintenance window of a week or more, more than one
+// unplanned outage a minute, an outage length that overflows in seconds) is
+// refused here, before any work.
 func (f Flags) Config() (*Config, error) {
 	switch {
-	case !(f.MaintenanceHours >= 0) || math.IsInf(f.MaintenanceHours, 1):
-		return nil, fmt.Errorf("-maintenance-hours must be finite and >= 0, got %v", f.MaintenanceHours)
-	case !(f.OutageRate >= 0) || math.IsInf(f.OutageRate, 1):
-		return nil, fmt.Errorf("-outage-rate must be finite and >= 0, got %v", f.OutageRate)
-	case f.OutageRate > 0 && !(f.OutageHours > 0), math.IsInf(f.OutageHours, 1):
+	case !(f.MaintenanceHours >= 0 && f.MaintenanceHours*sim.Hour < maintenanceEvery):
+		return nil, fmt.Errorf("-maintenance-hours must be in [0, %v) (the window recurs weekly), got %v",
+			maintenanceEvery/sim.Hour, f.MaintenanceHours)
+	case !(f.OutageRate >= 0 && f.OutageRate <= maxOutagesPerWeek):
+		return nil, fmt.Errorf("-outage-rate must be in [0, %v] (one outage a minute), got %v", maxOutagesPerWeek, f.OutageRate)
+	case f.OutageRate > 0 && !(f.OutageHours > 0), math.IsInf(f.OutageHours*sim.Hour, 1):
 		return nil, fmt.Errorf("-outage-hours must be finite and > 0 with -outage-rate, got %v", f.OutageHours)
 	case !(f.UploadLoss >= 0 && f.UploadLoss < 1):
 		return nil, fmt.Errorf("-upload-loss must be in [0, 1), got %v", f.UploadLoss)
@@ -41,21 +44,15 @@ func (f Flags) Config() (*Config, error) {
 		}
 		return nil, nil
 	}
-	fc := &Config{Seed: f.Seed}
-	if f.MaintenanceHours > 0 {
-		fc.MaintenanceEvery = sim.Week
-		fc.MaintenanceDuration = f.MaintenanceHours * sim.Hour
+	fc := &Config{
+		MaintenanceDuration: f.MaintenanceHours * sim.Hour,
+		UploadLossProb:      f.UploadLoss,
+		ChurnPerWeek:        f.ChurnWeekly,
+		Seed:                f.Seed,
 	}
 	if f.OutageRate > 0 {
 		fc.UnplannedPerWeek = f.OutageRate
 		fc.UnplannedMeanSeconds = f.OutageHours * sim.Hour
-	}
-	if f.UploadLoss > 0 {
-		fc.UploadLossProb = f.UploadLoss
-		fc.UploadRetries = 3
-	}
-	if f.ChurnWeekly > 0 {
-		fc.ChurnPerWeek = f.ChurnWeekly
 	}
 	return fc, nil
 }

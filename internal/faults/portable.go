@@ -45,7 +45,7 @@ func (p *PortablePlane) Bytes() int {
 
 // ExportPortable deep-copies the plane's mutable state into a portable
 // snapshot. In-flight retry events travel as CallUploadRetry descriptors
-// (Config.Normalized bounds the retry budget to their one-byte slot), an
+// (the remaining budget, at most uploadRetries, in their one-byte slot), an
 // armed spool drain as a CallSpoolDrain.
 func (p *Plane) ExportPortable() *PortablePlane {
 	ps := &PortablePlane{

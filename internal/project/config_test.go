@@ -83,7 +83,7 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		"ControlShare NaN":        func(c *Config) { c.ControlShare = nan },
 		"FullShare +Inf":          func(c *Config) { c.FullShare = inf },
 		"outage rate +Inf":        func(c *Config) { c.Faults = &faults.Config{UnplannedPerWeek: inf} },
-		"maintenance NaN":         func(c *Config) { c.Faults = &faults.Config{MaintenanceEvery: sim.Week, MaintenanceDuration: nan} },
+		"maintenance NaN":         func(c *Config) { c.Faults = &faults.Config{MaintenanceDuration: nan} },
 		"inert fault config NaN":  func(c *Config) { c.Faults = &faults.Config{UploadLossProb: nan} },
 		"outage rate above limit": func(c *Config) { c.Faults = &faults.Config{UnplannedPerWeek: 1e9} },
 
@@ -217,9 +217,8 @@ func configFloats(cfg *Config) []*float64 {
 	p := []*float64{&cfg.HHours, &cfg.ControlWeeks, &cfg.RampWeeks, &cfg.ControlShare,
 		&cfg.FullShare, &cfg.WorkScale, &cfg.HostScale, &cfg.MaxWeeks}
 	if fc := cfg.Faults; fc != nil {
-		p = append(p, &fc.MaintenanceEvery, &fc.MaintenanceOffset, &fc.MaintenanceDuration,
-			&fc.UnplannedPerWeek, &fc.UnplannedMeanSeconds, &fc.UploadLossProb, &fc.UploadRetryDelay,
-			&fc.ChurnPerWeek, &fc.BackoffBase, &fc.BackoffCap, &fc.ReconnectSmear)
+		p = append(p, &fc.MaintenanceDuration, &fc.UnplannedPerWeek, &fc.UnplannedMeanSeconds,
+			&fc.UploadLossProb, &fc.ChurnPerWeek)
 	}
 	return p
 }
@@ -270,11 +269,13 @@ func checkRanged(t *testing.T, fields []rangedFloat) {
 }
 
 // FuzzCheckConfig drives checkConfig and checkGridConfig with float fields
-// picked from fuzzValues: input byte i selects field i — Config's eight,
-// its fault plane's eleven, then a two-tenant co-run's two Shares,
-// FullShare, HostScale and MaxWeeks, then Config's host and grid models
-// (thirteen), server deadline and quorum switch time, and one behavior
-// profile (four), then the co-run's host and grid models (thirteen).
+// picked from fuzzValues: input byte i selects field i — Config's eight
+// (bytes 0-7), its fault plane's five (8-12: MaintenanceDuration,
+// UnplannedPerWeek, UnplannedMeanSeconds, UploadLossProb, ChurnPerWeek),
+// then a two-tenant co-run's two Shares, FullShare, HostScale and MaxWeeks
+// (13-17), then Config's host and grid models (thirteen), server deadline
+// and quorum switch time, and one behavior profile (four), then the
+// co-run's host and grid models (thirteen).
 // The contract: a check either panics with a "project:" or "faults:"
 // message, or returns finite, in-range fields that check again to the same
 // values.

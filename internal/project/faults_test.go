@@ -17,12 +17,10 @@ func faultStressConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := determinismConfig(t, seed)
 	cfg.Faults = &faults.Config{
-		MaintenanceEvery:     sim.Week,
 		MaintenanceDuration:  4 * sim.Hour,
 		UnplannedPerWeek:     0.2,
 		UnplannedMeanSeconds: 8 * sim.Hour,
 		UploadLossProb:       0.02,
-		UploadRetries:        3,
 		ChurnPerWeek:         0.05,
 	}
 	return cfg
@@ -113,10 +111,7 @@ func TestFaultDegradationObservable(t *testing.T) {
 // the run still completes and the deferred count shows up in ServerStats.
 func TestDeferredValidationDrains(t *testing.T) {
 	cfg := determinismConfig(t, 777)
-	cfg.Faults = &faults.Config{
-		MaintenanceEvery:    sim.Week,
-		MaintenanceDuration: 12 * sim.Hour, // long windows so uploads land inside
-	}
+	cfg.Faults = &faults.Config{MaintenanceDuration: 12 * sim.Hour} // long windows so uploads land inside
 	rep := New(cfg).Run()
 	if rep.ServerStats.Deferred == 0 {
 		t.Skip("no result happened to arrive inside an outage window at this scale")

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -16,36 +17,41 @@ import (
 
 // FormatYDHMS renders seconds in the paper's y:d:h:m:s notation with
 // 365-day years (the convention under which the paper's own totals are
-// self-consistent).
+// self-consistent). NaN and ±Inf print as themselves.
 func FormatYDHMS(seconds float64) string {
+	if math.IsNaN(seconds) || math.IsInf(seconds, 0) {
+		return strconv.FormatFloat(seconds, 'f', 0, 64)
+	}
 	if seconds < 0 {
 		return "-" + FormatYDHMS(-seconds)
 	}
-	s := int64(math.Round(seconds))
 	const (
 		minute = 60
 		hour   = 60 * minute
 		day    = 24 * hour
 		year   = 365 * day
 	)
-	y := s / year
-	s %= year
+	// The years split off in float arithmetic, which holds past the int64
+	// range. math.Mod is exact and the year count is exact below 2^53
+	// years, so below 2^63 seconds this is integer division's split.
+	r := math.Round(seconds)
+	rem := math.Mod(r, year)
+	years := strconv.FormatFloat(math.Round((r-rem)/year), 'f', 0, 64)
+	s := int64(rem)
 	d := s / day
 	s %= day
 	h := s / hour
 	s %= hour
 	m := s / minute
 	s %= minute
-	return fmt.Sprintf("%s:%03d:%02d:%02d:%02d", groupThousands(y), d, h, m, s)
+	return fmt.Sprintf("%s:%03d:%02d:%02d:%02d", groupThousands(years), d, h, m, s)
 }
 
-// groupThousands renders n with comma separators.
-func groupThousands(n int64) string {
-	digits := fmt.Sprintf("%d", n)
+// groupThousands puts comma separators into the digits of a decimal
+// integer, after its minus sign if it has one.
+func groupThousands(digits string) string {
 	var b strings.Builder
-	if n < 0 {
-		// Split the sign off the digits instead of negating n: -MinInt64
-		// overflows to MinInt64, which is what int64(NaN) converts to.
+	if strings.HasPrefix(digits, "-") {
 		b.WriteByte('-')
 		digits = digits[1:]
 	}
@@ -65,8 +71,20 @@ func groupThousands(n int64) string {
 	return b.String()
 }
 
-// Comma renders a float with thousands separators and no decimals.
-func Comma(v float64) string { return groupThousands(int64(math.Round(v))) }
+// Comma renders a float with thousands separators and no decimals: the
+// digits of the rounded value itself, whatever its magnitude, or NaN, +Inf
+// or -Inf.
+func Comma(v float64) string {
+	r := math.Round(v)
+	if r == 0 {
+		r = 0 // -0.4 rounds to -0, which would print as "-0"
+	}
+	digits := strconv.FormatFloat(r, 'f', 0, 64)
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		return digits
+	}
+	return groupThousands(digits)
+}
 
 // Table is a simple fixed-width ASCII table builder.
 type Table struct {

@@ -2,6 +2,7 @@ package report
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,31 +37,70 @@ func TestFormatYDHMSSmall(t *testing.T) {
 	}
 }
 
+// TestFormatYDHMSPastInt64: seconds past 2^63 used to convert to an
+// implementation-dependent int64 and print a negative year count.
+func TestFormatYDHMSPastInt64(t *testing.T) {
+	for v, want := range map[float64]string{
+		1e20:         "3,170,979,198,376:167:09:46:40",
+		-1e20:        "-3,170,979,198,376:167:09:46:40",
+		math.Inf(1):  "+Inf",
+		math.Inf(-1): "-Inf",
+	} {
+		if got := FormatYDHMS(v); got != want {
+			t.Errorf("FormatYDHMS(%v) = %q, want %q", v, got, want)
+		}
+	}
+	if got := FormatYDHMS(math.NaN()); got != "NaN" {
+		t.Errorf("FormatYDHMS(NaN) = %q", got)
+	}
+}
+
+// TestComma: values past 2^63 used to convert to an implementation-dependent
+// int64 and print as -9,223,372,036,854,775,808, as NaN did.
 func TestComma(t *testing.T) {
 	cases := map[float64]string{
-		0:        "0",
-		999:      "999",
-		1000:     "1,000",
-		1364476:  "1,364,476",
-		49481544: "49,481,544",
-		-1234:    "-1,234",
+		0:            "0",
+		-0.4:         "0",
+		999:          "999",
+		1000:         "1,000",
+		1364476:      "1,364,476",
+		49481544:     "49,481,544",
+		-1234:        "-1,234",
+		-1234567:     "-1,234,567",
+		1 << 63:      "9,223,372,036,854,775,808",
+		1e19:         "10,000,000,000,000,000,000",
+		math.Inf(1):  "+Inf",
+		math.Inf(-1): "-Inf",
 	}
 	for v, want := range cases {
 		if got := Comma(v); got != want {
 			t.Errorf("Comma(%v) = %q, want %q", v, got, want)
 		}
 	}
+	if got := Comma(math.NaN()); got != "NaN" {
+		t.Errorf("Comma(NaN) = %q, want NaN", got)
+	}
+	// ±1e300 print their 301 digits, which read back as the same float.
+	for _, v := range []float64{1e300, -1e300} {
+		got := Comma(v)
+		groups := strings.Split(strings.TrimPrefix(got, "-"), ",")
+		back, err := strconv.ParseFloat(strings.ReplaceAll(got, ",", ""), 64)
+		if err != nil || back != v || len(groups) != 101 || groups[0] != "1" {
+			t.Errorf("Comma(%v) = %q, want 1e300's 301 digits grouped by three", v, got)
+		}
+		for _, g := range groups[1:] {
+			if len(g) != 3 {
+				t.Errorf("Comma(%v) = %q: group %q", v, got, g)
+			}
+		}
+	}
 }
 
-// TestGroupThousandsMinInt64: the most negative int64, which a NaN float
-// converts to on the way into Comma, renders instead of recursing until
-// the stack overflows.
+// TestGroupThousandsMinInt64: the sign is split off before grouping, so
+// the most negative int64's digits group like any other.
 func TestGroupThousandsMinInt64(t *testing.T) {
-	if got, want := groupThousands(math.MinInt64), "-9,223,372,036,854,775,808"; got != want {
+	if got, want := groupThousands(strconv.FormatInt(math.MinInt64, 10)), "-9,223,372,036,854,775,808"; got != want {
 		t.Fatalf("groupThousands(MinInt64) = %q, want %q", got, want)
-	}
-	if got := Comma(math.NaN()); got == "" {
-		t.Fatal("Comma(NaN) rendered nothing")
 	}
 }
 
