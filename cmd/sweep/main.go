@@ -180,32 +180,6 @@ func run() (err error) {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the live set so the profile shows retention, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
-			}
-		}()
-	}
-
 	if *list {
 		t := report.NewTable("Scenario catalog", "name", "description")
 		for _, s := range experiment.Catalog() {
@@ -239,17 +213,6 @@ func run() (err error) {
 	if *resume && (*scheduler != "" || *validator != "" || faultCfg != nil) {
 		return fmt.Errorf("-resume cannot be combined with -scheduler/-validator or the fault flags: checkpoint cells don't record the overrides they ran under; use a fresh -checkpoint file")
 	}
-	sinks, closeSinks, serr := obs.CreateFileSinks(*metricsPath, *tracePath)
-	if serr != nil {
-		return fmt.Errorf("-metrics/-trace: %w", serr)
-	}
-	msink, tsink := sinks[0], sinks[1]
-	defer func() {
-		if cerr := closeSinks(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-
 	// -corun selects the scenario list, the base config, the table and the
 	// -out file; everything else — the sweep itself, checkpoint, progress,
 	// drain, summary — is one path. The policy and fault flags are
@@ -263,12 +226,55 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
+	// The engine holds every cell's state from the start, so the sweep's
+	// size is bounded before anything is opened or allocated.
+	if *reps > experiment.MaxCells/len(selected) {
+		return fmt.Errorf("-reps %d exceeds the sweep bound of %d cells (at most %d reps of the selected scenarios)",
+			*reps, experiment.MaxCells, experiment.MaxCells/len(selected))
+	}
 	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
 		return err
 	}
 	// Like the policy overrides, fault overrides change run outputs without
 	// changing the checkpoint key, which is why -resume rejects them above.
 	base.Faults = faultCfg
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle the live set so the profile shows retention, not garbage
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "sweep: -memprofile: %v\n", err)
+			}
+		}()
+	}
+
+	sinks, closeSinks, serr := obs.CreateFileSinks(*metricsPath, *tracePath)
+	if serr != nil {
+		return fmt.Errorf("-metrics/-trace: %w", serr)
+	}
+	msink, tsink := sinks[0], sinks[1]
+	defer func() {
+		if cerr := closeSinks(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
 
 	ckpt, err := experiment.OpenCheckpoint(*ckptPath, *resume)
 	if err != nil {

@@ -105,6 +105,14 @@ func TestRepsBelowOneExitsOne(t *testing.T) {
 	refusedBeforeAnyFile(t, "-reps", "0", "-1")
 }
 
+// TestRepsAboveCellBoundExitsOne: the engine holds every cell's state
+// from the start, so -reps 50000000 used to truncate the checkpoint and
+// then run out of memory; the product with the scenario count is bounded
+// by experiment.MaxCells without overflowing.
+func TestRepsAboveCellBoundExitsOne(t *testing.T) {
+	refusedBeforeAnyFile(t, "-reps", "100001", "9223372036854775807")
+}
+
 // TestFaultFlagsOutOfRangeExitOne: a maintenance window of a week or more,
 // or more than one unplanned outage a minute, passed the flag check and
 // failed every cell in the fault plane after the checkpoint was truncated.

@@ -134,7 +134,7 @@ type engine struct {
 	results []RunResult // by cell; zero until the cell finishes
 	done    int
 	resumed int
-	stats   Sweep // fork jobs' prefix-sharing and fan-out statistics
+	stats   ForkStats // fork jobs' prefix-sharing and fan-out statistics
 	trees   []*treeStat
 }
 

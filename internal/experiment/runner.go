@@ -184,23 +184,32 @@ type Sweep struct {
 	// any cell lands here, so unnoticed partial sweeps cannot happen.
 	Failed []RunResult `json:"failed,omitempty"`
 
-	// Prefix-sharing statistics, filled only in fork mode. Excluded from
-	// the JSON rendering so forked and unforked sweep files diff clean.
-	PrefixGroups  int     `json:"-"` // snapshots taken across all prefix trees
-	PrefixHits    int     `json:"-"` // cells satisfied by forking a snapshot
-	SavedSimWeeks float64 `json:"-"` // sim-weeks not re-simulated thanks to sharing
+	// Excluded from the JSON rendering, so forked and unforked files diff clean.
+	ForkStats `json:"-"`
+}
+
+// ForkStats are a forked sweep's prefix-sharing and parallel fan-out
+// statistics, which a Sweep carries and its Telemetry reports.
+type ForkStats struct {
+	// Prefix-sharing statistics, filled only in fork mode.
+	PrefixGroups  int     // snapshots taken across all prefix trees
+	PrefixHits    int     // cells satisfied by forking a snapshot
+	SavedSimWeeks float64 // sim-weeks not re-simulated thanks to sharing
 
 	// Parallel fan-out statistics, filled only when fork mode runs with
-	// ForkWorkers > 1 and at least one group actually fanned out. Excluded
-	// from the JSON rendering like the prefix stats, so forked,
-	// parallel-forked and unforked sweep files diff clean.
-	SnapshotBytes     int     `json:"-"` // portable-snapshot bytes published, summed over groups
-	SnapshotCaptureNS int64   `json:"-"` // wall time spent materializing snapshots
-	SnapshotAdoptNS   int64   `json:"-"` // wall time spent adopting snapshots, summed over adopters
-	AdoptedRunners    int     `json:"-"` // adopt-chunk jobs executed across all groups
-	ForksParallel     int     `json:"-"` // cells forked on adopted runners
-	ParallelSpeedup   float64 `json:"-"` // Σ fanned-out tree work / Σ tree wall span
+	// ForkWorkers > 1 and at least one group actually fanned out.
+	SnapshotBytes     int     // portable-snapshot bytes published, summed over groups
+	SnapshotCaptureNS int64   // wall time spent materializing snapshots
+	SnapshotAdoptNS   int64   // wall time spent adopting snapshots, summed over adopters
+	AdoptedRunners    int     // adopt-chunk jobs executed across all groups
+	ForksParallel     int     // cells forked on adopted runners
+	ParallelSpeedup   float64 // Σ fanned-out tree work / Σ tree wall span
 }
+
+// MaxCells bounds a sweep's cell count, len(Scenarios) × Reps: Run builds
+// every cell's state, about 588 bytes, before the first one runs, and the
+// commands' largest sweeps hold a few hundred cells.
+const MaxCells = 100_000
 
 // DeriveSeed mixes the sweep base seed with a cell's scenario and
 // replication indexes into an independent per-run seed. The derivation
@@ -230,6 +239,9 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 	if opts.Reps < 1 {
 		return nil, fmt.Errorf("experiment: Reps must be ≥ 1, got %d", opts.Reps)
+	}
+	if opts.Reps > MaxCells/len(opts.Scenarios) {
+		return nil, fmt.Errorf("experiment: Reps %d exceeds MaxCells/len(Scenarios) = %d", opts.Reps, MaxCells/len(opts.Scenarios))
 	}
 	if err := obs.CheckSampleEvery(opts.SampleEvery); err != nil {
 		return nil, fmt.Errorf("experiment: SampleEvery: %w", err)
@@ -277,8 +289,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 	}
 	finished, failed, err := e.run(ctx, trees)
 
-	sw := e.stats
-	sw.Results, sw.Failed, sw.Resumed = finished, failed, e.resumed
+	sw := Sweep{Results: finished, Failed: failed, Resumed: e.resumed, ForkStats: e.stats}
 	var cost, span float64
 	for _, st := range e.trees {
 		cost += st.cost

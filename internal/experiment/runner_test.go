@@ -303,6 +303,19 @@ func TestRunValidation(t *testing.T) {
 	})
 }
 
+// TestRunBoundsItsCellCount: Run builds every cell's state before the
+// first one runs, so a sweep of more than MaxCells cells is refused before
+// it allocates them. The context is cancelled up front: a sweep that got
+// past the bound would allocate its cells and return the context error.
+func TestRunBoundsItsCellCount(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sw, err := Run(ctx, Options{Base: testBase(t), Scenarios: testScenarios()[:1], Reps: MaxCells + 1})
+	if sw != nil || err == nil || !strings.Contains(err.Error(), "MaxCells") {
+		t.Fatalf("Run of MaxCells+1 cells returned (sweep %v, err %v), want a MaxCells error and no sweep", sw != nil, err)
+	}
+}
+
 // checkRunRefuses asserts that Run returns an error and no sweep for each
 // named options set, and that no cell ran before it refused.
 func checkRunRefuses(t *testing.T, cases map[string]Options) {

@@ -24,24 +24,13 @@ type Telemetry struct {
 	TotalAllocMB    float64 // cumulative heap allocation (runtime.MemStats.TotalAlloc)
 	SysMB           float64 // memory obtained from the OS (≈ peak RSS)
 
-	// Prefix-sharing stats, present only when the sweep runs forked
-	// (Forked gates them out of String and Fields so unforked telemetry
-	// lines keep their exact shape). Filled at sweep end via RecordSweep.
-	Forked        bool
-	PrefixGroups  int
-	PrefixHits    int
-	SavedSimWeeks float64
-
-	// Parallel fan-out stats, present only when the sweep runs forked with
-	// ForkWorkers > 1 (same gating idea as Forked: fan-out off keeps the
-	// forked line shapes exactly as before). Filled via RecordSweep.
-	ForkWorkers       int
-	SnapshotBytes     int
-	SnapshotCaptureNS int64
-	SnapshotAdoptNS   int64
-	AdoptedRunners    int
-	ForksParallel     int
-	ParallelSpeedup   float64
+	// The sweep's fork statistics, filled at sweep end via RecordSweep.
+	// Forked gates the prefix-sharing half out of String and Fields, so
+	// unforked telemetry lines keep their exact shape, and ForkWorkers > 1
+	// gates the parallel fan-out half the same way.
+	Forked      bool
+	ForkWorkers int
+	ForkStats
 }
 
 // String renders the one-line human-readable ticker form.
@@ -115,16 +104,15 @@ type Tracker struct {
 	done    int
 	ran     int // finished cells that actually simulated (not resumed)
 	wallSum float64
-	sweep   Sweep // prefix-sharing and fan-out totals, via RecordSweep
+	fork    ForkStats // the finished sweep's, via RecordSweep
 }
 
-// RecordSweep stores a finished sweep's prefix-sharing and parallel
-// fan-out stats so the final Snapshot (summary line, closing telemetry
-// NDJSON record) carries them.
+// RecordSweep stores a finished sweep's fork statistics so the final
+// Snapshot (summary line, closing telemetry NDJSON record) carries them.
 func (tr *Tracker) RecordSweep(sw *Sweep) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.sweep = *sw
+	tr.fork = sw.ForkStats
 }
 
 // NewTracker starts tracking a sweep of total cells from now.
@@ -159,17 +147,8 @@ func (tr *Tracker) Snapshot() Telemetry {
 		TotalAllocMB:   float64(ms.TotalAlloc) / (1 << 20),
 		SysMB:          float64(ms.Sys) / (1 << 20),
 		Forked:         tr.Forked,
-		PrefixGroups:   tr.sweep.PrefixGroups,
-		PrefixHits:     tr.sweep.PrefixHits,
-		SavedSimWeeks:  tr.sweep.SavedSimWeeks,
-
-		ForkWorkers:       tr.ForkWorkers,
-		SnapshotBytes:     tr.sweep.SnapshotBytes,
-		SnapshotCaptureNS: tr.sweep.SnapshotCaptureNS,
-		SnapshotAdoptNS:   tr.sweep.SnapshotAdoptNS,
-		AdoptedRunners:    tr.sweep.AdoptedRunners,
-		ForksParallel:     tr.sweep.ForksParallel,
-		ParallelSpeedup:   tr.sweep.ParallelSpeedup,
+		ForkWorkers:    tr.ForkWorkers,
+		ForkStats:      tr.fork,
 	}
 	if t.ElapsedSeconds > 0 && tr.done > 0 {
 		t.CellsPerSec = float64(tr.done) / t.ElapsedSeconds

@@ -31,11 +31,11 @@
 //     sequence), so they are independent of the order hosts are simulated
 //     in.
 //   - Churn uses the population's existing SetTarget machinery at a fixed
-//     ticker cadence; replacement hosts draw their seeds from the same
-//     FIFO seed stream both kernels already share.
+//     ticker cadence; replacement hosts draw their seeds from the
+//     kernel's FIFO population seed stream.
 //
-// A nil *Config (the default) leaves every code path untouched: the kernels
-// bind the raw *wcg.Server and report bytes are identical to the
+// A nil *Config (the default) leaves every code path untouched: the kernel
+// binds the raw *wcg.Server and report bytes are identical to the
 // pre-fault-plane code.
 package faults
 
@@ -275,9 +275,9 @@ type Stats struct {
 
 // Plane is the per-run fault state: the materialized outage schedule, the
 // outage spool, the per-host backoff and upload-sequence tables, and the
-// churn accumulator. It wraps the tenant's server as the kernels'
-// WorkSource. Not safe for concurrent use; like the server it lives on the
-// serial execution path.
+// churn accumulator. It wraps a WorkSource, the tenant's server, as the one
+// the host kernel binds. Not safe for concurrent use; like the server it
+// lives on the serial execution path.
 type Plane struct {
 	cfg     Config
 	eng     *sim.Engine
@@ -297,8 +297,8 @@ type Plane struct {
 	spoolArmed bool
 	spoolFn    func() // drainSpool, bound once by NewPlane
 
-	// Per-host state, grown on demand (host IDs are dense in both
-	// kernels). attempt/epoch implement per-window backoff; upSeq numbers
+	// Per-host state, grown on demand (host IDs are dense in the
+	// kernel). attempt/epoch implement per-window backoff; upSeq numbers
 	// a host's upload attempts for the loss hash.
 	attempt []int32
 	epoch   []int32 // window index the attempt counter belongs to, -1 = none
@@ -374,12 +374,12 @@ func (p *Plane) advance(now float64) bool {
 	return p.winIdx < len(p.wins) && now >= p.wins[p.winIdx].Start
 }
 
-// RequestWork refuses every fetch inside an outage window without reaching
-// the middleware — no dispatch, no deadline started; FetchRetryDelay
-// decides how long the host backs off — and delegates otherwise. The first
-// refusal of a window fires OnOutage, the first successful dispatch after
-// a window records the recovery lag.
-func (p *Plane) RequestWork() *wcg.Assignment {
+// RequestWorkFor refuses every fetch inside an outage window without
+// reaching the middleware — no dispatch, no deadline started;
+// FetchRetryDelay decides how long the host backs off — and delegates
+// otherwise. The first refusal of a window fires OnOutage, the first
+// successful dispatch after a window records the recovery lag.
+func (p *Plane) RequestWorkFor(host int) *wcg.Assignment {
 	now := p.eng.Now()
 	if p.advance(now) {
 		p.Stats.Refused++
@@ -391,7 +391,7 @@ func (p *Plane) RequestWork() *wcg.Assignment {
 		}
 		return nil
 	}
-	a := p.inner.RequestWork()
+	a := p.inner.RequestWorkFor(host)
 	if a != nil && p.recoverPending {
 		p.recoverPending = false
 		lag := now - p.lastEnd

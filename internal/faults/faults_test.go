@@ -31,7 +31,7 @@ type delivery struct {
 	at      sim.Time
 }
 
-func (s *stubSource) RequestWork() *wcg.Assignment {
+func (s *stubSource) RequestWorkFor(int) *wcg.Assignment {
 	s.requests++
 	return s.next
 }
@@ -350,20 +350,20 @@ func TestOutageHooksAndRecoveryLag(t *testing.T) {
 	p.OnRecovery = func(at sim.Time, lag float64) { recoveries++; lastLag = lag }
 
 	eng.AdvanceTo(off + sim.Minute) // inside the window
-	p.RequestWork()
-	p.RequestWork()
+	p.RequestWorkFor(0)
+	p.RequestWorkFor(0)
 	if outages != 1 {
 		t.Fatalf("OnOutage fired %d times inside one window", outages)
 	}
 	// After the window: a refused fetch is not a recovery, a dispatch is.
 	eng.AdvanceTo(off + sim.Hour + 30*sim.Minute)
-	p.RequestWork()
+	p.RequestWorkFor(0)
 	if recoveries != 0 {
 		t.Fatal("recovery recorded on a nil dispatch")
 	}
 	src.next = &wcg.Assignment{}
 	eng.AdvanceTo(off + 2*sim.Hour)
-	p.RequestWork()
+	p.RequestWorkFor(0)
 	if recoveries != 1 {
 		t.Fatalf("recoveries = %d after first real dispatch", recoveries)
 	}
@@ -420,7 +420,7 @@ func TestOutageGateAndSpool(t *testing.T) {
 			eng, src, p := newPlane(maintenance)
 			eng.AdvanceTo(off + sim.Minute)
 			for i := 0; i < 3; i++ {
-				if p.RequestWork() != nil {
+				if p.RequestWorkFor(0) != nil {
 					t.Fatal("fetch dispatched inside the window")
 				}
 			}
@@ -429,7 +429,7 @@ func TestOutageGateAndSpool(t *testing.T) {
 					src.requests, p.Stats.Refused)
 			}
 			eng.AdvanceTo(end)
-			if p.RequestWork() == nil || src.requests != 1 || p.Stats.Refused != 3 {
+			if p.RequestWorkFor(0) == nil || src.requests != 1 || p.Stats.Refused != 3 {
 				t.Errorf("at the window's end: %d requests, %d refusals; want the fetch delegated", src.requests, p.Stats.Refused)
 			}
 		}},

@@ -442,14 +442,6 @@ func checkConfig(cfg Config) Config {
 	checkFleet(cfg.Host, cfg.Grid)
 	checkPositive("Server.Deadline", cfg.Server.Deadline)
 	checkNonNegative("Server.QuorumSwitchTime", cfg.Server.QuorumSwitchTime)
-	if p := cfg.Probe; p != nil && p.Trace != nil {
-		// Saboteur onsets surface from deep inside the host layer; route
-		// them to the run trace through the host-config hook so the
-		// volunteer package stays ignorant of obs.
-		cfg.Host.OnSaboteurTurn = func(id int, at sim.Time) {
-			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
-		}
-	}
 	if cfg.Faults != nil {
 		// Validate even an inert config: Enabled reads a NaN rate as off.
 		norm := cfg.Faults.Normalized()
@@ -531,20 +523,17 @@ func (c *Campaign) arm(projects []Config, shares []float64) {
 	}
 	f := c.fleet
 	c.kern.Reset(c.engine, c.workSource(), f.Host, rng.New(f.Seed), c.shardWindow())
-	if c.mux != nil {
-		c.kern.Multiplex(c.mux)
-	}
 }
 
-// workSource resolves what the host kernel binds: nothing on a co-run (the
-// mux binds the tenants' servers), otherwise the tenant's server directly
-// on a fault-free run, or the fault plane wrapping it. The plane struct is
-// pooled across resets; only fault runs rearm and bind it.
+// workSource resolves the one work source the host kernel binds: the mux
+// over the tenants' servers on a co-run, otherwise the tenant's server
+// directly on a fault-free run, or the fault plane wrapping it. The plane
+// struct is pooled across resets; only fault runs rearm and bind it.
 func (c *Campaign) workSource() volunteer.WorkSource {
 	cfg := c.fleet
 	switch {
 	case c.mux != nil:
-		return nil
+		return c.mux
 	case cfg.Faults == nil:
 		return c.t.server
 	}
@@ -730,7 +719,6 @@ func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
 		kern.SetTarget(fleet.hostTarget(w))
 		for _, t := range c.tenants {
 			if !t.done {
-				t.server.EnsureHosts(kern.TotalJoined())
 				t.feed(kern.Active())
 			}
 		}

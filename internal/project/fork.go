@@ -36,15 +36,16 @@ import "repro/internal/sim"
 // next Fork/Run call, exactly like Runner.Run. Run and Begin drop the held
 // snapshot. Fork requires an unprobed run and a fork config that agrees
 // with the prefix config on everything resolved at bind time (dataset,
-// seed, scales, order, horizon, fault plane);
-// wcg.Server.ApplyConfig documents the middleware half of that contract.
+// seed, scales, order, horizon, fault plane, host model, the middleware's
+// deadline and policies) and panics on a change to any of them; what the
+// run reads as it goes (quorums, phases, grid model) still forks.
 
 // applyConfig swaps the configuration in force at a fork point. Anything
 // resolved at construction/bind time must be identical to the prefix
-// config — those fields shaped state the snapshot captured — and the
-// checks here enforce the ones that are cheap to compare; the middleware
-// policy fields are wcg.Server.ApplyConfig's documented contract, which
-// the experiment layer's grouping test pins.
+// config — those fields shaped state the snapshot captured — so a change
+// to one panics, naming it, before any state changes:
+// wcg.Server.ApplyConfig refuses the middleware's, and the checks here the
+// rest. The host kernel fixes the host model at Reset.
 func (c *Campaign) applyConfig(cfg Config) {
 	if cfg.Probe != nil {
 		panic("project: forked runs are unprobed")
@@ -63,10 +64,12 @@ func (c *Campaign) applyConfig(cfg Config) {
 	case (cfg.Faults == nil) != (base.Faults == nil),
 		cfg.Faults != nil && *cfg.Faults != *base.Faults:
 		panic("project: fork cannot change the fault plane")
+	case !cfg.Host.Equal(&base.Host):
+		panic("project: fork cannot change the host model (Host): the host kernel fixes it at Reset")
 	}
+	c.t.server.ApplyConfig(cfg.Server)
 	c.t.cfg = cfg
 	c.t.report.Config = cfg
-	c.t.server.ApplyConfig(cfg.Server)
 }
 
 // Begin arms a run under cfg — pooled reset (or first build) plus the

@@ -2,9 +2,11 @@ package project
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wcg"
 )
 
 // forkDivergence is where the fork tests branch: the default quorum
@@ -117,24 +119,57 @@ func TestForkWithFaultPlane(t *testing.T) {
 	}
 }
 
-// TestForkRejectsBindTimeChanges pins applyConfig's guard: a fork that
-// changes a bind-time field must panic instead of silently producing a
-// report from a context built for a different configuration.
+// TestForkRejectsBindTimeChanges pins the fork contract: a fork that
+// changes a bind-time field must panic, naming it, instead of returning
+// the prefix config's behaviour under the new config's name. The project
+// layer refuses its own fields and the host model, which the host kernel
+// fixes at Reset; the server refuses its deadline and policies, which it
+// binds at Reset. The refusal leaves the context as it was: a quorum
+// what-if still forks to its straight run, and so do explicit default
+// policies, which resolve like nil ones.
 func TestForkRejectsBindTimeChanges(t *testing.T) {
+	base := determinismConfig(t, 777)
 	r := NewRunner()
-	r.Begin(determinismConfig(t, 777))
+	r.Begin(base)
 	r.RunTo(forkDivergence)
 	r.Snapshot()
-	bad := determinismConfig(t, 777)
-	bad.Seed = 778
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("fork with a different seed did not panic")
-			}
+	for _, tc := range []struct {
+		name, prefix string
+		mutate       func(*Config)
+	}{
+		{"seed", "project: ", func(c *Config) { c.Seed = 778 }},
+		{"Host", "project: ", func(c *Config) { c.Host.ErrorProb = 0.2 }},
+		{"Deadline", "wcg: ", func(c *Config) { c.Server.Deadline = 4 * sim.Day }},
+		{"Scheduler", "wcg: ", func(c *Config) { c.Server.Scheduler = wcg.LIFOScheduler{} }},
+		{"Validator", "wcg: ", func(c *Config) { c.Server.Validator = wcg.AdaptiveValidator{Streak: 5} }},
+		{"DeadlinePolicy", "wcg: ", func(c *Config) {
+			c.Server.DeadlinePolicy = wcg.DeadlineClasses{{MaxRefSeconds: 3 * 3600, Deadline: 4 * sim.Day}, {Deadline: 8 * sim.Day}}
+		}},
+	} {
+		cell := base
+		tc.mutate(&cell)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.prefix) || !strings.Contains(msg, tc.name) {
+					t.Errorf("fork changing %s panicked with %q, want a %q message naming it", tc.name, msg, tc.prefix)
+				}
+			}()
+			r.Fork(cell)
 		}()
-		r.Fork(bad)
-	}()
+	}
+
+	cell := quorumWhatIf(base)
+	if got, want := reportHash(t, r.Fork(cell)), reportHash(t, New(cell).Run()); got != want {
+		t.Errorf("quorum what-if after refused forks hashes %s, want straight-run %s", got, want)
+	}
+	defaults := base
+	defaults.Server.Scheduler = wcg.FIFOScheduler{}
+	defaults.Server.Validator = wcg.QuorumValidator{}
+	defaults.Server.DeadlinePolicy = wcg.UniformDeadline{}
+	if got := reportHash(t, r.Fork(defaults)); got != goldenSeed777 {
+		t.Errorf("fork with explicit default policies hashes %s, want golden %s", got, goldenSeed777)
+	}
 }
 
 // TestRunDropsSnapshot pins the Runner lifecycle: Run rewinds the arenas a

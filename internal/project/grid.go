@@ -108,8 +108,10 @@ func checkGridConfig(cfg Config) Config {
 		panic("project: grid needs at least one project")
 	}
 	if cfg.Faults != nil {
-		// The fault plane wraps a single-project work source; the mux
-		// path has no plane to wrap it with.
+		// The plane wraps any work source, the mux included, but no
+		// scenario needs co-run faults, the fault report is a field of
+		// the single-project Report, and the kernel finds the mux it arms
+		// host columns in only when the mux is its bound source.
 		panic("project: the fault plane is single-project only (a co-run cannot set Faults)")
 	}
 	if len(cfg.Projects) > 256 {
@@ -153,17 +155,12 @@ func checkGridConfig(cfg Config) Config {
 	}
 	cfg.MaxWeeks = checkMaxWeeks(cfg.MaxWeeks)
 	checkFleet(cfg.Host, cfg.Grid)
-	if p := cfg.Probe; p != nil && p.Trace != nil {
-		cfg.Host.OnSaboteurTurn = func(id int, at sim.Time) {
-			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
-		}
-	}
 	projects := make([]Config, len(cfg.Projects))
 	for i, p := range cfg.Projects {
 		if p.Faults.Enabled() {
-			// The fault plane wraps a single-project work source; the mux
-			// path has no plane to wrap it with. Refuse loudly rather than
-			// run a silently fault-free tenant.
+			// A tenant shares the co-run's fleet and so cannot own a
+			// plane of its own. Refuse loudly rather than run a silently
+			// fault-free tenant.
 			panic("project: the fault plane is single-project only (grid tenants cannot set Faults)")
 		}
 		p = checkConfig(p)

@@ -77,6 +77,13 @@ func (c *Campaign) bindProbe(p *obs.Probe) *sim.Ticker {
 		fields = f[1:] // the project count is a co-run field
 	}
 	p.Emit(0, "run-start", fields...)
+	if p.Trace != nil {
+		// The kernel's hook routes saboteur onsets to the run trace, so the
+		// volunteer package stays ignorant of obs; Reset clears it.
+		c.kern.OnSaboteurTurn = func(id int, at sim.Time) {
+			p.Emit(at, "saboteur-turn", obs.Int("host", int64(id)))
+		}
+	}
 	var sampler *sim.Ticker
 	if reg := p.Metrics; reg != nil {
 		reg.Rebind()

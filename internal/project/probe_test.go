@@ -1,11 +1,13 @@
 package project
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/volunteer"
 )
 
 // recordingProbe arms the full plane: a metrics registry sampling on the
@@ -93,4 +95,43 @@ type countingWriter struct{ n int64 }
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.n += int64(len(p))
 	return len(p), nil
+}
+
+// TestSaboteurTurnTrace pins the host kernel's observer hook: a probed
+// campaign and a probed co-run trace their saboteur onsets, as many pooled
+// as fresh, and Reset clears the hook, so a pooled runner's next unprobed
+// run writes nothing into the previous run's trace.
+func TestSaboteurTurnTrace(t *testing.T) {
+	turns := func(b *bytes.Buffer) int { return bytes.Count(b.Bytes(), []byte(`"event":"saboteur-turn"`)) }
+	traced := func(cfg Config, buf *bytes.Buffer) Config {
+		cfg.Probe = &obs.Probe{Trace: obs.NewTrace(obs.NewSink(buf))}
+		return cfg
+	}
+	saboteurs := volunteer.SaboteurProfiles(0.1, 0.015, 0.3)
+
+	cfg := determinismConfig(t, 777)
+	cfg.Host.Profiles = saboteurs
+	var fresh, pooled bytes.Buffer
+	New(traced(cfg, &fresh)).Run()
+	n := turns(&fresh)
+	if n == 0 {
+		t.Fatal("a probed saboteur campaign traced no saboteur-turn")
+	}
+	r := NewRunner()
+	r.Run(traced(cfg, &pooled))
+	r.Run(cfg)
+	if got := turns(&pooled); got != n {
+		t.Errorf("pooled probed run and its unprobed successor traced %d saboteur-turns, want the fresh run's %d", got, n)
+	}
+
+	gcfg := gridConfig(t, 777, nil)
+	gcfg.Host.Profiles = saboteurs
+	var grid bytes.Buffer
+	gr := NewGridRunner()
+	gr.Run(traced(gcfg, &grid))
+	n = turns(&grid)
+	gr.Run(gcfg)
+	if n == 0 || turns(&grid) != n {
+		t.Errorf("co-run traced %d saboteur-turns, then %d after an unprobed rerun; want a positive count that stays", n, turns(&grid))
+	}
 }

@@ -44,10 +44,10 @@
 //
 // # Multi-project work fetch
 //
-// The kernel talks to the project side through the WorkSource interface
-// (worksource.go). A single-project fleet binds the *wcg.Server (or the
-// fault plane wrapping it) directly. On a shared multi-project grid the
-// kernel is bound to a Mux instead (mux.go): each fetch goes to the
+// The kernel talks to the project side through one seam, the WorkSource
+// interface (worksource.go), and binds exactly one source: the *wcg.Server
+// of a single-project fleet, the fault plane wrapping it, or on a shared
+// multi-project grid a Mux (mux.go). The Mux sends each host's fetch to the
 // attached project the host owes the most time to under BOINC-style
 // short-term debt, with per-host seeded tie-breaks, so every project
 // receives its configured resource share of each host's time and an idle
@@ -58,9 +58,10 @@
 // # Reset contract
 //
 // ShardKernel.Reset rearms the kernel for another run on the same (freshly
-// reset) engine and server: zero hosts joined, a new host configuration
-// and seed stream, every column, calendar chunk and merge buffer retained.
-// Everything observable (active count, join counter, per-host state) is
-// reinitialized exactly as a fresh kernel would produce, so the steady
-// state of a pooled run context allocates no per-host memory.
+// reset) engine and work source: zero hosts joined, a new host
+// configuration and seed stream, the observer hook cleared, every column,
+// calendar chunk and merge buffer retained. Everything observable (active
+// count, join counter, per-host state) is reinitialized exactly as a fresh
+// kernel would produce, so the steady state of a pooled run context
+// allocates no per-host memory.
 package volunteer

@@ -1,6 +1,10 @@
 package volunteer
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // Speed-down decomposition constants (§6). Their product is the calibrated
 // mean slow-down; the ablation bench switches them off one at a time.
@@ -74,11 +78,22 @@ type HostConfig struct {
 	// Empty means every host follows the flat fields above, exactly as
 	// before profiles existed.
 	Profiles []BehaviorProfile
-	// OnSaboteurTurn, if non-nil, is invoked once per saboteur host at the
-	// moment it turns permanently bad — the run-trace hook for adversarial
-	// onsets. Read-only with respect to the model; excluded from JSON so
-	// marshaled configurations are unaffected.
-	OnSaboteurTurn func(id int, at sim.Time) `json:"-"`
+}
+
+// Equal reports whether c and o are the same host model, field by field
+// and cohort by cohort, without allocating.
+func (c *HostConfig) Equal(o *HostConfig) bool {
+	return c.MeanSpeedDown == o.MeanSpeedDown &&
+		c.SpeedDownSigma == o.SpeedDownSigma &&
+		c.AbandonProb == o.AbandonProb &&
+		c.LateReturnProb == o.LateReturnProb &&
+		c.ErrorProb == o.ErrorProb &&
+		c.IdleRetry == o.IdleRetry &&
+		c.LateDelayMax == o.LateDelayMax &&
+		c.Accounting == o.Accounting &&
+		c.WorkBuffer == o.WorkBuffer &&
+		c.HardwareTrendPerWeek == o.HardwareTrendPerWeek &&
+		slices.Equal(c.Profiles, o.Profiles)
 }
 
 // DefaultHostConfig mirrors the production campaign.

@@ -257,8 +257,8 @@ func (c *shardCal) reset() {
 // and co-run.
 type ShardKernel struct {
 	eng    *sim.Engine
-	server WorkSource   // single-project work source; nil when multiplexed
-	mux    *Mux         // multi-project arbitration (see Multiplex)
+	server WorkSource   // the one work source: server, fault plane or mux
+	mux    *Mux         // server as a Mux (port seeds, export refusal); nil otherwise
 	retry  RetryAdvisor // server's optional backoff advisor; nil = flat IdleRetry
 	cfg    HostConfig
 	r      *rng.Source // population stream: host (and mux port) seeds only
@@ -296,13 +296,18 @@ type ShardKernel struct {
 	overlay []planeEvent
 
 	livePlane int // plane events scheduled and not yet executed
+
+	// OnSaboteurTurn, if non-nil, is invoked once per saboteur host at the
+	// moment it turns permanently bad: the run-trace hook for adversarial
+	// onsets. Read-only with respect to the model; cleared by Reset.
+	OnSaboteurTurn func(id int, at sim.Time)
 }
 
-// NewShardKernel builds an empty fleet bound to the engine and the project
-// work source. window is the barrier width W in seconds (a performance
-// knob — any positive value is correct; see the package notes above). The
-// kernel copies r's state and draws host seeds from its own stream from
-// then on.
+// NewShardKernel builds an empty fleet bound to the engine and its one
+// work source (see Reset). window is the barrier width W in seconds (a
+// performance knob — any positive value is correct; see the package notes
+// above). The kernel copies r's state and draws host seeds from its own
+// stream from then on.
 func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, window float64) *ShardKernel {
 	k := &ShardKernel{}
 	k.Reset(engine, server, cfg, r, window)
@@ -310,8 +315,10 @@ func NewShardKernel(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rn
 }
 
 // Reset rearms the kernel for another run on a freshly reset engine and
-// server: zero hosts joined, new configuration and seed stream, every
-// backing array retained (see the package Reset contract).
+// work source — a server, the fault plane, or a Mux with its attachments
+// in place — with zero hosts joined, a new configuration and seed stream,
+// the saboteur hook cleared and every backing array retained (see the
+// package Reset contract).
 func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfig, r *rng.Source, window float64) {
 	if cfg.MeanSpeedDown <= 0 {
 		panic("volunteer: mean speed-down must be positive")
@@ -321,8 +328,9 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	}
 	k.eng = engine
 	k.server = server
-	k.mux = nil
+	k.mux, _ = server.(*Mux)
 	k.retry, _ = server.(RetryAdvisor)
+	k.OnSaboteurTurn = nil
 	k.cfg = cfg
 	k.r = r
 	k.sigma = cfg.SpeedDownSigma
@@ -356,41 +364,6 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.win, k.winEnd = 0, window
 	k.armed = false
 	k.livePlane = 0
-}
-
-// Multiplex binds the kernel to a multi-project mux instead of a single
-// work source: every fetch arbitrates across the mux's attached projects by
-// the host's short-term debt, and every spawn draws a second seed, right
-// after the host's own, for the host's tie-break stream. Call it after
-// NewShardKernel or Reset and before the first spawn, with the mux's
-// attachments in place.
-func (k *ShardKernel) Multiplex(m *Mux) {
-	k.mux = m
-	k.server, k.retry = nil, nil
-}
-
-// requestWork, complete and deadlineFor route one host's calls to its
-// work source: the mux on a multi-project grid, the bound server otherwise.
-func (k *ShardKernel) requestWork(h int32) *wcg.Assignment {
-	if k.mux != nil {
-		return k.mux.RequestWork(int(h))
-	}
-	return k.server.RequestWork()
-}
-
-func (k *ShardKernel) complete(a *wcg.Assignment, oc wcg.Outcome, reported float64, h int32) {
-	if k.mux != nil {
-		k.mux.CompleteFrom(a, oc, reported, int(h))
-		return
-	}
-	k.server.CompleteFrom(a, oc, reported, int(h))
-}
-
-func (k *ShardKernel) deadlineFor(a *wcg.Assignment) float64 {
-	if k.mux != nil {
-		return k.mux.DeadlineFor(a)
-	}
-	return k.server.DeadlineFor(a)
 }
 
 // scheduleHostEvent enqueues a host continuation at time `at`, drawing the

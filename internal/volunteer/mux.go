@@ -134,10 +134,10 @@ func (m *Mux) DebtSpread(id int) float64 {
 	return hi - lo
 }
 
-// RequestWork fetches one assignment for host id from the attached project
-// the host owes the most time to, among those with work available. Returns
-// nil when no attached project has work.
-func (m *Mux) RequestWork(id int) *wcg.Assignment {
+// RequestWorkFor fetches one assignment for host id from the attached
+// project the host owes the most time to, among those with work available.
+// Returns nil when no attached project has work.
+func (m *Mux) RequestWorkFor(id int) *wcg.Assignment {
 	atts := m.atts
 	debt := m.debt(id)
 	best, ties := -1, 0
@@ -162,7 +162,7 @@ func (m *Mux) RequestWork(id int) *wcg.Assignment {
 	if best < 0 {
 		return nil
 	}
-	a := atts[best].server.RequestWork()
+	a := atts[best].server.RequestWorkFor(id)
 	if a == nil {
 		return nil // HasWork raced a reentrant drain; treat as idle
 	}

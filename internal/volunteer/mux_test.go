@@ -77,7 +77,7 @@ func TestMuxPortDebtInvariants(t *testing.T) {
 	m.arm(0, 99)
 	counts := make([]int, 3)
 	for i := 0; i < 6000; i++ {
-		a := m.RequestWork(0)
+		a := m.RequestWorkFor(0)
 		if a == nil {
 			break
 		}
@@ -108,7 +108,7 @@ func TestMuxPortShareConvergence(t *testing.T) {
 	m.arm(0, 7)
 	var ref [2]float64
 	for i := 0; i < 8000; i++ {
-		a := m.RequestWork(0)
+		a := m.RequestWorkFor(0)
 		if a == nil {
 			t.Fatal("ran out of work")
 		}
@@ -137,7 +137,7 @@ func TestMuxIdleTenantYields(t *testing.T) {
 	m.Attach(idle, 0.5)
 	m.arm(0, 3)
 	for i := 0; i < 50; i++ {
-		a := m.RequestWork(0)
+		a := m.RequestWorkFor(0)
 		if a == nil || a.Project() != 0 {
 			t.Fatalf("fetch %d: got %v, want work from the busy project", i, a)
 		}
@@ -154,7 +154,7 @@ func TestMuxIdleTenantYields(t *testing.T) {
 	idle.AddWorkunit(workunit.Workunit{ID: 1000, RefSeconds: 3600}, 0)
 	seen := false
 	for i := 0; i < 4 && !seen; i++ {
-		if a := m.RequestWork(0); a != nil && a.Project() == 1 {
+		if a := m.RequestWorkFor(0); a != nil && a.Project() == 1 {
 			seen = true
 		}
 	}
@@ -171,7 +171,7 @@ func TestMuxPortDeterministicTieBreaks(t *testing.T) {
 		m.arm(0, 1234)
 		out := make([]int, 0, 600)
 		for i := 0; i < 600; i++ {
-			a := m.RequestWork(0)
+			a := m.RequestWorkFor(0)
 			if a == nil {
 				t.Fatal("ran out of work")
 			}
@@ -194,11 +194,11 @@ func TestMuxPortReuse(t *testing.T) {
 	m.arm(0, 55) // fresh
 	m.arm(1, 77)
 	for i := 0; i < 100; i++ {
-		m.RequestWork(1) // dirty the debts
+		m.RequestWorkFor(1) // dirty the debts
 	}
 	m.arm(1, 55)
 	for i := 0; i < 200; i++ {
-		a, b := m.RequestWork(0), m.RequestWork(1)
+		a, b := m.RequestWorkFor(0), m.RequestWorkFor(1)
 		if (a == nil) != (b == nil) || (a != nil && a.Project() != b.Project()) {
 			t.Fatalf("fetch %d: re-armed host diverged from fresh", i)
 		}

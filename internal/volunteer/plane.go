@@ -28,7 +28,7 @@
 // never moves a draw:
 //
 //   - on join (spawn): from the population stream, the host's seed, then
-//     its mux tie-break seed on a multiplexed fleet; from the host's
+//     its mux tie-break seed on a fleet bound to a Mux; from the host's
 //     stream, the LogNormal speed-down, the cohort pick (profiled fleets
 //     only) and the diurnal phase (diurnal cohorts only);
 //   - on each task start (fetch), from the host's stream:
@@ -53,7 +53,7 @@ const (
 )
 
 // spawn joins one host and appends it to every plane array: the host
-// seed, then (on a multiplexed fleet) the mux port seed from the
+// seed, then (on a fleet bound to a Mux) the mux port seed from the
 // population stream, then the join draws from the host's own stream
 // (LogNormal speed-down, cohort pick, diurnal phase). The speed-down gets
 // the join-time hardware-trend scaling (devices joining later are faster,
@@ -225,7 +225,7 @@ func (k *ShardKernel) fetch(h int32) {
 	base := int(h) * k.buffer
 	n := int(k.cacheLen[h])
 	for n < k.buffer {
-		a := k.requestWork(h)
+		a := k.server.RequestWorkFor(int(h))
 		if a == nil {
 			break
 		}
@@ -262,7 +262,7 @@ func (k *ShardKernel) fetch(h int32) {
 	src := &k.src[h]
 	if src.Bernoulli(k.abandonProb[h]) {
 		if src.Bernoulli(k.cfg.LateReturnProb) {
-			delay := k.deadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
+			delay := k.server.DeadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
 			k.scheduleLate(h, k.eng.Now()+delay, a, reported)
 		}
 		k.flags[h] &^= hfBusy
@@ -280,8 +280,8 @@ func (k *ShardKernel) fetch(h int32) {
 		k.curOutcome[h] = wcg.OutcomeInvalid
 		if k.flags[h]&hfSaboteur != 0 {
 			k.flags[h] |= hfTurned
-			if k.cfg.OnSaboteurTurn != nil {
-				k.cfg.OnSaboteurTurn(int(h), k.eng.Now())
+			if k.OnSaboteurTurn != nil {
+				k.OnSaboteurTurn(int(h), k.eng.Now())
 			}
 		}
 	}
@@ -299,7 +299,7 @@ func (k *ShardKernel) taskDone(h int32) {
 	k.flags[h] &^= hfBusy
 	k.done[h]++
 	k.cpuSpent[h] += reported
-	k.complete(a, outcome, reported, h)
+	k.server.CompleteFrom(a, outcome, reported, int(h))
 	k.fetch(h)
 }
 
@@ -313,5 +313,5 @@ func (k *ShardKernel) lateReturn(h int32, a *wcg.Assignment, reported float64) {
 	if k.flags[h]&hfTurned != 0 {
 		oc = wcg.OutcomeInvalid
 	}
-	k.complete(a, oc, reported, h)
+	k.server.CompleteFrom(a, oc, reported, int(h))
 }

@@ -148,8 +148,8 @@ func exportEvents(evs []planeEvent) []portablePlaneEvent {
 }
 
 // ExportPortable deep-copies the kernel's mutable state into a portable
-// snapshot. It does not cover a multiplexed kernel's mux columns, so such
-// a kernel cannot be snapshotted.
+// snapshot. It does not cover a Mux's columns, so a kernel bound to one
+// cannot be snapshotted.
 func (k *ShardKernel) ExportPortable() *PortableKernel {
 	if k.mux != nil {
 		panic("volunteer: snapshots of a multiplexed kernel are not supported")

@@ -95,9 +95,9 @@ func (f *refFleet) fetch(h *refHost) {
 	for len(h.cache) < max(f.cfg.WorkBuffer, 1) {
 		var a *wcg.Assignment
 		if f.mux != nil {
-			a = f.mux.RequestWork(h.id)
+			a = f.mux.RequestWorkFor(h.id)
 		} else {
-			a = f.server.RequestWork()
+			a = f.server.RequestWorkFor(h.id)
 		}
 		if a == nil {
 			break
@@ -274,10 +274,10 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 
 func kernelUnder(cfg HostConfig, seed uint64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
-		k := NewShardKernel(e, src, cfg, rng.New(seed), 1.5*sim.Hour)
 		if m != nil {
-			k.Multiplex(m)
+			src = m
 		}
+		k := NewShardKernel(e, src, cfg, rng.New(seed), 1.5*sim.Hour)
 		read := func(o *fleetOutcome) {
 			for i := range k.TotalJoined() {
 				o.done = append(o.done, k.done[i])

@@ -2,6 +2,8 @@ package volunteer
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -515,5 +517,36 @@ func TestWorkBufferDefaultUnchanged(t *testing.T) {
 	}
 	if run(0) != run(1) {
 		t.Fatal("buffer 0 and 1 should be identical")
+	}
+}
+
+// TestHostConfigEqualSeesEveryField: a fork refuses a host-model change by
+// Equal, so a change to any one field, or to one cohort, must make two
+// models unequal, a field added after Equal was written included.
+func TestHostConfigEqualSeesEveryField(t *testing.T) {
+	base := DefaultHostConfig()
+	base.Profiles = SaboteurProfiles(0.05, 0.01, 0.3)
+	same := base
+	same.Profiles = slices.Clone(base.Profiles)
+	if !same.Equal(&base) {
+		t.Fatal("a copy with cloned cohorts is not Equal to its source")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		c := base
+		c.Profiles = slices.Clone(base.Profiles)
+		switch f := reflect.ValueOf(&c).Elem().Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		case reflect.Slice:
+			c.Profiles[1].ErrorProb += 0.1
+		default:
+			t.Fatalf("field %s is a %s: teach this test to change it", typ.Field(i).Name, f.Kind())
+		}
+		if c.Equal(&base) {
+			t.Errorf("Equal misses a change to %s", typ.Field(i).Name)
+		}
 	}
 }

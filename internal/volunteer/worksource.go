@@ -4,10 +4,10 @@ import "repro/internal/wcg"
 
 // WorkSource is what a volunteer host needs from the project side of the
 // grid: a place to fetch work from, report results to, and ask deadlines
-// of. A single-project kernel binds a *wcg.Server here directly (or the
-// fault plane wrapping it). A multi-project kernel is bound to a Mux
-// instead (see ShardKernel.Multiplex), which arbitrates every request
-// across the attached project servers per host.
+// of. The host kernel binds exactly one: the *wcg.Server on a
+// single-project campaign, the fault plane wrapping it on a fault run, or
+// the Mux on a multi-project co-run, which arbitrates every request across
+// the attached project servers per host.
 //
 // Determinism contract: an implementation must be a pure function of the
 // simulation state and its own seeded stream — no wall clock, no map
@@ -15,9 +15,10 @@ import "repro/internal/wcg"
 // arrival races. The discrete-event engine serializes all calls, so
 // implementations need no locking.
 type WorkSource interface {
-	// RequestWork hands out one assignment, or nil when no attached
-	// project has work available.
-	RequestWork() *wcg.Assignment
+	// RequestWorkFor hands out one assignment to the fetching host, or nil
+	// when no attached project has work available. host is the fetching
+	// device's identity (the Mux arbitrates by it); a server ignores it.
+	RequestWorkFor(host int) *wcg.Assignment
 	// CompleteFrom reports a finished assignment back to the server that
 	// issued it. host is the reporting device's identity (for per-host
 	// validation trust); negative means anonymous.
@@ -27,8 +28,10 @@ type WorkSource interface {
 	DeadlineFor(a *wcg.Assignment) float64
 }
 
-// The production server satisfies WorkSource by construction.
+// The production server and the multi-project mux satisfy WorkSource by
+// construction.
 var _ WorkSource = (*wcg.Server)(nil)
+var _ WorkSource = (*Mux)(nil)
 
 // RetryAdvisor is an optional WorkSource extension: when a host's fetch
 // comes up empty, the advisor decides how long to wait before the next
@@ -38,8 +41,8 @@ var _ WorkSource = (*wcg.Server)(nil)
 // deferral with reconnect smearing.
 //
 // The kernel resolves the advisor once, by type assertion at bind time; a
-// plain *wcg.Server (which does not implement it) costs one nil check per
-// idle retry and keeps the flat delay.
+// plain *wcg.Server or a Mux (which do not implement it) costs one nil
+// check per idle retry and keeps the flat delay.
 type RetryAdvisor interface {
 	// FetchRetryDelay returns how long host should wait before its next
 	// fetch given the configured flat idle-retry delay. Must be positive

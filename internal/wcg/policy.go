@@ -213,25 +213,30 @@ func (d DeadlineClasses) bindDeadline(s *Server) {
 	s.classFn = s.classOf
 }
 
+// policies returns the configured policies with nil resolved to the
+// production defaults.
+func (c *Config) policies() (Scheduler, Validator, DeadlinePolicy) {
+	sched, val, dl := c.Scheduler, c.Validator, c.DeadlinePolicy
+	if sched == nil {
+		sched = FIFOScheduler{}
+	}
+	if val == nil {
+		val = QuorumValidator{}
+	}
+	if dl == nil {
+		dl = UniformDeadline{}
+	}
+	return sched, val, dl
+}
+
 // bindPolicies resolves the configured policies (or their production
 // defaults) into the server's bound method values and plain state. Called
 // from NewServer and Reset, after checkConfig; the scheduler's shared
 // structures (queue, buckets) must already be empty.
 func (s *Server) bindPolicies() {
-	sched := s.cfg.Scheduler
-	if sched == nil {
-		sched = FIFOScheduler{}
-	}
+	sched, val, dl := s.cfg.policies()
 	sched.bindScheduler(s)
-	val := s.cfg.Validator
-	if val == nil {
-		val = QuorumValidator{}
-	}
 	val.bindValidator(s)
-	dl := s.cfg.DeadlinePolicy
-	if dl == nil {
-		dl = UniformDeadline{}
-	}
 	dl.bindDeadline(s)
 }
 

@@ -1,6 +1,9 @@
 package wcg
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -247,11 +250,26 @@ func (s *Server) WheelDrainFn(k int) func() { return s.wheels[k].drainFn }
 // replaces the shared prefix's before the suffix runs. Only fields whose
 // effect is lazily read may differ from the config the prefix ran under —
 // the quorum fields (refreshQuorum picks the change up at the next public
-// entry, firing OnQuorumSwitch exactly as a straight run would).
-// Everything resolved at bind time must be identical: Scheduler, Validator,
-// DeadlinePolicy and Deadline are NOT re-bound here. The experiment layer's
-// prefix grouping enforces these constraints on grouped scenarios.
+// entry, firing OnQuorumSwitch exactly as a straight run would). What
+// Reset binds is not re-bound, so a change to Deadline, Scheduler,
+// Validator or DeadlinePolicy panics, naming the field, before the config
+// in force changes. Policies compare resolved (nil is the default) and
+// without allocating; DeadlineClasses class by class, as == would panic.
 func (s *Server) ApplyConfig(cfg Config) {
 	checkConfig(cfg)
+	sched, val, dl := cfg.policies()
+	was, wasVal, wasDl := s.cfg.policies()
+	classes, isClasses := dl.(DeadlineClasses)
+	wasClasses, wasIsClasses := wasDl.(DeadlineClasses)
+	switch {
+	case cfg.Deadline != s.cfg.Deadline:
+		panic(fmt.Sprintf("wcg: a fork cannot change Deadline (%v to %v s): Reset binds it", s.cfg.Deadline, cfg.Deadline))
+	case sched != was:
+		panic(fmt.Sprintf("wcg: a fork cannot change Scheduler (%v to %v): Reset binds it", was, sched))
+	case val != wasVal:
+		panic(fmt.Sprintf("wcg: a fork cannot change Validator (%v to %v): Reset binds it", wasVal, val))
+	case isClasses != wasIsClasses || !slices.Equal(classes, wasClasses):
+		panic(fmt.Sprintf("wcg: a fork cannot change DeadlinePolicy (%v to %v): Reset binds it", wasDl, dl))
+	}
 	s.cfg = cfg
 }

@@ -595,10 +595,16 @@ func (s *Server) maybeComplete(st *WUState) {
 	s.completeWU(st)
 }
 
-// RequestWork hands out one copy, or nil if no work is available. The
-// scheduler in force picks the workunit; the deadline timer for the copy
-// starts immediately, on the wheel of the workunit's deadline class.
-func (s *Server) RequestWork() *Assignment {
+// RequestWork hands out one copy to an anonymous host. Equivalent to
+// RequestWorkFor(-1).
+func (s *Server) RequestWork() *Assignment { return s.RequestWorkFor(-1) }
+
+// RequestWorkFor hands out one copy, or nil if no work is available. The
+// scheduler in force picks the workunit, whoever asks: host is accepted
+// for the volunteer.WorkSource contract and ignored. The deadline timer
+// for the copy starts immediately, on the wheel of the workunit's deadline
+// class.
+func (s *Server) RequestWorkFor(host int) *Assignment {
 	s.refreshQuorum()
 	st := s.schedNext()
 	if st == nil {
@@ -751,19 +757,6 @@ func (s *Server) recordValid(host int) bool {
 	trusted := s.adStreak[host] >= s.adThreshold
 	s.adStreak[host]++
 	return trusted
-}
-
-// EnsureHosts presizes the per-host validation-trust table for a fleet of
-// n hosts, so a mega-grid spawn burst does not regrow it result by result.
-// Purely a capacity hint: an absent streak entry and a zero entry behave
-// identically, and a non-adaptive server keeps no table at all.
-func (s *Server) EnsureHosts(n int) {
-	if !s.adaptiveOn {
-		return
-	}
-	for len(s.adStreak) < n {
-		s.adStreak = append(s.adStreak, 0)
-	}
 }
 
 // PendingCount returns the number of workunits still waiting for copies or
