@@ -235,6 +235,11 @@ func run() (err error) {
 	if err := applyPolicies(&base, *scheduler, *validator, *adaptiveStreak); err != nil {
 		return err
 	}
+	// The sweep base seed, set after the policies so that -scheduler
+	// random keeps the campaign default's seed.
+	if *seed != 0 {
+		base.Seed = *seed
+	}
 	// Like the policy overrides, fault overrides change run outputs without
 	// changing the checkpoint key, which is why -resume rejects them above.
 	base.Faults = faultCfg
@@ -314,7 +319,7 @@ func run() (err error) {
 	defer stopTicker()
 	resumed := 0
 	progress := func(p experiment.Progress) {
-		tracker.Observe(p.WallSeconds)
+		tracker.Observe(p)
 		r, tag := p.Result, ""
 		if p.Resumed {
 			resumed++
@@ -333,7 +338,7 @@ func run() (err error) {
 
 	sw, err := experiment.Run(ctx, experiment.Options{
 		Base: base, Scenarios: selected, Reps: *reps, Workers: *workers,
-		Fork: *fork, ForkWorkers: nForkWorkers, BaseSeed: *seed, Checkpoint: ckpt, Progress: progress,
+		Fork: *fork, ForkWorkers: nForkWorkers, Checkpoint: ckpt, Progress: progress,
 		MetricsSink: msink, TraceSink: tsink, SampleEvery: *sampleEvery,
 	})
 	if sw == nil {

@@ -156,7 +156,7 @@ func TestGridCatalogRunnable(t *testing.T) {
 		scens = append(scens, s)
 	}
 	base := testGridBase(t)
-	sw, err := Run(context.Background(), Options{Base: base, Scenarios: scens, Reps: 1, Workers: 1, BaseSeed: base.Seed})
+	sw, err := Run(context.Background(), Options{Base: base, Scenarios: scens, Reps: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

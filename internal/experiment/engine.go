@@ -171,7 +171,7 @@ func (e *engine) run(ctx context.Context, plan func(pending []bool) []*job) (fin
 		if ok && prev.Seed == c.seed && prev.Scale == e.scale && prev.HHours == e.hours &&
 			(prev.Grid != nil) == e.grid {
 			e.resumed++
-			e.finish(i, prev, true, 0)
+			e.finish(i, prev, true, 0, 0, false)
 		} else {
 			pending[i] = true
 		}
@@ -231,8 +231,10 @@ func (e *engine) result(i int) RunResult {
 }
 
 // finish stores cell i's result, checkpoints it when it was simulated,
-// and reports progress.
-func (e *engine) finish(i int, res RunResult, resumed bool, wall float64) {
+// counts it as a prefix hit when it was forked at sim-time at > 0 (a
+// parallel fork when on an adopted runner), and reports progress with the
+// sweep's fork statistics so far.
+func (e *engine) finish(i int, res RunResult, resumed bool, wall float64, at sim.Time, adopted bool) {
 	if ckpt := e.opts.Checkpoint; !resumed && ckpt != nil {
 		ckpt.Record(res) // drops failed cells: a resumed sweep retries them
 	}
@@ -240,8 +242,15 @@ func (e *engine) finish(i int, res RunResult, resumed bool, wall float64) {
 	defer e.mu.Unlock()
 	e.results[i] = res
 	e.done++
+	if at > 0 {
+		e.stats.PrefixHits++
+		e.stats.SavedSimWeeks += float64(at) / float64(sim.Week)
+		if adopted {
+			e.stats.ForksParallel++
+		}
+	}
 	if progress := e.opts.Progress; progress != nil {
-		progress(Progress{Done: e.done, Total: len(e.cells), Resumed: resumed, Result: res, WallSeconds: wall})
+		progress(Progress{Done: e.done, Total: len(e.cells), Resumed: resumed, Result: res, WallSeconds: wall, ForkStats: e.stats})
 	}
 }
 
@@ -286,7 +295,7 @@ func (w *worker) run(j *job) {
 				if msg, ok := w.attempt(j); !ok {
 					res := e.result(i)
 					res.Failed, res.Error = true, msg
-					e.finish(i, res, false, 0)
+					e.finish(i, res, false, 0, 0, false)
 				}
 			}
 		}
@@ -311,15 +320,11 @@ func (w *worker) attempt(j *job) (panicMsg string, ok bool) {
 		start := time.Now()
 		w.runner.AdoptSnapshot(j.ps)
 		adopt := time.Since(start)
-		saved, n := w.forks(j.groups[0]), len(j.groups[0].cells)
 		w.e.mu.Lock()
-		s := &w.e.stats
-		s.PrefixHits += n
-		s.SavedSimWeeks += saved
-		s.AdoptedRunners++
-		s.SnapshotAdoptNS += adopt.Nanoseconds()
-		s.ForksParallel += n
+		w.e.stats.AdoptedRunners++
+		w.e.stats.SnapshotAdoptNS += adopt.Nanoseconds()
 		w.e.mu.Unlock()
+		w.forks(j.groups[0], true)
 	default:
 		w.simulate(j.groups[0].cells[0])
 	}
@@ -342,22 +347,20 @@ func (w *worker) simulate(i int) {
 	}
 	wall := time.Since(start).Seconds()
 	w.probe.flush(c.Scenario, c.Rep)
-	e.finish(i, res, false, wall)
+	e.finish(i, res, false, wall, 0, false)
 }
 
-// forks forks each cell of g off the runner's held snapshot and returns
-// the sim-weeks they did not re-simulate. Forked cells run unprobed.
-func (w *worker) forks(g forkGroup) (saved float64) {
+// forks forks each cell of g off the runner's held snapshot, an adopted
+// one when adopted. Forked cells run unprobed.
+func (w *worker) forks(g forkGroup, adopted bool) {
 	e := w.e
 	for _, i := range g.cells {
 		c := e.cells[i]
 		res := e.result(i)
 		start := time.Now()
 		res.Metrics = ExtractMetrics(w.runner.Fork(cellConfig(e.opts, e.opts.Scenarios[c.scen], c.seed, nil)))
-		e.finish(i, res, false, time.Since(start).Seconds())
-		saved += float64(g.at) / float64(sim.Week)
+		e.finish(i, res, false, time.Since(start).Seconds(), g.at, adopted)
 	}
-	return saved
 }
 
 // walk simulates a replication's shared prefix once and, at each group's
@@ -368,8 +371,7 @@ func (w *worker) walk(j *job) {
 	e := w.e
 	start := time.Now()
 	w.runner.Begin(*j.tree)
-	var hits int
-	var saved float64
+	var prefix sim.Time // simulated so far
 	for gi := range j.groups {
 		g := &j.groups[gi]
 		w.runner.RunTo(g.at)
@@ -378,16 +380,24 @@ func (w *worker) walk(j *job) {
 		if err != nil {
 			panic(err) // the cells fall back to standalone runs
 		}
-		if n := min(e.fanout, len(g.cells)); n > 1 {
-			capNS, bytes := time.Since(capStart).Nanoseconds(), ps.Bytes()
-			e.mu.Lock()
+		capNS, bytes := time.Since(capStart).Nanoseconds(), ps.Bytes()
+		n := min(e.fanout, len(g.cells))
+		e.mu.Lock()
+		e.stats.PrefixGroups++
+		// The shared prefix itself is simulated once, to the deepest
+		// divergence point.
+		e.stats.SavedSimWeeks -= float64(g.at-prefix) / float64(sim.Week)
+		if n > 1 {
 			e.stats.SnapshotBytes += bytes
 			e.stats.SnapshotCaptureNS += capNS
 			if j.stat == nil {
 				j.stat = &treeStat{start: start}
 				e.trees = append(e.trees, j.stat)
 			}
-			e.mu.Unlock()
+		}
+		e.mu.Unlock()
+		prefix = g.at
+		if n > 1 {
 			per := (len(g.cells) + n - 1) / n
 			chunks := g.cells[per:]
 			g.cells = g.cells[:per] // the rest belong to their adopt jobs
@@ -396,18 +406,9 @@ func (w *worker) walk(j *job) {
 					groups: []forkGroup{{at: g.at, cells: chunks[lo:min(lo+per, len(chunks))]}}})
 			}
 		}
-		hits += len(g.cells)
-		saved += w.forks(*g)
+		w.forks(*g, false)
 		if gi < len(j.groups)-1 {
 			w.runner.Restore()
 		}
 	}
-	// The shared prefix itself was simulated once, to the deepest
-	// divergence point.
-	saved -= float64(j.groups[len(j.groups)-1].at) / float64(sim.Week)
-	e.mu.Lock()
-	e.stats.PrefixGroups += len(j.groups)
-	e.stats.PrefixHits += hits
-	e.stats.SavedSimWeeks += saved
-	e.mu.Unlock()
 }

@@ -98,17 +98,23 @@ type Progress struct {
 
 	// Live telemetry (wall clock, not sim time).
 	WallSeconds float64 // this cell's simulation wall time (0 if resumed)
+
+	// The sweep's fork statistics so far, this cell included. Only
+	// ParallelSpeedup waits for the sweep's end (Sweep.ForkStats).
+	ForkStats
 }
 
 // Options parameterizes a sweep.
 type Options struct {
 	// Base is the already-scaled configuration each scenario mutates a
-	// copy of. Its DS and M are shared read-only across workers. A Base
-	// with Projects is a co-run (project.GridRunner): its cells carry
-	// RunResult.Grid, it must hold at least as many tenants as the widest
-	// scenario trims it to (core.SharedGridConfig(2, ...) covers
-	// GridCatalog), and it can neither fork nor run a scenario with a
-	// DivergesAt hint, since a multiplexed kernel cannot be snapshotted.
+	// copy of. Its DS and M are shared read-only across workers; its Seed
+	// is the sweep's base seed, which DeriveSeed mixes with each cell's
+	// scenario and replication indexes. A Base with Projects is a co-run
+	// (project.GridRunner): its cells carry RunResult.Grid, it must hold
+	// at least as many tenants as the widest scenario trims it to
+	// (core.SharedGridConfig(2, ...) covers GridCatalog), and it can
+	// neither fork nor run a scenario with a DivergesAt hint, since a
+	// multiplexed kernel cannot be snapshotted.
 	Base project.Config
 
 	Scenarios []Scenario
@@ -120,10 +126,6 @@ type Options struct {
 	// Shards is ignored: the host kernel runs one window calendar. The
 	// field stays only for callers that still assign it.
 	Shards int
-
-	// BaseSeed is mixed with the scenario and replication indexes to derive
-	// each run's seed; 0 falls back to Base.Seed.
-	BaseSeed uint64
 
 	// Checkpoint, when non-nil, is consulted before each cell (completed
 	// cells are skipped) and receives every freshly completed cell. A
@@ -258,10 +260,6 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		}
 		scale, hours = opts.Base.Projects[0].WorkScale, opts.Base.Projects[0].HHours
 	}
-	baseSeed := opts.BaseSeed
-	if baseSeed == 0 {
-		baseSeed = opts.Base.Seed
-	}
 	e := &engine{opts: &opts, scale: scale, hours: hours, grid: corun}
 
 	// The prefix plan exists whether or not the sweep forks: grouped
@@ -275,7 +273,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 			root = plan.root
 		}
 		for r := 0; r < opts.Reps; r++ {
-			e.cells = append(e.cells, cell{Key: Key{Scenario: sc.Name, Rep: r}, scen: si, seed: DeriveSeed(baseSeed, root, r)})
+			e.cells = append(e.cells, cell{Key: Key{Scenario: sc.Name, Rep: r}, scen: si, seed: DeriveSeed(opts.Base.Seed, root, r)})
 		}
 	}
 	var trees func(pending []bool) []*job
@@ -283,7 +281,7 @@ func Run(ctx context.Context, opts Options) (*Sweep, error) {
 		trees = func(pending []bool) []*job {
 			return plan.trees(opts.Reps, pending, func(rep int) project.Config {
 				// The shared trajectory is the base config's own.
-				return cellConfig(&opts, Scenario{Mutate: func(*project.Config) {}}, DeriveSeed(baseSeed, plan.root, rep), nil)
+				return cellConfig(&opts, Scenario{Mutate: func(*project.Config) {}}, DeriveSeed(opts.Base.Seed, plan.root, rep), nil)
 			})
 		}
 	}

@@ -151,7 +151,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 
 	// A different base seed invalidates the recorded cells: nothing resumes.
-	opts.BaseSeed = 999
+	opts.Base.Seed = 999
 	third, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 
 	// So does a different workunit duration at the same seed.
-	opts.BaseSeed = 0
+	opts.Base.Seed = base.Seed
 	opts.Base.HHours = base.HHours * 2
 	fourth, err := Run(context.Background(), opts)
 	if err != nil {

@@ -24,7 +24,8 @@ type Telemetry struct {
 	TotalAllocMB    float64 // cumulative heap allocation (runtime.MemStats.TotalAlloc)
 	SysMB           float64 // memory obtained from the OS (≈ peak RSS)
 
-	// The sweep's fork statistics, filled at sweep end via RecordSweep.
+	// The sweep's fork statistics: live from each Progress, and the
+	// ParallelSpeedup at sweep end via RecordSweep.
 	// Forked gates the prefix-sharing half out of String and Fields, so
 	// unforked telemetry lines keep their exact shape, and ForkWorkers > 1
 	// gates the parallel fan-out half the same way.
@@ -104,15 +105,16 @@ type Tracker struct {
 	done    int
 	ran     int // finished cells that actually simulated (not resumed)
 	wallSum float64
-	fork    ForkStats // the finished sweep's, via RecordSweep
+	fork    ForkStats // the latest Progress's, plus RecordSweep's ParallelSpeedup
 }
 
-// RecordSweep stores a finished sweep's fork statistics so the final
-// Snapshot (summary line, closing telemetry NDJSON record) carries them.
+// RecordSweep stores a finished sweep's ParallelSpeedup, which exists only
+// once the sweep ends, so the final Snapshot (summary line, closing
+// telemetry NDJSON record) carries it.
 func (tr *Tracker) RecordSweep(sw *Sweep) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.fork = sw.ForkStats
+	tr.fork.ParallelSpeedup = sw.ParallelSpeedup
 }
 
 // NewTracker starts tracking a sweep of total cells from now.
@@ -120,16 +122,17 @@ func NewTracker(total int) *Tracker {
 	return &Tracker{start: time.Now(), total: total}
 }
 
-// Observe records one finished cell and its wall time (0 for a cell
-// satisfied from the checkpoint).
-func (tr *Tracker) Observe(wallSeconds float64) {
+// Observe records one finished cell, its wall time (0 for a cell
+// satisfied from the checkpoint) and the sweep's fork statistics so far.
+func (tr *Tracker) Observe(p Progress) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.done++
-	if wallSeconds > 0 {
+	if p.WallSeconds > 0 {
 		tr.ran++
-		tr.wallSum += wallSeconds
+		tr.wallSum += p.WallSeconds
 	}
+	tr.fork = p.ForkStats
 }
 
 // Snapshot returns the current telemetry, including a fresh memory reading.

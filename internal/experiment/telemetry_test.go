@@ -127,7 +127,7 @@ func TestProgressTelemetryFields(t *testing.T) {
 
 	tr := NewTracker(3)
 	for _, p := range progressed {
-		tr.Observe(p.WallSeconds)
+		tr.Observe(p)
 	}
 	snap := tr.Snapshot()
 	if snap.Done != 3 || snap.Total != 3 {
@@ -190,5 +190,46 @@ func TestGridSinksProduceNDJSON(t *testing.T) {
 		if p.Scenario == "" {
 			t.Error("unfilled grid result")
 		}
+	}
+}
+
+// TestProgressCarriesForkStats checks that a forked sweep reports its fork
+// statistics live: the last Progress carries the returned sweep's, all but
+// ParallelSpeedup (which exists once the sweep ends), an earlier one
+// already counts forked cells, and a Tracker fed the progress and the
+// finished sweep snapshots the sweep's statistics whole.
+func TestProgressCarriesForkStats(t *testing.T) {
+	var progressed []Progress
+	sw, err := Run(context.Background(), Options{
+		Base:        testBase(t),
+		Scenarios:   Catalog()[:6],
+		Reps:        3,
+		Workers:     2,
+		Fork:        true,
+		ForkWorkers: 2,
+		Progress:    func(p Progress) { progressed = append(progressed, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.PrefixHits == 0 || sw.AdoptedRunners == 0 || sw.ForksParallel == 0 {
+		t.Fatalf("the sweep did not fan out: %+v", sw.ForkStats)
+	}
+	want := sw.ForkStats
+	want.ParallelSpeedup = 0
+	if got := progressed[len(progressed)-1].ForkStats; got != want {
+		t.Errorf("last progress fork stats = %+v, want %+v", got, want)
+	}
+	if progressed[len(progressed)-2].PrefixHits == 0 {
+		t.Error("the progress before the last counts no forked cell")
+	}
+
+	tr := NewTracker(len(progressed))
+	for _, p := range progressed {
+		tr.Observe(p)
+	}
+	tr.RecordSweep(sw)
+	if got := tr.Snapshot().ForkStats; got != sw.ForkStats {
+		t.Errorf("tracker fork stats = %+v, want %+v", got, sw.ForkStats)
 	}
 }

@@ -495,7 +495,7 @@ func TestOutageGateAndSpool(t *testing.T) {
 			p2.AdoptPortable(ps, srv.AssignmentAt)
 			eng2.AdoptState(eng.ExportState())
 			for _, pe := range evs {
-				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2.ResolveCall(pe.Call, srv.AssignmentAt))
+				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2.ResolveCall(pe.Call, srv.AssignmentAt), nil)
 			}
 			eng.RunUntil(end)
 			eng2.RunUntil(end)

@@ -559,7 +559,7 @@ func (c *Campaign) activePlane() *faults.Plane {
 // shardWindow picks the host kernel's barrier width: half the shortest
 // tenant target task wall time, capped by the idle-retry interval — wide
 // enough that almost every host continuation lands beyond the current
-// window (the overlay heap catches the rest; any positive value is
+// window (the engine's heap takes the rest; any positive value is
 // correct).
 func (c *Campaign) shardWindow() float64 {
 	w := c.fleet.Host.IdleRetry // at least minIdleRetry: checkFleet

@@ -235,3 +235,47 @@ func TestMaterializeEveryWeek(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeInsideWindows snapshots a run whose host continuations
+// often fall due inside the armed window, where they wait in the engine's
+// heap: 60-hour workunits make the window 30 h wide, and a 10 h deadline
+// plus at most an hour of delay brings an abandoned task's late return back
+// inside it. Materialized every 30 h in the middle of a window (at a
+// window's end every continuation due inside it has run), the snapshots
+// must hold pending late returns — CallHost events with an assignment
+// index; 6 across 84 snapshots — and a runner that adopts any of them must
+// fork(base) to the straight run's bytes.
+func TestMaterializeInsideWindows(t *testing.T) {
+	base := determinismConfig(t, 777)
+	base.ControlWeeks = 0
+	base.HHours = 60
+	base.Host.IdleRetry = 2 * sim.Day
+	base.Server.Deadline = 10 * sim.Hour
+	base.Host.LateDelayMax = sim.Hour
+	straight := New(base).Run()
+	end := math.Min(math.Ceil(straight.WeeksElapsed), base.MaxWeeks) * sim.Week
+	want := reportHash(t, straight)
+
+	pub, ad := NewRunner(), NewRunner()
+	pub.Begin(base)
+	late := 0
+	for at := 15 * sim.Hour; at <= end; at += 30 * sim.Hour {
+		pub.RunTo(at)
+		ps, err := pub.Materialize()
+		if err != nil {
+			t.Fatalf("Materialize at %v h: %v", at/sim.Hour, err)
+		}
+		for _, pe := range ps.events {
+			if pe.Call.Kind == sim.CallHost && pe.Call.A1 != wcg.NilIndex {
+				late++
+			}
+		}
+		ad.AdoptSnapshot(ps)
+		if got := reportHash(t, ad.Fork(base)); got != want {
+			t.Errorf("adopted fork(base) at %v h hash = %s, want straight-run %s", at/sim.Hour, got, want)
+		}
+	}
+	if late == 0 {
+		t.Fatal("no snapshot holds a pending late return in the engine's heap")
+	}
+}

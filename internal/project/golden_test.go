@@ -116,7 +116,7 @@ func TestShardedMatchesLegacyGolden(t *testing.T) {
 // golden hashes after the arenas were dirtied by runs under another seed
 // and another host model (a deeper work buffer, behavior cohorts and
 // adaptive validation fill the calendar differently): the recycled
-// calendar, plane and overlay must not leak state from a differently
+// calendar, plane and engine heap must not leak state from a differently
 // shaped run.
 func TestShardedPooledMatchesGolden(t *testing.T) {
 	runner := NewRunner()

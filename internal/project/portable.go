@@ -192,6 +192,7 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 		pe := &ps.events[i]
 		var tick *sim.Ticker
 		var fn func()
+		var ref any
 		switch pe.Call.Kind {
 		case sim.CallTickWeekly:
 			tick = c.weekly
@@ -203,6 +204,11 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 			fn = c.t.server.WheelDrainFn(int(pe.Call.K0))
 		case sim.CallSpoolDrain, sim.CallUploadRetry:
 			fn = plane.ResolveCall(pe.Call, asAt)
+		case sim.CallHost:
+			// A host continuation due inside the armed window, closure-free:
+			// the kernel that rearm bound runs it, and a late return's
+			// assignment resolves against the adopter's server.
+			ref = asAt(pe.Call.A1)
 		}
 		if tick != nil {
 			// The adopted entry is the ticker's pending tick, in place of
@@ -210,10 +216,10 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 			tick.Adopt(pe.At, pe.Seq, pe.Call)
 			continue
 		}
-		if fn == nil {
+		if fn == nil && pe.Call.Kind != sim.CallHost {
 			panic("project: adopted event resolved to no closure — untagged or foreign call kind")
 		}
-		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn)
+		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn, ref)
 	}
 	r.ps, r.atSnap = ps, true
 }

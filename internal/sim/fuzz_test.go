@@ -25,7 +25,8 @@ import (
 //	5  Step
 //	6  RunBefore(now + arg%8)
 //	7  RunUntil(now + arg%8)
-//	8  Reset
+//	8  Reset (the harness then binds itself as the HostRunner again)
+//	9  ScheduleHost at now + arg%4, handed back to the harness
 //
 // Times are whole seconds, so equal timestamps are common and the FIFO
 // tie-break decides most orders.
@@ -37,13 +38,14 @@ func FuzzEngine(f *testing.F) {
 		{2, 0x44, 7, 5, 8, 0, 0, 1, 4, 0, 6, 2, 5, 0, 2, 0x41, 7, 2},
 		{2, 0x60, 3, 0x25, 0, 0, 7, 7, 4, 1, 0, 2, 5, 0},
 		{2, 0x40, 2, 0x40, 0, 0, 1, 0, 4, 1, 6, 1, 5, 0, 8, 0, 4, 0, 5, 0},
+		{9, 1, 0, 1, 9, 0, 2, 0x41, 9, 1, 5, 0, 6, 2, 8, 0, 9, 3, 7, 3},
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newEngineHarness()
 		for i := 0; i+1 < len(data) && i < 2*fuzzMaxOps; i += 2 {
-			h.apply(data[i]%9, data[i+1])
+			h.apply(data[i]%10, data[i+1])
 			h.compare(t, i/2)
 		}
 	})
@@ -180,7 +182,21 @@ type engineHarness struct {
 	checked int // log entries already compared
 }
 
-func newEngineHarness() *engineHarness { return &engineHarness{e: NewEngine()} }
+func newEngineHarness() *engineHarness {
+	h := &engineHarness{e: NewEngine()}
+	h.e.BindHost(h)
+	return h
+}
+
+// RunHost logs a CallHost event as fired under the id its A0 carries, or
+// under -1 when the ref handed back is not the id it was scheduled with.
+func (h *engineHarness) RunHost(c Call, ref any) {
+	id := int(c.A0)
+	if ref != id || c.Kind != CallHost {
+		id = -1
+	}
+	h.log = append(h.log, logEntry{id, h.e.Now()})
+}
 
 func (h *engineHarness) apply(op, arg byte) {
 	e, r := h.e, &h.r
@@ -260,8 +276,18 @@ func (h *engineHarness) apply(op, arg byte) {
 		r.now = max(r.now, d)
 	case 8:
 		e.Reset()
+		e.BindHost(h)
 		r.now, r.seq, r.executed, r.live, r.maxLive = 0, 0, 0, 0, 0
 		r.events = r.events[:0]
+	case 9:
+		if len(r.events) >= fuzzMaxEvents {
+			return
+		}
+		id := h.nextID
+		h.nextID++
+		at := e.Now() + float64(arg%4)
+		e.ScheduleHost(at, Call{A0: int32(id)}, id)
+		r.insert(refEvent{at: at, id: id, call: Call{Kind: CallHost, A0: int32(id)}})
 	}
 }
 

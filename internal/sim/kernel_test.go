@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,28 +11,122 @@ import (
 
 // The engine contract beyond plain ordering: FIFO ties across every
 // scheduling path, ticker stops that take the pending tick out of the heap
-// at once, and a Reset that leaves nothing behind. FuzzEngine checks the
-// same contract against a reference model.
+// at once, host events handed back to the bound runner, and a Reset that
+// leaves nothing behind. FuzzEngine checks the same contract against a
+// reference model.
+
+// hostFunc adapts a function to HostRunner.
+type hostFunc func(c Call, ref any)
+
+func (f hostFunc) RunHost(c Call, ref any) { f(c, ref) }
 
 func TestScheduleFIFOWithAt(t *testing.T) {
 	// Ties at one timestamp run in scheduling order whichever path
-	// scheduled them, a ticker's first tick included.
+	// scheduled them, a ticker's first tick and a host event included.
 	e := NewEngine()
 	var order []int
+	e.BindHost(hostFunc(func(c Call, _ any) { order = append(order, int(c.A0)) }))
 	e.Schedule(5, func() { order = append(order, 0) })
 	e.ScheduleCall(5, func() { order = append(order, 1) }, Call{Kind: CallSpoolDrain})
 	tk := e.Every(5, 1, func(Time) { order = append(order, 2) })
 	e.ScheduleAfter(5, func() { order = append(order, 3) })
 	e.ScheduleAfterCall(5, func() { order = append(order, 4) }, Call{Kind: CallSpoolDrain})
+	e.ScheduleHost(5, Call{A0: 5}, nil)
 	e.RunUntil(5)
 	tk.Stop()
-	if len(order) != 5 {
-		t.Fatalf("mixed-path ties ran %v, want 5 events", order)
+	if len(order) != 6 {
+		t.Fatalf("mixed-path ties ran %v, want 6 events", order)
 	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("mixed-path ties not FIFO: %v", order)
 		}
+	}
+}
+
+func TestScheduleHostHandsBackToRunner(t *testing.T) {
+	// A host event carries no closure: Step hands its descriptor, tagged
+	// CallHost, and its ref back to the bound runner, after the clock and
+	// the counters moved exactly as for any other event. Its seq comes
+	// from the counter ExternalSchedule draws from.
+	e := NewEngine()
+	type fired struct {
+		c   Call
+		ref any
+		now Time
+	}
+	var log []fired
+	e.BindHost(hostFunc(func(c Call, ref any) {
+		if e.Pending() != 1 || e.Executed() != 1 {
+			t.Errorf("runner sees pending %d, executed %d; want 1 and 1", e.Pending(), e.Executed())
+		}
+		log = append(log, fired{c, ref, e.Now()})
+	}))
+	x := new(int)
+	e.ScheduleHost(3, Call{Kind: CallSpoolDrain, K0: 2, A0: 7, A1: 9, F0: 1.5}, x)
+	if seq := e.ExternalSchedule(); seq != 1 {
+		t.Fatalf("ExternalSchedule after one host event drew seq %d, want 1", seq)
+	}
+	if _, seq, _ := e.Peek(); seq != 0 {
+		t.Fatalf("host event holds seq %d, want 0", seq)
+	}
+	e.Run()
+	want := fired{Call{Kind: CallHost, K0: 2, A0: 7, A1: 9, F0: 1.5}, x, 3}
+	if len(log) != 1 || log[0] != want {
+		t.Fatalf("runner got %+v, want %+v", log, want)
+	}
+}
+
+func TestHostEventsRoundTrip(t *testing.T) {
+	// Host events export as CallHost descriptors; adopted with a nil fn
+	// and the ref their A1 resolves to, they run on the adopting engine's
+	// runner in the source's order, at the source's times.
+	refs := []*int{new(int), new(int), new(int)}
+	type fired struct {
+		id  int32
+		ref any
+		now Time
+	}
+	record := func(e *Engine, log *[]fired) {
+		e.BindHost(hostFunc(func(c Call, ref any) { *log = append(*log, fired{c.A0, ref, e.Now()}) }))
+	}
+	src := NewEngine()
+	var want []fired
+	record(src, &want)
+	for i, at := range []Time{4, 2, 4, 1, 3, 2} {
+		if i%2 == 0 {
+			a := int32(i / 2)
+			src.ScheduleHost(at, Call{A0: int32(i), A1: a}, refs[a])
+		} else {
+			id := int32(i)
+			src.ScheduleCall(at, func() { want = append(want, fired{id, nil, src.Now()}) }, Call{Kind: CallSpoolDrain, A0: id})
+		}
+	}
+	src.Step()
+	evs, err := src.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewEngine()
+	var got []fired
+	record(dst, &got)
+	dst.AdoptState(src.ExportState())
+	for _, pe := range evs {
+		if pe.Call.Kind == CallHost {
+			dst.AdoptEvent(pe.At, pe.Seq, pe.Call, nil, refs[pe.Call.A1])
+			continue
+		}
+		id := pe.Call.A0
+		dst.AdoptEvent(pe.At, pe.Seq, pe.Call, func() { got = append(got, fired{id, nil, dst.Now()}) }, nil)
+	}
+	src.Run()
+	dst.Run()
+	want = want[1:] // the step before the export
+	if len(got) != 5 || !slices.Equal(got, want) {
+		t.Fatalf("adopted engine fired %v, source %v", got, want)
+	}
+	if dst.Executed() != src.Executed() || dst.Pending() != 0 {
+		t.Fatalf("adopted engine executed %d (pending %d), source %d", dst.Executed(), dst.Pending(), src.Executed())
 	}
 }
 
@@ -150,11 +245,13 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 		reused.Schedule(float64(i), func() {})
 	}
 	stale := reused.Every(0, 7, func(Time) {})
+	reused.BindHost(hostFunc(func(Call, any) {}))
+	reused.ScheduleHost(600, Call{}, nil)
 	reused.RunUntil(500)
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 {
-		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d",
-			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending())
+	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 || reused.host != nil {
+		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d runner bound %v",
+			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending(), reused.host != nil)
 	}
 	reused.Schedule(5, func() {})
 	stale.Stop() // owns no event after the Reset: must not touch the new schedule

@@ -66,8 +66,8 @@ func (e *Engine) AdoptState(now Time, seq, nEvent uint64, live, maxLive int) {
 // adopted schedule is installed after AdoptState has already advanced the
 // clock, and heap pushes maintain the invariant under any insertion
 // order). It deliberately does not touch seq or the live counters —
-// AdoptState owns those wholesale. A ticker's tick is adopted through
-// Ticker.Adopt instead.
-func (e *Engine) AdoptEvent(at Time, seq uint64, c Call, fn func()) {
-	e.queue.push(event{at: at, seq: seq, fn: fn, call: c})
+// AdoptState owns those wholesale. A CallHost event is adopted with a nil
+// fn and its resolved ref; a ticker's tick through Ticker.Adopt instead.
+func (e *Engine) AdoptEvent(at Time, seq uint64, c Call, fn func(), ref any) {
+	e.queue.push(event{at: at, seq: seq, fn: fn, call: c, ref: ref})
 }

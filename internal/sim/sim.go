@@ -16,24 +16,28 @@
 // scan and takes it out of the heap at once, so Pending() is exact.
 //
 // The heap is shallow. Host continuations live in the host kernel's window
-// calendar (volunteer.ShardKernel), merged against this heap through
-// Peek, TakeSeq and the External* accounting hooks. What remains here are
+// calendar (volunteer.ShardKernel), merged against this heap through Peek
+// and the External* accounting hooks; only a continuation that falls due
+// inside the kernel's armed window waits here, as a closure-free CallHost
+// event that Step hands back to the bound HostRunner. The rest are
 // deadline-wheel and spool drains, fault-plane upload retries and the
-// tickers: on the full-scale phase-I replay only 291,281 of the 9,243,124
-// executed events pass through the heap, and it never holds more than 3 at
-// once; across the 31-scenario catalog at 1/84 scale it never holds more
-// than 8, and a run removes at most 3 events early, all of them ticker
-// stops. Standalone uses (the middleware's own tests, the benchmark's hold
-// model) still keep tens of thousands of events pending, which is why the
-// list stays a heap.
+// tickers. On the full-scale phase-I replay 294,014 of the 9,243,124
+// executed events pass through the heap, 2,733 of them host
+// continuations, and it never holds more than 53 at once (50
+// continuations); across the 31-scenario catalog at 1/84 scale it never
+// holds more than 34 (fault-storm), and a run removes at most 3 events
+// early, all of them ticker stops. Standalone uses (the middleware's own
+// tests, the benchmark's hold model) still keep tens of thousands of
+// events pending, which is why the list stays a heap.
 //
 // # Reset contract
 //
 // Engine.Reset rearms an engine for another run, retaining the heap array.
 // Everything observable is zeroed — clock, schedule, executed/pending
-// counters, the FIFO tie-break sequence — so a reset engine is
-// indistinguishable from a fresh one to the model running on it. A ticker
-// created before the Reset owns no event afterwards: its Stop does nothing.
+// counters, the FIFO tie-break sequence — and the HostRunner is unbound,
+// so a reset engine is indistinguishable from a fresh one to the model
+// running on it. A ticker created before the Reset owns no event
+// afterwards: its Stop does nothing.
 package sim
 
 import (
@@ -86,17 +90,29 @@ const (
 	CallTickWeekly
 	CallTickDaily
 	CallTickChurn
+	// CallHost: a host continuation due inside the host kernel's armed
+	// window (see ScheduleHost). K0 = continuation kind, A0 = host index,
+	// A1 = a late return's assignment arena index, F0 = reported seconds.
+	CallHost
 )
+
+// HostRunner executes CallHost events: Step hands each one back, with the
+// reference it was scheduled with, to the runner bound by BindHost.
+type HostRunner interface {
+	RunHost(c Call, ref any)
+}
 
 // event is one scheduled callback, stored by value in the heap and ordered
 // by (at, seq). A ticker's pending tick carries the ticker in tick and no
-// fn; every other event carries fn and no tick.
+// fn; a CallHost event carries neither, and ref instead; every other event
+// carries fn.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
 	fn   func()
 	call Call
 	tick *Ticker
+	ref  any
 }
 
 func (a *event) before(b *event) bool {
@@ -160,7 +176,7 @@ func (h *eventHeap) remove(i int) event {
 	ev := q[i]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // drop the closure and ticker references
+	q[n] = event{} // drop the closure, ticker and host references
 	q = q[:n]
 	*h = q
 	if i < n {
@@ -182,6 +198,7 @@ type Engine struct {
 	nEvent  uint64 // events executed
 	live    int    // the exact Pending() count
 	maxLive int    // high-water mark of live
+	host    HostRunner
 }
 
 // NewEngine returns an engine with the clock at 0 and an empty event list.
@@ -190,15 +207,19 @@ func NewEngine() *Engine {
 }
 
 // Reset rearms the engine for another run: clock back to 0, schedule
-// empty, all counters zeroed. The heap array is retained, so a reset
-// engine schedules without allocating.
+// empty, all counters zeroed, no HostRunner bound. The heap array is
+// retained, so a reset engine schedules without allocating.
 func (e *Engine) Reset() {
 	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq, e.nEvent = 0, 0
 	e.live, e.maxLive = 0, 0
+	e.host = nil
 }
+
+// BindHost binds the runner that executes the engine's CallHost events.
+func (e *Engine) BindHost(r HostRunner) { e.host = r }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -262,6 +283,13 @@ func (e *Engine) ScheduleAfterCall(d float64, fn func(), c Call) {
 	e.ScheduleCall(e.now+d, fn, c)
 }
 
+// ScheduleHost schedules a closure-free host continuation at t: Step hands
+// c, tagged CallHost, and ref back to the bound HostRunner.
+func (e *Engine) ScheduleHost(t Time, c Call, ref any) {
+	c.Kind = CallHost
+	e.insert(event{at: t, call: c, ref: ref})
+}
+
 // Peek returns the (time, seq) ordering key of the next event without
 // executing it; ok is false when the schedule is empty. The host kernel
 // merges its own event calendars with the engine's schedule through this
@@ -274,25 +302,20 @@ func (e *Engine) Peek() (t Time, seq uint64, ok bool) {
 	return e.queue[0].at, e.queue[0].seq, true
 }
 
-// TakeSeq hands out the next FIFO tie-break sequence number, exactly as
-// scheduling an event here would. An external event calendar (the host
-// kernel's window calendar) draws its sequence numbers from the engine's
-// counter at the moment it schedules, so ties between external and engine
-// events resolve in one global FIFO order.
-func (e *Engine) TakeSeq() uint64 {
+// ExternalSchedule accounts one externally-stored event as scheduled and
+// returns its FIFO tie-break sequence number: seq and Pending/MaxPending
+// move exactly as an engine-side Schedule would move them, so ties between
+// the external calendar (the host kernel's window calendar) and the heap
+// resolve in one global FIFO order. The event itself lives in the caller's
+// calendar, not the heap.
+func (e *Engine) ExternalSchedule() uint64 {
 	s := e.seq
 	e.seq++
-	return s
-}
-
-// ExternalSchedule accounts one externally-stored event as scheduled:
-// Pending/MaxPending move exactly as an engine-side Schedule would move
-// them. The event itself lives in the caller's calendar, not the heap.
-func (e *Engine) ExternalSchedule() {
 	e.live++
 	if e.live > e.maxLive {
 		e.maxLive = e.live
 	}
+	return s
 }
 
 // ExternalExecute advances the clock to t and accounts one externally-
@@ -327,10 +350,13 @@ func (e *Engine) Step() bool {
 		e.live--
 		e.nEvent++
 	}
-	if ev.tick != nil {
+	switch {
+	case ev.tick != nil:
 		ev.tick.fire()
-	} else {
+	case ev.fn != nil:
 		ev.fn()
+	default:
+		e.host.RunHost(ev.call, ev.ref)
 	}
 	return true
 }
@@ -365,7 +391,7 @@ func (e *Engine) RunBefore(deadline Time) {
 // Stop is called. fn runs before the next tick is scheduled, so it may
 // stop the ticker from within. A ticker owns
 // at most one pending tick, which it finds by scanning the heap: campaign
-// heaps hold a handful of events (see the package doc).
+// heaps hold a few dozen events at most (see the package doc).
 type Ticker struct {
 	engine   *Engine
 	interval float64

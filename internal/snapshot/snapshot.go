@@ -48,7 +48,10 @@
 //   - sim.Engine: clock, FIFO sequence and live/executed counters as
 //     scalars; the heap as PortableEvent descriptors, in heap-array order.
 //     Tickers are not exported: the adopter builds them dormant and arms
-//     each with its adopted tick (Ticker.Adopt).
+//     each with its adopted tick (Ticker.Adopt). A host continuation due
+//     inside the kernel's armed window is a closure-free sim.CallHost
+//     event; the adopter resolves a late return's assignment index into
+//     its ref, and the kernel its Reset bound runs it.
 //   - wcg.Server (PortableServer): the WUState and Assignment arenas in
 //     allocation order with pointers as indices, the work queue, batch
 //     buckets, deadline rings, trust streaks, scheduler rng and stats.
@@ -56,11 +59,12 @@
 //     Export requires the retained-arena (pooled Reset) mode: the one-shot
 //     slab.Carve mode has no stable allocation order.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
-//     population stream, the overlay, and the window calendar flattened
-//     into one event list plus window spans; the adopter rebuilds the
-//     windows onto its own chunks. Chunk layout is unobservable — a window
-//     is sorted by (time, seq) at its barrier. A multiplexed kernel's mux
-//     columns are not covered, so grid co-runs cannot be snapshotted.
+//     population stream, the armed window's unconsumed buffer, and the
+//     window calendar flattened into one event list plus window spans;
+//     the adopter rebuilds the windows onto its own chunks. Chunk layout
+//     is unobservable — a window is sorted by (time, seq) at its barrier.
+//     A multiplexed kernel's mux columns are not covered, so grid co-runs
+//     cannot be snapshotted.
 //   - faults.Plane (PortablePlane): the outage spool (assignments as
 //     indices) and its armed flag, the per-host attempt/epoch/upload
 //     tables, window cursor, churn accumulator and stats; the outage

@@ -24,7 +24,8 @@
 // The fleet runs on one kernel, ShardKernel: host state is stored as a
 // structure of arrays indexed by host ID (plane.go), and host
 // continuations live in one window calendar merged against the sim.Engine
-// in global (time, seq) order (kernel.go). A fetch-compute-report cycle
+// heap in global (time, seq) order; the rare one due inside the armed
+// window waits in that heap (kernel.go). A fetch-compute-report cycle
 // per host is: top up the local work buffer from the work source, start
 // the front assignment, draw the task's behaviour (abandon / late return /
 // invalid) from the host's own stream, and schedule the completion. Every
@@ -59,9 +60,10 @@
 //
 // ShardKernel.Reset rearms the kernel for another run on the same (freshly
 // reset) engine and work source: zero hosts joined, a new host
-// configuration and seed stream, the observer hook cleared, every column,
-// calendar chunk and merge buffer retained. Everything observable (active
-// count, join counter, per-host state) is reinitialized exactly as a fresh
-// kernel would produce, so the steady state of a pooled run context
-// allocates no per-host memory.
+// configuration and seed stream, the observer hook cleared, the kernel
+// bound as the engine's HostRunner, every column, calendar chunk and merge
+// buffer retained. Everything observable (active count, join counter,
+// per-host state) is reinitialized exactly as a fresh kernel would
+// produce, so the steady state of a pooled run context allocates no
+// per-host memory.
 package volunteer

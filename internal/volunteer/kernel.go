@@ -4,22 +4,23 @@
 // # Time-window invariant
 //
 // Host continuation events (task completions, idle retries, late returns)
-// are not stored in the central sim.Engine heap. They live in one window
-// calendar, indexed by window = floor(time / W). The window width W is
-// min(IdleRetry, half the target task wall time), so almost every
-// continuation lands one or more windows ahead of the window that
-// schedules it; the rare event that falls due inside the current
-// window goes to a small overlay heap instead, which makes W a pure
-// performance knob — correctness holds for any W > 0.
+// live in one window calendar, indexed by window = floor(time / W). The
+// window width W is min(IdleRetry, half the target task wall time), so
+// almost every continuation lands one or more windows ahead of the window
+// that schedules it. The rare one that falls due inside the armed window
+// enters the sim.Engine heap instead, as a closure-free sim.CallHost event
+// that the engine hands back through RunHost; it never enters the armed
+// buffer. That makes W a pure performance knob — correctness holds for any
+// W > 0.
 //
 // A window's events are appended, unsorted, to a list of fixed-size
 // chunks drawn from the calendar's free list, so its memory tracks the
 // pending events rather than its peak window. At each window barrier the
 // calendar arms the new window into one reused merge buffer, recycling the
-// window's chunks. Between barriers the kernel merges the sorted buffer,
-// the overlay heap and the engine's own heap in global ascending (time,
-// seq) order and executes the model, drawing every host decision and join
-// inline. Everything runs on the caller's goroutine.
+// window's chunks. Between barriers the kernel merges the sorted buffer
+// and the engine's heap in global ascending (time, seq) order and executes
+// the model, drawing every host decision and join inline. Everything runs
+// on the caller's goroutine.
 //
 // # Window arming
 //
@@ -38,15 +39,16 @@
 //
 // # Merge order
 //
-// Every tie-break seq is drawn from the engine counter (Engine.TakeSeq) as
-// the event is scheduled, so no two events share a (time, seq) key, and
-// every model draw comes from fixed per-host stream positions as the merge
+// Every tie-break seq is drawn from the engine counter as the event is
+// scheduled — by the heap's own insert, or by Engine.ExternalSchedule for
+// a calendar event — so no two events share a (time, seq) key, and every
+// model draw comes from fixed per-host stream positions as the merge
 // executes events (the draw order in plane.go). The merge therefore has
-// exactly one order: whichever of the armed buffer, the overlay and the
-// engine heap holds the least (time, seq) key runs next. The window width
-// only decides where an event waits, never a value or the execution order:
-// reports are byte-identical fresh and pooled (golden-hash tests in
-// internal/project pin them).
+// exactly one order: whichever of the armed buffer and the engine heap
+// holds the least (time, seq) key runs next. The window width only decides
+// where an event waits, never a value or the execution order: reports are
+// byte-identical fresh and pooled (golden-hash tests in internal/project
+// pin them).
 package volunteer
 
 import (
@@ -290,12 +292,11 @@ type ShardKernel struct {
 
 	cal shardCal // the window calendar
 
-	win     int      // current (armed) window index
-	winEnd  sim.Time // (win+1)·window
-	armed   bool     // first RunUntil preps window 0 lazily
-	overlay []planeEvent
+	win    int      // current (armed) window index
+	winEnd sim.Time // (win+1)·window
+	armed  bool     // first RunUntil preps window 0 lazily
 
-	livePlane int // plane events scheduled and not yet executed
+	livePlane int // calendar events (pending windows and armed buffer) not yet executed
 
 	// OnSaboteurTurn, if non-nil, is invoked once per saboteur host at the
 	// moment it turns permanently bad: the run-trace hook for adversarial
@@ -327,6 +328,7 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 		panic("volunteer: calendar window must be positive")
 	}
 	k.eng = engine
+	engine.BindHost(k)
 	k.server = server
 	k.mux, _ = server.(*Mux)
 	k.retry, _ = server.(RetryAdvisor)
@@ -359,124 +361,53 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.active, k.firstActive = 0, 0
 
 	k.cal.reset()
-	clear(k.overlay)
-	k.overlay = k.overlay[:0]
 	k.win, k.winEnd = 0, window
 	k.armed = false
 	k.livePlane = 0
 }
 
-// scheduleHostEvent enqueues a host continuation at time `at`, drawing the
-// tie-break seq and the Pending accounting from the engine exactly as an
-// engine-side ScheduleAfter would.
-func (k *ShardKernel) scheduleHostEvent(h int32, kind uint8, at sim.Time) {
-	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), host: h, kind: kind})
-}
-
-// scheduleLate enqueues an abandoned-late-return continuation carrying its
-// assignment and reported seconds.
-func (k *ShardKernel) scheduleLate(h int32, at sim.Time, a *wcg.Assignment, reported float64) {
-	k.insert(planeEvent{at: at, seq: k.eng.TakeSeq(), a: a, reported: reported, host: h, kind: evLate})
-}
-
-// insert routes one event to the overlay heap (due inside the current
-// window — the exact comparison, immune to division rounding at the
-// boundary) or to the future-window calendar.
-func (k *ShardKernel) insert(ev planeEvent) {
-	k.eng.ExternalSchedule()
-	k.livePlane++
-	if ev.at < k.winEnd {
-		k.overlayPush(ev)
+// schedule enqueues host h's continuation of the given kind at time at
+// (a late return carries its assignment a and reported seconds). One due
+// inside the armed window — the exact comparison, immune to division
+// rounding at the boundary — enters the engine's heap as a CallHost event
+// (see RunHost); any other is a future window's calendar event, whose
+// tie-break seq and Pending accounting the engine draws exactly as for its
+// own.
+func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time, a *wcg.Assignment, reported float64) {
+	if at < k.winEnd {
+		k.eng.ScheduleHost(at, sim.Call{K0: kind, A0: h, A1: wcg.AssignmentIndex(a), F0: reported}, a)
 		return
 	}
+	k.livePlane++
 	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
-	k.cal.push(int(ev.at/k.window), ev)
+	k.cal.push(int(at/k.window), planeEvent{at: at, seq: k.eng.ExternalSchedule(), a: a, reported: reported, host: h, kind: kind})
 }
 
-// overlayPush / overlayPop: a plain binary min-heap on (at, seq).
-func (k *ShardKernel) overlayPush(ev planeEvent) {
-	q := append(k.overlay, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if planeEventLess(q[i], q[p]) >= 0 {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-	k.overlay = q
+// RunHost implements sim.HostRunner: the engine, having accounted the
+// event as executed, hands back a continuation that schedule put in its
+// heap.
+func (k *ShardKernel) RunHost(c sim.Call, ref any) {
+	a, _ := ref.(*wcg.Assignment)
+	k.run(c.A0, c.K0, a, c.F0)
 }
 
-func (k *ShardKernel) overlayPop() planeEvent {
-	q := k.overlay
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = planeEvent{}
-	q = q[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && planeEventLess(q[c+1], q[c]) < 0 {
-			c++
-		}
-		if planeEventLess(q[c], q[i]) >= 0 {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	k.overlay = q
-	return top
-}
-
-// peekPlane returns the ordering key of the earliest plane event in the
-// current window (the calendar's merge-buffer cursor or the overlay's
-// head) and whether the overlay holds it, for popPlane.
-func (k *ShardKernel) peekPlane() (at sim.Time, seq uint64, ok, overlay bool) {
-	c := &k.cal
-	calOK := c.cursor < len(c.cur)
-	if len(k.overlay) > 0 {
-		ov := &k.overlay[0]
-		if !calOK || planeEventLess(*ov, c.cur[c.cursor]) < 0 {
-			return ov.at, ov.seq, true, true
-		}
-	}
-	if !calOK {
-		return 0, 0, false, false
-	}
-	ev := &c.cur[c.cursor]
-	return ev.at, ev.seq, true, false
-}
-
-// popPlane removes and returns the event peekPlane found, from the overlay
-// or the calendar.
-func (k *ShardKernel) popPlane(overlay bool) planeEvent {
-	if overlay {
-		return k.overlayPop()
-	}
-	c := &k.cal
-	ev := c.cur[c.cursor]
-	c.cursor++
-	return ev
-}
-
-// exec runs one plane event through the host model, mirroring the engine's
-// clock/executed accounting first (exactly as Step orders it).
+// exec runs one calendar event, mirroring the engine's clock/executed
+// accounting first (exactly as Step orders it).
 func (k *ShardKernel) exec(ev planeEvent) {
 	k.eng.ExternalExecute(ev.at)
 	k.livePlane--
-	switch ev.kind {
+	k.run(ev.host, ev.kind, ev.a, ev.reported)
+}
+
+// run dispatches one continuation through the host model.
+func (k *ShardKernel) run(h int32, kind uint8, a *wcg.Assignment, reported float64) {
+	switch kind {
 	case evFetch:
-		k.fetch(ev.host)
+		k.fetch(h)
 	case evDone:
-		k.taskDone(ev.host)
+		k.taskDone(h)
 	default:
-		k.lateReturn(ev.host, ev.a, ev.reported)
+		k.lateReturn(h, a, reported)
 	}
 }
 
@@ -487,9 +418,9 @@ func (k *ShardKernel) prepWindow(w int) {
 	k.cal.take(w, k.window)
 }
 
-// RunUntil merges plane and engine events in global ascending (time, seq)
-// order, executing everything with time ≤ deadline and advancing the clock
-// to the deadline, exactly as Engine.RunUntil does for a single heap.
+// RunUntil merges calendar and engine events in global ascending (time,
+// seq) order, executing everything with time ≤ deadline and advancing the
+// clock to the deadline, exactly as Engine.RunUntil does for a single heap.
 // Callable repeatedly with growing deadlines (the campaign runs the phase
 // horizon, then the straggler drain). No float lies between deadline and
 // its successor, so running strictly before the successor runs exactly the
@@ -499,7 +430,7 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 	k.eng.AdvanceTo(deadline)
 }
 
-// RunBefore merges plane and engine events in global ascending (time,
+// RunBefore merges calendar and engine events in global ascending (time,
 // seq) order, executes those with timestamps strictly before deadline, and
 // stops without advancing the clock to the deadline or prepping the window
 // that contains it. The snapshot/fork path uses it to end a shared prefix at
@@ -512,16 +443,18 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 		k.prepWindow(k.win)
 		k.armed = true
 	}
+	c := &k.cal
 	for {
-		pt, pseq, pok, pov := k.peekPlane()
 		et, eseq, eok := e.Peek()
-		if pok && (!eok || pt < et || (pt == et && pseq < eseq)) {
-			if pt >= deadline {
-				break
+		if c.cursor < len(c.cur) {
+			if ev := &c.cur[c.cursor]; !eok || ev.at < et || (ev.at == et && ev.seq < eseq) {
+				if ev.at >= deadline {
+					break
+				}
+				c.cursor++
+				k.exec(*ev)
+				continue
 			}
-			ev := k.popPlane(pov)
-			k.exec(ev)
-			continue
 		}
 		if eok && et < k.winEnd {
 			if et >= deadline {
@@ -530,9 +463,9 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 			e.Step()
 			continue
 		}
-		// Current window exhausted on both calendars (any engine head
-		// lies in a later window). Advance the barrier — jumping straight
-		// to the engine head's window when no plane events remain
+		// Current window exhausted on both sources (any engine head lies
+		// in a later window). Advance the barrier — jumping straight to
+		// the engine head's window when no calendar events remain
 		// anywhere — only while the next window can still hold events
 		// before the deadline (its start is the current winEnd).
 		if k.livePlane == 0 {

@@ -24,8 +24,8 @@
 // Every model draw runs inline as the kernel executes events, from a
 // stream with a single reader: the population stream, which only spawn
 // reads, and each host's own stream, which only that host's spawn and
-// fetch read. Where an event waits (calendar window or overlay) therefore
-// never moves a draw:
+// fetch read. Where an event waits (a calendar window or the engine's heap)
+// therefore never moves a draw:
 //
 //   - on join (spawn): from the population stream, the host's seed, then
 //     its mux tie-break seed on a fleet bound to a Mux; from the host's
@@ -242,7 +242,7 @@ func (k *ShardKernel) fetch(h int32) {
 			// attempt), so it depends on no execution order.
 			d = k.retry.FetchRetryDelay(int(h), d)
 		}
-		k.scheduleHostEvent(h, evFetch, k.eng.Now()+d)
+		k.schedule(h, evFetch, k.eng.Now()+d, nil, 0)
 		return
 	}
 	if k.flags[h]&hfBusy != 0 {
@@ -263,10 +263,10 @@ func (k *ShardKernel) fetch(h int32) {
 	if src.Bernoulli(k.abandonProb[h]) {
 		if src.Bernoulli(k.cfg.LateReturnProb) {
 			delay := k.server.DeadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
-			k.scheduleLate(h, k.eng.Now()+delay, a, reported)
+			k.schedule(h, evLate, k.eng.Now()+delay, a, reported)
 		}
 		k.flags[h] &^= hfBusy
-		k.scheduleHostEvent(h, evFetch, k.eng.Now()+k.cfg.IdleRetry)
+		k.schedule(h, evFetch, k.eng.Now()+k.cfg.IdleRetry, nil, 0)
 		return
 	}
 
@@ -289,7 +289,7 @@ func (k *ShardKernel) fetch(h int32) {
 	if k.flags[h]&hfDiurnal != 0 {
 		delay = diurnalDelay(k.eng.Now(), wall, k.phase[h], k.onlineSpan[h])
 	}
-	k.scheduleHostEvent(h, evDone, k.eng.Now()+delay)
+	k.schedule(h, evDone, k.eng.Now()+delay, nil, 0)
 }
 
 // taskDone reports the finished task and fetches the next one.

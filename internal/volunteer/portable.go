@@ -109,13 +109,12 @@ type PortableKernel struct {
 
 	// The calendar: the pending windows as one flat event list named by
 	// spans, and the armed window's unconsumed events in merge order.
-	events  []portablePlaneEvent
-	spans   []calSpan
-	calCur  []portablePlaneEvent
-	win     int
-	winEnd  sim.Time
-	armed   bool
-	overlay []portablePlaneEvent
+	events []portablePlaneEvent
+	spans  []calSpan
+	calCur []portablePlaneEvent
+	win    int
+	winEnd sim.Time
+	armed  bool
 
 	livePlane int
 }
@@ -131,7 +130,7 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.done) + snapshot.Size(p.cpuSpent) +
 		snapshot.Size(p.cur) + snapshot.Size(p.curOutcome) +
 		snapshot.Size(p.curReported) + snapshot.Size(p.cacheLen) +
-		snapshot.Size(p.cache) + snapshot.Size(p.overlay) +
+		snapshot.Size(p.cache) +
 		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.calCur)
 }
 
@@ -176,11 +175,10 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 
 		window: k.window,
 
-		calCur:  exportEvents(k.cal.cur[k.cal.cursor:]),
-		win:     k.win,
-		winEnd:  k.winEnd,
-		armed:   k.armed,
-		overlay: exportEvents(k.overlay),
+		calCur: exportEvents(k.cal.cur[k.cal.cursor:]),
+		win:    k.win,
+		winEnd: k.winEnd,
+		armed:  k.armed,
 
 		livePlane: k.livePlane,
 	}
@@ -238,9 +236,5 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 		c.cur = append(c.cur, pe.adopt(asAt))
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
-	k.overlay = k.overlay[:0]
-	for _, pe := range p.overlay {
-		k.overlay = append(k.overlay, pe.adopt(asAt))
-	}
 	k.livePlane = p.livePlane
 }

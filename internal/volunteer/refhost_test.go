@@ -1,6 +1,7 @@
 package volunteer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,6 +26,7 @@ type refFleet struct {
 	r      *rng.Source
 	hosts  []*refHost
 	active int
+	late   int // abandoned tasks returned late
 }
 
 type refHost struct {
@@ -126,6 +128,7 @@ func (f *refFleet) fetch(h *refHost) {
 	if h.src.Bernoulli(h.abandonProb) {
 		if h.src.Bernoulli(f.cfg.LateReturnProb) {
 			f.eng.ScheduleAfter(f.deadlineFor(a)+h.src.Float64()*f.cfg.LateDelayMax, func() {
+				f.late++
 				h.cpuSpent += reported
 				f.complete(a, h.turned, reported, h)
 			})
@@ -194,10 +197,13 @@ func diffFleetConfig() HostConfig {
 }
 
 // diffServer builds a two-copy, adaptively validating server stocked with
-// mixed-size work.
-func diffServer(engine *sim.Engine, wus int, salt int) *wcg.Server {
+// mixed-size work, under the given deadline (0 = the default).
+func diffServer(engine *sim.Engine, wus int, salt int, deadline float64) *wcg.Server {
 	cfg := wcg.DefaultConfig()
 	cfg.Validator = wcg.AdaptiveValidator{Streak: 4}
+	if deadline > 0 {
+		cfg.Deadline = deadline
+	}
 	srv := wcg.NewServer(engine, cfg)
 	for i := 0; i < wus; i++ {
 		ref := 3600 * (1 + float64((i*7+salt)%5))
@@ -217,6 +223,7 @@ type fleetOutcome struct {
 	done             []int32
 	cpuSpent, speeds []float64
 	turned           []bool
+	late             int // the reference's late returns; the kernel leaves it 0
 }
 
 // fleetUnder binds a fleet implementation to an engine and its work
@@ -224,8 +231,9 @@ type fleetOutcome struct {
 // per-host readout.
 type fleetUnder func(e *sim.Engine, src WorkSource, m *Mux) (setTarget func(int), run func(sim.Time), read func(*fleetOutcome))
 
-// runDiff drives one fleet through fleetTargets for eight weeks.
-func runDiff(t *testing.T, muxed bool, mkFleet fleetUnder) fleetOutcome {
+// runDiff drives one fleet through fleetTargets for eight weeks, against
+// servers with the given deadline (0 = the default).
+func runDiff(t *testing.T, muxed bool, deadline float64, mkFleet fleetUnder) fleetOutcome {
 	t.Helper()
 	e := sim.NewEngine()
 	var servers []*wcg.Server
@@ -234,12 +242,12 @@ func runDiff(t *testing.T, muxed bool, mkFleet fleetUnder) fleetOutcome {
 	if muxed {
 		m = NewMux()
 		for p, share := range []float64{1, 2} {
-			s := diffServer(e, 1500, p)
+			s := diffServer(e, 1500, p, deadline)
 			m.Attach(s, share)
 			servers = append(servers, s)
 		}
 	} else {
-		s := diffServer(e, 3000, 0)
+		s := diffServer(e, 3000, 0, deadline)
 		servers = append(servers, s)
 		src = retryStub{s}
 	}
@@ -261,6 +269,7 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
 		f := &refFleet{eng: e, server: src, mux: m, cfg: cfg, r: rng.New(seed)}
 		read := func(o *fleetOutcome) {
+			o.late = f.late
 			for _, h := range f.hosts {
 				o.done = append(o.done, h.done)
 				o.cpuSpent = append(o.cpuSpent, h.cpuSpent)
@@ -272,12 +281,12 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 	}
 }
 
-func kernelUnder(cfg HostConfig, seed uint64) fleetUnder {
+func kernelUnder(cfg HostConfig, seed uint64, window float64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
 		if m != nil {
 			src = m
 		}
-		k := NewShardKernel(e, src, cfg, rng.New(seed), 1.5*sim.Hour)
+		k := NewShardKernel(e, src, cfg, rng.New(seed), window)
 		read := func(o *fleetOutcome) {
 			for i := range k.TotalJoined() {
 				o.done = append(o.done, k.done[i])
@@ -293,33 +302,51 @@ func kernelUnder(cfg HostConfig, seed uint64) fleetUnder {
 // TestKernelMatchesReferenceFleet is the differential oracle: the kernel
 // reproduces the reference fleet's every server counter, engine count and
 // per-host outcome, single-project (through a RetryAdvisor) and on a
-// two-project mux.
+// two-project mux. The late-returns case brings abandoned tasks back within
+// an hour of a 40-minute deadline and runs the kernel at three window
+// widths: at one minute, the campaign's floor, every continuation waits in
+// the calendar; at two weeks 97 % of them wait in the engine's heap, late
+// returns included, whose assignment rides the heap event's ref.
 func TestKernelMatchesReferenceFleet(t *testing.T) {
-	cfg := diffFleetConfig()
-	for _, muxed := range []bool{false, true} {
-		want := runDiff(t, muxed, refFleetUnder(cfg, 404))
-		if want.stats[0].Received == 0 || want.stats[0].Invalid == 0 || want.stats[0].TimedOut == 0 {
-			t.Fatalf("muxed=%v: reference run too quiet to compare: %+v", muxed, want.stats[0])
-		}
-		got := runDiff(t, muxed, kernelUnder(cfg, 404))
-		for i := range want.stats {
-			if got.stats[i] != want.stats[i] {
-				t.Errorf("muxed=%v server %d stats:\n got %+v\nwant %+v", muxed, i, got.stats[i], want.stats[i])
+	late := diffFleetConfig()
+	late.LateDelayMax = 20 * sim.Minute
+	for _, tc := range []struct {
+		name     string
+		cfg      HostConfig
+		deadline float64 // 0 = the server default
+		windows  []float64
+	}{
+		{"default", diffFleetConfig(), 0, []float64{1.5 * sim.Hour}},
+		{"late-returns", late, 40 * sim.Minute, []float64{sim.Minute, 1.5 * sim.Hour, 2 * sim.Week}},
+	} {
+		for _, muxed := range []bool{false, true} {
+			want := runDiff(t, muxed, tc.deadline, refFleetUnder(tc.cfg, 404))
+			if s := want.stats[0]; s.Received == 0 || s.Invalid == 0 || s.TimedOut == 0 || want.late == 0 {
+				t.Fatalf("%s muxed=%v: reference run too quiet to compare: %d late returns, %+v", tc.name, muxed, want.late, s)
 			}
-		}
-		if got.executed != want.executed || got.maxPending != want.maxPending {
-			t.Errorf("muxed=%v engine: executed %d/%d, peak pending %d/%d",
-				muxed, got.executed, want.executed, got.maxPending, want.maxPending)
-		}
-		if len(got.done) != len(want.done) {
-			t.Fatalf("muxed=%v: %d hosts joined, want %d", muxed, len(got.done), len(want.done))
-		}
-		for i := range want.done {
-			if got.done[i] != want.done[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
-				got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
-				t.Fatalf("muxed=%v host %d: done %d/%d cpu %v/%v speed %v/%v turned %v/%v", muxed, i,
-					got.done[i], want.done[i], got.cpuSpent[i], want.cpuSpent[i],
-					got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
+			for _, w := range tc.windows {
+				name := fmt.Sprintf("%s muxed=%v window=%gs", tc.name, muxed, w)
+				got := runDiff(t, muxed, tc.deadline, kernelUnder(tc.cfg, 404, w))
+				for i := range want.stats {
+					if got.stats[i] != want.stats[i] {
+						t.Errorf("%s server %d stats:\n got %+v\nwant %+v", name, i, got.stats[i], want.stats[i])
+					}
+				}
+				if got.executed != want.executed || got.maxPending != want.maxPending {
+					t.Errorf("%s engine: executed %d/%d, peak pending %d/%d",
+						name, got.executed, want.executed, got.maxPending, want.maxPending)
+				}
+				if len(got.done) != len(want.done) {
+					t.Fatalf("%s: %d hosts joined, want %d", name, len(got.done), len(want.done))
+				}
+				for i := range want.done {
+					if got.done[i] != want.done[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
+						got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
+						t.Fatalf("%s host %d: done %d/%d cpu %v/%v speed %v/%v turned %v/%v", name, i,
+							got.done[i], want.done[i], got.cpuSpent[i], want.cpuSpent[i],
+							got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
+					}
+				}
 			}
 		}
 	}
