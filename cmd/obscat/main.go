@@ -1,8 +1,9 @@
 // Command obscat validates and summarizes the observability plane's NDJSON
-// outputs (sweep/hcmdsim -metrics and -trace files). Every line must parse
-// as a standalone JSON object; obscat reports how many did, broken down by
-// metric series or trace event, and exits non-zero on the first malformed
-// line — the CI gate that instrumented runs emit well-formed telemetry.
+// outputs (sweep/hcmdsim -metrics and -trace files). Every non-blank line
+// must parse as a standalone JSON object (null, an array or a bare value is
+// malformed); obscat reports how many did, broken down by metric series or
+// trace event, and exits 1 on the first malformed line, naming file:line —
+// the CI gate that instrumented runs emit well-formed telemetry.
 //
 // Usage:
 //
@@ -84,6 +85,9 @@ func scan(path string, series, events map[string]int) (int, error) {
 		var obj map[string]any
 		if err := json.Unmarshal(line, &obj); err != nil {
 			return n, fmt.Errorf("%s:%d: %v", path, lineNo, err)
+		}
+		if obj == nil { // the one non-object Unmarshal accepts into a map
+			return n, fmt.Errorf("%s:%d: null is not a JSON object", path, lineNo)
 		}
 		if s, ok := obj["series"].(string); ok {
 			series[s]++

@@ -295,7 +295,6 @@ type Plane struct {
 	// and whether the drain event at its end is armed.
 	spool      []spooled
 	spoolArmed bool
-	spoolFn    func() // drainSpool, bound once by NewPlane
 
 	// Per-host state, grown on demand (host IDs are dense in the
 	// kernel). attempt/epoch implement per-window backoff; upSeq numbers
@@ -321,7 +320,6 @@ type Plane struct {
 // schedule (use the campaign's maximum runtime plus drain slack).
 func NewPlane(eng *sim.Engine, inner volunteer.WorkSource, cfg Config, seed uint64, horizon float64) *Plane {
 	p := &Plane{}
-	p.spoolFn = p.drainSpool
 	p.Reset(eng, inner, cfg, seed, horizon)
 	return p
 }
@@ -432,34 +430,38 @@ func (p *Plane) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds 
 	p.scheduleRetry(a, outcome, cpuSeconds, host, uploadRetries)
 }
 
-// scheduleRetry queues one re-send attempt with ±50% seeded jitter; the
-// event re-draws the loss and either delivers, re-queues with the rest of
-// the budget, or drops. The jitter is drawn at scheduling time (the event
-// time carries it), so an adopted retry event needs no re-draw.
+// scheduleRetry queues one re-send attempt with ±50% seeded jitter, as a
+// CallUploadRetry event that carries the result and its remaining budget,
+// with the assignment in the event's reference; Handle re-draws the loss
+// and either delivers, re-queues with the rest of the budget, or drops.
+// The jitter is drawn at scheduling time (the event time carries it), so
+// an adopted retry event needs no re-draw.
 func (p *Plane) scheduleRetry(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host, budget int) {
 	p.Stats.RetriedUploads++
 	j := frac(p.seed^domRetry, uint64(host), uint64(p.upSeq[host]))
-	p.eng.ScheduleAfterCall(uploadRetryDelay*(0.5+j), p.retryFn(a, outcome, cpuSeconds, host, budget),
+	p.eng.ScheduleCall(p.eng.Now()+uploadRetryDelay*(0.5+j),
 		sim.Call{Kind: sim.CallUploadRetry, K0: uint8(outcome), K1: uint8(budget),
-			A0: int32(host), A1: wcg.AssignmentIndex(a), F0: cpuSeconds})
+			A0: int32(host), A1: wcg.AssignmentIndex(a), F0: cpuSeconds}, p, a)
 }
 
-// retryFn builds the re-send closure for one scheduled retry. Split out of
-// scheduleRetry so snapshot adoption can rebuild the identical closure,
-// bound to the adopting context's plane and assignment, from a
-// CallUploadRetry descriptor.
-func (p *Plane) retryFn(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host, budget int) func() {
-	return func() {
-		if !p.lostUpload(host) {
-			p.deliver(a, outcome, cpuSeconds, host)
-			return
-		}
-		p.Stats.LostUploads++
-		if budget > 1 {
-			p.scheduleRetry(a, outcome, cpuSeconds, host, budget-1)
-		} else {
-			p.Stats.DroppedResults++
-		}
+// Handle implements sim.Handler: the plane's events are its spool drains
+// and its upload re-sends, whose assignment rides in ref.
+func (p *Plane) Handle(c sim.Call, ref any) {
+	if c.Kind == sim.CallSpoolDrain {
+		p.drainSpool()
+		return
+	}
+	a, _ := ref.(*wcg.Assignment)
+	outcome, host, budget := wcg.Outcome(c.K0), int(c.A0), int(c.K1)
+	if !p.lostUpload(host) {
+		p.deliver(a, outcome, c.F0, host)
+		return
+	}
+	p.Stats.LostUploads++
+	if budget > 1 {
+		p.scheduleRetry(a, outcome, c.F0, host, budget-1)
+	} else {
+		p.Stats.DroppedResults++
 	}
 }
 
@@ -485,7 +487,7 @@ func (p *Plane) deliver(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float
 	p.Stats.Deferred++
 	if !p.spoolArmed {
 		p.spoolArmed = true
-		p.eng.ScheduleCall(p.wins[p.winIdx].End, p.spoolFn, sim.Call{Kind: sim.CallSpoolDrain})
+		p.eng.ScheduleCall(p.wins[p.winIdx].End, sim.Call{Kind: sim.CallSpoolDrain}, p, nil)
 	}
 	p.spool = append(p.spool, spooled{a: a, cpu: cpuSeconds, host: int32(host), outcome: outcome})
 }

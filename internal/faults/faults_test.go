@@ -494,8 +494,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 			src2.delivered, src2.log = 0, nil
 			p2.AdoptPortable(ps, srv.AssignmentAt)
 			eng2.AdoptState(eng.ExportState())
-			for _, pe := range evs {
-				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2.ResolveCall(pe.Call, srv.AssignmentAt), nil)
+			for _, pe := range evs { // the spool drain, which the plane handles
+				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2, nil)
 			}
 			eng.RunUntil(end)
 			eng2.RunUntil(end)

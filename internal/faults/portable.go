@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/wcg"
 )
@@ -46,7 +45,7 @@ func (p *PortablePlane) Bytes() int {
 // ExportPortable deep-copies the plane's mutable state into a portable
 // snapshot. In-flight retry events travel as CallUploadRetry descriptors
 // (the remaining budget, at most uploadRetries, in their one-byte slot), an
-// armed spool drain as a CallSpoolDrain.
+// armed spool drain as a CallSpoolDrain; the adopting plane handles both.
 func (p *Plane) ExportPortable() *PortablePlane {
 	ps := &PortablePlane{
 		winIdx:         p.winIdx,
@@ -88,17 +87,4 @@ func (p *Plane) AdoptPortable(ps *PortablePlane, asAt func(int32) *wcg.Assignmen
 	p.upSeq = append(p.upSeq[:0], ps.upSeq...)
 	p.churnCarry = ps.churnCarry
 	p.Stats = ps.stats
-}
-
-// ResolveCall rebuilds the closure an adopted engine event should run from
-// its portable CallUploadRetry or CallSpoolDrain descriptor. Returns nil
-// for calls the plane does not own.
-func (p *Plane) ResolveCall(c sim.Call, asAt func(int32) *wcg.Assignment) func() {
-	switch c.Kind {
-	case sim.CallUploadRetry:
-		return p.retryFn(asAt(c.A1), wcg.Outcome(c.K0), c.F0, int(c.A0), int(c.K1))
-	case sim.CallSpoolDrain:
-		return p.spoolFn
-	}
-	return nil
 }

@@ -633,20 +633,17 @@ func (c *Campaign) start() {
 	probe := c.fleet.Probe
 	c.sampler = c.bindProbe(probe)
 
-	c.weekly = c.engine.Every(0, sim.Week, c.weeklyFn(probe))
-	c.weekly.Tag(sim.Call{Kind: sim.CallTickWeekly})
+	c.weekly = c.engine.Every(0, sim.Week, sim.Call{Kind: sim.CallTickWeekly}, c.weeklyFn(probe))
 	// A daily feeder keeps the queues from draining dry between the weekly
 	// phase adjustments (a server would otherwise starve fast hosts).
-	c.daily = c.engine.Every(sim.Day/2, sim.Day, c.dailyFn())
-	c.daily.Tag(sim.Call{Kind: sim.CallTickDaily})
+	c.daily = c.engine.Every(sim.Day/2, sim.Day, sim.Call{Kind: sim.CallTickDaily}, c.dailyFn())
 	// Churn: permanent departures paired with replacement joins, sampled
 	// at a fixed cadence so the injection is an ordinary kernel event.
 	// SetTarget stops the oldest hosts and the restore spawns replacements
 	// FIFO from the population seed stream.
 	c.churn = nil
 	if plane := c.activePlane(); plane != nil && plane.ChurnEnabled() {
-		c.churn = c.engine.Every(faults.ChurnOffset, faults.ChurnInterval, c.churnFn(plane))
-		c.churn.Tag(sim.Call{Kind: sim.CallTickChurn})
+		c.churn = c.engine.Every(faults.ChurnOffset, faults.ChurnInterval, sim.Call{Kind: sim.CallTickChurn}, c.churnFn(plane))
 	}
 }
 

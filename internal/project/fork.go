@@ -18,7 +18,8 @@ import "repro/internal/sim"
 // doc: a PortableSnapshot owns every byte it holds (Copies), names arena
 // objects by allocation index (Translates), and carries no closures — the
 // adopter re-runs the same Reset/prepare/bind machinery a fresh run uses
-// and revives the event schedule from sim.Call descriptors (Re-binds).
+// and hands each sim.Call descriptor of the event schedule to its own
+// handler of that kind (Re-binds).
 //
 // A Runner holds the snapshot it took or adopted last. The first Fork after
 // Snapshot, Materialize or AdoptSnapshot runs on the live context, which

@@ -156,11 +156,11 @@ func (r *Runner) Materialize() (*PortableSnapshot, error) {
 // own pooled arenas and holds ps as the Runner's snapshot: a Reset under
 // the snapshot's config re-creates the immutable structure (batches,
 // policies, wheels, outage windows) and re-binds every closure, the
-// portable state is installed over it, and the event schedule is revived
-// from its call descriptors onto freshly bound closures. Afterwards the
-// Runner is exactly where the publisher stood at Materialize time —
-// Fork/RunTo continue from there, byte-identical to the publisher doing
-// the same.
+// portable state is installed over it, and each event of the schedule is
+// handed by its kind to the adopter's own server, fault plane, host kernel
+// or dormant ticker. Afterwards the Runner is exactly where the publisher
+// stood at Materialize time — Fork/RunTo continue from there,
+// byte-identical to the publisher doing the same.
 func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	r.rearm(ps.cfg)
 	c := r.c
@@ -188,38 +188,28 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	}
 
 	c.engine.AdoptState(ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive)
-	for i := range ps.events {
-		pe := &ps.events[i]
-		var tick *sim.Ticker
-		var fn func()
-		var ref any
+	for _, pe := range ps.events {
+		// A ticker's adopted entry is its pending tick, in place of a first
+		// tick; an assignment in a descriptor resolves against the
+		// adopter's server.
 		switch pe.Call.Kind {
 		case sim.CallTickWeekly:
-			tick = c.weekly
+			c.weekly.Adopt(pe.At, pe.Seq, pe.Call)
 		case sim.CallTickDaily:
-			tick = c.daily
+			c.daily.Adopt(pe.At, pe.Seq, pe.Call)
 		case sim.CallTickChurn:
-			tick = c.churn
+			c.churn.Adopt(pe.At, pe.Seq, pe.Call)
 		case sim.CallWheelDrain:
-			fn = c.t.server.WheelDrainFn(int(pe.Call.K0))
-		case sim.CallSpoolDrain, sim.CallUploadRetry:
-			fn = plane.ResolveCall(pe.Call, asAt)
+			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, c.t.server, nil)
+		case sim.CallSpoolDrain:
+			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, plane, nil)
+		case sim.CallUploadRetry:
+			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, plane, asAt(pe.Call.A1))
 		case sim.CallHost:
-			// A host continuation due inside the armed window, closure-free:
-			// the kernel that rearm bound runs it, and a late return's
-			// assignment resolves against the adopter's server.
-			ref = asAt(pe.Call.A1)
+			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, c.kern, asAt(pe.Call.A1))
+		default:
+			panic("project: adopted event of a kind no handler takes")
 		}
-		if tick != nil {
-			// The adopted entry is the ticker's pending tick, in place of
-			// a first tick.
-			tick.Adopt(pe.At, pe.Seq, pe.Call)
-			continue
-		}
-		if fn == nil && pe.Call.Kind != sim.CallHost {
-			panic("project: adopted event resolved to no closure — untagged or foreign call kind")
-		}
-		c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, fn, ref)
 	}
 	r.ps, r.atSnap = ps, true
 }

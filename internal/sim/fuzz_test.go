@@ -8,28 +8,36 @@ import (
 )
 
 // FuzzEngine is a differential test of the engine: it decodes the input
-// into scheduling, ticker, run and reset operations, applies each to an
-// Engine and to refEngine, a test-only reference that keeps its schedule in
-// an unsorted slice and scans it for the minimum, and after every operation
-// compares the fired-callback log, Now, Pending, MaxPending, Executed, the
-// Peek key and the ExportEvents set (or its error).
+// into scheduling, ticker, run, reset and adoption operations, applies each
+// to an Engine and to refEngine, a test-only reference that keeps its
+// schedule in an unsorted slice and scans it for the minimum, and after
+// every operation compares the fired-event log, Now, Pending, MaxPending,
+// Executed, the Peek key and the ExportEvents set (or its error).
 //
-// Each operation is two bytes, an opcode and an argument:
+// Each operation is two bytes, an opcode (the byte mod 11) and an
+// argument:
 //
 //	0  Schedule at now + arg%4
-//	1  ScheduleCall at now + arg%4
+//	1  ScheduleCall at now + arg%4: a CallSpoolDrain the harness handles
 //	2  Every: start now + arg&3, interval 1 + arg>>2&3, stop itself from
-//	   within tick arg>>4&3 (0 = never), Tag it when arg&0x40
-//	3  ObserveEvery, with Every's argument
+//	   within tick arg>>4&3 (0 = never), its ticks carrying a
+//	   CallTickDaily descriptor when arg&0x40 and none (CallFunc) otherwise
+//	3  ObserveEvery, with Every's argument (an observer has no descriptor)
 //	4  Stop ticker arg%len(tickers), which may predate the last Reset
 //	5  Step
 //	6  RunBefore(now + arg%8)
 //	7  RunUntil(now + arg%8)
-//	8  Reset (the harness then binds itself as the HostRunner again)
-//	9  ScheduleHost at now + arg%4, handed back to the harness
+//	8  Reset
+//	9  ScheduleCall at now + arg%4: a CallHost the harness handles, its id
+//	   as the reference
+//	10 when the reference's schedule is portable, move the harness onto a
+//	   fresh engine rebuilt from ExportState and ExportEvents: AdoptState,
+//	   AdoptEvent with the harness as the handler, and each live ticker
+//	   rebuilt dormant and re-armed with Ticker.Adopt
 //
 // Times are whole seconds, so equal timestamps are common and the FIFO
-// tie-break decides most orders.
+// tie-break decides most orders. The seeds' opcode bytes all lie below 10,
+// so a new opcode, which changes the modulus, changes no seed's meaning.
 func FuzzEngine(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 1, 0, 0, 0, 0, 1, 5, 0, 5, 0, 6, 1, 5, 0, 7, 3},
@@ -39,13 +47,14 @@ func FuzzEngine(f *testing.F) {
 		{2, 0x60, 3, 0x25, 0, 0, 7, 7, 4, 1, 0, 2, 5, 0},
 		{2, 0x40, 2, 0x40, 0, 0, 1, 0, 4, 1, 6, 1, 5, 0, 8, 0, 4, 0, 5, 0},
 		{9, 1, 0, 1, 9, 0, 2, 0x41, 9, 1, 5, 0, 6, 2, 8, 0, 9, 3, 7, 3},
+		{1, 1, 2, 0x65, 9, 2, 10, 0, 5, 0, 10, 0, 7, 7, 4, 0, 0, 1, 10, 0, 8, 0, 10, 0, 9, 3, 7, 3},
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := newEngineHarness()
+		h := &engineHarness{e: NewEngine()}
 		for i := 0; i+1 < len(data) && i < 2*fuzzMaxOps; i += 2 {
-			h.apply(data[i]%10, data[i+1])
+			h.apply(data[i]%11, data[i+1])
 			h.compare(t, i/2)
 		}
 	})
@@ -175,24 +184,24 @@ func (r *refEngine) stop(tk *refTicker) {
 type engineHarness struct {
 	e       *Engine
 	r       refEngine
-	log     []logEntry // the engine's fired callbacks
+	log     []logEntry // the engine's fired events
 	tickers []*Ticker
+	fns     []func(Time) // each ticker's callback, for a rebuilt ticker
 	refs    []*refTicker
 	nextID  int
 	checked int // log entries already compared
 }
 
-func newEngineHarness() *engineHarness {
-	h := &engineHarness{e: NewEngine()}
-	h.e.BindHost(h)
-	return h
-}
-
-// RunHost logs a CallHost event as fired under the id its A0 carries, or
-// under -1 when the ref handed back is not the id it was scheduled with.
-func (h *engineHarness) RunHost(c Call, ref any) {
+// Handle logs an event as fired under the id its A0 carries, or under -1
+// when the ref handed back is not the one it was scheduled with: its id
+// for a CallHost, nil otherwise.
+func (h *engineHarness) Handle(c Call, ref any) {
 	id := int(c.A0)
-	if ref != id || c.Kind != CallHost {
+	var want any
+	if c.Kind == CallHost {
+		want = id
+	}
+	if ref != want {
 		id = -1
 	}
 	h.log = append(h.log, logEntry{id, h.e.Now()})
@@ -201,20 +210,23 @@ func (h *engineHarness) RunHost(c Call, ref any) {
 func (h *engineHarness) apply(op, arg byte) {
 	e, r := h.e, &h.r
 	switch op {
-	case 0, 1:
+	case 0, 1, 9:
 		if len(r.events) >= fuzzMaxEvents {
 			return
 		}
 		id := h.nextID
 		h.nextID++
 		at := e.Now() + float64(arg%4)
-		fn := func() { h.log = append(h.log, logEntry{id, e.Now()}) }
 		var c Call
-		if op == 0 {
-			e.Schedule(at, fn)
-		} else {
+		switch op {
+		case 0:
+			e.Schedule(at, func() { h.log = append(h.log, logEntry{id, h.e.Now()}) })
+		case 1:
 			c = Call{Kind: CallSpoolDrain, A0: int32(id)}
-			e.ScheduleCall(at, fn, c)
+			e.ScheduleCall(at, c, h, nil)
+		case 9:
+			c = Call{Kind: CallHost, A0: int32(id)}
+			e.ScheduleCall(at, c, h, id)
 		}
 		r.insert(refEvent{at: at, id: id, call: c})
 	case 2, 3:
@@ -229,31 +241,26 @@ func (h *engineHarness) apply(op, arg byte) {
 		}
 		rt := &refTicker{id: len(h.refs), interval: float64(1 + arg>>2&3), observer: op == 3, stopAt: int(arg >> 4 & 3)}
 		start := e.Now() + float64(arg&3)
-		var tk *Ticker
 		fired := 0
 		fn := func(now Time) {
 			fired++
 			h.log = append(h.log, logEntry{tickID + rt.id, now})
 			if fired == rt.stopAt {
-				tk.Stop()
+				h.tickers[rt.id].Stop()
 			}
 		}
+		var tk *Ticker
 		if rt.observer {
 			tk = e.ObserveEvery(start, rt.interval, fn)
 		} else {
-			tk = e.Every(start, rt.interval, fn)
-		}
-		r.insert(refEvent{at: start, tick: rt})
-		if arg&0x40 != 0 {
-			rt.call = Call{Kind: CallTickDaily, A0: int32(rt.id)}
-			tk.Tag(rt.call)
-			for i := range r.events {
-				if r.events[i].tick == rt {
-					r.events[i].call = rt.call
-				}
+			if arg&0x40 != 0 {
+				rt.call = Call{Kind: CallTickDaily, A0: int32(rt.id)}
 			}
+			tk = e.Every(start, rt.interval, rt.call, fn)
 		}
+		r.insert(refEvent{at: start, call: rt.call, tick: rt})
 		h.tickers = append(h.tickers, tk)
+		h.fns = append(h.fns, fn)
 		h.refs = append(h.refs, rt)
 	case 4:
 		if len(h.tickers) == 0 {
@@ -276,18 +283,33 @@ func (h *engineHarness) apply(op, arg byte) {
 		r.now = max(r.now, d)
 	case 8:
 		e.Reset()
-		e.BindHost(h)
 		r.now, r.seq, r.executed, r.live, r.maxLive = 0, 0, 0, 0, 0
 		r.events = r.events[:0]
-	case 9:
-		if len(r.events) >= fuzzMaxEvents {
-			return
+	case 10:
+		for _, ev := range r.events {
+			if !ev.counted() || ev.call.Kind == CallFunc {
+				return
+			}
 		}
-		id := h.nextID
-		h.nextID++
-		at := e.Now() + float64(arg%4)
-		e.ScheduleHost(at, Call{A0: int32(id)}, id)
-		r.insert(refEvent{at: at, id: id, call: Call{Kind: CallHost, A0: int32(id)}})
+		evs, err := e.ExportEvents()
+		if err != nil {
+			panic(err) // the last compare saw the reference call it portable
+		}
+		adopted := NewEngine()
+		adopted.AdoptState(e.ExportState())
+		for _, pe := range evs {
+			switch pe.Call.Kind {
+			case CallTickDaily:
+				i := pe.Call.A0
+				h.tickers[i] = adopted.DormantTicker(h.refs[i].interval, h.fns[i])
+				h.tickers[i].Adopt(pe.At, pe.Seq, pe.Call)
+			case CallHost:
+				adopted.AdoptEvent(pe.At, pe.Seq, pe.Call, h, int(pe.Call.A0))
+			default:
+				adopted.AdoptEvent(pe.At, pe.Seq, pe.Call, h, nil)
+			}
+		}
+		h.e = adopted
 	}
 }
 
@@ -310,7 +332,7 @@ func (h *engineHarness) compare(t *testing.T, op int) {
 	var want []PortableEvent
 	portable := true
 	for _, ev := range r.events {
-		portable = portable && ev.counted() && ev.call.Kind != CallNone
+		portable = portable && ev.counted() && ev.call.Kind != CallFunc
 		want = append(want, PortableEvent{At: ev.at, Seq: ev.seq, Call: ev.call})
 	}
 	if (err == nil) != portable {

@@ -11,31 +11,30 @@ import (
 
 // The engine contract beyond plain ordering: FIFO ties across every
 // scheduling path, ticker stops that take the pending tick out of the heap
-// at once, host events handed back to the bound runner, and a Reset that
-// leaves nothing behind. FuzzEngine checks the same contract against a
-// reference model.
+// at once, events handed back to the handler they were scheduled with, and
+// a Reset that leaves nothing behind. FuzzEngine checks the same contract
+// against a reference model.
 
-// hostFunc adapts a function to HostRunner.
-type hostFunc func(c Call, ref any)
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(c Call, ref any)
 
-func (f hostFunc) RunHost(c Call, ref any) { f(c, ref) }
+func (f handlerFunc) Handle(c Call, ref any) { f(c, ref) }
 
 func TestScheduleFIFOWithAt(t *testing.T) {
 	// Ties at one timestamp run in scheduling order whichever path
-	// scheduled them, a ticker's first tick and a host event included.
+	// scheduled them, a ticker's first tick and handled events included.
 	e := NewEngine()
 	var order []int
-	e.BindHost(hostFunc(func(c Call, _ any) { order = append(order, int(c.A0)) }))
+	h := handlerFunc(func(c Call, _ any) { order = append(order, int(c.A0)) })
 	e.Schedule(5, func() { order = append(order, 0) })
-	e.ScheduleCall(5, func() { order = append(order, 1) }, Call{Kind: CallSpoolDrain})
-	tk := e.Every(5, 1, func(Time) { order = append(order, 2) })
+	e.ScheduleCall(5, Call{Kind: CallSpoolDrain, A0: 1}, h, nil)
+	tk := e.Every(5, 1, Call{}, func(Time) { order = append(order, 2) })
 	e.ScheduleAfter(5, func() { order = append(order, 3) })
-	e.ScheduleAfterCall(5, func() { order = append(order, 4) }, Call{Kind: CallSpoolDrain})
-	e.ScheduleHost(5, Call{A0: 5}, nil)
+	e.ScheduleCall(5, Call{Kind: CallHost, A0: 4}, h, nil)
 	e.RunUntil(5)
 	tk.Stop()
-	if len(order) != 6 {
-		t.Fatalf("mixed-path ties ran %v, want 6 events", order)
+	if len(order) != 5 {
+		t.Fatalf("mixed-path ties ran %v, want 5 events", order)
 	}
 	for i, v := range order {
 		if v != i {
@@ -44,9 +43,9 @@ func TestScheduleFIFOWithAt(t *testing.T) {
 	}
 }
 
-func TestScheduleHostHandsBackToRunner(t *testing.T) {
-	// A host event carries no closure: Step hands its descriptor, tagged
-	// CallHost, and its ref back to the bound runner, after the clock and
+func TestScheduleCallHandsBackToHandler(t *testing.T) {
+	// An event is its descriptor: Step hands the Call, unchanged, and the
+	// ref back to the handler it was scheduled with, after the clock and
 	// the counters moved exactly as for any other event. Its seq comes
 	// from the counter ExternalSchedule draws from.
 	e := NewEngine()
@@ -56,50 +55,49 @@ func TestScheduleHostHandsBackToRunner(t *testing.T) {
 		now Time
 	}
 	var log []fired
-	e.BindHost(hostFunc(func(c Call, ref any) {
+	h := handlerFunc(func(c Call, ref any) {
 		if e.Pending() != 1 || e.Executed() != 1 {
-			t.Errorf("runner sees pending %d, executed %d; want 1 and 1", e.Pending(), e.Executed())
+			t.Errorf("handler sees pending %d, executed %d; want 1 and 1", e.Pending(), e.Executed())
 		}
 		log = append(log, fired{c, ref, e.Now()})
-	}))
+	})
 	x := new(int)
-	e.ScheduleHost(3, Call{Kind: CallSpoolDrain, K0: 2, A0: 7, A1: 9, F0: 1.5}, x)
+	c := Call{Kind: CallHost, K0: 2, A0: 7, A1: 9, F0: 1.5}
+	e.ScheduleCall(3, c, h, x)
 	if seq := e.ExternalSchedule(); seq != 1 {
-		t.Fatalf("ExternalSchedule after one host event drew seq %d, want 1", seq)
+		t.Fatalf("ExternalSchedule after one event drew seq %d, want 1", seq)
 	}
 	if _, seq, _ := e.Peek(); seq != 0 {
-		t.Fatalf("host event holds seq %d, want 0", seq)
+		t.Fatalf("the event holds seq %d, want 0", seq)
 	}
 	e.Run()
-	want := fired{Call{Kind: CallHost, K0: 2, A0: 7, A1: 9, F0: 1.5}, x, 3}
-	if len(log) != 1 || log[0] != want {
-		t.Fatalf("runner got %+v, want %+v", log, want)
+	if want := (fired{c, x, 3}); len(log) != 1 || log[0] != want {
+		t.Fatalf("handler got %+v, want %+v", log, want)
 	}
 }
 
 func TestHostEventsRoundTrip(t *testing.T) {
-	// Host events export as CallHost descriptors; adopted with a nil fn
-	// and the ref their A1 resolves to, they run on the adopting engine's
-	// runner in the source's order, at the source's times.
+	// Events export as their descriptors; adopted with the adopter's
+	// handler and, for a CallHost, the ref its A1 resolves to, they run on
+	// the adopting engine in the source's order, at the source's times.
 	refs := []*int{new(int), new(int), new(int)}
 	type fired struct {
 		id  int32
 		ref any
 		now Time
 	}
-	record := func(e *Engine, log *[]fired) {
-		e.BindHost(hostFunc(func(c Call, ref any) { *log = append(*log, fired{c.A0, ref, e.Now()}) }))
+	record := func(e *Engine, log *[]fired) Handler {
+		return handlerFunc(func(c Call, ref any) { *log = append(*log, fired{c.A0, ref, e.Now()}) })
 	}
 	src := NewEngine()
 	var want []fired
-	record(src, &want)
+	hs := record(src, &want)
 	for i, at := range []Time{4, 2, 4, 1, 3, 2} {
 		if i%2 == 0 {
 			a := int32(i / 2)
-			src.ScheduleHost(at, Call{A0: int32(i), A1: a}, refs[a])
+			src.ScheduleCall(at, Call{Kind: CallHost, A0: int32(i), A1: a}, hs, refs[a])
 		} else {
-			id := int32(i)
-			src.ScheduleCall(at, func() { want = append(want, fired{id, nil, src.Now()}) }, Call{Kind: CallSpoolDrain, A0: id})
+			src.ScheduleCall(at, Call{Kind: CallSpoolDrain, A0: int32(i)}, hs, nil)
 		}
 	}
 	src.Step()
@@ -109,15 +107,14 @@ func TestHostEventsRoundTrip(t *testing.T) {
 	}
 	dst := NewEngine()
 	var got []fired
-	record(dst, &got)
+	hd := record(dst, &got)
 	dst.AdoptState(src.ExportState())
 	for _, pe := range evs {
+		var ref any
 		if pe.Call.Kind == CallHost {
-			dst.AdoptEvent(pe.At, pe.Seq, pe.Call, nil, refs[pe.Call.A1])
-			continue
+			ref = refs[pe.Call.A1]
 		}
-		id := pe.Call.A0
-		dst.AdoptEvent(pe.At, pe.Seq, pe.Call, func() { got = append(got, fired{id, nil, dst.Now()}) }, nil)
+		dst.AdoptEvent(pe.At, pe.Seq, pe.Call, hd, ref)
 	}
 	src.Run()
 	dst.Run()
@@ -165,7 +162,7 @@ func TestStopTakesTickOutOfHeap(t *testing.T) {
 	}
 	tickers := make([]*Ticker, k)
 	for i := range tickers {
-		tickers[i] = e.Every(math.Floor(r.Float64()*100), 1, func(Time) { t.Error("a stopped ticker fired") })
+		tickers[i] = e.Every(math.Floor(r.Float64()*100), 1, Call{}, func(Time) { t.Error("a stopped ticker fired") })
 	}
 	for i, tk := range tickers {
 		tk.Stop()
@@ -188,7 +185,7 @@ func TestTickerNaNIntervalPanics(t *testing.T) {
 	// reject it, and ±Inf, before anything is scheduled.
 	for _, iv := range []float64{nan(), math.Inf(1), math.Inf(-1)} {
 		for name, build := range map[string]func(*Engine){
-			"Every":         func(e *Engine) { e.Every(0, iv, func(Time) {}) },
+			"Every":         func(e *Engine) { e.Every(0, iv, Call{}, func(Time) {}) },
 			"ObserveEvery":  func(e *Engine) { e.ObserveEvery(0, iv, func(Time) {}) },
 			"DormantTicker": func(e *Engine) { e.DormantTicker(iv, func(Time) {}) },
 		} {
@@ -211,14 +208,14 @@ func TestTickerNaNIntervalPanics(t *testing.T) {
 func TestTickerDoesNotAllocatePerTick(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
-	tk := e.Every(0, 1, func(Time) { ticks++ })
+	tk := e.Every(0, 1, Call{}, func(Time) { ticks++ })
 	e.RunUntil(10000)
 	tk.Stop()
 	if ticks != 10001 {
 		t.Fatalf("ticks = %d", ticks)
 	}
 	// A tick is a value in the heap: rescheduling one allocates nothing.
-	tk = e.Every(e.Now(), 1, func(Time) { ticks++ })
+	tk = e.Every(e.Now(), 1, Call{}, func(Time) { ticks++ })
 	if allocs := testing.AllocsPerRun(10, func() { e.RunUntil(e.Now() + 100) }); allocs != 0 {
 		t.Fatalf("ticking allocated %v times per 100 ticks", allocs)
 	}
@@ -231,7 +228,7 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 	run := func(e *Engine) (order []int, executed uint64, maxPending int) {
 		e.Schedule(5, func() { order = append(order, 0) })
 		e.Schedule(5, func() { order = append(order, 1) })
-		tk := e.Every(3, 1, func(Time) { order = append(order, 2) })
+		tk := e.Every(3, 1, Call{}, func(Time) { order = append(order, 2) })
 		tk.Stop()
 		e.ScheduleAfter(5, func() { order = append(order, 3) })
 		e.Run()
@@ -244,14 +241,13 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 	for i := 0; i < 1000; i++ { // dirty the heap
 		reused.Schedule(float64(i), func() {})
 	}
-	stale := reused.Every(0, 7, func(Time) {})
-	reused.BindHost(hostFunc(func(Call, any) {}))
-	reused.ScheduleHost(600, Call{}, nil)
+	stale := reused.Every(0, 7, Call{}, func(Time) {})
+	reused.ScheduleCall(600, Call{Kind: CallHost}, handlerFunc(func(Call, any) {}), nil)
 	reused.RunUntil(500)
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 || reused.host != nil {
-		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d runner bound %v",
-			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending(), reused.host != nil)
+	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 {
+		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d",
+			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending())
 	}
 	reused.Schedule(5, func() {})
 	stale.Stop() // owns no event after the Reset: must not touch the new schedule

@@ -8,36 +8,42 @@
 // since the simulation epoch; the HCMD campaign spans ~26 weeks ≈ 1.6e7 s,
 // far below float64 integer precision limits.
 //
-// Every scheduled event is a value in the heap, ordered by (time, seq),
-// where seq is a FIFO counter that breaks ties in scheduling order. An
-// event carries its callback and a portable Call descriptor (see
-// ExportEvents); scheduling returns no handle. The one handle is the
-// Ticker, which owns its pending tick: Stop finds that tick by a linear
-// scan and takes it out of the heap at once, so Pending() is exact.
+// An event has one form: a value in the heap, ordered by (time, seq), where
+// seq is a FIFO counter that breaks ties in scheduling order, carrying a
+// portable Call descriptor, the Handler that runs it and an optional
+// reference. Step makes the one call h.Handle(call, ref) for every event.
+// The middleware server drains its deadline wheels this way, the fault
+// plane its outage spools and upload re-sends, the host kernel its
+// in-window continuations and a Ticker its ticks; Schedule wraps a plain
+// closure as a CallFunc event, which stays off snapshots. Since the
+// descriptor is what runs, a snapshot carries only descriptors (see
+// ExportEvents) and the adopting context hands each to its own handler of
+// that kind. Scheduling returns no handle. The one handle is the Ticker,
+// which owns its pending tick: Stop finds that tick by a linear scan and
+// takes it out of the heap at once, so Pending() is exact.
 //
 // The heap is shallow. Host continuations live in the host kernel's window
 // calendar (volunteer.ShardKernel), merged against this heap through Peek
 // and the External* accounting hooks; only a continuation that falls due
-// inside the kernel's armed window waits here, as a closure-free CallHost
-// event that Step hands back to the bound HostRunner. The rest are
-// deadline-wheel and spool drains, fault-plane upload retries and the
-// tickers. On the full-scale phase-I replay 294,014 of the 9,243,124
-// executed events pass through the heap, 2,733 of them host
-// continuations, and it never holds more than 53 at once (50
-// continuations); across the 31-scenario catalog at 1/84 scale it never
-// holds more than 34 (fault-storm), and a run removes at most 3 events
-// early, all of them ticker stops. Standalone uses (the middleware's own
-// tests, the benchmark's hold model) still keep tens of thousands of
-// events pending, which is why the list stays a heap.
+// inside the kernel's armed window waits here, as a CallHost event. On the
+// full-scale phase-I replay 294,014 of the 9,243,124 executed events pass
+// through the heap: 290,800 wheel drains, 2,733 host continuations and 481
+// ticks. One pass of the 31-scenario catalog at 1/84 scale adds 74 spool
+// drains and 1,548 upload re-sends. The heap never holds more than 53
+// events at once on the replay (50 of them continuations) and 34 across
+// the catalog (fault-storm), and a run removes at most 3 events early, all
+// of them ticker stops. Standalone uses (the middleware's own tests, the
+// benchmark's hold model) still keep tens of thousands of events pending,
+// which is why the list stays a heap.
 //
 // # Reset contract
 //
 // Engine.Reset rearms an engine for another run, retaining the heap array.
 // Everything observable is zeroed — clock, schedule, executed/pending
-// counters, the FIFO tie-break sequence — and the HostRunner is unbound,
-// so a reset engine is indistinguishable from a fresh one to the model
-// running on it. A ticker created before the Reset owns no event
-// afterwards: its Stop does nothing.
+// counters, the FIFO tie-break sequence — so a reset engine is
+// indistinguishable from a fresh one to the model running on it. A ticker
+// created before the Reset owns no event afterwards: its Stop does
+// nothing.
 package sim
 
 import (
@@ -56,12 +62,13 @@ const (
 	Week   = 7 * Day
 )
 
-// Call describes what a scheduled event's closure does, in portable terms:
-// a kind tag plus the small arguments the closure captured. A run snapshot
-// cannot carry the closures themselves (they pin the source context's
-// pointers), so the scheduling sites tag their events with a Call and the
-// adopting context rebuilds an equivalent closure from the descriptor. Kind 0 (CallNone) marks an untagged event;
-// ExportEvents refuses to materialize a schedule containing one.
+// Call describes a scheduled event in portable terms: a kind tag plus the
+// small arguments its handler reads. Step hands it to the Handler the event
+// was scheduled with. A run snapshot cannot carry handlers (they pin the
+// source context's pointers), so it carries the descriptors, and the
+// adopting context hands each to its own handler of that kind. Kind 0
+// (CallFunc) marks a closure or an untagged tick; ExportEvents refuses to
+// materialize a schedule containing one.
 //
 // Field meaning is per-kind and documented at the kind constants; the
 // struct is sized so tagging stays a handful of stores on the hot path.
@@ -76,42 +83,46 @@ type Call struct {
 // that schedule the events; they are centralized here only so the kind
 // space has a single allocator.
 const (
-	// CallNone marks an event whose scheduling site has not been tagged.
-	CallNone uint8 = iota
+	// CallFunc: a closure scheduled with Schedule, or the tick of a ticker
+	// created without a descriptor. Neither is portable.
+	CallFunc uint8 = iota
 	// CallWheelDrain: a deadline-wheel drain tick. K0 = deadline class.
 	CallWheelDrain
 	// CallSpoolDrain: the fault plane's outage-spool drain at a window end.
 	CallSpoolDrain
-	// CallUploadRetry: a fault-plane upload retry. A0 = host index,
-	// A1 = assignment arena index, K0 = outcome, K1 = remaining budget,
-	// F0 = reported CPU seconds.
+	// CallUploadRetry: a fault-plane upload re-send. A0 = host index,
+	// A1 = assignment arena index (the assignment itself rides in ref),
+	// K0 = outcome, K1 = remaining budget, F0 = reported CPU seconds.
 	CallUploadRetry
 	// CallTickWeekly, CallTickDaily, CallTickChurn: campaign ticker ticks.
 	CallTickWeekly
 	CallTickDaily
 	CallTickChurn
-	// CallHost: a host continuation due inside the host kernel's armed
-	// window (see ScheduleHost). K0 = continuation kind, A0 = host index,
-	// A1 = a late return's assignment arena index, F0 = reported seconds.
+	// CallHost: a host continuation. K0 = continuation kind, A0 = host
+	// index, A1 = a late return's assignment arena index (the assignment
+	// itself rides in ref), F0 = reported seconds.
 	CallHost
 )
 
-// HostRunner executes CallHost events: Step hands each one back, with the
-// reference it was scheduled with, to the runner bound by BindHost.
-type HostRunner interface {
-	RunHost(c Call, ref any)
+// Handler runs scheduled events: Step hands each event's Call and
+// reference to the Handler it was scheduled with.
+type Handler interface {
+	Handle(c Call, ref any)
 }
 
-// event is one scheduled callback, stored by value in the heap and ordered
-// by (at, seq). A ticker's pending tick carries the ticker in tick and no
-// fn; a CallHost event carries neither, and ref instead; every other event
-// carries fn.
+// funcHandler adapts a closure to Handler. A func value is one pointer, so
+// the conversion allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Handle(Call, any) { f() }
+
+// event is one scheduled event, stored by value in the heap and ordered by
+// (at, seq): Step hands call and ref to h.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
-	fn   func()
 	call Call
-	tick *Ticker
+	h    Handler
 	ref  any
 }
 
@@ -124,7 +135,10 @@ func (a *event) before(b *event) bool {
 
 // observer reports whether the event is an observer ticker's tick, which
 // no counter sees.
-func (a *event) observer() bool { return a.tick != nil && a.tick.observer }
+func (a *event) observer() bool {
+	t, ok := a.h.(*Ticker)
+	return ok && t.observer
+}
 
 // eventHeap is a binary min-heap of events. Hand-rolled so the comparisons
 // inline (container/heap pays an interface call per Less/Swap).
@@ -176,7 +190,7 @@ func (h *eventHeap) remove(i int) event {
 	ev := q[i]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // drop the closure, ticker and host references
+	q[n] = event{} // drop the handler and reference
 	q = q[:n]
 	*h = q
 	if i < n {
@@ -198,7 +212,6 @@ type Engine struct {
 	nEvent  uint64 // events executed
 	live    int    // the exact Pending() count
 	maxLive int    // high-water mark of live
-	host    HostRunner
 }
 
 // NewEngine returns an engine with the clock at 0 and an empty event list.
@@ -207,19 +220,15 @@ func NewEngine() *Engine {
 }
 
 // Reset rearms the engine for another run: clock back to 0, schedule
-// empty, all counters zeroed, no HostRunner bound. The heap array is
-// retained, so a reset engine schedules without allocating.
+// empty, all counters zeroed. The heap array is retained, so a reset
+// engine schedules without allocating.
 func (e *Engine) Reset() {
 	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq, e.nEvent = 0, 0
 	e.live, e.maxLive = 0, 0
-	e.host = nil
 }
-
-// BindHost binds the runner that executes the engine's CallHost events.
-func (e *Engine) BindHost(r HostRunner) { e.host = r }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -260,11 +269,11 @@ func (e *Engine) insert(ev event) {
 	}
 }
 
-// Schedule schedules fn to run at absolute time t. Scheduling in the past
-// panics: a model that does so is broken, and silently clamping would
-// corrupt causality.
+// Schedule schedules fn to run at absolute time t, as a CallFunc event.
+// Scheduling in the past panics: a model that does so is broken, and
+// silently clamping would corrupt causality.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.insert(event{at: t, fn: fn})
+	e.insert(event{at: t, h: funcHandler(fn)})
 }
 
 // ScheduleAfter schedules fn to run d seconds from now.
@@ -272,22 +281,11 @@ func (e *Engine) ScheduleAfter(d float64, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// ScheduleCall is Schedule plus a portable Call descriptor, so the event
-// survives snapshot materialization (see ExportEvents).
-func (e *Engine) ScheduleCall(t Time, fn func(), c Call) {
-	e.insert(event{at: t, fn: fn, call: c})
-}
-
-// ScheduleAfterCall is ScheduleAfter plus a portable Call descriptor.
-func (e *Engine) ScheduleAfterCall(d float64, fn func(), c Call) {
-	e.ScheduleCall(e.now+d, fn, c)
-}
-
-// ScheduleHost schedules a closure-free host continuation at t: Step hands
-// c, tagged CallHost, and ref back to the bound HostRunner.
-func (e *Engine) ScheduleHost(t Time, c Call, ref any) {
-	c.Kind = CallHost
-	e.insert(event{at: t, call: c, ref: ref})
+// ScheduleCall schedules the event c at absolute time t: Step hands c and
+// ref to h. Unless c is a CallFunc, the event survives snapshot
+// materialization (see ExportEvents).
+func (e *Engine) ScheduleCall(t Time, c Call, h Handler, ref any) {
+	e.insert(event{at: t, call: c, h: h, ref: ref})
 }
 
 // Peek returns the (time, seq) ordering key of the next event without
@@ -350,14 +348,7 @@ func (e *Engine) Step() bool {
 		e.live--
 		e.nEvent++
 	}
-	switch {
-	case ev.tick != nil:
-		ev.tick.fire()
-	case ev.fn != nil:
-		ev.fn()
-	default:
-		e.host.RunHost(ev.call, ev.ref)
-	}
+	ev.h.Handle(ev.call, ev.ref)
 	return true
 }
 
@@ -388,15 +379,15 @@ func (e *Engine) RunBefore(deadline Time) {
 }
 
 // Ticker invokes fn(now) every interval seconds starting at start, until
-// Stop is called. fn runs before the next tick is scheduled, so it may
-// stop the ticker from within. A ticker owns
-// at most one pending tick, which it finds by scanning the heap: campaign
-// heaps hold a few dozen events at most (see the package doc).
+// Stop is called. It is the Handler of its own ticks, and each tick hands
+// its descriptor on to the next. fn runs before the next tick is
+// scheduled, so it may stop the ticker from within. A ticker owns at most
+// one pending tick, which it finds by scanning the heap: campaign heaps
+// hold a few dozen events at most (see the package doc).
 type Ticker struct {
 	engine   *Engine
 	interval float64
 	fn       func(Time)
-	call     Call // the descriptor every tick carries (see Tag)
 	observer bool
 	stopped  bool
 }
@@ -411,10 +402,10 @@ func (e *Engine) newTicker(interval float64, fn func(Time), observer bool) *Tick
 	return &Ticker{engine: e, interval: interval, fn: fn, observer: observer}
 }
 
-// Every creates and starts a ticker.
-func (e *Engine) Every(start Time, interval float64, fn func(Time)) *Ticker {
+// Every creates and starts a ticker whose ticks carry the descriptor c.
+func (e *Engine) Every(start Time, interval float64, c Call, fn func(Time)) *Ticker {
 	t := e.newTicker(interval, fn, false)
-	e.insert(event{at: start, tick: t})
+	e.insert(event{at: start, call: c, h: t})
 	return t
 }
 
@@ -424,14 +415,14 @@ func (e *Engine) Every(start Time, interval float64, fn func(Time)) *Ticker {
 // kernel counter — and therefore the run's Report — byte-identical. The
 // contract is that fn is read-only with respect to the model: it may poll
 // state but must not schedule, stop, or mutate anything the simulation
-// reads.
+// reads. Its ticks carry no descriptor and never reach a snapshot.
 //
 // An observer ticker reschedules itself forever, so it keeps a bare Run()
 // loop alive; drive engines carrying observers with RunUntil and Stop the
 // ticker when the run's horizon is reached.
 func (e *Engine) ObserveEvery(start Time, interval float64, fn func(Time)) *Ticker {
 	t := e.newTicker(interval, fn, true)
-	e.insert(event{at: start, tick: t})
+	e.insert(event{at: start, h: t})
 	return t
 }
 
@@ -444,39 +435,30 @@ func (e *Engine) DormantTicker(interval float64, fn func(Time)) *Ticker {
 }
 
 // Adopt arms a dormant ticker with an adopted pending tick, keeping its
-// original ordering key. Like AdoptEvent it leaves seq and the live
-// counters to AdoptState.
+// original ordering key and descriptor. Like AdoptEvent it leaves seq and
+// the live counters to AdoptState.
 func (t *Ticker) Adopt(at Time, seq uint64, c Call) {
-	t.call = c
-	t.engine.queue.push(event{at: at, seq: seq, call: c, tick: t})
-}
-
-// Tag attaches a portable Call descriptor to the ticker's pending tick and
-// every later one, so the ticks stay exportable for the ticker's life.
-func (t *Ticker) Tag(c Call) {
-	t.call = c
-	if i := t.pending(); i >= 0 {
-		t.engine.queue[i].call = c
-	}
+	t.engine.queue.push(event{at: at, seq: seq, call: c, h: t})
 }
 
 // pending returns the heap index of the ticker's pending tick, or -1 when
 // it has none: it is firing, stopped, dormant, or the engine was Reset.
 func (t *Ticker) pending() int {
 	for i := range t.engine.queue {
-		if t.engine.queue[i].tick == t {
+		if tk, ok := t.engine.queue[i].h.(*Ticker); ok && tk == t {
 			return i
 		}
 	}
 	return -1
 }
 
-// fire runs one tick and schedules the next unless fn stopped the ticker.
-func (t *Ticker) fire() {
+// Handle implements Handler: it runs one tick and schedules the next,
+// with the same descriptor, unless fn stopped the ticker.
+func (t *Ticker) Handle(c Call, _ any) {
 	e := t.engine
 	t.fn(e.now)
 	if !t.stopped {
-		e.insert(event{at: e.now + t.interval, call: t.call, tick: t})
+		e.insert(event{at: e.now + t.interval, call: c, h: t})
 	}
 }
 

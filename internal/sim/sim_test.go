@@ -153,7 +153,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []float64
-	tk := e.Every(0, 10, func(now Time) {
+	tk := e.Every(0, 10, Call{}, func(now Time) {
 		ticks = append(ticks, now)
 		if now >= 50 {
 			// stop from within the callback
@@ -171,7 +171,7 @@ func TestTickerStopWithin(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	var tk *Ticker
-	tk = e.Every(0, 1, func(now Time) {
+	tk = e.Every(0, 1, Call{}, func(now Time) {
 		count++
 		if count == 3 {
 			tk.Stop()
@@ -191,7 +191,7 @@ func TestTickerBadInterval(t *testing.T) {
 			t.Fatal("expected panic for non-positive interval")
 		}
 	}()
-	e.Every(0, 0, func(Time) {})
+	e.Every(0, 0, Call{}, func(Time) {})
 }
 
 func TestExecutedCount(t *testing.T) {

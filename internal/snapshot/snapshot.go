@@ -9,10 +9,11 @@
 // There is one kind of snapshot, the portable one: a self-contained value
 // that any pooled run context — the one it was taken from or another
 // worker's — can adopt, so the suffixes of one prefix can race on every
-// core. The live run context is full of closures (scheduled events, policy
-// method values, completion hooks) that capture pointers to the live
-// server, hosts and tenant; the contract splits the state three ways so
-// that none of them crosses the boundary:
+// core. The live run context is full of pointers to the live server,
+// hosts and tenant: in closures (policy method values, completion hooks,
+// ticker bodies) and in the handlers and references of scheduled events.
+// The contract splits the state three ways so that none of them crosses
+// the boundary:
 //
 //   - Copies: mutable POD state — SoA columns, queues, tables, counters,
 //     rng sources, histogram bins — is deep-copied (Clone) into buffers
@@ -27,14 +28,16 @@
 //   - Re-binds: everything with a closure environment is never copied at
 //     all. The adopter first rebuilds immutable structure with the same
 //     Reset/prepare/bind machinery a fresh run uses (policy method values,
-//     completion hooks, batch plans, fault windows), then revives the
-//     schedule from portable descriptors: every scheduled event carries a
-//     sim.Call tag naming its kind and small arguments, and the adopting
-//     subsystems rebuild equivalent closures bound to their own objects
-//     (sim.Engine.AdoptEvent, and sim.Ticker.Adopt for a dormant ticker's
-//     pending tick). An untagged event makes
-//     sim.Engine.ExportEvents fail; the snapshot tests materialize at every
-//     weekly boundary of the stress configurations so one cannot ship.
+//     completion hooks, batch plans, fault windows). Scheduled events hold
+//     no closure to rebuild: an event is its sim.Call descriptor, run by
+//     the handler it was scheduled with, so the schedule travels as
+//     descriptors and each revives onto the adopter's own handler of its
+//     kind — its server, fault plane, host kernel or dormant ticker
+//     (sim.Engine.AdoptEvent, and sim.Ticker.Adopt for a ticker's pending
+//     tick). A closure scheduled with sim.Engine.Schedule (a CallFunc)
+//     makes sim.Engine.ExportEvents fail; the snapshot tests materialize
+//     at every weekly boundary of the stress configurations so one cannot
+//     ship.
 //
 // After adoption the target context is observably byte-identical to the
 // source at the capture point: same clock, same (time, seq) event order,
@@ -48,10 +51,9 @@
 //   - sim.Engine: clock, FIFO sequence and live/executed counters as
 //     scalars; the heap as PortableEvent descriptors, in heap-array order.
 //     Tickers are not exported: the adopter builds them dormant and arms
-//     each with its adopted tick (Ticker.Adopt). A host continuation due
-//     inside the kernel's armed window is a closure-free sim.CallHost
-//     event; the adopter resolves a late return's assignment index into
-//     its ref, and the kernel its Reset bound runs it.
+//     each with its adopted tick (Ticker.Adopt). An assignment an event
+//     carries in its reference (a late return's, an upload re-send's) is
+//     an arena index in its descriptor, which the adopter resolves.
 //   - wcg.Server (PortableServer): the WUState and Assignment arenas in
 //     allocation order with pointers as indices, the work queue, batch
 //     buckets, deadline rings, trust streaks, scheduler rng and stats.
@@ -60,8 +62,10 @@
 //     slab.Carve mode has no stable allocation order.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
 //     population stream, the armed window's unconsumed buffer, and the
-//     window calendar flattened into one event list plus window spans;
-//     the adopter rebuilds the windows onto its own chunks. Chunk layout
+//     window calendar flattened into one list of the same CallHost
+//     PortableEvents a heap continuation exports as, plus spans naming
+//     their absolute windows; the adopter rebuilds the windows onto its
+//     own chunks. Chunk layout
 //     is unobservable — a window is sorted by (time, seq) at its barrier.
 //     A multiplexed kernel's mux columns are not covered, so grid co-runs
 //     cannot be snapshotted.

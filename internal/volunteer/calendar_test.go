@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/wcg"
 )
 
 // checkTake pushes evs into window w of c, arms it and checks the merge
@@ -31,7 +33,7 @@ func checkTake(t *testing.T, c *shardCal, w int, width float64, evs []planeEvent
 				w, len(want), width, i, c.cur[i].at, c.cur[i].seq, want[i].at, want[i].seq)
 		}
 	}
-	if c.count(w) != 0 || (w < len(c.wins) && c.wins[w].head != nil) {
+	if c.count(w) != 0 || len(c.wins) > c.next {
 		t.Fatalf("window %d still holds %d events after take", w, c.count(w))
 	}
 	if got, want := freeChunks(t, c), max(free0, (len(evs)+chunkEvents-1)/chunkEvents); got != want {
@@ -122,7 +124,9 @@ func TestShardCalTakeOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkTake(t, new(shardCal), tc.w, width, tc.evs)
 			// The same window on one long-lived calendar: recycled chunks
-			// and a merge buffer holding the previous case's events.
+			// and a merge buffer grown by the previous case. The table
+			// starts over, since the cases' windows do not ascend.
+			shared.reset(0)
 			checkTake(t, shared, tc.w, width, tc.evs)
 		})
 	}
@@ -173,4 +177,38 @@ func FuzzShardCalTake(f *testing.F) {
 		next := fuzzEvents(int(w)+1, width, perm+1, data)
 		checkTake(t, c, int(w)+1, width, next)
 	})
+}
+
+// TestWindowTableFollowsPendingSpan runs the differential fleet for eight
+// sim-weeks at the campaign's one-minute window floor and checks, every
+// sim day, that the window table holds no more than the span from the
+// armed window to the furthest pending one plus the compaction slack, and
+// that a kernel adopting the run's snapshot holds just the span: the table
+// follows the pending events, not the horizon.
+func TestWindowTableFollowsPendingSpan(t *testing.T) {
+	e := sim.NewEngine()
+	s := diffServer(e, 3000, 0, 0)
+	cfg := diffFleetConfig()
+	k := NewShardKernel(e, retryStub{s}, cfg, rng.New(404), sim.Minute)
+	adopter := NewShardKernel(sim.NewEngine(), retryStub{s}, cfg, rng.New(404), sim.Minute)
+	for _, ft := range fleetTargets {
+		e.Schedule(sim.Time(ft.week)*sim.Week, func() { k.SetTarget(ft.hosts) })
+	}
+	for day := 1; day <= 56; day++ {
+		k.RunUntil(float64(day) * sim.Day)
+		furthest := k.win // the armed window
+		for w := k.win + 1; w <= k.win+len(k.cal.wins); w++ {
+			if k.cal.count(w) > 0 {
+				furthest = w
+			}
+		}
+		span := furthest - k.win
+		if n := len(k.cal.wins); n > span+max(compactSlack, span) {
+			t.Fatalf("day %d: the window table holds %d windows, the pending span %d", day, n, span)
+		}
+		adopter.AdoptPortable(k.ExportPortable(), func(int32) *wcg.Assignment { return nil })
+		if n := len(adopter.cal.wins); n > span {
+			t.Fatalf("day %d: the adopted window table holds %d windows, the pending span %d", day, n, span)
+		}
+	}
 }

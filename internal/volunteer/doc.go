@@ -60,10 +60,9 @@
 //
 // ShardKernel.Reset rearms the kernel for another run on the same (freshly
 // reset) engine and work source: zero hosts joined, a new host
-// configuration and seed stream, the observer hook cleared, the kernel
-// bound as the engine's HostRunner, every column, calendar chunk and merge
-// buffer retained. Everything observable (active count, join counter,
-// per-host state) is reinitialized exactly as a fresh kernel would
-// produce, so the steady state of a pooled run context allocates no
-// per-host memory.
+// configuration and seed stream, the observer hook cleared, every column,
+// calendar chunk and merge buffer retained. Everything observable (active
+// count, join counter, per-host state) is reinitialized exactly as a fresh
+// kernel would produce, so the steady state of a pooled run context
+// allocates no per-host memory.
 package volunteer

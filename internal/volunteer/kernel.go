@@ -8,16 +8,19 @@
 // window width W is min(IdleRetry, half the target task wall time), so
 // almost every continuation lands one or more windows ahead of the window
 // that schedules it. The rare one that falls due inside the armed window
-// enters the sim.Engine heap instead, as a closure-free sim.CallHost event
-// that the engine hands back through RunHost; it never enters the armed
+// enters the sim.Engine heap instead, as a sim.CallHost event that the
+// engine hands back to the kernel's Handle; it never enters the armed
 // buffer. That makes W a pure performance knob — correctness holds for any
 // W > 0.
 //
 // A window's events are appended, unsorted, to a list of fixed-size
 // chunks drawn from the calendar's free list, so its memory tracks the
-// pending events rather than its peak window. At each window barrier the
-// calendar arms the new window into one reused merge buffer, recycling the
-// window's chunks. Between barriers the kernel merges the sorted buffer
+// pending events rather than its peak window. The window table follows
+// the pending span rather than the horizon: each barrier compacts the
+// consumed prefix in place once it dominates the table, and a table with
+// nothing pending starts over after the armed window. At each window
+// barrier the calendar arms the new window into one reused merge buffer,
+// recycling the window's chunks. Between barriers the kernel merges the sorted buffer
 // and the engine's heap in global ascending (time, seq) order and executes
 // the model, drawing every host decision and join inline. Everything runs
 // on the caller's goroutine.
@@ -116,25 +119,32 @@ type calWindow struct {
 	n          int
 }
 
-// shardCal is the kernel's window calendar: the future windows by absolute
-// window index, the free chunks, the armed window's sorted merge buffer
-// with its read cursor, and the arming pass's bucket offsets (scratch,
-// never exported).
+// compactSlack is the consumed prefix the window table keeps before it
+// compacts (see take).
+const compactSlack = 1024
+
+// shardCal is the kernel's window calendar: the window table (slot i
+// holds window base+i; the slots before next are consumed and empty), the
+// free chunks, the armed window's sorted merge buffer with its read
+// cursor, and the arming pass's bucket offsets (scratch, never exported).
 type shardCal struct {
-	wins    []calWindow
-	free    *eventChunk
-	cur     []planeEvent
-	cursor  int
-	buckets [calBuckets]int32
+	wins       []calWindow
+	base, next int
+	free       *eventChunk
+	cur        []planeEvent
+	cursor     int
+	buckets    [calBuckets]int32
 }
 
-// push appends ev to window w, taking a chunk from the free list (or
-// allocating one) when the window's tail chunk is full.
+// push appends ev to window w, which must lie after the last armed
+// window, taking a chunk from the free list (or allocating one) when the
+// window's tail chunk is full.
 func (c *shardCal) push(w int, ev planeEvent) {
-	for len(c.wins) <= w {
+	i := w - c.base
+	for len(c.wins) <= i {
 		c.wins = append(c.wins, calWindow{})
 	}
-	win := &c.wins[w]
+	win := &c.wins[i]
 	t := win.tail
 	if t == nil || t.n == chunkEvents {
 		nc := c.free
@@ -157,29 +167,39 @@ func (c *shardCal) push(w int, ev planeEvent) {
 
 // count returns window w's event count.
 func (c *shardCal) count(w int) int {
-	if w < len(c.wins) {
-		return c.wins[w].n
+	if i := w - c.base; i >= c.next && i < len(c.wins) {
+		return c.wins[i].n
 	}
 	return 0
 }
 
 // take makes window w (of width width) the armed window: its events
 // bucketed by time into the merge buffer, each bucket sorted by (time,
-// seq), its chunks recycled (see Window arming above).
+// seq), its chunks recycled (see Window arming above). The windows before
+// w must hold no events. The windows up to w join the consumed prefix,
+// compacted in place once it is longer than both compactSlack and the
+// pending rest of the table; a table with no window at or after w starts
+// over after w. So the table never exceeds the pending span plus the
+// larger of the two, and a pooled kernel grows no new table.
 func (c *shardCal) take(w int, width float64) {
 	c.cur, c.cursor = c.cur[:0], 0
-	if w >= len(c.wins) {
+	i := w - c.base
+	switch {
+	case i < c.next:
+		return // w precedes the table
+	case i >= len(c.wins):
+		c.wins, c.base, c.next = c.wins[:0], w+1, 0
 		return
 	}
-	n := c.wins[w].n
+	n := c.wins[i].n
 	c.cur = slices.Grow(c.cur, n)[:n]
 	nb := min(n, calBuckets)
 	lo, scale := float64(w)*width, float64(nb)/width
 	off := c.buckets[:nb]
 	clear(off)
-	for ch := c.wins[w].head; ch != nil; ch = ch.next {
-		for i := range ch.ev[:ch.n] {
-			off[bucketOf(ch.ev[i].at, lo, scale, nb)]++
+	for ch := c.wins[i].head; ch != nil; ch = ch.next {
+		for j := range ch.ev[:ch.n] {
+			off[bucketOf(ch.ev[j].at, lo, scale, nb)]++
 		}
 	}
 	var start int32
@@ -187,10 +207,10 @@ func (c *shardCal) take(w int, width float64) {
 		off[b] = start
 		start += cnt
 	}
-	for ch := c.wins[w].head; ch != nil; ch = ch.next {
-		for i := range ch.ev[:ch.n] {
-			b := bucketOf(ch.ev[i].at, lo, scale, nb)
-			c.cur[off[b]] = ch.ev[i]
+	for ch := c.wins[i].head; ch != nil; ch = ch.next {
+		for j := range ch.ev[:ch.n] {
+			b := bucketOf(ch.ev[j].at, lo, scale, nb)
+			c.cur[off[b]] = ch.ev[j]
 			off[b]++
 		}
 	}
@@ -199,7 +219,13 @@ func (c *shardCal) take(w int, width float64) {
 		sortBucket(c.cur[start:end])
 		start = end
 	}
-	c.drop(w)
+	c.drop(i)
+	c.next = i + 1
+	if c.next > compactSlack && 2*c.next > len(c.wins) {
+		n := copy(c.wins, c.wins[c.next:])
+		clear(c.wins[n:])
+		c.wins, c.base, c.next = c.wins[:n], c.base+c.next, 0
+	}
 }
 
 // bucketOf is the arming pass's bucket of time at: ⌊(at − lo)·scale⌋
@@ -232,24 +258,25 @@ func sortBucket(s []planeEvent) {
 	}
 }
 
-// drop recycles window w's chunks without reading them.
-func (c *shardCal) drop(w int) {
-	for ch := c.wins[w].head; ch != nil; {
+// drop recycles the chunks of table slot i without reading them.
+func (c *shardCal) drop(i int) {
+	for ch := c.wins[i].head; ch != nil; {
 		next := ch.next
 		clear(ch.ev[:ch.n]) // unpin assignments
 		ch.n, ch.next = 0, c.free
 		c.free = ch
 		ch = next
 	}
-	c.wins[w] = calWindow{}
+	c.wins[i] = calWindow{}
 }
 
-// reset empties the calendar, keeping its chunks and buffers.
-func (c *shardCal) reset() {
-	for w := range c.wins {
-		c.drop(w)
+// reset empties the calendar, keeping its chunks and buffers, and starts
+// its table at window w.
+func (c *shardCal) reset(w int) {
+	for i := c.next; i < len(c.wins); i++ {
+		c.drop(i)
 	}
-	c.wins = c.wins[:0]
+	c.wins, c.base, c.next = c.wins[:0], w, 0
 	clear(c.cur)
 	c.cur, c.cursor = c.cur[:0], 0
 }
@@ -328,7 +355,6 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 		panic("volunteer: calendar window must be positive")
 	}
 	k.eng = engine
-	engine.BindHost(k)
 	k.server = server
 	k.mux, _ = server.(*Mux)
 	k.retry, _ = server.(RetryAdvisor)
@@ -360,7 +386,7 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.cache = k.cache[:0]
 	k.active, k.firstActive = 0, 0
 
-	k.cal.reset()
+	k.cal.reset(0)
 	k.win, k.winEnd = 0, window
 	k.armed = false
 	k.livePlane = 0
@@ -370,12 +396,12 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 // (a late return carries its assignment a and reported seconds). One due
 // inside the armed window — the exact comparison, immune to division
 // rounding at the boundary — enters the engine's heap as a CallHost event
-// (see RunHost); any other is a future window's calendar event, whose
-// tie-break seq and Pending accounting the engine draws exactly as for its
-// own.
+// with the assignment in its reference (see Handle); any other is a future
+// window's calendar event, whose tie-break seq and Pending accounting the
+// engine draws exactly as for its own.
 func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time, a *wcg.Assignment, reported float64) {
 	if at < k.winEnd {
-		k.eng.ScheduleHost(at, sim.Call{K0: kind, A0: h, A1: wcg.AssignmentIndex(a), F0: reported}, a)
+		k.eng.ScheduleCall(at, sim.Call{Kind: sim.CallHost, K0: kind, A0: h, A1: wcg.AssignmentIndex(a), F0: reported}, k, a)
 		return
 	}
 	k.livePlane++
@@ -383,10 +409,9 @@ func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time, a *wcg.Assignme
 	k.cal.push(int(at/k.window), planeEvent{at: at, seq: k.eng.ExternalSchedule(), a: a, reported: reported, host: h, kind: kind})
 }
 
-// RunHost implements sim.HostRunner: the engine, having accounted the
-// event as executed, hands back a continuation that schedule put in its
-// heap.
-func (k *ShardKernel) RunHost(c sim.Call, ref any) {
+// Handle implements sim.Handler: the engine, having accounted the event as
+// executed, hands back a continuation that schedule put in its heap.
+func (k *ShardKernel) Handle(c sim.Call, ref any) {
 	a, _ := ref.(*wcg.Assignment)
 	k.run(c.A0, c.K0, a, c.F0)
 }

@@ -16,70 +16,45 @@ import (
 // travels with the columns, so the adopter's next spawn draws the same
 // seeds the source's would have.
 
-// portablePlaneEvent is a planeEvent with its assignment pointer replaced
-// by the assignment's arena index.
-type portablePlaneEvent struct {
-	at       sim.Time
-	seq      uint64
-	a        int32
-	reported float64
-	host     int32
-	kind     uint8
+// exportEvent returns a calendar event in the portable form the engine
+// gives a continuation waiting in its heap: a CallHost event, its
+// assignment as an arena index.
+func exportEvent(ev planeEvent) sim.PortableEvent {
+	return sim.PortableEvent{At: ev.at, Seq: ev.seq, Call: sim.Call{Kind: sim.CallHost, K0: ev.kind,
+		A0: ev.host, A1: wcg.AssignmentIndex(ev.a), F0: ev.reported}}
 }
 
-func exportEvent(ev planeEvent) portablePlaneEvent {
-	return portablePlaneEvent{at: ev.at, seq: ev.seq, a: wcg.AssignmentIndex(ev.a),
-		reported: ev.reported, host: ev.host, kind: ev.kind}
+// adoptEvent resolves a portable CallHost event into a calendar event.
+func adoptEvent(pe sim.PortableEvent, asAt func(int32) *wcg.Assignment) planeEvent {
+	return planeEvent{at: pe.At, seq: pe.Seq, a: asAt(pe.Call.A1),
+		reported: pe.Call.F0, host: pe.Call.A0, kind: pe.Call.K0}
 }
 
-func (pe portablePlaneEvent) adopt(asAt func(int32) *wcg.Assignment) planeEvent {
-	return planeEvent{at: pe.at, seq: pe.seq, a: asAt(pe.a),
-		reported: pe.reported, host: pe.host, kind: pe.kind}
-}
-
-// calSpan names one window of a flattened calendar: window w holds the
-// next n events of the flat list.
+// calSpan names one window of a flattened calendar: window w (an absolute
+// window number) holds the next n events of the flat list.
 type calSpan struct{ w, n int32 }
 
 // flatten returns every pending window's events in portable form, one span
 // per non-empty window.
-func (c *shardCal) flatten() (evs []portablePlaneEvent, spans []calSpan) {
+func (c *shardCal) flatten() (evs []sim.PortableEvent, spans []calSpan) {
+	pending := c.wins[c.next:]
 	n := 0
-	for _, win := range c.wins {
+	for _, win := range pending {
 		n += win.n
 	}
-	evs = make([]portablePlaneEvent, 0, n)
-	for w := range c.wins {
-		if c.wins[w].n == 0 {
+	evs = make([]sim.PortableEvent, 0, n)
+	for i := range pending {
+		if pending[i].n == 0 {
 			continue
 		}
-		spans = append(spans, calSpan{w: int32(w), n: int32(c.wins[w].n)})
-		for ch := c.wins[w].head; ch != nil; ch = ch.next {
+		spans = append(spans, calSpan{w: int32(c.base + c.next + i), n: int32(pending[i].n)})
+		for ch := pending[i].head; ch != nil; ch = ch.next {
 			for _, ev := range ch.ev[:ch.n] {
 				evs = append(evs, exportEvent(ev))
 			}
 		}
 	}
 	return evs, spans
-}
-
-// rebuild recycles every pending window's chunks and pushes the windows
-// back from a flattened portable calendar: spans name the windows of the flat
-// event list, whose assignments asAt resolves. A window's chunk layout is
-// invisible — its barrier arms it into exact (time, seq) order whatever
-// the order of its events (see Window arming in kernel.go) — so the
-// rebuilt calendar is equivalent to the flattened one.
-func (c *shardCal) rebuild(spans []calSpan, evs []portablePlaneEvent, asAt func(int32) *wcg.Assignment) {
-	for w := range c.wins {
-		c.drop(w)
-	}
-	c.wins = c.wins[:0]
-	i := 0
-	for _, s := range spans {
-		for end := i + int(s.n); i < end; i++ {
-			c.push(int(s.w), evs[i].adopt(asAt))
-		}
-	}
 }
 
 // PortableKernel is a self-contained copy of a ShardKernel at an event
@@ -109,9 +84,9 @@ type PortableKernel struct {
 
 	// The calendar: the pending windows as one flat event list named by
 	// spans, and the armed window's unconsumed events in merge order.
-	events []portablePlaneEvent
+	events []sim.PortableEvent
 	spans  []calSpan
-	calCur []portablePlaneEvent
+	calCur []sim.PortableEvent
 	win    int
 	winEnd sim.Time
 	armed  bool
@@ -135,11 +110,11 @@ func (p *PortableKernel) Bytes() int {
 }
 
 // exportEvents translates events into owned portable form.
-func exportEvents(evs []planeEvent) []portablePlaneEvent {
+func exportEvents(evs []planeEvent) []sim.PortableEvent {
 	if len(evs) == 0 {
 		return nil
 	}
-	out := make([]portablePlaneEvent, len(evs))
+	out := make([]sim.PortableEvent, len(evs))
 	for i, ev := range evs {
 		out[i] = exportEvent(ev)
 	}
@@ -198,7 +173,10 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 // kernel must have been Reset under the same configuration and window
 // width the source ran; every assignment index is resolved through asAt
 // against the adopter's server. Calendar windows are rebuilt from the flat
-// event list onto the adopter's own chunks.
+// event list onto the adopter's own chunks. A window's chunk layout is
+// invisible — its barrier arms it into exact (time, seq) order whatever
+// the order of its events (see Window arming in kernel.go) — so the
+// rebuilt calendar is equivalent to the flattened one.
 func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Assignment) {
 	if k.window != p.window {
 		panic("volunteer: adopting kernel has a different window width — config mismatch")
@@ -230,10 +208,15 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	*k.r = p.rsrc
 
 	c := &k.cal
-	c.rebuild(p.spans, p.events, asAt)
-	c.cur, c.cursor = c.cur[:0], 0
+	c.reset(p.win + 1) // every pending window lies after the armed one
+	i := 0
+	for _, s := range p.spans {
+		for end := i + int(s.n); i < end; i++ {
+			c.push(int(s.w), adoptEvent(p.events[i], asAt))
+		}
+	}
 	for _, pe := range p.calCur {
-		c.cur = append(c.cur, pe.adopt(asAt))
+		c.cur = append(c.cur, adoptEvent(pe, asAt))
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.livePlane = p.livePlane

@@ -461,8 +461,8 @@ func (s *Server) batchNext() *WUState {
 
 // sizeWheels arranges exactly n deadline wheels, clearing every wheel
 // ever created first (a stale ring must not pin the previous run's
-// assignment arena) and retaining ring backing arrays and drain closures
-// across Reset. Deadlines are set by the caller after sizing.
+// assignment arena) and retaining ring backing arrays across Reset.
+// Deadlines are set by the caller after sizing.
 func (s *Server) sizeWheels(n int) {
 	full := s.wheels[:cap(s.wheels)]
 	for i := range full {
@@ -478,12 +478,6 @@ func (s *Server) sizeWheels(n int) {
 		s.wheels = full
 		for len(s.wheels) < n {
 			s.wheels = append(s.wheels, wheel{})
-		}
-	}
-	for k := range s.wheels {
-		if s.wheels[k].drainFn == nil {
-			k := k
-			s.wheels[k].drainFn = func() { s.drainWheel(k) }
 		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 // Portable server snapshots (see the snapshot package doc): PortableServer
 // owns every byte it holds and names arena objects by allocation index, so
 // a different pooled server — which re-carves the same objects in the same
-// order — can adopt it. Closure
-// state (policy method values, drain closures, completion hooks) is never
-// exported: the adopter re-binds it with the same Reset/bind machinery a
-// fresh run uses, then resolves indices back to its own pointers.
+// order — can adopt it. Closure state (policy method values, completion
+// hooks) is never exported: the adopter re-binds it with the same
+// Reset/bind machinery a fresh run uses, then resolves indices back to its
+// own pointers. An adopted wheel drain needs no binding: its
+// CallWheelDrain descriptor names the class, and the adopting server
+// handles it.
 
 // portableAssignment is an Assignment with its workunit pointer replaced
 // by the workunit's arena index. The float leads so the record packs into
@@ -240,10 +242,6 @@ func (s *Server) AdoptPortable(p *PortableServer) {
 	s.adStreak = append(s.adStreak, p.adStreak...)
 	s.Stats = p.stats
 }
-
-// WheelDrainFn returns deadline class k's bound drain closure, for
-// re-binding an adopted CallWheelDrain event.
-func (s *Server) WheelDrainFn(k int) func() { return s.wheels[k].drainFn }
 
 // ApplyConfig swaps the configuration in force mid-run, at a fork point:
 // on a context at (or adopted from) the snapshot, the forked cell's config

@@ -46,22 +46,21 @@
 //   - Deadlines use wheels, not per-assignment timers: each deadline
 //     class's deadline is a constant, so its copies time out in issue
 //     order, and one ring-buffer FIFO per class, drained by a single
-//     re-armed engine event, replaces millions of event-heap inserts and
-//     cancellations. Each timeout still fires at exactly IssuedAt+class
-//     deadline; copies returned in time simply fall out of the ring
-//     unprocessed.
+//     re-armed engine event that the server handles, replaces millions of
+//     event-heap inserts and cancellations. Each timeout still fires at
+//     exactly IssuedAt+class deadline; copies returned in time simply fall
+//     out of the ring unprocessed.
 //
 // # Reset contract
 //
 // Server.Reset rearms a server for another run on the same (freshly
 // reset) engine, retaining what a campaign is expensive to rebuild: the
 // work queue's backing arrays (shared queue and batch buckets), the
-// deadline rings and their drain closures, the per-host trust table, and
-// the WUState and Assignment arenas. Everything observable is zeroed —
-// queue contents, counters, trust streaks, Stats, the
-// OnComplete/OnWeekCPU callbacks — and the configured policies are
-// re-bound, so a reset server is indistinguishable from NewServer to the
-// model driving it. Every *WUState and *Assignment obtained before the
+// deadline rings, the per-host trust table, and the WUState and
+// Assignment arenas. Everything observable is zeroed — queue contents,
+// counters, trust streaks, Stats, the OnComplete/OnWeekCPU callbacks —
+// and the configured policies are re-bound, so a reset server is
+// indistinguishable from NewServer to the model driving it. Every *WUState and *Assignment obtained before the
 // Reset is invalidated (the arenas re-carve their slots); callers must
 // drop them all first.
 package wcg
@@ -251,7 +250,6 @@ type wheel struct {
 	dlq      []*Assignment
 	dlHead   int
 	armed    bool
-	drainFn  func() // bound once per class; re-armed without allocating
 }
 
 // Server is the volunteer-grid work distributor.
@@ -625,11 +623,15 @@ func (s *Server) RequestWorkFor(host int) *Assignment {
 		// reentrant callback lands here mid-drain, earlier live
 		// entries may still be in the ring and must not fire late.
 		w.armed = true
-		s.engine.ScheduleCall(w.dlq[w.dlHead].IssuedAt+w.deadline, w.drainFn,
-			sim.Call{Kind: sim.CallWheelDrain, K0: a.class})
+		s.engine.ScheduleCall(w.dlq[w.dlHead].IssuedAt+w.deadline,
+			sim.Call{Kind: sim.CallWheelDrain, K0: a.class}, s, nil)
 	}
 	return a
 }
+
+// Handle implements sim.Handler: a server's events are its deadline
+// wheels' CallWheelDrain ticks, each naming its class in K0.
+func (s *Server) Handle(c sim.Call, _ any) { s.drainWheel(int(c.K0)) }
 
 // drainWheel is deadline class k's single recurring event: it times out
 // every copy of the class whose deadline has passed (in issue order, at
@@ -669,8 +671,8 @@ func (s *Server) drainWheel(k int) {
 	// permanent drain chain.
 	if !w.armed && w.dlHead < len(w.dlq) {
 		w.armed = true
-		s.engine.ScheduleCall(w.dlq[w.dlHead].IssuedAt+w.deadline, w.drainFn,
-			sim.Call{Kind: sim.CallWheelDrain, K0: uint8(k)})
+		s.engine.ScheduleCall(w.dlq[w.dlHead].IssuedAt+w.deadline,
+			sim.Call{Kind: sim.CallWheelDrain, K0: uint8(k)}, s, nil)
 	}
 }
 

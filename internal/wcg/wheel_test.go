@@ -48,7 +48,7 @@ func TestDeadlineWheelIssueOrder(t *testing.T) {
 	}
 	var timeoutsAt []sim.Time
 	prev := int64(0)
-	engine.Every(0, sim.Minute, func(now sim.Time) {
+	engine.Every(0, sim.Minute, sim.Call{}, func(now sim.Time) {
 		if srv.Stats.TimedOut > prev {
 			for ; prev < srv.Stats.TimedOut; prev++ {
 				timeoutsAt = append(timeoutsAt, now)
