@@ -74,11 +74,22 @@ func campaign() *project.Report {
 // comparable to the shared figure-benchmark campaign.
 const ciBenchScale = benchScale
 
+// campaignMemLimit is the heap at which a campaign benchmark collects
+// although its GC is paused: above BenchmarkCampaignGrid10x's 2.56 GB an
+// op, so every gated row counts without a GC cycle, and low enough that
+// BenchmarkCampaignGrid100x (52.6 GB an op, run by hand) still finishes.
+const campaignMemLimit = 3 << 30
+
 // benchCampaign measures whole-campaign simulations and, when BENCH_JSON
-// names a file, records the run in the BENCH_campaign.json trajectory.
+// names a file, records the run in the BENCH_campaign.json trajectory. The
+// GC is paused over the timed runs, as benchPooledCell pauses it: the
+// counts are process-wide, and a background cycle landing in the loop adds
+// its own allocations to the row. campaignMemLimit is the backstop.
 func benchCampaign(b *testing.B, name string, cfg project.Config, label string) {
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(campaignMemLimit))
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	start := time.Now()
@@ -95,12 +106,13 @@ func benchCampaign(b *testing.B, name string, cfg project.Config, label string) 
 	recordBench(b, name, label, cfg, rep,
 		elapsed.Nanoseconds()/int64(b.N),
 		int64(ms1.TotalAlloc-ms0.TotalAlloc)/int64(b.N),
-		int64(ms1.Mallocs-ms0.Mallocs)/int64(b.N))
+		int64(ms1.Mallocs-ms0.Mallocs)/int64(b.N), 0)
 }
 
 // recordBench reports the kernel-side metrics and, when BENCH_JSON names a
-// file, appends the run to the performance trajectory.
-func recordBench(b *testing.B, name, label string, cfg project.Config, rep *project.Report, nsPerOp, bytesPerOp, allocsPerOp int64) {
+// file, appends the run to the performance trajectory. liveBytes is the
+// heap a pooled runner retains between runs (0 when not measured).
+func recordBench(b *testing.B, name, label string, cfg project.Config, rep *project.Report, nsPerOp, bytesPerOp, allocsPerOp, liveBytes int64) {
 	b.ReportMetric(float64(rep.EventsExecuted), "events/op")
 	b.ReportMetric(float64(rep.PeakPending), "peak-queue")
 	b.ReportMetric(rep.WeeksElapsed, "sim-weeks")
@@ -122,6 +134,7 @@ func recordBench(b *testing.B, name, label string, cfg project.Config, rep *proj
 		PeakQueueDepth:  rep.PeakPending,
 		SimWeeks:        rep.WeeksElapsed,
 		ResultsReceived: rep.ServerStats.Received,
+		LiveBytes:       liveBytes,
 	}
 	if cfg.HostScale != cfg.WorkScale {
 		run.HostScale = cfg.HostScale
@@ -341,7 +354,9 @@ func BenchmarkSweepCellInstrumented(b *testing.B) {
 // run has finished, and records the steady state. The GC is paused over
 // the timed runs, as TestNilProbeAllocNeutrality pauses it: the counts are
 // process-wide, and a background cycle landing in the loop adds its own
-// allocations to the row.
+// allocations to the row. The row's live bytes are what the runner keeps
+// between runs: the heap after a collection with the runner held, minus
+// the heap after one with it dropped.
 func benchPooledCell(b *testing.B, name string, cfg project.Config, after func()) {
 	runner := project.NewRunner()
 	run := func() *project.Report {
@@ -373,9 +388,19 @@ func benchPooledCell(b *testing.B, name string, cfg project.Config, after func()
 	runtime.ReadMemStats(&ms1)
 	steadyBytes := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(b.N)
 	b.ReportMetric(float64(steadyBytes)/float64(firstBytes)*100, "steady-vs-first-%")
-	recordBench(b, name, benchLabel(), cfg, rep,
+
+	var held, dropped runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	last := *rep // the report's own buffers stay reachable in both readings
+	rep, runner = nil, nil
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	live := int64(held.HeapAlloc) - int64(dropped.HeapAlloc)
+	b.ReportMetric(float64(live), "live-B")
+	recordBench(b, name, benchLabel(), cfg, &last,
 		elapsed.Nanoseconds()/int64(b.N), steadyBytes,
-		int64(ms1.Mallocs-ms0.Mallocs)/int64(b.N))
+		int64(ms1.Mallocs-ms0.Mallocs)/int64(b.N), live)
 }
 
 // forkWhatIfGroup is the week-14 what-if group: eight variants of the

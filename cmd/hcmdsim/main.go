@@ -13,7 +13,7 @@
 //
 // The default scale (1/84) finishes in under a second; -scale 1 simulates
 // the full 3.9-million-workunit campaign in a few seconds (2.2–3.7 s on a
-// 2-core VM, with a peak Go heap near 190 MB).
+// 2-core VM, with a peak Go heap near 140 MB).
 //
 // A flag value out of range (-scale outside (0, 1], -fig1days outside
 // [1, 36400], a negative or non-finite -hours, ...) exits 2 before

@@ -31,6 +31,7 @@ type BenchRun struct {
 	PeakQueueDepth  int     `json:"peak_queue_depth"`       // event-queue high-water mark
 	SimWeeks        float64 `json:"sim_weeks"`              // simulated campaign duration
 	ResultsReceived int64   `json:"results_received"`       // returned results per campaign
+	LiveBytes       int64   `json:"live_bytes,omitempty"`   // heap a pooled runner retains between runs
 	Note            string  `json:"note,omitempty"`         // why the row moved against its predecessor
 }
 
@@ -117,10 +118,12 @@ func (f *BenchFile) LatestRun(bench string) (BenchRun, bool) {
 // AllocGate is the CI allocation-regression gate: it compares the latest
 // current run of bench against the latest baseline run and returns an
 // error when allocs/op or bytes/op grew by more than maxGrowth (0.10 =
-// +10 %). ns/op is deliberately not gated — CI machines vary — but
-// allocation counts and allocated bytes are deterministic for a
-// deterministic simulation, so a breach means the change really did add
-// per-op allocations or make them larger. maxGrowth must be finite and ≥ 0.
+// +10 %), or live bytes did when both rows carry them. ns/op is
+// deliberately not gated — CI machines vary — but allocation counts and
+// allocated bytes are deterministic for a deterministic simulation, so a
+// breach means the change really did add per-op allocations or make them
+// larger, or made a pooled runner retain more. maxGrowth must be finite
+// and ≥ 0.
 func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) error {
 	if !(maxGrowth >= 0) || math.IsInf(maxGrowth, 1) {
 		return fmt.Errorf("experiment: allocation growth margin %v must be finite and ≥ 0", maxGrowth)
@@ -133,13 +136,18 @@ func AllocGate(baseline, current *BenchFile, bench string, maxGrowth float64) er
 	if !ok {
 		return fmt.Errorf("experiment: current file has no %s run", bench)
 	}
-	for _, m := range []struct {
+	type metric struct {
 		unit      string
 		base, cur int64
-	}{
+	}
+	gated := []metric{
 		{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
 		{"bytes/op", base.BytesPerOp, cur.BytesPerOp},
-	} {
+	}
+	if base.LiveBytes > 0 && cur.LiveBytes > 0 {
+		gated = append(gated, metric{"live bytes", base.LiveBytes, cur.LiveBytes})
+	}
+	for _, m := range gated {
 		// In float64: converting a huge limit back to int64 is
 		// implementation-dependent.
 		limit := float64(m.base) * (1 + maxGrowth)

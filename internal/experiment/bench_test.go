@@ -146,6 +146,28 @@ func TestAllocGate(t *testing.T) {
 			t.Errorf("allocs=%d bytes=%d: error %q does not name bytes/op", c.allocs, c.bytes, err)
 		}
 	}
+
+	// Live bytes are gated at the same margin when both rows carry them,
+	// and ignored when either row does not.
+	for _, c := range []struct {
+		base, cur int64
+		ok        bool
+	}{
+		{2_000_000, 2_200_000, true},  // at the margin
+		{2_000_000, 2_200_001, false}, // one byte past it
+		{2_000_000, 1_100_000, true},  // improvement
+		{2_000_000, 0, true},          // the current row does not measure it
+		{0, 9_000_000, true},          // nor does the baseline
+	} {
+		base.Runs[1].LiveBytes = c.base
+		f := &BenchFile{Runs: []BenchRun{
+			{Benchmark: "BenchmarkCampaignCI", Label: "pr", AllocsPerOp: 1000, BytesPerOp: 10_000, LiveBytes: c.cur},
+		}}
+		err := AllocGate(base, f, "BenchmarkCampaignCI", 0.10)
+		if (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "live bytes")) {
+			t.Errorf("live bytes %d against %d: err=%v, want ok=%v", c.cur, c.base, err, c.ok)
+		}
+	}
 }
 
 func TestReadBenchFileRejectsGarbage(t *testing.T) {

@@ -419,8 +419,9 @@ func (p *Plane) lostUpload(host int) bool {
 
 // CompleteFrom passes a finished result through the flaky uplink: lost
 // uploads are re-sent after a jittered delay until the retry budget runs
-// out, then dropped (the server's deadline wheel reissues the work). The
-// host is not blocked on the retry — the re-send is an engine event.
+// out, then dropped, the copy given up to the middleware (Drop); the
+// server's deadline wheel reissues the work. The host is not blocked on
+// the retry — the re-send is an engine event.
 func (p *Plane) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
 	if !p.lostUpload(host) {
 		p.deliver(a, outcome, cpuSeconds, host)
@@ -462,6 +463,7 @@ func (p *Plane) Handle(c sim.Call, ref any) {
 		p.scheduleRetry(a, outcome, c.F0, host, budget-1)
 	} else {
 		p.Stats.DroppedResults++
+		p.inner.Drop(a)
 	}
 }
 
@@ -503,6 +505,9 @@ func (p *Plane) drainSpool() {
 	}
 	p.spool = p.spool[:0]
 }
+
+// Drop delegates to the middleware unchanged.
+func (p *Plane) Drop(a *wcg.Assignment) { p.inner.Drop(a) }
 
 // DeadlineFor delegates to the middleware unchanged.
 func (p *Plane) DeadlineFor(a *wcg.Assignment) float64 { return p.inner.DeadlineFor(a) }

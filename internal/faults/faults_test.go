@@ -13,13 +13,15 @@ import (
 
 // stubSource is a minimal WorkSource: it hands out whatever assignment it
 // holds and counts requests and deliveries, logging each delivery with its
-// engine time when eng is set, so plane tests need no middleware.
+// engine time when eng is set, and every drop, so plane tests need no
+// middleware.
 type stubSource struct {
 	eng       *sim.Engine
 	next      *wcg.Assignment
 	requests  int
 	delivered int
 	log       []delivery
+	dropped   []*wcg.Assignment
 }
 
 // delivery is one result as it reached the stub.
@@ -42,6 +44,7 @@ func (s *stubSource) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpu fl
 	}
 }
 func (s *stubSource) DeadlineFor(*wcg.Assignment) float64 { return 0 }
+func (s *stubSource) Drop(a *wcg.Assignment)              { s.dropped = append(s.dropped, a) }
 
 // TestNormalizedDefaults: the unplanned-outage mean is the one default;
 // every other field is kept as given.
@@ -306,6 +309,36 @@ func TestUploadLossRetryAndDrop(t *testing.T) {
 	}
 }
 
+// TestDroppedUploadDropsItsCopyOnce: a result whose upload loses every
+// re-send is given up to the source exactly once, and a delivered result
+// never is, so the server can release each copy once.
+func TestDroppedUploadDropsItsCopyOnce(t *testing.T) {
+	cfg := Config{UploadLossProb: 0.5}.Normalized()
+	eng := sim.NewEngine()
+	src := &stubSource{eng: eng}
+	p := NewPlane(eng, src, cfg, 1234, sim.Week)
+	as := make([]wcg.Assignment, 200)
+	for host := range as {
+		p.CompleteFrom(&as[host], wcg.OutcomeValid, 100, host)
+	}
+	eng.RunUntil(sim.Week) // drain the retry events
+	passed := make(map[*wcg.Assignment]int)
+	for _, d := range src.log {
+		passed[d.a]++
+	}
+	for _, a := range src.dropped {
+		passed[a]++
+	}
+	if len(src.dropped) == 0 || int64(len(src.dropped)) != p.Stats.DroppedResults {
+		t.Fatalf("%d copies dropped to the source, %d results dropped", len(src.dropped), p.Stats.DroppedResults)
+	}
+	for i := range as {
+		if n := passed[&as[i]]; n != 1 {
+			t.Errorf("copy %d passed back to the source %d times, want once", i, n)
+		}
+	}
+}
+
 func TestChurnCountCarry(t *testing.T) {
 	cfg := Config{ChurnPerWeek: 0.07}.Normalized()
 	p := NewPlane(sim.NewEngine(), &stubSource{}, cfg, 1, sim.Week)
@@ -472,9 +505,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 		}},
 		{"an adopter drains the same spool", func(t *testing.T) {
 			// Portable spool entries name assignments by allocation index,
-			// so they come from a retained server.
+			// so they come from a server.
 			srv := wcg.NewServer(sim.NewEngine(), wcg.DefaultConfig())
-			srv.Retain()
 			as := make([]*wcg.Assignment, 3)
 			for i := range as {
 				srv.AddWorkunit(workunit.Workunit{RefSeconds: 1}, 0)

@@ -243,14 +243,16 @@ type Report struct {
 	Faults *faults.Report `json:",omitempty"`
 }
 
-// SpeedDownObserved returns mean reported time / mean reference time per
-// useful result — the paper's 3.96 estimate (computed over all results, as
-// the paper does: 13 h observed vs 3.3 h packaged).
+// SpeedDownObserved returns the mean reported time per received result
+// over the mean packaged reference time — the paper's 3.96 estimate,
+// computed over all results as the paper does (13 h observed over 3.3 h
+// packaged). MeanReportedH is already per result, so nothing further
+// divides it.
 func (r Report) SpeedDownObserved(meanRefHours float64) float64 {
 	if meanRefHours <= 0 {
 		return 0
 	}
-	return r.MeanReportedH / meanRefHours / r.ServerStats.RedundancyFactor()
+	return r.MeanReportedH / meanRefHours
 }
 
 // Table2 returns the volunteer↔dedicated equivalence computed from this
@@ -510,11 +512,6 @@ func (c *Campaign) arm(projects []Config, shares []float64) {
 				t = &tenant{}
 			}
 			t.initTenant(p, wcg.NewServer(c.engine, p.Server))
-			if c.pooled {
-				// Retain from the start so the first run's chunks already
-				// land in the reusable arenas (before any workunit is carved).
-				t.server.Retain()
-			}
 			c.tenants = append(c.tenants, t)
 		}
 		if c.mux != nil {

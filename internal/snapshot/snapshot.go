@@ -22,9 +22,11 @@
 //     adopters read the snapshot concurrently.
 //   - Translates: intra-run pointers (*WUState, *Assignment, hosts) are
 //     rewritten as arena/slice indices at capture and resolved against the
-//     adopter's own arenas — which, having replayed the same deterministic
-//     allocation sequence, carve the same objects in the same order
-//     (slab.Arena.At).
+//     adopter's own arenas. An arena travels as its live chunks only; the
+//     adopter installs each onto one of its own chunks under the same
+//     logical chunk number (slab.Adopt), so an allocation index names the
+//     same object on both sides (slab.Arena.At), and the adopter goes on
+//     carving and releasing exactly where the source stood.
 //   - Re-binds: everything with a closure environment is never copied at
 //     all. The adopter first rebuilds immutable structure with the same
 //     Reset/prepare/bind machinery a fresh run uses (policy method values,
@@ -54,12 +56,11 @@
 //     each with its adopted tick (Ticker.Adopt). An assignment an event
 //     carries in its reference (a late return's, an upload re-send's) is
 //     an arena index in its descriptor, which the adopter resolves.
-//   - wcg.Server (PortableServer): the WUState and Assignment arenas in
-//     allocation order with pointers as indices, the work queue, batch
+//   - wcg.Server (PortableServer): the live chunks of the WUState and
+//     Assignment arenas (logical numbers, live-object bitmaps, objects with
+//     pointers as indices and their hold state), the work queue, batch
 //     buckets, deadline rings, trust streaks, scheduler rng and stats.
 //     Every bind-time policy value is rebuilt by the adopter's Reset.
-//     Export requires the retained-arena (pooled Reset) mode: the one-shot
-//     slab.Carve mode has no stable allocation order.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
 //     population stream, the armed window's unconsumed buffer, and the
 //     window calendar flattened into one list of the same CallHost

@@ -191,6 +191,12 @@ func (m *Mux) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds fl
 	m.atts[a.Project()].server.CompleteFrom(a, outcome, cpuSeconds, host)
 }
 
+// Drop routes the given-up assignment back to the project server that
+// issued it.
+func (m *Mux) Drop(a *wcg.Assignment) {
+	m.atts[a.Project()].server.Drop(a)
+}
+
 // DeadlineFor returns the assignment's class deadline on the server that
 // issued it.
 func (m *Mux) DeadlineFor(a *wcg.Assignment) float64 {

@@ -204,3 +204,39 @@ func TestMuxPortReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestMuxDropsReachTheIssuingServer: on a co-run whose hosts abandon copies
+// and stop with full work buffers, every given-up copy reaches the server
+// that issued it, so once the fleet has drained each server holds no live
+// record but its arenas' chunks still being carved. A mux that lost drops
+// would leave a dropped copy, and the chunk holding it, live on its
+// server; one that misrouted them would release another server's slots.
+func TestMuxDropsReachTheIssuingServer(t *testing.T) {
+	engine, m := muxFixture(t, []float64{1, 2}, 3*512, func(p, i int) float64 { return float64(1800 + 600*p + i%7) })
+	cfg := DefaultHostConfig()
+	cfg.WorkBuffer = 3
+	cfg.AbandonProb = 0.2
+	cfg.LateReturnProb = 0.5
+	k := newKernel(engine, m, cfg, 5)
+	k.SetTarget(200)
+	for w := sim.Time(1); w <= 52 && m.atts[0].server.Stats.Completed+m.atts[1].server.Stats.Completed < 2*3*512; w++ {
+		k.RunUntil(w * sim.Week)
+	}
+	k.SetTarget(0)
+	k.RunUntil(60 * sim.Week)
+	if engine.Pending() != 0 {
+		t.Fatalf("%d events still pending", engine.Pending())
+	}
+	// One chunk per arena may still be carving: 512 workunit records of
+	// 32 B and 512 portable copies of 16 B, plus the bitmaps and tables.
+	const limit = 512*(32+16) + 1024
+	for p := 0; p < m.Projects(); p++ {
+		s := m.atts[p].server
+		if s.Stats.Completed != 3*512 {
+			t.Fatalf("project %d completed %d of %d", p, s.Stats.Completed, 3*512)
+		}
+		if b := s.ExportPortable().Bytes(); b > limit {
+			t.Errorf("project %d: drained server snapshot holds %d B, want at most %d: copies still live", p, b, limit)
+		}
+	}
+}

@@ -219,10 +219,17 @@ func (k *ShardKernel) HostAccounting(i int) (hardware float64, joinedAt sim.Time
 // stream in the order given above, and schedule the continuation on the
 // window calendar.
 func (k *ShardKernel) fetch(h int32) {
+	base := int(h) * k.buffer
 	if k.flags[h]&hfStopped != 0 {
+		// A stopped host never fetches again: its cached copies will
+		// never run, so it gives them up.
+		for i, a := range k.cache[base : base+int(k.cacheLen[h])] {
+			k.server.Drop(a)
+			k.cache[base+i] = nil
+		}
+		k.cacheLen[h] = 0
 		return
 	}
-	base := int(h) * k.buffer
 	n := int(k.cacheLen[h])
 	for n < k.buffer {
 		a := k.server.RequestWorkFor(int(h))
@@ -264,6 +271,8 @@ func (k *ShardKernel) fetch(h int32) {
 		if src.Bernoulli(k.cfg.LateReturnProb) {
 			delay := k.server.DeadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
 			k.schedule(h, evLate, k.eng.Now()+delay, a, reported)
+		} else {
+			k.server.Drop(a) // never returned
 		}
 		k.flags[h] &^= hfBusy
 		k.schedule(h, evFetch, k.eng.Now()+k.cfg.IdleRetry, nil, 0)

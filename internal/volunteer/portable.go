@@ -12,7 +12,7 @@ import (
 // context can adopt. Assignments held by hosts — the work buffer, the
 // in-flight task, late-return calendar entries — are translated to arena
 // indices at export and resolved against the adopter's own server, which
-// has replayed the same allocation order. The population stream's state
+// has installed the same live arena chunks. The population stream's state
 // travels with the columns, so the adopter's next spawn draws the same
 // seeds the source's would have.
 

@@ -503,6 +503,85 @@ func TestWorkBufferStaysBounded(t *testing.T) {
 	}
 }
 
+// countingSource is a WorkSource stub that hands out fresh copies of one
+// workunit, up to a budget, and counts how often the kernel passes each one
+// back, by report or by drop.
+type countingSource struct {
+	wu              wcg.WUState
+	left            int
+	passed          map[*wcg.Assignment]int
+	reports, drops  int
+	unknownPassBack int
+}
+
+func (s *countingSource) RequestWorkFor(int) *wcg.Assignment {
+	if s.left == 0 {
+		return nil
+	}
+	s.left--
+	a := &wcg.Assignment{WU: &s.wu}
+	s.passed[a] = 0
+	return a
+}
+
+func (s *countingSource) CompleteFrom(a *wcg.Assignment, _ wcg.Outcome, _ float64, _ int) {
+	s.reports++
+	s.passBack(a)
+}
+
+func (s *countingSource) Drop(a *wcg.Assignment) {
+	s.drops++
+	s.passBack(a)
+}
+
+func (s *countingSource) passBack(a *wcg.Assignment) {
+	if _, ok := s.passed[a]; !ok {
+		s.unknownPassBack++
+		return
+	}
+	s.passed[a]++
+}
+
+func (s *countingSource) DeadlineFor(*wcg.Assignment) float64 { return 2 * sim.Day }
+
+// TestEveryCopyPassedBackOnce: every copy the kernel fetches reaches its
+// source again exactly once, reported or dropped, on a fleet with a
+// three-copy work buffer, abandonment with and without late returns, and a
+// target that shrinks in two steps to zero, so stopped hosts hold cached
+// copies they will never run.
+func TestEveryCopyPassedBackOnce(t *testing.T) {
+	engine := sim.NewEngine()
+	src := &countingSource{wu: wcg.WUState{RefSeconds: 3 * sim.Hour}, left: 20000, passed: map[*wcg.Assignment]int{}}
+	cfg := DefaultHostConfig()
+	cfg.WorkBuffer = 3
+	cfg.AbandonProb = 0.2
+	cfg.LateReturnProb = 0.5
+	k := newKernel(engine, src, cfg, 17)
+	k.SetTarget(60)
+	k.RunUntil(5 * sim.Day)
+	k.SetTarget(25)
+	k.RunUntil(10 * sim.Day)
+	k.SetTarget(0)
+	k.RunUntil(60 * sim.Day)
+	if engine.Pending() != 0 {
+		t.Fatalf("%d events still pending", engine.Pending())
+	}
+	if src.left == 0 || src.reports == 0 || src.drops == 0 || src.unknownPassBack != 0 {
+		t.Fatalf("budget left %d, %d reports, %d drops, %d copies passed back that were never issued",
+			src.left, src.reports, src.drops, src.unknownPassBack)
+	}
+	bad := 0
+	for _, n := range src.passed {
+		if n != 1 {
+			bad++
+		}
+	}
+	if bad != 0 {
+		t.Fatalf("%d of %d copies passed back other than once (%d reports, %d drops)",
+			bad, len(src.passed), src.reports, src.drops)
+	}
+}
+
 func TestWorkBufferDefaultUnchanged(t *testing.T) {
 	// Buffer 0/1 must behave exactly like the original fetch-one loop.
 	run := func(buffer int) int64 {

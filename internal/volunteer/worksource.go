@@ -26,6 +26,13 @@ type WorkSource interface {
 	// DeadlineFor returns the reissue deadline of the assignment's
 	// deadline class on the server that issued it.
 	DeadlineFor(a *wcg.Assignment) float64
+	// Drop gives up an assignment the host will never report — an
+	// abandoned task with no late return, a stopped host's cached copies —
+	// so the issuing server can release it once its deadline ring is done
+	// with it too. It counts nothing and moves no model value; the caller
+	// must not read a afterwards. Every assignment a source hands out is
+	// passed back exactly once, to CompleteFrom or to Drop.
+	Drop(a *wcg.Assignment)
 }
 
 // The production server and the multi-project mux satisfy WorkSource by

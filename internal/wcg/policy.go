@@ -320,8 +320,7 @@ func (s *Server) popTail(st *WUState) {
 	n := len(s.queue) - 1
 	s.queue[n] = nil
 	s.queue = s.queue[:n]
-	st.queued = false
-	s.syncCounts(st)
+	s.unqueue(st)
 }
 
 // lifoNext takes the next copy in LIFO order: the queue is a stack, and a
@@ -350,8 +349,7 @@ func (s *Server) swapRemove(i int, st *WUState) {
 	s.queue[i] = s.queue[n]
 	s.queue[n] = nil
 	s.queue = s.queue[:n]
-	st.queued = false
-	s.syncCounts(st)
+	s.unqueue(st)
 }
 
 // randNext takes a uniformly random queued workunit. Stale entries are
@@ -419,8 +417,7 @@ func (s *Server) consumeBucketHead(r int, st *WUState) {
 	s.buckets[r][h] = nil
 	s.bucketHead[r] = h + 1
 	if st != nil {
-		st.queued = false
-		s.syncCounts(st)
+		s.unqueue(st)
 	}
 	s.buckets[r], s.bucketHead[r] = compactPrefix(s.buckets[r], s.bucketHead[r])
 }
@@ -460,7 +457,7 @@ func (s *Server) batchNext() *WUState {
 // --- Deadline wheel sizing ---
 
 // sizeWheels arranges exactly n deadline wheels, clearing every wheel
-// ever created first (a stale ring must not pin the previous run's
+// ever created first (a stale ring must not point into the previous run's
 // assignment arena) and retaining ring backing arrays across Reset.
 // Deadlines are set by the caller after sizing.
 func (s *Server) sizeWheels(n int) {

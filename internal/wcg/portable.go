@@ -6,16 +6,18 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/snapshot"
 )
 
 // Portable server snapshots (see the snapshot package doc): PortableServer
-// owns every byte it holds and names arena objects by allocation index, so
-// a different pooled server — which re-carves the same objects in the same
-// order — can adopt it. Closure state (policy method values, completion
-// hooks) is never exported: the adopter re-binds it with the same
-// Reset/bind machinery a fresh run uses, then resolves indices back to its
-// own pointers. An adopted wheel drain needs no binding: its
+// owns every byte it holds and names arena objects by allocation index. It
+// carries only the arenas' live chunks, which a different server installs
+// onto its own chunks under the same logical numbers, so every index
+// resolves to the same object there. Closure state (policy method values,
+// completion hooks) is never exported: the adopter re-binds it with the
+// same Reset/bind machinery a fresh run uses, then resolves indices back
+// to its own pointers. An adopted wheel drain needs no binding: its
 // CallWheelDrain descriptor names the class, and the adopting server
 // handles it.
 
@@ -28,6 +30,7 @@ type portableAssignment struct {
 	returned bool
 	class    uint8
 	proj     uint8
+	hold     uint8
 }
 
 // portableWheel is one deadline class's ring with assignments as indices.
@@ -43,8 +46,8 @@ type portableWheel struct {
 type PortableServer struct {
 	proj uint8
 
-	wus []WUState            // arena contents in allocation order
-	ass []portableAssignment // arena contents in allocation order
+	wus slab.Portable[WUState]            // the workunit arena's live chunks
+	ass slab.Portable[portableAssignment] // the copy arena's live chunks
 
 	queue []int32 // nilIndex for consumed (nil) slots
 	qHead int
@@ -80,7 +83,7 @@ func wuIndex(st *WUState) int32 {
 // Bytes estimates the portable server's memory footprint for the
 // snapshot_bytes accounting.
 func (p *PortableServer) Bytes() int {
-	n := snapshot.Size(p.wus) + snapshot.Size(p.ass) +
+	n := p.wus.Bytes() + p.ass.Bytes() +
 		snapshot.Size(p.queue) + snapshot.Size(p.bucketHead) +
 		snapshot.Size(p.batchRank) + snapshot.Size(p.adStreak)
 	for i := range p.buckets {
@@ -93,31 +96,20 @@ func (p *PortableServer) Bytes() int {
 }
 
 // ExportPortable deep-copies the server's mutable state into a portable
-// snapshot. The server must be in retained (pooled) allocation mode: the
-// one-shot Carve mode has no stable allocation-index order to translate
-// pointers against.
+// snapshot, the arenas as their live chunks.
 func (s *Server) ExportPortable() *PortableServer {
-	if !s.retain {
-		panic("wcg: portable export requires a retained (pooled) server")
-	}
-	nWU := s.wuArena.Allocated()
-	nAs := s.asArena.Allocated()
 	p := &PortableServer{proj: s.proj}
-	p.wus = make([]WUState, nWU)
-	for i := 0; i < nWU; i++ {
-		p.wus[i] = *s.wuArena.At(i)
-	}
-	p.ass = make([]portableAssignment, nAs)
-	for i := 0; i < nAs; i++ {
-		a := s.asArena.At(i)
-		p.ass[i] = portableAssignment{
-			wu:       wuIndex(a.WU),
+	p.wus = slab.Export(&s.wuArena, func(st *WUState) WUState { return *st })
+	p.ass = slab.Export(&s.asArena, func(a *Assignment) portableAssignment {
+		return portableAssignment{
+			wu:       a.WU.idx,
 			issuedAt: a.IssuedAt,
 			returned: a.returned,
 			class:    a.class,
 			proj:     a.proj,
+			hold:     a.hold,
 		}
-	}
+	})
 
 	p.queue = make([]int32, len(s.queue))
 	for i, st := range s.queue {
@@ -177,28 +169,24 @@ func (s *Server) AssignmentAt(i int32) *Assignment {
 // The server must have been Reset under the same configuration the source
 // ran (policies, deadlines), so everything bind-time — scheduler/validator
 // method values, wheel count and deadlines, class tables — is already
-// identical; this call rebuilds only the mutable state, allocating the
-// same arena objects in the same order as the source and resolving the
-// snapshot's indices against them.
+// identical; this call rebuilds only the mutable state, installing the
+// snapshot's live chunks onto the arenas under their logical numbers and
+// resolving the snapshot's indices against them.
 func (s *Server) AdoptPortable(p *PortableServer) {
-	if !s.retain {
-		panic("wcg: portable adoption requires a retained (pooled) server")
-	}
 	s.proj = p.proj
 
-	for i := range p.wus {
-		st := s.allocWU()
-		*st = p.wus[i]
-	}
-	for i := range p.ass {
-		a := s.allocAssignment()
-		pa := &p.ass[i]
-		a.WU = s.WUAt(pa.wu)
-		a.IssuedAt = pa.issuedAt
-		a.returned = pa.returned
-		a.class = pa.class
-		a.proj = pa.proj
-	}
+	slab.Adopt(&s.wuArena, &p.wus, func(st, src *WUState, _ int) { *st = *src })
+	slab.Adopt(&s.asArena, &p.ass, func(a *Assignment, pa *portableAssignment, i int) {
+		*a = Assignment{
+			WU:       s.WUAt(pa.wu),
+			IssuedAt: pa.issuedAt,
+			idx:      int32(i),
+			returned: pa.returned,
+			class:    pa.class,
+			proj:     pa.proj,
+			hold:     pa.hold,
+		}
+	})
 
 	s.queue = s.queue[:0]
 	for _, wi := range p.queue {

@@ -10,11 +10,11 @@ import (
 	"repro/internal/workunit"
 )
 
-// TestRecordSizes pins the per-object records the server keeps for a whole
-// run. The full-scale replay holds one WUState per distinct workunit
-// (3,872,769) and one Assignment per copy sent (4,934,662), and a what-if
-// snapshot one portableAssignment per Assignment, so a field added to any of
-// them shows up directly in the live heap.
+// TestRecordSizes pins the per-object records the server keeps. The
+// full-scale replay carves one WUState per distinct workunit (3,872,769)
+// and one Assignment per copy sent (4,934,662), and a what-if snapshot
+// holds one portableAssignment per live Assignment, so a field added to
+// any of them shows up directly in the live heap.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -22,11 +22,11 @@ func TestRecordSizes(t *testing.T) {
 		cost      string
 	}{
 		{"WUState", unsafe.Sizeof(WUState{}), 32,
-			"replay holds 3,872,769 records, so every 8 bytes added is 31 MB of live heap"},
+			"replay carves 3,872,769 records, so every 8 bytes added is 31 MB allocated"},
 		{"portableAssignment", unsafe.Sizeof(portableAssignment{}), 16,
-			"every what-if snapshot holds one per copy sent before the fork"},
+			"every what-if snapshot holds one per live copy at the fork"},
 		{"Assignment", unsafe.Sizeof(Assignment{}), 24,
-			"replay holds 4,934,662 records, so every 8 bytes added is 39 MB of live heap"},
+			"replay carves 4,934,662 records, so every 8 bytes added is 39 MB allocated"},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s) = %d bytes, want %d: %s", c.name, c.got, c.want, c.cost)

@@ -56,13 +56,30 @@
 // Server.Reset rearms a server for another run on the same (freshly
 // reset) engine, retaining what a campaign is expensive to rebuild: the
 // work queue's backing arrays (shared queue and batch buckets), the
-// deadline rings, the per-host trust table, and the WUState and
-// Assignment arenas. Everything observable is zeroed — queue contents,
+// deadline rings, the per-host trust table, and the chunks of the WUState
+// and Assignment arenas. Everything observable is zeroed — queue contents,
 // counters, trust streaks, Stats, the OnComplete/OnWeekCPU callbacks —
 // and the configured policies are re-bound, so a reset server is
-// indistinguishable from NewServer to the model driving it. Every *WUState and *Assignment obtained before the
-// Reset is invalidated (the arenas re-carve their slots); callers must
-// drop them all first.
+// indistinguishable from NewServer to the model driving it. Every *WUState
+// and *Assignment obtained before the Reset is invalidated (the arenas
+// re-carve their slots); callers must drop them all first.
+//
+// # Object lifetimes
+//
+// Workunit states and copies are carved from slab arenas, one-shot and
+// pooled servers alike, and each is released once nothing can read it
+// again, so an arena holds the run's live work rather than everything it
+// ever carved:
+//
+//   - a copy (Assignment) has two holders: the volunteer it was issued to,
+//     until it reports the result (CompleteFrom) or gives the copy up
+//     (Drop), and its deadline ring, until the ring's drain pops it. The
+//     copy is released when both have let go;
+//   - a workunit (WUState) is released once it is completed, out of its
+//     scheduler's queue or bucket, and no live copy points at it.
+//
+// A released slot may be re-carved by a later allocation, so a holder
+// must not read a copy after letting go of it.
 package wcg
 
 import (
@@ -92,8 +109,9 @@ const (
 // server keeps no couple, starting positions or ID; a campaign can rebuild
 // them from its tenant's slicing plan (one receptor per batch, each
 // ligand's starting positions cut by workunit.SliceCouple). The record is
-// 32 bytes and free of pointers, so a 512-record chunk is exactly 16 KiB;
-// the full-scale replay holds 3,872,769 of them for the whole run.
+// 32 bytes and free of pointers, so a 512-record chunk is exactly 16 KiB.
+// The full-scale replay carves 3,872,769 of them; about 1.3 million are
+// live at its peak (see Object lifetimes above).
 type WUState struct {
 	// RefSeconds is the workunit's predicted duration on the reference
 	// processor (workunit.Workunit.RefSeconds).
@@ -108,8 +126,11 @@ type WUState struct {
 
 	// idx is the workunit's allocation index, stamped at allocWU: the
 	// portable name a cross-context snapshot translates this pointer to
-	// (in retained mode it equals the arena slot; see slab.Arena.At).
+	// (see slab.Arena.At).
 	idx int32
+	// copies counts the live Assignments that point at the workunit: its
+	// slot is released only once none is left (see settle).
+	copies int32
 
 	// Completed reports whether the workunit has been validated and
 	// assimilated.
@@ -225,7 +246,15 @@ type Assignment struct {
 	returned bool
 	class    uint8 // deadline class (wheel index); 0 under UniformDeadline
 	proj     uint8 // issuing server's project index (multi-project grids)
+	hold     uint8 // holders that have not let go: heldByHost | heldByRing
 }
+
+// An Assignment's holders (see Object lifetimes in the package doc): its
+// slot is released when both bits are clear.
+const (
+	heldByHost uint8 = 1 << iota // the volunteer has neither reported nor dropped it
+	heldByRing                   // its deadline ring has not popped it
+)
 
 // AssignmentIndex returns a's portable allocation index (see WUState.idx);
 // NilIndex for nil. Event tags carry it so an adopting run context can
@@ -295,22 +324,10 @@ type Server struct {
 	adThreshold int
 	adStreak    []int
 
-	// Bump allocators: workunit states and assignments are carved from
-	// chunks instead of allocated one by one (millions per campaign). Two
-	// modes, switched by retain:
-	//
-	//   - one-shot (default): progressive slabs whose carved-past chunks
-	//     are collected as soon as their objects are unreachable, so a
-	//     single run's memory is reclaimed as the campaign progresses;
-	//   - retained (Retain/Reset): arenas that survive Reset, so a pooled
-	//     server re-carves the same chunks run after run.
-	retain  bool
-	wuChunk []WUState
-	asChunk []Assignment
+	// Arenas the workunit states and copies are carved from (millions per
+	// campaign), each object released once nothing can read it again.
 	wuArena slab.Arena[WUState]
 	asArena slab.Arena[Assignment]
-	wuNext  int32 // next allocation index to stamp (WUState.idx)
-	asNext  int32
 
 	Stats Stats
 
@@ -366,52 +383,51 @@ func (s *Server) SetProject(id int) {
 	s.proj = uint8(id)
 }
 
-// Retain switches the server to retained (arena) allocation: object
-// chunks survive Reset and are re-carved by the next run. Pooled run
-// contexts call it right after NewServer, before the first workunit is
-// added, so the first run's chunks already land in the reusable arena.
-func (s *Server) Retain() { s.retain = true }
-
-// allocWU carves one WUState from the allocator in force, stamping its
-// allocation index.
+// allocWU carves one WUState, stamping its allocation index.
 func (s *Server) allocWU() *WUState {
-	var st *WUState
-	if s.retain {
-		st = s.wuArena.Alloc()
-	} else {
-		st = slab.Carve(&s.wuChunk)
-	}
-	st.idx = s.wuNext
-	s.wuNext++
+	st, i := s.wuArena.Alloc()
+	st.idx = int32(i)
 	return st
 }
 
-// allocAssignment carves one Assignment from the allocator in force,
-// stamping its allocation index.
+// allocAssignment carves one Assignment, stamping its allocation index.
 func (s *Server) allocAssignment() *Assignment {
-	var a *Assignment
-	if s.retain {
-		a = s.asArena.Alloc()
-	} else {
-		a = slab.Carve(&s.asChunk)
-	}
-	a.idx = s.asNext
-	s.asNext++
+	a, i := s.asArena.Alloc()
+	a.idx = int32(i)
 	return a
 }
 
+// unhold ends one holder's claim on a. The last claim releases the copy's
+// slot, and then the workunit's if that was its last live copy (settle).
+func (s *Server) unhold(a *Assignment, holder uint8) {
+	a.hold &^= holder
+	if a.hold != 0 {
+		return
+	}
+	st := a.WU
+	s.asArena.Release(int(a.idx))
+	st.copies--
+	s.settle(st)
+}
+
+// settle releases st's slot once nothing can read it again: it is
+// completed, out of its scheduler's structure, and no live copy points at
+// it.
+func (s *Server) settle(st *WUState) {
+	if st.Completed && !st.queued && st.copies == 0 {
+		s.wuArena.Release(int(st.idx))
+	}
+}
+
 // Reset rearms the server for another run under a (possibly different)
-// configuration, switching it to retained allocation (see Retain). The
-// engine must have been Reset first: the quorum cache is recomputed
-// against the engine's current clock. Backing storage — queue array,
-// deadline ring, WUState/Assignment arenas — is retained; see the
-// package-level Reset contract.
+// configuration. The engine must have been Reset first: the quorum cache
+// is recomputed against the engine's current clock. Backing storage —
+// queue array, deadline ring, WUState/Assignment arena chunks — is
+// retained; see the package-level Reset contract.
 func (s *Server) Reset(cfg Config) {
 	checkConfig(cfg)
 	s.cfg = cfg
-	s.retain = true
 	s.proj = 0 // a pooled grid re-attaches (and re-stamps) after Reset
-	s.wuChunk, s.asChunk = nil, nil
 	clear(s.queue)
 	s.queue = s.queue[:0]
 	s.qHead = 0
@@ -429,7 +445,6 @@ func (s *Server) Reset(cfg Config) {
 	s.bindPolicies() // sizes and clears the deadline wheels
 	s.wuArena.Reset()
 	s.asArena.Reset()
-	s.wuNext, s.asNext = 0, 0
 	s.Stats = Stats{}
 	s.OnComplete = nil
 	s.OnWeekCPU = nil
@@ -533,10 +548,18 @@ func (s *Server) dequeueHead(st *WUState) {
 	s.queue[s.qHead] = nil
 	s.qHead++
 	if st != nil {
-		st.queued = false
-		s.syncCounts(st)
+		s.unqueue(st)
 	}
 	s.compactQueue()
+}
+
+// unqueue records that st has left its scheduler's structure: the
+// counters follow, and a completed workunit with no live copy is released.
+// Every scheduler's removal primitive ends here.
+func (s *Server) unqueue(st *WUState) {
+	st.queued = false
+	s.syncCounts(st)
+	s.settle(st)
 }
 
 // compactPrefix drops a slice's consumed prefix once it dominates the
@@ -611,6 +634,8 @@ func (s *Server) RequestWorkFor(host int) *Assignment {
 	s.Stats.Sent++
 	a := s.allocAssignment()
 	a.WU = st
+	st.copies++
+	a.hold = heldByHost | heldByRing
 	a.IssuedAt = s.engine.Now()
 	a.proj = s.proj
 	if s.classFn != nil {
@@ -651,19 +676,19 @@ func (s *Server) drainWheel(k int) {
 		}
 		w.dlq[w.dlHead] = nil
 		w.dlHead++
-		if dead {
-			continue
+		if !dead {
+			// Timed out: the server issues a replacement. The late copy
+			// may still come back and be counted (§5.1).
+			s.Stats.TimedOut++
+			a.returned = true // the assignment no longer counts as live
+			a.WU.outstanding--
+			s.syncCounts(a.WU)
+			s.maybeComplete(a.WU)
+			if !a.WU.Completed {
+				s.enqueue(a.WU)
+			}
 		}
-		// Timed out: the server issues a replacement. The late copy may
-		// still come back and be counted (§5.1).
-		s.Stats.TimedOut++
-		a.returned = true // the assignment no longer counts as live
-		a.WU.outstanding--
-		s.syncCounts(a.WU)
-		s.maybeComplete(a.WU)
-		if !a.WU.Completed {
-			s.enqueue(a.WU)
-		}
+		s.unhold(a, heldByRing)
 	}
 	w.dlq, w.dlHead = compactPrefix(w.dlq, w.dlHead)
 	// An OnComplete callback above may have called RequestWork and armed
@@ -689,11 +714,34 @@ func (s *Server) Complete(a *Assignment, outcome Outcome, cpuSeconds float64) {
 // §6). Late results (after timeout) are accepted: their CPU time was
 // spent and is accounted, and if the workunit still needed a result they
 // validate it. Under AdaptiveValidator the host identity carries the
-// valid-result streak that can earn the host per-host quorum 1.
+// valid-result streak that can earn the host per-host quorum 1. The report
+// ends the holder's claim on a (see Object lifetimes): reporting a copy
+// twice, or after dropping it, panics.
 func (s *Server) CompleteFrom(a *Assignment, outcome Outcome, cpuSeconds float64, host int) {
 	if a == nil {
 		panic("wcg: Complete(nil)")
 	}
+	if a.hold&heldByHost == 0 {
+		panic("wcg: result for a copy its holder already reported or dropped")
+	}
+	s.report(a, outcome, cpuSeconds, host)
+	s.unhold(a, heldByHost) // after report's last read of a and a.WU
+}
+
+// Drop ends the holder's claim on a copy it will never report (an
+// abandoned task, a stopped host's cache, an upload given up). It counts
+// nothing and moves no model value: the server still times the copy out
+// at its deadline and reissues the work. Dropping a copy twice, or after
+// reporting it, panics.
+func (s *Server) Drop(a *Assignment) {
+	if a.hold&heldByHost == 0 {
+		panic("wcg: drop of a copy its holder already reported or dropped")
+	}
+	s.unhold(a, heldByHost)
+}
+
+// report is CompleteFrom's accounting and validation.
+func (s *Server) report(a *Assignment, outcome Outcome, cpuSeconds float64, host int) {
 	s.refreshQuorum()
 	late := a.returned
 	if late {

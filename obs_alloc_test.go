@@ -1,8 +1,12 @@
+//go:build !race
+
 // Zero-cost gate for the observability plane: a nil-probe campaign must
 // allocate exactly what the checked-in BENCH_campaign.json baseline row
 // recorded before the plane existed. Allocations are deterministic for a
 // deterministic simulation, so any growth here is the plane leaking into
-// the disabled path.
+// the disabled path. The race runtime counts its own allocations into the
+// same process-wide total, so a -race build is a different program to
+// count and this file is left out of it.
 package repro_test
 
 import (
