@@ -362,8 +362,12 @@ func checkUnit(field string, v float64) {
 // IdleRetry below minIdleRetry re-fetches so often that a run takes seconds
 // or never ends, and a NaN or infinite speed-down, delay or capacity either
 // indexes the host kernel's calendar at int(NaN) or runs a campaign that
-// silently never completes.
+// silently never completes. The kernel counts a host's cached work in one
+// byte, so WorkBuffer is at most volunteer.MaxWorkBuffer.
 func checkFleet(h volunteer.HostConfig, g volunteer.GridModel) {
+	if h.WorkBuffer > volunteer.MaxWorkBuffer {
+		panic(fmt.Sprintf("project: Host.WorkBuffer %d above %d", h.WorkBuffer, volunteer.MaxWorkBuffer))
+	}
 	checkPositive("Host.MeanSpeedDown", h.MeanSpeedDown)
 	checkNonNegative("Host.SpeedDownSigma", h.SpeedDownSigma)
 	checkUnit("Host.AbandonProb", h.AbandonProb)

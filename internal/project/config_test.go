@@ -138,6 +138,27 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: New returned (panic %v), want a project:/faults: rejection", name, p)
 		}
 	}
+	checkWorkBufferBound(t, base, func(cfg Config) { New(cfg) })
+}
+
+// checkWorkBufferBound checks that build refuses a work buffer deeper than
+// the kernel's one-byte cache count, naming the field — unchecked, 1<<40
+// would have spawn reserve 2^40 cache slots per host — and accepts the
+// deepest one.
+func checkWorkBufferBound(t *testing.T, base Config, build func(Config)) {
+	t.Helper()
+	for _, depth := range []int{volunteer.MaxWorkBuffer + 1, 1 << 40, volunteer.MaxWorkBuffer} {
+		cfg := base
+		cfg.Host.WorkBuffer = depth
+		_, p := runChecked(t, func() bool { build(cfg); return true })
+		msg, _ := p.(string)
+		switch refused := ownPanic(p) && strings.Contains(msg, "Host.WorkBuffer"); {
+		case depth > volunteer.MaxWorkBuffer && !refused:
+			t.Errorf("Host.WorkBuffer %d: panic %v, want a project: refusal naming the field", depth, p)
+		case depth <= volunteer.MaxWorkBuffer && p != nil:
+			t.Errorf("Host.WorkBuffer %d: panic %v, want it accepted", depth, p)
+		}
+	}
 }
 
 // TestGridConfigRejectsNonFinite covers checkGridConfig's float fields.
@@ -166,6 +187,7 @@ func TestGridConfigRejectsNonFinite(t *testing.T) {
 			t.Errorf("%s: NewGrid returned (panic %v), want a project: rejection", name, p)
 		}
 	}
+	checkWorkBufferBound(t, base, func(cfg Config) { NewGrid(cfg) })
 }
 
 // TestCoRunConfigRefused: a config with Projects or Shares is a co-run, so

@@ -239,11 +239,12 @@ func TestMaterializeEveryWeek(t *testing.T) {
 // TestMaterializeInsideWindows snapshots a run whose host continuations
 // often fall due inside the armed window, where they wait in the engine's
 // heap: 60-hour workunits make the window 30 h wide, and a 10 h deadline
-// plus at most an hour of delay brings an abandoned task's late return back
-// inside it. Materialized every 30 h in the middle of a window (at a
-// window's end every continuation due inside it has run), the snapshots
-// must hold pending late returns — CallHost events with an assignment
-// index; 6 across 84 snapshots — and a runner that adopts any of them must
+// plus at most an hour of delay brings an abandoned task's late return
+// (which waits in the heap whatever the window) back inside it.
+// Materialized every 30 h in the middle of a window (at a window's end
+// every continuation due inside it has run), the snapshots must hold
+// pending late returns — CallHost events with an assignment index; 6
+// across 84 snapshots — and a runner that adopts any of them must
 // fork(base) to the straight run's bytes.
 func TestMaterializeInsideWindows(t *testing.T) {
 	base := determinismConfig(t, 777)

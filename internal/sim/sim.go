@@ -14,27 +14,25 @@
 // reference. Step makes the one call h.Handle(call, ref) for every event.
 // The middleware server drains its deadline wheels this way, the fault
 // plane its outage spools and upload re-sends, the host kernel its
-// in-window continuations and a Ticker its ticks; Schedule wraps a plain
-// closure as a CallFunc event, which stays off snapshots. Since the
-// descriptor is what runs, a snapshot carries only descriptors (see
-// ExportEvents) and the adopting context hands each to its own handler of
-// that kind. Scheduling returns no handle. The one handle is the Ticker,
-// which owns its pending tick: Stop finds that tick by a linear scan and
-// takes it out of the heap at once, so Pending() is exact.
+// in-window continuations and late returns, and a Ticker its ticks;
+// Schedule wraps a plain closure as a CallFunc event, which stays off
+// snapshots. Since the descriptor is what runs, a snapshot carries only
+// descriptors (see ExportEvents) and the adopting context hands each to its
+// own handler of that kind. Scheduling returns no handle. The one handle is
+// the Ticker, which owns its pending tick: Stop finds that tick by a linear
+// scan and takes it out of the heap at once, so Pending() is exact.
 //
-// The heap is shallow. Host continuations live in the host kernel's window
-// calendar (volunteer.ShardKernel), merged against this heap through Peek
-// and the External* accounting hooks; only a continuation that falls due
-// inside the kernel's armed window waits here, as a CallHost event. On the
-// full-scale phase-I replay 294,014 of the 9,243,124 executed events pass
-// through the heap: 290,800 wheel drains, 2,733 host continuations and 481
-// ticks. One pass of the 31-scenario catalog at 1/84 scale adds 74 spool
-// drains and 1,548 upload re-sends. The heap never holds more than 53
-// events at once on the replay (50 of them continuations) and 34 across
-// the catalog (fault-storm), and a run removes at most 3 events early, all
-// of them ticker stops. Standalone uses (the middleware's own tests, the
-// benchmark's hold model) still keep tens of thousands of events pending,
-// which is why the list stays a heap.
+// Most host continuations live in the host kernel's window calendar
+// (volunteer.ShardKernel), merged against this heap through Peek and the
+// External* accounting hooks. Two kinds wait here, as CallHost events: a
+// continuation due inside the kernel's armed window, and every late return,
+// its assignment in the reference. On the full-scale phase-I replay 457,001
+// of the 9,243,124 executed events pass through the heap: 290,800 wheel
+// drains, 165,720 host continuations (162,987 late returns) and 481 ticks.
+// One pass of the 31-scenario catalog at 1/84 scale adds 74 spool drains
+// and 1,548 upload re-sends. Late returns wait 8–18 days, so they are most
+// of the heap: at most 25,108 events on the replay, 1,209 in the catalog.
+// A run removes at most 3 events early, all ticker stops at its end.
 //
 // # Reset contract
 //
@@ -100,7 +98,7 @@ const (
 	CallTickChurn
 	// CallHost: a host continuation. K0 = continuation kind, A0 = host
 	// index, A1 = a late return's assignment arena index (the assignment
-	// itself rides in ref), F0 = reported seconds.
+	// itself rides in ref), wcg.NilIndex for any other kind.
 	CallHost
 )
 
@@ -382,8 +380,8 @@ func (e *Engine) RunBefore(deadline Time) {
 // Stop is called. It is the Handler of its own ticks, and each tick hands
 // its descriptor on to the next. fn runs before the next tick is
 // scheduled, so it may stop the ticker from within. A ticker owns at most
-// one pending tick, which it finds by scanning the heap: campaign heaps
-// hold a few dozen events at most (see the package doc).
+// one pending tick, which Stop finds by scanning the heap: a campaign stops
+// its tickers at its end, when the heap holds a handful of events.
 type Ticker struct {
 	engine   *Engine
 	interval float64

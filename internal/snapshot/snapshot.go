@@ -66,8 +66,9 @@
 //     window calendar flattened into one list of the same CallHost
 //     PortableEvents a heap continuation exports as, plus spans naming
 //     their absolute windows; the adopter rebuilds the windows onto its
-//     own chunks. Chunk layout
-//     is unobservable — a window is sorted by (time, seq) at its barrier.
+//     own chunks. A calendar entry carries no assignment: late returns
+//     wait in the engine's heap. Chunk layout is unobservable — a window
+//     is sorted by (time, seq) at its barrier.
 //     A multiplexed kernel's mux columns are not covered, so grid co-runs
 //     cannot be snapshotted.
 //   - faults.Plane (PortablePlane): the outage spool (assignments as

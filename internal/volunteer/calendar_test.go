@@ -2,8 +2,11 @@ package volunteer
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -41,17 +44,71 @@ func checkTake(t *testing.T, c *shardCal, w int, width float64, evs []planeEvent
 	}
 }
 
-// freeChunks counts the free list, failing on a chunk that is not empty.
+// freeChunks counts the free list, failing on a chunk that still counts
+// events. A free chunk's stale events pin nothing, so they stay.
 func freeChunks(t *testing.T, c *shardCal) int {
 	t.Helper()
 	n := 0
 	for ch := c.free; ch != nil; ch = ch.next {
-		if ch.n != 0 || ch.ev != ([chunkEvents]planeEvent{}) {
-			t.Fatalf("free chunk %d holds events", n)
+		if ch.n != 0 {
+			t.Fatalf("free chunk %d holds %d events", n, ch.n)
 		}
 		n++
 	}
 	return n
+}
+
+// TestCalendarLayout pins what a calendar entry costs: 24 bytes and no
+// pointer, so a window's chunks pin no assignment and the collector scans
+// only a chunk's link, its first field; and a chunk fills its size class.
+func TestCalendarLayout(t *testing.T) {
+	if got := unsafe.Sizeof(planeEvent{}); got != 24 {
+		t.Errorf("planeEvent is %d bytes, want 24", got)
+	}
+	if holdsPointer(reflect.TypeOf(planeEvent{})) {
+		t.Error("planeEvent holds a pointer")
+	}
+	chunk := reflect.TypeOf(eventChunk{})
+	if f := chunk.Field(0); f.Name != "next" || f.Offset != 0 {
+		t.Errorf("eventChunk's first field is %s at offset %d, want its link", f.Name, f.Offset)
+	}
+	for i := 1; i < chunk.NumField(); i++ {
+		if f := chunk.Field(i); holdsPointer(f.Type) {
+			t.Errorf("eventChunk.%s holds a pointer", f.Name)
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	size := uint64(chunk.Size())
+	for _, class := range ms.BySize {
+		if uint64(class.Size) >= size {
+			if slack := uint64(class.Size) - size; slack >= uint64(unsafe.Sizeof(planeEvent{})) {
+				t.Errorf("a %d-byte chunk leaves %d bytes of its %d-byte size class unused", size, slack, class.Size)
+			}
+			return
+		}
+	}
+	t.Errorf("a %d-byte chunk is above the small size classes", size)
+}
+
+// holdsPointer reports whether a value of type typ holds a pointer the
+// collector must scan.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
 }
 
 // seqEvents returns events at the given times with seq = push order.

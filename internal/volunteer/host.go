@@ -80,6 +80,10 @@ type HostConfig struct {
 	Profiles []BehaviorProfile
 }
 
+// MaxWorkBuffer is the deepest WorkBuffer a host may keep: the kernel
+// counts each host's cached assignments in one byte.
+const MaxWorkBuffer = 255
+
 // Equal reports whether c and o are the same host model, field by field
 // and cohort by cohort, without allocating.
 func (c *HostConfig) Equal(o *HostConfig) bool {

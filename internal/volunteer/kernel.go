@@ -3,15 +3,16 @@
 //
 // # Time-window invariant
 //
-// Host continuation events (task completions, idle retries, late returns)
-// live in one window calendar, indexed by window = floor(time / W). The
-// window width W is min(IdleRetry, half the target task wall time), so
-// almost every continuation lands one or more windows ahead of the window
-// that schedules it. The rare one that falls due inside the armed window
-// enters the sim.Engine heap instead, as a sim.CallHost event that the
-// engine hands back to the kernel's Handle; it never enters the armed
-// buffer. That makes W a pure performance knob — correctness holds for any
-// W > 0.
+// Host fetch and task-done continuations live in one window calendar,
+// indexed by window = floor(time / W). The window width W is min(IdleRetry,
+// half the target task wall time), so almost every continuation lands one
+// or more windows ahead of the window that schedules it. The rare one that
+// falls due inside the armed window enters the sim.Engine heap instead, as
+// a sim.CallHost event that the engine hands back to the kernel's Handle;
+// it never enters the armed buffer. That makes W a pure performance knob —
+// correctness holds for any W > 0. A late return (§5.1: a device back
+// online days after its deadline) always waits in the heap, carrying its
+// assignment, so a calendar entry holds no pointer.
 //
 // A window's events are appended, unsorted, to a list of fixed-size
 // chunks drawn from the calendar's free list, so its memory tracks the
@@ -70,14 +71,13 @@ const (
 	evLate               // abandoned task returns after its deadline
 )
 
-// planeEvent is one host continuation in the window calendar.
+// planeEvent is one fetch or task-done continuation in the window
+// calendar: 24 bytes, no pointer.
 type planeEvent struct {
-	at       sim.Time
-	seq      uint64
-	a        *wcg.Assignment // evLate only
-	reported float64         // evLate only
-	host     int32
-	kind     uint8
+	at   sim.Time
+	seq  uint64
+	host int32
+	kind uint8
 }
 
 func planeEventLess(a, b planeEvent) int {
@@ -96,8 +96,9 @@ func planeEventLess(a, b planeEvent) int {
 }
 
 const (
-	// chunkEvents is the size of one calendar chunk.
-	chunkEvents = 256
+	// chunkEvents is the size of one calendar chunk: with its link and
+	// count, 255 events fill the 6,144-byte size class.
+	chunkEvents = 255
 	// calBuckets is the most time buckets a window's arming pass uses.
 	calBuckets = 4096
 	// insertionCutoff is the largest bucket the arming pass insertion-sorts;
@@ -106,11 +107,12 @@ const (
 )
 
 // eventChunk is a fixed block of one window's events, linked into the
-// window's list or into the calendar's free list.
+// window's list or into the calendar's free list. The link comes first, so
+// the collector scans one word of a chunk.
 type eventChunk struct {
-	ev   [chunkEvents]planeEvent
-	n    int
 	next *eventChunk
+	n    int
+	ev   [chunkEvents]planeEvent
 }
 
 // calWindow is one future window's events: a chunk list, unsorted.
@@ -258,11 +260,10 @@ func sortBucket(s []planeEvent) {
 	}
 }
 
-// drop recycles the chunks of table slot i without reading them.
+// drop recycles the chunks of table slot i without reading their events.
 func (c *shardCal) drop(i int) {
 	for ch := c.wins[i].head; ch != nil; {
 		next := ch.next
-		clear(ch.ev[:ch.n]) // unpin assignments
 		ch.n, ch.next = 0, c.free
 		c.free = ch
 		ch = next
@@ -277,7 +278,6 @@ func (c *shardCal) reset(w int) {
 		c.drop(i)
 	}
 	c.wins, c.base, c.next = c.wins[:0], w, 0
-	clear(c.cur)
 	c.cur, c.cursor = c.cur[:0], 0
 }
 
@@ -306,12 +306,9 @@ type ShardKernel struct {
 	onlineSpan  []float64
 	joinedAt    []sim.Time
 	hardware    []float64
-	done        []int32
 	cpuSpent    []float64
 	cur         []*wcg.Assignment
-	curOutcome  []wcg.Outcome
-	curReported []float64
-	cacheLen    []int32
+	cacheLen    []uint8
 	cache       []*wcg.Assignment // flat slab, buffer slots per host
 
 	active      int
@@ -354,6 +351,9 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	if !(window > 0) {
 		panic("volunteer: calendar window must be positive")
 	}
+	if cfg.WorkBuffer > MaxWorkBuffer {
+		panic("volunteer: WorkBuffer above MaxWorkBuffer")
+	}
 	k.eng = engine
 	k.server = server
 	k.mux, _ = server.(*Mux)
@@ -375,12 +375,9 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.onlineSpan = k.onlineSpan[:0]
 	k.joinedAt = k.joinedAt[:0]
 	k.hardware = k.hardware[:0]
-	k.done = k.done[:0]
 	k.cpuSpent = k.cpuSpent[:0]
 	clear(k.cur)
 	k.cur = k.cur[:0]
-	k.curOutcome = k.curOutcome[:0]
-	k.curReported = k.curReported[:0]
 	k.cacheLen = k.cacheLen[:0]
 	clear(k.cache)
 	k.cache = k.cache[:0]
@@ -392,28 +389,31 @@ func (k *ShardKernel) Reset(engine *sim.Engine, server WorkSource, cfg HostConfi
 	k.livePlane = 0
 }
 
-// schedule enqueues host h's continuation of the given kind at time at
-// (a late return carries its assignment a and reported seconds). One due
-// inside the armed window — the exact comparison, immune to division
-// rounding at the boundary — enters the engine's heap as a CallHost event
-// with the assignment in its reference (see Handle); any other is a future
-// window's calendar event, whose tie-break seq and Pending accounting the
-// engine draws exactly as for its own.
-func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time, a *wcg.Assignment, reported float64) {
+// schedule enqueues host h's fetch or task-done continuation at time at.
+// One due inside the armed window — the exact comparison, immune to
+// division rounding at the boundary — enters the engine's heap as a
+// CallHost event (see Handle); any other is a future window's calendar
+// event, whose tie-break seq and Pending accounting the engine draws
+// exactly as for its own.
+func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time) {
 	if at < k.winEnd {
-		k.eng.ScheduleCall(at, sim.Call{Kind: sim.CallHost, K0: kind, A0: h, A1: wcg.AssignmentIndex(a), F0: reported}, k, a)
+		k.eng.ScheduleCall(at, sim.Call{Kind: sim.CallHost, K0: kind, A0: h, A1: wcg.NilIndex}, k, nil)
 		return
 	}
 	k.livePlane++
 	// w ≥ win+1: at ≥ winEnd and (win+1)·W is representable.
-	k.cal.push(int(at/k.window), planeEvent{at: at, seq: k.eng.ExternalSchedule(), a: a, reported: reported, host: h, kind: kind})
+	k.cal.push(int(at/k.window), planeEvent{at: at, seq: k.eng.ExternalSchedule(), host: h, kind: kind})
 }
 
 // Handle implements sim.Handler: the engine, having accounted the event as
-// executed, hands back a continuation that schedule put in its heap.
+// executed, hands back a continuation that schedule or fetch (a late
+// return) put in its heap.
 func (k *ShardKernel) Handle(c sim.Call, ref any) {
-	a, _ := ref.(*wcg.Assignment)
-	k.run(c.A0, c.K0, a, c.F0)
+	if c.K0 == evLate {
+		k.lateReturn(c.A0, ref.(*wcg.Assignment))
+		return
+	}
+	k.run(c.A0, c.K0)
 }
 
 // exec runs one calendar event, mirroring the engine's clock/executed
@@ -421,19 +421,16 @@ func (k *ShardKernel) Handle(c sim.Call, ref any) {
 func (k *ShardKernel) exec(ev planeEvent) {
 	k.eng.ExternalExecute(ev.at)
 	k.livePlane--
-	k.run(ev.host, ev.kind, ev.a, ev.reported)
+	k.run(ev.host, ev.kind)
 }
 
-// run dispatches one continuation through the host model.
-func (k *ShardKernel) run(h int32, kind uint8, a *wcg.Assignment, reported float64) {
-	switch kind {
-	case evFetch:
+// run dispatches a fetch or task-done continuation through the host model.
+func (k *ShardKernel) run(h int32, kind uint8) {
+	if kind == evFetch {
 		k.fetch(h)
-	case evDone:
-		k.taskDone(h)
-	default:
-		k.lateReturn(h, a, reported)
+		return
 	}
+	k.taskDone(h)
 }
 
 // prepWindow is the window barrier: arm window w.

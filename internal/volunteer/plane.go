@@ -7,13 +7,14 @@
 // objects. The ShardKernel instead stores the fleet as a structure of
 // arrays indexed by host ID:
 //
-//   - hot, touched every task: flags (packed bits), speedDown, src (the
-//     host's rng stream, 32 bytes by value), cur/curOutcome/curReported
-//     (the in-flight task), cacheLen + a flat cache slab (WorkBuffer
-//     assignments per host);
+//   - hot, touched every task: flags (packed bits, the in-flight task's
+//     outcome among them), speedDown, src (the host's rng stream, 32 bytes
+//     by value), cur (the in-flight task; its reported seconds are
+//     recomputed by report), a one-byte cacheLen + a flat cache slab
+//     (WorkBuffer assignments per host);
 //   - warm, touched by cohort behavior: errorProb, abandonProb, phase,
 //     onlineSpan;
-//   - cold, touched once per run: joinedAt, hardware, done, cpuSpent.
+//   - cold, touched once per run: joinedAt, hardware, cpuSpent.
 //
 // Spawning appends to every array; a pooled Reset truncates them in place,
 // so a 1M-host run allocates O(arrays), not O(hosts·structs), and the
@@ -50,6 +51,7 @@ const (
 	hfSaboteur                   // errors are correlated: the first one turns the host
 	hfTurned                     // saboteur gone bad: every further result is invalid
 	hfDiurnal                    // computes only during a daily online window
+	hfInvalid                    // the in-flight task's result is invalid (cleared on report)
 )
 
 // spawn joins one host and appends it to every plane array: the host
@@ -116,11 +118,8 @@ func (k *ShardKernel) spawn() int32 {
 	k.onlineSpan = append(k.onlineSpan, onlineSpan)
 	k.joinedAt = append(k.joinedAt, now)
 	k.hardware = append(k.hardware, hw)
-	k.done = append(k.done, 0)
 	k.cpuSpent = append(k.cpuSpent, 0)
 	k.cur = append(k.cur, nil)
-	k.curOutcome = append(k.curOutcome, 0)
-	k.curReported = append(k.curReported, 0)
 	k.cacheLen = append(k.cacheLen, 0)
 	for j := 0; j < k.buffer; j++ {
 		k.cache = append(k.cache, nil)
@@ -239,7 +238,7 @@ func (k *ShardKernel) fetch(h int32) {
 		k.cache[base+n] = a
 		n++
 	}
-	k.cacheLen[h] = int32(n)
+	k.cacheLen[h] = uint8(n)
 	if n == 0 {
 		d := k.cfg.IdleRetry
 		if k.retry != nil {
@@ -249,7 +248,7 @@ func (k *ShardKernel) fetch(h int32) {
 			// attempt), so it depends on no execution order.
 			d = k.retry.FetchRetryDelay(int(h), d)
 		}
-		k.schedule(h, evFetch, k.eng.Now()+d, nil, 0)
+		k.schedule(h, evFetch, k.eng.Now()+d)
 		return
 	}
 	if k.flags[h]&hfBusy != 0 {
@@ -258,35 +257,30 @@ func (k *ShardKernel) fetch(h int32) {
 	a := k.cache[base]
 	copy(k.cache[base:base+n-1], k.cache[base+1:base+n])
 	k.cache[base+n-1] = nil
-	k.cacheLen[h] = int32(n - 1)
+	k.cacheLen[h] = uint8(n - 1)
 	k.flags[h] |= hfBusy
-	wall := a.WU.RefSeconds * k.speedDown[h]
-	reported := wall
-	if k.cfg.Accounting == BOINCCPUTime {
-		reported = a.WU.RefSeconds * k.hardware[h]
-	}
 
 	src := &k.src[h]
 	if src.Bernoulli(k.abandonProb[h]) {
 		if src.Bernoulli(k.cfg.LateReturnProb) {
+			// A late return waits in the engine's heap, its assignment in
+			// the reference, so no calendar entry holds a pointer.
 			delay := k.server.DeadlineFor(a) + src.Float64()*k.cfg.LateDelayMax
-			k.schedule(h, evLate, k.eng.Now()+delay, a, reported)
+			k.eng.ScheduleCall(k.eng.Now()+delay, sim.Call{Kind: sim.CallHost, K0: evLate, A0: h, A1: wcg.AssignmentIndex(a)}, k, a)
 		} else {
 			k.server.Drop(a) // never returned
 		}
 		k.flags[h] &^= hfBusy
-		k.schedule(h, evFetch, k.eng.Now()+k.cfg.IdleRetry, nil, 0)
+		k.schedule(h, evFetch, k.eng.Now()+k.cfg.IdleRetry)
 		return
 	}
 
 	k.cur[h] = a
-	k.curReported[h] = reported
-	k.curOutcome[h] = wcg.OutcomeValid
 	switch {
 	case k.flags[h]&hfTurned != 0:
-		k.curOutcome[h] = wcg.OutcomeInvalid
+		k.flags[h] |= hfInvalid
 	case src.Bernoulli(k.errorProb[h]):
-		k.curOutcome[h] = wcg.OutcomeInvalid
+		k.flags[h] |= hfInvalid
 		if k.flags[h]&hfSaboteur != 0 {
 			k.flags[h] |= hfTurned
 			if k.OnSaboteurTurn != nil {
@@ -294,21 +288,36 @@ func (k *ShardKernel) fetch(h int32) {
 			}
 		}
 	}
-	delay := wall
+	delay := a.WU.RefSeconds * k.speedDown[h]
 	if k.flags[h]&hfDiurnal != 0 {
-		delay = diurnalDelay(k.eng.Now(), wall, k.phase[h], k.onlineSpan[h])
+		delay = diurnalDelay(k.eng.Now(), delay, k.phase[h], k.onlineSpan[h])
 	}
-	k.schedule(h, evDone, k.eng.Now()+delay, nil, 0)
+	k.schedule(h, evDone, k.eng.Now()+delay)
+}
+
+// report hands host h's result for a to the work source, invalid if the
+// host's flag bit invalid is set, with the CPU seconds it reports: the
+// task's wall time, or under BOINC accounting (§8) its hardware-only time,
+// both fixed since the host joined.
+func (k *ShardKernel) report(h int32, a *wcg.Assignment, invalid uint8) {
+	reported := a.WU.RefSeconds * k.speedDown[h]
+	if k.cfg.Accounting == BOINCCPUTime {
+		reported = a.WU.RefSeconds * k.hardware[h]
+	}
+	oc := wcg.OutcomeValid
+	if k.flags[h]&invalid != 0 {
+		oc = wcg.OutcomeInvalid
+	}
+	k.cpuSpent[h] += reported
+	k.server.CompleteFrom(a, oc, reported, int(h))
 }
 
 // taskDone reports the finished task and fetches the next one.
 func (k *ShardKernel) taskDone(h int32) {
-	a, outcome, reported := k.cur[h], k.curOutcome[h], k.curReported[h]
+	a := k.cur[h]
 	k.cur[h] = nil
-	k.flags[h] &^= hfBusy
-	k.done[h]++
-	k.cpuSpent[h] += reported
-	k.server.CompleteFrom(a, outcome, reported, int(h))
+	k.report(h, a, hfInvalid)
+	k.flags[h] &^= hfBusy | hfInvalid
 	k.fetch(h)
 }
 
@@ -316,11 +325,6 @@ func (k *ShardKernel) taskDone(h int32) {
 // a long-offline device reconnecting (§5.1). A turned saboteur's results
 // are invalid however they arrive, so the late path cannot hand a bad host
 // valid results to rebuild validation trust with.
-func (k *ShardKernel) lateReturn(h int32, a *wcg.Assignment, reported float64) {
-	k.cpuSpent[h] += reported
-	oc := wcg.OutcomeValid
-	if k.flags[h]&hfTurned != 0 {
-		oc = wcg.OutcomeInvalid
-	}
-	k.server.CompleteFrom(a, oc, reported, int(h))
+func (k *ShardKernel) lateReturn(h int32, a *wcg.Assignment) {
+	k.report(h, a, hfTurned)
 }

@@ -9,25 +9,25 @@ import (
 
 // Portable kernel snapshots (see the snapshot package doc): self-contained
 // copies of the host plane's mutable state that a different pooled run
-// context can adopt. Assignments held by hosts — the work buffer, the
-// in-flight task, late-return calendar entries — are translated to arena
-// indices at export and resolved against the adopter's own server, which
-// has installed the same live arena chunks. The population stream's state
+// context can adopt. Assignments held by hosts — the work buffer and the
+// in-flight task — are translated to arena indices at export and resolved
+// against the adopter's own server, which has installed the same live
+// arena chunks; a pending late return waits in the engine's heap, which
+// exports its assignment the same way. The population stream's state
 // travels with the columns, so the adopter's next spawn draws the same
 // seeds the source's would have.
 
 // exportEvent returns a calendar event in the portable form the engine
-// gives a continuation waiting in its heap: a CallHost event, its
-// assignment as an arena index.
+// gives a fetch or task-done continuation waiting in its heap: a CallHost
+// event with no assignment.
 func exportEvent(ev planeEvent) sim.PortableEvent {
 	return sim.PortableEvent{At: ev.at, Seq: ev.seq, Call: sim.Call{Kind: sim.CallHost, K0: ev.kind,
-		A0: ev.host, A1: wcg.AssignmentIndex(ev.a), F0: ev.reported}}
+		A0: ev.host, A1: wcg.NilIndex}}
 }
 
-// adoptEvent resolves a portable CallHost event into a calendar event.
-func adoptEvent(pe sim.PortableEvent, asAt func(int32) *wcg.Assignment) planeEvent {
-	return planeEvent{at: pe.At, seq: pe.Seq, a: asAt(pe.Call.A1),
-		reported: pe.Call.F0, host: pe.Call.A0, kind: pe.Call.K0}
+// adoptEvent turns a portable CallHost event back into a calendar event.
+func adoptEvent(pe sim.PortableEvent) planeEvent {
+	return planeEvent{at: pe.At, seq: pe.Seq, host: pe.Call.A0, kind: pe.Call.K0}
 }
 
 // calSpan names one window of a flattened calendar: window w (an absolute
@@ -69,12 +69,9 @@ type PortableKernel struct {
 	onlineSpan  []float64
 	joinedAt    []sim.Time
 	hardware    []float64
-	done        []int32
 	cpuSpent    []float64
 	cur         []int32
-	curOutcome  []wcg.Outcome
-	curReported []float64
-	cacheLen    []int32
+	cacheLen    []uint8
 	cache       []int32
 
 	active, firstActive int
@@ -102,10 +99,8 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.errorProb) + snapshot.Size(p.abandonProb) +
 		snapshot.Size(p.phase) + snapshot.Size(p.onlineSpan) +
 		snapshot.Size(p.joinedAt) + snapshot.Size(p.hardware) +
-		snapshot.Size(p.done) + snapshot.Size(p.cpuSpent) +
-		snapshot.Size(p.cur) + snapshot.Size(p.curOutcome) +
-		snapshot.Size(p.curReported) + snapshot.Size(p.cacheLen) +
-		snapshot.Size(p.cache) +
+		snapshot.Size(p.cpuSpent) + snapshot.Size(p.cur) +
+		snapshot.Size(p.cacheLen) + snapshot.Size(p.cache) +
 		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.calCur)
 }
 
@@ -138,10 +133,7 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		onlineSpan:  snapshot.Clone(k.onlineSpan),
 		joinedAt:    snapshot.Clone(k.joinedAt),
 		hardware:    snapshot.Clone(k.hardware),
-		done:        snapshot.Clone(k.done),
 		cpuSpent:    snapshot.Clone(k.cpuSpent),
-		curOutcome:  snapshot.Clone(k.curOutcome),
-		curReported: snapshot.Clone(k.curReported),
 		cacheLen:    snapshot.Clone(k.cacheLen),
 
 		active:      k.active,
@@ -190,14 +182,11 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.onlineSpan = append(k.onlineSpan[:0], p.onlineSpan...)
 	k.joinedAt = append(k.joinedAt[:0], p.joinedAt...)
 	k.hardware = append(k.hardware[:0], p.hardware...)
-	k.done = append(k.done[:0], p.done...)
 	k.cpuSpent = append(k.cpuSpent[:0], p.cpuSpent...)
 	k.cur = k.cur[:0]
 	for _, ai := range p.cur {
 		k.cur = append(k.cur, asAt(ai))
 	}
-	k.curOutcome = append(k.curOutcome[:0], p.curOutcome...)
-	k.curReported = append(k.curReported[:0], p.curReported...)
 	k.cacheLen = append(k.cacheLen[:0], p.cacheLen...)
 	k.cache = k.cache[:0]
 	for _, ai := range p.cache {
@@ -212,11 +201,11 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	i := 0
 	for _, s := range p.spans {
 		for end := i + int(s.n); i < end; i++ {
-			c.push(int(s.w), adoptEvent(p.events[i], asAt))
+			c.push(int(s.w), adoptEvent(p.events[i]))
 		}
 	}
 	for _, pe := range p.calCur {
-		c.cur = append(c.cur, adoptEvent(pe, asAt))
+		c.cur = append(c.cur, adoptEvent(pe))
 	}
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
 	k.livePlane = p.livePlane

@@ -20,8 +20,8 @@ import (
 // columns and window calendars must reproduce bit for bit.
 type refFleet struct {
 	eng    *sim.Engine
-	server WorkSource // nil when mux is set
-	mux    *Mux
+	server WorkSource // the fleet's one source
+	mux    *Mux       // the mux behind server, armed on spawn; nil single-project
 	cfg    HostConfig
 	r      *rng.Source
 	hosts  []*refHost
@@ -37,7 +37,6 @@ type refHost struct {
 	phase, online             float64
 	saboteur, turned, diurnal bool
 	stopped, busy             bool
-	done                      int32
 	cpuSpent                  float64
 	cache                     []*wcg.Assignment
 }
@@ -95,12 +94,7 @@ func (f *refFleet) fetch(h *refHost) {
 		return
 	}
 	for len(h.cache) < max(f.cfg.WorkBuffer, 1) {
-		var a *wcg.Assignment
-		if f.mux != nil {
-			a = f.mux.RequestWorkFor(h.id)
-		} else {
-			a = f.server.RequestWorkFor(h.id)
-		}
+		a := f.server.RequestWorkFor(h.id)
 		if a == nil {
 			break
 		}
@@ -127,7 +121,7 @@ func (f *refFleet) fetch(h *refHost) {
 	}
 	if h.src.Bernoulli(h.abandonProb) {
 		if h.src.Bernoulli(f.cfg.LateReturnProb) {
-			f.eng.ScheduleAfter(f.deadlineFor(a)+h.src.Float64()*f.cfg.LateDelayMax, func() {
+			f.eng.ScheduleAfter(f.server.DeadlineFor(a)+h.src.Float64()*f.cfg.LateDelayMax, func() {
 				f.late++
 				h.cpuSpent += reported
 				f.complete(a, h.turned, reported, h)
@@ -145,7 +139,6 @@ func (f *refFleet) fetch(h *refHost) {
 	}
 	f.eng.ScheduleAfter(delay, func() {
 		h.busy = false
-		h.done++
 		h.cpuSpent += reported
 		f.complete(a, invalid, reported, h)
 		f.fetch(h)
@@ -157,18 +150,7 @@ func (f *refFleet) complete(a *wcg.Assignment, invalid bool, reported float64, h
 	if invalid {
 		oc = wcg.OutcomeInvalid
 	}
-	if f.mux != nil {
-		f.mux.CompleteFrom(a, oc, reported, h.id)
-	} else {
-		f.server.CompleteFrom(a, oc, reported, h.id)
-	}
-}
-
-func (f *refFleet) deadlineFor(a *wcg.Assignment) float64 {
-	if f.mux != nil {
-		return f.mux.DeadlineFor(a)
-	}
-	return f.server.DeadlineFor(a)
+	f.server.CompleteFrom(a, oc, reported, h.id)
 }
 
 // retryStub is a RetryAdvisor over a server: a deterministic per-host
@@ -177,6 +159,29 @@ type retryStub struct{ *wcg.Server }
 
 func (s retryStub) FetchRetryDelay(host int, idle float64) float64 {
 	return idle * float64(1+host%3) / 2
+}
+
+// reportCounter counts each host's reports on their way to the fleet's
+// work source, and passes on the source's retry advice (the flat delay
+// when it gives none).
+type reportCounter struct {
+	WorkSource
+	reports []int32 // by host
+}
+
+func (c *reportCounter) CompleteFrom(a *wcg.Assignment, outcome wcg.Outcome, cpuSeconds float64, host int) {
+	for len(c.reports) <= host {
+		c.reports = append(c.reports, 0)
+	}
+	c.reports[host]++
+	c.WorkSource.CompleteFrom(a, outcome, cpuSeconds, host)
+}
+
+func (c *reportCounter) FetchRetryDelay(host int, idle float64) float64 {
+	if ra, ok := c.WorkSource.(RetryAdvisor); ok {
+		return ra.FetchRetryDelay(host, idle)
+	}
+	return idle
 }
 
 // diffFleetConfig exercises every host-model path at once: saboteur and
@@ -220,15 +225,16 @@ type fleetOutcome struct {
 	stats            []wcg.Stats
 	executed         uint64
 	maxPending       int
-	done             []int32
+	reports          []int32 // by host, counted by the reportCounter
 	cpuSpent, speeds []float64
 	turned           []bool
 	late             int // the reference's late returns; the kernel leaves it 0
+	calendarLate     int // late returns the kernel's calendar was seen holding
 }
 
-// fleetUnder binds a fleet implementation to an engine and its work
-// source (src, or the mux m) and returns its SetTarget, run loop and
-// per-host readout.
+// fleetUnder binds a fleet implementation to an engine and its one work
+// source src (wrapping the mux m on a co-run, whose port seeds the fleet
+// arms) and returns its SetTarget, run loop and per-host readout.
 type fleetUnder func(e *sim.Engine, src WorkSource, m *Mux) (setTarget func(int), run func(sim.Time), read func(*fleetOutcome))
 
 // runDiff drives one fleet through fleetTargets for eight weeks, against
@@ -246,12 +252,14 @@ func runDiff(t *testing.T, muxed bool, deadline float64, mkFleet fleetUnder) fle
 			m.Attach(s, share)
 			servers = append(servers, s)
 		}
+		src = m
 	} else {
 		s := diffServer(e, 3000, 0, deadline)
 		servers = append(servers, s)
 		src = retryStub{s}
 	}
-	setTarget, run, read := mkFleet(e, src, m)
+	rc := &reportCounter{WorkSource: src}
+	setTarget, run, read := mkFleet(e, rc, m)
 	for _, ft := range fleetTargets {
 		e.Schedule(sim.Time(ft.week)*sim.Week, func() { setTarget(ft.hosts) })
 	}
@@ -262,6 +270,10 @@ func runDiff(t *testing.T, muxed bool, deadline float64, mkFleet fleetUnder) fle
 	}
 	out.executed, out.maxPending = e.Executed(), e.MaxPending()
 	read(&out)
+	out.reports = rc.reports
+	for len(out.reports) < len(out.speeds) {
+		out.reports = append(out.reports, 0)
+	}
 	return out
 }
 
@@ -271,7 +283,6 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 		read := func(o *fleetOutcome) {
 			o.late = f.late
 			for _, h := range f.hosts {
-				o.done = append(o.done, h.done)
 				o.cpuSpent = append(o.cpuSpent, h.cpuSpent)
 				o.speeds = append(o.speeds, h.speedDown)
 				o.turned = append(o.turned, h.turned)
@@ -283,30 +294,61 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 
 func kernelUnder(cfg HostConfig, seed uint64, window float64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
-		if m != nil {
-			src = m
-		}
 		k := NewShardKernel(e, src, cfg, rng.New(seed), window)
+		k.mux = m // src hides the mux it wraps, whose port seeds spawn draws
+		calendarLate := 0
+		// run stops every half hour to look for late returns in the
+		// calendar: each waits at least 40 minutes in the late-returns case.
+		run := func(end sim.Time) {
+			for t := 30 * sim.Minute; t < end; t += 30 * sim.Minute {
+				k.RunUntil(t)
+				calendarLate += lateInCalendar(k)
+			}
+			k.RunUntil(end)
+		}
 		read := func(o *fleetOutcome) {
+			o.calendarLate = calendarLate
 			for i := range k.TotalJoined() {
-				o.done = append(o.done, k.done[i])
 				o.cpuSpent = append(o.cpuSpent, k.cpuSpent[i])
 				o.speeds = append(o.speeds, k.speedDown[i])
 				o.turned = append(o.turned, k.flags[i]&hfTurned != 0)
 			}
 		}
-		return k.SetTarget, k.RunUntil, read
+		return k.SetTarget, run, read
 	}
+}
+
+// lateInCalendar counts the late returns in k's calendar: the armed
+// buffer's unconsumed rest and every pending window.
+func lateInCalendar(k *ShardKernel) int {
+	n := 0
+	for _, ev := range k.cal.cur[k.cal.cursor:] {
+		if ev.kind == evLate {
+			n++
+		}
+	}
+	for _, win := range k.cal.wins[k.cal.next:] {
+		for ch := win.head; ch != nil; ch = ch.next {
+			for _, ev := range ch.ev[:ch.n] {
+				if ev.kind == evLate {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestKernelMatchesReferenceFleet is the differential oracle: the kernel
 // reproduces the reference fleet's every server counter, engine count and
-// per-host outcome, single-project (through a RetryAdvisor) and on a
-// two-project mux. The late-returns case brings abandoned tasks back within
-// an hour of a 40-minute deadline and runs the kernel at three window
-// widths: at one minute, the campaign's floor, every continuation waits in
-// the calendar; at two weeks 97 % of them wait in the engine's heap, late
-// returns included, whose assignment rides the heap event's ref.
+// per-host outcome (reports, CPU seconds, speed-down, saboteur turn),
+// single-project (through a RetryAdvisor) and on a two-project mux. The
+// late-returns case brings abandoned tasks back within an hour of a
+// 40-minute deadline and runs the kernel at three window widths: at one
+// minute, the campaign's floor, every fetch and task-done continuation
+// waits in the calendar; at two weeks 97 % of them wait in the engine's
+// heap. At every width a late return waits in the heap, its assignment
+// riding the heap event's ref, and never in the calendar.
 func TestKernelMatchesReferenceFleet(t *testing.T) {
 	late := diffFleetConfig()
 	late.LateDelayMax = 20 * sim.Minute
@@ -336,14 +378,17 @@ func TestKernelMatchesReferenceFleet(t *testing.T) {
 					t.Errorf("%s engine: executed %d/%d, peak pending %d/%d",
 						name, got.executed, want.executed, got.maxPending, want.maxPending)
 				}
-				if len(got.done) != len(want.done) {
-					t.Fatalf("%s: %d hosts joined, want %d", name, len(got.done), len(want.done))
+				if got.calendarLate != 0 {
+					t.Errorf("%s: the calendar held a late return %d times", name, got.calendarLate)
 				}
-				for i := range want.done {
-					if got.done[i] != want.done[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
+				if len(got.speeds) != len(want.speeds) {
+					t.Fatalf("%s: %d hosts joined, want %d", name, len(got.speeds), len(want.speeds))
+				}
+				for i := range want.speeds {
+					if got.reports[i] != want.reports[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
 						got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
-						t.Fatalf("%s host %d: done %d/%d cpu %v/%v speed %v/%v turned %v/%v", name, i,
-							got.done[i], want.done[i], got.cpuSpent[i], want.cpuSpent[i],
+						t.Fatalf("%s host %d: reports %d/%d cpu %v/%v speed %v/%v turned %v/%v", name, i,
+							got.reports[i], want.reports[i], got.cpuSpent[i], want.cpuSpent[i],
 							got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
 					}
 				}

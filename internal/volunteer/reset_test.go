@@ -67,7 +67,7 @@ func TestPopulationResetReusesHostStructs(t *testing.T) {
 	}
 	k.SetTarget(50)
 	k.RunUntil(2 * sim.Week)
-	speed, done, chunks := &k.speedDown[0], &k.done[0], calendarChunks(k)
+	speed, cpu, chunks := &k.speedDown[0], &k.cpuSpent[0], calendarChunks(k)
 
 	resetStack(engine, srv, k, 8)
 	if got := calendarChunks(k); got < chunks {
@@ -77,12 +77,12 @@ func TestPopulationResetReusesHostStructs(t *testing.T) {
 		srv.AddWorkunit(workunit.Workunit{ID: int64(i), ISepLo: 1, ISepHi: 10, RefSeconds: 3600}, 0)
 	}
 	k.SetTarget(50)
-	if &k.speedDown[0] != speed || &k.done[0] != done {
+	if &k.speedDown[0] != speed || &k.cpuSpent[0] != cpu {
 		t.Fatal("reset dropped the host columns' backing arrays")
 	}
 	for i := 0; i < 50; i++ {
-		if k.done[i] != 0 || k.cpuSpent[i] != 0 || k.flags[i]&(hfStopped|hfTurned) != 0 {
-			t.Fatalf("host %d kept state across Reset: done=%d cpu=%v flags=%b", i, k.done[i], k.cpuSpent[i], k.flags[i])
+		if k.cpuSpent[i] != 0 || k.flags[i]&(hfStopped|hfTurned) != 0 {
+			t.Fatalf("host %d kept state across Reset: cpu=%v flags=%b", i, k.cpuSpent[i], k.flags[i])
 		}
 	}
 	// The recycled fleet must still work.

@@ -79,8 +79,8 @@ func TestHostCompletesWork(t *testing.T) {
 	if srv.Stats.Completed != 5 {
 		t.Fatalf("completed %d of 5 workunits", srv.Stats.Completed)
 	}
-	if k.done[0] != 5 {
-		t.Fatalf("host done = %d", k.done[0])
+	if srv.Stats.Received != 5 {
+		t.Fatalf("host reported %d results", srv.Stats.Received)
 	}
 	// Reported CPU = refSeconds × speed-down for every task.
 	want := 5 * 1000 * k.speedDown[0]
@@ -100,8 +100,8 @@ func TestHostStopsAfterCurrentTask(t *testing.T) {
 	// Stop the host shortly after it picks up its first task.
 	engine.ScheduleAfter(1, func() { k.SetTarget(0) })
 	k.RunUntil(52 * sim.Week)
-	if k.done[0] != 1 {
-		t.Fatalf("stopped host completed %d tasks, want exactly 1", k.done[0])
+	if srv.Stats.Received != 1 {
+		t.Fatalf("stopped host reported %d results, want exactly 1", srv.Stats.Received)
 	}
 }
 
@@ -312,17 +312,24 @@ func TestGridModelCampaignEraCapacity(t *testing.T) {
 	}
 }
 
+// TestNewHostPanics: the kernel refuses a host model it cannot run, a zero
+// mean speed-down or a work buffer past its one-byte cache count.
 func TestNewHostPanics(t *testing.T) {
 	engine := sim.NewEngine()
 	srv := makeServer(t, engine, 1, 1)
-	cfg := DefaultHostConfig()
-	cfg.MeanSpeedDown = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	newKernel(engine, srv, cfg, 1)
+	zeroSpeed, deepBuffer := DefaultHostConfig(), DefaultHostConfig()
+	zeroSpeed.MeanSpeedDown = 0
+	deepBuffer.WorkBuffer = MaxWorkBuffer + 1
+	for _, cfg := range []HostConfig{zeroSpeed, deepBuffer} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for speed-down %v, work buffer %d", cfg.MeanSpeedDown, cfg.WorkBuffer)
+				}
+			}()
+			newKernel(engine, srv, cfg, 1)
+		}()
+	}
 }
 
 // BenchmarkKernelMonth is the host layer's micro-bench: a 100-host
@@ -446,8 +453,8 @@ func TestWorkBufferCompletesEverything(t *testing.T) {
 	if srv.Stats.Completed != 20 {
 		t.Fatalf("completed %d of 20 with a work buffer", srv.Stats.Completed)
 	}
-	if k.done[0] != 20 {
-		t.Fatalf("host done = %d", k.done[0])
+	if srv.Stats.Received != 20 {
+		t.Fatalf("host reported %d results", srv.Stats.Received)
 	}
 }
 
@@ -491,7 +498,7 @@ func TestWorkBufferStaysBounded(t *testing.T) {
 	k.SetTarget(1)
 	for w := sim.Time(1); w <= 52; w++ {
 		k.RunUntil(w * sim.Week)
-		if n := k.cacheLen[0]; n < 0 || int(n) > cfg.WorkBuffer {
+		if n := k.cacheLen[0]; int(n) > cfg.WorkBuffer {
 			t.Fatalf("week %v: cache holds %d entries (buffer %d)", w, n, cfg.WorkBuffer)
 		}
 	}
