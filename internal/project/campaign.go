@@ -561,7 +561,9 @@ func (c *Campaign) activePlane() *faults.Plane {
 // tenant target task wall time, capped by the idle-retry interval — wide
 // enough that almost every host continuation lands beyond the current
 // window (the engine's heap takes the rest; any positive value is
-// correct).
+// correct). The cap, W ≤ IdleRetry, also puts every flat idle retry
+// beyond the armed window when it is scheduled, so each one joins the
+// kernel's idle-retry ring rather than the heap.
 func (c *Campaign) shardWindow() float64 {
 	w := c.fleet.Host.IdleRetry // at least minIdleRetry: checkFleet
 	for _, t := range c.tenants {

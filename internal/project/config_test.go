@@ -401,3 +401,29 @@ func checkGridOut(t *testing.T, out Config) {
 		t.Fatalf("re-check moved grid fields: %+v → %+v", out, again)
 	}
 }
+
+// TestHugeIdleRetryReturnsAtOnce runs the 1/168 campaign with idle retries
+// that checkFleet accepts but no run lives to see. A flat idle retry waits
+// on the host kernel's idle-retry ring, which gives it no window index, so
+// the window table spans only the pending task completions: each run ends
+// at MaxWeeks, uncompleted, at once, and since no retry ever falls due,
+// every such run executes the same events (4,252). With the retries in
+// calendar windows, 1e12 s alone grew the table toward 1.5e8 slots and
+// exhausted memory.
+func TestHugeIdleRetryReturnsAtOnce(t *testing.T) {
+	var events uint64
+	for i, retry := range []float64{1e12, 1e18, 1e300} {
+		cfg := testConfig(t, 1.0/168)
+		cfg.Host.IdleRetry = retry
+		r := New(cfg).Run()
+		if r.Completed || r.WeeksElapsed != cfg.MaxWeeks {
+			t.Errorf("IdleRetry %g: completed %v after %v weeks, want an unfinished run of %v weeks",
+				retry, r.Completed, r.WeeksElapsed, cfg.MaxWeeks)
+		}
+		if i == 0 {
+			events = r.EventsExecuted
+		} else if r.EventsExecuted != events {
+			t.Errorf("IdleRetry %g: %d events executed, IdleRetry 1e12 %d", retry, r.EventsExecuted, events)
+		}
+	}
+}

@@ -244,8 +244,10 @@ func TestMaterializeEveryWeek(t *testing.T) {
 // Materialized every 30 h in the middle of a window (at a window's end
 // every continuation due inside it has run), the snapshots must hold
 // pending late returns — CallHost events with an assignment index; 6
-// across 84 snapshots — and a runner that adopts any of them must
-// fork(base) to the straight run's bytes.
+// across 84 snapshots — and idle retries on the kernel's ring that fall
+// due inside the armed window, where the merge reads the ring beside its
+// buffer and the heap (40 across them); and a runner that adopts any of
+// them must fork(base) to the straight run's bytes.
 func TestMaterializeInsideWindows(t *testing.T) {
 	base := determinismConfig(t, 777)
 	base.ControlWeeks = 0
@@ -259,7 +261,7 @@ func TestMaterializeInsideWindows(t *testing.T) {
 
 	pub, ad := NewRunner(), NewRunner()
 	pub.Begin(base)
-	late := 0
+	late, ringDue := 0, 0
 	for at := 15 * sim.Hour; at <= end; at += 30 * sim.Hour {
 		pub.RunTo(at)
 		ps, err := pub.Materialize()
@@ -271,6 +273,7 @@ func TestMaterializeInsideWindows(t *testing.T) {
 				late++
 			}
 		}
+		ringDue += ps.kern.RingDue()
 		ad.AdoptSnapshot(ps)
 		if got := reportHash(t, ad.Fork(base)); got != want {
 			t.Errorf("adopted fork(base) at %v h hash = %s, want straight-run %s", at/sim.Hour, got, want)
@@ -278,5 +281,8 @@ func TestMaterializeInsideWindows(t *testing.T) {
 	}
 	if late == 0 {
 		t.Fatal("no snapshot holds a pending late return in the engine's heap")
+	}
+	if ringDue == 0 {
+		t.Fatal("no snapshot holds an idle retry on the ring due inside the armed window")
 	}
 }

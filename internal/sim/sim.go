@@ -22,13 +22,15 @@
 // the Ticker, which owns its pending tick: Stop finds that tick by a linear
 // scan and takes it out of the heap at once, so Pending() is exact.
 //
-// Most host continuations live in the host kernel's window calendar
-// (volunteer.ShardKernel), merged against this heap through Peek and the
-// External* accounting hooks. Two kinds wait here, as CallHost events: a
-// continuation due inside the kernel's armed window, and every late return,
-// its assignment in the reference. On the full-scale phase-I replay 457,001
-// of the 9,243,124 executed events pass through the heap: 290,800 wheel
-// drains, 165,720 host continuations (162,987 late returns) and 481 ticks.
+// Most host continuations live in the host kernel's window calendar and
+// its idle-retry ring (volunteer.ShardKernel), merged against this heap
+// through Peek and the External* accounting hooks. Two kinds wait here, as
+// CallHost events: a continuation due inside the kernel's armed window, and
+// every late return, its assignment in the reference. On the full-scale
+// phase-I replay 457,001 of the 9,243,124 executed events pass through the
+// heap: 290,800 wheel drains, 165,720 host continuations (162,987 late
+// returns) and 481 ticks. Of the other 8,786,123, 4,635,205 wait in
+// calendar windows and 4,150,918, flat idle retries, on the ring.
 // One pass of the 31-scenario catalog at 1/84 scale adds 74 spool drains
 // and 1,548 upload re-sends. Late returns wait 8–18 days, so they are most
 // of the heap: at most 25,108 events on the replay, 1,209 in the catalog.

@@ -62,13 +62,15 @@
 //     buckets, deadline rings, trust streaks, scheduler rng and stats.
 //     Every bind-time policy value is rebuilt by the adopter's Reset.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
-//     population stream, the armed window's unconsumed buffer, and the
+//     population stream, the armed window's unconsumed buffer, the
 //     window calendar flattened into one list of the same CallHost
 //     PortableEvents a heap continuation exports as, plus spans naming
-//     their absolute windows; the adopter rebuilds the windows onto its
-//     own chunks. A calendar entry carries no assignment: late returns
-//     wait in the engine's heap. Chunk layout is unobservable — a window
-//     is sorted by (time, seq) at its barrier.
+//     their absolute windows, and the idle-retry ring as its own list in
+//     ring order (a ring entry and a window's fetch export alike); the
+//     adopter rebuilds the windows and the ring onto its own chunks. A
+//     calendar entry carries no assignment: late returns wait in the
+//     engine's heap. Chunk layout is unobservable — a window is sorted by
+//     (time, seq) at its barrier, and the ring is appended in that order.
 //     A multiplexed kernel's mux columns are not covered, so grid co-runs
 //     cannot be snapshotted.
 //   - faults.Plane (PortablePlane): the outage spool (assignments as

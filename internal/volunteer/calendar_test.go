@@ -241,7 +241,9 @@ func FuzzShardCalTake(f *testing.F) {
 // sim day, that the window table holds no more than the span from the
 // armed window to the furthest pending one plus the compaction slack, and
 // that a kernel adopting the run's snapshot holds just the span: the table
-// follows the pending events, not the horizon.
+// follows the pending events, not the horizon. The adopter must hold the
+// source's pending flat idle retries on its ring, entry for entry, and
+// exactly the source's window events in its table.
 func TestWindowTableFollowsPendingSpan(t *testing.T) {
 	e := sim.NewEngine()
 	s := diffServer(e, 3000, 0, 0)
@@ -251,6 +253,7 @@ func TestWindowTableFollowsPendingSpan(t *testing.T) {
 	for _, ft := range fleetTargets {
 		e.Schedule(sim.Time(ft.week)*sim.Week, func() { k.SetTarget(ft.hosts) })
 	}
+	ringSeen := 0
 	for day := 1; day <= 56; day++ {
 		k.RunUntil(float64(day) * sim.Day)
 		furthest := k.win // the armed window
@@ -267,5 +270,25 @@ func TestWindowTableFollowsPendingSpan(t *testing.T) {
 		if n := len(adopter.cal.wins); n > span {
 			t.Fatalf("day %d: the adopted window table holds %d windows, the pending span %d", day, n, span)
 		}
+		ring := ringEntries(k)
+		if got := ringEntries(adopter); !slices.Equal(got, ring) {
+			t.Fatalf("day %d: the adopted ring holds %d entries, want the source's %d in ring order", day, len(got), len(ring))
+		}
+		if got, want := tableEvents(adopter), tableEvents(k); got != want {
+			t.Fatalf("day %d: the adopted window table holds %d events, the source's %d", day, got, want)
+		}
+		ringSeen += len(ring)
 	}
+	if ringSeen == 0 {
+		t.Fatal("no day's snapshot held a pending retry on the ring")
+	}
+}
+
+// tableEvents counts the events of k's pending calendar windows.
+func tableEvents(k *ShardKernel) int {
+	n := 0
+	for _, win := range k.cal.wins[k.cal.next:] {
+		n += win.n
+	}
+	return n
 }

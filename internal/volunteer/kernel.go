@@ -4,15 +4,16 @@
 // # Time-window invariant
 //
 // Host fetch and task-done continuations live in one window calendar,
-// indexed by window = floor(time / W). The window width W is min(IdleRetry,
-// half the target task wall time), so almost every continuation lands one
-// or more windows ahead of the window that schedules it. The rare one that
+// indexed by window = floor(time / W), except flat idle retries, which
+// live on its idle-retry ring. The window width W is min(IdleRetry, half
+// the target task wall time), so almost every continuation lands one or
+// more windows ahead of the window that schedules it. The rare one that
 // falls due inside the armed window enters the sim.Engine heap instead, as
 // a sim.CallHost event that the engine hands back to the kernel's Handle;
-// it never enters the armed buffer. That makes W a pure performance knob —
-// correctness holds for any W > 0. A late return (§5.1: a device back
-// online days after its deadline) always waits in the heap, carrying its
-// assignment, so a calendar entry holds no pointer.
+// it never enters the armed buffer or the ring. That makes W a pure
+// performance knob — correctness holds for any W > 0. A late return (§5.1:
+// a device back online days after its deadline) always waits in the heap,
+// carrying its assignment, so a calendar entry holds no pointer.
 //
 // A window's events are appended, unsorted, to a list of fixed-size
 // chunks drawn from the calendar's free list, so its memory tracks the
@@ -21,10 +22,22 @@
 // consumed prefix in place once it dominates the table, and a table with
 // nothing pending starts over after the armed window. At each window
 // barrier the calendar arms the new window into one reused merge buffer,
-// recycling the window's chunks. Between barriers the kernel merges the sorted buffer
-// and the engine's heap in global ascending (time, seq) order and executes
-// the model, drawing every host decision and join inline. Everything runs
-// on the caller's goroutine.
+// recycling the window's chunks.
+//
+// A fetch that comes up empty retries after IdleRetry, or after whatever
+// the bound RetryAdvisor makes of it. A retry whose delay is exactly
+// IdleRetry and which falls due beyond the armed window is appended to the
+// ring, a FIFO on chunks from the same free list: its key is now +
+// IdleRetry with a fresh seq, and the clock and the seq counter never go
+// back, so append order is (time, seq) order and the ring needs no window
+// index and no arming pass. A head chunk read to its end goes back to the
+// free list. Stretched retries (backoff, smear) keep to the windows.
+//
+// Between barriers the kernel merges three sorted sources in global
+// ascending (time, seq) order — the armed buffer, the ring's head while it
+// falls due before the armed window's end, and the engine's heap — and
+// executes the model, drawing every host decision and join inline.
+// Everything runs on the caller's goroutine.
 //
 // # Window arming
 //
@@ -45,12 +58,15 @@
 //
 // Every tie-break seq is drawn from the engine counter as the event is
 // scheduled — by the heap's own insert, or by Engine.ExternalSchedule for
-// a calendar event — so no two events share a (time, seq) key, and every
-// model draw comes from fixed per-host stream positions as the merge
-// executes events (the draw order in plane.go). The merge therefore has
-// exactly one order: whichever of the armed buffer and the engine heap
-// holds the least (time, seq) key runs next. The window width only decides
-// where an event waits, never a value or the execution order: reports are
+// a calendar or ring event — so no two events share a (time, seq) key,
+// and every model draw comes from fixed per-host stream positions as the
+// merge executes events (the draw order in plane.go). The merge therefore
+// has exactly one order: whichever of the armed buffer, the ring and the
+// engine heap holds the least (time, seq) key runs next. The ring's head
+// competes only while it falls due inside the armed window, since a later
+// one may follow events of windows not yet armed; the heap's head is held
+// to the same bound. The window width and the delay only decide where an
+// event waits, never a value or the execution order: reports are
 // byte-identical fresh and pooled (golden-hash tests in internal/project
 // pin them).
 package volunteer
@@ -127,11 +143,15 @@ const compactSlack = 1024
 
 // shardCal is the kernel's window calendar: the window table (slot i
 // holds window base+i; the slots before next are consumed and empty), the
-// free chunks, the armed window's sorted merge buffer with its read
-// cursor, and the arming pass's bucket offsets (scratch, never exported).
+// idle-retry ring, appended only in (time, seq) order, with the read
+// offset in its head chunk (ring.n counts the unread entries), the free
+// chunks, the armed window's sorted merge buffer with its read cursor, and
+// the arming pass's bucket offsets (scratch, never exported).
 type shardCal struct {
 	wins       []calWindow
 	base, next int
+	ring       calWindow
+	ringOff    int
 	free       *eventChunk
 	cur        []planeEvent
 	cursor     int
@@ -139,14 +159,18 @@ type shardCal struct {
 }
 
 // push appends ev to window w, which must lie after the last armed
-// window, taking a chunk from the free list (or allocating one) when the
-// window's tail chunk is full.
+// window.
 func (c *shardCal) push(w int, ev planeEvent) {
 	i := w - c.base
 	for len(c.wins) <= i {
 		c.wins = append(c.wins, calWindow{})
 	}
-	win := &c.wins[i]
+	c.appendTo(&c.wins[i], ev)
+}
+
+// appendTo appends ev to the chunk list win, taking a chunk from the free
+// list (or allocating one) when its tail chunk is full.
+func (c *shardCal) appendTo(win *calWindow, ev planeEvent) {
 	t := win.tail
 	if t == nil || t.n == chunkEvents {
 		nc := c.free
@@ -194,7 +218,12 @@ func (c *shardCal) take(w int, width float64) {
 		return
 	}
 	n := c.wins[i].n
-	c.cur = slices.Grow(c.cur, n)[:n]
+	if cap(c.cur) < n {
+		// At least double, from a chunk's worth of events: windows widen
+		// slowly as a run's fleet grows, and each step would allocate.
+		c.cur = make([]planeEvent, 0, max(n, 2*cap(c.cur), chunkEvents))
+	}
+	c.cur = c.cur[:n]
 	nb := min(n, calBuckets)
 	lo, scale := float64(w)*width, float64(nb)/width
 	off := c.buckets[:nb]
@@ -221,7 +250,7 @@ func (c *shardCal) take(w int, width float64) {
 		sortBucket(c.cur[start:end])
 		start = end
 	}
-	c.drop(i)
+	c.recycle(&c.wins[i])
 	c.next = i + 1
 	if c.next > compactSlack && 2*c.next > len(c.wins) {
 		n := copy(c.wins, c.wins[c.next:])
@@ -260,24 +289,44 @@ func sortBucket(s []planeEvent) {
 	}
 }
 
-// drop recycles the chunks of table slot i without reading their events.
-func (c *shardCal) drop(i int) {
-	for ch := c.wins[i].head; ch != nil; {
+// recycle empties the chunk list win onto the free list without reading
+// its events.
+func (c *shardCal) recycle(win *calWindow) {
+	for ch := win.head; ch != nil; {
 		next := ch.next
 		ch.n, ch.next = 0, c.free
 		c.free = ch
 		ch = next
 	}
-	c.wins[i] = calWindow{}
+	*win = calWindow{}
 }
 
-// reset empties the calendar, keeping its chunks and buffers, and starts
-// its table at window w.
+// popRing consumes the ring's head entry, which must exist, and returns
+// the head chunk to the free list once it is read to its end. Only the
+// tail chunk is ever partly filled, so a head read to its end is either
+// full, with the rest of the ring behind it, or the whole ring.
+func (c *shardCal) popRing() {
+	c.ring.n--
+	c.ringOff++
+	if h := c.ring.head; c.ringOff == h.n {
+		c.ring.head, c.ringOff = h.next, 0
+		if h.next == nil {
+			c.ring.tail = nil
+		}
+		h.n, h.next = 0, c.free
+		c.free = h
+	}
+}
+
+// reset empties the calendar and its ring, keeping their chunks and
+// buffers, and starts its table at window w.
 func (c *shardCal) reset(w int) {
 	for i := c.next; i < len(c.wins); i++ {
-		c.drop(i)
+		c.recycle(&c.wins[i])
 	}
 	c.wins, c.base, c.next = c.wins[:0], w, 0
+	c.recycle(&c.ring)
+	c.ringOff = 0
 	c.cur, c.cursor = c.cur[:0], 0
 }
 
@@ -320,7 +369,7 @@ type ShardKernel struct {
 	winEnd sim.Time // (win+1)·window
 	armed  bool     // first RunUntil preps window 0 lazily
 
-	livePlane int // calendar events (pending windows and armed buffer) not yet executed
+	livePlane int // plane events (pending windows, ring and armed buffer) not yet executed
 
 	// OnSaboteurTurn, if non-nil, is invoked once per saboteur host at the
 	// moment it turns permanently bad: the run-trace hook for adversarial
@@ -405,6 +454,21 @@ func (k *ShardKernel) schedule(h int32, kind uint8, at sim.Time) {
 	k.cal.push(int(at/k.window), planeEvent{at: at, seq: k.eng.ExternalSchedule(), host: h, kind: kind})
 }
 
+// retryAfter schedules host h's next fetch d seconds from now: on the
+// idle-retry ring when d is the flat IdleRetry and the retry falls due
+// beyond the armed window (see the package notes), otherwise — an
+// advisor's backoff or smear, or a retry due inside the armed window —
+// through schedule. The seq is drawn exactly as schedule draws it.
+func (k *ShardKernel) retryAfter(h int32, d float64) {
+	at := k.eng.Now() + d
+	if d != k.cfg.IdleRetry || at < k.winEnd {
+		k.schedule(h, evFetch, at)
+		return
+	}
+	k.livePlane++
+	k.cal.appendTo(&k.cal.ring, planeEvent{at: at, seq: k.eng.ExternalSchedule(), host: h, kind: evFetch})
+}
+
 // Handle implements sim.Handler: the engine, having accounted the event as
 // executed, hands back a continuation that schedule or fetch (a late
 // return) put in its heap.
@@ -440,9 +504,10 @@ func (k *ShardKernel) prepWindow(w int) {
 	k.cal.take(w, k.window)
 }
 
-// RunUntil merges calendar and engine events in global ascending (time,
-// seq) order, executing everything with time ≤ deadline and advancing the
-// clock to the deadline, exactly as Engine.RunUntil does for a single heap.
+// RunUntil merges calendar, ring and engine events in global ascending
+// (time, seq) order, executing everything with time ≤ deadline and
+// advancing the clock to the deadline, exactly as Engine.RunUntil does for
+// a single heap.
 // Callable repeatedly with growing deadlines (the campaign runs the phase
 // horizon, then the straggler drain). No float lies between deadline and
 // its successor, so running strictly before the successor runs exactly the
@@ -452,13 +517,13 @@ func (k *ShardKernel) RunUntil(deadline sim.Time) {
 	k.eng.AdvanceTo(deadline)
 }
 
-// RunBefore merges calendar and engine events in global ascending (time,
-// seq) order, executes those with timestamps strictly before deadline, and
-// stops without advancing the clock to the deadline or prepping the window
-// that contains it. The snapshot/fork path uses it to end a shared prefix at
-// a divergence time T: the window barrier covering T, which only arms
-// windows, runs in each forked suffix exactly as a straight run of that
-// cell would have run it.
+// RunBefore merges calendar, ring and engine events in global ascending
+// (time, seq) order, executes those with timestamps strictly before
+// deadline, and stops without advancing the clock to the deadline or
+// prepping the window that contains it. The snapshot/fork path uses it to
+// end a shared prefix at a divergence time T: the window barrier covering
+// T, which only arms windows, runs in each forked suffix exactly as a
+// straight run of that cell would have run it.
 func (k *ShardKernel) RunBefore(deadline sim.Time) {
 	e := k.eng
 	if !k.armed {
@@ -468,15 +533,32 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 	c := &k.cal
 	for {
 		et, eseq, eok := e.Peek()
+		// The least plane event of the armed window: the armed buffer's
+		// head, or the ring's while it falls due before winEnd (a later
+		// ring entry may follow events of windows not yet armed).
+		var ev *planeEvent
 		if c.cursor < len(c.cur) {
-			if ev := &c.cur[c.cursor]; !eok || ev.at < et || (ev.at == et && ev.seq < eseq) {
-				if ev.at >= deadline {
-					break
-				}
-				c.cursor++
-				k.exec(*ev)
-				continue
+			ev = &c.cur[c.cursor]
+		}
+		fromRing := false
+		if c.ring.n > 0 {
+			if r := &c.ring.head.ev[c.ringOff]; r.at < k.winEnd &&
+				(ev == nil || r.at < ev.at || (r.at == ev.at && r.seq < ev.seq)) {
+				ev, fromRing = r, true
 			}
+		}
+		if ev != nil && (!eok || ev.at < et || (ev.at == et && ev.seq < eseq)) {
+			if ev.at >= deadline {
+				break
+			}
+			x := *ev // popRing may recycle the chunk ev points into
+			if fromRing {
+				c.popRing()
+			} else {
+				c.cursor++
+			}
+			k.exec(x)
+			continue
 		}
 		if eok && et < k.winEnd {
 			if et >= deadline {
@@ -485,11 +567,12 @@ func (k *ShardKernel) RunBefore(deadline sim.Time) {
 			e.Step()
 			continue
 		}
-		// Current window exhausted on both sources (any engine head lies
-		// in a later window). Advance the barrier — jumping straight to
-		// the engine head's window when no calendar events remain
-		// anywhere — only while the next window can still hold events
-		// before the deadline (its start is the current winEnd).
+		// Current window exhausted on all three sources (any ring or
+		// engine head lies in a later window). Advance the barrier —
+		// jumping straight to the engine head's window when no plane
+		// events remain anywhere — only while the next window can still
+		// hold events before the deadline (its start is the current
+		// winEnd).
 		if k.livePlane == 0 {
 			if !eok || et >= deadline {
 				break

@@ -25,8 +25,8 @@
 // Every model draw runs inline as the kernel executes events, from a
 // stream with a single reader: the population stream, which only spawn
 // reads, and each host's own stream, which only that host's spawn and
-// fetch read. Where an event waits (a calendar window or the engine's heap)
-// therefore never moves a draw:
+// fetch read. Where an event waits (a calendar window, the ring or the
+// engine's heap) therefore never moves a draw:
 //
 //   - on join (spawn): from the population stream, the host's seed, then
 //     its mux tie-break seed on a fleet bound to a Mux; from the host's
@@ -216,7 +216,7 @@ func (k *ShardKernel) HostAccounting(i int) (hardware float64, joinedAt sim.Time
 // fetch is the host's fetch-compute-report step: top up the work cache,
 // start the front assignment, draw the task's behavior from the host's
 // stream in the order given above, and schedule the continuation on the
-// window calendar.
+// window calendar, or a flat idle retry on its ring.
 func (k *ShardKernel) fetch(h int32) {
 	base := int(h) * k.buffer
 	if k.flags[h]&hfStopped != 0 {
@@ -248,7 +248,7 @@ func (k *ShardKernel) fetch(h int32) {
 			// attempt), so it depends on no execution order.
 			d = k.retry.FetchRetryDelay(int(h), d)
 		}
-		k.schedule(h, evFetch, k.eng.Now()+d)
+		k.retryAfter(h, d)
 		return
 	}
 	if k.flags[h]&hfBusy != 0 {
@@ -271,7 +271,7 @@ func (k *ShardKernel) fetch(h int32) {
 			k.server.Drop(a) // never returned
 		}
 		k.flags[h] &^= hfBusy
-		k.schedule(h, evFetch, k.eng.Now()+k.cfg.IdleRetry)
+		k.retryAfter(h, k.cfg.IdleRetry)
 		return
 	}
 

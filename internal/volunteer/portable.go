@@ -13,9 +13,11 @@ import (
 // in-flight task — are translated to arena indices at export and resolved
 // against the adopter's own server, which has installed the same live
 // arena chunks; a pending late return waits in the engine's heap, which
-// exports its assignment the same way. The population stream's state
-// travels with the columns, so the adopter's next spawn draws the same
-// seeds the source's would have.
+// exports its assignment the same way. The calendar travels as its pending
+// windows' events, the idle-retry ring and the armed buffer's unread
+// rest, each in the CallHost form a heap continuation exports as. The
+// population stream's state travels with the columns, so the adopter's
+// next spawn draws the same seeds the source's would have.
 
 // exportEvent returns a calendar event in the portable form the engine
 // gives a fetch or task-done continuation waiting in its heap: a CallHost
@@ -57,6 +59,22 @@ func (c *shardCal) flatten() (evs []sim.PortableEvent, spans []calSpan) {
 	return evs, spans
 }
 
+// exportRing returns the idle-retry ring's unread entries in portable
+// form, in ring order.
+func (c *shardCal) exportRing() []sim.PortableEvent {
+	if c.ring.n == 0 {
+		return nil
+	}
+	evs := make([]sim.PortableEvent, 0, c.ring.n)
+	off := c.ringOff
+	for ch := c.ring.head; ch != nil; ch, off = ch.next, 0 {
+		for _, ev := range ch.ev[off:ch.n] {
+			evs = append(evs, exportEvent(ev))
+		}
+	}
+	return evs
+}
+
 // PortableKernel is a self-contained copy of a ShardKernel at an event
 // boundary. Safe to publish across goroutines; read-only once built.
 type PortableKernel struct {
@@ -80,9 +98,12 @@ type PortableKernel struct {
 	window float64
 
 	// The calendar: the pending windows as one flat event list named by
-	// spans, and the armed window's unconsumed events in merge order.
+	// spans, the idle-retry ring in ring order (its own list: a ring entry
+	// and a window's fetch have the same portable form), and the armed
+	// window's unconsumed events in merge order.
 	events []sim.PortableEvent
 	spans  []calSpan
+	ring   []sim.PortableEvent
 	calCur []sim.PortableEvent
 	win    int
 	winEnd sim.Time
@@ -101,7 +122,20 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.joinedAt) + snapshot.Size(p.hardware) +
 		snapshot.Size(p.cpuSpent) + snapshot.Size(p.cur) +
 		snapshot.Size(p.cacheLen) + snapshot.Size(p.cache) +
-		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.calCur)
+		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.ring) +
+		snapshot.Size(p.calCur)
+}
+
+// RingDue counts the ring entries that fall due inside the armed window,
+// where the merge reads them beside its buffer and the engine's heap.
+func (p *PortableKernel) RingDue() int {
+	n := 0
+	for _, pe := range p.ring {
+		if pe.At < p.winEnd {
+			n++
+		}
+	}
+	return n
 }
 
 // exportEvents translates events into owned portable form.
@@ -158,6 +192,7 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		p.cache[i] = wcg.AssignmentIndex(a)
 	}
 	p.events, p.spans = k.cal.flatten()
+	p.ring = k.cal.exportRing()
 	return p
 }
 
@@ -168,7 +203,10 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 // event list onto the adopter's own chunks. A window's chunk layout is
 // invisible — its barrier arms it into exact (time, seq) order whatever
 // the order of its events (see Window arming in kernel.go) — so the
-// rebuilt calendar is equivalent to the flattened one.
+// rebuilt calendar is equivalent to the flattened one. The ring is
+// rebuilt in ring order, and stays in (time, seq) order as the adopter
+// appends: every adopted entry was scheduled at or before the snapshot's
+// clock, under the same IdleRetry.
 func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Assignment) {
 	if k.window != p.window {
 		panic("volunteer: adopting kernel has a different window width — config mismatch")
@@ -203,6 +241,9 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 		for end := i + int(s.n); i < end; i++ {
 			c.push(int(s.w), adoptEvent(p.events[i]))
 		}
+	}
+	for _, pe := range p.ring {
+		c.appendTo(&c.ring, adoptEvent(pe))
 	}
 	for _, pe := range p.calCur {
 		c.cur = append(c.cur, adoptEvent(pe))

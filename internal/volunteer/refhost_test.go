@@ -27,6 +27,7 @@ type refFleet struct {
 	hosts  []*refHost
 	active int
 	late   int // abandoned tasks returned late
+	flat   int // retries scheduled at the flat IdleRetry
 }
 
 type refHost struct {
@@ -105,6 +106,9 @@ func (f *refFleet) fetch(h *refHost) {
 		if ra, ok := f.server.(RetryAdvisor); ok {
 			d = ra.FetchRetryDelay(h.id, d)
 		}
+		if d == f.cfg.IdleRetry {
+			f.flat++
+		}
 		f.eng.ScheduleAfter(d, func() { f.fetch(h) })
 		return
 	}
@@ -128,6 +132,7 @@ func (f *refFleet) fetch(h *refHost) {
 			})
 		}
 		h.busy = false
+		f.flat++
 		f.eng.ScheduleAfter(f.cfg.IdleRetry, func() { f.fetch(h) })
 		return
 	}
@@ -217,9 +222,12 @@ func diffServer(engine *sim.Engine, wus int, salt int, deadline float64) *wcg.Se
 	return srv
 }
 
+// fleetTarget sets the active-host target at the start of a sim week.
+type fleetTarget struct{ week, hosts int }
+
 // fleetTargets is the differential schedule: the active-host target set at
 // weekly ticks (grow, shrink, regrow, shrink).
-var fleetTargets = []struct{ week, hosts int }{{0, 60}, {2, 25}, {3, 90}, {5, 40}}
+var fleetTargets = []fleetTarget{{0, 60}, {2, 25}, {3, 90}, {5, 40}}
 
 type fleetOutcome struct {
 	stats            []wcg.Stats
@@ -228,8 +236,11 @@ type fleetOutcome struct {
 	reports          []int32 // by host, counted by the reportCounter
 	cpuSpent, speeds []float64
 	turned           []bool
-	late             int // the reference's late returns; the kernel leaves it 0
-	calendarLate     int // late returns the kernel's calendar was seen holding
+	late             int    // the reference's late returns; the kernel leaves it 0
+	flat             int    // the reference's flat idle retries; the kernel leaves it 0
+	calendarLate     int    // late returns the kernel's calendar was seen holding
+	ringSeen         int    // idle-retry ring entries seen, summed over the checkpoints
+	ringFault        string // the first checkpoint's ring fault, if any
 }
 
 // fleetUnder binds a fleet implementation to an engine and its one work
@@ -239,8 +250,7 @@ type fleetUnder func(e *sim.Engine, src WorkSource, m *Mux) (setTarget func(int)
 
 // runDiff drives one fleet through fleetTargets for eight weeks, against
 // servers with the given deadline (0 = the default).
-func runDiff(t *testing.T, muxed bool, deadline float64, mkFleet fleetUnder) fleetOutcome {
-	t.Helper()
+func runDiff(muxed bool, deadline float64, mkFleet fleetUnder) fleetOutcome {
 	e := sim.NewEngine()
 	var servers []*wcg.Server
 	var src WorkSource
@@ -258,12 +268,18 @@ func runDiff(t *testing.T, muxed bool, deadline float64, mkFleet fleetUnder) fle
 		servers = append(servers, s)
 		src = retryStub{s}
 	}
+	return runFleet(e, servers, src, m, fleetTargets, 8*sim.Week, mkFleet)
+}
+
+// runFleet drives one fleet bound to src (over servers, through the mux m
+// on a co-run) through targets until end and reads its outcome.
+func runFleet(e *sim.Engine, servers []*wcg.Server, src WorkSource, m *Mux, targets []fleetTarget, end sim.Time, mkFleet fleetUnder) fleetOutcome {
 	rc := &reportCounter{WorkSource: src}
 	setTarget, run, read := mkFleet(e, rc, m)
-	for _, ft := range fleetTargets {
+	for _, ft := range targets {
 		e.Schedule(sim.Time(ft.week)*sim.Week, func() { setTarget(ft.hosts) })
 	}
-	run(8 * sim.Week)
+	run(end)
 	var out fleetOutcome
 	for _, s := range servers {
 		out.stats = append(out.stats, s.Stats)
@@ -281,7 +297,7 @@ func refFleetUnder(cfg HostConfig, seed uint64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
 		f := &refFleet{eng: e, server: src, mux: m, cfg: cfg, r: rng.New(seed)}
 		read := func(o *fleetOutcome) {
-			o.late = f.late
+			o.late, o.flat = f.late, f.flat
 			for _, h := range f.hosts {
 				o.cpuSpent = append(o.cpuSpent, h.cpuSpent)
 				o.speeds = append(o.speeds, h.speedDown)
@@ -296,18 +312,24 @@ func kernelUnder(cfg HostConfig, seed uint64, window float64) fleetUnder {
 	return func(e *sim.Engine, src WorkSource, m *Mux) (func(int), func(sim.Time), func(*fleetOutcome)) {
 		k := NewShardKernel(e, src, cfg, rng.New(seed), window)
 		k.mux = m // src hides the mux it wraps, whose port seeds spawn draws
-		calendarLate := 0
+		calendarLate, ringSeen, ringFault := 0, 0, ""
 		// run stops every half hour to look for late returns in the
-		// calendar: each waits at least 40 minutes in the late-returns case.
+		// calendar (each waits at least 40 minutes in the late-returns
+		// case) and to check the idle-retry ring.
 		run := func(end sim.Time) {
 			for t := 30 * sim.Minute; t < end; t += 30 * sim.Minute {
 				k.RunUntil(t)
 				calendarLate += lateInCalendar(k)
+				ring := ringEntries(k)
+				ringSeen += len(ring)
+				if f := ringFaultOf(k, ring); f != "" && ringFault == "" {
+					ringFault = fmt.Sprintf("at %v s: %s", t, f)
+				}
 			}
 			k.RunUntil(end)
 		}
 		read := func(o *fleetOutcome) {
-			o.calendarLate = calendarLate
+			o.calendarLate, o.ringSeen, o.ringFault = calendarLate, ringSeen, ringFault
 			for i := range k.TotalJoined() {
 				o.cpuSpent = append(o.cpuSpent, k.cpuSpent[i])
 				o.speeds = append(o.speeds, k.speedDown[i])
@@ -339,6 +361,71 @@ func lateInCalendar(k *ShardKernel) int {
 	return n
 }
 
+// ringEntries returns the unread entries of k's idle-retry ring in ring
+// order.
+func ringEntries(k *ShardKernel) []planeEvent {
+	var evs []planeEvent
+	off := k.cal.ringOff
+	for ch := k.cal.ring.head; ch != nil; ch, off = ch.next, 0 {
+		evs = append(evs, ch.ev[off:ch.n]...)
+	}
+	return evs
+}
+
+// ringFaultOf describes the first way ring, k's idle-retry ring read by
+// ringEntries, breaks the ring's invariants — an entry that is not a
+// fetch, keys out of strictly increasing (time, seq) order, a count that
+// disagrees with the chunks — or returns "".
+func ringFaultOf(k *ShardKernel, ring []planeEvent) string {
+	if len(ring) != k.cal.ring.n {
+		return fmt.Sprintf("counts %d entries and its chunks hold %d", k.cal.ring.n, len(ring))
+	}
+	for i, ev := range ring {
+		if ev.kind != evFetch {
+			return fmt.Sprintf("entry %d (host %d) has kind %d, not a fetch", i, ev.host, ev.kind)
+		}
+		if i > 0 && planeEventLess(ring[i-1], ev) >= 0 {
+			return fmt.Sprintf("entry %d (%v, %d) does not follow (%v, %d)", i, ev.at, ev.seq, ring[i-1].at, ring[i-1].seq)
+		}
+	}
+	return ""
+}
+
+// compareFleets fails t unless got, a kernel fleet's outcome, reproduces
+// want, the reference's: every server counter, the engine's executed and
+// peak-pending counts and every host's reports, CPU seconds, speed-down
+// and saboteur turn. The kernel's calendar must never have held a late
+// return, nor its ring broken its invariants.
+func compareFleets(t *testing.T, name string, got, want fleetOutcome) {
+	t.Helper()
+	for i := range want.stats {
+		if got.stats[i] != want.stats[i] {
+			t.Errorf("%s server %d stats:\n got %+v\nwant %+v", name, i, got.stats[i], want.stats[i])
+		}
+	}
+	if got.executed != want.executed || got.maxPending != want.maxPending {
+		t.Errorf("%s engine: executed %d/%d, peak pending %d/%d",
+			name, got.executed, want.executed, got.maxPending, want.maxPending)
+	}
+	if got.calendarLate != 0 {
+		t.Errorf("%s: the calendar held a late return %d times", name, got.calendarLate)
+	}
+	if got.ringFault != "" {
+		t.Errorf("%s: the idle-retry ring %s", name, got.ringFault)
+	}
+	if len(got.speeds) != len(want.speeds) {
+		t.Fatalf("%s: %d hosts joined, want %d", name, len(got.speeds), len(want.speeds))
+	}
+	for i := range want.speeds {
+		if got.reports[i] != want.reports[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
+			got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
+			t.Fatalf("%s host %d: reports %d/%d cpu %v/%v speed %v/%v turned %v/%v", name, i,
+				got.reports[i], want.reports[i], got.cpuSpent[i], want.cpuSpent[i],
+				got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
+		}
+	}
+}
+
 // TestKernelMatchesReferenceFleet is the differential oracle: the kernel
 // reproduces the reference fleet's every server counter, engine count and
 // per-host outcome (reports, CPU seconds, speed-down, saboteur turn),
@@ -348,7 +435,10 @@ func lateInCalendar(k *ShardKernel) int {
 // minute, the campaign's floor, every fetch and task-done continuation
 // waits in the calendar; at two weeks 97 % of them wait in the engine's
 // heap. At every width a late return waits in the heap, its assignment
-// riding the heap event's ref, and never in the calendar.
+// riding the heap event's ref, and never in the calendar. Every half hour
+// the kernel's idle-retry ring must hold only fetches, in strictly
+// increasing (time, seq) order; and a run whose hosts went idle at the
+// flat IdleRetry must have put some of those retries on it.
 func TestKernelMatchesReferenceFleet(t *testing.T) {
 	late := diffFleetConfig()
 	late.LateDelayMax = 20 * sim.Minute
@@ -362,35 +452,17 @@ func TestKernelMatchesReferenceFleet(t *testing.T) {
 		{"late-returns", late, 40 * sim.Minute, []float64{sim.Minute, 1.5 * sim.Hour, 2 * sim.Week}},
 	} {
 		for _, muxed := range []bool{false, true} {
-			want := runDiff(t, muxed, tc.deadline, refFleetUnder(tc.cfg, 404))
-			if s := want.stats[0]; s.Received == 0 || s.Invalid == 0 || s.TimedOut == 0 || want.late == 0 {
-				t.Fatalf("%s muxed=%v: reference run too quiet to compare: %d late returns, %+v", tc.name, muxed, want.late, s)
+			want := runDiff(muxed, tc.deadline, refFleetUnder(tc.cfg, 404))
+			if s := want.stats[0]; s.Received == 0 || s.Invalid == 0 || s.TimedOut == 0 || want.late == 0 || want.flat == 0 {
+				t.Fatalf("%s muxed=%v: reference run too quiet to compare: %d late returns, %d flat idle retries, %+v",
+					tc.name, muxed, want.late, want.flat, s)
 			}
 			for _, w := range tc.windows {
 				name := fmt.Sprintf("%s muxed=%v window=%gs", tc.name, muxed, w)
-				got := runDiff(t, muxed, tc.deadline, kernelUnder(tc.cfg, 404, w))
-				for i := range want.stats {
-					if got.stats[i] != want.stats[i] {
-						t.Errorf("%s server %d stats:\n got %+v\nwant %+v", name, i, got.stats[i], want.stats[i])
-					}
-				}
-				if got.executed != want.executed || got.maxPending != want.maxPending {
-					t.Errorf("%s engine: executed %d/%d, peak pending %d/%d",
-						name, got.executed, want.executed, got.maxPending, want.maxPending)
-				}
-				if got.calendarLate != 0 {
-					t.Errorf("%s: the calendar held a late return %d times", name, got.calendarLate)
-				}
-				if len(got.speeds) != len(want.speeds) {
-					t.Fatalf("%s: %d hosts joined, want %d", name, len(got.speeds), len(want.speeds))
-				}
-				for i := range want.speeds {
-					if got.reports[i] != want.reports[i] || got.cpuSpent[i] != want.cpuSpent[i] ||
-						got.speeds[i] != want.speeds[i] || got.turned[i] != want.turned[i] {
-						t.Fatalf("%s host %d: reports %d/%d cpu %v/%v speed %v/%v turned %v/%v", name, i,
-							got.reports[i], want.reports[i], got.cpuSpent[i], want.cpuSpent[i],
-							got.speeds[i], want.speeds[i], got.turned[i], want.turned[i])
-					}
+				got := runDiff(muxed, tc.deadline, kernelUnder(tc.cfg, 404, w))
+				compareFleets(t, name, got, want)
+				if got.ringSeen == 0 {
+					t.Errorf("%s: %d flat idle retries, and the ring held none at any checkpoint", name, want.flat)
 				}
 			}
 		}
