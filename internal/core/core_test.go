@@ -234,3 +234,17 @@ func TestRunExperiments(t *testing.T) {
 			q1.Redundancy.Mean, base2.Redundancy.Mean)
 	}
 }
+
+var systemSink *System
+
+// BenchmarkNewHCMD times the canonical system build every binary, test and
+// benchmark set-up makes: the 168-protein benchmark and its calibrated
+// cost matrix.
+//
+//	go test -run '^$' -bench BenchmarkNewHCMD -benchmem ./internal/core
+func BenchmarkNewHCMD(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		systemSink = NewHCMD()
+	}
+}

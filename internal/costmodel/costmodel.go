@@ -19,6 +19,16 @@
 //     the receptor-size correlation that makes 10 proteins carry ~30 % of
 //     the total processing time.
 //
+// Synthesize bisects the correlation a in two stages. Each step decides
+// from an O(n) total built on precomputed row sums, and falls back to
+// building the full matrix only when that total lies within a margin δ
+// (1e-9 relative up to 168 proteins, growing with n²) of the stop
+// threshold. δ is at least ten times the rounding bound between the two
+// totals, about 2(n² + 6n)·2⁻⁵³ (derived on Synthesize), so every step
+// decides as a full build at that step would, and the matrix, built once
+// at the final midpoint, has the bits a bisection that builds the full
+// matrix at each of its up to 60 steps returns.
+//
 // Matrix entries are in seconds on the reference processor, per starting
 // position (the 21-rotation sweep included). Formula (1) in the paper is
 // written as Σ Nsep(p1)·21·ct_iter(p1,p2) with ct_iter the per-rotation
@@ -189,7 +199,56 @@ type SynthesizeOptions struct {
 // normal noise, b and σw are fixed shape parameters, a controls the
 // receptor-size correlation and is solved by bisection so the Nsep-weighted
 // total hits the target, and C scales the arithmetic mean to 671 s.
+//
+// The bisection runs in two stages and returns the same bits as building
+// the full matrix at every step (build, the exact path). A step needs only
+// two decisions: whether TotalWork lies within 1e-6·target of the target
+// (stop), and on which side of it (move lo or hi). Since the exponent
+// splits by rows, e^(a·z_i) factors out of row i, and with the row sums
+// C_i = Σ_j exp(b·z_j + σw·ε_ij), drawn once, the total is
+//
+//	tw′(a) = mean·n² · Σ_i Nsep_i·e^(a·z_i)·C_i / Σ_i e^(a·z_i)·C_i,
+//
+// n Exp calls a step instead of n². tw′ and build's float total tw differ
+// only by rounding. With u = 2⁻⁵³, X a bound on every exponent's magnitude
+// |a·z_i| + b·|z_j| + σw·|ε_ij| over a ∈ [0, 3], and math.Exp within 2 ulps
+// (4u), to first order in u:
+//
+//   - build rounds each term by at most (3X + 4)u (three roundings of an
+//     exponent of magnitude ≤ X, then Exp), its n²-term mean sum by
+//     (n² − 1)u, its row and weighted sums by 2(n − 1)u, and the scale and
+//     products by 4u more. The term errors reach both the numerator and
+//     the denominator of its ratio, and the two add, so
+//     |tw − T| ≤ (n² + 2n + 6X + 9)·u·T, T the total in exact arithmetic;
+//   - tw′ rounds each w_i = e^(a·z_i)·C_i by at most (2X + 9)u + (n − 1)u,
+//     each of its two outer sums by (n − 1)u, and the quotient and scale by
+//     4u, so |tw′ − T| ≤ (4n + 4X + 18)·u·T.
+//
+// Every term is positive, so no sum cancels, and every rounding is relative
+// while nothing underflows or overflows, which the fast stage checks before
+// it starts: X ≤ 200 and mean and target within [2⁻⁴⁰⁰, 2⁴⁰⁰]. Hence
+// |tw − tw′| ≤ E·tw′ with E = 2(n² + 6n + 10X + 32)·u, the factor 2 covering
+// the second-order terms and the change of base from T to tw′.
+//
+// The margin is δ = 1e-9·max(1, n²/168²): at least 10·E for every n when
+// X ≤ 200 (about 150·E at n = 168, where X is about 9). If |tw′ − target|
+// lies outside [1e-6 − δ, 1e-6 + δ]·target, tw′ makes both decisions as tw
+// would. Below the band, tw′ < 2·target, so |tw − tw′| < 2E·target < δ·target
+// and tw is inside the stop threshold too. Above it, either tw′ ≤ 2·target,
+// and then tw lies more than 1e-6·target from the target on tw′'s side, or
+// tw′ > 2·target and tw ≥ (1 − E)·tw′ is far above it. Inside the band, when
+// tw′ is not finite or when the checks fail, the step calls build and
+// decides from tw exactly as the one-stage bisection did. The matrix
+// returned is always build of the final midpoint, whether the loop stopped
+// at the threshold or ran its 60 steps.
 func Synthesize(ds *protein.Dataset, opts SynthesizeOptions) *Matrix {
+	m, _, _ := synthesize(ds, opts)
+	return m
+}
+
+// synthesize is Synthesize, also returning how many bisection steps ran and
+// how many of them called build.
+func synthesize(ds *protein.Dataset, opts SynthesizeOptions) (m *Matrix, steps, exact int) {
 	n := ds.Len()
 	mean := opts.MeanSeconds
 	if mean <= 0 {
@@ -230,8 +289,9 @@ func Synthesize(ds *protein.Dataset, opts SynthesizeOptions) *Matrix {
 		eps[i] = r.NormFloat64()
 	}
 
-	build := func(a float64) (*Matrix, float64) {
-		m := NewMatrix(n)
+	// build fills m with the matrix at a and returns its TotalWork.
+	m = NewMatrix(n)
+	build := func(a float64) float64 {
 		var sum float64
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -245,18 +305,55 @@ func Synthesize(ds *protein.Dataset, opts SynthesizeOptions) *Matrix {
 		for k := range m.ct {
 			m.ct[k] *= c
 		}
-		return m, m.TotalWork(ds)
+		return m.TotalWork(ds)
+	}
+
+	// The row sums C_i, and the bound X on every exponent's magnitude.
+	rows := make([]float64, n)
+	var zmax, emax float64
+	for _, v := range z {
+		zmax = max(zmax, math.Abs(v))
+	}
+	for i := range rows {
+		var c float64
+		for j, e := range eps[i*n : (i+1)*n] {
+			c += math.Exp(b*z[j] + sigmaW*e)
+			emax = max(emax, math.Abs(e))
+		}
+		rows[i] = c
+	}
+	fast := (3+b)*zmax+sigmaW*emax <= 200 && inCalibrationRange(mean) && inCalibrationRange(target)
+	delta := calibrationMargin(n)
+	// decided returns tw′(a) and whether it makes both of the step's
+	// decisions as build's total would.
+	decided := func(a float64) (float64, bool) {
+		if !fast {
+			return 0, false
+		}
+		var num, den float64
+		for i, p := range ds.Proteins {
+			w := math.Exp(a*z[i]) * rows[i]
+			num += float64(p.Nsep) * w
+			den += w
+		}
+		tw := mean * float64(n*n) * (num / den)
+		d := math.Abs(tw - target)
+		return tw, !math.IsInf(tw, 0) && !math.IsNaN(tw) && (d < (1e-6-delta)*target || d > (1e-6+delta)*target)
 	}
 
 	// Bisect a so TotalWork hits the target. The weighted total is
 	// monotonically increasing in a (more receptor-size correlation pushes
 	// work toward large-Nsep rows).
 	lo, hi := 0.0, 3.0
-	var m *Matrix
-	for iter := 0; iter < 60; iter++ {
-		a := (lo + hi) / 2
-		var tw float64
-		m, tw = build(a)
+	var a float64
+	for steps < 60 {
+		steps++
+		a = (lo + hi) / 2
+		tw, ok := decided(a)
+		if !ok {
+			tw = build(a)
+			exact++
+		}
 		if math.Abs(tw-target) <= 1e-6*target {
 			break
 		}
@@ -266,8 +363,20 @@ func Synthesize(ds *protein.Dataset, opts SynthesizeOptions) *Matrix {
 			hi = a
 		}
 	}
-	return m
+	build(a)
+	return m, steps, exact
 }
+
+// calibrationMargin is Synthesize's margin δ around the stop threshold for
+// an n-protein dataset: 1e-9, growing with n² beyond the benchmark's size.
+func calibrationMargin(n int) float64 {
+	const full = float64(protein.BenchmarkSize * protein.BenchmarkSize)
+	return 1e-9 * max(1, float64(n)*float64(n)/full)
+}
+
+// inCalibrationRange reports whether a mean or target keeps every
+// intermediate of Synthesize's two totals a normal float.
+func inCalibrationRange(v float64) bool { return v >= 0x1p-400 && v <= 0x1p400 }
 
 // SynthesizeHCMD returns the canonical calibrated matrix for the HCMD-168
 // benchmark (the one every experiment in EXPERIMENTS.md uses).

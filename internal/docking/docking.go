@@ -69,11 +69,12 @@ func InteractionEnergy(receptor, ligand *protein.Protein, pose Pose) Energy {
 	rot := protein.EulerZYZ(pose.Alpha, pose.Beta, pose.Gamma)
 	var e Energy
 	const cutoff2 = Cutoff * Cutoff
-	for li := range ligand.Beads {
-		lb := &ligand.Beads[li]
+	lbeads, rbeads := ligand.Beads(), receptor.Beads()
+	for li := range lbeads {
+		lb := &lbeads[li]
 		lpos := rot.Apply(lb.Pos).Add(pose.Pos)
-		for ri := range receptor.Beads {
-			rb := &receptor.Beads[ri]
+		for ri := range rbeads {
+			rb := &rbeads[ri]
 			d := lpos.Sub(rb.Pos)
 			r2 := d.Norm2()
 			if r2 > cutoff2 {
@@ -103,7 +104,7 @@ func OrientationGrid(irot, igamma int) (alpha, beta, gamma float64) {
 	if igamma < 1 || igamma > protein.NGamma {
 		panic(fmt.Sprintf("docking: igamma %d out of range [1,%d]", igamma, protein.NGamma))
 	}
-	dir := protein.FibonacciSphere(protein.NRotWorkunit)[irot-1]
+	dir := protein.FibonacciPoint(irot-1, protein.NRotWorkunit)
 	beta = math.Acos(clamp(dir.Z, -1, 1))
 	alpha = math.Atan2(dir.Y, dir.X)
 	gamma = 2 * math.Pi * float64(igamma-1) / float64(protein.NGamma)
@@ -180,7 +181,7 @@ func (p MinimizeParams) withDefaults() MinimizeParams {
 // deterministic: identical inputs give identical outputs (§4.1 property 1).
 func Dock(receptor, ligand *protein.Protein, isep, irot int, params MinimizeParams) Result {
 	p := params.withDefaults()
-	start := receptor.SeparationPoint(isep, ligand.Radius+Clearance)
+	start := receptor.SeparationPoint(isep, ligand.Radius()+Clearance)
 	best := Result{ISep: isep, IRot: irot, Energy: Energy{LJ: math.Inf(1)}}
 	bestTotal := math.Inf(1)
 	for ig := 1; ig <= p.GammaSub; ig++ {

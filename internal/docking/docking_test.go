@@ -24,7 +24,7 @@ var fastParams = MinimizeParams{MaxIter: 8, GammaSub: 2}
 
 func TestEnergyReproducible(t *testing.T) {
 	rec, lig := smallPair(t)
-	pose := Pose{Pos: Vec3{X: rec.Radius + lig.Radius + 2}}
+	pose := Pose{Pos: Vec3{X: rec.Radius() + lig.Radius() + 2}}
 	e1 := InteractionEnergy(rec, lig, pose)
 	e2 := InteractionEnergy(rec, lig, pose)
 	if e1 != e2 {
@@ -58,7 +58,7 @@ func TestEnergyContactAttractiveLJ(t *testing.T) {
 	// Near-contact separation: LJ should not be hugely repulsive, and for
 	// some orientation it should dip negative (attraction well exists).
 	found := false
-	for sep := rec.Radius + lig.Radius; sep < rec.Radius+lig.Radius+8; sep += 0.5 {
+	for sep := rec.Radius() + lig.Radius(); sep < rec.Radius()+lig.Radius()+8; sep += 0.5 {
 		e := InteractionEnergy(rec, lig, Pose{Pos: Vec3{X: sep}})
 		if e.LJ < 0 {
 			found = true
@@ -94,7 +94,7 @@ func TestDockReproducible(t *testing.T) {
 func TestDockImprovesOnStart(t *testing.T) {
 	rec, lig := smallPair(t)
 	isep, irot := 2, 1
-	start := rec.SeparationPoint(isep, lig.Radius+Clearance)
+	start := rec.SeparationPoint(isep, lig.Radius()+Clearance)
 	alpha, beta, gamma := OrientationGrid(irot, 1)
 	e0 := InteractionEnergy(rec, lig, Pose{Pos: start, Alpha: alpha, Beta: beta, Gamma: gamma})
 	res := Dock(rec, lig, isep, irot, MinimizeParams{MaxIter: 40, GammaSub: 1})
@@ -232,7 +232,7 @@ func TestMinimizeParamsDefaults(t *testing.T) {
 func BenchmarkInteractionEnergy(b *testing.B) {
 	d := protein.Generate(2, 5)
 	rec, lig := d.Proteins[0], d.Proteins[1]
-	pose := Pose{Pos: Vec3{X: rec.Radius + lig.Radius}}
+	pose := Pose{Pos: Vec3{X: rec.Radius() + lig.Radius()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = InteractionEnergy(rec, lig, pose)

@@ -52,22 +52,28 @@ func EulerZYZ(alpha, beta, gamma float64) Matrix3 {
 
 // FibonacciSphere returns n approximately evenly distributed unit vectors,
 // generated by the golden-spiral construction. It is deterministic and is
-// used both for bead placement and for the ligand starting-position grid.
+// used for bead placement.
 func FibonacciSphere(n int) []Vec3 {
 	if n <= 0 {
 		return nil
 	}
 	pts := make([]Vec3, n)
-	if n == 1 {
-		pts[0] = Vec3{0, 0, 1}
-		return pts
-	}
-	golden := math.Pi * (3 - math.Sqrt(5))
-	for i := 0; i < n; i++ {
-		z := 1 - 2*float64(i)/float64(n-1)
-		r := math.Sqrt(math.Max(0, 1-z*z))
-		th := golden * float64(i)
-		pts[i] = Vec3{r * math.Cos(th), r * math.Sin(th), z}
+	for i := range pts {
+		pts[i] = FibonacciPoint(i, n)
 	}
 	return pts
+}
+
+// FibonacciPoint returns point i (0-based) of FibonacciSphere(n) without
+// building the others: one direction of the ligand starting-position grid
+// or of the orientation grid.
+func FibonacciPoint(i, n int) Vec3 {
+	if n == 1 {
+		return Vec3{0, 0, 1}
+	}
+	golden := math.Pi * (3 - math.Sqrt(5))
+	z := 1 - 2*float64(i)/float64(n-1)
+	r := math.Sqrt(math.Max(0, 1-z*z))
+	th := golden * float64(i)
+	return Vec3{r * math.Cos(th), r * math.Sin(th), z}
 }

@@ -16,8 +16,8 @@ func WritePDB(w io.Writer, p *Protein) error {
 	if _, err := fmt.Fprintf(bw, "HEADER    REDUCED MODEL %s\n", p.Name); err != nil {
 		return fmt.Errorf("protein: writing PDB header: %w", err)
 	}
-	fmt.Fprintf(bw, "REMARK    NSEP %d RADIUS %.3f\n", p.Nsep, p.Radius)
-	for i, b := range p.Beads {
+	fmt.Fprintf(bw, "REMARK    NSEP %d RADIUS %.3f\n", p.Nsep, p.Radius())
+	for i, b := range p.Beads() {
 		// PDB fixed columns: serial, name, resName, chain, resSeq, x y z,
 		// occupancy (radius), tempFactor (charge).
 		fmt.Fprintf(bw, "HETATM%5d  CA  BEA A%4d    %8.3f%8.3f%8.3f%6.2f%6.2f\n",

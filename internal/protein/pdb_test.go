@@ -28,19 +28,23 @@ func TestPDBRoundTrip(t *testing.T) {
 		if got.Nsep != p.Nsep {
 			t.Fatalf("nsep %d, want %d", got.Nsep, p.Nsep)
 		}
-		if len(got.Beads) != len(p.Beads) {
-			t.Fatalf("beads %d, want %d", len(got.Beads), len(p.Beads))
+		if len(got.Beads) != p.NumBeads() {
+			t.Fatalf("beads %d, want %d", len(got.Beads), p.NumBeads())
 		}
+		if math.Abs(got.Radius-p.Radius()) > 5e-4 {
+			t.Fatalf("radius %v, want %v", got.Radius, p.Radius())
+		}
+		want := p.Beads()
 		for i := range got.Beads {
 			// PDB columns carry 3 decimals for coordinates, 2 for the rest.
-			if math.Abs(got.Beads[i].Pos.X-p.Beads[i].Pos.X) > 5e-4 {
-				t.Fatalf("bead %d x: %v vs %v", i, got.Beads[i].Pos.X, p.Beads[i].Pos.X)
+			if math.Abs(got.Beads[i].Pos.X-want[i].Pos.X) > 5e-4 {
+				t.Fatalf("bead %d x: %v vs %v", i, got.Beads[i].Pos.X, want[i].Pos.X)
 			}
-			if math.Abs(got.Beads[i].Charge-p.Beads[i].Charge) > 5e-3 {
-				t.Fatalf("bead %d charge: %v vs %v", i, got.Beads[i].Charge, p.Beads[i].Charge)
+			if math.Abs(got.Beads[i].Charge-want[i].Charge) > 5e-3 {
+				t.Fatalf("bead %d charge: %v vs %v", i, got.Beads[i].Charge, want[i].Charge)
 			}
-			if math.Abs(got.Beads[i].Radius-p.Beads[i].Radius) > 5e-3 {
-				t.Fatalf("bead %d radius: %v vs %v", i, got.Beads[i].Radius, p.Beads[i].Radius)
+			if math.Abs(got.Beads[i].Radius-want[i].Radius) > 5e-3 {
+				t.Fatalf("bead %d radius: %v vs %v", i, got.Beads[i].Radius, want[i].Radius)
 			}
 		}
 	}
@@ -87,12 +91,20 @@ func TestParsePDBErrors(t *testing.T) {
 	}
 }
 
+// parsedPDB is what parsePDB recovers of a protein.
+type parsedPDB struct {
+	Name   string
+	Nsep   int
+	Radius float64
+	Beads  []Bead
+}
+
 // parsePDB reads a protein written by WritePDB back, the oracle of the
 // round-trip test. Only the fields WritePDB emits are recovered; the name
 // comes from the HEADER record.
-func parsePDB(r io.Reader) (*Protein, error) {
+func parsePDB(r io.Reader) (*parsedPDB, error) {
 	sc := bufio.NewScanner(r)
-	p := &Protein{}
+	p := &parsedPDB{}
 	for sc.Scan() {
 		line := sc.Text()
 		switch {

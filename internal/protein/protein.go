@@ -21,11 +21,14 @@
 //
 // The bead geometry is genuine (beads packed in a ball, alternating partial
 // charges) so the docking kernel computes real interaction energies over it.
+// A protein builds it the first time something reads it, from a seed drawn
+// with the dataset, so a campaign, which reads only Nsep, never pays for it.
 package protein
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -57,17 +60,42 @@ type Bead struct {
 	Charge float64 // partial charge, e
 }
 
-// Protein is a rigid reduced-model protein.
+// Protein is a rigid reduced-model protein. Its name and Nsep are set when
+// the dataset is generated; its bead geometry is built from a stored seed
+// the first time Beads, Radius or NumBeads reads it, since a campaign reads
+// only Nsep. The build runs once per protein and is safe for concurrent
+// readers (every sweep worker shares one dataset). A Protein must not be
+// copied.
 type Protein struct {
-	ID     int     // index in the benchmark, 0-based
-	Name   string  // synthetic PDB-like identifier
-	Beads  []Bead  // pseudo-atoms in the body frame, centered on the mass center
-	Radius float64 // bounding radius of the bead set, Å
-	Nsep   int     // number of ligand starting positions around this protein as receptor
+	ID   int    // index in the benchmark, 0-based
+	Name string // synthetic PDB-like identifier
+	Nsep int    // number of ligand starting positions around this protein as receptor
+
+	geomSeed uint64 // seeds the bead geometry
+	geomOnce sync.Once
+	beads    []Bead
+	radius   float64
+}
+
+// Beads returns the pseudo-atoms in the body frame, centered on the mass
+// center. The slice is shared by every caller; do not modify it.
+func (p *Protein) Beads() []Bead {
+	p.geomOnce.Do(p.buildGeometry)
+	return p.beads
+}
+
+// Radius returns the bounding radius of the bead set, Å.
+func (p *Protein) Radius() float64 {
+	p.geomOnce.Do(p.buildGeometry)
+	return p.radius
 }
 
 // NumBeads returns the number of pseudo-atoms.
-func (p *Protein) NumBeads() int { return len(p.Beads) }
+func (p *Protein) NumBeads() int { return len(p.Beads()) }
+
+func (p *Protein) buildGeometry() {
+	p.beads, p.radius = geometry(p.Nsep, rng.New(p.geomSeed))
+}
 
 // SeparationPoint returns starting position isep (1-based, as the paper
 // indexes) with the given clearance.
@@ -75,8 +103,7 @@ func (p *Protein) SeparationPoint(isep int, clearance float64) Vec3 {
 	if isep < 1 || isep > p.Nsep {
 		panic(fmt.Sprintf("protein: isep %d out of range [1,%d] for %s", isep, p.Nsep, p.Name))
 	}
-	dirs := FibonacciSphere(p.Nsep)
-	return dirs[isep-1].Scale(p.Radius + clearance)
+	return FibonacciPoint(isep-1, p.Nsep).Scale(p.Radius() + clearance)
 }
 
 // Dataset is a protein benchmark: an ordered set of proteins plus its Nsep
@@ -125,6 +152,11 @@ func HCMD168() *Dataset { return Generate(BenchmarkSize, DefaultSeed) }
 // For n = BenchmarkSize the Nsep table is rescaled to sum exactly to
 // TotalNsep; for other n the sum scales proportionally (used by scaled-down
 // tests).
+//
+// Each protein's geometry seed is drawn here, one value of the geometry
+// stream per protein in order, and the beads are built from it on first
+// use (see Protein): the same bits an eager build would give, without the
+// cost for the proteins nobody docks.
 func Generate(n int, seed uint64) *Dataset {
 	if n <= 0 {
 		panic("protein: benchmark size must be positive")
@@ -134,7 +166,12 @@ func Generate(n int, seed uint64) *Dataset {
 	d := &Dataset{Proteins: make([]*Protein, n)}
 	geomRng := r.Split()
 	for i := 0; i < n; i++ {
-		d.Proteins[i] = synthesize(i, nseps[i], geomRng.Split())
+		d.Proteins[i] = &Protein{
+			ID:       i,
+			Name:     fmt.Sprintf("HCMD%03d", i+1),
+			Nsep:     nseps[i],
+			geomSeed: geomRng.Uint64(),
+		}
 	}
 	return d
 }
@@ -215,10 +252,11 @@ func calibratedNsep(n int, r *rng.Source) []int {
 	return ints
 }
 
-// synthesize builds the bead geometry of one protein. The bead count scales
-// with Nsep (larger surface ⇒ more starting positions ⇒ bigger protein), so
-// kernel run time correlates with Nsep exactly as the paper's matrix does.
-func synthesize(id, nsep int, r *rng.Source) *Protein {
+// geometry builds the bead geometry of one protein and its bounding radius.
+// The bead count scales with Nsep (larger surface ⇒ more starting positions
+// ⇒ bigger protein), so kernel run time correlates with Nsep exactly as the
+// paper's matrix does.
+func geometry(nsep int, r *rng.Source) ([]Bead, float64) {
 	nb := 24 + nsep/40
 	if nb > 260 {
 		nb = 260
@@ -254,13 +292,7 @@ func synthesize(id, nsep int, r *rng.Source) *Protein {
 			maxR = n
 		}
 	}
-	return &Protein{
-		ID:     id,
-		Name:   fmt.Sprintf("HCMD%03d", id+1),
-		Beads:  beads,
-		Radius: maxR,
-		Nsep:   nsep,
-	}
+	return beads, maxR
 }
 
 // NsepHistogramEdges are the bin edges the Figure 2 reproduction uses.

@@ -42,7 +42,7 @@ func TestHCMD168Deterministic(t *testing.T) {
 		if pa.Nsep != pb.Nsep || pa.NumBeads() != pb.NumBeads() {
 			t.Fatalf("protein %d differs across generations", i)
 		}
-		if pa.Beads[0].Pos != pb.Beads[0].Pos {
+		if pa.Beads()[0].Pos != pb.Beads()[0].Pos {
 			t.Fatalf("bead geometry differs for protein %d", i)
 		}
 	}
@@ -80,7 +80,7 @@ func TestProteinGeometry(t *testing.T) {
 		}
 		// Mass-centered.
 		var c Vec3
-		for _, b := range p.Beads {
+		for _, b := range p.Beads() {
 			c = c.Add(b.Pos)
 		}
 		c = c.Scale(1 / float64(p.NumBeads()))
@@ -89,7 +89,7 @@ func TestProteinGeometry(t *testing.T) {
 		}
 		// Near-neutral.
 		var q float64
-		for _, b := range p.Beads {
+		for _, b := range p.Beads() {
 			q += b.Charge
 		}
 		if math.Abs(q) > 1e-9 {
@@ -97,13 +97,13 @@ func TestProteinGeometry(t *testing.T) {
 		}
 		// Radius is the actual bounding radius.
 		maxR := 0.0
-		for _, b := range p.Beads {
+		for _, b := range p.Beads() {
 			if n := b.Pos.Norm(); n > maxR {
 				maxR = n
 			}
 		}
-		if math.Abs(maxR-p.Radius) > 1e-9 {
-			t.Fatalf("%s radius %v, beads extend to %v", p.Name, p.Radius, maxR)
+		if math.Abs(maxR-p.Radius()) > 1e-9 {
+			t.Fatalf("%s radius %v, beads extend to %v", p.Name, p.Radius(), maxR)
 		}
 	}
 }
@@ -128,7 +128,7 @@ func TestBeadCountCorrelatesWithNsep(t *testing.T) {
 func TestSeparationPoints(t *testing.T) {
 	p := Generate(4, 5).Proteins[0]
 	const clearance = 5.0
-	wantR := p.Radius + clearance
+	wantR := p.Radius() + clearance
 	seen := make(map[Vec3]bool, p.Nsep)
 	for isep := 1; isep <= p.Nsep; isep++ {
 		pt := p.SeparationPoint(isep, clearance)

@@ -144,9 +144,21 @@ func (a *event) observer() bool {
 // inline (container/heap pays an interface call per Less/Swap).
 type eventHeap []event
 
+// push adds ev. A full heap doubles its backing array: append grows a
+// slice only about 1.25× a step past 256 elements, so a heap that fills to
+// hundreds of thousands of events would allocate several times its final
+// array. The capacity stays a power of two, below twice the heap's peak,
+// since a pooled runner retains the array it ends with.
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, event{})
-	h.up(len(*h)-1, ev)
+	q := *h
+	if len(q) == cap(q) {
+		grown := make(eventHeap, len(q), max(2*cap(q), 1))
+		copy(grown, q)
+		q = grown
+	}
+	q = q[:len(q)+1]
+	*h = q
+	q.up(len(q)-1, ev)
 }
 
 // up moves ev from the hole at i toward the root until its parent precedes
