@@ -183,7 +183,9 @@ func TestReportsThePoolItStarts(t *testing.T) {
 // one-value fault options became constants; at this scale each scenario's
 // own mechanism reads non-zero (downtime, lost uploads, churned hosts,
 // recovery lag). Like the report goldens they are tied to the generator's
-// float stream (go1.24 linux/amd64 at record time).
+// float stream (go1.24 linux/amd64 at record time) and so to an FMA CPU:
+// amd64's math.Exp takes an FMA path when the CPU has FMA, and under
+// GODEBUG=cpu.fma=off these hashes fail (ROADMAP item 17).
 var goldenSweepFiles = map[string]map[string]string{
 	"corun": {
 		"gridsweep.json": "6959a81a76f43f92da30081964e7c60fb25a4a418c15904c8865c187e9bc7d7c",

@@ -93,7 +93,6 @@ var unreachedAllowed = []struct{ name, kind, why string }{
 	{"volunteer.Mux.Projects", "hook", "mux tests read the attachment table"},
 	{"volunteer.Mux.Share", "hook", "mux tests read a tenant's share"},
 	{"volunteer.Mux.Debts", "hook", "mux tests check that debts stay zero-sum"},
-	{"volunteer.PortableKernel.RingDue", "hook", "snapshot tests count idle retries due in the armed window"},
 	{"wcg.Server.Deadline", "hook", "deadline tests read the policy's value"},
 
 	// Test harness entry points: tests step the engine and the server

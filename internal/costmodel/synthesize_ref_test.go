@@ -125,6 +125,13 @@ func matrixDigest(m *Matrix) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// TestSynthesizeMatchesReferenceAtCanonicalSeeds pins the canonical
+// matrices bit for bit against the reference bisection, and their SHA-256
+// digests, which were recorded with go1.24 on linux/amd64. amd64's
+// math.Exp takes an FMA path when the CPU has FMA, so the digests also
+// assume an FMA CPU: under GODEBUG=cpu.fma=off, or with 386's pure-Go
+// Exp, the matrices' last bits and the digests change (ROADMAP item 17),
+// while the comparison with the reference still holds.
 func TestSynthesizeMatchesReferenceAtCanonicalSeeds(t *testing.T) {
 	ds := protein.HCMD168()
 	for _, c := range []struct {

@@ -19,7 +19,9 @@ import (
 // row and wrote whole lines in blocks, so they anchor the export's bytes
 // and line order against the renderer it replaced. Like the report
 // goldens, they are tied to the generator's float stream (go1.24
-// linux/amd64 at record time).
+// linux/amd64 at record time) and so to an FMA CPU: amd64's math.Exp
+// takes an FMA path when the CPU has FMA, and under GODEBUG=cpu.fma=off
+// these hashes fail (ROADMAP item 17).
 const (
 	goldenSweepMetricsNDJSON = "707413232845e3d0d4e20d39bfa2f2a0bd59ece3fdd301ed1deb6ec2c4e8ab77"
 	goldenSweepTraceNDJSON   = "886f1dfe1430aa2dcb937fce03141b9736c1f23e10d5f8bbdc415d2c444d4b31"

@@ -470,8 +470,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 			eng, src, p := newPlane(maintenance)
 			as := []*wcg.Assignment{{}, {}, {}}
 			spoolThree(eng, p, as)
-			if eng.Pending() != 1 {
-				t.Fatalf("%d events pending, want the one spool drain", eng.Pending())
+			if eng.Counters().Pending != 1 {
+				t.Fatalf("%d events pending, want the one spool drain", eng.Counters().Pending)
 			}
 			eng.RunUntil(end - sim.Minute)
 			if src.delivered != 0 || p.Stats.Deferred != 3 {
@@ -492,8 +492,8 @@ func TestOutageGateAndSpool(t *testing.T) {
 			eng.AdvanceTo(off - 15*sim.Minute) // the retry fires 15 to 45 min later, in the window
 			p.CompleteFrom(a, wcg.OutcomeValid, 1, host)
 			eng.RunUntil(off + 30*sim.Minute)
-			if p.Stats.LostUploads != 1 || p.Stats.RetriedUploads != 1 || eng.Pending() != 1 {
-				t.Fatalf("retry not fired once inside the window: %+v, %d events pending", p.Stats, eng.Pending())
+			if p.Stats.LostUploads != 1 || p.Stats.RetriedUploads != 1 || eng.Counters().Pending != 1 {
+				t.Fatalf("retry not fired once inside the window: %+v, %d events pending", p.Stats, eng.Counters().Pending)
 			}
 			if src.delivered != 0 || p.Stats.Deferred != 1 {
 				t.Fatalf("retried result delivered inside the window (%d delivered, %d deferred)", src.delivered, p.Stats.Deferred)
@@ -525,9 +525,9 @@ func TestOutageGateAndSpool(t *testing.T) {
 			p2.Reset(eng2, src2, maintenance.Normalized(), seed, sim.Week)
 			src2.delivered, src2.log = 0, nil
 			p2.AdoptPortable(ps, srv.AssignmentAt)
-			eng2.AdoptState(eng.ExportState())
+			eng2.AdoptState(eng.Counters())
 			for _, pe := range evs { // the spool drain, which the plane handles
-				eng2.AdoptEvent(pe.At, pe.Seq, pe.Call, p2, nil)
+				eng2.AdoptEvent(pe, p2, nil)
 			}
 			eng.RunUntil(end)
 			eng2.RunUntil(end)

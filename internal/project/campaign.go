@@ -309,9 +309,10 @@ type Campaign struct {
 	// alive would otherwise pin every arena chunk of the finished run.
 	pooled bool
 
-	// Run-phase tickers, installed by start (or rebuilt dormant by snapshot
-	// adoption) and stopped by runOut. Struct fields, not Run locals, so a
-	// fork's runOut stops the tickers of whichever context it runs on.
+	// Run-phase tickers, installed by start (or armed with their adopted
+	// ticks by snapshot adoption) and stopped by runOut. Struct fields,
+	// not Run locals, so a fork's runOut stops the tickers of whichever
+	// context it runs on.
 	weekly, daily, churn, sampler *sim.Ticker
 }
 
@@ -633,20 +634,19 @@ func (c *Campaign) start() {
 		t.prepare()
 		t.bind()
 	}
-	probe := c.fleet.Probe
-	c.sampler = c.bindProbe(probe)
+	c.sampler = c.bindProbe(c.fleet.Probe)
 
-	c.weekly = c.engine.Every(0, sim.Week, sim.Call{Kind: sim.CallTickWeekly}, c.weeklyFn(probe))
+	c.weekly = c.engine.Every(0, sim.Week, sim.Call{Kind: sim.CallTickWeekly}, c.weeklyTick)
 	// A daily feeder keeps the queues from draining dry between the weekly
 	// phase adjustments (a server would otherwise starve fast hosts).
-	c.daily = c.engine.Every(sim.Day/2, sim.Day, sim.Call{Kind: sim.CallTickDaily}, c.dailyFn())
+	c.daily = c.engine.Every(sim.Day/2, sim.Day, sim.Call{Kind: sim.CallTickDaily}, c.dailyTick)
 	// Churn: permanent departures paired with replacement joins, sampled
 	// at a fixed cadence so the injection is an ordinary kernel event.
 	// SetTarget stops the oldest hosts and the restore spawns replacements
 	// FIFO from the population seed stream.
 	c.churn = nil
 	if plane := c.activePlane(); plane != nil && plane.ChurnEnabled() {
-		c.churn = c.engine.Every(faults.ChurnOffset, faults.ChurnInterval, sim.Call{Kind: sim.CallTickChurn}, c.churnFn(plane))
+		c.churn = c.engine.Every(faults.ChurnOffset, faults.ChurnInterval, sim.Call{Kind: sim.CallTickChurn}, c.churnTick)
 	}
 }
 
@@ -667,91 +667,86 @@ func (c *Campaign) finished() bool {
 	return true
 }
 
-// weeklyFn builds the weekly tick: Figure 7 captures and completion per
-// tenant, then the fleet target and a feed of every live tenant. The
-// ticker bodies are built by factories rather than inline in start so
-// snapshot adoption can rebuild identical closures on a dormant ticker.
-func (c *Campaign) weeklyFn(probe *obs.Probe) func(sim.Time) {
-	kern, fleet := c.kern, c.fleet
-	return func(now sim.Time) {
-		w := now / sim.Week
-		if c.finished() {
-			return
+// weeklyTick is the weekly tick: Figure 7 captures and completion per
+// tenant, then the fleet target and a feed of every live tenant. The tick
+// methods read the run context as they go, so snapshot adoption arms a
+// ticker with the same method a fresh start does; the fleet's probe is
+// fixed for a run, and nil on every adopted or forked one.
+func (c *Campaign) weeklyTick(now sim.Time) {
+	kern, fleet, probe := c.kern, c.fleet, c.fleet.Probe
+	w := now / sim.Week
+	if c.finished() {
+		return
+	}
+	if probe != nil && c.grid == nil { // a co-run's flat share has no phases
+		if ph := fleet.phaseAt(w); ph != c.t.obsPhase {
+			c.t.obsPhase = ph
+			probe.Emit(now, "phase", obs.Str("phase", ph), obs.Num("share", fleet.Share(w)))
 		}
-		if probe != nil && c.grid == nil { // a co-run's flat share has no phases
-			if ph := fleet.phaseAt(w); ph != c.t.obsPhase {
-				c.t.obsPhase = ph
-				probe.Emit(now, "phase", obs.Str("phase", ph), obs.Num("share", fleet.Share(w)))
-			}
+	}
+	live := 0
+	for _, t := range c.tenants {
+		if t.done {
+			continue
 		}
-		live := 0
-		for _, t := range c.tenants {
-			if t.done {
-				continue
-			}
-			// Figure 7 snapshots (captured at the first tick at/after the mark).
-			for t.snapIdx < len(t.cfg.SnapshotWeeks) && w >= t.cfg.SnapshotWeeks[t.snapIdx] {
-				t.captureSnapshot(w)
-				t.snapIdx++
-			}
-			if !t.allDone() {
-				live++
-				continue
-			}
-			t.done, t.doneWeek = true, w
-			if c.grid != nil && t.probe != nil { // a campaign's completion is its run-end
-				t.emit(now, "tenant-drain", obs.Num("at-week", w))
-			}
-			// Capture any snapshot marks not yet reached: the tenant is
-			// finished, so they all see the final (complete) state.
-			for t.snapIdx < len(t.cfg.SnapshotWeeks) {
-				t.captureSnapshot(t.cfg.SnapshotWeeks[t.snapIdx])
-				t.snapIdx++
-			}
-			if c.grid != nil {
-				c.grid.closeShareWindow(w)
-			}
+		// Figure 7 snapshots (captured at the first tick at/after the mark).
+		for t.snapIdx < len(t.cfg.SnapshotWeeks) && w >= t.cfg.SnapshotWeeks[t.snapIdx] {
+			t.captureSnapshot(w)
+			t.snapIdx++
 		}
-		if live == 0 {
-			kern.SetTarget(0)
-			return
+		if !t.allDone() {
+			live++
+			continue
 		}
-		kern.SetTarget(fleet.hostTarget(w))
-		for _, t := range c.tenants {
-			if !t.done {
-				t.feed(kern.Active())
-			}
+		t.done, t.doneWeek = true, w
+		if c.grid != nil && t.probe != nil { // a campaign's completion is its run-end
+			t.emit(now, "tenant-drain", obs.Num("at-week", w))
+		}
+		// Capture any snapshot marks not yet reached: the tenant is
+		// finished, so they all see the final (complete) state.
+		for t.snapIdx < len(t.cfg.SnapshotWeeks) {
+			t.captureSnapshot(t.cfg.SnapshotWeeks[t.snapIdx])
+			t.snapIdx++
 		}
 		if c.grid != nil {
-			c.grid.watchShareWindow(w, kern.Active())
+			c.grid.closeShareWindow(w)
+		}
+	}
+	if live == 0 {
+		kern.SetTarget(0)
+		return
+	}
+	kern.SetTarget(fleet.hostTarget(w))
+	for _, t := range c.tenants {
+		if !t.done {
+			t.feed(kern.Active())
+		}
+	}
+	if c.grid != nil {
+		c.grid.watchShareWindow(w, kern.Active())
+	}
+}
+
+// dailyTick is the daily feeder tick.
+func (c *Campaign) dailyTick(sim.Time) {
+	for _, t := range c.tenants {
+		if !t.done {
+			t.feed(c.kern.Active())
 		}
 	}
 }
 
-// dailyFn builds the daily feeder tick (factory: see weeklyFn).
-func (c *Campaign) dailyFn() func(sim.Time) {
-	kern := c.kern
-	return func(sim.Time) {
-		for _, t := range c.tenants {
-			if !t.done {
-				t.feed(kern.Active())
-			}
-		}
+// churnTick is the churn tick, armed only on a run whose fault plane
+// churns.
+func (c *Campaign) churnTick(sim.Time) {
+	if c.finished() {
+		return
 	}
-}
-
-// churnFn builds the churn tick (factory: see weeklyFn).
-func (c *Campaign) churnFn(plane *faults.Plane) func(sim.Time) {
 	kern := c.kern
-	return func(sim.Time) {
-		if c.finished() {
-			return
-		}
-		if n := plane.ChurnCount(kern.Active()); n > 0 {
-			a := kern.Active()
-			kern.SetTarget(a - n)
-			kern.SetTarget(a)
-		}
+	if n := c.plane.ChurnCount(kern.Active()); n > 0 {
+		a := kern.Active()
+		kern.SetTarget(a - n)
+		kern.SetTarget(a)
 	}
 }
 
@@ -776,7 +771,8 @@ func (c *Campaign) runOut() {
 func (c *Campaign) finish() *Report {
 	c.t.finishReport()
 	r := &c.t.report
-	r.EventsExecuted, r.PeakPending = c.engine.Executed(), c.engine.MaxPending()
+	n := c.engine.Counters()
+	r.EventsExecuted, r.PeakPending = n.Executed, n.MaxPending
 	r.MeanSpeedDown = c.kern.MeanSpeedDown()
 	r.HostsJoined = c.kern.TotalJoined()
 	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(c.kern, c.ledger)
@@ -799,7 +795,7 @@ func (c *Campaign) endRun(weeks float64) {
 		f := [...]obs.F{
 			obs.Str("completed", boolStr(c.finished())),
 			obs.Num("weeks", weeks),
-			obs.Int("events", int64(c.engine.Executed())),
+			obs.Int("events", int64(c.engine.Counters().Executed)),
 			obs.Int("completed-wus", c.t.server.Stats.Completed),
 		}
 		fields := f[:]

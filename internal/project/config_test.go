@@ -2,6 +2,7 @@ package project
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -143,11 +144,16 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 
 // checkWorkBufferBound checks that build refuses a work buffer deeper than
 // the kernel's one-byte cache count, naming the field — unchecked, 1<<40
-// would have spawn reserve 2^40 cache slots per host — and accepts the
-// deepest one.
+// (where int has 64 bits) would have spawn reserve 2^40 cache slots per
+// host — and accepts the deepest one.
 func checkWorkBufferBound(t *testing.T, base Config, build func(Config)) {
 	t.Helper()
-	for _, depth := range []int{volunteer.MaxWorkBuffer + 1, 1 << 40, volunteer.MaxWorkBuffer} {
+	depths := []int{volunteer.MaxWorkBuffer + 1, volunteer.MaxWorkBuffer}
+	if strconv.IntSize == 64 {
+		huge := uint64(1) << 40 // a variable: the constant would not compile for a 32-bit int
+		depths = append(depths, int(huge))
+	}
+	for _, depth := range depths {
 		cfg := base
 		cfg.Host.WorkBuffer = depth
 		_, p := runChecked(t, func() bool { build(cfg); return true })

@@ -3,6 +3,7 @@ package project
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -244,24 +245,20 @@ func TestMaterializeEveryWeek(t *testing.T) {
 // Materialized every 30 h in the middle of a window (at a window's end
 // every continuation due inside it has run), the snapshots must hold
 // pending late returns — CallHost events with an assignment index; 6
-// across 84 snapshots — and idle retries on the kernel's ring that fall
-// due inside the armed window, where the merge reads the ring beside its
-// buffer and the heap (40 across them); and a runner that adopts any of
-// them must fork(base) to the straight run's bytes.
+// across 84 snapshots — and calendar continuations due inside the armed
+// window, from the armed buffer's unread rest or the idle-retry ring,
+// which the adopter moves into its engine's heap (299 across them);
+// and a runner that adopts any of them must fork(base) to the straight
+// run's bytes.
 func TestMaterializeInsideWindows(t *testing.T) {
-	base := determinismConfig(t, 777)
-	base.ControlWeeks = 0
-	base.HHours = 60
-	base.Host.IdleRetry = 2 * sim.Day
-	base.Server.Deadline = 10 * sim.Hour
-	base.Host.LateDelayMax = sim.Hour
+	base := insideWindowsConfig(t, 777)
 	straight := New(base).Run()
 	end := math.Min(math.Ceil(straight.WeeksElapsed), base.MaxWeeks) * sim.Week
 	want := reportHash(t, straight)
 
 	pub, ad := NewRunner(), NewRunner()
 	pub.Begin(base)
-	late, ringDue := 0, 0
+	late, moved := 0, 0
 	for at := 15 * sim.Hour; at <= end; at += 30 * sim.Hour {
 		pub.RunTo(at)
 		ps, err := pub.Materialize()
@@ -273,8 +270,8 @@ func TestMaterializeInsideWindows(t *testing.T) {
 				late++
 			}
 		}
-		ringDue += ps.kern.RingDue()
 		ad.AdoptSnapshot(ps)
+		moved += heapLen(t, ad) - heapLen(t, pub)
 		if got := reportHash(t, ad.Fork(base)); got != want {
 			t.Errorf("adopted fork(base) at %v h hash = %s, want straight-run %s", at/sim.Hour, got, want)
 		}
@@ -282,7 +279,83 @@ func TestMaterializeInsideWindows(t *testing.T) {
 	if late == 0 {
 		t.Fatal("no snapshot holds a pending late return in the engine's heap")
 	}
-	if ringDue == 0 {
-		t.Fatal("no snapshot holds an idle retry on the ring due inside the armed window")
+	if moved == 0 {
+		t.Fatal("no snapshot holds a calendar continuation due inside the armed window")
 	}
+}
+
+// insideWindowsConfig is TestMaterializeInsideWindows' configuration: a
+// 30-hour window, and late returns due inside it.
+func insideWindowsConfig(t *testing.T, seed uint64) Config {
+	cfg := determinismConfig(t, seed)
+	cfg.ControlWeeks = 0
+	cfg.HHours = 60
+	cfg.Host.IdleRetry = 2 * sim.Day
+	cfg.Server.Deadline = 10 * sim.Hour
+	cfg.Host.LateDelayMax = sim.Hour
+	return cfg
+}
+
+// FuzzMaterializeAnywhere extends the weekly and mid-window adoption pins
+// to any event boundary. It runs one of three configurations — the
+// determinism, fault-stress and 30-hour-window ones, by shape % 3 — under
+// seed 700 + seed to a fuzzed time, frac/65535 of the straight run's span
+// up to its completion week, materializes there and adopts the snapshot
+// on a fresh runner, whose fork of the base config must hash to the
+// straight run. Straight runs are cached by shape and seed.
+func FuzzMaterializeAnywhere(f *testing.F) {
+	f.Add(uint16(0), uint8(77), uint8(0))
+	f.Add(uint16(29000), uint8(77), uint8(0))
+	f.Add(uint16(41000), uint8(78), uint8(1))
+	f.Add(uint16(65535), uint8(1), uint8(1))
+	f.Add(uint16(12345), uint8(77), uint8(2))
+	f.Add(uint16(50000), uint8(9), uint8(2))
+	shapes := [...]func(*testing.T, uint64) Config{determinismConfig, faultStressConfig, insideWindowsConfig}
+	type straightRun struct {
+		cfg  Config
+		hash string
+		span sim.Time
+	}
+	var mu sync.Mutex
+	runs := map[[2]uint8]straightRun{}
+	f.Fuzz(func(t *testing.T, frac uint16, seed, shape uint8) {
+		shape %= uint8(len(shapes))
+		key := [2]uint8{shape, seed}
+		mu.Lock()
+		s, ok := runs[key]
+		mu.Unlock()
+		if !ok {
+			cfg := shapes[shape](t, 700+uint64(seed))
+			rep := New(cfg).Run()
+			span := math.Min(math.Ceil(rep.WeeksElapsed), cfg.MaxWeeks) * sim.Week
+			s = straightRun{cfg, reportHash(t, rep), span}
+			mu.Lock()
+			runs[key] = s
+			mu.Unlock()
+		}
+		at := s.span * float64(frac) / math.MaxUint16
+		pub := NewRunner()
+		pub.Begin(s.cfg)
+		pub.RunTo(at)
+		ps, err := pub.Materialize()
+		if err != nil {
+			t.Fatalf("Materialize at %v s: %v", at, err)
+		}
+		ad := NewRunner()
+		ad.AdoptSnapshot(ps)
+		if got := reportHash(t, ad.Fork(s.cfg)); got != s.hash {
+			t.Errorf("shape %d, seed %d: adopted fork(base) at %v s hash = %s, want straight-run %s",
+				shape, 700+int(seed), at, got, s.hash)
+		}
+	})
+}
+
+// heapLen returns the number of events in r's engine heap.
+func heapLen(t *testing.T, r *Runner) int {
+	t.Helper()
+	evs, err := r.c.engine.ExportEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(evs)
 }

@@ -271,8 +271,8 @@ func (g *Grid) finishReport() {
 	c := &g.c
 	r := &g.report
 	r.Completed = c.finished()
-	r.EventsExecuted = c.engine.Executed()
-	r.PeakPending = c.engine.MaxPending()
+	n := c.engine.Counters()
+	r.EventsExecuted, r.PeakPending = n.Executed, n.MaxPending
 	r.MeanSpeedDown = c.kern.MeanSpeedDown()
 	r.PointsTotal, r.AccountingBias, r.HardwareTrend = creditFleet(c.kern, c.ledger)
 

@@ -172,8 +172,8 @@ func bindServerMetrics(reg *obs.Registry, engine *sim.Engine, srv *wcg.Server, t
 func bindFleetMetrics(reg *obs.Registry, engine *sim.Engine, kern *volunteer.ShardKernel, mux *volunteer.Mux) {
 	reg.Gauge("active-hosts", func() float64 { return float64(kern.Active()) })
 	reg.Counter("hosts-joined", func() float64 { return float64(kern.TotalJoined()) })
-	reg.Gauge("pending-events", func() float64 { return float64(engine.Pending()) })
-	reg.Counter("events-executed", func() float64 { return float64(engine.Executed()) })
+	reg.Gauge("pending-events", func() float64 { return float64(engine.Counters().Pending) })
+	reg.Counter("events-executed", func() float64 { return float64(engine.Counters().Executed) })
 	if mux != nil {
 		reg.Gauge("mux-debt-spread", func() float64 {
 			var sum float64

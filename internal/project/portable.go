@@ -97,17 +97,15 @@ func (pt *portableTenant) bytes() int {
 }
 
 // PortableSnapshot is a self-contained capture of one campaign run
-// context at an event boundary: the configuration, the engine clock and
-// event schedule (as sim.Call descriptors), and every subsystem's
-// portable state. Safe to publish across goroutines; read-only once
-// built.
+// context at an event boundary: the configuration, the engine's counters,
+// the one event schedule (the engine's heap and the host kernel's pending
+// continuations, as sim.Call descriptors), and every subsystem's portable
+// columns. Safe to publish across goroutines; read-only once built.
 type PortableSnapshot struct {
 	cfg Config
 
-	now           sim.Time
-	seq, nEvent   uint64
-	live, maxLive int
-	events        []sim.PortableEvent
+	eng    sim.Counters
+	events []sim.PortableEvent
 
 	server *wcg.PortableServer
 	kern   *volunteer.PortableKernel
@@ -141,9 +139,8 @@ func (r *Runner) Materialize() (*PortableSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := &PortableSnapshot{cfg: c.t.cfg, events: events, server: c.t.server.ExportPortable()}
-	ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive = c.engine.ExportState()
-	ps.kern = c.kern.ExportPortable()
+	ps := &PortableSnapshot{cfg: c.t.cfg, eng: c.engine.Counters(), server: c.t.server.ExportPortable()}
+	ps.kern, ps.events = c.kern.ExportPortable(events)
 	if plane := c.activePlane(); plane != nil {
 		ps.plane = plane.ExportPortable()
 	}
@@ -157,10 +154,11 @@ func (r *Runner) Materialize() (*PortableSnapshot, error) {
 // the snapshot's config re-creates the immutable structure (batches,
 // policies, wheels, outage windows) and re-binds every closure, the
 // portable state is installed over it, and each event of the schedule is
-// handed by its kind to the adopter's own server, fault plane, host kernel
-// or dormant ticker. Afterwards the Runner is exactly where the publisher
-// stood at Materialize time — Fork/RunTo continue from there,
-// byte-identical to the publisher doing the same.
+// handed by its kind to its handler on the adopter: the server, the fault
+// plane, the host kernel (which decides where a continuation waits) or a
+// ticker armed with the adopted tick. Afterwards the Runner is exactly
+// where the publisher stood at Materialize time — Fork/RunTo continue from
+// there, byte-identical to the publisher doing the same.
 func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 	r.rearm(ps.cfg)
 	c := r.c
@@ -176,37 +174,27 @@ func (r *Runner) AdoptSnapshot(ps *PortableSnapshot) {
 		plane.AdoptPortable(ps.plane, asAt)
 	}
 
-	// Dormant tickers: bound like start's, armed below by the adopted
-	// heap entries instead of a fresh first tick. Adopted runs are
-	// unprobed, so there is no sampler and the probe argument is nil.
-	c.sampler = nil
-	c.weekly = c.engine.DormantTicker(sim.Week, c.weeklyFn(nil))
-	c.daily = c.engine.DormantTicker(sim.Day, c.dailyFn())
-	c.churn = nil
-	if plane != nil && plane.ChurnEnabled() {
-		c.churn = c.engine.DormantTicker(faults.ChurnInterval, c.churnFn(plane))
-	}
-
-	c.engine.AdoptState(ps.now, ps.seq, ps.nEvent, ps.live, ps.maxLive)
+	// Adopted runs are unprobed, so there is no sampler; each ticker is
+	// armed with its adopted tick in place of a first one, and an
+	// assignment in a descriptor resolves against the adopter's server.
+	c.weekly, c.daily, c.churn, c.sampler = nil, nil, nil, nil
+	c.engine.AdoptState(ps.eng)
 	for _, pe := range ps.events {
-		// A ticker's adopted entry is its pending tick, in place of a first
-		// tick; an assignment in a descriptor resolves against the
-		// adopter's server.
 		switch pe.Call.Kind {
 		case sim.CallTickWeekly:
-			c.weekly.Adopt(pe.At, pe.Seq, pe.Call)
+			c.weekly = c.engine.AdoptTicker(pe, sim.Week, c.weeklyTick)
 		case sim.CallTickDaily:
-			c.daily.Adopt(pe.At, pe.Seq, pe.Call)
+			c.daily = c.engine.AdoptTicker(pe, sim.Day, c.dailyTick)
 		case sim.CallTickChurn:
-			c.churn.Adopt(pe.At, pe.Seq, pe.Call)
+			c.churn = c.engine.AdoptTicker(pe, faults.ChurnInterval, c.churnTick)
 		case sim.CallWheelDrain:
-			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, c.t.server, nil)
+			c.engine.AdoptEvent(pe, c.t.server, nil)
 		case sim.CallSpoolDrain:
-			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, plane, nil)
+			c.engine.AdoptEvent(pe, plane, nil)
 		case sim.CallUploadRetry:
-			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, plane, asAt(pe.Call.A1))
+			c.engine.AdoptEvent(pe, plane, asAt(pe.Call.A1))
 		case sim.CallHost:
-			c.engine.AdoptEvent(pe.At, pe.Seq, pe.Call, c.kern, asAt(pe.Call.A1))
+			c.kern.AdoptEvent(pe, asAt(pe.Call.A1))
 		default:
 			panic("project: adopted event of a kind no handler takes")
 		}

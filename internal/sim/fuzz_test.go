@@ -11,8 +11,8 @@ import (
 // into scheduling, ticker, run, reset and adoption operations, applies each
 // to an Engine and to refEngine, a test-only reference that keeps its
 // schedule in an unsorted slice and scans it for the minimum, and after
-// every operation compares the fired-event log, Now, Pending, MaxPending,
-// Executed, the Peek key and the ExportEvents set (or its error).
+// every operation compares the fired-event log, the Counters, the Peek key
+// and the ExportEvents set (or its error).
 //
 // Each operation is two bytes, an opcode (the byte mod 11) and an
 // argument:
@@ -31,9 +31,9 @@ import (
 //	9  ScheduleCall at now + arg%4: a CallHost the harness handles, its id
 //	   as the reference
 //	10 when the reference's schedule is portable, move the harness onto a
-//	   fresh engine rebuilt from ExportState and ExportEvents: AdoptState,
+//	   fresh engine rebuilt from Counters and ExportEvents: AdoptState,
 //	   AdoptEvent with the harness as the handler, and each live ticker
-//	   rebuilt dormant and re-armed with Ticker.Adopt
+//	   rebuilt from its pending tick with AdoptTicker
 //
 // Times are whole seconds, so equal timestamps are common and the FIFO
 // tie-break decides most orders. The seeds' opcode bytes all lie below 10,
@@ -296,17 +296,16 @@ func (h *engineHarness) apply(op, arg byte) {
 			panic(err) // the last compare saw the reference call it portable
 		}
 		adopted := NewEngine()
-		adopted.AdoptState(e.ExportState())
+		adopted.AdoptState(e.Counters())
 		for _, pe := range evs {
 			switch pe.Call.Kind {
 			case CallTickDaily:
 				i := pe.Call.A0
-				h.tickers[i] = adopted.DormantTicker(h.refs[i].interval, h.fns[i])
-				h.tickers[i].Adopt(pe.At, pe.Seq, pe.Call)
+				h.tickers[i] = adopted.AdoptTicker(pe, h.refs[i].interval, h.fns[i])
 			case CallHost:
-				adopted.AdoptEvent(pe.At, pe.Seq, pe.Call, h, int(pe.Call.A0))
+				adopted.AdoptEvent(pe, h, int(pe.Call.A0))
 			default:
-				adopted.AdoptEvent(pe.At, pe.Seq, pe.Call, h, nil)
+				adopted.AdoptEvent(pe, h, nil)
 			}
 		}
 		h.e = adopted
@@ -320,9 +319,8 @@ func (h *engineHarness) compare(t *testing.T, op int) {
 		t.Fatalf("op %d: fired %v, reference fired %v", op, h.log[h.checked:], r.log[h.checked:])
 	}
 	h.checked = len(h.log)
-	if e.Now() != r.now || e.Pending() != r.live || e.MaxPending() != r.maxLive || e.Executed() != r.executed {
-		t.Fatalf("op %d: now %v pending %d max %d executed %d; reference %v %d %d %d", op,
-			e.Now(), e.Pending(), e.MaxPending(), e.Executed(), r.now, r.live, r.maxLive, r.executed)
+	if n, rn := e.Counters(), (Counters{Now: r.now, Seq: r.seq, Executed: r.executed, Pending: r.live, MaxPending: r.maxLive}); n != rn {
+		t.Fatalf("op %d: counters %+v, reference %+v", op, n, rn)
 	}
 	at, seq, ok := e.Peek()
 	if i := r.next(); ok != (i >= 0) || ok && (at != r.events[i].at || seq != r.events[i].seq) {

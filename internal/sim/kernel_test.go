@@ -56,8 +56,8 @@ func TestScheduleCallHandsBackToHandler(t *testing.T) {
 	}
 	var log []fired
 	h := handlerFunc(func(c Call, ref any) {
-		if e.Pending() != 1 || e.Executed() != 1 {
-			t.Errorf("handler sees pending %d, executed %d; want 1 and 1", e.Pending(), e.Executed())
+		if n := e.Counters(); n.Pending != 1 || n.Executed != 1 {
+			t.Errorf("handler sees pending %d, executed %d; want 1 and 1", n.Pending, n.Executed)
 		}
 		log = append(log, fired{c, ref, e.Now()})
 	})
@@ -108,13 +108,13 @@ func TestHostEventsRoundTrip(t *testing.T) {
 	dst := NewEngine()
 	var got []fired
 	hd := record(dst, &got)
-	dst.AdoptState(src.ExportState())
+	dst.AdoptState(src.Counters())
 	for _, pe := range evs {
 		var ref any
 		if pe.Call.Kind == CallHost {
 			ref = refs[pe.Call.A1]
 		}
-		dst.AdoptEvent(pe.At, pe.Seq, pe.Call, hd, ref)
+		dst.AdoptEvent(pe, hd, ref)
 	}
 	src.Run()
 	dst.Run()
@@ -122,8 +122,8 @@ func TestHostEventsRoundTrip(t *testing.T) {
 	if len(got) != 5 || !slices.Equal(got, want) {
 		t.Fatalf("adopted engine fired %v, source %v", got, want)
 	}
-	if dst.Executed() != src.Executed() || dst.Pending() != 0 {
-		t.Fatalf("adopted engine executed %d (pending %d), source %d", dst.Executed(), dst.Pending(), src.Executed())
+	if got, want := dst.Counters(), src.Counters(); got != want {
+		t.Fatalf("adopted engine ends at %+v, source at %+v", got, want)
 	}
 }
 
@@ -132,16 +132,16 @@ func TestMaxPending(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(float64(i+1), func() {})
 	}
-	if e.MaxPending() != 5 {
-		t.Fatalf("max pending = %d, want 5", e.MaxPending())
+	if e.Counters().MaxPending != 5 {
+		t.Fatalf("max pending = %d, want 5", e.Counters().MaxPending)
 	}
 	e.Run()
-	if e.MaxPending() != 5 {
-		t.Fatalf("max pending after run = %d, want 5 (high-water mark)", e.MaxPending())
+	if e.Counters().MaxPending != 5 {
+		t.Fatalf("max pending after run = %d, want 5 (high-water mark)", e.Counters().MaxPending)
 	}
 	e.Schedule(100, func() {})
-	if e.MaxPending() != 5 {
-		t.Fatalf("max pending = %d, want 5 (1 live < old peak)", e.MaxPending())
+	if e.Counters().MaxPending != 5 {
+		t.Fatalf("max pending = %d, want 5 (1 live < old peak)", e.Counters().MaxPending)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestStopTakesTickOutOfHeap(t *testing.T) {
 	}
 	for i, tk := range tickers {
 		tk.Stop()
-		if want := n + k - i - 1; e.Pending() != want {
-			t.Fatalf("Pending after %d stops = %d, want %d", i+1, e.Pending(), want)
+		if want := n + k - i - 1; e.Counters().Pending != want {
+			t.Fatalf("Pending after %d stops = %d, want %d", i+1, e.Counters().Pending, want)
 		}
 	}
 	e.Run()
@@ -181,13 +181,15 @@ func TestStopTakesTickOutOfHeap(t *testing.T) {
 
 func TestTickerNaNIntervalPanics(t *testing.T) {
 	// A NaN interval passes an `interval <= 0` guard; the ticker
-	// constructor shared by Every, ObserveEvery and DormantTicker must
+	// constructor shared by Every, ObserveEvery and AdoptTicker must
 	// reject it, and ±Inf, before anything is scheduled.
 	for _, iv := range []float64{nan(), math.Inf(1), math.Inf(-1)} {
 		for name, build := range map[string]func(*Engine){
-			"Every":         func(e *Engine) { e.Every(0, iv, Call{}, func(Time) {}) },
-			"ObserveEvery":  func(e *Engine) { e.ObserveEvery(0, iv, func(Time) {}) },
-			"DormantTicker": func(e *Engine) { e.DormantTicker(iv, func(Time) {}) },
+			"Every":        func(e *Engine) { e.Every(0, iv, Call{}, func(Time) {}) },
+			"ObserveEvery": func(e *Engine) { e.ObserveEvery(0, iv, func(Time) {}) },
+			"AdoptTicker": func(e *Engine) {
+				e.AdoptTicker(PortableEvent{Call: Call{Kind: CallTickDaily}}, iv, func(Time) {})
+			},
 		} {
 			e := NewEngine()
 			func() {
@@ -232,7 +234,8 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 		tk.Stop()
 		e.ScheduleAfter(5, func() { order = append(order, 3) })
 		e.Run()
-		return order, e.Executed(), e.MaxPending()
+		n := e.Counters()
+		return order, n.Executed, n.MaxPending
 	}
 	fresh := NewEngine()
 	o1, x1, m1 := run(fresh)
@@ -245,14 +248,13 @@ func TestResetIndistinguishableFromFresh(t *testing.T) {
 	reused.ScheduleCall(600, Call{Kind: CallHost}, handlerFunc(func(Call, any) {}), nil)
 	reused.RunUntil(500)
 	reused.Reset()
-	if reused.Now() != 0 || reused.Pending() != 0 || reused.Executed() != 0 || reused.MaxPending() != 0 {
-		t.Fatalf("reset engine not pristine: now=%v pending=%d executed=%d max=%d",
-			reused.Now(), reused.Pending(), reused.Executed(), reused.MaxPending())
+	if n := reused.Counters(); n != (Counters{}) {
+		t.Fatalf("reset engine not pristine: %+v", n)
 	}
 	reused.Schedule(5, func() {})
 	stale.Stop() // owns no event after the Reset: must not touch the new schedule
-	if reused.Pending() != 1 {
-		t.Fatalf("a ticker stopped after Reset changed Pending to %d, want 1", reused.Pending())
+	if reused.Counters().Pending != 1 {
+		t.Fatalf("a ticker stopped after Reset changed Pending to %d, want 1", reused.Counters().Pending)
 	}
 	reused.Reset()
 	o2, x2, m2 := run(reused)

@@ -21,7 +21,8 @@ func TestObserveEveryInvisible(t *testing.T) {
 		if obs != nil {
 			obs.Stop()
 		}
-		return ticks, e.Executed(), e.MaxPending()
+		n := e.Counters()
+		return ticks, n.Executed, n.MaxPending
 	}
 
 	_, plainExec, plainMax := run(false)
@@ -42,19 +43,19 @@ func TestObserveEveryInvisible(t *testing.T) {
 func TestObserveEveryPending(t *testing.T) {
 	e := NewEngine()
 	tick := e.ObserveEvery(0, 1, func(Time) {})
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d with only an observer scheduled, want 0", e.Pending())
+	if e.Counters().Pending != 0 {
+		t.Fatalf("Pending = %d with only an observer scheduled, want 0", e.Counters().Pending)
 	}
 	e.RunUntil(5)
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after observer ticks, want 0", e.Pending())
+	if e.Counters().Pending != 0 {
+		t.Errorf("Pending = %d after observer ticks, want 0", e.Counters().Pending)
 	}
-	if e.Executed() != 0 {
-		t.Errorf("Executed = %d, observer ticks must not count", e.Executed())
+	if e.Counters().Executed != 0 {
+		t.Errorf("Executed = %d, observer ticks must not count", e.Counters().Executed)
 	}
 	tick.Stop()
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after Stop, want 0 (cancel decremented for an observer)", e.Pending())
+	if e.Counters().Pending != 0 {
+		t.Errorf("Pending = %d after Stop, want 0 (cancel decremented for an observer)", e.Counters().Pending)
 	}
 }
 

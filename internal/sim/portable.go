@@ -7,7 +7,7 @@ import "fmt"
 // rebuilding it inside a different engine. An event's handler and
 // reference belong to the engine's model, so events travel as (time, seq,
 // Call) triples and the adopting side hands each descriptor to its own
-// handler of that kind.
+// handler of that kind; the engine's Counters travel whole.
 
 // PortableEvent is one scheduled event in portable form: its ordering key
 // plus its Call descriptor. No pointers — safe to hand to another
@@ -25,9 +25,11 @@ type PortableEvent struct {
 // adopting engine. Every scheduling site a snapshot can meet is tagged, so
 // the error marks a programming mistake, not a runtime state. Order
 // follows the heap array; pushing the events in that order into an empty
-// heap (AdoptEvent, Ticker.Adopt) rebuilds the same array.
+// heap (AdoptEvent, AdoptTicker) rebuilds the same array. The list is
+// sized for every pending event, the external calendar's included, so the
+// host kernel appends its continuations without growing it.
 func (e *Engine) ExportEvents() ([]PortableEvent, error) {
-	out := make([]PortableEvent, 0, len(e.queue))
+	out := make([]PortableEvent, 0, e.n.Pending)
 	for i := range e.queue {
 		ev := &e.queue[i]
 		if ev.observer() {
@@ -41,25 +43,13 @@ func (e *Engine) ExportEvents() ([]PortableEvent, error) {
 	return out, nil
 }
 
-// ExportState returns the engine's scalar counters for a portable
-// snapshot: clock, FIFO sequence, executed count, and the live/max-live
-// accounting (which includes externally-scheduled calendar events, so it
-// is captured here rather than derived from the exported heap).
-func (e *Engine) ExportState() (now Time, seq, nEvent uint64, live, maxLive int) {
-	return e.now, e.seq, e.nEvent, e.live, e.maxLive
-}
-
-// AdoptState overwrites the engine's scalar counters wholesale. The
-// engine must be freshly Reset; the caller then replays the exported
-// events through AdoptEvent. live is set directly (not accumulated by
-// AdoptEvent) because it also counts external-calendar events that never
-// touch this heap.
-func (e *Engine) AdoptState(now Time, seq, nEvent uint64, live, maxLive int) {
-	e.now = now
-	e.seq = seq
-	e.nEvent = nEvent
-	e.live = live
-	e.maxLive = maxLive
+// AdoptState overwrites the engine's counters wholesale. The engine must
+// be freshly Reset; the caller then replays the exported events through
+// AdoptEvent and AdoptTicker. Pending is set directly, not accumulated by
+// the adopted events, because it also counts external-calendar events
+// that never touch this heap.
+func (e *Engine) AdoptState(c Counters) {
+	e.n = c
 }
 
 // AdoptEvent enters an adopted event directly into the heap with its
@@ -67,9 +57,17 @@ func (e *Engine) AdoptState(now Time, seq, nEvent uint64, live, maxLive int) {
 // bypassing insert's monotonic-clock check (an adopted schedule is
 // installed after AdoptState has already advanced the clock, and heap
 // pushes maintain the invariant under any insertion order). It
-// deliberately does not touch seq or the live counters — AdoptState owns
-// those wholesale. A ticker's tick is adopted through Ticker.Adopt
-// instead.
-func (e *Engine) AdoptEvent(at Time, seq uint64, c Call, h Handler, ref any) {
-	e.queue.push(event{at: at, seq: seq, call: c, h: h, ref: ref})
+// deliberately leaves the counters to AdoptState.
+func (e *Engine) AdoptEvent(pe PortableEvent, h Handler, ref any) {
+	e.queue.push(event{at: pe.At, seq: pe.Seq, call: pe.Call, h: h, ref: ref})
+}
+
+// AdoptTicker revives a periodic process from its adopted pending tick: a
+// ticker of the given interval and body, armed with pe's ordering key and
+// descriptor in place of a fresh first tick (which would double-fire it).
+// Like AdoptEvent it leaves the counters to AdoptState.
+func (e *Engine) AdoptTicker(pe PortableEvent, interval float64, fn func(Time)) *Ticker {
+	t := e.newTicker(interval, fn, false)
+	e.AdoptEvent(pe, t, nil)
+	return t
 }

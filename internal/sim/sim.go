@@ -18,9 +18,14 @@
 // Schedule wraps a plain closure as a CallFunc event, which stays off
 // snapshots. Since the descriptor is what runs, a snapshot carries only
 // descriptors (see ExportEvents) and the adopting context hands each to its
-// own handler of that kind. Scheduling returns no handle. The one handle is
-// the Ticker, which owns its pending tick: Stop finds that tick by a linear
-// scan and takes it out of the heap at once, so Pending() is exact.
+// own handler of that kind; the host kernel's calendar continuations join
+// the same list in the same CallHost form, so a snapshot holds one event
+// schedule. Scheduling returns no handle. The one handle is the Ticker,
+// which owns its pending tick: Stop finds that tick by a linear scan and
+// takes it out of the heap at once, so the pending count is exact.
+// The engine's observable state is one Counters value — clock, FIFO
+// sequence, executed, pending and peak pending — which reports read at a
+// run's end and a snapshot carries whole.
 //
 // Most host continuations live in the host kernel's window calendar and
 // its idle-retry ring (volunteer.ShardKernel), merged against this heap
@@ -39,11 +44,10 @@
 // # Reset contract
 //
 // Engine.Reset rearms an engine for another run, retaining the heap array.
-// Everything observable is zeroed — clock, schedule, executed/pending
-// counters, the FIFO tie-break sequence — so a reset engine is
-// indistinguishable from a fresh one to the model running on it. A ticker
-// created before the Reset owns no event afterwards: its Stop does
-// nothing.
+// Everything observable is zeroed — the schedule and every Counters field
+// — so a reset engine is indistinguishable from a fresh one to the model
+// running on it. A ticker created before the Reset owns no event
+// afterwards: its Stop does nothing.
 package sim
 
 import (
@@ -215,15 +219,23 @@ func (h *eventHeap) remove(i int) event {
 	return ev
 }
 
+// Counters is the engine's observable state as one value. Pending is
+// exact: it counts the external calendar's events (see ExternalSchedule)
+// and no observer tick, and MaxPending is its high-water mark over the
+// engine's lifetime — the peak event-queue depth.
+type Counters struct {
+	Now        Time   // the clock
+	Seq        uint64 // the next FIFO tie-break sequence number
+	Executed   uint64 // events executed
+	Pending    int    // events scheduled and not yet executed
+	MaxPending int    // high-water mark of Pending
+}
+
 // Engine is a discrete-event simulator. The zero value is not valid;
 // use NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	nEvent  uint64 // events executed
-	live    int    // the exact Pending() count
-	maxLive int    // high-water mark of live
+	queue eventHeap
+	n     Counters
 }
 
 // NewEngine returns an engine with the clock at 0 and an empty event list.
@@ -237,48 +249,43 @@ func NewEngine() *Engine {
 func (e *Engine) Reset() {
 	clear(e.queue)
 	e.queue = e.queue[:0]
-	e.now = 0
-	e.seq, e.nEvent = 0, 0
-	e.live, e.maxLive = 0, 0
+	e.n = Counters{}
 }
 
 // Now returns the current simulation time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.n.Now }
 
-// Executed returns the number of events executed so far.
-func (e *Engine) Executed() uint64 { return e.nEvent }
+// Counters returns the engine's counters.
+func (e *Engine) Counters() Counters { return e.n }
 
-// Pending returns the exact number of scheduled events, including the
-// external calendar's (see ExternalSchedule) and excluding observer ticks.
-func (e *Engine) Pending() int { return e.live }
-
-// MaxPending returns the high-water mark of Pending() over the engine's
-// lifetime — the peak event-queue depth, reported by the campaign bench.
-func (e *Engine) MaxPending() int { return e.maxLive }
+// count accounts one scheduled event as pending.
+func (e *Engine) count() {
+	e.n.Pending++
+	if e.n.Pending > e.n.MaxPending {
+		e.n.MaxPending = e.n.Pending
+	}
+}
 
 // insert validates ev.at and enters ev into the schedule under the next
 // FIFO sequence number, maintaining the live counters. Every scheduling
 // path goes through it, so the invariants live in one place.
 func (e *Engine) insert(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.now))
+	if ev.at < e.n.Now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.n.Now))
 	}
 	if math.IsNaN(ev.at) || math.IsInf(ev.at, 0) {
 		panic("sim: scheduling event at non-finite time")
 	}
-	ev.seq = e.seq
-	e.seq++
+	ev.seq = e.n.Seq
+	e.n.Seq++
 	e.queue.push(ev)
 	if ev.observer() {
 		// Observer ticks (metrics samplers) ride the schedule but must be
 		// invisible to every model-observable counter, so an instrumented
-		// run reports the same Pending/MaxPending/Executed as a bare one.
+		// run reports the same Counters as a bare one.
 		return
 	}
-	e.live++
-	if e.live > e.maxLive {
-		e.maxLive = e.live
-	}
+	e.count()
 }
 
 // Schedule schedules fn to run at absolute time t, as a CallFunc event.
@@ -290,7 +297,7 @@ func (e *Engine) Schedule(t Time, fn func()) {
 
 // ScheduleAfter schedules fn to run d seconds from now.
 func (e *Engine) ScheduleAfter(d float64, fn func()) {
-	e.Schedule(e.now+d, fn)
+	e.Schedule(e.n.Now+d, fn)
 }
 
 // ScheduleCall schedules the event c at absolute time t: Step hands c and
@@ -313,39 +320,36 @@ func (e *Engine) Peek() (t Time, seq uint64, ok bool) {
 }
 
 // ExternalSchedule accounts one externally-stored event as scheduled and
-// returns its FIFO tie-break sequence number: seq and Pending/MaxPending
+// returns its FIFO tie-break sequence number: Seq, Pending and MaxPending
 // move exactly as an engine-side Schedule would move them, so ties between
 // the external calendar (the host kernel's window calendar) and the heap
 // resolve in one global FIFO order. The event itself lives in the caller's
 // calendar, not the heap.
 func (e *Engine) ExternalSchedule() uint64 {
-	s := e.seq
-	e.seq++
-	e.live++
-	if e.live > e.maxLive {
-		e.maxLive = e.live
-	}
+	s := e.n.Seq
+	e.n.Seq++
+	e.count()
 	return s
 }
 
 // ExternalExecute advances the clock to t and accounts one externally-
 // stored event as executed, mirroring what Step does for heap events
-// (live--, executed++, clock forward) so kernel counters stay identical
-// whichever calendar ran the event. t must not precede the clock.
+// (Pending down, Executed up, clock forward) so kernel counters stay
+// identical whichever calendar ran the event. t must not precede the clock.
 func (e *Engine) ExternalExecute(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: external event at %v before now %v", t, e.now))
+	if t < e.n.Now {
+		panic(fmt.Sprintf("sim: external event at %v before now %v", t, e.n.Now))
 	}
-	e.live--
-	e.nEvent++
-	e.now = t
+	e.n.Pending--
+	e.n.Executed++
+	e.n.Now = t
 }
 
 // AdvanceTo moves the clock forward to t if it is ahead, exactly as
 // RunUntil does after draining events up to a deadline.
 func (e *Engine) AdvanceTo(t Time) {
-	if t > e.now {
-		e.now = t
+	if t > e.n.Now {
+		e.n.Now = t
 	}
 }
 
@@ -355,10 +359,10 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.queue.remove(0)
-	e.now = ev.at
+	e.n.Now = ev.at
 	if !ev.observer() {
-		e.live--
-		e.nEvent++
+		e.n.Pending--
+		e.n.Executed++
 	}
 	ev.h.Handle(ev.call, ev.ref)
 	return true
@@ -422,12 +426,12 @@ func (e *Engine) Every(start Time, interval float64, c Call, fn func(Time)) *Tic
 }
 
 // ObserveEvery creates and starts an observer ticker: like Every, except
-// its events are excluded from the Pending/MaxPending/Executed accounting,
-// so attaching one (a metrics sampler, say) leaves every model-observable
-// kernel counter — and therefore the run's Report — byte-identical. The
-// contract is that fn is read-only with respect to the model: it may poll
-// state but must not schedule, stop, or mutate anything the simulation
-// reads. Its ticks carry no descriptor and never reach a snapshot.
+// its events are excluded from the engine's Counters, so attaching one (a
+// metrics sampler, say) leaves every model-observable kernel counter — and
+// therefore the run's Report — byte-identical. The contract is that fn is
+// read-only with respect to the model: it may poll state but must not
+// schedule, stop, or mutate anything the simulation reads. Its ticks carry
+// no descriptor and never reach a snapshot.
 //
 // An observer ticker reschedules itself forever, so it keeps a bare Run()
 // loop alive; drive engines carrying observers with RunUntil and Stop the
@@ -438,23 +442,8 @@ func (e *Engine) ObserveEvery(start Time, interval float64, fn func(Time)) *Tick
 	return t
 }
 
-// DormantTicker builds a ticker that is bound to the engine but has no
-// pending tick: Adopt arms it. Snapshot adoption uses the pair to revive a
-// mid-run periodic process without scheduling a fresh first tick (which
-// would double-fire it).
-func (e *Engine) DormantTicker(interval float64, fn func(Time)) *Ticker {
-	return e.newTicker(interval, fn, false)
-}
-
-// Adopt arms a dormant ticker with an adopted pending tick, keeping its
-// original ordering key and descriptor. Like AdoptEvent it leaves seq and
-// the live counters to AdoptState.
-func (t *Ticker) Adopt(at Time, seq uint64, c Call) {
-	t.engine.queue.push(event{at: at, seq: seq, call: c, h: t})
-}
-
 // pending returns the heap index of the ticker's pending tick, or -1 when
-// it has none: it is firing, stopped, dormant, or the engine was Reset.
+// it has none: it is firing, stopped, or the engine was Reset.
 func (t *Ticker) pending() int {
 	for i := range t.engine.queue {
 		if tk, ok := t.engine.queue[i].h.(*Ticker); ok && tk == t {
@@ -468,9 +457,9 @@ func (t *Ticker) pending() int {
 // with the same descriptor, unless fn stopped the ticker.
 func (t *Ticker) Handle(c Call, _ any) {
 	e := t.engine
-	t.fn(e.now)
+	t.fn(e.n.Now)
 	if !t.stopped {
-		e.insert(event{at: e.now + t.interval, call: c, h: t})
+		e.insert(event{at: e.n.Now + t.interval, call: c, h: t})
 	}
 }
 
@@ -485,7 +474,7 @@ func (t *Ticker) Stop() {
 		e := t.engine
 		e.queue.remove(i)
 		if !t.observer {
-			e.live--
+			e.n.Pending--
 		}
 	}
 }

@@ -200,11 +200,11 @@ func TestExecutedCount(t *testing.T) {
 		e.Schedule(float64(i), func() {})
 	}
 	e.Run()
-	if e.Executed() != 7 {
-		t.Fatalf("executed = %d", e.Executed())
+	if e.Counters().Executed != 7 {
+		t.Fatalf("executed = %d", e.Counters().Executed)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
+	if e.Counters().Pending != 0 {
+		t.Fatalf("pending = %d", e.Counters().Pending)
 	}
 }
 

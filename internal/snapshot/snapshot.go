@@ -34,9 +34,11 @@
 //     no closure to rebuild: an event is its sim.Call descriptor, run by
 //     the handler it was scheduled with, so the schedule travels as
 //     descriptors and each revives onto the adopter's own handler of its
-//     kind — its server, fault plane, host kernel or dormant ticker
-//     (sim.Engine.AdoptEvent, and sim.Ticker.Adopt for a ticker's pending
-//     tick). A closure scheduled with sim.Engine.Schedule (a CallFunc)
+//     kind — its server or fault plane (sim.Engine.AdoptEvent), its host
+//     kernel (volunteer.ShardKernel.AdoptEvent, which decides where a
+//     continuation waits), or a ticker armed with its pending tick
+//     (sim.Engine.AdoptTicker, with the same tick method a fresh start
+//     arms). A closure scheduled with sim.Engine.Schedule (a CallFunc)
 //     makes sim.Engine.ExportEvents fail; the snapshot tests materialize
 //     at every weekly boundary of the stress configurations so one cannot
 //     ship.
@@ -48,12 +50,15 @@
 //
 // # Per-subsystem state
 //
-// Each runtime package owns its portable type (the state is private):
+// A snapshot holds each fact once: one event schedule, one engine counter
+// value, and each layer's own columns. Each runtime package owns its
+// portable type (the state is private):
 //
-//   - sim.Engine: clock, FIFO sequence and live/executed counters as
-//     scalars; the heap as PortableEvent descriptors, in heap-array order.
-//     Tickers are not exported: the adopter builds them dormant and arms
-//     each with its adopted tick (Ticker.Adopt). An assignment an event
+//   - sim.Engine: its Counters value (clock, FIFO sequence, executed,
+//     pending and peak pending) whole; the heap as PortableEvent
+//     descriptors, in heap-array order, which open the snapshot's one
+//     event list. Tickers are not exported: the adopter arms a ticker
+//     with each adopted tick (AdoptTicker). An assignment an event
 //     carries in its reference (a late return's, an upload re-send's) is
 //     an arena index in its descriptor, which the adopter resolves.
 //   - wcg.Server (PortableServer): the live chunks of the WUState and
@@ -62,17 +67,18 @@
 //     buckets, deadline rings, trust streaks, scheduler rng and stats.
 //     Every bind-time policy value is rebuilt by the adopter's Reset.
 //   - volunteer.ShardKernel (PortableKernel): every SoA column, the
-//     population stream, the armed window's unconsumed buffer, the
-//     window calendar flattened into one list of the same CallHost
-//     PortableEvents a heap continuation exports as, plus spans naming
-//     their absolute windows, and the idle-retry ring as its own list in
-//     ring order (a ring entry and a window's fetch export alike); the
-//     adopter rebuilds the windows and the ring onto its own chunks. A
-//     calendar entry carries no assignment: late returns wait in the
-//     engine's heap. Chunk layout is unobservable — a window is sorted by
-//     (time, seq) at its barrier, and the ring is appended in that order.
-//     A multiplexed kernel's mux columns are not covered, so grid co-runs
-//     cannot be snapshotted.
+//     population stream and the armed window. Its pending continuations —
+//     the armed buffer's unread rest, every pending window and the
+//     idle-retry ring — are appended to the one event list in the CallHost
+//     form a heap continuation exports as. The adopter routes each as
+//     schedule would: a late return, or one due inside the armed window,
+//     into its engine's heap, any other into its calendar window. Where a
+//     continuation waits never moves the execution order (Merge order in
+//     volunteer/kernel.go): a window is sorted by (time, seq) at its
+//     barrier, and the merge takes the least key of buffer, ring and
+//     heap. A calendar entry carries no assignment: late returns wait in
+//     the engine's heap. A multiplexed kernel's mux columns are not
+//     covered, so grid co-runs cannot be snapshotted.
 //   - faults.Plane (PortablePlane): the outage spool (assignments as
 //     indices) and its armed flag, the per-host attempt/epoch/upload
 //     tables, window cursor, churn accumulator and stats; the outage

@@ -68,7 +68,10 @@
 // to the same bound. The window width and the delay only decide where an
 // event waits, never a value or the execution order: reports are
 // byte-identical fresh and pooled (golden-hash tests in internal/project
-// pin them).
+// pin them). Snapshot adoption relies on the same fact: the adopter routes
+// each continuation by schedule's rule (AdoptEvent), wherever the source
+// held it — buffer, ring, window or heap — and forks to the source's bytes
+// (the fork and adopt hash tests in internal/project pin them).
 package volunteer
 
 import (

@@ -224,8 +224,8 @@ func TestMuxDropsReachTheIssuingServer(t *testing.T) {
 	}
 	k.SetTarget(0)
 	k.RunUntil(60 * sim.Week)
-	if engine.Pending() != 0 {
-		t.Fatalf("%d events still pending", engine.Pending())
+	if engine.Counters().Pending != 0 {
+		t.Fatalf("%d events still pending", engine.Counters().Pending)
 	}
 	// One chunk per arena may still be carving: 512 workunit records of
 	// 32 B and 512 portable copies of 16 B, plus the bitmaps and tables.

@@ -13,11 +13,17 @@ import (
 // in-flight task — are translated to arena indices at export and resolved
 // against the adopter's own server, which has installed the same live
 // arena chunks; a pending late return waits in the engine's heap, which
-// exports its assignment the same way. The calendar travels as its pending
-// windows' events, the idle-retry ring and the armed buffer's unread
-// rest, each in the CallHost form a heap continuation exports as. The
-// population stream's state travels with the columns, so the adopter's
-// next spawn draws the same seeds the source's would have.
+// exports its assignment the same way. The population stream's state
+// travels with the columns, so the adopter's next spawn draws the same
+// seeds the source's would have.
+//
+// The calendar's pending continuations — the armed buffer's unread rest,
+// every pending window and the idle-retry ring — join the snapshot's one
+// event list in the CallHost form a heap continuation exports as, and
+// AdoptEvent routes each adopted CallHost event where schedule would put
+// it. Where a continuation waits never moves the execution order (Merge
+// order in kernel.go), so the adopter runs the source's schedule whatever
+// the source's split between heap, windows, buffer and ring.
 
 // exportEvent returns a calendar event in the portable form the engine
 // gives a fetch or task-done continuation waiting in its heap: a CallHost
@@ -27,47 +33,10 @@ func exportEvent(ev planeEvent) sim.PortableEvent {
 		A0: ev.host, A1: wcg.NilIndex}}
 }
 
-// adoptEvent turns a portable CallHost event back into a calendar event.
-func adoptEvent(pe sim.PortableEvent) planeEvent {
-	return planeEvent{at: pe.At, seq: pe.Seq, host: pe.Call.A0, kind: pe.Call.K0}
-}
-
-// calSpan names one window of a flattened calendar: window w (an absolute
-// window number) holds the next n events of the flat list.
-type calSpan struct{ w, n int32 }
-
-// flatten returns every pending window's events in portable form, one span
-// per non-empty window.
-func (c *shardCal) flatten() (evs []sim.PortableEvent, spans []calSpan) {
-	pending := c.wins[c.next:]
-	n := 0
-	for _, win := range pending {
-		n += win.n
-	}
-	evs = make([]sim.PortableEvent, 0, n)
-	for i := range pending {
-		if pending[i].n == 0 {
-			continue
-		}
-		spans = append(spans, calSpan{w: int32(c.base + c.next + i), n: int32(pending[i].n)})
-		for ch := pending[i].head; ch != nil; ch = ch.next {
-			for _, ev := range ch.ev[:ch.n] {
-				evs = append(evs, exportEvent(ev))
-			}
-		}
-	}
-	return evs, spans
-}
-
-// exportRing returns the idle-retry ring's unread entries in portable
-// form, in ring order.
-func (c *shardCal) exportRing() []sim.PortableEvent {
-	if c.ring.n == 0 {
-		return nil
-	}
-	evs := make([]sim.PortableEvent, 0, c.ring.n)
-	off := c.ringOff
-	for ch := c.ring.head; ch != nil; ch, off = ch.next, 0 {
+// appendChunks appends the events of the chunk list from head in portable
+// form, skipping the first off events of the head chunk.
+func appendChunks(evs []sim.PortableEvent, head *eventChunk, off int) []sim.PortableEvent {
+	for ch := head; ch != nil; ch, off = ch.next, 0 {
 		for _, ev := range ch.ev[off:ch.n] {
 			evs = append(evs, exportEvent(ev))
 		}
@@ -97,19 +66,11 @@ type PortableKernel struct {
 
 	window float64
 
-	// The calendar: the pending windows as one flat event list named by
-	// spans, the idle-retry ring in ring order (its own list: a ring entry
-	// and a window's fetch have the same portable form), and the armed
-	// window's unconsumed events in merge order.
-	events []sim.PortableEvent
-	spans  []calSpan
-	ring   []sim.PortableEvent
-	calCur []sim.PortableEvent
+	// The armed window: the calendar's pending events travel in the
+	// snapshot's event list.
 	win    int
 	winEnd sim.Time
 	armed  bool
-
-	livePlane int
 }
 
 // Bytes estimates the portable kernel's memory footprint for the
@@ -121,39 +82,15 @@ func (p *PortableKernel) Bytes() int {
 		snapshot.Size(p.phase) + snapshot.Size(p.onlineSpan) +
 		snapshot.Size(p.joinedAt) + snapshot.Size(p.hardware) +
 		snapshot.Size(p.cpuSpent) + snapshot.Size(p.cur) +
-		snapshot.Size(p.cacheLen) + snapshot.Size(p.cache) +
-		snapshot.Size(p.events) + snapshot.Size(p.spans) + snapshot.Size(p.ring) +
-		snapshot.Size(p.calCur)
-}
-
-// RingDue counts the ring entries that fall due inside the armed window,
-// where the merge reads them beside its buffer and the engine's heap.
-func (p *PortableKernel) RingDue() int {
-	n := 0
-	for _, pe := range p.ring {
-		if pe.At < p.winEnd {
-			n++
-		}
-	}
-	return n
-}
-
-// exportEvents translates events into owned portable form.
-func exportEvents(evs []planeEvent) []sim.PortableEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]sim.PortableEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = exportEvent(ev)
-	}
-	return out
+		snapshot.Size(p.cacheLen) + snapshot.Size(p.cache)
 }
 
 // ExportPortable deep-copies the kernel's mutable state into a portable
-// snapshot. It does not cover a Mux's columns, so a kernel bound to one
-// cannot be snapshotted.
-func (k *ShardKernel) ExportPortable() *PortableKernel {
+// snapshot, and appends the calendar's pending continuations to events,
+// the snapshot's event list: the armed buffer's unread rest, every pending
+// window and the idle-retry ring. It does not cover a Mux's columns, so a
+// kernel bound to one cannot be snapshotted.
+func (k *ShardKernel) ExportPortable(events []sim.PortableEvent) (*PortableKernel, []sim.PortableEvent) {
 	if k.mux != nil {
 		panic("volunteer: snapshots of a multiplexed kernel are not supported")
 	}
@@ -175,13 +112,9 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 		rsrc:        *k.r,
 
 		window: k.window,
-
-		calCur: exportEvents(k.cal.cur[k.cal.cursor:]),
 		win:    k.win,
 		winEnd: k.winEnd,
 		armed:  k.armed,
-
-		livePlane: k.livePlane,
 	}
 	p.cur = make([]int32, len(k.cur))
 	for i, a := range k.cur {
@@ -191,22 +124,21 @@ func (k *ShardKernel) ExportPortable() *PortableKernel {
 	for i, a := range k.cache {
 		p.cache[i] = wcg.AssignmentIndex(a)
 	}
-	p.events, p.spans = k.cal.flatten()
-	p.ring = k.cal.exportRing()
-	return p
+	c := &k.cal
+	for _, ev := range c.cur[c.cursor:] {
+		events = append(events, exportEvent(ev))
+	}
+	for _, win := range c.wins[c.next:] {
+		events = appendChunks(events, win.head, 0)
+	}
+	return p, appendChunks(events, c.ring.head, c.ringOff)
 }
 
 // AdoptPortable installs a portable kernel snapshot into this kernel. The
 // kernel must have been Reset under the same configuration and window
 // width the source ran; every assignment index is resolved through asAt
-// against the adopter's server. Calendar windows are rebuilt from the flat
-// event list onto the adopter's own chunks. A window's chunk layout is
-// invisible — its barrier arms it into exact (time, seq) order whatever
-// the order of its events (see Window arming in kernel.go) — so the
-// rebuilt calendar is equivalent to the flattened one. The ring is
-// rebuilt in ring order, and stays in (time, seq) order as the adopter
-// appends: every adopted entry was scheduled at or before the snapshot's
-// clock, under the same IdleRetry.
+// against the adopter's server. The calendar is left empty at the
+// source's armed window, for AdoptEvent to fill.
 func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Assignment) {
 	if k.window != p.window {
 		panic("volunteer: adopting kernel has a different window width — config mismatch")
@@ -234,20 +166,23 @@ func (k *ShardKernel) AdoptPortable(p *PortableKernel, asAt func(int32) *wcg.Ass
 	k.active, k.firstActive = p.active, p.firstActive
 	*k.r = p.rsrc
 
-	c := &k.cal
-	c.reset(p.win + 1) // every pending window lies after the armed one
-	i := 0
-	for _, s := range p.spans {
-		for end := i + int(s.n); i < end; i++ {
-			c.push(int(s.w), adoptEvent(p.events[i]))
-		}
-	}
-	for _, pe := range p.ring {
-		c.appendTo(&c.ring, adoptEvent(pe))
-	}
-	for _, pe := range p.calCur {
-		c.cur = append(c.cur, adoptEvent(pe))
-	}
+	k.cal.reset(p.win + 1) // every pending window lies after the armed one
 	k.win, k.winEnd, k.armed = p.win, p.winEnd, p.armed
-	k.livePlane = p.livePlane
+	k.livePlane = 0
+}
+
+// AdoptEvent routes an adopted CallHost event, its assignment resolved to
+// a (nil unless it is a late return), where schedule would put it: a late
+// return, or a continuation due inside the armed window, into the engine's
+// heap; any other into its calendar window. An event the source held in
+// its armed buffer or on its ring so lands in the heap or a window, which
+// changes no execution order (Merge order in kernel.go). Call it after
+// AdoptPortable.
+func (k *ShardKernel) AdoptEvent(pe sim.PortableEvent, a *wcg.Assignment) {
+	if pe.Call.K0 == evLate || pe.At < k.winEnd {
+		k.eng.AdoptEvent(pe, k, a)
+		return
+	}
+	k.livePlane++
+	k.cal.push(int(pe.At/k.window), planeEvent{at: pe.At, seq: pe.Seq, host: pe.Call.A0, kind: pe.Call.K0})
 }

@@ -284,7 +284,8 @@ func runFleet(e *sim.Engine, servers []*wcg.Server, src WorkSource, m *Mux, targ
 	for _, s := range servers {
 		out.stats = append(out.stats, s.Stats)
 	}
-	out.executed, out.maxPending = e.Executed(), e.MaxPending()
+	n := e.Counters()
+	out.executed, out.maxPending = n.Executed, n.MaxPending
 	read(&out)
 	out.reports = rc.reports
 	for len(out.reports) < len(out.speeds) {

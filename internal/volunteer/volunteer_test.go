@@ -570,8 +570,8 @@ func TestEveryCopyPassedBackOnce(t *testing.T) {
 	k.RunUntil(10 * sim.Day)
 	k.SetTarget(0)
 	k.RunUntil(60 * sim.Day)
-	if engine.Pending() != 0 {
-		t.Fatalf("%d events still pending", engine.Pending())
+	if engine.Counters().Pending != 0 {
+		t.Fatalf("%d events still pending", engine.Counters().Pending)
 	}
 	if src.left == 0 || src.reports == 0 || src.drops == 0 || src.unknownPassBack != 0 {
 		t.Fatalf("budget left %d, %d reports, %d drops, %d copies passed back that were never issued",

@@ -3,6 +3,7 @@ package wcg
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -36,16 +37,17 @@ func TestRecordSizes(t *testing.T) {
 
 // TestAddWorkunitRejects: a batch the record's int32 cannot hold, or a
 // duration that is not finite and positive, panics with a wcg: message
-// naming the value; the extremes the record can hold are accepted.
+// naming the value; the extremes the record can hold are accepted. A batch
+// above MaxInt32 exists only where int has 64 bits.
 func TestAddWorkunitRejects(t *testing.T) {
-	for _, c := range []struct {
+	type addCase struct {
 		batch int
 		ref   float64
 		want  string // "" = accepted
-	}{
+	}
+	cases := []addCase{
 		{batch: -1, ref: 100, want: "batch -1"},
-		{batch: math.MaxInt32 + 1, ref: 100, want: fmt.Sprint("batch ", math.MaxInt32+1)},
-		{batch: math.MinInt64, ref: 100, want: fmt.Sprint("batch ", math.MinInt64)},
+		{batch: math.MinInt, ref: 100, want: fmt.Sprint("batch ", math.MinInt)},
 		{batch: 0, ref: math.NaN(), want: "RefSeconds NaN"},
 		{batch: 0, ref: math.Inf(1), want: "RefSeconds +Inf"},
 		{batch: 0, ref: math.Inf(-1), want: "RefSeconds -Inf"},
@@ -55,7 +57,12 @@ func TestAddWorkunitRejects(t *testing.T) {
 		{batch: math.MaxInt32, ref: 100},
 		{batch: 0, ref: math.SmallestNonzeroFloat64},
 		{batch: 0, ref: math.MaxFloat64},
-	} {
+	}
+	if strconv.IntSize == 64 {
+		over := int64(math.MaxInt32) + 1 // a variable: the constant would not compile for a 32-bit int
+		cases = append(cases, addCase{batch: int(over), ref: 100, want: fmt.Sprint("batch ", over)})
+	}
+	for _, c := range cases {
 		name := fmt.Sprintf("batch=%d ref=%v", c.batch, c.ref)
 		var msg string
 		func() {

@@ -73,8 +73,8 @@ func TestEveryObjectReleasedOnce(t *testing.T) {
 			}
 			loop()
 			engine.RunUntil(400 * sim.Day)
-			if srv.Stats.Completed != nWU || engine.Pending() != 0 || srv.RequestWork() != nil {
-				t.Fatalf("run not over: %d of %d completed, %d events pending", srv.Stats.Completed, nWU, engine.Pending())
+			if srv.Stats.Completed != nWU || engine.Counters().Pending != 0 || srv.RequestWork() != nil {
+				t.Fatalf("run not over: %d of %d completed, %d events pending", srv.Stats.Completed, nWU, engine.Counters().Pending)
 			}
 			if srv.Stats.Sent < 2*slab.Chunk || srv.Stats.LateReturns == 0 || srv.Stats.Invalid == 0 {
 				t.Fatalf("traffic too thin to cover recycling: %+v", srv.Stats)

@@ -213,8 +213,8 @@ func TestDrainReentrantRequestWorkSingleChain(t *testing.T) {
 	}
 	// Exactly one drain event may be live: a forked chain would show up as
 	// a second pending engine event.
-	if engine.Pending() != 1 {
-		t.Fatalf("pending events = %d, want 1 (single drain chain)", engine.Pending())
+	if engine.Counters().Pending != 1 {
+		t.Fatalf("pending events = %d, want 1 (single drain chain)", engine.Counters().Pending)
 	}
 }
 
